@@ -5,14 +5,15 @@ Measures the host driver's micro-op generation rate into a memory buffer
 simulator to ``OPS[...]``), for every representative macro-instruction,
 with the compiled-sequence cache on and off.
 
-Two emission paths are measured per op type: the legacy *per-macro*
-dispatch (``Driver.execute``, one Python round-trip per macro) and the
-*whole-stream* plans of :mod:`repro.driver.stream`
-(``Driver.execute_stream``, one cached fused program per 64-macro
-stream). The stream path is the headline number — it is what compiled
-graphs and stream-aware hosts pay — and the CI gate: **every** op type,
-including the short-bodied int add / int ``<`` that cap per-macro
-dispatch below 1x, must clear 1x headroom against the 300MHz chip.
+Two dispatch granularities of the one emission path
+(:mod:`repro.driver.stream`) are measured per op type: *per-macro*
+(``Driver.execute``: a one-instruction plan and one Python round-trip
+per macro) and *whole-stream* (``Driver.execute_stream``, one cached
+fused program per 64-macro stream). The stream column is the headline
+number — it is what compiled graphs and stream-aware hosts pay — and
+the CI gate: **every** op type, including the short-bodied int add /
+int ``<`` that cap per-macro dispatch below 1x, must clear 1x headroom
+against the 300MHz chip.
 
 The per-op-type breakdown attributes each case's headroom: *gate
 building* (cold lowering cost, paid once per distinct instruction and
@@ -66,7 +67,7 @@ def test_driver_throughput(benchmark, cfg, name, op, dtype):
     def run():
         stream = measure_driver_throughput(
             cfg, op, dtype, iterations=iterations, unique_sequences=16,
-            emit="stream", stream_len=STREAM_LEN,
+            stream_len=STREAM_LEN,
         )
         macro = measure_driver_throughput(
             cfg, op, dtype, iterations=iterations, unique_sequences=16
@@ -144,7 +145,8 @@ def teardown_module(module):
         "",
         f"stream = whole-stream emission plans ({STREAM_LEN} macros/stream,"
         " Driver.execute_stream);",
-        "per-macro = legacy single-macro dispatch (Driver.execute).",
+        "per-macro = one-instruction plans, one dispatch per macro"
+        " (Driver.execute).",
         "",
     ] + _LINES
     if _BREAKDOWN:
@@ -160,8 +162,8 @@ def teardown_module(module):
             f" {STREAM_LEN} macros",
             "(all plan-cache hits in the steady state), so every op type",
             "now clears 1x headroom — enforced in CI. Gate building stays",
-            "fully amortized by the compiled-sequence cache; per-macro",
-            "fallback numbers are retained for the dispatch-bound ladder.",
+            "fully amortized by the compiled-sequence cache; the per-macro",
+            "column is the same plan dispatch at one-instruction granularity.",
         ]
     text = "\n".join(sections)
     print("\n" + text)

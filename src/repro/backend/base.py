@@ -160,9 +160,10 @@ class Backend(abc.ABC):
         return {}
 
     def emit_counters(self) -> Dict[str, int]:
-        """Streams served per emission level (see the fallback ladder in
-        :mod:`repro.driver.stream`): ``"stream"`` counts fused-plan
-        emissions, ``"macro"`` counts per-macro fallbacks.
+        """Streams served per emission level (see
+        :mod:`repro.driver.stream`): ``"stream"`` counts plan emissions
+        (eager R-type macros included), ``"macro"`` counts streams
+        lowered op-by-op.
         ``pim.Profiler`` snapshots this; backends without a stream
         compiler report nothing.
         """
@@ -193,18 +194,18 @@ class Backend(abc.ABC):
         return {}
 
     def replay_counters(self) -> Dict[str, int]:
-        """Program replays served per replay engine.
+        """Program replays served per replay route.
 
         ``pim.Profiler`` snapshots this to attribute replays inside a
-        block to the vectorized super-step engine versus the per-op
-        thunk path. Backends without engine tiers report nothing.
+        block to ``"vectorized"`` super-step plans versus the op-by-op
+        ``"reference"``. Backends with one replay route report nothing.
         """
         return {}
 
     def program_replay_info(self, program) -> Dict[str, object]:
         """How this backend would replay a compiled program.
 
-        On the simulator backend: the selected engine and the program's
+        On the simulator backend: the replay route and the program's
         super-step segmentation counts (see
         :meth:`repro.driver.program.MicroProgram.replay_summary`).
         Backends with a single execution strategy report nothing.

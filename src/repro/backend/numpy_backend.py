@@ -354,34 +354,24 @@ class NumpyBackend(Backend):
         """Emit a whole stream through one cached ``FunctionalProgram``.
 
         The functional twin of the driver's
-        :meth:`~repro.driver.driver.Driver.execute_stream`: under the
-        default ``"stream"`` emission mode the stream compiles once into
-        a fused program (identical cycle bill by construction — the
-        verbatim lowering's accounting is linear in the ops) and replays
-        through its pre-resolved plan; ``emit_mode="macro"`` falls back
-        to the per-instruction loop, bit-identically.
+        :meth:`~repro.driver.driver.Driver.execute_stream`: the stream
+        compiles once into a fused program (identical cycle bill by
+        construction — the verbatim lowering's accounting is linear in
+        the ops) and replays through its pre-resolved plan.
         """
         from repro.driver.stream import MacroStream
 
         instrs = MacroStream.wrap(instructions)
         if not instrs:
             return None
-        if self._driver.emit_mode == "stream":
-            key = (instrs, name)
-            program = self._stream_programs.get(key)
-            if program is None:
-                program = self.compile(instrs, name=name, optimize=False)
-                if len(self._stream_programs) < 4096:
-                    self._stream_programs[key] = program
-            self._emit_counters["stream"] += 1
-            return self.run_program(program)
-        self._emit_counters["macro"] += 1
-        response: Optional[int] = None
-        for instr in instrs:
-            result = self.execute(instr)
-            if result is not None:
-                response = result
-        return response
+        key = (instrs, name)
+        program = self._stream_programs.get(key)
+        if program is None:
+            program = self.compile(instrs, name=name, optimize=False)
+            if len(self._stream_programs) < 4096:
+                self._stream_programs[key] = program
+        self._emit_counters["stream"] += 1
+        return self.run_program(program)
 
     def emit_counters(self) -> Dict[str, int]:
         return dict(self._emit_counters)

@@ -37,19 +37,11 @@ class SimulatorBackend(Backend):
         self,
         config: PIMConfig,
         move_cost: str = "unit",
-        replay_engine: Optional[str] = None,
         **driver_kwargs,
     ):
         super().__init__(config)
-        self.simulator = Simulator(
-            config, move_cost=move_cost, replay_engine=replay_engine
-        )
+        self.simulator = Simulator(config, move_cost=move_cost)
         self.driver = Driver(self.simulator, **driver_kwargs)
-
-    @property
-    def replay_engine(self) -> str:
-        """The simulator's program-replay engine (``pim.init`` kwarg)."""
-        return self.simulator.replay_engine
 
     # ------------------------------------------------------------------
     def execute(self, instr: Instruction) -> Optional[int]:
@@ -78,8 +70,8 @@ class SimulatorBackend(Backend):
         """Bind a fault plan's cell faults to the simulator's memory.
 
         The overlay is owned (and ticked) by the driver so that macro
-        dispatch, fused-stream emission, and both program-replay engines
-        open identical fault windows; the memory keeps a reference for
+        dispatch, fused-stream emission, and program replay open
+        identical fault windows; the memory keeps a reference for
         introspection (``memory.overlay``).
         """
         overlay = plan.overlay_for(self.simulator.memory.words, self.config)
@@ -122,43 +114,21 @@ class SimulatorBackend(Backend):
         return dict(self.simulator.replay_counters)
 
     def program_replay_info(self, program):
-        """Engine selection + segmentation accounting for one program.
+        """Replay route + segmentation accounting for one program.
 
-        ``engine`` is what :meth:`run_program` will use under the current
-        setting: the vectorized super-step engine needs a self-masked
-        program (static per-replay accounting exists) and the packed
-        ``uint32`` word format; everything else replays through per-op
-        thunks. The remaining keys are the IR's
-        :meth:`~repro.driver.program.MicroProgram.replay_summary` at the
-        engine's run-length threshold, so ``gate_ops``/``fallback_ops``
-        reflect what a vectorized replay actually fuses.
+        ``engine`` is what :meth:`run_program` will use, as decided (and
+        memoized) by the simulator itself: a ``"vectorized"`` plan needs
+        a self-masked program (static per-replay accounting exists) and
+        the packed ``uint32`` word format; everything else replays
+        through the op-by-op ``"reference"``. The remaining keys are the
+        IR's :meth:`~repro.driver.program.MicroProgram.replay_summary`,
+        so ``gate_ops``/``fallback_ops`` reflect what a vectorized
+        replay fuses.
         """
-        from repro.sim import replay
-        from repro.sim.simulator import accounting_walk
-
-        info = dict(program.replay_summary(replay.MIN_RUN_OPS))
-        # The memoized plan is the authoritative answer (and free): only
-        # programs never replayed here, or replayed under a since-changed
-        # engine setting, need the eligibility predicate re-derived.
-        plan = self.simulator._plans.get(program)
-        if plan is not None and plan.requested == self.simulator.replay_engine:
-            info["engine"] = plan.engine
-            info["self_masked"] = plan.static_stats is not None
-            return info
-        self_masked = (
-            accounting_walk(
-                program.ops, self.config, self.simulator.move_cost,
-                strict=False,
-            )
-            is not None
-        )
-        vectorized = (
-            self.simulator.replay_engine == "vectorized"
-            and self_masked
-            and replay.lanes_supported(self.simulator.memory)
-        )
-        info["engine"] = "vectorized" if vectorized else "thunk"
-        info["self_masked"] = self_masked
+        info = dict(program.replay_summary())
+        vectorized = self.simulator.replay_plan(program) is not None
+        info["engine"] = "vectorized" if vectorized else "reference"
+        info["self_masked"] = self.simulator._static_stats(program) is not None
         return info
 
     def _walk_ops(self, ops) -> SimStats:
@@ -186,7 +156,7 @@ class SimulatorBackend(Backend):
     @property
     def cache_hits(self) -> int:
         """Hits across both driver cache tiers (bodies + streams)."""
-        return self.driver.programs.hits + self.driver.streams.hits
+        return self.driver.cache_hits
 
     @property
     def cache_misses(self) -> int:

@@ -18,9 +18,9 @@ re-implement the AritPIM suite from scratch:
   passes (mask coalescing, redundant-INIT1 elimination);
 - :mod:`repro.driver.driver` — the :class:`Driver` itself, with its
   compiled-program cache;
-- :mod:`repro.driver.stream` — the whole-stream emission compiler
-  (:class:`MacroStream` IR, cached :class:`StreamPlan` dispatch, the
-  ``REPRO_DRIVER_EMIT`` fallback ladder);
+- :mod:`repro.driver.stream` — the stream emission compiler
+  (:class:`MacroStream` IR, cached :class:`StreamPlan` dispatch: an
+  eager R-type macro is a one-instruction stream);
 - :mod:`repro.driver.throughput` — the driver-throughput measurement
   harness (micro-ops rerouted to a memory buffer, Section VI-B / artifact
   appendix).
@@ -30,13 +30,7 @@ from repro.driver.compiler import CompileError, compile_ops
 from repro.driver.driver import Driver, BufferSink
 from repro.driver.gates import GateBuilder, ScratchOverflow
 from repro.driver.program import MicroProgram, ProgramCache, config_fingerprint
-from repro.driver.stream import (
-    EMIT_ENV,
-    EMIT_MODES,
-    MacroStream,
-    StreamPlan,
-    resolve_emit_mode,
-)
+from repro.driver.stream import MacroStream, StreamPlan
 
 __all__ = [
     "Driver",
@@ -50,7 +44,4 @@ __all__ = [
     "CompileError",
     "compile_ops",
     "config_fingerprint",
-    "resolve_emit_mode",
-    "EMIT_ENV",
-    "EMIT_MODES",
 ]

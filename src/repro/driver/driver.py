@@ -14,13 +14,17 @@ later calls with fresh mask operations prepended. This is what makes the
 Python driver fast enough to outpace the PIM chip's consumption rate (the
 claim benchmarked in ``benchmarks/test_driver_throughput.py``).
 
-Replay takes the fastest route the chip supports: pre-encoded 64-bit word
-blocks for batch sinks (``execute_batch``), pre-validated program replay
-for the simulator (``execute_program``, skipping per-op dispatch and
-validation — see ``benchmarks/test_compile_cache.py``), or op-by-op
-``execute`` otherwise. Multi-instruction streams can additionally be
-recorded and peephole-optimized with :meth:`Driver.compile` /
-:meth:`Driver.run_program` (see :mod:`repro.driver.compiler`).
+There is one dispatch path: an R-type macro is a one-instruction stream,
+and every stream is emitted as a cached, self-masked
+:class:`~repro.driver.stream.StreamPlan` through a single chip call
+(``execute_program`` replay, or one pre-encoded ``execute_batch`` word
+block). Whatever has no plan — non-R-type macros issued one at a time, a
+disabled cache, chips without a program/batch port — is lowered and
+forwarded op-by-op by :meth:`Driver._execute_lowered`, the reference the
+differential suites compare against. Multi-instruction streams can
+additionally be recorded and peephole-optimized with
+:meth:`Driver.compile` / :meth:`Driver.run_program` (see
+:mod:`repro.driver.compiler`).
 """
 
 from __future__ import annotations
@@ -48,12 +52,7 @@ from repro.driver.compiler import CompileError, compile_ops, validate_ops
 from repro.driver.gates import GateBuilder
 from repro.driver.persist import PersistentProgramCache, resolve_cache_dir
 from repro.driver.program import MicroProgram, ProgramCache, config_fingerprint
-from repro.driver.stream import (
-    UNSUPPORTED,
-    MacroStream,
-    build_plan,
-    resolve_emit_mode,
-)
+from repro.driver.stream import UNSUPPORTED, MacroStream, build_plan
 from repro.isa.instructions import (
     Instruction,
     MoveInstr,
@@ -151,11 +150,6 @@ class Driver:
             from ``REPRO_CACHE_DIR``; ``None`` (and no env var) keeps
             the cache in-memory only.
         guard: enable gate-level lifetime checking (slow; for tests).
-        emit_mode: ``"stream"`` (default) lets :meth:`execute_stream`
-            emit whole macro streams through fused cached plans;
-            ``"macro"`` forces the legacy per-macro ladder everywhere
-            (also selectable via ``REPRO_DRIVER_EMIT``, see
-            :mod:`repro.driver.stream`).
     """
 
     #: The two scratch registers used as staging columns by move lowering.
@@ -168,7 +162,6 @@ class Driver:
         parallelism: str = "parallel",
         cache_size: Optional[int] = None,
         guard: bool = False,
-        emit_mode: Optional[str] = None,
         cache_dir: Optional[str] = None,
     ):
         if parallelism not in ("parallel", "serial"):
@@ -177,7 +170,6 @@ class Driver:
         self.config = config if config is not None else chip.config
         self.parallelism = parallelism
         self.guard = guard
-        self.emit_mode = resolve_emit_mode(emit_mode)
         cache_size = resolve_cache_size(cache_size)
         self.cache_enabled = cache_size > 0
         self.cache_dir = resolve_cache_dir(cache_dir)
@@ -198,18 +190,19 @@ class Driver:
         # The config is fixed for the driver's lifetime; hoist the
         # fingerprint out of the per-instruction cache-key path.
         self._fingerprint = config_fingerprint(self.config)
-        self._mask_cache: Dict[Tuple, "object"] = {}
         self._mask_op_cache: Dict[Tuple, Tuple[MicroOp, MicroOp]] = {}
         self.macro_count = 0
         self.micro_count = 0
-        #: Streams served per emission level (see the fallback ladder in
-        #: :mod:`repro.driver.stream`): ``"stream"`` counts fused-plan
-        #: emissions, ``"macro"`` counts per-macro fallbacks.
+        #: Streams served per emission level: ``"stream"`` counts plan
+        #: emissions (an eager R-type macro is a one-instruction
+        #: stream), ``"macro"`` counts streams :meth:`_execute_lowered`
+        #: served macro by macro.
         self.emit_counters: Dict[str, int] = {"stream": 0, "macro": 0}
         #: Installed :class:`repro.faults.FaultOverlay` (``None`` = no
         #: faults). Ticked once per dispatch unit — after each macro
         #: ``execute``, fused-stream emission, or program replay — so
-        #: every replay engine observes identical fault behaviour.
+        #: plans and the op-by-op reference observe identical fault
+        #: behaviour.
         self.faults = None
         #: ``verify="checksum"`` accounting (replays checked / corrupted
         #: replays caught), surfaced via ``Backend.fault_counters()``.
@@ -218,13 +211,14 @@ class Driver:
 
     @property
     def cache_hits(self) -> int:
-        """Program-cache hits — read-only view of ``programs.hits``.
+        """Program-cache hits across both tiers (bodies + stream plans).
 
-        Unlike ``macro_count``/``micro_count`` this cannot be reset by
-        assignment; reset or snapshot the :attr:`programs` counters
-        directly (``pim.Profiler`` takes the snapshot approach).
+        Read-only: unlike ``macro_count``/``micro_count`` this cannot be
+        reset by assignment; reset or snapshot the :attr:`programs` /
+        :attr:`streams` counters directly (``pim.Profiler`` takes the
+        snapshot approach).
         """
-        return self.programs.hits
+        return self.programs.hits + self.streams.hits
 
     # ------------------------------------------------------------------
     # Public interface
@@ -233,32 +227,24 @@ class Driver:
         """Lower one macro-instruction and forward it to the chip.
 
         Returns the read word for :class:`ReadInstr`, otherwise ``None``.
-        When the chip supports batched transfer (``execute_batch``, e.g.
-        :class:`BufferSink`), cached R-type bodies are shipped as
-        pre-encoded 64-bit word blocks — the DMA-style path a production
-        host driver uses, and what the throughput benchmark measures.
+        An R-type macro is a one-instruction stream and takes exactly the
+        :meth:`execute_stream` path (cached self-masked plan, one chip
+        call); the short non-R lowerings are forwarded op-by-op.
         """
         if isinstance(instr, RInstr):
-            if hasattr(self.chip, "execute_batch"):
-                response = self._execute_rtype_batched(instr)
-            elif self.cache_enabled and hasattr(self.chip, "execute_program"):
-                response = self._execute_rtype_program(instr)
-            else:
-                response = self._execute_lowered(instr)
-        else:
-            response = self._execute_lowered(instr)
-        if self.faults is not None:
-            self.faults.tick()
-        return response
+            return self.execute_stream((instr,))
+        return self._execute_lowered(instr)
 
     def _execute_lowered(self, instr: Instruction) -> Optional[int]:
-        """The uncached path: lower and forward op-by-op."""
+        """The plan-less path: lower, forward op-by-op, one fault tick."""
         ops = self.lower(instr)
         response: Optional[int] = None
         for op in ops:
             result = self.chip.execute(op)
             if result is not None:
                 response = result
+        if self.faults is not None:
+            self.faults.tick()
         return response
 
     # ------------------------------------------------------------------
@@ -302,40 +288,6 @@ class Driver:
             self.programs.put(key, program)
         return program
 
-    def _execute_rtype_program(self, instr: RInstr) -> None:
-        """Replay path: masks op-by-op, then the pre-validated body."""
-        validate(instr, self.config.registers)
-        self.macro_count += 1
-        program = self._rtype_program(instr)
-        mask_ops = self._mask_ops(instr.warp_mask, instr.row_mask)
-        for op in mask_ops:
-            self.chip.execute(op)
-        self.chip.execute_program(program)
-        self.micro_count += len(mask_ops) + len(program)
-
-    def _execute_rtype_batched(self, instr: RInstr) -> None:
-        import numpy as np
-
-        validate(instr, self.config.registers)
-        self.macro_count += 1
-        words = self._rtype_program(instr).encoded(self.config.word_size)
-
-        mask_key = (instr.warp_mask, instr.row_mask)
-        mask_words = self._mask_cache.get(mask_key)
-        if mask_words is None:
-            mask_words = np.array(
-                [
-                    encode(op, self.config.word_size)
-                    for op in self._mask_ops(instr.warp_mask, instr.row_mask)
-                ],
-                dtype=np.uint64,
-            )
-            if len(self._mask_cache) < 4096:
-                self._mask_cache[mask_key] = mask_words
-        self.chip.execute_batch(mask_words)
-        self.chip.execute_batch(words)
-        self.micro_count += len(words) + len(mask_words)
-
     def lower(self, instr: Instruction) -> List[MicroOp]:
         """Produce the full micro-operation sequence for an instruction."""
         validate(instr, self.config.registers)
@@ -361,7 +313,7 @@ class Driver:
         instructions: List[Instruction],
         name: str = "stream",
         optimize: bool = True,
-        emit: Optional[str] = None,
+        emit: str = "stream",
     ) -> MicroProgram:
         """Record a macro-instruction sequence into one compiled program.
 
@@ -373,32 +325,33 @@ class Driver:
         The optimized program produces a bit-identical memory state in
         fewer cycles; replay it with :meth:`run_program`.
 
-        Under the default ``"stream"`` emission mode the lowering is
-        *spliced*: cached per-R-type bodies (valid by construction, never
-        re-validated) are stitched between cached mask preambles, so the
-        per-macro cost is a cache lookup plus a list extend instead of a
-        full re-lowering and per-op validation pass. ``emit="macro"``
-        (or the driver-wide mode) selects the legacy per-macro lowering
-        with full stream validation; both produce identical programs.
+        The lowering is *spliced*: cached per-R-type bodies (valid by
+        construction, never re-validated) are stitched between cached
+        mask preambles, so the per-macro cost is a cache lookup plus a
+        list extend instead of a full re-lowering and per-op validation
+        pass. ``emit="macro"`` selects the *reference lowering* — every
+        macro re-lowered, the whole stream validated — which the
+        conformance suite checks the spliced programs against, op for op.
 
         Compiled streams are cached in :attr:`streams` (the stream tier),
         keyed on the exact instruction sequence, the profiling ``name``,
         *and the full lowering configuration* (the ``optimize`` flag, the
-        emission mode, the parallelism mode, and the config fingerprint):
+        lowering, the parallelism mode, and the config fingerprint):
         recompiling the same stream is a cache hit, and switching any of
         those mid-session can never replay a stale program compiled
         under different flags.
         """
+        if emit not in ("stream", "macro"):
+            raise ValueError(f"emit must be 'stream' or 'macro', not {emit!r}")
         instrs = MacroStream.wrap(instructions)
-        mode = resolve_emit_mode(emit) if emit is not None else self.emit_mode
         key = None
         if self.cache_enabled:
-            key = ("stream", instrs, name, bool(optimize), mode,
+            key = ("stream", instrs, name, bool(optimize), emit,
                    self.parallelism, self._fingerprint)
             cached = self.streams.get(key)
             if cached is not None:
                 return cached
-        if mode == "stream":
+        if emit == "stream":
             program = self._compile_spliced(instrs, name, optimize)
         else:
             ops: List[MicroOp] = []
@@ -451,19 +404,20 @@ class Driver:
     ) -> Optional[int]:
         """Emit a whole macro-instruction stream as one dispatch unit.
 
-        Under the default ``"stream"`` emission mode the stream is fused
-        into a cached :class:`~repro.driver.stream.StreamPlan` (see
+        The stream is fused into a cached
+        :class:`~repro.driver.stream.StreamPlan` (see
         :mod:`repro.driver.stream`) and dispatched with a single chip
         call — ``execute_program`` replay, or one pre-encoded
-        ``execute_batch`` word block.  Streams without a supported plan
-        route (and everything under ``emit_mode="macro"`` or a disabled
-        cache) fall back to per-macro :meth:`execute`, bit-identically.
-        Returns the last read response, like a per-macro loop would.
+        ``execute_batch`` word block — followed by one fault tick.
+        Streams with no plan (a disabled cache, a chip without a
+        program/batch port, a batch-only sink asked for read responses)
+        are lowered and forwarded op-by-op instead, one fault tick per
+        macro, bit-identically. Returns the last read response.
         """
         instrs = MacroStream.wrap(instructions)
         if not instrs:
             return None
-        if self.emit_mode == "stream" and self.cache_enabled:
+        if self.cache_enabled:
             key = ("plan", instrs, name, self.parallelism, self._fingerprint)
             plan = self.streams.get(key)
             if plan is None:
@@ -486,7 +440,7 @@ class Driver:
         self.emit_counters["macro"] += 1
         response: Optional[int] = None
         for instr in instrs:
-            result = self.execute(instr)
+            result = self._execute_lowered(instr)
             if result is not None:
                 response = result
         return response

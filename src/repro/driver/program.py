@@ -59,11 +59,11 @@ class SuperStep:
     :class:`~repro.arch.micro_ops.LogicHOp`\\ s whose crossbar and row
     masks are *statically known* (both were set by earlier operations of
     the same program — always true for self-masked fused streams); the
-    vectorized replay engine lowers each such run into a handful of
+    simulator's vectorized replay lowers each such run into a handful of
     fused bulk updates over the packed memory image. Every other
     operation — mask changes, reads, writes, vertical logic, H-tree
     moves, and gates executing under caller-set masks — is its own
-    ``"op"`` segment and replays through the per-op fallback path.
+    ``"op"`` segment.
 
     Attributes:
         kind: ``"gates"`` or ``"op"``.
@@ -176,7 +176,7 @@ class MicroProgram:
         """The program's super-step decomposition (built once, memoized).
 
         See :func:`segment_super_steps`; the simulator's vectorized
-        replay engine consumes this, and :meth:`replay_summary` reports
+        replay consumes this, and :meth:`replay_summary` reports
         it.
         """
         cached = self.__dict__.get("_super_steps")
@@ -185,20 +185,16 @@ class MicroProgram:
             self.__dict__["_super_steps"] = cached
         return cached
 
-    def replay_summary(self, min_run_ops: int = 1) -> Dict[str, int]:
+    def replay_summary(self) -> Dict[str, int]:
         """Segmentation accounting: how much of the stream can fuse.
 
-        Returns ``gate_runs`` (number of ``"gates"`` segments at least
-        ``min_run_ops`` long), ``gate_ops`` (ops inside them — the
-        fusable fraction), and ``fallback_ops`` (ops replayed one at a
-        time). Callers reporting what the vectorized engine *actually*
-        fuses must pass its run-length threshold
-        (:data:`repro.sim.replay.MIN_RUN_OPS`): shorter gate runs
-        execute through per-op thunks.
+        Returns ``gate_runs`` (number of ``"gates"`` segments),
+        ``gate_ops`` (ops inside them — what a vectorized replay fuses),
+        and ``fallback_ops`` (ops replayed one at a time).
         """
         gate_runs = gate_ops = 0
         for segment in self.super_steps:
-            if segment.kind == "gates" and len(segment) >= min_run_ops:
+            if segment.kind == "gates":
                 gate_runs += 1
                 gate_ops += len(segment)
         return {
@@ -254,9 +250,10 @@ class ProgramCache:
     tier (``Driver.programs``) and the whole-stream *plan* tier
     (``Driver.streams``, fused programs and
     :class:`~repro.driver.stream.StreamPlan`\\ s keyed on the
-    instruction-tuple signature plus the emission mode). Keeping the
-    tiers separate keeps each one's hit/miss accounting meaningful;
-    ``SimulatorBackend.cache_hits``/``cache_misses`` report the sum.
+    instruction-tuple signature). Keeping the tiers separate keeps
+    each one's hit/miss accounting meaningful;
+    ``Driver.cache_hits`` / ``SimulatorBackend.cache_hits`` report the
+    sum.
 
     Both tiers are thread-safe: lookups and inserts hold an internal
     lock, so a driver shared by several serving threads (see

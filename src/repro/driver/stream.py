@@ -1,22 +1,16 @@
-"""Whole-stream emission: macro-instruction streams as one cached plan.
+"""Stream emission: macro-instruction streams as one cached plan.
 
-The per-macro emission path (``Driver.execute``) pays a fixed Python
-dispatch cost per macro-instruction — validation, cache lookup, mask
-encoding, one or two chip calls.  For multi-thousand-cycle bodies that
-cost vanishes into the chip's own consumption time, but the short
-bit-parallel bodies (int add at ~185 micro-ops, comparisons at ~274)
-leave the chip idle: the emission breakdown in
-``results/driver_throughput.txt`` attributes their sub-1x headroom
-entirely to per-macro dispatch.
-
-This module is the fix: the *stream* — not the macro — becomes the unit
-of emission.  A whole macro-instruction sequence is lowered once into a
-single fused :class:`~repro.driver.program.MicroProgram` (splicing the
-cached per-(op, dtype, operand-layout) bodies, with mask/region
-resolution batched across the stream) and wrapped in a :class:`StreamPlan`
-that fixes, at build time, the fastest dispatch route the chip supports.
-Replaying the plan re-enters Python once per *stream*: one cache lookup,
-one chip call.
+The *stream* — not the macro — is the driver's unit of emission.  A
+macro-instruction sequence (an eager R-type macro is the one-instruction
+case) is lowered once into a single fused, self-masked
+:class:`~repro.driver.program.MicroProgram` (splicing the cached
+per-(op, dtype, operand-layout) bodies behind cached mask preambles) and
+wrapped in a :class:`StreamPlan` that fixes, at build time, the dispatch
+route the chip supports.  Replaying the plan re-enters Python once per
+*stream*: one cache lookup, one chip call.  Short bit-parallel bodies
+(int add at ~185 micro-ops, comparisons at ~274) need this to keep the
+chip busy: ``results/driver_throughput.txt`` attributes their sub-1x
+per-macro headroom entirely to fixed per-dispatch cost.
 
 Three pieces live here:
 
@@ -26,52 +20,28 @@ Three pieces live here:
 - :class:`StreamPlan` — a fused program plus its pre-resolved dispatch
   route (``execute_program`` replay, or pre-encoded ``execute_batch``
   word blocks);
-- :func:`resolve_emit_mode` — the emission-mode selector, mirroring the
-  replay-engine selection of :mod:`repro.sim.replay`: ``"stream"`` (the
-  default) emits through plans, ``"macro"`` forces the legacy per-macro
-  ladder (set ``REPRO_DRIVER_EMIT=macro``, or pass
-  ``emit_mode="macro"`` to the driver / ``pim.init``).
+- :func:`build_plan` / :func:`plan_route` — plan construction.
 
-Fallback ladder (each level bit-identical in memory and ``SimStats``):
-
-1. **stream** — a supported plan exists: one fused program per stream,
-   dispatched via ``execute_program`` or as one pre-encoded word block.
-2. **macro** — no plan route (a chip without program/batch transport, a
-   batch-only sink with in-stream reads whose responses it cannot
-   return, a disabled cache) or ``emit_mode="macro"``: each macro goes
-   through ``Driver.execute``'s own per-macro ladder.
+One rule decides how a stream reaches the chip: **plan → chip; otherwise
+``Driver._execute_lowered``.**  A stream has no plan when the chip has no
+program/batch port, when a batch-only sink is asked for in-stream read
+responses it cannot return, or when the driver's cache is disabled
+(``cache_size=0``); it is then lowered and forwarded op-by-op, macro by
+macro, bit-identically in memory and ``SimStats``.  There is no mode to
+select between the two.
 
 The :attr:`Driver.emit_counters <repro.driver.driver.Driver.emit_counters>`
-dict records which level served each stream; ``pim.Profiler`` snapshots
-it as ``emit_counts``.
+dict records which of the two served each stream (``"stream"`` /
+``"macro"``); ``pim.Profiler`` snapshots it as ``emit_counts``.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.driver.program import MicroProgram
 from repro.isa.instructions import Instruction, ReadInstr  # noqa: F401
-
-#: Environment variable selecting the default emission mode.
-EMIT_ENV = "REPRO_DRIVER_EMIT"
-
-#: Recognized emission modes, strongest first.
-EMIT_MODES = ("stream", "macro")
-
-
-def resolve_emit_mode(requested: "str | None" = None) -> str:
-    """Validate an emission mode, defaulting from ``REPRO_DRIVER_EMIT``."""
-    mode = requested or os.environ.get(EMIT_ENV) or EMIT_MODES[0]
-    if mode not in EMIT_MODES:
-        source = "requested" if requested else f"${EMIT_ENV}"
-        raise ValueError(
-            f"unknown emission mode {mode!r} ({source}); "
-            f"choose from {EMIT_MODES}"
-        )
-    return mode
 
 
 class MacroStream(tuple):
@@ -106,8 +76,8 @@ class StreamPlan:
     """A fused emission plan: one program, one pre-resolved dispatch route.
 
     Attributes:
-        program: the fused (unoptimized — cycle counts must match the
-            per-macro ladder exactly) :class:`MicroProgram` of the whole
+        program: the fused (unoptimized — cycle counts must match
+            op-by-op lowering exactly) :class:`MicroProgram` of the whole
             stream.
         macros: number of macro-instructions the plan covers.
         reads: number of in-stream :class:`~repro.isa.instructions.ReadInstr`
@@ -139,7 +109,7 @@ def plan_route(chip, reads: int) -> Optional[str]:
     (``execute_batch`` has no return channel), so streams containing
     reads are unsupported there.  Chips exposing only ``execute`` gain
     nothing from a fused plan — per-op dispatch dominates either way —
-    and fall back to the per-macro ladder.
+    and are served by ``Driver._execute_lowered``.
     """
     if chip is None:
         return None
@@ -154,16 +124,24 @@ def build_plan(driver, instructions, name: str = "stream") -> Optional[StreamPla
     """Compile a macro stream into a :class:`StreamPlan`, or ``None``.
 
     ``None`` means no supported dispatch route exists for this chip and
-    stream shape (see :func:`plan_route`); the caller falls back to
-    per-macro emission.  The fused program is compiled *unoptimized*: a
-    plan must be bit-identical to the per-macro ladder in both memory
+    stream shape (see :func:`plan_route`); the caller lowers the stream
+    op-by-op instead.  The fused program is compiled *unoptimized*: a
+    plan must be bit-identical to op-by-op lowering in both memory
     effects and cycle accounting, and the peephole passes trade cycles
     for a different (if state-equivalent) stream.
+
+    The program is spliced from the cached mask preambles and the cached
+    (and persisted) bodies and lives only in the plan: re-splicing is
+    cheaper than a disk load, so it is neither written through to the
+    persistent store nor entered into the stream tier a second time.
     """
     instrs = MacroStream.wrap(instructions)
     reads = sum(1 for instr in instrs if isinstance(instr, ReadInstr))
     route = plan_route(driver.chip, reads)
     if route is None:
         return None
-    program = driver.compile(instrs, name=name, optimize=False)
+    program = replace(
+        driver._compile_spliced(instrs, name, optimize=False),
+        macros=len(instrs),
+    )
     return StreamPlan(program=program, macros=len(instrs), reads=reads, route=route)

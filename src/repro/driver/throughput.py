@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.arch.config import PIMConfig
 from repro.driver.driver import BufferSink, Driver
@@ -26,12 +25,13 @@ from repro.isa.instructions import ARITY, RInstr, ROp
 class ThroughputResult:
     """Outcome of a driver-throughput run.
 
-    ``emit`` records the emission path the run measured (``"macro"``:
-    per-macro ``Driver.execute`` dispatch; ``"stream"``: whole-stream
-    plans via ``Driver.execute_stream``), and ``plan_hits`` /
-    ``plan_misses`` are the stream-tier cache counters accumulated
-    during the timed loop — a warm stream run should show only hits, so
-    cold/warm attribution stays honest.
+    ``emit`` records the dispatch granularity the run measured
+    (``"macro"``: one ``Driver.execute`` call — a one-instruction plan —
+    per macro; ``"stream"``: ``stream_len``-macro plans via
+    ``Driver.execute_stream``), and ``plan_hits`` / ``plan_misses`` are
+    the stream-tier cache counters accumulated during the timed loop — a
+    warm run should show only hits, so cold/warm attribution stays
+    honest.
     """
 
     macro_instructions: int
@@ -182,7 +182,6 @@ def measure_driver_throughput(
     buffer_capacity: int = 100_000,
     unique_sequences: int = 64,
     warmup: bool = True,
-    emit: Optional[str] = None,
     stream_len: int = 0,
 ) -> ThroughputResult:
     """Time the generation of ``iterations`` random macro-instructions.
@@ -197,10 +196,9 @@ def measure_driver_throughput(
     With ``stream_len > 1`` the instructions are grouped into
     ``stream_len``-macro streams emitted via ``Driver.execute_stream``
     (several distinct stream tuples rotate, so the plan cache holds more
-    than one entry); ``emit`` then selects the emission mode the driver
-    runs under (``"stream"`` measures fused-plan dispatch, ``"macro"``
-    measures the per-macro fallback through the same entry point).
-    The default (``stream_len=0``) is the legacy per-``execute`` loop.
+    than one entry). The default (``stream_len=0``) calls
+    ``Driver.execute`` once per macro: the same plan dispatch at
+    one-instruction granularity, i.e. the fixed per-dispatch cost.
     """
     from repro.driver.stream import MacroStream
 
@@ -209,7 +207,6 @@ def measure_driver_throughput(
         sink, config=config,
         parallelism=parallelism,
         cache_size=4096 if use_cache else 0,
-        emit_mode=emit,
     )
     rng = random.Random(seed)
     user = config.user_registers
@@ -258,7 +255,7 @@ def measure_driver_throughput(
             micro_ops=sink.count - counted_before,
             seconds=max(elapsed, 1e-9),
             frequency_hz=config.frequency_hz,
-            emit=driver.emit_mode,
+            emit="stream",
             plan_hits=driver.streams.hits - hits_before,
             plan_misses=driver.streams.misses - misses_before,
         )

@@ -4,7 +4,7 @@ The subsystem has three layers, threaded through the whole stack:
 
 - **Injection** (:mod:`repro.faults.plan`): a seeded, config-fingerprinted
   :class:`FaultPlan` modeling stuck-at-0/1 cells and transient bit flips
-  (applied at dispatch boundaries so both replay engines agree), plus
+  (applied at dispatch boundaries so plans and op-by-op lowering agree), plus
   process-level worker failures and timing stalls for the pool and the
   serving tier. Install with ``backend.install_faults(plan)`` or
   ``Server(fault_plan=plan)``; the chaos seed rotates in CI via

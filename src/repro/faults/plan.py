@@ -12,11 +12,10 @@ single integer seed — CI rotates it through ``REPRO_FAULT_SEED``.
 The key design decision is *where* cell faults strike. They are applied
 by the driver/backend dispatch layer at operation boundaries — one
 :meth:`FaultOverlay.tick` after each macro dispatch or program replay —
-never inside the micro-op interpreter. Both program-replay engines (the
-vectorized super-step engine and the per-op thunk engine of
-:mod:`repro.sim.replay`) therefore observe bit-identical fault behaviour
-by construction: each sees the same memory image before and after every
-dispatch unit. With no plan installed the hot paths stay untouched (a
+never inside the micro-op interpreter. Vectorized plans
+(:mod:`repro.sim.replay`) and op-by-op execution therefore observe
+bit-identical fault behaviour by construction: each sees the same
+memory image before and after every dispatch unit. With no plan installed the hot paths stay untouched (a
 single ``is None`` test per dispatch), so the disabled configuration is
 bit- and cycle-identical to a build without the fault layer.
 """

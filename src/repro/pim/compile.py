@@ -15,9 +15,9 @@ values, device geometry) runs the function eagerly under a
 macro-instruction stream through the device backend into one replayable
 program — on the simulator backend that is a single fused
 :class:`~repro.driver.program.MicroProgram` riding the
-``execute_program`` replay fast path. Under the default ``"stream"``
-emission mode that lowering goes through the driver's spliced stream
-compiler (:mod:`repro.driver.stream`): cached per-R-type bodies are
+``execute_program`` replay fast path. That lowering goes through the
+driver's spliced stream compiler (:mod:`repro.driver.stream`): cached
+per-R-type bodies are
 stitched between cached mask preambles instead of re-lowered, so
 capture-time compilation of long traces is cheap and op-for-op
 identical to per-macro lowering. Later calls skip the entire tensor
@@ -478,9 +478,9 @@ class CompiledFunction:
     def replay_info(self, *args):
         """Replay-engine accounting for a signature (capturing if new).
 
-        On the simulator backend: the engine replays will use
-        (``"vectorized"`` super-steps or per-op ``"thunk"``\\ s) plus the
-        fused program's super-step segmentation counts — how much of the
+        On the simulator backend: the route replays will take
+        (``"vectorized"`` super-steps or the op-by-op ``"reference"``)
+        plus the fused program's super-step segmentation counts — how much of the
         stream executes as bulk fused updates versus op-at-a-time (see
         :meth:`repro.backend.base.Backend.program_replay_info`). Empty on
         backends with a single execution strategy.

@@ -376,9 +376,11 @@ def init(
 
     Keyword arguments matching :class:`~repro.arch.config.PIMConfig`
     fields construct a config directly (``pim.init(crossbars=4, rows=64)``);
-    the rest are forwarded to the backend (e.g. ``parallelism="serial"``,
-    ``move_cost="htree"``, or the simulator backend's
-    ``replay_engine="thunk"`` to disable vectorized super-step replay).
+    the rest are forwarded to the backend (e.g. ``parallelism="serial"``
+    or ``move_cost="htree"``); a keyword no backend knows raises
+    ``TypeError``. There is no dispatch or replay knob: every macro
+    stream goes plan → chip, else op-by-op lowering, chosen from what
+    the driver and simulator can observe.
     ``backend`` selects the execution engine: ``"simulator"`` (default,
     bit-accurate), ``"numpy"`` (fast functional model, same cycle
     accounting), or ``"pooled"`` (inter-crossbar sharding across worker

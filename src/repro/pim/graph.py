@@ -295,9 +295,8 @@ class TraceSession:
         simulator backend). With ``keep_reads=False`` the scalar reads
         are left out — the protocol ``pim.compile`` uses, re-issuing them
         after each replay so every deferred scalar stays retrievable.
-        The backend's ``compile`` hands the stream to the driver, where
-        the default ``"stream"`` emission mode splices cached bodies
-        instead of re-lowering every macro (see
+        The backend's ``compile`` hands the stream to the driver, which
+        splices cached bodies instead of re-lowering every macro (see
         :mod:`repro.driver.stream`).
 
         ``opt_level`` selects the optimizer pipeline (see

@@ -48,15 +48,16 @@ class Profiler:
         #: inside the block (``opt_level >= 1`` captures): the pre- vs
         #: post-optimization instruction and cycle counts.
         self.opt_reports: list = []
-        #: Compiled-program replays inside the block, per replay engine
-        #: (simulator backend: ``"vectorized"`` super-step replays vs
-        #: per-op ``"thunk"`` replays; empty on single-engine backends).
+        #: Program replays inside the block, per replay route
+        #: (simulator backend: ``"vectorized"`` super-step plans vs the
+        #: op-by-op ``"reference"``; empty on single-route backends).
         self.replay_counts: dict = {}
         self._replay_before: dict = {}
         #: Macro streams emitted inside the block, per emission level
-        #: (``"stream"`` fused-plan emissions vs ``"macro"`` per-macro
-        #: fallbacks; see :mod:`repro.driver.stream`). Empty on backends
-        #: without a stream compiler.
+        #: (``"stream"`` plan emissions — eager R-type macros included —
+        #: vs ``"macro"`` streams lowered op-by-op; see
+        #: :mod:`repro.driver.stream`). Empty on backends without a
+        #: stream compiler.
         self.emit_counts: dict = {}
         self._emit_before: dict = {}
         #: Fault-injection activity inside the block (``ticks``/

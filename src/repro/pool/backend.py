@@ -285,7 +285,7 @@ class PooledBackend(Backend):
 
         Cell faults become a single overlay over the *shared* word image
         (ticked once per pool-level dispatch boundary, exactly like a
-        single device, so both engines and all shards see one fault
+        single device, so every replay route and all shards see one fault
         timeline). Worker-failure entries arm resilient mode: a failed
         shard is quarantined and its work replayed bit-identically on a
         fresh replacement worker.
@@ -404,28 +404,20 @@ class PooledBackend(Backend):
         self, instructions: Sequence[Instruction], name: str = "stream"
     ) -> Optional[int]:
         """Emit a whole stream through one cached :class:`PooledProgram`
-        (the pooled twin of the driver's ``execute_stream`` ladder)."""
+        (the pooled twin of the driver's ``execute_stream``)."""
         from repro.driver.stream import MacroStream
 
         instrs = MacroStream.wrap(instructions)
         if not instrs:
             return None
-        if self._acc.emit_mode == "stream":
-            key = (instrs, name)
-            program = self._stream_programs.get(key)
-            if program is None:
-                program = self.compile(instrs, name=name, optimize=False)
-                if len(self._stream_programs) < 4096:
-                    self._stream_programs[key] = program
-            self._emit_counters["stream"] += 1
-            return self.run_program(program)
-        self._emit_counters["macro"] += 1
-        response: Optional[int] = None
-        for instr in instrs:
-            result = self.execute(instr)
-            if result is not None:
-                response = result
-        return response
+        key = (instrs, name)
+        program = self._stream_programs.get(key)
+        if program is None:
+            program = self.compile(instrs, name=name, optimize=False)
+            if len(self._stream_programs) < 4096:
+                self._stream_programs[key] = program
+        self._emit_counters["stream"] += 1
+        return self.run_program(program)
 
     def emit_counters(self) -> Dict[str, int]:
         return dict(self._emit_counters)

@@ -41,7 +41,7 @@ class CrossbarMemory:
         #: stuck-at cells and injecting transient flips into this image
         #: (``None`` when fault-free). The overlay is *ticked* by the
         #: driver at dispatch boundaries, never by the micro-op
-        #: interpreter, so all replay engines see identical faults.
+        #: interpreter, so every replay route sees identical faults.
         self.overlay = None
 
     @property
@@ -95,8 +95,8 @@ class CrossbarMemory:
     def region(self, xb: RangeMask, reg: int, row: RangeMask) -> np.ndarray:
         """Strided ``(crossbars, rows)`` view of one register's words.
 
-        The bulk word-view used by both replay engines: the masked
-        region a horizontal logic operation updates in place.
+        The bulk word-view a horizontal logic operation updates in
+        place (op-by-op execution directly, vectorized runs on unpack).
         """
         return self.words[
             xb.start : xb.stop + 1 : xb.step,
@@ -113,7 +113,7 @@ class CrossbarMemory:
         bounded by ``partitions <= word_size <= 32``, shifted bits never
         escape a lane's 64 bits, so a whole region-wide logic operation
         is a handful of arbitrary-precision bitwise operations — the
-        vectorized replay engine's representation. Requires the packed
+        vectorized replay plans' representation. Requires the packed
         ``uint32`` word format (``word_size <= 32``).
         """
         return int.from_bytes(

@@ -1,13 +1,12 @@
-"""The vectorized replay engine: micro-op super-steps as bulk updates.
+"""Vectorized replay: micro-op super-steps as bulk updates.
 
-This is the execution-layer payoff of the compile/replay pipeline. The
-thunk engine replays a compiled :class:`~repro.driver.program.MicroProgram`
-one Python callable per micro-op, so each horizontal gate costs several
-NumPy dispatches on a tiny ``(crossbars, rows)`` view and the host — not
-the modeled chip — dominates replay wall-clock. Following the paper's own
-simulator trick (Figure 6 / section V: pack partition bits into strided
-words so partition-parallel logic becomes bitwise word arithmetic), this
-engine extends the packing one level further:
+This is the execution-layer payoff of the compile/replay pipeline.
+Op-by-op execution costs several NumPy dispatches per horizontal gate on
+a tiny ``(crossbars, rows)`` view, so the host — not the modeled chip —
+dominates wall-clock. Following the paper's own simulator trick
+(Figure 6 / section V: pack partition bits into strided words so
+partition-parallel logic becomes bitwise word arithmetic), replay plans
+extend the packing one level further:
 
 - a validated program is sliced into *super-steps*
   (:attr:`~repro.driver.program.MicroProgram.super_steps`): maximal runs
@@ -24,33 +23,29 @@ engine extends the packing one level further:
   one arithmetic operation;
 - at replay time a run packs its registers, interprets the lane program,
   and writes the (provably in-range) results back through the same
-  strided views the thunk engine updates.
+  strided views op-by-op execution updates.
 
 The result is bit-identical to op-by-op execution at every operation
 boundary — runs contain no observable point (no reads, no mask changes)
-— and cycle accounting is untouched: vectorized plans exist only for
-*self-masked* programs, whose per-replay
-:class:`~repro.sim.stats.SimStats` delta is established statically and
-merged once per replay by both engines. Fused whole-stream plans from
-the driver's stream emission compiler (:mod:`repro.driver.stream`) are
-self-masked by construction — every spliced instruction re-establishes
-its masks first — so stream emission rides this engine too.
+— and cycle accounting is untouched: plans exist only for *self-masked*
+programs, whose per-replay :class:`~repro.sim.stats.SimStats` delta is
+established statically and merged once per replay. Everything the
+driver emits is self-masked by construction — every spliced instruction
+re-establishes its masks first — so eager macros, streams and compiled
+graphs all replay this way.
 
-Fallback ladder (each level preserved bit-for-bit):
-
-1. **vectorized** — self-masked programs on the packed ``uint32`` word
-   format (``word_size <= 32``); gate runs execute as lane programs,
-   every other op as a pre-resolved silent thunk.
-2. **thunk** — everything else the plan cache handles today: per-op
-   pre-resolved callables (silent for self-masked programs, counted
-   otherwise). Selected explicitly with ``REPRO_SIM_REPLAY=thunk`` or
-   ``Simulator(..., replay_engine="thunk")``.
-3. **op-by-op** — ``Simulator.execute`` for uncompiled streams.
+One rule (``Simulator.execute_program``): **plan → vectorized replay;
+otherwise a loop over ``Simulator.execute``**, the op-by-op reference.
+A program has no plan when it is not self-masked (a hand-built program
+running under caller-set masks), when an op of it must raise, when the
+word format is wider than the packed ``uint32`` lanes
+(``word_size > 32``), or when its gate runs are so wide that lane
+programs lose to op-by-op NumPy (:func:`lanes_pay_off`). There is no
+engine setting.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
 
@@ -61,37 +56,40 @@ from repro.arch.masks import RangeMask
 from repro.arch.micro_ops import GateType, LogicHOp
 from repro.sim.memory import CrossbarMemory
 
-#: Environment variable selecting the default replay engine.
-ENGINE_ENV = "REPRO_SIM_REPLAY"
-
-#: Recognized engine names, strongest first.
-ENGINES = ("vectorized", "thunk")
-
-#: Gate runs shorter than this replay through thunks instead: packing and
-#: unpacking the touched registers costs more than it saves.
-MIN_RUN_OPS = 2
-
-
-def resolve_engine(requested: "str | None") -> str:
-    """Validate an engine name, defaulting from ``REPRO_SIM_REPLAY``."""
-    engine = requested or os.environ.get(ENGINE_ENV) or ENGINES[0]
-    if engine not in ENGINES:
-        source = "requested" if requested else f"${ENGINE_ENV}"
-        raise ValueError(
-            f"unknown replay engine {engine!r} ({source}); "
-            f"choose from {ENGINES}"
-        )
-    return engine
-
 
 def lanes_supported(memory: CrossbarMemory) -> bool:
     """Whether the memory's word format fits 64-bit guard lanes.
 
     True for ``word_size <= 32`` (the packed ``uint32`` format): a word
     and its largest partition shift stay inside 64 bits. Wider words
-    fall back to the thunk engine.
+    replay op-by-op.
     """
     return memory.dtype == np.dtype(np.uint32)
+
+
+#: Mean lanes per gate (masked crossbars x rows, weighted by run length)
+#: up to which a lane program beats op-by-op NumPy. Measured on the fp-add
+#: body from 4x16 to 64x1024: a gate costs ~0.3 us + ~7 ns/lane as a
+#: guard-laned big integer against ~9 us + ~1.6 ns/lane as five NumPy
+#: calls on a ``uint32`` view (half the bytes, no pack/unpack) — 1.9x
+#: ahead at 1024 lanes, 1.6x behind at 4096, 4.3x behind at 65536.
+MAX_MEAN_LANES = 2048
+
+
+def lanes_pay_off(program) -> bool:
+    """Whether the program's gate runs are narrow enough to vectorize.
+
+    Per-op dispatch is a fixed cost per gate while lane arithmetic grows
+    with the masked region, so the choice follows the region size the
+    program itself fixes: see :data:`MAX_MEAN_LANES`.
+    """
+    gates = lanes = 0
+    for segment in program.super_steps:
+        if segment.kind == "gates":
+            width = len(RangeMask(*segment.xb)) * len(RangeMask(*segment.row))
+            gates += len(segment)
+            lanes += len(segment) * width
+    return lanes <= MAX_MEAN_LANES * gates
 
 
 @lru_cache(maxsize=65536)
@@ -232,35 +230,31 @@ _REP_CACHE: Dict[Tuple[int, int], int] = {}
 _REP_CACHE_LIMIT = 1 << 16
 
 
-def build_vector_steps(
-    program, simulator, region_cache: dict
-) -> List[Callable]:
+def build_vector_steps(program, simulator) -> List[Callable]:
     """Lower a self-masked program into vectorized replay steps.
 
-    Gate runs become :class:`GateRun` instances; every other op (and
-    runs below :data:`MIN_RUN_OPS`) keeps the simulator's pre-resolved
-    silent thunk. The caller guarantees the program is self-masked (its
-    static stats delta exists) and :func:`lanes_supported` holds.
+    Gate runs (of any length) become :class:`GateRun` instances; every
+    other op keeps the simulator's pre-resolved silent step. The caller
+    guarantees the program is self-masked (its static stats delta
+    exists — so every gate sits in a run) and :func:`lanes_supported`
+    and :func:`lanes_pay_off` hold.
     """
     if len(_REP_CACHE) > _REP_CACHE_LIMIT:
         _REP_CACHE.clear()
-    config = simulator.config
     steps: List[Callable] = []
     for segment in program.super_steps:
-        if segment.kind == "gates" and len(segment) >= MIN_RUN_OPS:
+        ops = program.ops[segment.start : segment.stop]
+        if segment.kind == "gates":
             steps.append(
                 GateRun(
-                    program.ops[segment.start : segment.stop],
+                    ops,
                     RangeMask(*segment.xb),
                     RangeMask(*segment.row),
                     simulator.memory,
-                    config.partitions,
+                    simulator.config.partitions,
                     rep_cache=_REP_CACHE,
                 )
             )
         else:
-            steps.extend(
-                simulator._plan_step(op, region_cache, silent=True)
-                for op in program.ops[segment.start : segment.stop]
-            )
+            steps.extend(simulator._plan_step(op) for op in ops)
     return steps

@@ -66,8 +66,8 @@ def accounting_walk(
     - the simulator's static replay-plan accounting (``strict=False``,
       initial masks unknown): any op whose accounting or validity depends
       on masks the stream did not establish first returns ``None``,
-      signalling that the caller must fall back to dynamic per-op
-      accounting.
+      signalling that the program must replay op-by-op through
+      :meth:`Simulator.execute`.
     """
     delta = SimStats()
     for op in ops:
@@ -136,39 +136,20 @@ def accounting_walk(
 
 
 class ReplayPlan:
-    """A compiled program's pre-resolved replay recipe (one per program).
+    """A self-masked program's vectorized replay recipe (one per program).
 
     Attributes:
-        steps: the replay callables — per-op thunks, or a mix of thunks
-            and :class:`~repro.sim.replay.GateRun` super-steps.
-        region_cache: the register-view memo the thunk steps share.
-        static_stats: the per-replay stats delta for self-masked
-            programs (``None`` when accounting must be dynamic).
-        engine: the engine the plan executes with (``"vectorized"`` or
-            ``"thunk"`` — the latter also covers non-self-masked
-            fallbacks under a vectorized-engine simulator).
-        requested: the simulator's engine setting the plan was built
-            under; a changed setting invalidates the plan.
-        entry_clear: whether :attr:`region_cache` must be dropped at
-            replay start — True only when some gate step can execute
-            under caller-set masks (before the program's first mask
-            operation), where a view cached by an earlier replay may
-            belong to masks since changed externally.
+        steps: the replay callables — :class:`~repro.sim.replay.GateRun`
+            super-steps, and silent pre-resolved steps for every
+            mask/read/write/vertical/move op between them.
+        static_stats: the per-replay stats delta, merged once per replay.
     """
 
-    __slots__ = (
-        "steps", "region_cache", "static_stats", "engine", "requested",
-        "entry_clear",
-    )
+    __slots__ = ("steps", "static_stats")
 
-    def __init__(self, steps, region_cache, static_stats, engine, requested,
-                 entry_clear):
+    def __init__(self, steps, static_stats):
         self.steps = steps
-        self.region_cache = region_cache
         self.static_stats = static_stats
-        self.engine = engine
-        self.requested = requested
-        self.entry_clear = entry_clear
 
 
 class Simulator:
@@ -180,33 +161,28 @@ class Simulator:
             paper's micro-op-count metric); ``"htree"`` charges one cycle
             per traversed H-tree segment of the longest pair (used by the
             H-tree ablation benchmark).
-        replay_engine: ``"vectorized"`` (the default) replays self-masked
-            compiled programs as fused super-steps over the packed memory
-            image (see :mod:`repro.sim.replay`); ``"thunk"`` forces the
-            per-op callable path everywhere. Defaults from the
-            ``REPRO_SIM_REPLAY`` environment variable. Either engine is
-            bit-identical and cycle-identical to op-by-op execution.
+
+    Compiled programs replay through :meth:`execute_program`, which picks
+    between exactly two routes from what it can observe of the program;
+    there is no engine setting.
     """
 
-    def __init__(
-        self,
-        config: PIMConfig,
-        move_cost: str = "unit",
-        replay_engine: Optional[str] = None,
-    ):
+    def __init__(self, config: PIMConfig, move_cost: str = "unit"):
         if move_cost not in ("unit", "htree"):
             raise ValueError("move_cost must be 'unit' or 'htree'")
         self.config = config
         self.memory = CrossbarMemory(config)
         self.stats = SimStats()
         self.move_cost = move_cost
-        self.replay_engine = replay.resolve_engine(replay_engine)
-        #: Replays served per engine (``pim.Profiler`` reports deltas).
-        self.replay_counters = {engine: 0 for engine in replay.ENGINES}
+        #: Program replays served per route (``pim.Profiler`` reports
+        #: deltas): fused ``"vectorized"`` plans, or the op-by-op
+        #: ``"reference"`` loop over :meth:`execute`.
+        self.replay_counters = {"vectorized": 0, "reference": 0}
         self._xb_mask = RangeMask.all(config.crossbars)
         self._row_mask = RangeMask.all(config.rows)
-        # Replay plans for compiled programs, built once per program and
-        # dropped automatically when the program is garbage-collected.
+        # Replay plans for compiled programs (``None`` = replays through
+        # the reference), built once per program and dropped
+        # automatically when the program is garbage-collected.
         self._plans: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
@@ -238,49 +214,62 @@ class Simulator:
     def execute_program(self, program) -> Optional[int]:
         """Replay a compiled :class:`~repro.driver.program.MicroProgram`.
 
-        The fast path of the compile/replay pipeline: the program was
-        validated once at compile time, so replay skips the per-op
-        ``isinstance`` dispatch and range checks of :meth:`execute`.  On
-        first sight of a program this builds a :class:`ReplayPlan` —
-        with the configured :attr:`replay_engine`, fused
-        :class:`~repro.sim.replay.GateRun` super-steps where the program
-        supports them, per-op callables with pre-resolved constants
-        everywhere else — and memoizes it on the program object.
-        Profiling counters are recorded exactly as in op-by-op
-        execution, so cycle accounting is unchanged.
+        Two outcomes, chosen per program on first sight and memoized:
 
-        Returns the response word of the last :class:`ReadOp` in the
-        program (``None`` if it contains no reads).
+        - *self-masked* programs (every gate, move and read runs under
+          masks the program itself set — true of everything the driver
+          emits) on the packed ``uint32`` word format, whose gate runs
+          are narrow enough for lane arithmetic to pay
+          (:func:`repro.sim.replay.lanes_pay_off`), replay through a
+          vectorized :class:`ReplayPlan`: fused
+          :class:`~repro.sim.replay.GateRun` super-steps, silent steps
+          for the ops between them, and one static stats merge;
+        - anything else (hand-built programs relying on caller-set
+          masks, ``word_size > 32``, programs whose static walk finds an
+          op that must raise, regions of thousands of rows where NumPy
+          per op is the faster form) is a plain loop over
+          :meth:`execute`, the op-by-op reference.
+
+        Either way memory, profiling counters and raised errors are
+        exactly those of op-by-op execution. Returns the response word
+        of the last :class:`ReadOp` (``None`` if there are no reads).
         """
-        plan = self._plans.get(program)
-        if plan is None or plan.requested != self.replay_engine:
-            plan = self._compile_plan(program)
-            self._plans[program] = plan
-        if plan.entry_clear:
-            # A gate step may run under caller-set masks: views cached by
-            # an earlier replay could belong to masks changed in between.
-            plan.region_cache.clear()
-        self.replay_counters[plan.engine] += 1
-        static_stats = plan.static_stats
+        plan = self.replay_plan(program)
+        response: Optional[int] = None
+        if plan is None:
+            self.replay_counters["reference"] += 1
+            for op in program.ops:
+                result = self.execute(op)
+                if result is not None:
+                    response = result
+            return response
+        self.replay_counters["vectorized"] += 1
         if program.reads == 0:
             for step in plan.steps:
                 step()
-            if static_stats is not None:
-                self.stats.merge(static_stats)
-            return None
-        response: Optional[int] = None
-        for step in plan.steps:
-            result = step()
-            if result is not None:
-                response = result
-        if static_stats is not None:
-            self.stats.merge(static_stats)
+        else:
+            for step in plan.steps:
+                result = step()
+                if result is not None:
+                    response = result
+        self.stats.merge(plan.static_stats)
         return response
 
     # ------------------------------------------------------------------
     # Replay-plan construction
     # ------------------------------------------------------------------
-    def _compile_plan(self, program) -> ReplayPlan:
+    def replay_plan(self, program) -> Optional[ReplayPlan]:
+        """The program's vectorized plan, or ``None`` (reference replay).
+
+        Built on first sight of the program and memoized on it.
+        """
+        try:
+            return self._plans[program]
+        except KeyError:
+            plan = self._plans[program] = self._compile_plan(program)
+            return plan
+
+    def _compile_plan(self, program) -> Optional[ReplayPlan]:
         from repro.driver.program import config_fingerprint
 
         if program.config_fingerprint != config_fingerprint(self.config):
@@ -289,138 +278,48 @@ class Simulator:
                 f"{program.config_fingerprint}, this chip is "
                 f"{config_fingerprint(self.config)}"
             )
-        # Register-region views are identical between mask changes; the
-        # plan's thunk steps share this memo (cleared on every mask step,
-        # and at replay entry when a gate can precede the first mask op)
-        # so a long gate body builds each view only once.
-        region_cache: dict = {}
-        # A *self-masked* program (every stats-mask-dependent op runs
-        # under masks the program itself set — true for fused graph
-        # streams) has a statically known stats delta: record it once at
-        # plan time, build silent steps, and merge the delta per replay
-        # instead of paying a counter update per micro-op. It is also
-        # the eligibility condition for the vectorized engine (gate runs
-        # with statically known masks and accounting).
         static_stats = self._static_stats(program)
-        requested = self.replay_engine
-        if static_stats is not None:
-            if requested == "vectorized" and replay.lanes_supported(self.memory):
-                steps = replay.build_vector_steps(program, self, region_cache)
-                return ReplayPlan(
-                    steps, region_cache, static_stats,
-                    engine="vectorized", requested=requested,
-                    entry_clear=False,
-                )
-            steps = [
-                self._plan_step(op, region_cache, silent=True)
-                for op in program.ops
-            ]
-        else:
-            steps = [self._plan_step(op, region_cache) for op in program.ops]
-        return ReplayPlan(
-            steps, region_cache, static_stats,
-            engine="thunk", requested=requested,
-            entry_clear=self._entry_clear_needed(program.ops),
-        )
-
-    @staticmethod
-    def _entry_clear_needed(ops) -> bool:
-        """Must the region cache be dropped at replay entry?
-
-        Only when a horizontal gate (the one region-cache consumer) can
-        execute before the program's first mask operation — i.e. under
-        caller-set masks, as in the driver's per-R-type body programs.
-        Self-masked programs always set masks first, so their cached
-        views are rebuilt by the mask steps of the same replay and can
-        safely persist across replays.
-        """
-        for op in ops:
-            if isinstance(op, (CrossbarMaskOp, RowMaskOp)):
-                return False
-            if isinstance(op, LogicHOp):
-                return True
-        return False
+        if (
+            static_stats is None
+            or not replay.lanes_supported(self.memory)
+            or not replay.lanes_pay_off(program)
+        ):
+            return None
+        return ReplayPlan(replay.build_vector_steps(program, self), static_stats)
 
     def _static_stats(self, program) -> Optional[SimStats]:
-        """The per-replay stats delta, when it is mask-independent.
+        """The per-replay stats delta of a *self-masked* program.
 
         Delegates to :func:`accounting_walk` in lenient mode: ``None``
-        (dynamic accounting required) when any gate/move executes under a
-        mask the program did not establish first — e.g. the driver's
-        per-R-type body programs, which run under caller-set masks — or
-        when a move pattern would fail validation (the live path must
-        raise).
+        when any gate/move/read executes under a mask the program did
+        not establish first (its accounting depends on the caller's
+        masks), or when an op would fail validation (op-by-op execution
+        must raise at that op).
         """
         return accounting_walk(
             program.ops, self.config, self.move_cost, strict=False
         )
 
-    def _plan_step(
-        self, op: MicroOp, region_cache: dict, silent: bool = False
-    ) -> Callable[[], Optional[int]]:
-        """One-time dispatch of an op into a pre-resolved replay thunk.
+    def _plan_step(self, op: MicroOp) -> Callable[[], Optional[int]]:
+        """A silent pre-resolved step for a non-gate op of a vectorized plan.
 
-        ``silent`` steps skip per-op counter updates and runtime checks —
-        used only for self-masked programs whose stats delta and move/read
-        validity were established statically by :meth:`_static_stats`.
+        Silent steps skip per-op counter updates and runtime checks:
+        the plan's stats delta and every mask range, move pattern and
+        read shape were established statically by :meth:`_static_stats`.
         """
-        if isinstance(op, LogicHOp):
-            return self._plan_logic_h(op, region_cache, silent=silent)
         if isinstance(op, CrossbarMaskOp):
-            if op.stop >= self.config.crossbars:
-                raise SimulationError("crossbar mask out of range")
             mask = RangeMask(op.start, op.stop, op.step)
-            if silent:
-
-                def set_xb_silent(self=self, mask=mask):
-                    self._xb_mask = mask
-                    region_cache.clear()
-
-                return set_xb_silent
-
-            def set_xb_mask(self=self, mask=mask):
-                self._xb_mask = mask
-                region_cache.clear()
-                self.stats.record("mask_crossbar")
-
-            return set_xb_mask
+            return partial(setattr, self, "_xb_mask", mask)
         if isinstance(op, RowMaskOp):
-            if op.stop >= self.config.rows:
-                raise SimulationError("row mask out of range")
             mask = RangeMask(op.start, op.stop, op.step)
-            if silent:
-
-                def set_row_silent(self=self, mask=mask):
-                    self._row_mask = mask
-                    region_cache.clear()
-
-                return set_row_silent
-
-            def set_row_mask(self=self, mask=mask):
-                self._row_mask = mask
-                region_cache.clear()
-                self.stats.record("mask_row")
-
-            return set_row_mask
-        # Reads and moves keep their mask-state-dependent runtime checks;
-        # writes and vertical logic are cheap enough to reuse directly.
-        if isinstance(op, (ReadOp, WriteOp, LogicVOp, MoveOp)):
-            if silent:
-                handler = {
-                    ReadOp: self._exec_read_silent,
-                    WriteOp: self._exec_write_silent,
-                    LogicVOp: self._exec_logic_v_silent,
-                    MoveOp: self._exec_move_silent,
-                }[type(op)]
-            else:
-                handler = {
-                    ReadOp: self._exec_read,
-                    WriteOp: self._exec_write,
-                    LogicVOp: self._exec_logic_v,
-                    MoveOp: self._exec_move,
-                }[type(op)]
-            return partial(handler, op)
-        raise SimulationError(f"unknown micro-operation {op!r}")
+            return partial(setattr, self, "_row_mask", mask)
+        handler = {
+            ReadOp: self._exec_read_silent,
+            WriteOp: self._exec_write_silent,
+            LogicVOp: self._exec_logic_v_silent,
+            MoveOp: self._exec_move_silent,
+        }[type(op)]
+        return partial(handler, op)
 
     # -- silent step bodies (statically validated and accounted) --------
     def _exec_read_silent(self, op: ReadOp) -> int:
@@ -448,86 +347,6 @@ class Simulator:
         self.memory.words[sources + op.dist, op.dst_index, op.dst_row] = (
             self.memory.words[sources, op.src_index, op.src_row]
         )
-
-    def _plan_logic_h(
-        self, op: LogicHOp, region_cache: dict, silent: bool = False
-    ) -> Callable[[], None]:
-        """Pre-resolve a horizontal logic op: pattern mask, shifts, key."""
-        cfg = self.config
-        for index in (op.in_a, op.in_b, op.out):
-            self._check_index(index)
-        out_mask_int, gate_count = _pattern_mask(
-            op.gate, op.p_a, op.p_b, op.p_out, op.p_end, op.p_step,
-            cfg.partitions,
-        )
-        dtype = self.memory.dtype
-        out_mask = dtype.type(out_mask_int)
-        inv_mask = dtype.type(out_mask_int ^ int(self.memory.word_mask))
-        key = _GATE_KEYS_H[op.gate]
-        out = op.out
-
-        # self.stats is resolved per call (not bound at plan time) so a
-        # reassignment of the public ``stats`` attribute keeps counting.
-        def region(reg):
-            view = region_cache.get(reg)
-            if view is None:
-                view = self._reg_region(reg)
-                region_cache[reg] = view
-            return view
-
-        if op.gate == GateType.INIT1:
-            if silent:
-                def step():
-                    region(out).__ior__(out_mask)
-                return step
-
-            def step():
-                region(out).__ior__(out_mask)
-                self.stats.record(key, gates=gate_count * self._active_rows())
-            return step
-        if op.gate == GateType.INIT0:
-            if silent:
-                def step():
-                    region(out).__iand__(inv_mask)
-                return step
-
-            def step():
-                region(out).__iand__(inv_mask)
-                self.stats.record(key, gates=gate_count * self._active_rows())
-            return step
-        if op.gate == GateType.NOT:
-            in_a, shift_a = op.in_a, op.p_out - op.p_a
-            if silent:
-                def step():
-                    pull = self._shift(region(in_a), shift_a)
-                    region(out).__iand__(~(pull & out_mask))
-                return step
-
-            def step():
-                pull = self._shift(region(in_a), shift_a)
-                region(out).__iand__(~(pull & out_mask))
-                self.stats.record(key, gates=gate_count * self._active_rows())
-            return step
-        # NOR
-        in_a, shift_a = op.in_a, op.p_out - op.p_a
-        in_b, shift_b = op.in_b, op.p_out - op.p_b
-        if silent:
-            def step():
-                a = self._shift(region(in_a), shift_a)
-                b = self._shift(region(in_b), shift_b)
-                region(out).__iand__(~((a | b) & out_mask))
-            return step
-
-        def step():
-            a = self._shift(region(in_a), shift_a)
-            b = self._shift(region(in_b), shift_b)
-            region(out).__iand__(~((a | b) & out_mask))
-            self.stats.record(key, gates=gate_count * self._active_rows())
-        return step
-
-    def _active_rows(self) -> int:
-        """Rows currently selected by the crossbar and row masks."""
-        return len(self._xb_mask) * len(self._row_mask)
 
     @property
     def crossbar_mask(self) -> RangeMask:

@@ -4,22 +4,22 @@ The stream emission compiler (:mod:`repro.driver.stream`) promises that
 fusing a macro-instruction stream into one cached plan changes *nothing*
 observable except host dispatch cost: memory state, ``SimStats``, read
 responses, and the driver's macro/micro counters must be bit-identical
-to the per-macro ladder, on every backend, at every level of the
-fallback ladder.  This suite checks that promise differentially:
+to op-by-op lowering (a ``cache_size=0`` driver, which can build no
+plan), on every backend.  This suite checks that promise differentially:
 
 - seeded random macro streams (R-type across dtypes, masked writes,
-  moves of every shape, in-stream reads) are emitted stream-lowered and
-  per-macro on fresh simulators — and through both replay engines — and
-  compared bit for bit;
-- the spliced stream compiler (``Driver.compile`` under ``"stream"``
-  emission) is checked op-for-op against the legacy per-macro lowering
-  at both ``optimize`` flags;
+  moves of every shape, in-stream reads) are emitted as one plan, macro
+  by macro through ``Driver.execute`` (one-instruction plans), and
+  lowered op-by-op on fresh simulators, and compared bit for bit;
+- the spliced stream compiler (``Driver.compile``) is checked op-for-op
+  against the reference per-macro lowering (``emit="macro"``) at both
+  ``optimize`` flags;
 - the numpy backend's fused ``run_stream`` is compared against its own
   per-instruction loop (memory image and cycle bill);
-- every rung of the fallback ladder (``REPRO_DRIVER_EMIT=macro``,
-  batch-only sinks with in-stream reads, execute-only chips, a disabled
-  cache) is exercised and shown to produce identical results while the
-  ``emit_counters`` attribute attributes the emission level.
+- every stream without a plan route (batch-only sinks with in-stream
+  reads, execute-only chips, a disabled cache) is shown to produce
+  identical results through ``Driver._execute_lowered`` while
+  ``emit_counters`` attributes the emission level.
 
 On failure the offending stream is dumped to ``fuzz_artifacts/``
 (override with ``REPRO_FUZZ_ARTIFACT_DIR``), like the integration fuzz
@@ -39,18 +39,16 @@ from repro.arch.masks import RangeMask
 from repro.driver.compiler import CompileError
 from repro.driver.driver import BufferSink, Driver
 from repro.driver.stream import (
-    EMIT_ENV,
-    EMIT_MODES,
     UNSUPPORTED,
     MacroStream,
     StreamPlan,
     build_plan,
     plan_route,
-    resolve_emit_mode,
 )
 from repro.isa.dtypes import float32, int32
 from repro.isa.instructions import (
     ARITY,
+    SUPPORT_MATRIX,
     MoveInstr,
     ReadInstr,
     RInstr,
@@ -176,9 +174,10 @@ def random_stream(seed: int, length: int = 14) -> MacroStream:
 
 
 def per_macro_reference(stream, loops: int = 1):
-    """The ground truth: a fresh simulator fed macro by macro."""
+    """The ground truth: a fresh simulator fed macro by macro, every
+    macro lowered and forwarded op-by-op (``cache_size=0``: no plans)."""
     sim = Simulator(CFG)
-    driver = Driver(sim, emit_mode="macro")
+    driver = Driver(sim, cache_size=0)
     response = None
     for _ in range(loops):
         for instr in stream:
@@ -190,8 +189,7 @@ def per_macro_reference(stream, loops: int = 1):
 
 def stream_emission(stream, loops: int = 1, **kwargs):
     """The path under test: ``execute_stream`` on a fresh simulator."""
-    replay_engine = kwargs.pop("replay_engine", None)
-    sim = Simulator(CFG, replay_engine=replay_engine)
+    sim = Simulator(CFG)
     driver = Driver(sim, **kwargs)
     response = None
     for _ in range(loops):
@@ -215,34 +213,42 @@ def assert_conformant(seed, stream, context, reference, candidate):
 
 
 class TestEmitModeResolution:
+    """There is no emission knob: a stream is emitted as a plan when the
+    driver can build one (cache on, chip with a program/batch port) and
+    lowered op-by-op otherwise."""
+
     def test_default_is_stream(self, monkeypatch):
-        monkeypatch.delenv(EMIT_ENV, raising=False)
-        assert resolve_emit_mode() == "stream"
-        assert Driver(Simulator(CFG)).emit_mode == "stream"
+        monkeypatch.setenv("REPRO_DRIVER_EMIT", "macro")  # leftover: ignored
+        _, driver, _ = stream_emission(random_stream(SEEDS[1]))
+        assert driver.emit_counters == {"stream": 1, "macro": 0}
 
     def test_env_selects_fallback(self, monkeypatch):
-        monkeypatch.setenv(EMIT_ENV, "macro")
-        assert resolve_emit_mode() == "macro"
-        assert Driver(Simulator(CFG)).emit_mode == "macro"
+        # The only environment setting that reaches emission is the cache
+        # size: without a cache there is nowhere to keep a plan.
+        monkeypatch.setenv("REPRO_CACHE_SIZE", "0")
+        _, driver, _ = stream_emission(random_stream(SEEDS[1]))
+        assert driver.emit_counters == {"stream": 0, "macro": 1}
 
     def test_explicit_mode_beats_env(self, monkeypatch):
-        monkeypatch.setenv(EMIT_ENV, "macro")
-        assert resolve_emit_mode("stream") == "stream"
-        assert Driver(Simulator(CFG), emit_mode="stream").emit_mode == "stream"
+        monkeypatch.setenv("REPRO_CACHE_SIZE", "0")
+        _, driver, _ = stream_emission(random_stream(SEEDS[1]), cache_size=64)
+        assert driver.emit_counters == {"stream": 1, "macro": 0}
 
-    def test_unknown_mode_names_source(self, monkeypatch):
-        with pytest.raises(ValueError, match="requested"):
-            resolve_emit_mode("eager")
-        monkeypatch.setenv(EMIT_ENV, "bogus")
-        with pytest.raises(ValueError, match=EMIT_ENV):
-            resolve_emit_mode()
+    def test_unknown_mode_names_source(self):
+        with pytest.raises(TypeError, match="emit_mode"):
+            Driver(Simulator(CFG), emit_mode="macro")
+        with pytest.raises(TypeError, match="emit_mode"):
+            pim.init(crossbars=CFG.crossbars, rows=CFG.rows, emit_mode="macro")
+        with pytest.raises(ValueError, match="'eager'"):
+            Driver(Simulator(CFG)).compile([], emit="eager")
 
     def test_modes_tuple_is_the_contract(self):
-        assert EMIT_MODES == ("stream", "macro")
+        # Both keys always present: bench/ and pim.Profiler read them.
+        assert tuple(Driver(Simulator(CFG)).emit_counters) == ("stream", "macro")
 
 
 class TestSplicedCompileParity:
-    """The spliced stream compiler must reproduce legacy lowering exactly."""
+    """The spliced stream compiler must reproduce the reference lowering."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("optimize", [False, True])
@@ -273,7 +279,7 @@ class TestSplicedCompileParity:
             row_mask=RangeMask(0, CFG.rows, 1),
         )
         for instr in (bad_warp, bad_row):
-            for emit in EMIT_MODES:
+            for emit in ("stream", "macro"):
                 driver = Driver(Simulator(CFG))
                 with pytest.raises(CompileError):
                     driver.compile([instr], emit=emit)
@@ -288,44 +294,67 @@ class TestSplicedCompileParity:
 
 
 class TestStreamExecutionConformance:
-    """execute_stream versus the per-macro ladder, bit for bit."""
+    """execute_stream versus op-by-op lowering, bit for bit."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_stream_mode_matches_per_macro(self, seed):
         stream = random_stream(seed)
+        candidate = stream_emission(stream, loops=3)
         assert_conformant(
             seed, stream, "stream emission",
-            per_macro_reference(stream, loops=3),
-            stream_emission(stream, loops=3, emit_mode="stream"),
+            per_macro_reference(stream, loops=3), candidate,
         )
+        assert candidate[1].emit_counters == {"stream": 3, "macro": 0}
+        assert candidate[0].replay_counters == {"vectorized": 3, "reference": 0}
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_macro_mode_matches_per_macro(self, seed):
+        # Driver.execute: every R-type macro is its own one-instruction
+        # plan; moves, reads and writes are lowered op-by-op.
         stream = random_stream(seed)
+        sim = Simulator(CFG)
+        driver = Driver(sim)
+        response = None
+        for _ in range(2):
+            for instr in stream:
+                result = driver.execute(instr)
+                if result is not None:
+                    response = result
         assert_conformant(
-            seed, stream, "macro fallback",
-            per_macro_reference(stream, loops=2),
-            stream_emission(stream, loops=2, emit_mode="macro"),
+            seed, stream, "eager per-macro plans",
+            per_macro_reference(stream, loops=2), (sim, driver, response),
         )
+        rtypes = sum(isinstance(instr, RInstr) for instr in stream)
+        assert driver.emit_counters == {"stream": 2 * rtypes, "macro": 0}
+        assert sim.replay_counters == {"vectorized": 2 * rtypes, "reference": 0}
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("engine", ["vectorized", "thunk"])
+    @pytest.mark.parametrize(
+        "engine", ["vectorized", pytest.param("reference", id="thunk")]
+    )
     def test_both_replay_engines(self, seed, engine):
+        """One fused plan program through both ``execute_program`` routes
+        (the ``thunk`` id predates the op-by-op reference loop)."""
         stream = random_stream(seed)
+        sim = Simulator(CFG)
+        driver = Driver(sim)
+        program = build_plan(driver, stream).program
+        if engine == "reference":
+            sim._plans[program] = None  # what a non-self-masked verdict memoizes
+        response = driver.run_program(program)
         assert_conformant(
-            seed, stream, f"replay engine {engine}",
-            per_macro_reference(stream),
-            stream_emission(stream, replay_engine=engine,
-                            emit_mode="stream"),
+            seed, stream, f"replay route {engine}",
+            per_macro_reference(stream), (sim, driver, response),
         )
+        assert sim.replay_counters[engine] == 1
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_uncached_driver_matches(self, seed):
-        # cache_size=0 cannot build plans; the fallback must still be
-        # bit-identical (and attributed to the macro level).
+        # cache_size=0 cannot build plans; execute_stream must still be
+        # bit-identical to the per-macro loop (and attributed to the
+        # macro level).
         stream = random_stream(seed)
-        candidate = stream_emission(stream, cache_size=0,
-                                    emit_mode="stream")
+        candidate = stream_emission(stream, cache_size=0)
         assert_conformant(
             seed, stream, "cache disabled",
             per_macro_reference(stream), candidate,
@@ -338,7 +367,7 @@ class TestStreamExecutionConformance:
         # instructions from a plain list must hit the cached plan.
         stream = random_stream(SEEDS[0])
         sim = Simulator(CFG)
-        driver = Driver(sim, emit_mode="stream")
+        driver = Driver(sim)
         driver.execute_stream(stream)
         misses = driver.streams.misses
         driver.execute_stream(list(stream))
@@ -354,9 +383,75 @@ class TestStreamExecutionConformance:
             ReadInstr(0, 0, 0),           # reads a zeroed cell
             ReadInstr(1, 2, 0),           # the written word: must win
         ]
-        for mode in EMIT_MODES:
-            _, _, response = stream_emission(stream, emit_mode=mode)
+        for cache_size in (None, 0):
+            _, _, response = stream_emission(stream, cache_size=cache_size)
             assert response == 0xDEAD_BEEF
+
+
+class TestMacroIsOneInstructionStream:
+    """``execute(instr)`` ≡ ``execute_stream([instr])`` ≡ op-by-op lowering,
+    for every R-type op and dtype, under non-default warp *and* row masks
+    that change between calls of the same instruction (a cached body must
+    act on the masks of the call, never on those it was first spliced
+    behind)."""
+
+    MASKS = [
+        (RangeMask(1, 3, 2), RangeMask(0, 6, 3)),
+        (RangeMask(0, 2, 1), RangeMask(1, 7, 2)),
+    ]
+    DISPATCH = {
+        "execute": ({}, lambda driver, instr: driver.execute(instr)),
+        "stream": ({}, lambda driver, instr: driver.execute_stream([instr])),
+        "lowered": ({"cache_size": 0},
+                    lambda driver, instr: driver.execute(instr)),
+    }
+
+    @pytest.mark.parametrize(
+        "op,dtype",
+        [(op, dtype) for op, dtypes in SUPPORT_MATRIX.items() for dtype in dtypes],
+        ids=lambda value: getattr(value, "name", None),
+    )
+    def test_all_three_agree(self, op, dtype):
+        sources = {"src_a": 0, "src_b": 1, "src_c": 2}
+        operands = dict(list(sources.items())[: ARITY[op]])
+        first, second = (
+            RInstr(op, dtype, dest=4, warp_mask=warps, row_mask=rows, **operands)
+            for warps, rows in self.MASKS
+        )
+        calls = [first, second, first]  # same body, masks changed and back
+
+        seeded = np.random.default_rng(23).integers(
+            0, 1 << 32, size=Simulator(CFG).memory.words.shape, dtype=np.uint64
+        )
+        on_sim, on_sink = {}, {}
+        for label, (kwargs, dispatch) in self.DISPATCH.items():
+            sim = Simulator(CFG)
+            sim.memory.words[...] = seeded.astype(sim.memory.dtype)
+            driver = Driver(sim, **kwargs)
+            responses = [dispatch(driver, instr) for instr in calls]
+            on_sim[label] = (
+                sim.memory.words.copy(), sim.stats.copy(), responses,
+                driver.macro_count, driver.micro_count,
+            )
+            sink = BufferSink(CFG)
+            emitter = Driver(sink, config=CFG, **kwargs)
+            for instr in calls:
+                dispatch(emitter, instr)
+            on_sink[label] = (sink.count, sink.buffer[: sink.count].copy())
+
+        ref_words, ref_stats, *ref_rest = on_sim["lowered"]
+        ref_count, ref_buffer = on_sink["lowered"]
+        for label in ("execute", "stream"):
+            words, stats, *rest = on_sim[label]
+            assert np.array_equal(words, ref_words), label
+            assert stats == ref_stats, label
+            assert rest == ref_rest, label
+            count, buffer = on_sink[label]
+            assert count == ref_count, label
+            assert np.array_equal(buffer, ref_buffer), label
+        # Threads neither mask pair selects kept their seeded destination.
+        for warp, thread in ((0, 0), (3, 1)):
+            assert ref_words[warp, 4, thread] == seeded[warp, 4, thread]
 
 
 class TestNumpyBackendConformance:
@@ -366,14 +461,19 @@ class TestNumpyBackendConformance:
     def test_run_stream_matches_execute_loop(self, seed):
         stream = random_stream(seed)
         images, stats, responses, counters = [], [], [], []
-        for mode in EMIT_MODES:
+        for fused in (True, False):
             device = pim.init(
-                crossbars=CFG.crossbars, rows=CFG.rows,
-                backend="numpy", emit_mode=mode,
+                crossbars=CFG.crossbars, rows=CFG.rows, backend="numpy",
             )
             response = None
             for _ in range(2):
-                response = device.execute_stream(list(stream))
+                if fused:
+                    response = device.execute_stream(list(stream))
+                    continue
+                for instr in stream:
+                    result = device.backend.execute(instr)
+                    if result is not None:
+                        response = result
             images.append(device.backend.words.copy())
             stats.append(device.backend.stats.copy())
             responses.append(response)
@@ -386,8 +486,8 @@ class TestNumpyBackendConformance:
         except AssertionError as exc:
             _dump_stream(seed, "numpy backend", stream, exc)
             raise
-        assert counters[0]["stream"] == 2 and counters[0]["macro"] == 0
-        assert counters[1]["macro"] == 2 and counters[1]["stream"] == 0
+        assert counters[0] == {"stream": 2, "macro": 0}
+        assert counters[1] == {"stream": 0, "macro": 0}
 
 
 class _ExecuteOnlyChip:
@@ -402,22 +502,12 @@ class _ExecuteOnlyChip:
 
 
 class TestFallbackLadder:
-    def test_env_forces_macro_everywhere(self, monkeypatch):
-        monkeypatch.setenv(EMIT_ENV, "macro")
-        stream = random_stream(SEEDS[1])
-        candidate = stream_emission(stream)
-        assert_conformant(
-            SEEDS[1], stream, "env fallback",
-            per_macro_reference(stream), candidate,
-        )
-        assert candidate[1].emit_counters == {"stream": 0, "macro": 1}
-
     def test_batch_sink_with_reads_is_unsupported(self):
         # BufferSink.execute_batch has no read-response channel: a stream
-        # containing reads must take the per-macro ladder — and the
+        # containing reads must be lowered op-by-op — and the
         # unsupported verdict must be cached, not re-derived.
         sink = BufferSink(CFG)
-        driver = Driver(sink, config=CFG, emit_mode="stream")
+        driver = Driver(sink, config=CFG)
         stream = MacroStream([
             WriteInstr(0, 7),
             ReadInstr(0, 0, 0),
@@ -431,7 +521,7 @@ class TestFallbackLadder:
         assert driver.streams.hits >= 1
 
     def test_batch_sink_without_reads_takes_batch_route(self):
-        # Same word-for-word buffer contents as per-macro emission, but
+        # Same word-for-word buffer contents as op-by-op lowering, but
         # through one fused pre-encoded block.
         stream = MacroStream([
             WriteInstr(0, 3),
@@ -439,12 +529,12 @@ class TestFallbackLadder:
             RInstr(ROp.LT, int32, dest=2, src_a=1, src_b=0),
         ])
         sink_stream = BufferSink(CFG)
-        fused = Driver(sink_stream, config=CFG, emit_mode="stream")
+        fused = Driver(sink_stream, config=CFG)
         fused.execute_stream(stream)
         assert fused.emit_counters["stream"] == 1
 
         sink_macro = BufferSink(CFG)
-        ladder = Driver(sink_macro, config=CFG, emit_mode="macro")
+        ladder = Driver(sink_macro, config=CFG, cache_size=0)
         ladder.execute_stream(stream)
         assert ladder.emit_counters["macro"] == 1
 
@@ -460,7 +550,7 @@ class TestFallbackLadder:
     def test_execute_only_chip_falls_back(self):
         stream = random_stream(SEEDS[2])
         chip = _ExecuteOnlyChip(CFG)
-        driver = Driver(chip, config=CFG, emit_mode="stream")
+        driver = Driver(chip, config=CFG)
         driver.execute_stream(stream)
         assert driver.emit_counters == {"stream": 0, "macro": 1}
         sim_ref, _, _ = per_macro_reference(stream)
@@ -468,7 +558,7 @@ class TestFallbackLadder:
         assert chip.sim.stats == sim_ref.stats
 
     def test_empty_stream_is_a_no_op(self):
-        driver = Driver(Simulator(CFG), emit_mode="stream")
+        driver = Driver(Simulator(CFG))
         assert driver.execute_stream([]) is None
         assert driver.emit_counters == {"stream": 0, "macro": 0}
         assert driver.macro_count == 0
@@ -499,8 +589,7 @@ class TestFallbackLadder:
 class TestCountersAndProfiler:
     def test_simulator_backend_emit_counters(self):
         stream = random_stream(SEEDS[4], length=6)
-        device = pim.init(crossbars=CFG.crossbars, rows=CFG.rows,
-                          emit_mode="stream")
+        device = pim.init(crossbars=CFG.crossbars, rows=CFG.rows)
         try:
             with pim.Profiler(device) as prof:
                 device.execute_stream(list(stream))
@@ -510,10 +599,10 @@ class TestCountersAndProfiler:
         finally:
             pim.reset()
 
-    def test_profiler_reports_macro_fallback(self, monkeypatch):
-        monkeypatch.setenv(EMIT_ENV, "macro")
+    def test_profiler_reports_macro_fallback(self):
         stream = random_stream(SEEDS[4], length=6)
-        device = pim.init(crossbars=CFG.crossbars, rows=CFG.rows)
+        device = pim.init(crossbars=CFG.crossbars, rows=CFG.rows,
+                          cache_size=0)
         try:
             with pim.Profiler(device) as prof:
                 device.execute_stream(list(stream))
@@ -528,7 +617,7 @@ class TestCountersAndProfiler:
         sink = BufferSink(CFG)
         stream = MacroStream([ReadInstr(0, 0, 0)])
         for _ in range(2):
-            driver = Driver(sink, config=CFG, emit_mode="stream")
+            driver = Driver(sink, config=CFG)
             driver.execute_stream(stream)
             key = ("plan", stream, "stream", driver.parallelism,
                    driver._fingerprint)

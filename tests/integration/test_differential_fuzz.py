@@ -5,12 +5,13 @@ arithmetic, comparisons, ``where`` with tensor and scalar branches,
 strided views, scalar writes, mid-trace frees, and a trailing
 reduction), then every program is executed:
 
-- eagerly on the bit-accurate simulator backend,
+- eagerly on the bit-accurate simulator backend — through cached plans
+  (the default) *and* on a ``cache_size=0`` device, where every macro is
+  lowered and executed op-by-op (the reference),
 - eagerly on the NumPy functional backend,
 - under ``pim.compile`` at every ``opt_level`` (0..3) on both backends,
-  capture and replay — on the simulator backend with *both* replay
-  engines (the vectorized super-step engine and the per-op thunk
-  engine, see :mod:`repro.sim.replay`);
+  capture and replay — on the simulator backend with the program cache
+  on and off;
 
 and cross-checked against a NumPy *mirror* built from
 ``repro.theory.golden`` (the paper's trusted-CPU reference semantics).
@@ -18,16 +19,18 @@ Assertions: every execution's outputs — tensors (raw bits), the reduced
 scalar, and the final contents of (possibly mutated) argument tensors —
 are bit-identical to the mirror, profiled cycle totals match between the
 two backends at every level, level-0 replay is cycle-exact with eager
-execution, and the two simulator replay engines leave bit-identical
-memory images with identical ``SimStats`` at every level.
+execution, and the cached and ``cache_size=0`` simulator devices leave
+bit-identical memory images with identical ``SimStats`` — eagerly and
+at every level.
 
 Each case's captured macro-instruction stream additionally runs through
 the whole-stream emission compiler (:mod:`repro.driver.stream`): the
-spliced ``Driver.compile`` lowering must match the legacy per-macro
+spliced ``Driver.compile`` lowering must match the reference per-macro
 lowering op for op (at both ``optimize`` flags), and whole-stream
 emission (``execute_stream``) must leave the same memory image, the same
-``SimStats``, and the same read response as the per-macro fallback on
-both backends.
+``SimStats``, and the same read response as op-by-op lowering (a
+``cache_size=0`` simulator device; the numpy backend's per-instruction
+loop).
 
 Seeds are pinned so failures reproduce; CI's fuzz job rotates them via
 ``REPRO_FUZZ_SEEDS`` (space/comma-separated ints). On failure the
@@ -462,31 +465,47 @@ def _run_case(seed: int):
     desc, int_inputs, float_inputs, mirror = build_case(seed)
     program = make_program(desc)
 
-    # Eager references on both backends ---------------------------------
+    # Eager references on both backends; the simulator both through
+    # cached plans and lowered op-by-op (cache_size=0) -------------------
     eager_cycles = {}
-    for backend in ("simulator", "numpy"):
-        device = pim.init(crossbars=CROSSBARS, rows=ROWS, backend=backend)
+    eager_state = {}
+    for backend, kwargs in (
+        ("simulator", {}), ("simulator", {"cache_size": 0}), ("numpy", {}),
+    ):
+        device = pim.init(
+            crossbars=CROSSBARS, rows=ROWS, backend=backend, **kwargs
+        )
         tensors = _fresh_inputs(int_inputs, float_inputs)
         before = device.stats_snapshot()
         outputs, scalar = program(*tensors)
         eager_cycles[backend] = device.backend.stats.diff(before).cycles
         _check_outputs(outputs, scalar, tensors, mirror,
-                       f"seed={seed} eager {backend}")
+                       f"seed={seed} eager {backend} {kwargs}")
+        if backend == "simulator":
+            eager_state["lowered" if kwargs else "plans"] = (
+                device.backend.words.copy(), device.backend.stats.copy()
+            )
         pim.reset()
     assert eager_cycles["simulator"] == eager_cycles["numpy"], f"seed={seed}"
+    assert np.array_equal(
+        eager_state["plans"][0], eager_state["lowered"][0]
+    ), f"seed={seed}: eager plans diverge from op-by-op lowering (memory)"
+    assert eager_state["plans"][1] == eager_state["lowered"][1], (
+        f"seed={seed}: eager plans diverge from op-by-op lowering (stats)"
+    )
 
     _check_stream_lowering(seed, program, int_inputs, float_inputs)
     _check_pooled(seed, program, int_inputs, float_inputs, mirror)
 
     # Compiled at every opt_level on both backends — the simulator
-    # backend additionally under both replay engines ---------------------
+    # backend additionally against a cache_size=0 device -----------------
     replay_cycles = {}
     engine_state = {}
     for backend in ("simulator", "numpy"):
-        engines = ("vectorized", "thunk") if backend == "simulator" else (None,)
+        engines = ("cached", "uncached") if backend == "simulator" else (None,)
         for level in pim.OPT_LEVELS:
             for engine in engines:
-                backend_kwargs = {"replay_engine": engine} if engine else {}
+                backend_kwargs = {"cache_size": 0} if engine == "uncached" else {}
                 device = pim.init(
                     crossbars=CROSSBARS, rows=ROWS, backend=backend,
                     **backend_kwargs,
@@ -516,20 +535,20 @@ def _run_case(seed: int):
                     engine_state[(level, engine)] = (
                         device.backend.words.copy(), delta
                     )
-                if engine != "thunk":
+                if engine != "uncached":
                     replay_cycles[(backend, level)] = delta.cycles
                 pim.reset()
 
-    # The two simulator replay engines must be indistinguishable: same
-    # final memory image, same per-replay SimStats, at every level.
+    # The cached and cache_size=0 devices must be indistinguishable:
+    # same final memory image, same per-replay SimStats, at every level.
     for level in pim.OPT_LEVELS:
-        words_v, stats_v = engine_state[(level, "vectorized")]
-        words_t, stats_t = engine_state[(level, "thunk")]
-        assert np.array_equal(words_v, words_t), (
-            f"seed={seed} O{level}: replay-engine memory images diverge"
+        words_c, stats_c = engine_state[(level, "cached")]
+        words_u, stats_u = engine_state[(level, "uncached")]
+        assert np.array_equal(words_c, words_u), (
+            f"seed={seed} O{level}: cached/uncached memory images diverge"
         )
-        assert stats_v == stats_t, (
-            f"seed={seed} O{level}: replay-engine stats diverge"
+        assert stats_c == stats_u, (
+            f"seed={seed} O{level}: cached/uncached stats diverge"
         )
 
     for level in pim.OPT_LEVELS:
@@ -551,9 +570,11 @@ def _check_stream_lowering(seed, program, int_inputs, float_inputs):
 
     Uses the case's captured macro-instruction stream (the O0 graph) as
     fuzz input for :mod:`repro.driver.stream`: spliced compilation must
-    match legacy lowering op for op, and ``execute_stream`` must be
-    bit-identical (memory, ``SimStats``, read response) to the per-macro
-    fallback on both backends.
+    match the reference lowering op for op, and ``execute_stream`` must
+    be bit-identical (memory, ``SimStats``, read response) to op-by-op
+    lowering — a ``cache_size=0`` device on the simulator, the
+    per-instruction loop on the numpy backend (which has no driver to
+    lower through).
     """
     device = pim.init(crossbars=CROSSBARS, rows=ROWS)
     tensors = _fresh_inputs(int_inputs, float_inputs)
@@ -575,20 +596,28 @@ def _check_stream_lowering(seed, program, int_inputs, float_inputs):
     for backend in ("simulator", "numpy"):
         state = {}
         for mode in ("stream", "macro"):
+            lowered = backend == "simulator" and mode == "macro"
             device = pim.init(
                 crossbars=CROSSBARS, rows=ROWS, backend=backend,
-                emit_mode=mode,
+                **({"cache_size": 0} if lowered else {}),
             )
-            response = device.execute_stream(list(instrs))
+            if mode == "stream" or lowered:
+                response = device.execute_stream(list(instrs))
+                counters = device.backend.emit_counters()
+                assert counters[mode] == 1, f"seed={seed} {backend} {mode}"
+            else:
+                response = None
+                for instr in instrs:
+                    result = device.backend.execute(instr)
+                    if result is not None:
+                        response = result
             state[mode] = (
                 device.backend.words.copy(),
                 device.backend.stats.copy(),
                 response,
             )
-            counters = device.backend.emit_counters()
-            assert counters[mode] == 1, f"seed={seed} {backend} {mode}"
             pim.reset()
-        context = f"seed={seed} {backend} stream-vs-macro emission"
+        context = f"seed={seed} {backend} stream-vs-lowered emission"
         assert state["stream"][2] == state["macro"][2], context
         assert np.array_equal(state["stream"][0], state["macro"][0]), context
         assert state["stream"][1] == state["macro"][1], context

@@ -4,8 +4,8 @@ The three acceptance claims of the resilience layer, each enforced here:
 
 1. **Detection**: ``verify="checksum"`` catches >= 99% of injected
    flips that corrupt a compiled program's written cells, on both
-   backends and both simulator replay engines (in practice the CRC
-   bracket catches every one — the floor is the contract).
+   backends (in practice the CRC bracket catches every one — the floor
+   is the contract).
 2. **Recovery**: a transient flip is healed by one retry; a persistent
    stuck-at cell is quarantined in the allocator and the function
    recompiles around it — outputs stay bit-identical to golden either
@@ -166,31 +166,38 @@ class TestChecksumDetection:
 
 
 class TestReplayEngineIdentity:
-    """Both simulator replay engines must see one fault timeline."""
+    """Cached plans and op-by-op lowering must see one fault timeline."""
 
-    def _run(self, replay_engine):
-        device = pim.init(
-            config=CFG, backend="simulator", replay_engine=replay_engine
-        )
-        handle = pim.compile(lambda a, b: a * b + a)
+    def _run(self, **backend_kwargs):
+        device = pim.init(config=CFG, backend="simulator", **backend_kwargs)
         a, b = _arrays()
-        handle(pim.from_numpy(a), pim.from_numpy(b))  # capture
-        plan = FaultPlan(CFG, seed=5, random_flips=6, flip_window=(1, 4))
+        x, y = pim.from_numpy(a), pim.from_numpy(b)
+        pim.to_numpy(x * y + x)  # warm: later rounds replay cached plans
+        plan = FaultPlan(CFG, seed=5, random_flips=6, flip_window=(1, 8))
         device.install_faults(plan)
-        outs = [
-            pim.to_numpy(handle(pim.from_numpy(a), pim.from_numpy(b)))
-            for _ in range(4)
-        ]
-        return outs, device.backend.words.copy(), device.backend.fault_counters()
+        outs = [pim.to_numpy(x * y + x) for _ in range(4)]
+        return (
+            outs, device.backend.words.copy(), device.backend.stats.copy(),
+            device.backend.fault_counters(), device.backend.emit_counters(),
+        )
 
     def test_thunk_and_vectorized_agree_under_faults(self):
-        thunk_outs, thunk_words, thunk_counts = self._run("thunk")
-        vec_outs, vec_words, vec_counts = self._run("vectorized")
-        for t_out, v_out in zip(thunk_outs, vec_outs):
-            np.testing.assert_array_equal(t_out, v_out)
-        np.testing.assert_array_equal(thunk_words, vec_words)
-        assert thunk_counts["ticks"] == vec_counts["ticks"]
-        assert thunk_counts["flips"] == vec_counts["flips"]
+        """Eager macros through vectorized plans versus a ``cache_size=0``
+        device (every macro lowered and executed op-by-op; the test's
+        name predates that reference): one tick per macro on both, so
+        the same flips land in the same windows."""
+        ref_outs, ref_words, ref_stats, ref_counts, ref_emit = self._run(
+            cache_size=0
+        )
+        outs, words, stats, counts, emit = self._run()
+        assert ref_emit["stream"] == 0 and emit["macro"] == 0
+        assert emit["stream"] == ref_emit["macro"] > 0
+        for ref_out, out in zip(ref_outs, outs):
+            np.testing.assert_array_equal(ref_out, out)
+        np.testing.assert_array_equal(ref_words, words)
+        assert ref_stats == stats
+        assert ref_counts["ticks"] == counts["ticks"]
+        assert ref_counts["flips"] == counts["flips"] > 0
 
 
 class TestStuckCellQuarantine:

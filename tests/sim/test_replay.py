@@ -1,17 +1,17 @@
-"""Tests for the vectorized replay engine and its fallback ladder.
+"""Tests for vectorized replay and the op-by-op reference it falls to.
 
 Covers the correctness obligations of ``repro.sim.replay``:
 
 - super-step segmentation of the program IR (gate runs broken at every
   mask/read/write/vertical/move boundary, masks tracked statically);
-- bit-identical memory and identical stats between op-by-op execution,
-  thunk replay, and vectorized replay, on randomized op streams that
-  exercise every op kind;
-- the engine fallback ladder: non-self-masked programs, wide-word
-  configs, and ``REPRO_SIM_REPLAY=thunk`` all take the thunk path;
-- the region-cache entry-clear fix: self-masked programs keep cached
-  views across replays, while body programs replayed under caller-set
-  masks (the unsafe case) still see fresh views;
+- bit-identical memory and identical stats between op-by-op execution
+  and vectorized replay, on randomized op streams that exercise every
+  op kind;
+- the two outcomes of ``Simulator.execute_program``: self-masked
+  programs vectorize; caller-mask programs, wide-word configs, regions
+  too wide for lane arithmetic to pay and programs whose static walk
+  fails replay through ``Simulator.execute`` (bit- and stats-identical,
+  raising where op-by-op raises);
 - lane packing round-trips on the bulk memory helpers.
 """
 
@@ -34,7 +34,7 @@ from repro.driver.compiler import compile_ops
 from repro.driver.program import MicroProgram, segment_super_steps
 from repro.sim import replay
 from repro.sim.memory import CrossbarMemory
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import SimulationError, Simulator
 
 CFG = small_config(crossbars=4, rows=8)
 
@@ -102,11 +102,6 @@ class TestSegmentation:
         assert summary == {
             "ops": 5, "super_steps": 4, "gate_runs": 1, "gate_ops": 2,
             "fallback_ops": 3,
-        }
-        # Runs below a caller's fusion threshold count as fallback ops.
-        assert program.replay_summary(min_run_ops=3) == {
-            "ops": 5, "super_steps": 4, "gate_runs": 0, "gate_ops": 0,
-            "fallback_ops": 5,
         }
         assert program.super_steps is program.super_steps  # memoized
 
@@ -192,130 +187,176 @@ def test_vectorized_replay_is_bit_identical(seed):
         reference.execute(op)
     expected_read = reference.execute(ops[-1])
 
-    for engine in ("vectorized", "thunk"):
-        sim = Simulator(CFG, replay_engine=engine)
-        _seed_memory(sim, np.random.default_rng(seed + 1))
-        response = sim.execute_program(program)
-        assert response == expected_read, engine
-        assert np.array_equal(sim.memory.words, reference.memory.words), engine
-        assert sim.stats == reference.stats, engine
-        assert sim.replay_counters[engine] == 1
+    sim = Simulator(CFG)
+    _seed_memory(sim, np.random.default_rng(seed + 1))
+    response = sim.execute_program(program)
+    assert response == expected_read
+    assert np.array_equal(sim.memory.words, reference.memory.words)
+    assert sim.stats == reference.stats
+    assert sim.replay_counters == {"vectorized": 1, "reference": 0}
+
+
+WIDE = PIMConfig(crossbars=4, rows=8, columns=2048, partitions=64,
+                 word_size=64)
+
+
+def _replay_vs_op_by_op(config, ops, masks=(), replays=1):
+    """Replay ``ops`` as one program next to an op-by-op twin.
+
+    ``masks`` are executed on both simulators first (caller-set masks).
+    Returns ``(replayed, twin, program)`` after asserting bit-, stats-,
+    mask- and response-identity.
+    """
+    program = MicroProgram.from_ops(ops, "p", config)
+    replayed, twin = Simulator(config), Simulator(config)
+    for sim in (replayed, twin):
+        _seed_memory(sim, np.random.default_rng(5))
+        for op in masks:
+            sim.execute(op)
+    for _ in range(replays):
+        response = replayed.execute_program(program)
+        expected = None
+        for op in ops:
+            result = twin.execute(op)
+            expected = result if result is not None else expected
+        assert response == expected
+    assert np.array_equal(replayed.memory.words, twin.memory.words)
+    assert replayed.stats == twin.stats
+    assert replayed.crossbar_mask == twin.crossbar_mask
+    assert replayed.row_mask == twin.row_mask
+    return replayed, twin, program
+
+
+def _raises_like_op_by_op(config, ops):
+    """The program must fail exactly where (and as) op-by-op does."""
+    program = MicroProgram.from_ops(ops, "bad", config)
+    replayed, twin = Simulator(config), Simulator(config)
+    with pytest.raises(SimulationError) as expected:
+        for op in ops:
+            twin.execute(op)
+    with pytest.raises(SimulationError) as raised:
+        replayed.execute_program(program)
+    assert str(raised.value) == str(expected.value)
+    # Everything before the offending op took effect, nothing after.
+    assert np.array_equal(replayed.memory.words, twin.memory.words)
+    assert replayed.stats == twin.stats
+    assert replayed.replay_counters == {"vectorized": 0, "reference": 1}
 
 
 class TestEngineSelection:
-    def _self_masked_program(self):
-        return compile_ops(
-            _masked([_init1(3), _gate(3, 0, 1)]), CFG, optimize=False
-        )
+    """``execute_program`` has two outcomes, chosen from the program:
+    a vectorized plan, or the op-by-op reference (the ``thunks`` in two
+    test names below predate it)."""
 
     def test_self_masked_program_vectorizes(self):
-        sim = Simulator(CFG, replay_engine="vectorized")
-        sim.execute_program(self._self_masked_program())
-        assert sim.replay_counters == {"vectorized": 1, "thunk": 0}
+        sim, _, _ = _replay_vs_op_by_op(
+            CFG, _masked([_init1(3), _gate(3, 0, 1)]), replays=2
+        )
+        assert sim.replay_counters == {"vectorized": 2, "reference": 0}
+
+    def test_single_gate_runs_vectorize_too(self):
+        # No run-length threshold: an isolated gate is a GateRun.
+        ops = _masked([_init1(3), WriteOp(2, 7), _gate(3, 0, 1)])
+        sim, _, program = _replay_vs_op_by_op(CFG, ops)
+        runs = [step for step in sim.replay_plan(program).steps
+                if isinstance(step, replay.GateRun)]
+        assert [len(run.steps) for run in runs] == [1, 1]
 
     def test_body_program_falls_back_to_thunks(self):
-        """Gates under caller-set masks: no static accounting, no runs."""
-        program = compile_ops([_init1(3), _gate(3, 0, 1)], CFG, optimize=False)
-        sim = Simulator(CFG, replay_engine="vectorized")
-        sim.execute_program(program)
-        assert sim.replay_counters == {"vectorized": 0, "thunk": 1}
+        """Gates under caller-set masks: no static accounting, no plan."""
+        sim, _, program = _replay_vs_op_by_op(
+            CFG, [_init1(3), _gate(3, 0, 1)],
+            masks=[CrossbarMaskOp(1, 2, 1), RowMaskOp(0, 6, 2)],
+            replays=2,
+        )
+        assert sim.replay_plan(program) is None
+        assert sim.replay_counters == {"vectorized": 0, "reference": 2}
 
     def test_wide_words_fall_back_to_thunks(self):
-        wide = PIMConfig(crossbars=4, rows=8, columns=2048,
-                         partitions=64, word_size=64)
-        program = compile_ops(
-            [CrossbarMaskOp(0, 3, 1), RowMaskOp(0, 7, 1),
-             LogicHOp(GateType.INIT1, 0, 0, 3, p_a=0, p_b=0, p_out=0,
-                      p_end=63, p_step=1),
-             LogicHOp(GateType.NOR, 0, 1, 2, p_a=0, p_b=1, p_out=2,
-                      p_end=2, p_step=1)],
-            wide, optimize=False,
-        )
-        sim = Simulator(wide, replay_engine="vectorized")
+        ops = [
+            CrossbarMaskOp(0, 3, 1), RowMaskOp(0, 7, 1),
+            LogicHOp(GateType.INIT1, 0, 0, 3, p_a=0, p_b=0, p_out=0,
+                     p_end=63, p_step=1),
+            LogicHOp(GateType.NOR, 0, 1, 3, p_a=0, p_b=1, p_out=2,
+                     p_end=2, p_step=1),
+            CrossbarMaskOp(2, 2, 1), RowMaskOp(5, 5, 1), ReadOp(3),
+        ]
+        sim, _, _ = _replay_vs_op_by_op(WIDE, ops)
         assert not replay.lanes_supported(sim.memory)
-        sim.execute_program(program)
-        assert sim.replay_counters == {"vectorized": 0, "thunk": 1}
+        assert sim.replay_counters == {"vectorized": 0, "reference": 1}
 
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv(replay.ENGINE_ENV, "thunk")
-        sim = Simulator(CFG)
-        assert sim.replay_engine == "thunk"
-        sim.execute_program(self._self_masked_program())
-        assert sim.replay_counters["thunk"] == 1
+    def test_wide_regions_replay_through_reference(self):
+        """Lane programs lose to per-op NumPy on thousands of rows: the
+        route follows the region the program's own masks select."""
+        big = PIMConfig(crossbars=16, rows=256)
+        gates = [_init1(3), _gate(3, 0, 1), _gate(3, 1, 2)]
+        wide = [CrossbarMaskOp(0, 15, 1), RowMaskOp(0, 255, 1)] + gates
+        narrow = [CrossbarMaskOp(0, 15, 1), RowMaskOp(0, 127, 1)] + gates
+        sim, _, program = _replay_vs_op_by_op(big, wide)
+        assert 16 * 256 > replay.MAX_MEAN_LANES >= 16 * 128
+        assert not replay.lanes_pay_off(program)
+        assert sim.replay_counters == {"vectorized": 0, "reference": 1}
+        sim, _, program = _replay_vs_op_by_op(big, narrow)
+        assert replay.lanes_pay_off(program)
+        assert sim.replay_counters == {"vectorized": 1, "reference": 0}
 
-    def test_invalid_engine_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="replay engine"):
-            Simulator(CFG, replay_engine="gpu")
-        monkeypatch.setenv(replay.ENGINE_ENV, "nonsense")
-        with pytest.raises(ValueError, match="REPRO_SIM_REPLAY"):
-            Simulator(CFG)
+    def test_illegal_htree_move_raises_like_op_by_op(self):
+        _raises_like_op_by_op(CFG, _masked([
+            _init1(3),
+            MoveOp(1, 0, 0, 3, 4),   # all four crossbars sending right
+            _init1(4),
+        ]))
+
+    def test_multi_row_read_raises_like_op_by_op(self):
+        _raises_like_op_by_op(CFG, _masked([_init1(3), ReadOp(3), _init1(4)]))
+
+    def test_out_of_range_mask_raises_like_op_by_op(self):
+        _raises_like_op_by_op(CFG, [
+            CrossbarMaskOp(0, CFG.crossbars - 1, 1), RowMaskOp(0, 0, 1),
+            _init1(3), RowMaskOp(0, CFG.rows, 1), _init1(4),
+        ])
 
     def test_program_replay_info_matches_plan(self):
-        """The derived eligibility predicate and the memoized plan agree."""
+        """The reported route is the simulator's own (memoized) choice."""
         from repro.backend.simulator import SimulatorBackend
 
-        for engine, expected in (("vectorized", "vectorized"),
-                                 ("thunk", "thunk")):
-            backend = SimulatorBackend(CFG, replay_engine=engine)
-            program = compile_ops(
-                _masked([_init1(3), _gate(3, 0, 1)]), CFG, optimize=False
-            )
-            derived = backend.program_replay_info(program)  # no plan yet
+        masked = _masked([_init1(3), _gate(3, 0, 1)])
+        for config, ops, engine, self_masked in (
+            (CFG, masked, "vectorized", True),
+            (CFG, masked[2:], "reference", False),
+            (WIDE, [CrossbarMaskOp(0, 3, 1), RowMaskOp(0, 7, 1),
+                    WriteOp(2, 7)], "reference", True),
+        ):
+            backend = SimulatorBackend(config)
+            program = MicroProgram.from_ops(ops, "p", config)
+            derived = backend.program_replay_info(program)  # not yet run
             backend.simulator.execute_program(program)
-            from_plan = backend.program_replay_info(program)  # memoized plan
-            assert derived == from_plan
-            assert from_plan["engine"] == expected
-            assert from_plan["self_masked"] is True
-
-    def test_engine_switch_rebuilds_plan(self):
-        sim = Simulator(CFG, replay_engine="vectorized")
-        program = self._self_masked_program()
-        sim.execute_program(program)
-        sim.replay_engine = "thunk"
-        sim.execute_program(program)
-        assert sim.replay_counters == {"vectorized": 1, "thunk": 1}
+            assert backend.program_replay_info(program) == derived
+            assert derived["engine"] == engine
+            assert derived["self_masked"] is self_masked
+            assert backend.replay_counters()[engine] == 1
 
 
 class TestRegionCachePersistence:
-    def test_self_masked_plans_skip_entry_clear(self):
-        sim = Simulator(CFG, replay_engine="thunk")
-        program = compile_ops(
-            _masked([_init1(3), _gate(3, 0, 1)]), CFG, optimize=False
-        )
-        before = sim.memory.words.copy()
-        sim.execute_program(program)
-        plan = sim._plans[program]
-        assert plan.entry_clear is False
-        # Cached views persist into the next replay (no entry clear) and
-        # the replayed effect stays correct: INIT1 fills register 3
-        # everywhere, the NOR of two all-zero registers pulls nothing.
-        sim.execute_program(program)
-        expected = before.copy()
-        expected[:, 3, :] = sim.memory.word_mask
-        assert np.array_equal(sim.memory.words, expected)
-        assert sim.replay_counters["thunk"] == 2
+    """Nothing is cached across replays of a caller-mask program."""
 
     def test_body_program_under_changed_masks_stays_correct(self):
-        """The unsafe case: gates before any mask op (driver R-type
-        bodies) replayed under different caller-set masks must not reuse
-        views cached by the previous replay."""
-        program = compile_ops([_init1(3)], CFG, optimize=False)
-        sim = Simulator(CFG, replay_engine="vectorized")
-        plan_probe = Simulator(CFG, replay_engine="thunk")
-        assert plan_probe._compile_plan(program).entry_clear is True
-
+        """A body program replayed under different caller-set masks must
+        act on the masks of the moment, not those of its first replay."""
+        program = MicroProgram.from_ops([_init1(3)], "body", CFG)
+        sim = Simulator(CFG)
         sim.execute(CrossbarMaskOp(0, 0, 1))
         sim.execute(RowMaskOp(0, 0, 1))
         sim.execute_program(program)
-        first = sim.memory.words.copy()
-        assert first[0, 3, 0] == sim.memory.word_mask
-        assert first[1, 3, 1] == 0
+        assert sim.memory.words[0, 3, 0] == sim.memory.word_mask
+        assert sim.memory.words[1, 3, 1] == 0
 
         sim.execute(CrossbarMaskOp(1, 1, 1))
         sim.execute(RowMaskOp(1, 1, 1))
         sim.execute_program(program)
         assert sim.memory.words[1, 3, 1] == sim.memory.word_mask
         assert sim.memory.words[2, 3, 2] == 0
+        assert sim.replay_counters == {"vectorized": 0, "reference": 2}
 
 
 class TestLaneHelpers:

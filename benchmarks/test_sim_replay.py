@@ -15,7 +15,8 @@ The PR-4 acceptance criteria, enforced here:
    it is surveyed but no longer the baseline of the floor.)
 
 Results are written to ``results/sim_replay.txt`` (reference vs eager
-vs vectorized-replay survey, mirroring ``results/graph_compile.txt``).
+vs vectorized-replay survey, plus a ``word_size=64`` row, mirroring
+``results/graph_compile.txt``).
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ import numpy as np
 import pytest
 
 import repro.pim as pim
+from repro.arch.config import PIMConfig
+from repro.driver.program import MicroProgram
+from repro.sim.simulator import Simulator
 
 from benchmarks.conftest import RESULTS_DIR
 
@@ -151,6 +155,46 @@ def test_replay_survey():
             f"({reference / eager:5.2f}x)  replay {replay * 1e3:8.2f} ms "
             f"({reference / replay:5.2f}x)"
         )
+
+
+def test_wide_word_survey():
+    """``word_size=64`` survey row: the Figure-12 op stream, verbatim, on
+    ``uint64`` words (a 64-partition chip accepts every 32-partition
+    pattern) — op-by-op reference vs vectorized replay of one program,
+    identity asserted on memory, stats and the read response."""
+    _, x, y = _fresh()
+    func = pim.compile(my_func)
+    func(x, y)
+    ops = func._entry_for((x, y)).program.ops
+    config = PIMConfig(crossbars=4, rows=16, columns=2048, partitions=64,
+                       word_size=64)
+    program = MicroProgram.from_ops(ops, "fig12.w64", config)
+    reference, vectorized = Simulator(config), Simulator(config)
+    reference.memory.words[...] = vectorized.memory.words[...] = (
+        np.random.default_rng(0).integers(
+            0, 1 << 64, size=reference.memory.words.shape, dtype=np.uint64
+        )
+    )
+    start = time.perf_counter()
+    expected = None
+    for op in ops:
+        result = reference.execute(op)
+        expected = result if result is not None else expected
+    reference_s = time.perf_counter() - start
+    assert vectorized.execute_program(program) == expected  # builds the plan
+    assert np.array_equal(vectorized.memory.words, reference.memory.words)
+    assert vectorized.stats == reference.stats
+    assert vectorized.replay_counters == {"vectorized": 1, "reference": 0}
+    replay_s = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        vectorized.execute_program(program)
+        replay_s = min(replay_s, time.perf_counter() - start)
+    _LINES.append(
+        f"survey   4x16    word_size=64 ({len(ops)} ops, uint64 lanes) "
+        f"reference {reference_s * 1e3:9.2f} ms  replay "
+        f"{replay_s * 1e3:8.2f} ms ({reference_s / replay_s:5.2f}x)"
+    )
 
 
 def test_replay_info_reports_segmentation():

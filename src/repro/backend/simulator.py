@@ -118,17 +118,19 @@ class SimulatorBackend(Backend):
 
         ``engine`` is what :meth:`run_program` will use, as decided (and
         memoized) by the simulator itself: a ``"vectorized"`` plan needs
-        a self-masked program (static per-replay accounting exists) and
-        the packed ``uint32`` word format; everything else replays
-        through the op-by-op ``"reference"``. The remaining keys are the
-        IR's :meth:`~repro.driver.program.MicroProgram.replay_summary`,
-        so ``gate_ops``/``fallback_ops`` reflect what a vectorized
-        replay fuses.
+        a self-masked program (static per-replay accounting exists —
+        ``self_masked``, read from the same memo, so this never re-walks
+        the program) whose gate runs are narrow enough for lanes to pay;
+        everything else replays through the op-by-op ``"reference"``.
+        The remaining keys are the IR's
+        :meth:`~repro.driver.program.MicroProgram.replay_summary`, so
+        ``gate_ops``/``fallback_ops`` reflect what a vectorized replay
+        fuses.
         """
+        plan = self.simulator._plan(program)
         info = dict(program.replay_summary())
-        vectorized = self.simulator.replay_plan(program) is not None
-        info["engine"] = "vectorized" if vectorized else "reference"
-        info["self_masked"] = self.simulator._static_stats(program) is not None
+        info["engine"] = "reference" if plan.steps is None else "vectorized"
+        info["self_masked"] = plan.static_stats is not None
         return info
 
     def _walk_ops(self, ops) -> SimStats:

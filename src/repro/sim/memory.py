@@ -10,6 +10,8 @@ bitwise word operations, the same trick the paper uses on the GPU.
 
 from __future__ import annotations
 
+from sys import byteorder
+
 import numpy as np
 
 from repro.arch.config import PIMConfig
@@ -105,30 +107,33 @@ class CrossbarMemory:
         ]
 
     def pack_lanes(self, xb: RangeMask, reg: int, row: RangeMask) -> int:
-        """Pack a register's masked region into one guard-laned integer.
+        """Pack a register's masked region into one dense-lane integer.
 
-        Each word of the region occupies a 64-bit *lane* of the result
-        (low ``word_size`` bits the word, high bits zero guard space), in
-        row-major ``(crossbars, rows)`` order. With every partition shift
-        bounded by ``partitions <= word_size <= 32``, shifted bits never
-        escape a lane's 64 bits, so a whole region-wide logic operation
-        is a handful of arbitrary-precision bitwise operations — the
-        vectorized replay plans' representation. Requires the packed
-        ``uint32`` word format (``word_size <= 32``).
+        Each word of the region occupies one *lane* of the result exactly
+        as wide as the memory dtype (32 bits, or 64 for ``word_size >
+        32``), in row-major ``(crossbars, rows)`` order — the region's
+        own bytes, no widening copy. A whole region-wide logic operation
+        is then a handful of arbitrary-precision bitwise operations — the
+        vectorized replay plans' representation. Lanes need no guard
+        space: the bits a partition shift spills into the neighbouring
+        lane can never be selected by the gate's own out-mask (see
+        :func:`repro.sim.replay._pattern_mask`).
         """
-        return int.from_bytes(
-            self.region(xb, reg, row).astype("<u8").tobytes(), "little"
-        )
+        return int.from_bytes(self.region(xb, reg, row).tobytes(), byteorder)
 
     def unpack_lanes(
         self, xb: RangeMask, reg: int, row: RangeMask, value: int
     ) -> None:
-        """Write a :meth:`pack_lanes` integer back into the region."""
-        lanes = len(xb) * len(row)
-        flat = np.frombuffer(value.to_bytes(lanes * 8, "little"), dtype="<u8")
-        self.region(xb, reg, row)[...] = flat.astype(self._dtype).reshape(
-            len(xb), len(row)
-        )
+        """Write a :meth:`pack_lanes` integer back into the region.
+
+        ``value`` must fit the region's ``lanes * itemsize`` bytes
+        (``to_bytes`` raises otherwise).
+        """
+        shape = (len(xb), len(row))
+        data = value.to_bytes(shape[0] * shape[1] * self.dtype.itemsize, byteorder)
+        self.region(xb, reg, row)[...] = np.frombuffer(
+            data, dtype=self._dtype
+        ).reshape(shape)
 
     def fill(self, value: int) -> None:
         """Set every word of the memory to ``value`` (testing helper)."""

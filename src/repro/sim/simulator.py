@@ -70,25 +70,31 @@ def accounting_walk(
       :meth:`Simulator.execute`.
     """
     delta = SimStats()
+    # Horizontal gates are nearly every op of a stream: they are tallied
+    # in locals and folded into ``delta`` once after the loop, and
+    # ``lanes`` (masked crossbars x rows, ``None`` while a mask is
+    # unknown) is recomputed only when a mask changes.
+    lanes = None if xb is None or row is None else len(xb) * len(row)
+    h_counts = dict.fromkeys(GateType, 0)
+    h_gates = 0
     for op in ops:
         if isinstance(op, LogicHOp):
-            if xb is None or row is None:
+            if lanes is None:
                 if strict:
                     raise SimulationError("logic op executed before masks set")
                 return None
-            _, gate_count = _pattern_mask(
+            h_counts[op.gate] += 1
+            h_gates += lanes * _pattern_mask(
                 op.gate, op.p_a, op.p_b, op.p_out, op.p_end, op.p_step,
                 config.partitions,
-            )
-            delta.record(
-                _GATE_KEYS_H[op.gate], gates=gate_count * len(xb) * len(row)
-            )
+            )[1]
         elif isinstance(op, CrossbarMaskOp):
             if op.stop >= config.crossbars:
                 if strict:
                     raise SimulationError("crossbar mask out of range")
                 return None
             xb = RangeMask(op.start, op.stop, op.step)
+            lanes = None if row is None else len(xb) * len(row)
             delta.record("mask_crossbar")
         elif isinstance(op, RowMaskOp):
             if op.stop >= config.rows:
@@ -96,6 +102,7 @@ def accounting_walk(
                     raise SimulationError("row mask out of range")
                 return None
             row = RangeMask(op.start, op.stop, op.step)
+            lanes = None if xb is None else len(xb) * len(row)
             delta.record("mask_row")
         elif isinstance(op, LogicVOp):
             if xb is None:
@@ -132,17 +139,28 @@ def accounting_walk(
             if strict:
                 raise SimulationError(f"unknown micro-operation {op!r}")
             return None
+    delta.merge(SimStats(
+        {_GATE_KEYS_H[gate]: n for gate, n in h_counts.items() if n},
+        cycles=sum(h_counts.values()),
+        gates_executed=h_gates,
+    ))
     return delta
 
 
 class ReplayPlan:
-    """A self-masked program's vectorized replay recipe (one per program).
+    """What the simulator memoizes per program on first sight.
 
     Attributes:
-        steps: the replay callables — :class:`~repro.sim.replay.GateRun`
-            super-steps, and silent pre-resolved steps for every
-            mask/read/write/vertical/move op between them.
-        static_stats: the per-replay stats delta, merged once per replay.
+        steps: the vectorized replay callables —
+            :class:`~repro.sim.replay.GateRun` super-steps, and silent
+            pre-resolved steps for every mask/read/write/vertical/move op
+            between them — or ``None`` when the program replays through
+            the op-by-op reference.
+        static_stats: the per-replay stats delta, one lenient
+            :func:`accounting_walk`, merged once per vectorized replay.
+            ``None`` (and then no ``steps`` either) when the program is
+            not self-masked — a gate/move/read runs under a mask it did
+            not establish first — or an op of it must raise.
     """
 
     __slots__ = ("steps", "static_stats")
@@ -180,9 +198,8 @@ class Simulator:
         self.replay_counters = {"vectorized": 0, "reference": 0}
         self._xb_mask = RangeMask.all(config.crossbars)
         self._row_mask = RangeMask.all(config.rows)
-        # Replay plans for compiled programs (``None`` = replays through
-        # the reference), built once per program and dropped
-        # automatically when the program is garbage-collected.
+        # One :class:`ReplayPlan` per compiled program, built once and
+        # dropped automatically when the program is garbage-collected.
         self._plans: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
@@ -218,25 +235,25 @@ class Simulator:
 
         - *self-masked* programs (every gate, move and read runs under
           masks the program itself set — true of everything the driver
-          emits) on the packed ``uint32`` word format, whose gate runs
-          are narrow enough for lane arithmetic to pay
+          emits), of either word format, whose gate runs are narrow
+          enough for lane arithmetic to pay
           (:func:`repro.sim.replay.lanes_pay_off`), replay through a
           vectorized :class:`ReplayPlan`: fused
           :class:`~repro.sim.replay.GateRun` super-steps, silent steps
           for the ops between them, and one static stats merge;
         - anything else (hand-built programs relying on caller-set
-          masks, ``word_size > 32``, programs whose static walk finds an
-          op that must raise, regions of thousands of rows where NumPy
-          per op is the faster form) is a plain loop over
-          :meth:`execute`, the op-by-op reference.
+          masks, programs whose static walk finds an op that must
+          raise, regions of thousands of rows where NumPy per op is the
+          faster form) is a plain loop over :meth:`execute`, the
+          op-by-op reference.
 
         Either way memory, profiling counters and raised errors are
         exactly those of op-by-op execution. Returns the response word
         of the last :class:`ReadOp` (``None`` if there are no reads).
         """
-        plan = self.replay_plan(program)
+        plan = self._plan(program)
         response: Optional[int] = None
-        if plan is None:
+        if plan.steps is None:
             self.replay_counters["reference"] += 1
             for op in program.ops:
                 result = self.execute(op)
@@ -263,13 +280,17 @@ class Simulator:
 
         Built on first sight of the program and memoized on it.
         """
+        plan = self._plan(program)
+        return None if plan.steps is None else plan
+
+    def _plan(self, program) -> ReplayPlan:
         try:
             return self._plans[program]
         except KeyError:
             plan = self._plans[program] = self._compile_plan(program)
             return plan
 
-    def _compile_plan(self, program) -> Optional[ReplayPlan]:
+    def _compile_plan(self, program) -> ReplayPlan:
         from repro.driver.program import config_fingerprint
 
         if program.config_fingerprint != config_fingerprint(self.config):
@@ -278,34 +299,22 @@ class Simulator:
                 f"{program.config_fingerprint}, this chip is "
                 f"{config_fingerprint(self.config)}"
             )
-        static_stats = self._static_stats(program)
-        if (
-            static_stats is None
-            or not replay.lanes_supported(self.memory)
-            or not replay.lanes_pay_off(program)
-        ):
-            return None
-        return ReplayPlan(replay.build_vector_steps(program, self), static_stats)
-
-    def _static_stats(self, program) -> Optional[SimStats]:
-        """The per-replay stats delta of a *self-masked* program.
-
-        Delegates to :func:`accounting_walk` in lenient mode: ``None``
-        when any gate/move/read executes under a mask the program did
-        not establish first (its accounting depends on the caller's
-        masks), or when an op would fail validation (op-by-op execution
-        must raise at that op).
-        """
-        return accounting_walk(
+        static_stats = accounting_walk(
             program.ops, self.config, self.move_cost, strict=False
         )
+        steps = None
+        if static_stats is not None and replay.lanes_pay_off(program):
+            steps = replay.build_vector_steps(program, self)
+        return ReplayPlan(steps, static_stats)
 
-    def _plan_step(self, op: MicroOp) -> Callable[[], Optional[int]]:
+    def _plan_step(self, op: MicroOp, xb) -> Callable[[], Optional[int]]:
         """A silent pre-resolved step for a non-gate op of a vectorized plan.
 
         Silent steps skip per-op counter updates and runtime checks:
         the plan's stats delta and every mask range, move pattern and
-        read shape were established statically by :meth:`_static_stats`.
+        read shape were established statically (``ReplayPlan.static_stats``).
+        ``xb`` is the ``(start, stop, step)`` crossbar mask the op runs
+        under, which binds a move's index arrays at plan build.
         """
         if isinstance(op, CrossbarMaskOp):
             mask = RangeMask(op.start, op.stop, op.step)
@@ -313,11 +322,17 @@ class Simulator:
         if isinstance(op, RowMaskOp):
             mask = RangeMask(op.start, op.stop, op.step)
             return partial(setattr, self, "_row_mask", mask)
+        if isinstance(op, MoveOp):
+            sources = np.arange(xb[0], xb[1] + 1, xb[2])
+            return partial(
+                self._exec_move_silent,
+                (sources + op.dist, op.dst_index, op.dst_row),
+                (sources, op.src_index, op.src_row),
+            )
         handler = {
             ReadOp: self._exec_read_silent,
             WriteOp: self._exec_write_silent,
             LogicVOp: self._exec_logic_v_silent,
-            MoveOp: self._exec_move_silent,
         }[type(op)]
         return partial(handler, op)
 
@@ -342,11 +357,9 @@ class Simulator:
         else:  # NOT
             column[:, op.out_row] &= ~column[:, op.in_row]
 
-    def _exec_move_silent(self, op: MoveOp) -> None:
-        sources = np.fromiter(self._xb_mask.indices(), dtype=np.int64)
-        self.memory.words[sources + op.dist, op.dst_index, op.dst_row] = (
-            self.memory.words[sources, op.src_index, op.src_row]
-        )
+    def _exec_move_silent(self, dst, src) -> None:
+        words = self.memory.words
+        words[dst] = words[src]
 
     @property
     def crossbar_mask(self) -> RangeMask:

@@ -55,7 +55,7 @@ from repro.isa.instructions import (
     ROp,
     WriteInstr,
 )
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import ReplayPlan, Simulator
 
 CFG = small_config(crossbars=4, rows=8)
 
@@ -340,7 +340,8 @@ class TestStreamExecutionConformance:
         driver = Driver(sim)
         program = build_plan(driver, stream).program
         if engine == "reference":
-            sim._plans[program] = None  # what a non-self-masked verdict memoizes
+            # what a non-self-masked verdict memoizes: no steps, no stats
+            sim._plans[program] = ReplayPlan(None, None)
         response = driver.run_program(program)
         assert_conformant(
             seed, stream, f"replay route {engine}",

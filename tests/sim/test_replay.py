@@ -8,17 +8,20 @@ Covers the correctness obligations of ``repro.sim.replay``:
   and vectorized replay, on randomized op streams that exercise every
   op kind;
 - the two outcomes of ``Simulator.execute_program``: self-masked
-  programs vectorize; caller-mask programs, wide-word configs, regions
-  too wide for lane arithmetic to pay and programs whose static walk
-  fails replay through ``Simulator.execute`` (bit- and stats-identical,
-  raising where op-by-op raises);
-- lane packing round-trips on the bulk memory helpers.
+  programs vectorize, on ``uint32`` and ``uint64`` words alike;
+  caller-mask programs, regions too wide for lane arithmetic to pay and
+  programs whose static walk fails replay through ``Simulator.execute``
+  (bit- and stats-identical, raising where op-by-op raises);
+- dense lanes: a shifted input never spills into a bit the gate's
+  out-mask selects, and lane packing round-trips on the bulk memory
+  helpers for both dtypes.
 """
 
 import numpy as np
 import pytest
 
 from repro.arch.config import PIMConfig, small_config
+from repro.arch.halfgates import expand_pattern
 from repro.arch.masks import RangeMask
 from repro.arch.micro_ops import (
     CrossbarMaskOp,
@@ -106,36 +109,43 @@ class TestSegmentation:
         assert program.super_steps is program.super_steps  # memoized
 
 
+def _random_pattern(rng, gate, partitions):
+    """Pattern fields of a random ``LogicHOp`` that ``expand_pattern``
+    accepts: multi-gate, inputs on either side of the output (left and
+    right partition shifts), drawn by rejection."""
+    while True:
+        p_out = int(rng.integers(0, partitions))
+        p_step = int(rng.integers(1, 9))
+        p_end = p_out + p_step * int(rng.integers(0, 4))
+        p_a, p_b = sorted(
+            p_out + int(offset) for offset in rng.integers(-4, 5, size=2)
+        )
+        if p_a < 0:
+            continue
+        fields = dict(p_a=p_a, p_b=p_b, p_out=p_out, p_end=p_end,
+                      p_step=p_step)
+        try:
+            expand_pattern(LogicHOp(gate, 0, 0, 0, **fields), partitions)
+        except ValueError:
+            continue
+        return fields
+
+
 def _random_self_masked_ops(rng, config=CFG, length=120):
     """A self-masked stream exercising every op kind, valid by construction."""
     ops = [CrossbarMaskOp(0, config.crossbars - 1, 1),
            RowMaskOp(0, config.rows - 1, 1)]
     registers = config.registers
-    partitions = config.partitions
     for _ in range(length):
         roll = rng.random()
         if roll < 0.55:
             gate = GateType(rng.integers(0, 4))
-            if gate in (GateType.INIT0, GateType.INIT1):
-                # INITs take arbitrary multi-gate patterns.
-                p_step = int(rng.choice([1, 2]))
-                span = int(rng.integers(0, 3))
-                p_out = int(rng.integers(0, partitions - span * p_step))
-                p_end = p_out + span * p_step
-                p_a = p_b = p_out
-            else:
-                # Single-gate NOT/NOR with disjoint input sections.
-                p_out = int(rng.integers(2, partitions))
-                p_end = p_out
-                p_step = 1
-                p_a = p_out - 2 if gate == GateType.NOR else p_out - 1
-                p_b = p_out - 1
             ops.append(LogicHOp(
                 gate,
                 int(rng.integers(0, registers)),
                 int(rng.integers(0, registers)),
                 int(rng.integers(0, registers)),
-                p_a=p_a, p_b=p_b, p_out=p_out, p_end=p_end, p_step=p_step,
+                **_random_pattern(rng, gate, config.partitions),
             ))
         elif roll < 0.70:
             ops.append(WriteOp(int(rng.integers(0, registers)),
@@ -168,27 +178,31 @@ def _random_self_masked_ops(rng, config=CFG, length=120):
     return ops
 
 
-def _seed_memory(sim, rng):
-    shape = sim.memory.words.shape
-    sim.memory.words[...] = rng.integers(
-        0, 1 << 32, size=shape, dtype=np.uint64
-    ).astype(sim.memory.dtype)
+def _seed_memory(memory, rng):
+    """Random words over the word's full width (top bits set too)."""
+    memory.words[...] = rng.integers(
+        0, int(memory.word_mask), size=memory.words.shape,
+        dtype=memory.dtype, endpoint=True,
+    )
 
 
-@pytest.mark.parametrize("seed", [3, 17, 2024])
-def test_vectorized_replay_is_bit_identical(seed):
+WIDE = PIMConfig(crossbars=4, rows=8, columns=2048, partitions=64,
+                 word_size=64)
+
+
+def _assert_replay_is_bit_identical(config, seed):
     rng = np.random.default_rng(seed)
-    ops = _random_self_masked_ops(rng)
-    program = compile_ops(ops, CFG, optimize=False)
+    ops = _random_self_masked_ops(rng, config)
+    program = compile_ops(ops, config, optimize=False)
 
-    reference = Simulator(CFG)
-    _seed_memory(reference, np.random.default_rng(seed + 1))
+    reference = Simulator(config)
+    _seed_memory(reference.memory, np.random.default_rng(seed + 1))
     for op in ops[:-1]:
         reference.execute(op)
     expected_read = reference.execute(ops[-1])
 
-    sim = Simulator(CFG)
-    _seed_memory(sim, np.random.default_rng(seed + 1))
+    sim = Simulator(config)
+    _seed_memory(sim.memory, np.random.default_rng(seed + 1))
     response = sim.execute_program(program)
     assert response == expected_read
     assert np.array_equal(sim.memory.words, reference.memory.words)
@@ -196,8 +210,18 @@ def test_vectorized_replay_is_bit_identical(seed):
     assert sim.replay_counters == {"vectorized": 1, "reference": 0}
 
 
-WIDE = PIMConfig(crossbars=4, rows=8, columns=2048, partitions=64,
-                 word_size=64)
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+def test_vectorized_replay_is_bit_identical(seed):
+    _assert_replay_is_bit_identical(CFG, seed)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_wide_word_replay_is_bit_identical(seed):
+    """``uint64`` words pack into 64-bit lanes the same way."""
+    probe = Simulator(WIDE)
+    _seed_memory(probe.memory, np.random.default_rng(seed + 1))
+    assert (probe.memory.words >> np.uint64(63)).any()  # top bits in play
+    _assert_replay_is_bit_identical(WIDE, seed)
 
 
 def _replay_vs_op_by_op(config, ops, masks=(), replays=1):
@@ -210,7 +234,7 @@ def _replay_vs_op_by_op(config, ops, masks=(), replays=1):
     program = MicroProgram.from_ops(ops, "p", config)
     replayed, twin = Simulator(config), Simulator(config)
     for sim in (replayed, twin):
-        _seed_memory(sim, np.random.default_rng(5))
+        _seed_memory(sim.memory, np.random.default_rng(5))
         for op in masks:
             sim.execute(op)
     for _ in range(replays):
@@ -272,28 +296,40 @@ class TestEngineSelection:
         assert sim.replay_plan(program) is None
         assert sim.replay_counters == {"vectorized": 0, "reference": 2}
 
-    def test_wide_words_fall_back_to_thunks(self):
+    def test_wide_words_vectorize(self):
+        """``word_size=64``: one more word format, not a fallback cause."""
         ops = [
             CrossbarMaskOp(0, 3, 1), RowMaskOp(0, 7, 1),
             LogicHOp(GateType.INIT1, 0, 0, 3, p_a=0, p_b=0, p_out=0,
                      p_end=63, p_step=1),
             LogicHOp(GateType.NOR, 0, 1, 3, p_a=0, p_b=1, p_out=2,
                      p_end=2, p_step=1),
+            LogicHOp(GateType.NOT, 3, 3, 4, p_a=63, p_b=63, p_out=60,
+                     p_end=60, p_step=1),
             CrossbarMaskOp(2, 2, 1), RowMaskOp(5, 5, 1), ReadOp(3),
         ]
-        sim, _, _ = _replay_vs_op_by_op(WIDE, ops)
-        assert not replay.lanes_supported(sim.memory)
-        assert sim.replay_counters == {"vectorized": 0, "reference": 1}
+        sim, _, _ = _replay_vs_op_by_op(WIDE, ops, replays=2)
+        assert sim.replay_counters == {"vectorized": 2, "reference": 0}
+
+    def test_word_formats_share_no_lane_masks(self):
+        """A 32- and a 64-bit simulator in one process, same lane count
+        and same gate patterns: replicated masks depend on the lane
+        width, so neither may see the other's."""
+        ops = _masked([_init1(3), _gate(3, 0, 1),
+                       _gate(4, 1, 2, gate=GateType.NOT, p_out=0, p_a=1)])
+        for config in (CFG, WIDE, CFG, WIDE):
+            sim, _, _ = _replay_vs_op_by_op(config, ops)
+            assert sim.replay_counters == {"vectorized": 1, "reference": 0}
 
     def test_wide_regions_replay_through_reference(self):
         """Lane programs lose to per-op NumPy on thousands of rows: the
         route follows the region the program's own masks select."""
-        big = PIMConfig(crossbars=16, rows=256)
+        big = PIMConfig(crossbars=16, rows=512)
         gates = [_init1(3), _gate(3, 0, 1), _gate(3, 1, 2)]
-        wide = [CrossbarMaskOp(0, 15, 1), RowMaskOp(0, 255, 1)] + gates
-        narrow = [CrossbarMaskOp(0, 15, 1), RowMaskOp(0, 127, 1)] + gates
+        wide = [CrossbarMaskOp(0, 15, 1), RowMaskOp(0, 511, 1)] + gates
+        narrow = [CrossbarMaskOp(0, 15, 1), RowMaskOp(0, 255, 1)] + gates
         sim, _, program = _replay_vs_op_by_op(big, wide)
-        assert 16 * 256 > replay.MAX_MEAN_LANES >= 16 * 128
+        assert 16 * 512 > replay.MAX_MEAN_LANES >= 16 * 256
         assert not replay.lanes_pay_off(program)
         assert sim.replay_counters == {"vectorized": 0, "reference": 1}
         sim, _, program = _replay_vs_op_by_op(big, narrow)
@@ -321,11 +357,13 @@ class TestEngineSelection:
         from repro.backend.simulator import SimulatorBackend
 
         masked = _masked([_init1(3), _gate(3, 0, 1)])
+        big = PIMConfig(crossbars=16, rows=512)
+        too_wide = [CrossbarMaskOp(0, 15, 1), RowMaskOp(0, 511, 1)] + masked[2:]
         for config, ops, engine, self_masked in (
             (CFG, masked, "vectorized", True),
             (CFG, masked[2:], "reference", False),
-            (WIDE, [CrossbarMaskOp(0, 3, 1), RowMaskOp(0, 7, 1),
-                    WriteOp(2, 7)], "reference", True),
+            (WIDE, masked, "vectorized", True),
+            (big, too_wide, "reference", True),
         ):
             backend = SimulatorBackend(config)
             program = MicroProgram.from_ops(ops, "p", config)
@@ -335,6 +373,31 @@ class TestEngineSelection:
             assert derived["engine"] == engine
             assert derived["self_masked"] is self_masked
             assert backend.replay_counters()[engine] == 1
+
+
+    def test_program_replay_info_walks_the_program_once(self, monkeypatch):
+        """``self_masked`` is read from the plan memo: asking again (or
+        replaying) never re-walks the ops."""
+        from repro.backend.simulator import SimulatorBackend
+        from repro.sim import simulator
+
+        walks = []
+        walk = simulator.accounting_walk
+        monkeypatch.setattr(
+            simulator, "accounting_walk",
+            lambda ops, *args, **kwargs: (
+                walks.append(len(ops)) or walk(ops, *args, **kwargs)
+            ),
+        )
+        for ops in (_masked([_init1(3), _gate(3, 0, 1)] * 25_000),
+                    [_init1(3)]):  # with a plan, and without one
+            backend = SimulatorBackend(CFG)
+            program = MicroProgram.from_ops(ops, "p", CFG)
+            del walks[:]
+            first = backend.program_replay_info(program)
+            backend.simulator.execute_program(program)
+            assert backend.program_replay_info(program) == first
+            assert walks == [len(ops)]
 
 
 class TestRegionCachePersistence:
@@ -359,25 +422,77 @@ class TestRegionCachePersistence:
         assert sim.replay_counters == {"vectorized": 0, "reference": 2}
 
 
+class TestDenseLanes:
+    """Lanes are exactly as wide as the dtype; no guard space is needed
+    because a shifted input's spill never meets the out-mask."""
+
+    @pytest.mark.parametrize("partitions", [16, 32, 64])
+    @pytest.mark.parametrize("gate", [GateType.NOT, GateType.NOR])
+    def test_spill_windows_never_meet_the_out_mask(self, gate, partitions):
+        width = 32 if partitions <= 32 else 64  # the memory dtype's bits
+        rng = np.random.default_rng(partitions)
+        shifts = set()
+        for _ in range(1500):
+            fields = _random_pattern(rng, gate, partitions)
+            op = LogicHOp(gate, 0, 0, 0, **fields)
+            out_mask = 0
+            for _, out_p in expand_pattern(op, partitions):
+                out_mask |= 1 << out_p
+            inputs = (op.p_a, op.p_b) if gate == GateType.NOR else (op.p_a,)
+            for shift in (op.p_out - p_in for p_in in inputs):
+                shifts.add(shift)
+                if shift > 0:  # lane i's top bits land in [0, s) of lane i+1
+                    assert out_mask & ((1 << shift) - 1) == 0
+                elif shift < 0:  # lane i+1's low bits land in [W-s, W)
+                    assert out_mask >> (width + shift) == 0
+            # ... and the memoized pattern check agrees.
+            assert replay._pattern_mask(
+                gate, op.p_a, op.p_b, op.p_out, op.p_end, op.p_step,
+                partitions,
+            )[0] == out_mask
+        assert min(shifts) < 0 < max(shifts)  # both directions swept
+
+    def test_corrupted_pattern_mask_raises(self, monkeypatch):
+        """An out-mask inside a spill window is an error, not silent
+        cross-lane corruption."""
+        monkeypatch.setattr(
+            replay, "expand_pattern",
+            # Second gate's output sits below the first gate's shift of 2.
+            lambda op, partitions: [((0, 1), 2), ((5, 6), 1)],
+        )
+        replay._pattern_mask.cache_clear()
+        try:
+            with pytest.raises(SimulationError, match="spill"):
+                replay._pattern_mask(GateType.NOR, 0, 1, 2, 7, 5, 32)
+        finally:
+            replay._pattern_mask.cache_clear()
+
+
 class TestLaneHelpers:
+    """Lane width is the dtype's: both word formats round-trip."""
+
+    @staticmethod
+    def _memories():
+        for config in (CFG, WIDE):
+            memory = CrossbarMemory(config)
+            yield memory, 8 * memory.dtype.itemsize
+
     def test_pack_unpack_roundtrip(self):
-        memory = CrossbarMemory(CFG)
-        rng = np.random.default_rng(7)
-        memory.words[...] = rng.integers(
-            0, 1 << 32, size=memory.words.shape, dtype=np.uint64
-        ).astype(memory.dtype)
-        xb = RangeMask(0, 2, 2)
-        row = RangeMask(1, 5, 2)
-        before = memory.words.copy()
-        packed = memory.pack_lanes(xb, 2, row)
-        memory.unpack_lanes(xb, 2, row, packed)
-        assert np.array_equal(memory.words, before)
+        for memory, lane in self._memories():
+            _seed_memory(memory, np.random.default_rng(7))
+            xb = RangeMask(0, 2, 2)
+            row = RangeMask(1, 5, 2)
+            before = memory.words.copy()
+            packed = memory.pack_lanes(xb, 2, row)
+            assert packed.bit_length() <= len(xb) * len(row) * lane
+            memory.unpack_lanes(xb, 2, row, packed)
+            assert np.array_equal(memory.words, before)
 
     def test_unpack_writes_only_the_region(self):
-        memory = CrossbarMemory(CFG)
-        xb, row = RangeMask(1, 1, 1), RangeMask(2, 3, 1)
-        value = memory.pack_lanes(xb, 0, row) | 0b101 | (0b11 << 64)
-        memory.unpack_lanes(xb, 0, row, value)
-        assert memory.words[1, 0, 2] == 0b101
-        assert memory.words[1, 0, 3] == 0b11
-        assert memory.words.sum() == 0b101 + 0b11  # nothing else touched
+        for memory, lane in self._memories():
+            xb, row = RangeMask(1, 1, 1), RangeMask(2, 3, 1)
+            value = memory.pack_lanes(xb, 0, row) | 0b101 | (0b11 << lane)
+            memory.unpack_lanes(xb, 0, row, value)
+            assert memory.words[1, 0, 2] == 0b101
+            assert memory.words[1, 0, 3] == 0b11
+            assert memory.words.sum() == 0b101 + 0b11  # nothing else touched

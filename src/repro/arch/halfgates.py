@@ -15,6 +15,7 @@ opcodes (restriction 3 of Section III-D3).
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from typing import List, Tuple
 
 from repro.arch.micro_ops import GateType, LogicHOp
@@ -104,6 +105,35 @@ def expand_pattern(op: LogicHOp, partitions: int) -> List[Gate]:
         if lo <= hi:
             raise ValueError(f"intersecting gate sections in {op}")
     return gates
+
+
+@lru_cache(maxsize=65536)
+def pattern_outputs(
+    gate: GateType,
+    p_a: int,
+    p_b: int,
+    p_out: int,
+    p_end: int,
+    p_step: int,
+    partitions: int,
+) -> Tuple[int, int]:
+    """(output-partition bitmask, gate count) of a valid partition pattern.
+
+    :func:`expand_pattern` memoized on the fields it depends on: the
+    expansion and every check in it read only the partition pattern
+    (the column indices ``in_a``/``in_b``/``out`` play no part), and a
+    lowered stream repeats a handful of patterns thousands of times, so
+    stream validation and the simulator's pattern masks share this one
+    memo. Only results are stored: an invalid pattern raises the same
+    ``ValueError`` on every call.
+    """
+    op = LogicHOp(gate, 0, 0, 0, p_a=p_a, p_b=p_b, p_out=p_out,
+                  p_end=p_end, p_step=p_step)
+    gates = expand_pattern(op, partitions)
+    mask = 0
+    for _, out_p in gates:
+        mask |= 1 << out_p
+    return mask, len(gates)
 
 
 def opcodes_for_pattern(op: LogicHOp, partitions: int) -> List[Opcode]:

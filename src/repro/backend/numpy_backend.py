@@ -36,8 +36,10 @@ from repro.arch.htree import validate_move_pattern
 from repro.arch.masks import RangeMask
 from repro.arch.micro_ops import MicroOp
 from repro.backend.base import Backend
+from repro.driver.compiler import validate_ops
 from repro.driver.driver import Driver
 from repro.driver.program import config_fingerprint
+from repro.driver.stream import MacroStream
 from repro.faults.checksum import ChecksumError, region_checksums
 from repro.isa.instructions import (
     Instruction,
@@ -120,7 +122,7 @@ class NumpyBackend(Backend):
         # closures), dropped automatically when a program is collected.
         self._plans: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         # Validated (warp_mask, dist) -> source-warp index array, shared by
-        # every eager move with the same pattern.
+        # every move (eager or planned) with the same pattern.
         self._move_cache: Dict[Tuple, np.ndarray] = {}
         # Stream tier: fused FunctionalPrograms keyed on the instruction
         # tuple, mirroring the driver's StreamPlan cache (run_stream).
@@ -165,25 +167,40 @@ class NumpyBackend(Backend):
         return self._driver.persist.counters()
 
     def execute(self, instr: Instruction) -> Optional[int]:
-        validate(instr, self.config.registers)
-        delta = self._instr_stats.get(instr)
-        if delta is None:
-            self._misses += 1
-            ops = self._driver._lower_ops(instr)
-            try:
-                delta = self._replay_stats(ops)
-            except SimulationError:
-                self._charge_rejected_move(instr)
-                raise
-            if len(self._instr_stats) < 65536:
-                self._instr_stats[instr] = delta
-        else:
-            self._hits += 1
+        try:
+            delta = self._instr_delta(instr)
+        except SimulationError:
+            self._charge_rejected_move(instr)
+            raise
         result = self._apply(instr)
         self._stats.merge(delta)
         if self._fault_overlay is not None:
             self._fault_overlay.tick()
         return result
+
+    def _instr_delta(self, instr: Instruction) -> SimStats:
+        """The cycle bill of one instruction's lowering (memoized).
+
+        A first sight lowers the instruction through the real driver and
+        charges it with the strict accounting walk, which raises the
+        chip's own errors (mask ranges, H-tree patterns). The short
+        non-R lowerings then get the range checks the walk does not
+        make (:func:`~repro.driver.compiler.validate_ops`: thread
+        indices of moves); R-type bodies are valid by construction.
+        """
+        validate(instr, self.config.registers)
+        delta = self._instr_stats.get(instr)
+        if delta is not None:
+            self._hits += 1
+            return delta
+        self._misses += 1
+        ops = self._driver._lower_ops(instr)
+        delta = self._replay_stats(ops)
+        if not isinstance(instr, RInstr):
+            validate_ops(ops, self.config)
+        if len(self._instr_stats) < 65536:
+            self._instr_stats[instr] = delta
+        return delta
 
     def _charge_rejected_move(self, instr: Instruction) -> None:
         """Mirror the simulator's partial accounting for rejected moves.
@@ -231,9 +248,10 @@ class NumpyBackend(Backend):
         """Replay a compiled stream from its pre-resolved plan.
 
         On first sight of a program this builds a *replay plan* — one
-        closure per macro-instruction with regions, index arrays, and
-        operation constants already resolved — exactly the strategy of
-        the simulator's ``execute_program`` fast path. Replay then pays
+        closure per macro-instruction (one per group of moves, see
+        :meth:`_plan_steps`) with regions, index arrays, and operation
+        constants already resolved — exactly the strategy of the
+        simulator's ``execute_program`` fast path. Replay then pays
         only the vectorized memory updates plus one batched stats merge.
 
         ``verify="checksum"`` checksums the program's written regions
@@ -250,7 +268,7 @@ class NumpyBackend(Backend):
             )
         plan = self._plans.get(program)
         if plan is None:
-            plan = [self._plan_instr(instr) for instr in program.instructions]
+            plan = self._plan_steps(program.instructions)
             self._plans[program] = plan
         self._hits += 1
         response: Optional[int] = None
@@ -354,20 +372,28 @@ class NumpyBackend(Backend):
         """Emit a whole stream through one cached ``FunctionalProgram``.
 
         The functional twin of the driver's
-        :meth:`~repro.driver.driver.Driver.execute_stream`: the stream
-        compiles once into a fused program (identical cycle bill by
-        construction — the verbatim lowering's accounting is linear in
-        the ops) and replays through its pre-resolved plan.
+        :meth:`~repro.driver.driver.Driver.execute_stream`: one replay
+        plan, one stats merge, one fault tick per stream. The bill is
+        the sum of the per-instruction deltas :meth:`execute` charges:
+        every lowering sets the masks it runs under before its first
+        gate, move or read, so the strict walk of the concatenated
+        lowering is the sum of the walks of its parts, and no lowered
+        ``MicroProgram`` is built or kept (in memory or in ``cache_dir``)
+        for a stream that only ever replays as NumPy updates.
         """
-        from repro.driver.stream import MacroStream
-
         instrs = MacroStream.wrap(instructions)
         if not instrs:
             return None
         key = (instrs, name)
         program = self._stream_programs.get(key)
         if program is None:
-            program = self.compile(instrs, name=name, optimize=False)
+            delta = SimStats()
+            for instr in instrs:
+                delta.merge(self._instr_delta(instr))
+            program = FunctionalProgram(
+                instrs, name, config_fingerprint(self.config), delta,
+                len(instrs), source_ops=delta.micro_ops,
+            )
             if len(self._stream_programs) < 4096:
                 self._stream_programs[key] = program
         self._emit_counters["stream"] += 1
@@ -375,6 +401,71 @@ class NumpyBackend(Backend):
 
     def emit_counters(self) -> Dict[str, int]:
         return dict(self._emit_counters)
+
+    def _plan_steps(
+        self, instructions: Sequence[Instruction]
+    ) -> List[Callable[[], Optional[int]]]:
+        """The replay closures of a stream, consecutive moves merged.
+
+        A run of moves from one register to a *different* one, whose
+        destination cells are pairwise distinct, reads nothing it
+        writes and writes no cell twice, so executing it in order
+        equals one gather of every source word followed by one scatter
+        (:meth:`_gather_step`). A move within one register, or onto a
+        cell the group already writes, closes the group; single moves
+        and everything else keep their own step. Every member's H-tree
+        pattern is validated here, at plan build, as a single move's is.
+        """
+        rows = self.config.rows
+        steps: List[Callable[[], Optional[int]]] = []
+        group: List[MoveInstr] = []
+        cells: set = set()
+
+        def flush() -> None:
+            if len(group) > 1:
+                steps.append(self._gather_step(group))
+            elif group:
+                steps.append(self._plan_instr(group[0]))
+            group.clear()
+            cells.clear()
+
+        for instr in instructions:
+            if isinstance(instr, MoveInstr) and instr.src_reg != instr.dst_reg:
+                dests = {
+                    (warp + instr.warp_dist) * rows + instr.dst_thread
+                    for warp in self._move_sources(instr).tolist()
+                }
+                if group and (
+                    (group[0].src_reg, group[0].dst_reg)
+                    != (instr.src_reg, instr.dst_reg)
+                    or not cells.isdisjoint(dests)
+                ):
+                    flush()
+                group.append(instr)
+                cells |= dests
+                continue
+            flush()
+            steps.append(self._plan_instr(instr))
+        flush()
+        return steps
+
+    def _gather_step(self, moves: List[MoveInstr]) -> Callable[[], None]:
+        """One fancy-indexed copy for a group :meth:`_plan_steps` formed."""
+        words = self._words
+        src_reg, dst_reg = moves[0].src_reg, moves[0].dst_reg
+        sources = [self._move_sources(move) for move in moves]
+        counts = [len(warps) for warps in sources]
+        src_warps = np.concatenate(sources)
+        dst_warps = np.concatenate(
+            [warps + move.warp_dist for warps, move in zip(sources, moves)]
+        )
+        src_rows = np.repeat([move.src_thread for move in moves], counts)
+        dst_rows = np.repeat([move.dst_thread for move in moves], counts)
+
+        def gather_step():
+            words[dst_warps, dst_reg, dst_rows] = words[src_warps, src_reg, src_rows]
+
+        return gather_step
 
     def _plan_instr(self, instr: Instruction) -> Callable[[], Optional[int]]:
         """Pre-resolve one macro-instruction into a replay closure."""
@@ -408,25 +499,17 @@ class NumpyBackend(Backend):
 
             return read_step
         if isinstance(instr, MoveInstr):
-            warps = instr.warp_mask or RangeMask.all(self.config.crossbars)
-            if instr.warp_dist:
-                try:
-                    validate_move_pattern(
-                        warps, instr.warp_dist, self.config.crossbars
-                    )
-                except ValueError as exc:
-                    raise SimulationError(str(exc)) from exc
+            sources = self._move_sources(instr)
             src_reg, dst_reg = instr.src_reg, instr.dst_reg
             src_row, dst_row = instr.src_thread, instr.dst_thread
-            if len(warps) == 1:
-                sw = warps.start
+            if len(sources) == 1:
+                sw = int(sources[0])
                 dw = sw + instr.warp_dist
 
                 def single_move():
                     words[dw, dst_reg, dst_row] = words[sw, src_reg, src_row]
 
                 return single_move
-            sources = np.fromiter(warps.indices(), dtype=np.int64)
             dests = sources + instr.warp_dist
 
             def move_step(sources=sources, dests=dests):
@@ -486,7 +569,12 @@ class NumpyBackend(Backend):
             wm.start : wm.stop + 1 : wm.step, reg, rm.start : rm.stop + 1 : rm.step
         ]
 
-    def _apply_move(self, instr: MoveInstr) -> None:
+    def _move_sources(self, instr: MoveInstr) -> np.ndarray:
+        """A move's source-warp indices, its H-tree pattern validated.
+
+        Memoized per ``(warp_mask, dist)``; shared, read-only, by eager
+        moves and every replay step built from the same pattern.
+        """
         warps = instr.warp_mask or RangeMask.all(self.config.crossbars)
         key = (warps, instr.warp_dist)
         sources = self._move_cache.get(key)
@@ -501,6 +589,10 @@ class NumpyBackend(Backend):
             sources = np.fromiter(warps.indices(), dtype=np.int64)
             if len(self._move_cache) < 65536:
                 self._move_cache[key] = sources
+        return sources
+
+    def _apply_move(self, instr: MoveInstr) -> None:
+        sources = self._move_sources(instr)
         self._words[sources + instr.warp_dist, instr.dst_reg, instr.dst_thread] = (
             self._words[sources, instr.src_reg, instr.src_thread]
         )

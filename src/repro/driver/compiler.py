@@ -21,8 +21,9 @@ micro-operation list goes through
 
 2. **validation** — every op is range-checked against the architecture
    exactly once (register/row/crossbar bounds, partition-pattern
-   disjointness via :func:`repro.arch.halfgates.expand_pattern`, H-tree
-   move restrictions), so replay paths can skip per-op re-validation.
+   disjointness via :func:`repro.arch.halfgates.pattern_outputs`, the
+   memoized :func:`~repro.arch.halfgates.expand_pattern`; H-tree move
+   restrictions), so replay paths can skip per-op re-validation.
    Callers that assemble streams from already-validated pieces (the
    driver's cached R-type bodies, the spliced stream compiler in
    :meth:`repro.driver.driver.Driver._compile_spliced`) pass
@@ -38,7 +39,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.arch.config import PIMConfig
-from repro.arch.halfgates import expand_pattern
+from repro.arch.halfgates import pattern_outputs
 from repro.arch.htree import validate_move_pattern
 from repro.arch.masks import RangeMask
 from repro.arch.micro_ops import (
@@ -172,7 +173,10 @@ def validate_ops(ops: Iterable[MicroOp], config: PIMConfig) -> int:
                 for index in (op.in_a, op.in_b, op.out):
                     if not 0 <= index < registers:
                         raise ValueError(f"intra-row index {index} out of range")
-                expand_pattern(op, config.partitions)
+                pattern_outputs(
+                    op.gate, op.p_a, op.p_b, op.p_out, op.p_end, op.p_step,
+                    config.partitions,
+                )
             elif isinstance(op, CrossbarMaskOp):
                 if op.stop >= crossbars:
                     raise ValueError("crossbar mask out of range")

@@ -410,7 +410,8 @@ class Driver:
         call — ``execute_program`` replay, or one pre-encoded
         ``execute_batch`` word block — followed by one fault tick.
         Streams with no plan (a disabled cache, a chip without a
-        program/batch port, a batch-only sink asked for read responses)
+        program/batch port, a batch-only sink asked for read responses,
+        more than :data:`~repro.driver.stream.MAX_PLAN_MACROS` macros)
         are lowered and forwarded op-by-op instead, one fault tick per
         macro, bit-identically. Returns the last read response.
         """

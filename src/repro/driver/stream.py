@@ -25,9 +25,10 @@ Three pieces live here:
 One rule decides how a stream reaches the chip: **plan → chip; otherwise
 ``Driver._execute_lowered``.**  A stream has no plan when the chip has no
 program/batch port, when a batch-only sink is asked for in-stream read
-responses it cannot return, or when the driver's cache is disabled
-(``cache_size=0``); it is then lowered and forwarded op-by-op, macro by
-macro, bit-identically in memory and ``SimStats``.  There is no mode to
+responses it cannot return, when the driver's cache is disabled
+(``cache_size=0``), or when it is longer than :data:`MAX_PLAN_MACROS`;
+it is then lowered and forwarded op-by-op, macro by macro,
+bit-identically in memory and ``SimStats``.  There is no mode to
 select between the two.
 
 The :attr:`Driver.emit_counters <repro.driver.driver.Driver.emit_counters>`
@@ -100,6 +101,19 @@ class StreamPlan:
 UNSUPPORTED = object()
 
 
+#: Longest stream (in macro-instructions) that gets a plan. A plan keeps
+#: the fused program and the chip's replay plan alive for as long as the
+#: stream tier holds it, and the tier is bounded by entry count, not by
+#: size. The tensor layer's bulk moves can be arbitrarily long (one
+#: single-warp move per element when the warp step is no power of four:
+#: 65 536 moves, ~520 k micro-ops, in one stage of a 64 k-element sort),
+#: and a move costs ~3 KB of plan. Measured on that sort (simulator,
+#: 64x1024; no plans at all: 62.6 s, 47 MB peak RSS): every stream
+#: planned 38.4 s / 790 MB; up to 16 384 macros 42.9 s / 334 MB; up to
+#: 4 096 macros 44.0 s / 218 MB; up to 1 024 macros 55.7 s / 188 MB.
+MAX_PLAN_MACROS = 4096
+
+
 def plan_route(chip, reads: int) -> Optional[str]:
     """The fastest whole-stream dispatch route ``chip`` supports.
 
@@ -124,8 +138,9 @@ def build_plan(driver, instructions, name: str = "stream") -> Optional[StreamPla
     """Compile a macro stream into a :class:`StreamPlan`, or ``None``.
 
     ``None`` means no supported dispatch route exists for this chip and
-    stream shape (see :func:`plan_route`); the caller lowers the stream
-    op-by-op instead.  The fused program is compiled *unoptimized*: a
+    stream shape (see :func:`plan_route`), or the stream is longer than
+    :data:`MAX_PLAN_MACROS`; the caller lowers the stream op-by-op
+    instead.  The fused program is compiled *unoptimized*: a
     plan must be bit-identical to op-by-op lowering in both memory
     effects and cycle accounting, and the peephole passes trade cycles
     for a different (if state-equivalent) stream.
@@ -136,6 +151,8 @@ def build_plan(driver, instructions, name: str = "stream") -> Optional[StreamPla
     persistent store nor entered into the stream tier a second time.
     """
     instrs = MacroStream.wrap(instructions)
+    if len(instrs) > MAX_PLAN_MACROS:
+        return None
     reads = sum(1 for instr in instrs if isinstance(instr, ReadInstr))
     route = plan_route(driver.chip, reads)
     if route is None:

@@ -23,6 +23,7 @@ import numpy as np
 from repro.arch.config import PIMConfig
 from repro.arch.masks import RangeMask
 from repro.backend import Backend, make_backend
+from repro.driver.stream import MacroStream
 from repro.isa.dtypes import DType, array_to_raw, raw_to_array
 from repro.isa.instructions import Instruction
 from repro.pim.malloc import Allocator, Slot
@@ -122,12 +123,16 @@ class PIMDevice:
         See :meth:`repro.backend.base.Backend.run_stream`: on backends
         with a stream compiler the stream is fused into one cached
         emission plan and dispatched with a single call; otherwise it
-        loops per macro, bit-identically. When tracing, every
-        instruction is recorded individually — a capture sees exactly
-        the stream a per-macro loop would have recorded.
+        loops per macro, bit-identically. A
+        :class:`~repro.driver.stream.MacroStream` handle is handed to
+        the backend as is, so its cached hash — the plan lookup of
+        every stream tier — survives from one emission to the next.
+        When tracing, every instruction is recorded individually — a
+        capture sees exactly the stream a per-macro loop would have
+        recorded.
         """
         self._check_open()
-        instrs = list(instructions)
+        instrs = MacroStream.wrap(instructions)
         result = self.backend.run_stream(instrs, name=name)
         if self.tracing_here:
             for instr in instrs:

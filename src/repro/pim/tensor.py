@@ -18,11 +18,15 @@ of Section V-A).
 from __future__ import annotations
 
 from contextlib import nullcontext
+from dataclasses import replace
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.arch.htree import validate_move_pattern
 from repro.arch.masks import RangeMask
+from repro.driver.stream import MacroStream
 from repro.isa.dtypes import DType, float32, int32, raw_to_value, value_to_raw
 from repro.isa.instructions import (
     MoveInstr,
@@ -33,6 +37,7 @@ from repro.isa.instructions import (
 )
 from repro.pim.device import PIMDevice, default_device
 from repro.pim.malloc import Slot
+from repro.sim.simulator import SimulationError
 
 Scalar = Union[int, float, np.integer, np.floating]
 
@@ -627,7 +632,10 @@ def _bulk_move(
     distance); each group's source warps are split into arithmetic runs
     whose step satisfies the H-tree pattern (any step for intra-warp
     moves, a power of four for inter-warp moves), and every run becomes a
-    single warp-parallel move instruction.
+    single warp-parallel move instruction. The instruction list depends
+    only on the geometry and the two (register, first warp, elements)
+    triples, so it is planned once (:func:`_move_plan`) and issued as
+    whole streams.
     """
     with _node(device, "move"):
         _bulk_move_lowered(device, src_slot, src_elements, dst_slot, dst_elements)
@@ -640,48 +648,94 @@ def _bulk_move_lowered(
     dst_slot: Slot,
     dst_elements,
 ) -> None:
-    rows = device.rows
+    """Issue a bulk move from its memoized plan, one dispatch per stream."""
+    plan = _move_plan(
+        device.rows,
+        device.config.crossbars,
+        src_slot.reg,
+        src_slot.warp_start,
+        src_elements if isinstance(src_elements, range) else tuple(src_elements),
+        dst_slot.reg,
+        dst_slot.warp_start,
+        dst_elements if isinstance(dst_elements, range) else tuple(dst_elements),
+    )
+    for item in plan:
+        if isinstance(item, MacroStream):
+            device.execute_stream(item, name="move")
+            continue
+        # A run the H-tree rejects is still attempted on its own: the
+        # chip counts the crossbar-mask cycle before it refuses the
+        # move, and that cycle is part of the bill. Its per-warp
+        # replacement heads the next stream.
+        try:
+            device.execute(item)
+        except SimulationError:
+            pass
+
+
+#: Distinct bulk moves whose plan is kept (least recently used first out).
+MOVE_PLAN_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=MOVE_PLAN_CACHE_SIZE)
+def _move_plan(
+    rows: int,
+    crossbars: int,
+    src_reg: int,
+    src_warp_start: int,
+    src_elements,
+    dst_reg: int,
+    dst_warp_start: int,
+    dst_elements,
+) -> Tuple[Union[MacroStream, MoveInstr], ...]:
+    """The dispatch plan of a bulk move, a pure function of its arguments.
+
+    Pairs are grouped by (source thread, destination thread, warp
+    distance) in order of first appearance, and each group's sorted
+    source warps split into runs (:func:`_warp_runs`); every run is one
+    warp-parallel :class:`MoveInstr`. The plan is those instructions in
+    that order, cut into :class:`~repro.driver.stream.MacroStream`
+    handles (hash cached, so a repeated move finds every backend's
+    stream plan by identity) at the runs the H-tree rejects
+    (:func:`~repro.arch.htree.validate_move_pattern`: source and
+    destination warps of the run overlap). A rejected run appears as a
+    bare ``MoveInstr`` between two streams; its pairs are individually
+    valid, so the stream after it starts with one move per warp,
+    ordered so a destination is never a still-unread source
+    (descending for positive distances).
+    """
     groups = {}
     for src_e, dst_e in zip(src_elements, dst_elements):
-        src_warp = src_slot.warp_start + src_e // rows
-        dst_warp = dst_slot.warp_start + dst_e // rows
+        src_warp = src_warp_start + src_e // rows
+        dst_warp = dst_warp_start + dst_e // rows
         key = (src_e % rows, dst_e % rows, dst_warp - src_warp)
         groups.setdefault(key, []).append(src_warp)
 
-    from repro.sim.simulator import SimulationError
-
+    plan: List[Union[MacroStream, MoveInstr]] = []
+    stream: List[MoveInstr] = []
+    masks: dict = {}  # threads share warp runs: one RangeMask object each
     for (src_thread, dst_thread, dist), warps in groups.items():
         warps.sort()
         for mask in _warp_runs(warps, intra=(dist == 0)):
-            instr = MoveInstr(
-                src_reg=src_slot.reg,
-                dst_reg=dst_slot.reg,
-                src_thread=src_thread,
-                dst_thread=dst_thread,
-                warp_mask=mask,
-                warp_dist=dist,
-            )
-            try:
-                device.execute(instr)
-            except SimulationError:
-                # Source/destination warps of the run overlap; the pairs
-                # are still individually valid, so fall back to per-warp
-                # moves, ordered so a destination is never a still-unread
-                # source (descending for positive distances).
-                order = list(mask.indices())
-                if dist > 0:
-                    order.reverse()
-                for warp in order:
-                    device.execute(
-                        MoveInstr(
-                            src_reg=src_slot.reg,
-                            dst_reg=dst_slot.reg,
-                            src_thread=src_thread,
-                            dst_thread=dst_thread,
-                            warp_mask=RangeMask.single(warp),
-                            warp_dist=dist,
-                        )
-                    )
+            mask = masks.setdefault(mask, mask)
+            instr = MoveInstr(src_reg, dst_reg, src_thread, dst_thread, mask, dist)
+            if dist:
+                try:
+                    validate_move_pattern(mask, dist, crossbars)
+                except ValueError:
+                    if stream:
+                        plan.append(MacroStream(stream))
+                    plan.append(instr)
+                    order = mask.indices()
+                    stream = [
+                        replace(instr, warp_mask=RangeMask.single(warp))
+                        for warp in (reversed(order) if dist > 0 else order)
+                    ]
+                    continue
+            stream.append(instr)
+    if stream:
+        plan.append(MacroStream(stream))
+    return tuple(plan)
 
 
 def _warp_runs(warps: List[int], intra: bool) -> List[RangeMask]:

@@ -52,7 +52,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
 
-from repro.arch.halfgates import expand_pattern
+from repro.arch.halfgates import pattern_outputs
 from repro.arch.masks import RangeMask
 from repro.arch.micro_ops import GateType, LogicHOp
 from repro.sim.memory import CrossbarMemory
@@ -97,9 +97,11 @@ def _pattern_mask(
 ) -> Tuple[int, int]:
     """(output-partition bitmask, gate count) of a validated pattern.
 
-    Pattern validation (section disjointness, partition ranges) happens in
-    :func:`expand_pattern`; patterns repeat constantly across a program, so
-    the result is cached on the pattern fields.
+    Pattern validation (section disjointness, partition ranges) and the
+    mask itself come from :func:`~repro.arch.halfgates.pattern_outputs`,
+    the memoized ``expand_pattern`` stream validation shares; patterns
+    repeat constantly across a program, so the lane check below is
+    cached on the same fields.
 
     Also checks what lets :class:`GateRun` pack words into lanes with no
     guard space between them: *a shifted input never carries a foreign
@@ -111,28 +113,27 @@ def _pattern_mask(
     ``>= s``; a right shift by ``s`` brings the next lane's low bits
     into ``[W - s, W)``, but every out-partition is ``<= partitions - 1
     - s``. So ``shifted & out_mask`` is spill-free for any pattern
-    :func:`expand_pattern` accepts; the check below (against
+    ``expand_pattern`` accepts; the check below (against
     ``partitions``, the tighter bound) turns a violation of that
     argument into an error instead of silent cross-lane corruption.
     """
-    op = LogicHOp(gate, 0, 0, 0, p_a=p_a, p_b=p_b, p_out=p_out,
-                  p_end=p_end, p_step=p_step)
-    gates = expand_pattern(op, partitions)
-    mask = 0
-    for _, out_p in gates:
-        mask |= 1 << out_p
-    inputs, out_p = gates[0]
-    for shift in (out_p - p_in for p_in in inputs):
+    mask, count = pattern_outputs(
+        gate, p_a, p_b, p_out, p_end, p_step, partitions
+    )
+    inputs = {GateType.NOR: (p_a, p_b), GateType.NOT: (p_a,)}.get(gate, ())
+    for shift in (p_out - p_in for p_in in inputs):
         spill = (mask & ((1 << shift) - 1) if shift > 0
                  else mask >> (partitions + shift))
         if spill:
             from repro.sim.simulator import SimulationError  # import cycle
 
+            op = LogicHOp(gate, 0, 0, 0, p_a=p_a, p_b=p_b, p_out=p_out,
+                          p_end=p_end, p_step=p_step)
             raise SimulationError(
                 f"out-mask {mask:#x} of {op} meets the lane spill window "
                 f"of partition shift {shift}"
             )
-    return mask, len(gates)
+    return mask, count
 
 
 # Lane-program opcodes (see GateRun): constants chosen for dispatch order

@@ -38,6 +38,7 @@ from repro.arch.config import small_config
 from repro.arch.masks import RangeMask
 from repro.driver.compiler import CompileError
 from repro.driver.driver import BufferSink, Driver
+from repro.driver import stream as stream_mod
 from repro.driver.stream import (
     UNSUPPORTED,
     MacroStream,
@@ -557,6 +558,25 @@ class TestFallbackLadder:
         sim_ref, _, _ = per_macro_reference(stream)
         assert np.array_equal(chip.sim.memory.words, sim_ref.memory.words)
         assert chip.sim.stats == sim_ref.stats
+
+    def test_overlong_stream_is_lowered_macro_by_macro(self):
+        # A plan lives as long as the stream tier holds it, so streams
+        # beyond MAX_PLAN_MACROS (a bulk move of one move per element)
+        # never get one; the verdict is cached like any other.
+        limit = stream_mod.MAX_PLAN_MACROS
+        writes = [WriteInstr(0, value) for value in range(limit + 1)]
+        sim = Simulator(CFG)
+        driver = Driver(sim)
+        driver.execute_stream(MacroStream(writes[:limit]))
+        assert driver.emit_counters == {"stream": 1, "macro": 0}
+        overlong = MacroStream(writes)
+        driver.execute_stream(overlong)
+        driver.execute_stream(overlong)
+        assert driver.emit_counters == {"stream": 1, "macro": 2}
+        assert build_plan(driver, overlong) is None
+        reference, _, _ = per_macro_reference(writes[:limit] + 2 * writes)
+        assert np.array_equal(sim.memory.words, reference.memory.words)
+        assert sim.stats == reference.stats
 
     def test_empty_stream_is_a_no_op(self):
         driver = Driver(Simulator(CFG))

@@ -456,9 +456,10 @@ class TestDenseLanes:
         """An out-mask inside a spill window is an error, not silent
         cross-lane corruption."""
         monkeypatch.setattr(
-            replay, "expand_pattern",
-            # Second gate's output sits below the first gate's shift of 2.
-            lambda op, partitions: [((0, 1), 2), ((5, 6), 1)],
+            replay, "pattern_outputs",
+            # Gates ((0, 1) -> 2) and ((5, 6) -> 1): the second gate's
+            # output sits below the first gate's shift of 2.
+            lambda *fields: (0b110, 2),
         )
         replay._pattern_mask.cache_clear()
         try:

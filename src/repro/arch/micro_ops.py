@@ -376,6 +376,70 @@ _LAYOUT = {
 }
 
 
+#: Ops per :func:`encode_many` block: bounds its int64 field matrices to ~1 MB.
+_ENCODE_BLOCK = 16384
+
+
+def encode_many(ops, word_size: int = 32):
+    """Bulk :func:`encode`: the ``np.uint64`` operation words of many ops.
+
+    Semantically identical to ``[encode(op) for op in ops]`` (same words,
+    ``ValueError`` for a field that does not fit) but several times
+    faster: per kind, the ops' fields are pulled into one integer matrix,
+    and range checks and packing run as NumPy column operations. The
+    persistent cache's store path and the DMA encoding of stream plans.
+    """
+    import numpy as np
+    from itertools import chain
+    from operator import attrgetter
+
+    ops = tuple(ops)
+    if len(ops) > _ENCODE_BLOCK:
+        blocks = (ops[i : i + _ENCODE_BLOCK] for i in range(0, len(ops), _ENCODE_BLOCK))
+        return np.concatenate([encode_many(block, word_size) for block in blocks])
+    words = np.empty(len(ops), dtype=np.uint64)
+    positions: "dict[type, list[int]]" = {}
+    for position, cls in enumerate(map(type, ops)):
+        positions.setdefault(cls, []).append(position)
+    for kind, (cls, layout) in _LAYOUT.items():
+        where = positions.pop(cls, None)
+        if where is None:
+            continue
+        layout = layout or (("index", _IDX_FIELD), ("value", word_size))
+        names = [name for name, _ in layout if name != "sign"]
+        group = ops if len(where) == len(ops) else [ops[i] for i in where]
+        if sum(width for _, width in layout) > 61:
+            raise ValueError("payload exceeds 61 bits")
+        fields = map(attrgetter(*names), group)
+        try:
+            matrix = np.fromiter(
+                chain.from_iterable(fields) if len(names) > 1 else fields,
+                dtype=np.int64, count=len(names) * len(group),
+            ).reshape(len(group), len(names))
+        except OverflowError as error:
+            raise ValueError(f"field value does not fit: {error}")
+        packed = np.full(len(group), int(kind) << 61, dtype=np.uint64)
+        shift = 0
+        for name, width in layout:
+            if name == "sign":
+                column = matrix[:, names.index("dist")] < 0
+            else:
+                column = matrix[:, names.index(name)]
+                if name == "dist":
+                    column = np.abs(column)
+                if (column < 0).any() or (column >> width).any():
+                    raise ValueError(
+                        f"a {cls.__name__}.{name} does not fit in {width} bits"
+                    )
+            packed |= column.astype(np.uint64) << np.uint64(shift)
+            shift += width
+        words[where] = packed
+    if positions:
+        stray = next(iter(positions.values()))[0]
+        raise TypeError(f"not a micro-operation: {ops[stray]!r}")
+    return words
+
+
 def decode_many(words, word_size: int = 32) -> "tuple[MicroOp, ...]":
     """Bulk :func:`decode`: one vectorized pass over many operation words.
 

@@ -29,7 +29,10 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arch.config import PIMConfig
-from repro.isa.instructions import Instruction
+from repro.driver.driver import Driver
+from repro.driver.program import config_fingerprint
+from repro.isa.instructions import Instruction, MoveInstr, validate
+from repro.sim.simulator import SimulationError
 from repro.sim.stats import SimStats
 
 
@@ -38,6 +41,11 @@ class Backend(abc.ABC):
 
     #: Short identifier used by ``pim.init(backend=...)`` and cache keys.
     name: str = "abstract"
+
+    #: The :class:`~repro.driver.driver.Driver` whose lowering this backend
+    #: bills, and the move-cost model it bills under. Set by subclasses.
+    lowering = None
+    move_cost: str = "unit"
 
     def __init__(self, config: PIMConfig):
         self.config = config
@@ -95,24 +103,29 @@ class Backend(abc.ABC):
     def program_stats(self, program) -> SimStats:
         """The per-replay cycle bill of a compiled program.
 
-        Computed statically (no execution, no counter side effects) with
-        the same accounting rules replay charges, so callers can report
-        pre- vs post-optimization cycle counts without running anything.
+        The bill the program carries (walked once — no execution, no
+        counter side effects), so callers can report pre- vs
+        post-optimization cycle counts without running anything.
         """
-        raise NotImplementedError(
-            f"the {self.name!r} backend does not implement program_stats"
-        )
+        return program.stats_delta.copy()
+
+    def instr_stats(self, instr: Instruction) -> SimStats:
+        """The cycle bill of one macro-instruction lowered verbatim."""
+        return self.lowering.instr_bill(instr).billed(self.move_cost)
 
     def stream_stats(self, instructions: Sequence[Instruction]) -> SimStats:
         """The cycle bill of a macro stream lowered verbatim (no program).
 
-        Like :meth:`program_stats` for the unoptimized lowering of
-        ``instructions``, but without building (or caching) a compiled
-        program — the optimizer uses it to price its baseline.
+        The sum of the per-instruction bills: every lowering sets the
+        masks it runs under before its first gate, move or read, so the
+        walk of the concatenated lowering is the sum of the walks of
+        its parts, and an R-type part is priced from its body's carried
+        bill. The optimizer's report prices its baseline with it.
         """
-        raise NotImplementedError(
-            f"the {self.name!r} backend does not implement stream_stats"
-        )
+        total = SimStats()
+        for instr in instructions:
+            total.merge(self.instr_stats(instr))
+        return total
 
     # ------------------------------------------------------------------
     # State and accounting
@@ -131,20 +144,26 @@ class Backend(abc.ABC):
         """Copy of the counters (for profiling diffs)."""
         return self.stats.copy()
 
+    def _tier_total(self, counter: str) -> int:
+        """A counter summed over the driver's two cache tiers (0 without one)."""
+        driver = self.lowering
+        if driver is None:
+            return 0
+        return getattr(driver.programs, counter) + getattr(driver.streams, counter)
+
     @property
     def cache_hits(self) -> int:
-        """Compiled-stream cache hits (0 when the backend has no cache)."""
-        return 0
+        """Compiled-program cache hits (bodies + streams)."""
+        return self._tier_total("hits")
 
     @property
     def cache_misses(self) -> int:
-        """Compiled-stream cache misses (0 when the backend has no cache)."""
-        return 0
+        return self._tier_total("misses")
 
     @property
     def cache_evictions(self) -> int:
-        """LRU evictions across cache tiers (0 without a bounded cache)."""
-        return 0
+        """LRU evictions across the driver's cache tiers."""
+        return self._tier_total("evictions")
 
     def cache_counters(self) -> Tuple[int, int, int]:
         """``(hits, misses, evictions)`` — what ``pim.Profiler`` snapshots."""
@@ -157,7 +176,8 @@ class Backend(abc.ABC):
         :class:`~repro.driver.persist.PersistentProgramCache`; empty when
         no cache directory is configured (or the backend has no driver).
         """
-        return {}
+        persist = getattr(self.lowering, "persist", None)
+        return {} if persist is None else persist.counters()
 
     def emit_counters(self) -> Dict[str, int]:
         """Streams served per emission level (see
@@ -211,3 +231,87 @@ class Backend(abc.ABC):
         Backends with a single execution strategy report nothing.
         """
         return {}
+
+
+class BilledBackend(Backend):
+    """A backend that applies macro-instructions itself and bills them
+    from a driver's lowering (:class:`NumpyBackend`, the pool).
+
+    Every distinct instruction is priced once through a real
+    :class:`~repro.driver.driver.Driver` whose chip port is never used
+    (:meth:`Backend.instr_stats`, memoized here with the hit/miss
+    counters ``cache_counters`` reports), and a stream is one cached
+    program (``run_stream``: one replay plan, one stats merge, one fault
+    tick). Subclasses say how instructions and programs reach memory.
+    """
+
+    def __init__(self, config: PIMConfig, move_cost: str, **driver_kwargs):
+        super().__init__(config)
+        if move_cost not in ("unit", "htree"):
+            raise ValueError("move_cost must be 'unit' or 'htree'")
+        self.move_cost = move_cost
+        self.lowering = Driver(None, config=config, **driver_kwargs)
+        self._fingerprint = config_fingerprint(config)
+        self._stats = SimStats()
+        self._instr_stats: Dict[Instruction, SimStats] = {}
+        self._hits = 0
+        self._misses = 0
+        # Stream tier, mirroring the driver's StreamPlan cache.
+        self._stream_programs: Dict[Tuple, object] = {}
+        self._emit_counters: Dict[str, int] = {"stream": 0, "macro": 0}
+
+    @property
+    def stats(self) -> SimStats:
+        return self._stats
+
+    @property
+    def cache_hits(self) -> int:
+        return self._hits
+
+    @property
+    def cache_misses(self) -> int:
+        return self._misses
+
+    def emit_counters(self) -> Dict[str, int]:
+        return dict(self._emit_counters)
+
+    def _instr_delta(self, instr: Instruction) -> SimStats:
+        """The cycle bill of one instruction's lowering (memoized); a
+        first sight raises the chip's own errors (mask ranges, H-tree
+        patterns) and those of the non-R lowerings' range checks."""
+        validate(instr, self.config.registers)
+        delta = self._instr_stats.get(instr)
+        if delta is not None:
+            self._hits += 1
+            return delta
+        self._misses += 1
+        delta = self.instr_stats(instr)
+        if len(self._instr_stats) < 65536:
+            self._instr_stats[instr] = delta
+        return delta
+
+    def _eager_delta(self, instr: Instruction) -> SimStats:
+        """:meth:`_instr_delta` for an instruction executed on its own.
+
+        An inter-warp move lowering starts with a crossbar-mask op, which
+        the simulator executes (and counts) before the H-tree validation
+        rejects the ``MoveOp`` — so that cycle is charged here too.
+        """
+        try:
+            return self._instr_delta(instr)
+        except SimulationError:
+            if isinstance(instr, MoveInstr) and instr.warp_dist:
+                self._stats.record("mask_crossbar")
+            raise
+
+    def _admit(self, program, verify: Optional[str]) -> None:
+        """The checks (and the cache hit) every ``run_program`` starts with."""
+        if verify not in (None, "checksum"):
+            raise ValueError(f"unknown verify mode {verify!r}; expected 'checksum'")
+        if program.config_fingerprint != self._fingerprint:
+            raise SimulationError(
+                f"program {program.name!r} was compiled for fingerprint "
+                f"{program.config_fingerprint}, this backend is "
+                f"{self._fingerprint}"
+            )
+        self._hits += 1

@@ -8,9 +8,9 @@ results (two's-complement int32, IEEE binary32 with the documented
 flush-to-zero convention) at a fraction of the host cost.
 
 The chip cycle model is **not** approximated away: every instruction is
-still lowered through the real :class:`~repro.driver.driver.Driver` (once
-per distinct instruction, memoized) and the resulting micro-op stream is
-charged to :class:`~repro.sim.stats.SimStats` with exactly the
+still priced through the real :class:`~repro.driver.driver.Driver` (once
+per distinct instruction; see :class:`~repro.backend.base.BilledBackend`)
+and charged to :class:`~repro.sim.stats.SimStats` with exactly the
 simulator's accounting rules — per-kind counters, INIT/mask overhead,
 gate counts scaled by the active rows, optional H-tree move costs. A
 profiled block therefore reports the *same* PIM cycles on both backends;
@@ -34,10 +34,7 @@ import numpy as np
 from repro.arch.config import PIMConfig
 from repro.arch.htree import validate_move_pattern
 from repro.arch.masks import RangeMask
-from repro.arch.micro_ops import MicroOp
-from repro.backend.base import Backend
-from repro.driver.compiler import validate_ops
-from repro.driver.driver import Driver
+from repro.backend.base import BilledBackend
 from repro.driver.program import config_fingerprint
 from repro.driver.stream import MacroStream
 from repro.faults.checksum import ChecksumError, region_checksums
@@ -48,9 +45,8 @@ from repro.isa.instructions import (
     RInstr,
     ROp,
     WriteInstr,
-    validate,
 )
-from repro.sim.simulator import SimulationError, accounting_walk
+from repro.sim.simulator import SimulationError
 from repro.sim.stats import SimStats
 
 _WORD_MASK = np.uint64(0xFFFFFFFF)
@@ -83,7 +79,7 @@ class FunctionalProgram:
         return self.stats_delta.micro_ops
 
 
-class NumpyBackend(Backend):
+class NumpyBackend(BilledBackend):
     """Functional macro-instruction execution with simulator cycle counts.
 
     Accepts the same keyword arguments as the driver (``parallelism``
@@ -102,32 +98,18 @@ class NumpyBackend(Backend):
         guard: bool = False,
         **driver_kwargs,
     ):
-        super().__init__(config)
+        super().__init__(config, move_cost, **driver_kwargs)
         if config.word_size != 32:
             raise ValueError("the numpy backend models 32-bit words only")
-        if move_cost not in ("unit", "htree"):
-            raise ValueError("move_cost must be 'unit' or 'htree'")
-        self.move_cost = move_cost
         self._words = np.zeros(
             (config.crossbars, config.registers, config.rows), dtype=np.uint32
         )
-        self._stats = SimStats()
-        # The real driver supplies the lowering this backend charges for;
-        # its chip port is never used (lowered ops feed the stats replayer).
-        self._driver = Driver(None, config=config, **driver_kwargs)
-        self._instr_stats: Dict[Instruction, SimStats] = {}
-        self._hits = 0
-        self._misses = 0
         # Replay plans for compiled programs (pre-resolved per-instruction
         # closures), dropped automatically when a program is collected.
         self._plans: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         # Validated (warp_mask, dist) -> source-warp index array, shared by
         # every move (eager or planned) with the same pattern.
         self._move_cache: Dict[Tuple, np.ndarray] = {}
-        # Stream tier: fused FunctionalPrograms keyed on the instruction
-        # tuple, mirroring the driver's StreamPlan cache (run_stream).
-        self._stream_programs: Dict[Tuple, FunctionalProgram] = {}
-        self._emit_counters: Dict[str, int] = {"stream": 0, "macro": 0}
         # Installed fault overlay (None = fault-free), ticked once per
         # dispatch unit exactly like the driver's — see repro.faults.
         self._fault_overlay = None
@@ -141,78 +123,13 @@ class NumpyBackend(Backend):
     def words(self) -> np.ndarray:
         return self._words
 
-    @property
-    def stats(self) -> SimStats:
-        return self._stats
-
-    @property
-    def cache_hits(self) -> int:
-        return self._hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self._misses
-
-    @property
-    def cache_evictions(self) -> int:
-        # The per-instruction stats memo never evicts (it stops growing
-        # at its bound); evictions come from the lowering driver's tiers.
-        return (
-            self._driver.programs.evictions + self._driver.streams.evictions
-        )
-
-    def persist_counters(self):
-        if self._driver.persist is None:
-            return {}
-        return self._driver.persist.counters()
-
     def execute(self, instr: Instruction) -> Optional[int]:
-        try:
-            delta = self._instr_delta(instr)
-        except SimulationError:
-            self._charge_rejected_move(instr)
-            raise
+        delta = self._eager_delta(instr)
         result = self._apply(instr)
         self._stats.merge(delta)
         if self._fault_overlay is not None:
             self._fault_overlay.tick()
         return result
-
-    def _instr_delta(self, instr: Instruction) -> SimStats:
-        """The cycle bill of one instruction's lowering (memoized).
-
-        A first sight lowers the instruction through the real driver and
-        charges it with the strict accounting walk, which raises the
-        chip's own errors (mask ranges, H-tree patterns). The short
-        non-R lowerings then get the range checks the walk does not
-        make (:func:`~repro.driver.compiler.validate_ops`: thread
-        indices of moves); R-type bodies are valid by construction.
-        """
-        validate(instr, self.config.registers)
-        delta = self._instr_stats.get(instr)
-        if delta is not None:
-            self._hits += 1
-            return delta
-        self._misses += 1
-        ops = self._driver._lower_ops(instr)
-        delta = self._replay_stats(ops)
-        if not isinstance(instr, RInstr):
-            validate_ops(ops, self.config)
-        if len(self._instr_stats) < 65536:
-            self._instr_stats[instr] = delta
-        return delta
-
-    def _charge_rejected_move(self, instr: Instruction) -> None:
-        """Mirror the simulator's partial accounting for rejected moves.
-
-        An inter-warp move lowering starts with a crossbar-mask op; the
-        simulator executes (and counts) it before the H-tree validation
-        rejects the ``MoveOp``, and the tensor library's bulk-move
-        fallback relies on catching that error — so the mask cycle must
-        be charged here too.
-        """
-        if isinstance(instr, MoveInstr) and instr.warp_dist:
-            self._stats.record("mask_crossbar")
 
     def compile(
         self,
@@ -224,23 +141,12 @@ class NumpyBackend(Backend):
         peephole passes when ``optimize``) purely to fix the cycle bill,
         and keep the macro-instructions for functional replay."""
         instrs = tuple(instructions)
-        micro = self._driver.compile(list(instrs), name=name, optimize=optimize)
-        delta = self._replay_stats(micro.ops)
+        micro = self.lowering.compile(list(instrs), name=name, optimize=optimize)
+        delta = micro.bill(self.config).billed(self.move_cost)
         return FunctionalProgram(
             instrs, name, config_fingerprint(self.config), delta, len(instrs),
             source_ops=micro.source_ops,
         )
-
-    def program_stats(self, program: FunctionalProgram) -> SimStats:
-        """The precomputed per-replay cycle bill (one copy, no execution)."""
-        return program.stats_delta.copy()
-
-    def stream_stats(self, instructions: Sequence[Instruction]) -> SimStats:
-        """Accounting of a verbatim lowering, without building a program."""
-        ops = []
-        for instr in instructions:
-            ops.extend(self._driver._lower_ops(instr))
-        return self._replay_stats(ops)
 
     def run_program(
         self, program: FunctionalProgram, verify: Optional[str] = None
@@ -258,19 +164,11 @@ class NumpyBackend(Backend):
         (derived from the macro instructions) across the post-replay
         fault window, mirroring the driver's protocol.
         """
-        if verify is not None and verify != "checksum":
-            raise ValueError(f"unknown verify mode {verify!r}")
-        if program.config_fingerprint != config_fingerprint(self.config):
-            raise SimulationError(
-                f"program {program.name!r} was compiled for fingerprint "
-                f"{program.config_fingerprint}, this backend is "
-                f"{config_fingerprint(self.config)}"
-            )
+        self._admit(program, verify)
         plan = self._plans.get(program)
         if plan is None:
             plan = self._plan_steps(program.instructions)
             self._plans[program] = plan
-        self._hits += 1
         response: Optional[int] = None
         with np.errstate(all="ignore"):
             for step in plan:
@@ -371,13 +269,8 @@ class NumpyBackend(Backend):
     ) -> Optional[int]:
         """Emit a whole stream through one cached ``FunctionalProgram``.
 
-        The functional twin of the driver's
-        :meth:`~repro.driver.driver.Driver.execute_stream`: one replay
-        plan, one stats merge, one fault tick per stream. The bill is
-        the sum of the per-instruction deltas :meth:`execute` charges:
-        every lowering sets the masks it runs under before its first
-        gate, move or read, so the strict walk of the concatenated
-        lowering is the sum of the walks of its parts, and no lowered
+        Billed as the sum of the per-instruction deltas :meth:`execute`
+        charges (see :meth:`Backend.stream_stats`): no lowered
         ``MicroProgram`` is built or kept (in memory or in ``cache_dir``)
         for a stream that only ever replays as NumPy updates.
         """
@@ -398,9 +291,6 @@ class NumpyBackend(Backend):
                 self._stream_programs[key] = program
         self._emit_counters["stream"] += 1
         return self.run_program(program)
-
-    def emit_counters(self) -> Dict[str, int]:
-        return dict(self._emit_counters)
 
     def _plan_steps(
         self, instructions: Sequence[Instruction]
@@ -517,26 +407,6 @@ class NumpyBackend(Backend):
 
             return move_step
         raise SimulationError(f"not an instruction: {instr!r}")
-
-    # ------------------------------------------------------------------
-    # Cycle accounting: replay a lowered stream into a stats delta
-    # ------------------------------------------------------------------
-    def _replay_stats(self, ops: Sequence[MicroOp]) -> SimStats:
-        """Charge a micro-op stream with the simulator's accounting rules.
-
-        Delegates to :func:`repro.sim.simulator.accounting_walk` (the
-        shared cycle-model walker) in strict mode: masks start as
-        all-selected like a fresh chip, and an illegal H-tree move raises
-        the same :class:`SimulationError` the simulator would.
-        """
-        return accounting_walk(
-            ops,
-            self.config,
-            self.move_cost,
-            xb=RangeMask.all(self.config.crossbars),
-            row=RangeMask.all(self.config.rows),
-            strict=True,
-        )
 
     # ------------------------------------------------------------------
     # Functional execution

@@ -40,8 +40,9 @@ class SimulatorBackend(Backend):
         **driver_kwargs,
     ):
         super().__init__(config)
+        self.move_cost = move_cost
         self.simulator = Simulator(config, move_cost=move_cost)
-        self.driver = Driver(self.simulator, **driver_kwargs)
+        self.driver = self.lowering = Driver(self.simulator, **driver_kwargs)
 
     # ------------------------------------------------------------------
     def execute(self, instr: Instruction) -> Optional[int]:
@@ -90,25 +91,10 @@ class SimulatorBackend(Backend):
         return counters
 
     def program_stats(self, program) -> SimStats:
-        """Static per-replay accounting of a fused ``MicroProgram``.
-
-        Uses :func:`~repro.sim.simulator.accounting_walk` with the masks
-        a fresh chip starts from — exactly what ``execute_program``
-        charges for self-masked fused streams.
-        """
-        return self._walk_ops(program.ops)
-
-    def stream_stats(self, instructions: Sequence[Instruction]) -> SimStats:
-        """Accounting of a verbatim lowering, without building a program.
-
-        The per-instruction body cache makes re-lowering cheap (the
-        capture already compiled every distinct instruction), and no
-        ``MicroProgram`` is constructed or inserted into the cache.
-        """
-        ops = []
-        for instr in instructions:
-            ops.extend(self.driver._lower_ops(instr))
-        return self._walk_ops(ops)
+        """The bill a fused ``MicroProgram`` carries, under this chip's
+        move-cost model — exactly what ``execute_program`` charges for
+        self-masked fused streams."""
+        return program.bill(self.config).billed(self.move_cost)
 
     def replay_counters(self):
         return dict(self.simulator.replay_counters)
@@ -118,33 +104,17 @@ class SimulatorBackend(Backend):
 
         ``engine`` is what :meth:`run_program` will use, as decided (and
         memoized) by the simulator itself: a ``"vectorized"`` plan needs
-        a self-masked program (static per-replay accounting exists —
-        ``self_masked``, read from the same memo, so this never re-walks
-        the program) whose gate runs are narrow enough for lanes to pay;
-        everything else replays through the op-by-op ``"reference"``.
-        The remaining keys are the IR's
-        :meth:`~repro.driver.program.MicroProgram.replay_summary`, so
-        ``gate_ops``/``fallback_ops`` reflect what a vectorized replay
-        fuses.
+        a program whose carried bill holds from any mask state
+        (``self_masked``) and whose gate runs are narrow enough for
+        lanes to pay; everything else replays through the op-by-op
+        ``"reference"``. The remaining keys are the IR's
+        :meth:`~repro.driver.program.MicroProgram.replay_summary`.
         """
         plan = self.simulator._plan(program)
         info = dict(program.replay_summary())
         info["engine"] = "reference" if plan.steps is None else "vectorized"
         info["self_masked"] = plan.static_stats is not None
         return info
-
-    def _walk_ops(self, ops) -> SimStats:
-        from repro.arch.masks import RangeMask
-        from repro.sim.simulator import accounting_walk
-
-        return accounting_walk(
-            ops,
-            self.config,
-            self.simulator.move_cost,
-            xb=RangeMask.all(self.config.crossbars),
-            row=RangeMask.all(self.config.rows),
-            strict=True,
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -154,21 +124,3 @@ class SimulatorBackend(Backend):
     @property
     def stats(self) -> SimStats:
         return self.simulator.stats
-
-    @property
-    def cache_hits(self) -> int:
-        """Hits across both driver cache tiers (bodies + streams)."""
-        return self.driver.cache_hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self.driver.programs.misses + self.driver.streams.misses
-
-    @property
-    def cache_evictions(self) -> int:
-        return self.driver.programs.evictions + self.driver.streams.evictions
-
-    def persist_counters(self):
-        if self.driver.persist is None:
-            return {}
-        return self.driver.persist.counters()

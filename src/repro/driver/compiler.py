@@ -40,7 +40,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.arch.config import PIMConfig
 from repro.arch.halfgates import pattern_outputs
-from repro.arch.htree import validate_move_pattern
 from repro.arch.masks import RangeMask
 from repro.arch.micro_ops import (
     CrossbarMaskOp,
@@ -53,7 +52,7 @@ from repro.arch.micro_ops import (
     RowMaskOp,
     WriteOp,
 )
-from repro.driver.program import MicroProgram, config_fingerprint
+from repro.driver.program import MicroProgram
 
 
 class CompileError(Exception):
@@ -232,6 +231,7 @@ def compile_ops(
     name: str = "program",
     optimize: bool = True,
     validate: bool = True,
+    macros: int = 0,
 ) -> MicroProgram:
     """Validate (and optionally peephole-optimize) a recorded op stream.
 
@@ -243,7 +243,8 @@ def compile_ops(
 
     ``validate=False`` skips the per-op range checks — only for streams
     that are valid by construction (the driver's own lowering output);
-    externally recorded streams should keep the default.
+    externally recorded streams should keep the default. ``macros`` is
+    the number of macro-instructions the stream was recorded from.
     """
     ops = list(ops)
     source_ops = len(ops)
@@ -251,9 +252,5 @@ def compile_ops(
         ops = coalesce_masks(ops)
         ops = eliminate_redundant_init1(ops)
     if validate:
-        reads = validate_ops(ops, config)
-        return MicroProgram(
-            tuple(ops), name, config_fingerprint(config), reads,
-            source_ops=source_ops,
-        )
-    return MicroProgram.from_ops(ops, name, config, source_ops=source_ops)
+        validate_ops(ops, config)
+    return MicroProgram.from_ops(ops, name, config, source_ops, macros)

@@ -30,7 +30,6 @@ additionally be recorded and peephole-optimized with
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.config import PIMConfig
@@ -62,6 +61,8 @@ from repro.isa.instructions import (
     WriteInstr,
     validate,
 )
+from repro.sim.simulator import accounting_walk
+from repro.sim.stats import SimStats
 
 
 #: Default LRU capacity of each program-cache tier.
@@ -308,6 +309,35 @@ class Driver:
             return self._lower_write(instr)
         raise TypeError(f"not an instruction: {instr!r}")
 
+    def instr_bill(self, instr: Instruction) -> SimStats:
+        """What one instruction's verbatim lowering costs, without running it.
+
+        In the form of :meth:`MicroProgram.bill`, raising what the chip
+        would raise. Every lowering sets its masks first, so a stream's
+        bill is the sum of its instructions'. An R-type bill is its two
+        mask ops plus the body's carried bill, whose gate count scales
+        with the masked crossbars x rows; the short non-R lowerings are
+        walked (and range-checked) as they are.
+        """
+        if not isinstance(instr, RInstr):
+            ops = self._lower_ops(instr)
+            bill = accounting_walk(ops, self.config, "htree")
+            validate_ops(ops, self.config)
+            return bill
+        config = self.config
+        bill = accounting_walk(
+            self._mask_ops(instr.warp_mask, instr.row_mask), config
+        )
+        body = self._rtype_program(instr).bill(config)
+        lanes = len(instr.warp_mask or RangeMask.all(config.crossbars)) * len(
+            instr.row_mask or RangeMask.all(config.rows)
+        )
+        bill.merge(SimStats(
+            body.op_counts, body.cycles,
+            gates_executed=body.gates_executed // config.total_rows * lanes,
+        ))
+        return bill
+
     def compile(
         self,
         instructions: List[Instruction],
@@ -358,8 +388,10 @@ class Driver:
             for instr in instrs:
                 validate(instr, self.config.registers)
                 ops.extend(self._lower_ops(instr))
-            program = compile_ops(ops, self.config, name=name, optimize=optimize)
-        program = replace(program, macros=len(instrs))
+            program = compile_ops(
+                ops, self.config, name=name, optimize=optimize,
+                macros=len(instrs),
+            )
         if key is not None:
             self.streams.put(key, program)
         return program
@@ -387,7 +419,8 @@ class Driver:
                 validate_ops(lowered, self.config)
                 ops.extend(lowered)
         return compile_ops(
-            ops, self.config, name=name, optimize=optimize, validate=False
+            ops, self.config, name=name, optimize=optimize, validate=False,
+            macros=len(instrs),
         )
 
     def _check_instr_masks(
@@ -420,13 +453,13 @@ class Driver:
             return None
         if self.cache_enabled:
             key = ("plan", instrs, name, self.parallelism, self._fingerprint)
-            plan = self.streams.get(key)
+            plan = self.streams.get(key, durable=False)
             if plan is None:
                 plan = build_plan(self, instrs, name=name) or UNSUPPORTED
                 self.streams.put(key, plan)
             if plan is not UNSUPPORTED:
                 self.emit_counters["stream"] += 1
-                self.macro_count += plan.macros
+                self.macro_count += plan.program.macros
                 self.micro_count += len(plan.program)
                 if plan.route == "program":
                     response = self.chip.execute_program(plan.program)

@@ -26,35 +26,43 @@ Design constraints, in order:
    ``os.replace``\\ d into place, so concurrent processes sharing a
    cache directory can only ever observe whole entries.
 
-Serialized form: one JSON file per entry holding the program metadata
-plus the ops as their 64-bit binary encodings (the same
-:func:`~repro.arch.micro_ops.encode` words the DMA path ships), packed
-little-endian into one base64 blob and bulk-decoded through
-:func:`~repro.arch.micro_ops.decode_many` on load — a warm start must
-not spend its win parsing a six-digit integer list.  Cache keys are
+Serialized form: one binary file per entry — a one-line JSON header, a
+newline, then the ops as their 64-bit encodings (the words the DMA path
+ships), raw little-endian ``<u8``. The header holds the identity checks
+above, the program metadata, the payload's word count and CRC-32, and
+the program's *bill* (:meth:`~repro.driver.program.MicroProgram.bill`),
+so a restored program is priced without being walked. A load checks
+header, length and checksum and wraps the payload with
+``np.frombuffer``: **no op object is built**. The program decodes its
+words (``decode_many``, re-running every op's constructor invariants)
+the first time something iterates ``.ops`` — a replay-plan build does; a
+body loaded only to price an instruction never does. Stores encode
+through :func:`~repro.arch.micro_ops.encode_many`. Cache keys are
 deterministic across processes because every key component has a
 value-based repr (enums, frozen dataclasses, strings, ints).
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
 import tempfile
-from typing import Dict, Hashable, Optional, Tuple
+import zlib
+from contextlib import suppress
+from typing import Dict, Hashable, Optional
 
 import numpy as np
 
 from repro.arch.config import PIMConfig
-from repro.arch.micro_ops import decode, decode_many, encode
 from repro.driver.program import MicroProgram, config_fingerprint
+from repro.sim.stats import SimStats
 
 #: Bump when the on-disk entry layout (or the meaning of any field)
 #: changes; older entries then read as cold misses, never as garbage.
-#: v2: ops stored as one base64 little-endian uint64 blob (was an int list).
-FORMAT_VERSION = 2
+#: v3: binary entries carrying the program's bill (v2 was JSON+base64 in
+#: ``pim-<digest>.json`` files, which a v3 store of the same key removes).
+FORMAT_VERSION = 3
 
 #: Environment variable supplying a default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -88,10 +96,11 @@ class PersistentProgramCache:
     ``Backend.persist_counters()``):
 
     - ``loads`` — entries restored from disk (gate building skipped);
-    - ``misses`` — probes that found no entry;
+    - ``misses`` — probes that found no entry (only keys whose values
+      are written through are ever probed, so every one is a compile);
     - ``invalid`` — entries rejected (corrupt/truncated file, format
-      version skew, config-fingerprint mismatch, key collision) and
-      deleted best-effort;
+      version skew, config-fingerprint mismatch, key collision, payload
+      length or checksum mismatch) and deleted best-effort;
     - ``stores`` — entries written.
     """
 
@@ -116,30 +125,30 @@ class PersistentProgramCache:
 
     def _path(self, key: Hashable) -> str:
         digest = hashlib.sha256(_key_repr(key).encode()).hexdigest()[:40]
-        return os.path.join(self.cache_dir, f"pim-{digest}.json")
+        return os.path.join(self.cache_dir, f"pim-{digest}.bin")
 
     # ------------------------------------------------------------------
     def load(self, key: Hashable) -> Optional[MicroProgram]:
         """Restore a program, or ``None`` (cold compile) on any problem."""
         path = self._path(key)
         try:
-            with open(path, "r") as handle:
-                entry = json.load(handle)
+            with open(path, "rb") as handle:
+                data = handle.read()
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, ValueError):
-            # Unreadable or not-JSON (corrupt/truncated): treat as
-            # invalid so the fresh compile overwrites it.
-            self._reject(path)
-            return None
+        except OSError:
+            data = b""  # unreadable: rejected below, like a corrupt entry
         try:
-            program = self._deserialize(entry, key)
-        except Exception:
-            self._reject(path)
-            return None
+            program = self._deserialize(data, key)
+        except (ValueError, TypeError, KeyError, AttributeError):
+            program = None  # not an entry: corrupt, truncated, foreign
         if program is None:
-            self._reject(path)
+            # Count and delete (best-effort) so the fresh compile's
+            # store heals the cache.
+            self.invalid += 1
+            with suppress(OSError):
+                os.unlink(path)
             return None
         self.loads += 1
         return program
@@ -148,30 +157,31 @@ class PersistentProgramCache:
         """Write a program through to disk (atomically; errors ignored)."""
         if program.config_fingerprint != self.fingerprint:
             return
-        entry = {
+        bill = program.bill(self.config)
+        words = program.encoded(self.config.word_size)
+        payload = words.astype("<u8", copy=False).tobytes()
+        header = {
             "version": FORMAT_VERSION,
             "key": _key_repr(key),
             "fingerprint": list(self.fingerprint),
-            "word_size": self.config.word_size,
             "name": program.name,
             "reads": program.reads,
             "macros": program.macros,
             "source_ops": program.source_ops,
-            "ops": base64.b64encode(
-                np.array(
-                    [encode(op, self.config.word_size) for op in program.ops],
-                    dtype="<u8",
-                ).tobytes()
-            ).decode("ascii"),
+            "bill": [bill.op_counts, bill.cycles, bill.htree_hop_cycles,
+                     bill.gates_executed],
+            "words": len(program),
+            "crc32": zlib.crc32(payload),
         }
         path = self._path(key)
         try:
             fd, tmp = tempfile.mkstemp(
-                dir=self.cache_dir, prefix=".tmp-", suffix=".json"
+                dir=self.cache_dir, prefix=".tmp-", suffix=".bin"
             )
             try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(entry, handle)
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(json.dumps(header).encode() + b"\n")
+                    handle.write(payload)
                 os.replace(tmp, path)
             except BaseException:
                 try:
@@ -179,50 +189,37 @@ class PersistentProgramCache:
                 except OSError:
                     pass
                 raise
+            with suppress(OSError):  # this key's v2 entry, if one is left
+                os.unlink(path[:-4] + ".json")
         except OSError:
             return  # read-only cache dir, disk full, ...: stay cold
         self.stores += 1
 
     # ------------------------------------------------------------------
-    def _deserialize(
-        self, entry: dict, key: Hashable
-    ) -> Optional[MicroProgram]:
+    def _deserialize(self, data: bytes, key: Hashable) -> Optional[MicroProgram]:
         """Rebuild a program; ``None`` marks an invalid/stale entry."""
-        if not isinstance(entry, dict):
-            return None
-        if entry.get("version") != FORMAT_VERSION:
+        head, _, payload = data.partition(b"\n")
+        header = json.loads(head)
+        if header["version"] != FORMAT_VERSION:
             return None  # version skew: recompile under the new format
-        if tuple(entry.get("fingerprint", ())) != self.fingerprint:
+        if tuple(header["fingerprint"]) != self.fingerprint:
             return None  # compiled for a different geometry
-        if entry.get("word_size") != self.config.word_size:
-            return None
-        if entry.get("key") != _key_repr(key):
+        if header["key"] != _key_repr(key):
             return None  # hash collision or key-scheme drift
-        words = np.frombuffer(
-            base64.b64decode(entry["ops"], validate=True), dtype="<u8"
-        )
-        ops = decode_many(words, self.config.word_size)
+        if len(payload) != 8 * header["words"]:
+            return None  # truncated, or header and payload disagree
+        if zlib.crc32(payload) != header["crc32"]:
+            return None
+        counts, cycles, hops, gates = header["bill"]
         return MicroProgram(
-            ops=ops,
-            name=str(entry["name"]),
+            np.frombuffer(payload, dtype="<u8"),
+            name=str(header["name"]),
             config_fingerprint=self.fingerprint,
-            reads=int(entry["reads"]),
-            macros=int(entry["macros"]),
-            source_ops=int(entry["source_ops"]),
+            reads=int(header["reads"]),
+            macros=int(header["macros"]),
+            source_ops=int(header["source_ops"]),
+            bill=SimStats(
+                {str(kind): int(n) for kind, n in counts.items()},
+                int(cycles), int(hops), int(gates),
+            ),
         )
-
-    def _reject(self, path: str) -> None:
-        """Count and delete (best-effort) an invalid entry."""
-        self.invalid += 1
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-
-def serialize_roundtrip(program: MicroProgram, config: PIMConfig) -> Tuple:
-    """The encode/decode round-trip of a program's ops (test helper)."""
-    return tuple(
-        decode(encode(op, config.word_size), config.word_size)
-        for op in program.ops
-    )

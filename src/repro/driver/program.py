@@ -10,10 +10,11 @@ many times").
 
 Three pieces live here:
 
-- :class:`MicroProgram` — the immutable IR: a tuple of micro-ops plus
-  metadata (a name for profiling, the fingerprint of the architecture it
-  was validated against, and a lazily-built 64-bit encoding for DMA-style
-  transfer to a :class:`~repro.driver.driver.BufferSink`).
+- :class:`MicroProgram` — the immutable IR: a tuple of micro-ops (or the
+  64-bit operation words they decode from, which also ship DMA-style to
+  a :class:`~repro.driver.driver.BufferSink`) plus a name, the
+  fingerprint of the architecture it was validated against, and its
+  *bill* — the static ``SimStats`` of one execution, walked once.
 - :func:`config_fingerprint` — the hashable identity of every
   :class:`~repro.arch.config.PIMConfig` parameter that affects micro-op
   validity.  Cache keys embed it, and the simulator's
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -41,11 +42,16 @@ from repro.arch.config import PIMConfig
 from repro.arch.micro_ops import (
     CrossbarMaskOp,
     LogicHOp,
+    LogicVOp,
     MicroOp,
+    MoveOp,
     ReadOp,
     RowMaskOp,
-    encode,
+    decode_many,
+    encode_many,
 )
+from repro.sim import simulator
+from repro.sim.stats import SimStats
 
 #: The cache-key type: any hashable tuple assembled by the caller.
 ProgramKey = Hashable
@@ -134,16 +140,19 @@ def config_fingerprint(config: PIMConfig) -> Tuple[int, int, int, int, int]:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class MicroProgram:
     """An immutable, validated micro-operation stream.
 
-    Instances are identity-hashed (``eq=False``): the simulator keys its
-    per-program replay plans on the object itself, so equality by content
-    would make every lookup O(len(ops)).
+    Instances are identity-hashed: the simulator keys its per-program
+    replay plans on the object itself, so equality by content would make
+    every lookup O(len(ops)).
 
     Attributes:
-        ops: the micro-operations, in execution order.
+        ops: the micro-operations, in execution order. Built from its
+            64-bit operation words instead (as the persistent cache
+            restores programs), a program decodes them on first use:
+            one that is only priced (:meth:`bill`) or shipped as words
+            (:meth:`encoded`) never pays for the objects.
         name: a human-readable label (e.g. ``"add.int32"``) for profiling.
         config_fingerprint: the :func:`config_fingerprint` of the config
             the program was validated against.
@@ -158,15 +167,35 @@ class MicroProgram:
             instruction count backends report.
     """
 
-    ops: Tuple[MicroOp, ...]
-    name: str
-    config_fingerprint: Tuple[int, int, int, int, int]
-    reads: int = field(default=0)
-    macros: int = field(default=0)
-    source_ops: int = field(default=0)
+    def __init__(
+        self,
+        ops,
+        name: str,
+        config_fingerprint: Tuple[int, int, int, int, int],
+        reads: int = 0,
+        macros: int = 0,
+        source_ops: int = 0,
+        bill: Optional[SimStats] = None,
+    ):
+        words = isinstance(ops, np.ndarray)
+        self._ops: Optional[Tuple[MicroOp, ...]] = None if words else tuple(ops)
+        self._words: Optional[np.ndarray] = ops if words else None
+        self.name = name
+        self.config_fingerprint = config_fingerprint
+        self.reads = reads
+        self.macros = macros
+        self.source_ops = source_ops
+        self._bill = bill
+        self._super_steps: Optional[Tuple[SuperStep, ...]] = None
+
+    @property
+    def ops(self) -> Tuple[MicroOp, ...]:
+        if self._ops is None:  # decode_many re-checks every op's invariants
+            self._ops = decode_many(self._words, self.config_fingerprint[4])
+        return self._ops
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self._words if self._ops is None else self._ops)
 
     def __iter__(self) -> Iterator[MicroOp]:
         return iter(self.ops)
@@ -179,11 +208,40 @@ class MicroProgram:
         replay consumes this, and :meth:`replay_summary` reports
         it.
         """
-        cached = self.__dict__.get("_super_steps")
-        if cached is None:
-            cached = segment_super_steps(self.ops)
-            self.__dict__["_super_steps"] = cached
-        return cached
+        if self._super_steps is None:
+            self._super_steps = segment_super_steps(self.ops)
+        return self._super_steps
+
+    @property
+    def self_masked(self) -> bool:
+        """Whether every gate, move, vertical op and read runs under masks
+        the program itself set — true of every stream the driver emits,
+        false of an R-type body. Only then does :meth:`bill` hold from any
+        mask state a chip may be in."""
+        for segment in self.super_steps:
+            if segment.kind == "op":
+                op = self.ops[segment.start]
+                # A gate whose masks are both known sits in a gate run.
+                if isinstance(op, LogicHOp) or (
+                    segment.xb is None
+                    and isinstance(op, (ReadOp, LogicVOp, MoveOp))
+                ) or (segment.row is None and isinstance(op, ReadOp)):
+                    return False
+        return True
+
+    def bill(self, config: PIMConfig) -> SimStats:
+        """What one execution costs a chip whose masks select everything.
+
+        The one :func:`~repro.sim.simulator.accounting_walk` of the
+        program, made on first request and kept (the persistent cache
+        stores it with the words); it raises the chip's own
+        ``SimulationError`` for a stream the chip would refuse. H-tree
+        hops are itemized: :meth:`SimStats.billed` turns the bill into
+        either move-cost model's. Treat the result as read-only.
+        """
+        if self._bill is None:
+            self._bill = simulator.accounting_walk(self.ops, config, "htree")
+        return self._bill
 
     def replay_summary(self) -> Dict[str, int]:
         """Segmentation accounting: how much of the stream can fuse.
@@ -198,39 +256,34 @@ class MicroProgram:
                 gate_runs += 1
                 gate_ops += len(segment)
         return {
-            "ops": len(self.ops),
+            "ops": len(self),
             "super_steps": len(self.super_steps),
             "gate_runs": gate_runs,
             "gate_ops": gate_ops,
-            "fallback_ops": len(self.ops) - gate_ops,
+            "fallback_ops": len(self) - gate_ops,
         }
 
     def encoded(self, word_size: int) -> "np.ndarray":
         """The stream as a ``np.uint64`` array of 64-bit operation words.
 
-        Built on first use and memoized on the instance per ``word_size``
-        (the program is immutable, so the encoding never changes).
+        Built on first use (``word_size`` is the fingerprint's) and kept;
+        a program restored from its words returns them as they are.
         """
-        cached = self.__dict__.get("_encoded")
-        if cached is None or cached[0] != word_size:
-            words = np.array(
-                [encode(op, word_size) for op in self.ops], dtype=np.uint64
-            )
-            # Frozen dataclass: memoize through __dict__ (not __setattr__).
-            self.__dict__["_encoded"] = (word_size, words)
-            return words
-        return cached[1]
+        if self._words is None:
+            self._words = encode_many(self._ops, word_size)
+        return self._words
 
     @classmethod
     def from_ops(
-        cls, ops, name: str, config: PIMConfig, source_ops: Optional[int] = None
+        cls, ops, name: str, config: PIMConfig, source_ops: Optional[int] = None,
+        macros: int = 0,
     ) -> "MicroProgram":
         """Wrap an op sequence without optimization (validation is the
         compiler's job; prefer :func:`repro.driver.compiler.compile_ops`)."""
         ops = tuple(ops)
         reads = sum(1 for op in ops if isinstance(op, ReadOp))
         return cls(
-            ops, name, config_fingerprint(config), reads,
+            ops, name, config_fingerprint(config), reads, macros,
             source_ops=len(ops) if source_ops is None else source_ops,
         )
 
@@ -266,7 +319,8 @@ class ProgramCache:
     miss, and inserts write through — the cross-session warm-start path
     (``pim.init(cache_dir=...)``). Only :class:`MicroProgram` values
     persist; plan-tier wrappers (``StreamPlan``, the ``UNSUPPORTED``
-    sentinel) are cheap to rebuild and stay in-memory only.
+    sentinel) are cheap to rebuild and stay in-memory only, and their
+    keys are looked up with ``durable=False``.
     """
 
     def __init__(self, maxsize: int = 4096, store=None):
@@ -288,15 +342,19 @@ class ProgramCache:
     def __contains__(self, key: ProgramKey) -> bool:
         return key in self._entries
 
-    def get(self, key: ProgramKey) -> Optional[MicroProgram]:
-        """Look up a program, counting the hit/miss and refreshing LRU order."""
+    def get(self, key: ProgramKey, durable: bool = True) -> Optional[MicroProgram]:
+        """Look up a program, counting the hit/miss and refreshing LRU order.
+
+        ``durable=False`` marks a key whose values :meth:`put` never writes
+        through (stream plans): the disk tier cannot hold it, so is not probed.
+        """
         with self._lock:
             program = self._entries.get(key)
             if program is not None:
                 self.hits += 1
                 self._entries.move_to_end(key)
                 return program
-        if self.store is not None and self.enabled:
+        if durable and self.store is not None and self.enabled:
             # Probe the disk tier outside the lock (file I/O); a load
             # still counts as a hit for callers — the compile was
             # skipped — and the entry is promoted into the LRU.

@@ -38,7 +38,7 @@ dict records which of the two served each stream (``"stream"`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.driver.program import MicroProgram
@@ -79,17 +79,12 @@ class StreamPlan:
     Attributes:
         program: the fused (unoptimized — cycle counts must match
             op-by-op lowering exactly) :class:`MicroProgram` of the whole
-            stream.
-        macros: number of macro-instructions the plan covers.
-        reads: number of in-stream :class:`~repro.isa.instructions.ReadInstr`
-            responses (replay returns the last one).
+            stream; its ``macros`` and ``reads`` are the plan's.
         route: ``"program"`` (chip ``execute_program`` replay) or
             ``"batch"`` (one pre-encoded ``execute_batch`` word block).
     """
 
     program: MicroProgram
-    macros: int
-    reads: int
     route: str
 
     def __len__(self) -> int:
@@ -157,8 +152,5 @@ def build_plan(driver, instructions, name: str = "stream") -> Optional[StreamPla
     route = plan_route(driver.chip, reads)
     if route is None:
         return None
-    program = replace(
-        driver._compile_spliced(instrs, name, optimize=False),
-        macros=len(instrs),
-    )
-    return StreamPlan(program=program, macros=len(instrs), reads=reads, route=route)
+    program = driver._compile_spliced(instrs, name, optimize=False)
+    return StreamPlan(program, route)

@@ -6,16 +6,25 @@ The Figure-12 user program becomes one fused program with a decorator::
     def my_func(a, b):
         return a * b + a
 
-    z = my_func(x, y)        # first call: capture + lower + cache
+    z = my_func(x, y)        # first call: capture + lower + first replay
     z = my_func(x2, y2)      # later calls: replay the fused program
 
 The first call with a given signature (argument lengths/dtypes, scalar
-values, device geometry) runs the function eagerly under a
-:class:`~repro.pim.graph.TraceSession`, then lowers the captured
-macro-instruction stream through the device backend into one replayable
-program — on the simulator backend that is a single fused
+values, device geometry) is *record → lower → replay*. The function runs
+once under a :class:`~repro.pim.graph.TraceSession`, which records the
+macro-instructions it issues and dispatches none: tensors are allocated
+as eager mode allocates them, and ``backend.stats`` and the word image
+do not move. The recorded stream is lowered through the device backend
+into one replayable program — on the simulator backend a single fused
 :class:`~repro.driver.program.MicroProgram` riding the
-``execute_program`` replay fast path. That lowering goes through the
+``execute_program`` replay fast path — and the first result *is* the
+first replay of that program, like every later call (``verify=``
+included). So a first call bills what a replay bills: one eager call at
+``opt_level=0``, bit for bit and cycle for cycle; the optimized program
+at higher levels, never the eager stream. What the chip would have
+refused at one instruction (an illegal H-tree pattern, an out-of-range
+mask) is raised by the lowering, as the backend's own typed error
+naming the program, before any of it runs. That lowering goes through the
 driver's spliced stream compiler (:mod:`repro.driver.stream`): cached
 per-R-type bodies are
 stitched between cached mask preambles instead of re-lowered, so
@@ -64,19 +73,6 @@ from repro.pim.tensor import Tensor, TensorView
 
 #: Python/NumPy scalar types accepted as baked-in compiled-call arguments.
 _SCALAR_TYPES = (int, float, np.integer, np.floating)
-
-
-def _resolve(value):
-    """Replace ScalarRefs with their concrete values in an output tree."""
-    if isinstance(value, ScalarRef):
-        return value.value
-    if isinstance(value, tuple):
-        return tuple(_resolve(v) for v in value)
-    if isinstance(value, list):
-        return [_resolve(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _resolve(v) for k, v in value.items()}
-    return value
 
 
 def _resolve_replay(value, scalars: List):
@@ -206,7 +202,6 @@ class CompiledGraph:
         if cells is None:
             cells = session.cells
         self.reserved = device.allocator.reserve_cells(cells)
-        self.replays = 0
         # Base tensors the outputs alias: replay must leave the marshalled
         # data in these (the output *is* the argument buffer); every other
         # argument tensor is restored so calling f(y, x) cannot corrupt
@@ -260,28 +255,29 @@ class CompiledGraph:
                     # replayed stream writes the bound slot, so the result
                     # is copied out to the caller afterwards.
                     write_back.append((bound, arg))
-                elif id(bound) not in self._output_base_ids:
+                if id(bound) not in self._output_base_ids:
                     saved.append((bound, device.read_raw(bound.slot, bound.length)))
         for bound, raw in pending:
             device.write_raw(bound.slot, raw)
         try:
-            if verify is None:
-                backend.run_program(self.program)
-            else:
-                backend.run_program(self.program, verify=verify)
-            self.replays += 1
-            if not self.reads:
-                return _resolve(self.outputs)
+            backend.run_program(self.program, verify=verify)
             # Deferred scalar reads are re-issued eagerly (their 3
             # micro-ops are charged exactly as eager mode charges them)
             # and converted with each ScalarRef's capture-time dtype.
             scalars = [backend.execute(instr) for instr in self.reads]
             return _resolve_replay(self.outputs, scalars)
         finally:
-            for bound, arg in write_back:
-                device.write_raw(arg.slot, device.read_raw(bound.slot, bound.length))
+            # Results leave the bound slots before those are restored and
+            # reach the caller after: a permuted call's argument may live
+            # in the very slot another bound tensor gets back.
+            results = [
+                (arg, device.read_raw(bound.slot, bound.length))
+                for bound, arg in write_back
+            ]
             for bound, raw in saved:
                 device.write_raw(bound.slot, raw)
+            for arg, raw in results:
+                device.write_raw(arg.slot, raw)
 
 
 class CompiledFunction:
@@ -308,7 +304,6 @@ class CompiledFunction:
         functools.update_wrapper(self, fn)
         self.fn = fn
         self.opt_level = resolve_opt_level(optimize, opt_level)
-        self.optimize = self.opt_level >= 1
         self.name = name or getattr(fn, "__name__", "graph")
         self.cache_size = max(int(cache_size), 1)
         if verify not in (None, "checksum"):
@@ -363,7 +358,8 @@ class CompiledFunction:
             tuple(parts),
         )
 
-    def _capture(self, device, args) -> Tuple[CompiledGraph, Any]:
+    def _capture(self, device, args) -> CompiledGraph:
+        """Record the function once and lower the recording; runs nothing."""
         self.captures += 1
         session = device.begin_trace(self.name)
         try:
@@ -372,8 +368,20 @@ class CompiledFunction:
             device.end_trace()
         _check_deferred_reads(session.graph.instructions, device.config)
         program = session.lower(opt_level=self.opt_level, keep_reads=False)
-        entry = CompiledGraph(device, session, program, tuple(args), out)
-        return entry, _resolve(out)
+        return CompiledGraph(device, session, program, tuple(args), out)
+
+    def _lookup(self, device, args) -> Tuple[Tuple, CompiledGraph]:
+        """The signature's cache key and compiled graph (capturing if new)."""
+        key = self._signature(device, args)
+        entry = self._cache.get(key)
+        if entry is not None and entry.device is device and not device.closed:
+            self._cache.move_to_end(key)
+            return key, entry
+        if entry is not None:
+            entry.release()
+        entry = self._capture(device, args)
+        self._store(key, entry)
+        return key, entry
 
     # ------------------------------------------------------------------
     def __call__(self, *args):
@@ -387,18 +395,10 @@ class CompiledFunction:
             # and wait their turn.
             return self.fn(*args)
         with self._lock:
-            key = self._signature(device, args)
-            entry = self._cache.get(key)
-            if entry is not None and entry.device is device and not device.closed:
-                self._cache.move_to_end(key)
-                if self.verify is None:
-                    return entry.replay(args)
-                return self._replay_verified(device, key, entry, args)
-            if entry is not None:
-                entry.release()
-            entry, first = self._capture(device, args)
-            self._store(key, entry)
-            return first
+            key, entry = self._lookup(device, args)
+            if self.verify is None:
+                return entry.replay(args)
+            return self._replay_verified(device, key, entry, args)
 
     def _replay_verified(self, device, key, entry, args):
         """Checksum-verified replay with retry → quarantine → recompile.
@@ -407,8 +407,8 @@ class CompiledFunction:
         retried once (re-marshalling the arguments). A second mismatch
         means persistent damage (stuck-at cells): the corrupted regions
         are mapped to allocator cells and quarantined, the cached graph
-        is dropped, and the signature recaptures eagerly — its fresh
-        allocations planned around the bad cells.
+        is dropped, and the signature recaptures — its fresh allocations
+        planned around the bad cells — and replays, verified, once more.
         """
         from repro.faults.checksum import ChecksumError
 
@@ -424,9 +424,8 @@ class CompiledFunction:
                 device.quarantine_regions(error.regions)
             entry.release()
             self._cache.pop(key, None)
-            entry, first = self._capture(device, args)
-            self._store(key, entry)
-            return first
+            _, entry = self._lookup(device, args)
+            return entry.replay(args, verify=self.verify)
 
     def _store(self, key: Tuple, entry: CompiledGraph) -> None:
         """Insert a captured graph, enforcing the LRU bound.
@@ -448,19 +447,12 @@ class CompiledFunction:
         return len(self._cache)
 
     def _entry_for(self, args) -> CompiledGraph:
-        """The cached compiled graph for a signature (capturing if new)."""
+        """The cached compiled graph for a signature (capturing if new;
+        a capture records and lowers, it runs nothing)."""
         from repro.pim.device import default_device
 
-        device = self._device or default_device()
         with self._lock:
-            key = self._signature(device, args)
-            entry = self._cache.get(key)
-            if entry is None or entry.device is not device or device.closed:
-                if entry is not None:
-                    entry.release()
-                entry, _ = self._capture(device, args)
-                self._store(key, entry)
-        return entry
+            return self._lookup(self._device or default_device(), args)[1]
 
     def graph_for(self, *args) -> Graph:
         """The captured tensor-level IR for a signature (capturing if new)."""

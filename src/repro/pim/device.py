@@ -110,34 +110,31 @@ class PIMDevice:
             )
 
     def execute(self, instr: Instruction):
-        """Run one macro-instruction on the backend (recorded when tracing)."""
+        """Run one macro-instruction on the backend — or, while this
+        thread's trace is attached, record it and dispatch nothing (see
+        :mod:`repro.pim.graph`): a read then has no value to return."""
         self._check_open()
-        result = self.backend.execute(instr)
         if self.tracing_here:
-            self._trace.record(instr)
-        return result
+            return self._trace.record(instr)
+        return self.backend.execute(instr)
 
     def execute_stream(self, instructions, name: str = "stream"):
         """Run a whole macro-instruction stream as one emission unit.
 
-        See :meth:`repro.backend.base.Backend.run_stream`: on backends
-        with a stream compiler the stream is fused into one cached
-        emission plan and dispatched with a single call; otherwise it
-        loops per macro, bit-identically. A
-        :class:`~repro.driver.stream.MacroStream` handle is handed to
-        the backend as is, so its cached hash — the plan lookup of
-        every stream tier — survives from one emission to the next.
-        When tracing, every instruction is recorded individually — a
-        capture sees exactly the stream a per-macro loop would have
-        recorded.
+        See :meth:`repro.backend.base.Backend.run_stream`: the stream is
+        fused into one cached emission plan and dispatched with a single
+        call. A :class:`~repro.driver.stream.MacroStream` handle is
+        handed to the backend as is, so its cached hash — the plan
+        lookup of every stream tier — survives from one emission to the
+        next. When tracing, every instruction is recorded individually
+        and nothing is dispatched.
         """
         self._check_open()
-        instrs = MacroStream.wrap(instructions)
-        result = self.backend.run_stream(instrs, name=name)
         if self.tracing_here:
-            for instr in instrs:
+            for instr in instructions:
                 self._trace.record(instr)
-        return result
+            return None
+        return self.backend.run_stream(MacroStream.wrap(instructions), name=name)
 
     def compile(self, instructions, name: str = "stream", optimize: bool = True):
         """Record macro-instructions into one replayable compiled program.
@@ -157,8 +154,6 @@ class PIMDevice:
         checksum protocol (see :mod:`repro.faults.checksum`).
         """
         self._check_open()
-        if verify is None:
-            return self.backend.run_program(program)
         return self.backend.run_program(program, verify=verify)
 
     def install_faults(self, plan):

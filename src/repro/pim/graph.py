@@ -1,8 +1,9 @@
 """The tensor-level graph IR behind ``pim.compile`` / ``pim.trace``.
 
 Tracing runs a user function once with its real tensor arguments while a
-:class:`TraceSession` is attached to the device. Two things are recorded
-simultaneously:
+:class:`TraceSession` is attached to the device. Nothing is dispatched
+to the chip meanwhile: tensors are allocated exactly as eager mode
+allocates them, and two things are recorded simultaneously:
 
 - a **tensor-level graph** (:class:`Graph` of :class:`GraphNode`s): one
   node per library operation — elementwise op, ``where``, reduction,
@@ -12,23 +13,28 @@ simultaneously:
   which is what :meth:`TraceSession.lower` compiles through the device
   backend into one fused replayable program.
 
-Because the capture executes for real, anything data-dependent works
-during the traced call itself — but a value read from PIM memory during
-tracing is returned as a :class:`ScalarRef` (a deferred scalar), and
-*using* it to steer further computation raises :class:`TraceError`: the
-replay could not reproduce a stream that depended on input data. Reads
-whose values are only *returned* (the ``z[::2].sum()`` pattern) are
-re-resolved on every replay.
+Because the capture only records, no device value exists while it runs:
+a value read from PIM memory during tracing is returned as a
+:class:`ScalarRef` (a deferred scalar), and *using* it to steer further
+computation raises :class:`TraceError` — a replay could not reproduce a
+stream that depended on input data. Reads whose values are only
+*returned* (the ``z[::2].sum()`` pattern) are resolved by every replay.
+The recorded stream reaches the chip afterwards: ``pim.compile`` replays
+the lowered program (the first call included), and a ``pim.trace()``
+block dispatches it once at block exit (:meth:`TraceSession.dispatch`).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.isa.dtypes import DType
+from repro.driver.compiler import CompileError
+from repro.isa.dtypes import DType, raw_to_value
 from repro.isa.instructions import Instruction, ReadInstr
+from repro.sim.simulator import SimulationError
 
 
 class TraceError(RuntimeError):
@@ -91,36 +97,35 @@ class Graph:
 class ScalarRef:
     """A scalar read from PIM memory during tracing (deferred value).
 
-    Carries the concrete value observed at capture time (returned by the
-    first call) and the index of its read in the trace, so replays can
-    re-resolve it. Converting it to a Python number *inside* the traced
-    function raises :class:`TraceError` — that would bake a trace-time
-    value into the compiled stream as a constant.
+    Carries the index of its read in the trace, so every replay can
+    resolve it; ``value`` is ``None`` until the recorded stream has run
+    (:meth:`TraceSession.dispatch`). Converting it to a Python number
+    *inside* the traced function raises :class:`TraceError` — nothing
+    has executed yet, so there is no value, and a replay could not
+    follow a branch taken on one.
     """
 
-    __slots__ = ("instr", "dtype", "value", "read_index", "_session")
+    __slots__ = ("dtype", "read_index", "_session")
 
-    def __init__(
-        self,
-        instr: ReadInstr,
-        dtype: DType,
-        value,
-        read_index: int,
-        session: "TraceSession",
-    ):
-        self.instr = instr
+    def __init__(self, dtype: DType, read_index: int, session: "TraceSession"):
         self.dtype = dtype
-        self.value = value
         self.read_index = read_index
         self._session = session
+
+    @property
+    def value(self):
+        values = self._session.values
+        if values is not None:
+            return raw_to_value(values[self.read_index], self.dtype)
 
     def _blocked(self, what: str):
         if self._session.active:
             raise TraceError(
-                f"cannot {what} a PIM scalar inside a traced function: the "
-                "compiled program would bake the trace-time value "
-                f"({self.value!r}) in as a constant. Read scalars after the "
-                "traced call, or return them from the function."
+                f"cannot {what} a PIM scalar inside a traced function: a "
+                "trace records instructions without executing them, so the "
+                "scalar has no value yet, and a replay could not repeat a "
+                "decision taken on one. Read scalars after the traced "
+                "call, or return them from the function."
             )
         return self.value
 
@@ -165,8 +170,8 @@ class ScalarRef:
 class TraceSession:
     """A live capture attached to a device by ``device.begin_trace()``.
 
-    While attached, :meth:`record` receives every successfully executed
-    macro-instruction, tensor constructors :meth:`track` their cell
+    While attached, :meth:`record` receives every macro-instruction the
+    device was asked to execute, tensor constructors :meth:`track` their cell
     placements (so the compiled graph can reserve them for replays), and
     the tensor library opens :meth:`node` scopes around its operations.
     """
@@ -189,6 +194,8 @@ class TraceSession:
         #: treats everything else as dead temporaries.
         self.live_cells: set = set()
         self.reads: List[ReadInstr] = []
+        #: The raw words :meth:`dispatch` read, in :attr:`reads` order.
+        self.values: Optional[List[int]] = None
         #: Cells the compiled graph must reserve for replays. Defaults to
         #: every traced cell; :meth:`lower` shrinks it when the optimizer
         #: eliminates whole temporaries (``opt_level >= 2``).
@@ -275,13 +282,34 @@ class TraceSession:
             )
         )
 
-    def wrap_scalar(self, instr: ReadInstr, dtype: DType, value) -> ScalarRef:
-        """Wrap the value of the most recently recorded read."""
-        return ScalarRef(instr, dtype, value, len(self.reads) - 1, self)
+    def wrap_scalar(self, dtype: DType) -> ScalarRef:
+        """The deferred scalar of the most recently recorded read."""
+        return ScalarRef(dtype, len(self.reads) - 1, self)
 
     # -- finalization ---------------------------------------------------
     def close(self) -> None:
         self.active = False
+
+    def dispatch(self) -> None:
+        """Run the recorded stream on the device, once, as eager mode would.
+
+        Every read-free stretch is one ``execute_stream`` and every read
+        is issued in place, so memory and ``SimStats`` end up where eager
+        execution leaves them (less the crossbar-mask cycle of each
+        bulk-move run the H-tree rejects, which a trace skips rather than
+        attempts), and every :class:`ScalarRef` handed out gets its value.
+        """
+        values = []
+        stretch: List[Instruction] = []
+        for instr in self.graph.instructions:
+            if isinstance(instr, ReadInstr):
+                self.device.execute_stream(stretch, name=self.graph.name)
+                stretch = []
+                values.append(self.device.execute(instr))
+            else:
+                stretch.append(instr)
+        self.device.execute_stream(stretch, name=self.graph.name)
+        self.values = values
 
     def lower(
         self,
@@ -308,6 +336,12 @@ class TraceSession:
         in :attr:`last_report` (and on ``device.opt_reports`` for the
         Profiler); levels >= 2 shrink :attr:`replay_cells`, the cell
         reservation compiled graphs hold.
+
+        Under ``pim.compile`` nothing of the stream has run yet, so what
+        the chip would have refused at one instruction — an illegal
+        H-tree pattern, a mask or thread out of range — is raised here,
+        as the backend's own ``SimulationError`` / ``CompileError``
+        naming the program.
         """
         from repro.pim.optimizer import (
             OptReport,
@@ -335,44 +369,32 @@ class TraceSession:
                 self.read_cells(),
             )
         backend = self.device.backend
-        program = backend.compile(
-            instructions, name=self.graph.name, optimize=level >= 1
-        )
+        try:
+            program = backend.compile(
+                instructions, name=self.graph.name, optimize=level >= 1
+            )
+            after = backend.program_stats(program)
+        except (SimulationError, CompileError) as exc:
+            raise type(exc)(f"program {self.graph.name!r}: {exc}") from exc
         self.last_report = None
         if level >= 1:
-            after = backend.program_stats(program)
-            if level >= 2:
-                # The graph passes rewrote the stream itself; price the
-                # verbatim baseline without building (or caching) a
-                # second program — the per-instruction body cache makes
-                # this a cheap re-walk.
-                before = backend.stream_stats(raw)
-                micro_before, cycles_before = before.micro_ops, before.cycles
-            else:
-                # Level 1 differs only by the peephole passes, which drop
-                # 1-cycle mask/INIT1 ops without changing the mask state
-                # any surviving op executes under — the raw bill is the
-                # optimized bill plus one cycle per dropped op, so no
-                # second lowering is needed.
-                micro_before = program.source_ops
-                cycles_before = after.cycles + (micro_before - after.micro_ops)
             self.last_report = OptReport(
                 name=self.graph.name,
                 opt_level=level,
                 macros_before=len(raw),
                 macros_after=len(instructions),
-                micro_ops_before=micro_before,
                 micro_ops_after=after.micro_ops,
-                cycles_before=cycles_before,
                 cycles_after=after.cycles,
                 cells_before=len(self.cells),
                 cells_after=len(self.replay_cells),
                 passes=passes,
+                # The verbatim stream is never lowered, and pricing it may
+                # build gate bodies nothing executes (other registers than
+                # the optimized layout's): whoever reads the baseline pays.
+                baseline=partial(backend.stream_stats, raw),
             )
-            reports = getattr(self.device, "opt_reports", None)
-            if reports is not None:
-                reports.append(self.last_report)
-                del reports[:-32]
+            self.device.opt_reports.append(self.last_report)
+            del self.device.opt_reports[:-32]
         return program
 
 
@@ -380,7 +402,10 @@ class TraceSession:
 def trace(device=None, name: str = "trace"):
     """Context-manager capture: ``with pim.trace() as session:``.
 
-    Runs the block eagerly while recording; afterwards ``session.graph``
+    Records the block without executing it and dispatches the recorded
+    stream once when the block exits normally
+    (:meth:`TraceSession.dispatch`), so its tensors hold what eager
+    execution would have left in them. Afterwards ``session.graph``
     holds the tensor-level IR and ``session.lower()`` compiles the
     captured stream into one fused program for the active backend.
     """
@@ -392,3 +417,4 @@ def trace(device=None, name: str = "trace"):
         yield session
     finally:
         device.end_trace()
+    session.dispatch()

@@ -44,7 +44,9 @@ The optimization level is threaded from ``pim.compile(opt_level=...)``
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 import numpy as np
 
@@ -59,6 +61,7 @@ from repro.isa.instructions import (
     ROp,
     WriteInstr,
 )
+from repro.sim.stats import SimStats
 
 #: The supported optimization levels (see the module docstring table).
 OPT_LEVELS = (0, 1, 2, 3)
@@ -95,21 +98,40 @@ class OptReport:
     ``opt_level >= 1`` lowering and surfaced through
     ``CompiledFunction.opt_report()`` and ``pim.Profiler.opt_reports``.
     Cycle numbers are the per-replay bill of the compiled program
-    (static accounting via ``Backend.program_stats``); ``cells`` counts
-    the allocator cells the compiled graph reserves for replays.
+    (the bill it carries, via ``Backend.program_stats``); ``cells``
+    counts the allocator cells the compiled graph reserves for replays.
+    The ``*_before`` micro-op and cycle counts price the verbatim
+    stream, which nothing lowers or runs: ``baseline`` (a call to
+    ``Backend.stream_stats``) is made on the first read of either and
+    replaced by its result.
     """
 
     name: str
     opt_level: int
     macros_before: int = 0
     macros_after: int = 0
-    micro_ops_before: int = 0
     micro_ops_after: int = 0
-    cycles_before: int = 0
     cycles_after: int = 0
     cells_before: int = 0
     cells_after: int = 0
     passes: Dict[str, int] = field(default_factory=dict)
+    baseline: Union[Callable[[], SimStats], SimStats, None] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def _before(self) -> SimStats:
+        if callable(self.baseline):
+            self.baseline = self.baseline()
+        return self.baseline or SimStats()
+
+    @property
+    def micro_ops_before(self) -> int:
+        return self._before.micro_ops
+
+    @property
+    def cycles_before(self) -> int:
+        return self._before.cycles
 
     @property
     def cycle_reduction(self) -> float:

@@ -164,9 +164,9 @@ class Tensor:
         trace = _active_trace(device)
         if trace is not None:
             with trace.node("read", index=index):
-                raw = device.execute(instr)
-            # Defer the scalar: replays re-read it from the fresh result.
-            return trace.wrap_scalar(instr, self.dtype, raw_to_value(raw, self.dtype))
+                device.execute(instr)
+            # Defer the scalar: every replay reads it from the fresh result.
+            return trace.wrap_scalar(self.dtype)
         raw = device.execute(instr)
         return raw_to_value(raw, self.dtype)
 
@@ -662,15 +662,15 @@ def _bulk_move_lowered(
     for item in plan:
         if isinstance(item, MacroStream):
             device.execute_stream(item, name="move")
-            continue
-        # A run the H-tree rejects is still attempted on its own: the
-        # chip counts the crossbar-mask cycle before it refuses the
-        # move, and that cycle is part of the bill. Its per-warp
-        # replacement heads the next stream.
-        try:
-            device.execute(item)
-        except SimulationError:
-            pass
+        elif not device.tracing_here:
+            # A run the H-tree rejects is still attempted on its own: the
+            # chip counts the crossbar-mask cycle before it refuses the
+            # move, and that cycle is part of the eager bill. A trace skips
+            # it. Its per-warp replacement heads the next stream.
+            try:
+                device.execute(item)
+            except SimulationError:
+                pass
 
 
 #: Distinct bulk moves whose plan is kept (least recently used first out).

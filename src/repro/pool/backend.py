@@ -27,14 +27,13 @@ Instruction routing:
   full-geometry pattern at pool level (never a rebased shard pattern)
   keeps accept/reject behavior bit-identical to a single device.
 
-Cycle accounting is *canonical*, not additive: the pool charges the
-full-geometry accounting walk of the driver's lowering for every
-instruction (memoized, exactly like the NumPy backend), so a pooled run
-reports the same :class:`~repro.sim.stats.SimStats` a single device
-would — the crossbars of one memory operate in lock-step, and sharding
-the host-side work does not change what the chip executes. Worker
-backends keep their own per-shard stats for inspection
-(:meth:`PooledBackend.worker_stats`).
+Cycle accounting is *canonical*, not additive: the pool charges every
+instruction and compiled program the full-geometry bill of the driver's
+lowering (:class:`~repro.backend.base.BilledBackend`, exactly like the
+NumPy backend), so a pooled run reports the :class:`~repro.sim.stats.
+SimStats` of a single device — the crossbars of one memory operate in
+lock-step, and sharding the host-side work does not change what the chip
+executes. Workers keep per-shard stats (:meth:`PooledBackend.worker_stats`).
 
 Compiled streams (:meth:`PooledBackend.compile`) become a
 :class:`PooledProgram`: the instruction stream is cut at bridges into
@@ -53,11 +52,11 @@ import numpy as np
 
 from repro.arch.config import PIMConfig
 from repro.arch.masks import RangeMask
-from repro.backend.base import Backend
+from repro.backend.base import Backend, BilledBackend
 from repro.backend.numpy_backend import NumpyBackend
 from repro.backend.simulator import SimulatorBackend
-from repro.driver.driver import Driver
 from repro.driver.program import config_fingerprint
+from repro.driver.stream import MacroStream
 from repro.faults.checksum import ChecksumError, image_checksum
 from repro.faults.plan import ShardError, WorkerFault
 from repro.isa.instructions import (
@@ -66,9 +65,8 @@ from repro.isa.instructions import (
     ReadInstr,
     RInstr,
     WriteInstr,
-    validate,
 )
-from repro.sim.simulator import SimulationError, accounting_walk
+from repro.sim.simulator import SimulationError
 from repro.sim.stats import SimStats
 
 #: Worker-backend choices for ``pim.init(backend="pooled", worker_backend=...)``.
@@ -137,7 +135,7 @@ class PooledProgram:
         return self.stats_delta.micro_ops
 
 
-class PooledBackend(Backend):
+class PooledBackend(BilledBackend):
     """N-worker inter-crossbar sharding behind the ``Backend`` protocol.
 
     Args:
@@ -162,7 +160,7 @@ class PooledBackend(Backend):
         move_cost: str = "unit",
         **driver_kwargs,
     ):
-        super().__init__(config)
+        super().__init__(config, move_cost, **driver_kwargs)
         workers = int(workers)
         if workers < 1 or (workers & (workers - 1)):
             raise ValueError("workers must be a positive power of two")
@@ -198,16 +196,6 @@ class PooledBackend(Backend):
         for k in range(workers):
             lo = k * self.shard
             self._set_worker_words(k, self._words[lo : lo + self.shard])
-        self.move_cost = move_cost
-        self._stats = SimStats()
-        # The accounting driver lowers against the FULL geometry purely to
-        # price instructions; its chip port is never used.
-        self._acc = Driver(None, config=config, **driver_kwargs)
-        self._instr_stats: Dict[Instruction, SimStats] = {}
-        self._hits = 0
-        self._misses = 0
-        self._stream_programs: Dict[Tuple, PooledProgram] = {}
-        self._emit_counters: Dict[str, int] = {"stream": 0, "macro": 0}
         # Fault-injection / resilience state (repro.faults).
         self._fault_plan = None
         self._pool_overlay = None
@@ -249,34 +237,15 @@ class PooledBackend(Backend):
         return self._words
 
     @property
-    def stats(self) -> SimStats:
-        return self._stats
-
-    @property
-    def cache_hits(self) -> int:
-        return self._hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self._misses
-
-    @property
     def cache_evictions(self) -> int:
-        total = self._acc.programs.evictions + self._acc.streams.evictions
-        for worker in self.workers:
-            total += worker.cache_evictions
-        return total
+        return super().cache_evictions + sum(
+            worker.cache_evictions for worker in self.workers
+        )
 
     def persist_counters(self) -> Dict[str, int]:
-        merged: Dict[str, int] = {}
-        drivers = [self._acc] + [
-            w.driver if isinstance(w, SimulatorBackend) else w._driver
-            for w in self.workers
-        ]
-        for driver in drivers:
-            if driver.persist is None:
-                continue
-            for kind, count in driver.persist.counters().items():
+        merged = super().persist_counters()
+        for worker in self.workers:
+            for kind, count in worker.persist_counters().items():
                 merged[kind] = merged.get(kind, 0) + count
         return merged
 
@@ -316,20 +285,7 @@ class PooledBackend(Backend):
         return list(self._quarantined)
 
     def execute(self, instr: Instruction) -> Optional[int]:
-        validate(instr, self.config.registers)
-        delta = self._instr_stats.get(instr)
-        if delta is None:
-            self._misses += 1
-            ops = self._acc._lower_ops(instr)
-            try:
-                delta = self._replay_stats(ops)
-            except SimulationError:
-                self._charge_rejected_move(instr)
-                raise
-            if len(self._instr_stats) < 65536:
-                self._instr_stats[instr] = delta
-        else:
-            self._hits += 1
+        delta = self._eager_delta(instr)
         result = self._dispatch(instr)
         self._stats.merge(delta)
         if self._pool_overlay is not None:
@@ -345,8 +301,8 @@ class PooledBackend(Backend):
         """Compile a stream: price it against the full geometry, then cut
         it at bridge moves and compile each segment per worker shard."""
         instrs = tuple(instructions)
-        micro = self._acc.compile(list(instrs), name=name, optimize=optimize)
-        delta = self._replay_stats(micro.ops)
+        micro = self.lowering.compile(list(instrs), name=name, optimize=optimize)
+        delta = micro.bill(self.config).billed(self.move_cost)
         segments, response_site = self._partition(instrs, name, optimize)
         return PooledProgram(
             segments,
@@ -361,17 +317,7 @@ class PooledBackend(Backend):
     def run_program(
         self, program: PooledProgram, verify: Optional[str] = None
     ) -> Optional[int]:
-        if verify not in (None, "checksum"):
-            raise ValueError(
-                f"unknown verify mode {verify!r}; expected 'checksum'"
-            )
-        if program.config_fingerprint != config_fingerprint(self.config):
-            raise SimulationError(
-                f"program {program.name!r} was compiled for fingerprint "
-                f"{program.config_fingerprint}, this backend is "
-                f"{config_fingerprint(self.config)}"
-            )
-        self._hits += 1
+        self._admit(program, verify)
         response: Optional[int] = None
         for index, segment in enumerate(program.segments):
             if segment.kind == "bridge":
@@ -403,10 +349,7 @@ class PooledBackend(Backend):
     def run_stream(
         self, instructions: Sequence[Instruction], name: str = "stream"
     ) -> Optional[int]:
-        """Emit a whole stream through one cached :class:`PooledProgram`
-        (the pooled twin of the driver's ``execute_stream``)."""
-        from repro.driver.stream import MacroStream
-
+        """Emit a whole stream through one cached :class:`PooledProgram`."""
         instrs = MacroStream.wrap(instructions)
         if not instrs:
             return None
@@ -418,18 +361,6 @@ class PooledBackend(Backend):
                 self._stream_programs[key] = program
         self._emit_counters["stream"] += 1
         return self.run_program(program)
-
-    def emit_counters(self) -> Dict[str, int]:
-        return dict(self._emit_counters)
-
-    def program_stats(self, program: PooledProgram) -> SimStats:
-        return program.stats_delta.copy()
-
-    def stream_stats(self, instructions: Sequence[Instruction]) -> SimStats:
-        ops = []
-        for instr in instructions:
-            ops.extend(self._acc._lower_ops(instr))
-        return self._replay_stats(ops)
 
     # ------------------------------------------------------------------
     # Routing
@@ -549,7 +480,7 @@ class PooledBackend(Backend):
         sources = np.fromiter(warps.indices(), dtype=np.int64)
         dests = sources + instr.warp_dist
         value = self._words[sources, instr.src_reg, instr.src_thread]
-        stage1, stage2 = self._acc._stage_registers()
+        stage1, stage2 = self.lowering._stage_registers()
         self._words[dests, stage1, instr.dst_thread] = value
         self._words[dests, stage2, instr.dst_thread] = ~value
         self._words[dests, instr.dst_reg, instr.dst_thread] = value
@@ -599,23 +530,3 @@ class PooledBackend(Backend):
                     pending[k].append(local)
         flush()
         return tuple(segments), response_site
-
-    # ------------------------------------------------------------------
-    # Canonical accounting
-    # ------------------------------------------------------------------
-    def _replay_stats(self, ops) -> SimStats:
-        """Full-geometry cycle bill with the simulator's accounting rules."""
-        return accounting_walk(
-            ops,
-            self.config,
-            self.move_cost,
-            xb=RangeMask.all(self.config.crossbars),
-            row=RangeMask.all(self.config.rows),
-            strict=True,
-        )
-
-    def _charge_rejected_move(self, instr: Instruction) -> None:
-        """Partial accounting for H-tree-rejected moves (simulator parity:
-        the crossbar-mask op executes before validation rejects the move)."""
-        if isinstance(instr, MoveInstr) and instr.warp_dist:
-            self._stats.record("mask_crossbar")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import weakref
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -51,38 +51,28 @@ def accounting_walk(
     move_cost: str = "unit",
     xb: Optional[RangeMask] = None,
     row: Optional[RangeMask] = None,
-    strict: bool = True,
-) -> Optional[SimStats]:
+) -> SimStats:
     """Charge a micro-op stream with the chip's accounting rules, statically.
 
-    This is the single source of truth for how replayed streams are
-    billed: mask state is tracked as the chip would track it, horizontal
-    gates scale with the active rows, and move patterns are validated
-    against the H-tree restrictions. Two callers share it:
-
-    - the NumPy functional backend (``strict=True``, initial masks set to
-      all): invalid ops raise :class:`SimulationError`, exactly like live
-      execution;
-    - the simulator's static replay-plan accounting (``strict=False``,
-      initial masks unknown): any op whose accounting or validity depends
-      on masks the stream did not establish first returns ``None``,
-      signalling that the program must replay op-by-op through
-      :meth:`Simulator.execute`.
+    The single source of truth for how streams are billed without
+    running them: mask state is tracked as the chip would track it
+    (``xb`` / ``row`` default to a fresh chip's all-selected masks),
+    horizontal gates scale with the active rows, and an op the chip
+    would refuse (mask range, H-tree pattern, read shape) raises
+    :class:`SimulationError` like live execution. A compiled program is
+    walked once (:meth:`repro.driver.program.MicroProgram.bill`).
     """
     delta = SimStats()
+    xb = xb or RangeMask.all(config.crossbars)
+    row = row or RangeMask.all(config.rows)
     # Horizontal gates are nearly every op of a stream: they are tallied
     # in locals and folded into ``delta`` once after the loop, and
-    # ``lanes`` (masked crossbars x rows, ``None`` while a mask is
-    # unknown) is recomputed only when a mask changes.
-    lanes = None if xb is None or row is None else len(xb) * len(row)
+    # ``lanes`` (masked crossbars x rows) is recomputed at mask changes.
+    lanes = len(xb) * len(row)
     h_counts = dict.fromkeys(GateType, 0)
     h_gates = 0
     for op in ops:
         if isinstance(op, LogicHOp):
-            if lanes is None:
-                if strict:
-                    raise SimulationError("logic op executed before masks set")
-                return None
             h_counts[op.gate] += 1
             h_gates += lanes * _pattern_mask(
                 op.gate, op.p_a, op.p_b, op.p_out, op.p_end, op.p_step,
@@ -90,37 +80,23 @@ def accounting_walk(
             )[1]
         elif isinstance(op, CrossbarMaskOp):
             if op.stop >= config.crossbars:
-                if strict:
-                    raise SimulationError("crossbar mask out of range")
-                return None
+                raise SimulationError("crossbar mask out of range")
             xb = RangeMask(op.start, op.stop, op.step)
-            lanes = None if row is None else len(xb) * len(row)
+            lanes = len(xb) * len(row)
             delta.record("mask_crossbar")
         elif isinstance(op, RowMaskOp):
             if op.stop >= config.rows:
-                if strict:
-                    raise SimulationError("row mask out of range")
-                return None
+                raise SimulationError("row mask out of range")
             row = RangeMask(op.start, op.stop, op.step)
-            lanes = None if xb is None else len(xb) * len(row)
+            lanes = len(xb) * len(row)
             delta.record("mask_row")
         elif isinstance(op, LogicVOp):
-            if xb is None:
-                if strict:
-                    raise SimulationError("logic op executed before masks set")
-                return None
             delta.record(_GATE_KEYS_V[op.gate], gates=config.partitions * len(xb))
         elif isinstance(op, MoveOp):
-            if xb is None:
-                if strict:
-                    raise SimulationError("move executed before masks set")
-                return None
             try:
                 validate_move_pattern(xb, op.dist, config.crossbars)
             except ValueError as exc:
-                if strict:
-                    raise SimulationError(str(exc)) from exc
-                return None
+                raise SimulationError(str(exc)) from exc
             if move_cost == "htree":
                 cycles = max(1, move_cycles(xb, op.dist, config.crossbars))
                 delta.htree_hop_cycles += cycles - 1
@@ -128,17 +104,15 @@ def accounting_walk(
                 cycles = 1
             delta.record("move", cycles=cycles)
         elif isinstance(op, ReadOp):
-            if not strict and (
-                xb is None or row is None or len(xb) != 1 or len(row) != 1
-            ):
-                return None
+            if len(xb) != 1 or len(row) != 1:
+                raise SimulationError(
+                    "read requires masks selecting a single row of a single crossbar"
+                )
             delta.record("read")
         elif isinstance(op, WriteOp):
             delta.record("write")
         else:
-            if strict:
-                raise SimulationError(f"unknown micro-operation {op!r}")
-            return None
+            raise SimulationError(f"unknown micro-operation {op!r}")
     delta.merge(SimStats(
         {_GATE_KEYS_H[gate]: n for gate, n in h_counts.items() if n},
         cycles=sum(h_counts.values()),
@@ -147,7 +121,7 @@ def accounting_walk(
     return delta
 
 
-class ReplayPlan:
+class ReplayPlan(NamedTuple):
     """What the simulator memoizes per program on first sight.
 
     Attributes:
@@ -156,18 +130,14 @@ class ReplayPlan:
             pre-resolved steps for every mask/read/write/vertical/move op
             between them — or ``None`` when the program replays through
             the op-by-op reference.
-        static_stats: the per-replay stats delta, one lenient
-            :func:`accounting_walk`, merged once per vectorized replay.
-            ``None`` (and then no ``steps`` either) when the program is
-            not self-masked — a gate/move/read runs under a mask it did
-            not establish first — or an op of it must raise.
+        static_stats: the per-replay stats delta — the bill the program
+            carries, under this chip's move-cost model — merged once per
+            vectorized replay. ``None`` (and then no ``steps`` either)
+            when the program is not self-masked or an op of it must raise.
     """
 
-    __slots__ = ("steps", "static_stats")
-
-    def __init__(self, steps, static_stats):
-        self.steps = steps
-        self.static_stats = static_stats
+    steps: Optional[list]
+    static_stats: Optional[SimStats]
 
 
 class Simulator:
@@ -299,9 +269,12 @@ class Simulator:
                 f"{program.config_fingerprint}, this chip is "
                 f"{config_fingerprint(self.config)}"
             )
-        static_stats = accounting_walk(
-            program.ops, self.config, self.move_cost, strict=False
-        )
+        static_stats = None
+        if program.self_masked:
+            try:
+                static_stats = program.bill(self.config).billed(self.move_cost)
+            except SimulationError:
+                pass  # an op must raise: the reference loop raises it, at the op
         steps = None
         if static_stats is not None and replay.lanes_pay_off(program):
             steps = replay.build_vector_steps(program, self)

@@ -49,6 +49,19 @@ class SimStats:
         self.htree_hop_cycles += delta.htree_hop_cycles
         self.gates_executed += delta.gates_executed
 
+    def billed(self, move_cost: str) -> "SimStats":
+        """A copy of this H-tree-itemized bill under a move-cost model.
+
+        Static bills are walked once with ``move_cost="htree"`` (the
+        cycles beyond one per move itemized in ``htree_hop_cycles``);
+        ``"unit"`` is this bill without the itemized hops.
+        """
+        bill = self.copy()
+        if move_cost == "unit":
+            bill.cycles -= bill.htree_hop_cycles
+            bill.htree_hop_cycles = 0
+        return bill
+
     def diff(self, earlier: "SimStats") -> "SimStats":
         """Counters accumulated since an earlier snapshot."""
         counts = {

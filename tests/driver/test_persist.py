@@ -5,11 +5,17 @@ never replay stale": a warm-started session must skip gate building when
 the on-disk entry is valid, and must silently fall back to a cold
 compile — with bit-identical results — for *any* damaged cache state:
 
-- corrupt files (garbage bytes where JSON should be);
+- corrupt files (garbage bytes where an entry should be);
 - truncated files (a writer killed mid-entry without the atomic rename);
-- format-version skew (entries from an older repo revision);
+- a header and a payload that disagree (word count, checksum);
+- format-version skew (entries from an older repo revision, including
+  the v2 JSON+base64 files);
 - config-fingerprint mismatch (entries compiled for another geometry);
 - key collisions (a file whose embedded key repr is not the probed key).
+
+An entry is a one-line JSON header, a newline and the raw ``<u8``
+operation words; loading it builds no op object, and the program it
+restores carries the bill that was stored with it.
 
 On assertion failure the offending cache directory is dumped to
 ``fuzz_artifacts/`` (override with ``REPRO_FUZZ_ARTIFACT_DIR``) so the
@@ -27,7 +33,9 @@ import numpy as np
 import pytest
 
 import repro.pim as pim
+from repro.arch import micro_ops
 from repro.arch.config import small_config
+from repro.arch.micro_ops import GateType, LogicHOp, encode
 from repro.driver.driver import Driver
 from repro.driver.persist import (
     FORMAT_VERSION,
@@ -78,6 +86,17 @@ def compiled_program(config=CFG):
 KEY = ("body", "add-mul", 32)
 
 
+def read_entry(path):
+    """An entry file as ``(header dict, payload bytes)``."""
+    head, _, payload = open(path, "rb").read().partition(b"\n")
+    return json.loads(head), payload
+
+
+def write_entry(path, header, payload):
+    with open(path, "wb") as handle:
+        handle.write(json.dumps(header).encode() + b"\n" + payload)
+
+
 class TestRoundTrip:
     def test_store_then_load(self, tmp_path):
         cache = fresh_cache(tmp_path)
@@ -94,6 +113,51 @@ class TestRoundTrip:
         assert cache.counters() == {
             "loads": 1, "misses": 0, "invalid": 0, "stores": 1,
         }
+
+    def test_load_decodes_nothing_until_ops_are_used(self, tmp_path, monkeypatch):
+        """A restored program is its words and its bill: pricing it and
+        shipping it as words build no op object; ``.ops`` decodes once."""
+        cache = fresh_cache(tmp_path)
+        program = compiled_program()
+        cache.store(KEY, program)
+        decodes = []
+        decode_many = micro_ops.decode_many
+        monkeypatch.setattr(
+            "repro.driver.program.decode_many",
+            lambda words, size: decodes.append(len(words))
+            or decode_many(words, size),
+        )
+        monkeypatch.setattr(
+            "repro.sim.simulator.accounting_walk",
+            lambda *args, **kwargs: pytest.fail("a carried bill is not re-walked"),
+        )
+        restored = cache.load(KEY)
+        assert len(restored) == len(program)
+        assert restored.bill(CFG) == program.bill(CFG)
+        assert np.array_equal(
+            restored.encoded(CFG.word_size), program.encoded(CFG.word_size)
+        )
+        assert decodes == []
+        assert restored.ops == program.ops and restored.ops is restored.ops
+        assert decodes == [len(program)]
+
+    def test_stored_bill_serves_both_move_cost_models(self, tmp_path):
+        """The bill is stored once, H-tree hops itemized, whatever model
+        the storing session ran under; a session under the other model
+        reads its own bill out of it."""
+        from repro.isa.instructions import MoveInstr
+        from repro.arch.masks import RangeMask
+        from repro.sim.simulator import accounting_walk
+
+        move = MoveInstr(0, 1, 2, 3, RangeMask(0, 0, 1), 3)
+        stored = Driver(Simulator(CFG, move_cost="unit")).compile([move])
+        fresh_cache(tmp_path).store(KEY, stored)
+        restored = fresh_cache(tmp_path).load(KEY)
+        for model in ("unit", "htree"):
+            assert restored.bill(CFG).billed(model) == accounting_walk(
+                stored.ops, CFG, model
+            )
+        assert restored.bill(CFG).billed("htree").htree_hop_cycles > 0
 
     def test_cold_probe_counts_miss(self, tmp_path):
         cache = fresh_cache(tmp_path)
@@ -153,10 +217,78 @@ class TestInvalidation:
 
     def test_version_skew(self, tmp_path):
         cache, path = self._stored(tmp_path)
-        entry = json.load(open(path))
-        entry["version"] = FORMAT_VERSION + 1
-        json.dump(entry, open(path, "w"))
+        header, payload = read_entry(path)
+        header["version"] = FORMAT_VERSION + 1
+        write_entry(path, header, payload)
         self._assert_rejected(tmp_path, cache, path, "version_skew")
+
+    def test_v2_json_entry_is_a_miss_and_heals(self, tmp_path):
+        """A v2 session's JSON+base64 file is never parsed: the key reads
+        as a plain miss, and the v3 store of that key removes it."""
+        import base64
+
+        cache = fresh_cache(tmp_path)
+        program = compiled_program()
+        legacy = cache._path(KEY)[: -len(".bin")] + ".json"
+        words = program.encoded(CFG.word_size).astype("<u8").tobytes()
+        json.dump({
+            "version": 2, "key": repr(KEY), "fingerprint": list(cache.fingerprint),
+            "word_size": CFG.word_size, "name": program.name, "reads": 0,
+            "macros": 2, "source_ops": program.source_ops,
+            "ops": base64.b64encode(words).decode("ascii"),
+        }, open(legacy, "w"))
+        with _artifacts_on_failure(tmp_path, "v2_entry"):
+            assert cache.load(KEY) is None
+            assert cache.counters()["misses"] == 1
+            assert cache.counters()["invalid"] == 0
+            cache.store(KEY, program)
+            assert os.listdir(tmp_path) == [os.path.basename(cache._path(KEY))]
+            assert cache.load(KEY).ops == program.ops
+
+    def test_truncated_payload(self, tmp_path):
+        cache, path = self._stored(tmp_path)
+        header, payload = read_entry(path)
+        write_entry(path, header, payload[:-8])  # still whole words
+        self._assert_rejected(tmp_path, cache, path, "truncated_payload")
+
+    def test_header_payload_length_mismatch(self, tmp_path):
+        cache, path = self._stored(tmp_path)
+        header, payload = read_entry(path)
+        header["words"] += 1
+        write_entry(path, header, payload)
+        self._assert_rejected(tmp_path, cache, path, "length_mismatch")
+
+    def test_flipped_payload_bit(self, tmp_path):
+        cache, path = self._stored(tmp_path)
+        header, payload = read_entry(path)
+        damaged = bytearray(payload)
+        damaged[len(damaged) // 2] ^= 0x10
+        write_entry(path, header, bytes(damaged))
+        self._assert_rejected(tmp_path, cache, path, "bit_flip")
+
+    def test_payload_decoding_to_an_invalid_op(self, tmp_path):
+        """An entry that passes every load check but whose words are not
+        ops is caught by ``decode_many``'s invariant checks on the first
+        use of ``.ops`` — before a replay plan is built, before any
+        memory changes."""
+        import zlib
+
+        cache, path = self._stored(tmp_path)
+        header, payload = read_entry(path)
+        # p_step = 0: the word encode() itself refuses to produce.
+        good = encode(LogicHOp(GateType.INIT1, 0, 0, 3, 0, 0, 0, 31, 1))
+        bad = good & ~(0x3F << (2 + 3 * 7 + 4 * 6))
+        payload = payload[:-8] + int(bad).to_bytes(8, "little")
+        header["crc32"] = zlib.crc32(payload)
+        write_entry(path, header, payload)
+        program = cache.load(KEY)
+        assert program is not None and len(program) == header["words"]
+        sim = Simulator(CFG)
+        before = sim.memory.words.copy()
+        with pytest.raises(ValueError, match="p_step"):
+            sim.execute_program(program)
+        assert np.array_equal(sim.memory.words, before)
+        assert sim.stats.cycles == 0
 
     def test_fingerprint_mismatch(self, tmp_path):
         _, path = self._stored(tmp_path)
@@ -179,10 +311,17 @@ class TestInvalidation:
 
     def test_missing_ops_field(self, tmp_path):
         cache, path = self._stored(tmp_path)
-        entry = json.load(open(path))
-        del entry["ops"]
-        json.dump(entry, open(path, "w"))
-        self._assert_rejected(tmp_path, cache, path, "missing_field")
+        header, _ = read_entry(path)
+        write_entry(path, header, b"")
+        self._assert_rejected(tmp_path, cache, path, "missing_payload")
+
+    @pytest.mark.parametrize("field", ["bill", "words", "crc32", "key"])
+    def test_missing_header_field(self, tmp_path, field):
+        cache, path = self._stored(tmp_path)
+        header, payload = read_entry(path)
+        del header[field]
+        write_entry(path, header, payload)
+        self._assert_rejected(tmp_path, cache, path, f"missing_{field}")
 
 
 class TestConcurrencyAndCrash:
@@ -264,7 +403,7 @@ class TestConcurrencyAndCrash:
         cache = fresh_cache(tmp_path)
         # A writer killed before the atomic rename leaves only a partial
         # temp file; the entry's real name never exists half-written.
-        stray = os.path.join(str(tmp_path), ".tmp-dead123.json")
+        stray = os.path.join(str(tmp_path), ".tmp-dead123.bin")
         with open(stray, "w") as handle:
             handle.write('{"version": %d, "name": "par' % FORMAT_VERSION)
         with _artifacts_on_failure(tmp_path, "crash_mid_write"):
@@ -344,9 +483,9 @@ class TestSessionWarmStart:
         assert cold["stores"] > 0
         for name in os.listdir(tmp_path):
             path = os.path.join(str(tmp_path), name)
-            entry = json.load(open(path))
-            entry["version"] = FORMAT_VERSION + 1
-            json.dump(entry, open(path, "w"))
+            header, payload = read_entry(path)
+            header["version"] = FORMAT_VERSION + 1
+            write_entry(path, header, payload)
         with _artifacts_on_failure(tmp_path, "session_skew"):
             result, counters = self._session(tmp_path)
             np.testing.assert_array_equal(result, self.GOLDEN)

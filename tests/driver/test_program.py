@@ -8,7 +8,10 @@ Covers the correctness obligations of the compile/replay pipeline:
 - compiled-vs-uncompiled result equivalence across all dtypes, bit for
   bit, including identical cycle accounting on the implicit cache path;
 - the peephole passes (mask coalescing, redundant-INIT1 elimination)
-  preserving simulator state bit-for-bit while shrinking the stream.
+  preserving simulator state bit-for-bit while shrinking the stream;
+- the bill a program carries: walked once, equal to what executing it
+  charges, per-instruction bills that sum to a stream's, and the
+  word-array form a program can be built from without decoding.
 """
 
 import numpy as np
@@ -20,10 +23,14 @@ from repro.arch.micro_ops import (
     CrossbarMaskOp,
     GateType,
     LogicHOp,
+    LogicVOp,
+    MoveOp,
     ReadOp,
     RowMaskOp,
     WriteOp,
     decode,
+    encode,
+    encode_many,
 )
 from repro.driver.compiler import (
     CompileError,
@@ -35,7 +42,7 @@ from repro.driver.driver import Driver
 from repro.driver.program import MicroProgram, ProgramCache, config_fingerprint
 from repro.isa.dtypes import float32, int32
 from repro.isa.instructions import MoveInstr, ReadInstr, RInstr, ROp, WriteInstr
-from repro.sim.simulator import SimulationError, Simulator
+from repro.sim.simulator import SimulationError, Simulator, accounting_walk
 
 from tests.conftest import rand_float32, rand_int32
 
@@ -93,6 +100,179 @@ class TestProgramCache:
         cache.put(("add", config_fingerprint(small)),
                   MicroProgram.from_ops([], "p", small))
         assert cache.get(("add", config_fingerprint(large))) is None
+
+
+class _CountingStore:
+    """A disk-tier stand-in that records which keys were probed."""
+
+    def __init__(self):
+        self.probed, self.stored = [], []
+
+    def load(self, key):
+        self.probed.append(key)
+        return None
+
+    def store(self, key, program):
+        self.stored.append(key)
+
+
+class TestDurableProbes:
+    def test_only_keys_that_can_have_been_stored_are_probed(self):
+        store = _CountingStore()
+        cache = ProgramCache(maxsize=4, store=store)
+        assert cache.get("body") is None
+        assert cache.get("plan", durable=False) is None
+        assert store.probed == ["body"] and cache.misses == 2
+        cache.put("plan", object())  # a plan wrapper: memory only
+        cache.put("body", MicroProgram.from_ops([], "p", CFG))
+        assert store.stored == ["body"]
+
+    def test_stream_plans_never_reach_the_disk_tier(self, tmp_path):
+        sim, driver = fresh_pair(cache_dir=str(tmp_path))
+        add = RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1)
+        for _ in range(3):
+            driver.execute_stream([add, add])
+            driver.execute(add)
+        counters = driver.persist.counters()
+        # One body, compiled once: one real miss, one store. The two
+        # plan keys (the pair, the single macro) were never probed.
+        assert counters == {"loads": 0, "misses": 1, "invalid": 0, "stores": 1}
+
+
+class TestProgramBill:
+    STREAM = [
+        WriteInstr(0, 9, None, None),
+        RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1,
+               warp_mask=RangeMask(0, 2, 2), row_mask=RangeMask(1, 7, 3)),
+        MoveInstr(2, 3, 1, 5, RangeMask(0, 0, 1), 3),
+        MoveInstr(2, 3, 1, 5, RangeMask(1, 1, 1), 0),
+        RInstr(ROp.MUL, float32, dest=4, src_a=2, src_b=3),
+        ReadInstr(3, 5, 3),
+    ]
+
+    @pytest.mark.parametrize("move_cost", ["unit", "htree"])
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_carried_bill_is_what_execution_charges(self, move_cost, optimize):
+        sim = Simulator(CFG, move_cost=move_cost)
+        driver = Driver(sim)
+        program = driver.compile(self.STREAM, optimize=optimize)
+        bill = program.bill(CFG).billed(move_cost)
+        assert bill == accounting_walk(program.ops, CFG, move_cost)
+        driver.run_program(program)
+        assert sim.stats == bill
+        assert sim.replay_counters["vectorized"] == 1
+        assert (bill.htree_hop_cycles > 0) == (move_cost == "htree")
+
+    def test_bill_is_walked_once(self, monkeypatch):
+        from repro.sim import simulator
+
+        walks = []
+        walk = simulator.accounting_walk
+        monkeypatch.setattr(
+            simulator, "accounting_walk",
+            lambda ops, *a, **k: walks.append(len(ops)) or walk(ops, *a, **k),
+        )
+        sim, driver = fresh_pair()
+        program = driver.compile(self.STREAM)
+        assert walks == []  # nobody asked yet
+        first = program.bill(CFG)
+        driver.run_program(program)
+        driver.run_program(program)
+        assert program.bill(CFG) is first and walks == [len(program)]
+
+    @pytest.mark.parametrize("move_cost", ["unit", "htree"])
+    def test_instruction_bills_sum_to_the_stream_bill(self, move_cost):
+        _, driver = fresh_pair()
+        total = None
+        for instr in self.STREAM:
+            bill = driver.instr_bill(instr).billed(move_cost)
+            alone = driver.compile([instr], optimize=False, emit="macro")
+            assert bill == accounting_walk(alone.ops, CFG, move_cost), instr
+            total = bill if total is None else (total.merge(bill) or total)
+        fused = driver.compile(self.STREAM, optimize=False)
+        assert total == fused.bill(CFG).billed(move_cost)
+
+    def test_instruction_bill_raises_what_the_chip_raises(self):
+        _, driver = fresh_pair()
+        with pytest.raises(SimulationError, match="crossbar mask out of range"):
+            driver.instr_bill(RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1,
+                                     warp_mask=RangeMask(0, 7, 1)))
+        with pytest.raises(SimulationError, match="source and destination"):
+            driver.instr_bill(MoveInstr(0, 1, 0, 0, RangeMask(0, 1, 1), 1))
+        with pytest.raises(SimulationError, match="row mask out of range"):
+            driver.instr_bill(MoveInstr(0, 1, 0, 99, RangeMask(0, 0, 1), 0))
+
+    def test_self_masked_is_structural(self):
+        gate = LogicHOp(GateType.INIT1, 0, 0, 3, 0, 0, 0, 31, 1)
+        xb, row = CrossbarMaskOp(0, 0, 1), RowMaskOp(0, 0, 1)
+        cases = [
+            ([xb, row, gate, ReadOp(3)], True),
+            ([gate], False),                      # an R-type body
+            ([xb, gate], False),                  # row mask never set
+            ([row, ReadOp(3)], False),
+            ([xb, LogicVOp(GateType.INIT1, 0, 1, 3)], True),   # needs xb only
+            ([row, LogicVOp(GateType.INIT1, 0, 1, 3)], False),
+            ([row, MoveOp(1, 0, 0, 1, 2)], False),
+            ([WriteOp(1, 5)], True),              # writes take any masks
+        ]
+        for ops, expected in cases:
+            assert MicroProgram.from_ops(ops, "p", CFG).self_masked is expected
+
+    def test_body_bill_never_reaches_the_chip(self):
+        """A body's bill holds under a fresh chip's masks only; replayed
+        under caller-set masks it is billed live, by the reference."""
+        sim, driver = fresh_pair()
+        body = driver._rtype_program(
+            RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1)
+        )
+        assert not body.self_masked
+        sim.execute(CrossbarMaskOp(1, 1, 1))
+        sim.execute(RowMaskOp(2, 2, 1))
+        before = sim.stats.copy()
+        sim.execute_program(body)
+        delta = sim.stats.diff(before)
+        full = body.bill(CFG)
+        assert delta.cycles == full.cycles
+        assert delta.gates_executed * CFG.total_rows == full.gates_executed
+        assert sim.replay_counters == {"vectorized": 0, "reference": 1}
+
+
+class TestWordPrograms:
+    def test_encode_many_matches_encode(self, monkeypatch):
+        ops = [
+            CrossbarMaskOp(0, 3, 2), RowMaskOp(1, 7, 3), ReadOp(5),
+            WriteOp(3, 0xFFFFFFFF), MoveOp(-3, 1, 2, 3, 4), MoveOp(2, 7, 0, 1, 9),
+            LogicHOp(GateType.NOR, 1, 2, 3, 0, 1, 2, 30, 2),
+            LogicVOp(GateType.NOT, 3, 4, 5),
+        ] * 3
+        words = encode_many(ops, CFG.word_size)
+        assert words.dtype == np.uint64
+        assert words.tolist() == [encode(op, CFG.word_size) for op in ops]
+        assert encode_many([], CFG.word_size).tolist() == []
+        # Long programs are encoded block by block (bounded temporaries).
+        monkeypatch.setattr("repro.arch.micro_ops._ENCODE_BLOCK", 5)
+        assert encode_many(ops, CFG.word_size).tolist() == words.tolist()
+        for bad in (WriteOp(1, 1 << 32), ReadOp(200), RowMaskOp(0, 1 << 12, 1)):
+            with pytest.raises(ValueError):
+                encode(bad, CFG.word_size)
+            with pytest.raises(ValueError):
+                encode_many([ReadOp(1), bad], CFG.word_size)
+        with pytest.raises(TypeError):
+            encode_many([ReadOp(1), "nope"], CFG.word_size)
+
+    def test_program_from_words_equals_program_from_ops(self):
+        _, driver = fresh_pair()
+        program = driver.compile(TestProgramBill.STREAM)
+        words = program.encoded(CFG.word_size)
+        twin = MicroProgram(
+            words.copy(), program.name, program.config_fingerprint,
+            program.reads, program.macros, program.source_ops,
+        )
+        assert len(twin) == len(program) and twin._ops is None
+        assert twin.encoded(CFG.word_size) is twin.encoded(CFG.word_size)
+        assert twin.ops == program.ops
+        assert twin.super_steps == program.super_steps
+        assert twin.bill(CFG) == program.bill(CFG)
 
 
 class TestCompileValidation:
@@ -348,7 +528,7 @@ class TestStreamTierCache:
             RInstr(ROp.LT, int32, dest=3, src_a=1, src_b=2),
         ]
 
-    def test_emit_mode_distinguishes_cache_entries(self):
+    def test_lowering_distinguishes_cache_entries(self):
         _, driver = fresh_pair()
         spliced = driver.compile(self.stream(), emit="stream")
         legacy = driver.compile(self.stream(), emit="macro")

@@ -599,8 +599,8 @@ class TestFallbackLadder:
         plan = build_plan(driver, stream)
         assert isinstance(plan, StreamPlan)
         assert plan.route == "program"
-        assert plan.macros == len(stream)
-        assert plan.reads == sum(
+        assert plan.program.macros == len(stream)
+        assert plan.program.reads == sum(
             1 for instr in stream if isinstance(instr, ReadInstr)
         )
         assert len(plan) == len(plan.program)

@@ -517,10 +517,17 @@ def _run_case(seed: int):
                 context = f"seed={seed} {backend} O{level}" + (
                     f" {engine}" if engine else ""
                 )
-                outputs, scalar = func(*tensors)  # capture
+                before = device.stats_snapshot()
+                outputs, scalar = func(*tensors)  # capture + first replay
+                first_delta = device.backend.stats.diff(before)
                 _check_outputs(
                     outputs, scalar, tensors, mirror, context + " capture"
                 )
+                if level == 0 and engine == "cached":
+                    # Nothing ran but one replay of the eager stream.
+                    assert np.array_equal(
+                        device.backend.words, eager_state["plans"][0]
+                    ), f"{context}: first call leaves another memory image"
                 for round_ in range(2):  # cached replays
                     _reload(tensors, int_inputs, float_inputs)
                     before = device.stats_snapshot()
@@ -531,6 +538,9 @@ def _run_case(seed: int):
                         f"{context} replay {round_}",
                     )
                 assert func.captures == 1, context
+                assert first_delta == delta, (
+                    f"{context}: the first call is not billed as a replay"
+                )
                 if engine is not None:
                     engine_state[(level, engine)] = (
                         device.backend.words.copy(), delta
@@ -677,6 +687,76 @@ def _check_pooled(seed, program, int_inputs, float_inputs, mirror):
     assert replay_state["pooled"][1] == replay_state["simulator"][1], context
 
 
+def _check_bills(seed, program, int_inputs, float_inputs, cache_dir):
+    """One bill per program, however it is obtained.
+
+    For the case's captured stream, unoptimized and peephole-optimized,
+    under both move-cost models, on simulator, numpy and pooled
+    backends: the bill the compiled program carries
+    (``program_stats``), a strict ``accounting_walk`` of the reference
+    lowering, the ``SimStats`` delta of actually replaying it, and the
+    sum of the per-instruction bills (``stream_stats``, unoptimized
+    only) are equal — and so are their ``theory.counts`` — in the
+    session that compiled the program and in a second session that
+    restored it from ``cache_dir``.
+    """
+    from repro.arch.config import small_config
+    from repro.driver.driver import Driver
+    from repro.sim.simulator import accounting_walk
+    from repro.theory import theoretical_cycles
+
+    pim.init(crossbars=CROSSBARS, rows=ROWS)
+    tensors = _fresh_inputs(int_inputs, float_inputs)
+    func = pim.compile(lambda *args: program(*args), opt_level=0, cache_size=2)
+    instrs = tuple(func.graph_for(*tensors).instructions)
+    pim.reset()
+    config = small_config(crossbars=CROSSBARS, rows=ROWS)
+    reference = Driver(None, config=config)
+    backends = {
+        "simulator": {"backend": "simulator"},
+        "numpy": {"backend": "numpy"},
+        "pooled": {"backend": "pooled", "workers": 2,
+                   "worker_backend": "simulator"},
+    }
+    for move_cost in ("unit", "htree"):
+        for optimize in (False, True):
+            strict = accounting_walk(
+                reference.compile(instrs, optimize=optimize, emit="macro").ops,
+                config, move_cost,
+            )
+            for name, kwargs in backends.items():
+                directory = os.path.join(cache_dir, f"{name}-{move_cost}")
+                for session in ("cold", "warm"):
+                    context = (
+                        f"seed={seed} {name} {move_cost} "
+                        f"optimize={optimize} {session}"
+                    )
+                    device = pim.PIMDevice(
+                        config, move_cost=move_cost, cache_dir=directory,
+                        **kwargs,
+                    )
+                    backend = device.backend
+                    compiled = backend.compile(
+                        instrs, name="bill", optimize=optimize
+                    )
+                    if session == "warm":
+                        assert backend.persist_counters()["loads"] > 0, context
+                        assert backend.persist_counters()["invalid"] == 0
+                    carried = backend.program_stats(compiled)
+                    before = backend.stats_snapshot()
+                    backend.run_program(compiled)
+                    executed = backend.stats.diff(before)
+                    assert carried == strict == executed, context
+                    assert (
+                        theoretical_cycles(carried)
+                        == theoretical_cycles(executed)
+                        == theoretical_cycles(strict)
+                    ), context
+                    if not optimize:
+                        assert backend.stream_stats(instrs) == strict, context
+                    device.close()
+
+
 def _dump_artifact(seed: int, error: BaseException) -> None:
     desc, int_inputs, float_inputs, _ = build_case(seed)
     directory = _artifact_dir()
@@ -709,6 +789,18 @@ def _cleanup():
 def test_differential_fuzz(seed):
     try:
         _run_case(seed)
+    except BaseException as error:  # noqa: BLE001 - re-raised below
+        _dump_artifact(seed, error)
+        raise
+
+
+@pytest.mark.parametrize("seed", _seeds())
+def test_carried_bill_is_the_executed_bill(seed, tmp_path):
+    desc, int_inputs, float_inputs, _ = build_case(seed)
+    try:
+        _check_bills(
+            seed, make_program(desc), int_inputs, float_inputs, str(tmp_path)
+        )
     except BaseException as error:  # noqa: BLE001 - re-raised below
         _dump_artifact(seed, error)
         raise

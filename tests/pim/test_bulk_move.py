@@ -224,32 +224,39 @@ def test_planned_streams_match_the_per_instruction_device(backend, seed):
         config = small_config(crossbars=crossbars, rows=rows)
         image = _random_image(seed, config)
 
-        planned = _device(backend, config, image)
-        session = planned.begin_trace("bulk-move")
-        try:
-            for _ in range(2):  # the second pass replays every cached plan
-                _bulk_move(planned, Slot(sr, ss, crossbars - ss), se,
-                           Slot(dr, ds, crossbars - ds), de)
-        finally:
-            planned.end_trace()
-
-        reference = _device(backend, config, image, cache_size=0)
         attempts = reference_of(case)
-        for _ in range(2):
-            for instr, accepted in attempts:
-                if accepted:
-                    reference.execute(instr)
-                else:
-                    saw_rejection = True
-                    with pytest.raises(SimulationError):
-                        reference.execute(instr)
-
-        assert np.array_equal(
-            planned.backend.words, reference.backend.words
-        ), context
-        assert planned.backend.stats == reference.backend.stats, context
         issued = [instr for instr, accepted in attempts if accepted]
-        assert session.graph.instructions == issued * 2, context
+        src, dst = Slot(sr, ss, crossbars - ss), Slot(dr, ds, crossbars - ds)
+        for traced in (False, True):
+            planned = _device(backend, config, image)
+            if traced:
+                # Recorded, not executed: the block exit dispatches the
+                # stream, and a run the H-tree rejects is skipped rather
+                # than attempted (its mask cycle is eager-only).
+                with pim.trace(planned, name="bulk-move") as session:
+                    for _ in range(2):
+                        _bulk_move(planned, src, se, dst, de)
+                    assert np.array_equal(planned.backend.words, image)
+                assert session.graph.instructions == issued * 2, context
+            else:
+                for _ in range(2):  # the second pass replays cached plans
+                    _bulk_move(planned, src, se, dst, de)
+
+            reference = _device(backend, config, image, cache_size=0)
+            for _ in range(2):
+                for instr, accepted in attempts:
+                    if accepted:
+                        reference.execute(instr)
+                    elif not traced:
+                        saw_rejection = True
+                        with pytest.raises(SimulationError):
+                            reference.execute(instr)
+
+            assert np.array_equal(
+                planned.backend.words, reference.backend.words
+            ), (context, traced)
+            assert planned.backend.stats == reference.backend.stats, (
+                context, traced)
     assert saw_rejection
 
 
@@ -309,12 +316,8 @@ def test_linear_bill_equals_strict_walk(seed, move_cost):
         backend = NumpyBackend(config, move_cost=move_cost)
         ops = []
         for instr in stream:
-            ops.extend(backend._driver._lower_ops(instr))
-        strict = accounting_walk(
-            ops, config, move_cost,
-            xb=RangeMask.all(config.crossbars), row=RangeMask.all(config.rows),
-            strict=True,
-        )
+            ops.extend(backend.lowering._lower_ops(instr))
+        strict = accounting_walk(ops, config, move_cost)
         backend.run_stream(stream)
         assert backend.stats == strict, f"seed={seed} {move_cost}"
         # ... which is also what the lowered-program route bills.
@@ -327,7 +330,7 @@ def test_move_streams_stay_out_of_the_lowering_driver(tmp_path):
         cache_dir=str(tmp_path),
     )
     _bulk_move(device, Slot(0, 0, 3), range(12), Slot(1, 1, 3), range(12))
-    driver = device.backend._driver
+    driver = device.backend.lowering
     assert len(driver.streams) == 0
     assert device.backend.persist_counters().get("stores", 0) == 0
     assert device.backend.emit_counters()["stream"] >= 1

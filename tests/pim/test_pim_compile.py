@@ -3,14 +3,26 @@
 The contract under test (see ``repro.pim.compile``): a compiled function
 is bit-identical to eager mode — same memory image, same cycle counters —
 on the bit-accurate backend, replays with fresh input data, caches per
-signature, and fails loudly on anything replay could not reproduce.
+signature, and fails loudly on anything replay could not reproduce. A
+capture records and dispatches nothing: the first call's result is the
+first replay of the lowered program.
 """
 
 import numpy as np
 import pytest
 
 import repro.pim as pim
+from repro.arch.masks import RangeMask
+from repro.driver.compiler import CompileError
 from repro.driver.program import MicroProgram
+from repro.isa.instructions import MoveInstr
+from repro.sim.simulator import SimulationError
+
+BACKENDS = {
+    "simulator": {"backend": "simulator"},
+    "numpy": {"backend": "numpy"},
+    "pooled": {"backend": "pooled", "workers": 2, "worker_backend": "numpy"},
+}
 
 
 def fig12(a, b):
@@ -103,6 +115,176 @@ class TestCompiledVsEager:
         x[3] = 7.0
         out = scale(x)
         assert out.to_numpy()[3] == 15.0
+
+
+def _observed(device):
+    """Everything a dispatch would move: bill, memory, route counters."""
+    backend = device.backend
+    return (
+        backend.stats.copy(), backend.words.copy(),
+        backend.replay_counters(), backend.emit_counters(),
+    )
+
+
+def _same(first, second):
+    return all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        for a, b in zip(first, second)
+    )
+
+
+def _mixed(a, b):
+    """Outputs, a mutated argument and a deferred scalar in one function."""
+    z = a * b + a
+    a[1] = 7.0
+    return z, (z - b)[::2].sum()
+
+
+class TestRecordOnlyCapture:
+    """A traced call allocates and records; only a replay reaches the chip."""
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_nothing_is_dispatched_while_tracing(self, backend):
+        device = pim.init(crossbars=4, rows=16, **BACKENDS[backend])
+        x = pim.from_numpy(np.arange(64, dtype=np.float32))
+        y = pim.from_numpy(np.full(64, 0.5, dtype=np.float32))
+        during = []
+
+        @pim.compile
+        def probed(a, b):
+            z = a * b + a
+            total = z[::2].sum()
+            during.append(_observed(device))
+            return z, total
+
+        before = _observed(device)
+        probed.graph_for(x, y)  # records and lowers: runs nothing
+        assert _same(during.pop(), before) and _same(_observed(device), before)
+        assert probed.captures == 1
+
+        z, total = probed(x, y)  # the first replay
+        assert probed.captures == 1 and not during
+        after = _observed(device)
+        assert after[0].cycles > before[0].cycles
+        assert not np.array_equal(after[1], before[1])
+        expected = np.arange(64, dtype=np.float32) * 1.5
+        assert z.to_numpy().tolist() == expected.tolist()
+        assert total == float(expected[::2].sum())
+        if backend == "simulator":
+            assert after[2]["vectorized"] == before[2]["vectorized"] + 1
+            assert after[3] == before[3]  # no stream emitted, one replay
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_level0_first_call_is_one_eager_call(self, backend):
+        """Memory image and the whole ``SimStats`` delta, not just cycles."""
+        images, deltas, results = [], [], []
+        for call in (_mixed, pim.compile(_mixed)):
+            device = pim.init(crossbars=4, rows=16, **BACKENDS[backend])
+            x = pim.from_numpy(np.arange(64, dtype=np.float32))
+            y = pim.from_numpy(np.full(64, 0.25, dtype=np.float32))
+            before = device.stats_snapshot()
+            z, total = call(x, y)
+            deltas.append(device.backend.stats.diff(before))
+            images.append(device.backend.words.copy())
+            results.append((z.to_numpy().tolist(), x.to_numpy().tolist(), total))
+            pim.reset()
+        assert deltas[0] == deltas[1]
+        assert np.array_equal(images[0], images[1])
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("level", pim.OPT_LEVELS)
+    @pytest.mark.parametrize("shape", ["plain", "aliased", "permuted"])
+    def test_first_call_second_call_and_eager_agree(self, level, shape):
+        """Outputs, mutated arguments and deferred scalars, when the
+        arguments alias (``f(x, x)``) and when a re-call permutes the
+        captured tensors (``f(y, x)``)."""
+        host_x = np.arange(64, dtype=np.float32) - 20.0
+        host_y = np.linspace(0.5, 2.0, 64).astype(np.float32)
+
+        def run(call):
+            pim.init(crossbars=4, rows=16)
+            x, y = pim.from_numpy(host_x), pim.from_numpy(host_y)
+            calls = {
+                "plain": [(x, y), (x, y)],
+                "aliased": [(x, x), (x, x)],
+                "permuted": [(x, y), (y, x)],
+            }[shape]
+            seen = []
+            for args in calls:
+                z, total = call(*args)
+                seen.append((
+                    z.to_numpy().tolist(), x.to_numpy().tolist(),
+                    y.to_numpy().tolist(), float(total),
+                ))
+            pim.reset()
+            return seen
+
+        assert run(pim.compile(_mixed, opt_level=level)) == run(_mixed)
+
+    def test_checksum_verify_covers_the_first_call(self):
+        from repro.faults import FaultPlan, program_regions
+
+        device = pim.init(crossbars=4, rows=8)
+        handle = pim.compile(lambda a, b: a * b + a, verify="checksum")
+        a = pim.from_numpy(np.arange(32, dtype=np.int32))
+        b = pim.from_numpy(np.arange(32, dtype=np.int32) + 3)
+        # Capture without running, to aim a flip at a cell the program
+        # writes; the flip lands in the first call's verify window.
+        entry = handle._entry_for((a, b))
+        reg, (xb, _, _), (row, _, _) = program_regions(
+            entry.program, device.config
+        )[-1]
+        device.install_faults(
+            FaultPlan(device.config, seed=0, flips=[(1, xb, reg, row, 0)])
+        )
+        out = handle(a, b)
+        golden = np.arange(32) * (np.arange(32) + 3) + np.arange(32)
+        assert out.to_numpy().tolist() == golden.tolist()
+        assert handle.fault_retries == 1 and handle.captures == 1
+        counters = device.backend.fault_counters()
+        assert counters["verify_checks"] == 2
+        assert counters["verify_detected"] == 1
+
+    def test_steering_scalar_reports_no_value_it_never_had(self):
+        _setup()
+
+        @pim.compile
+        def bad(a):
+            return a + float(a[0])
+
+        x = pim.ones(8, dtype=pim.float32)
+        with pytest.raises(pim.TraceError, match="no value yet") as info:
+            bad(x)
+        assert "1.0" not in str(info.value)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_chip_errors_surface_from_the_capturing_call(self, backend):
+        """What eager mode raises at the offending instruction, the
+        capturing call raises too: same type, naming the program, with
+        nothing of the stream executed."""
+        cases = [
+            # An H-tree pattern the chip refuses (sources meet targets).
+            (MoveInstr(0, 1, 0, 0, RangeMask(0, 1, 1), 1), SimulationError),
+            # A destination thread outside the crossbar.
+            (MoveInstr(0, 1, 0, 99, RangeMask(0, 0, 1), 0), CompileError),
+        ]
+        for instr, error in cases:
+            device = pim.init(crossbars=4, rows=16, **BACKENDS[backend])
+            x = pim.ones(64, dtype=pim.int32)
+
+            @pim.compile
+            def broken(a):
+                doubled = a + a
+                device.execute(instr)
+                return doubled
+
+            before = _observed(device)
+            with pytest.raises(error, match="program 'broken'"):
+                broken(x)
+            assert _same(_observed(device), before)
+            with pytest.raises((SimulationError, CompileError, IndexError)):
+                device.execute(instr)  # eager: refused at the instruction
+            pim.reset()
 
 
 class TestOptimizedLowering:

@@ -269,8 +269,7 @@ def _raises_like_op_by_op(config, ops):
 
 class TestEngineSelection:
     """``execute_program`` has two outcomes, chosen from the program:
-    a vectorized plan, or the op-by-op reference (the ``thunks`` in two
-    test names below predate it)."""
+    a vectorized plan, or the op-by-op reference."""
 
     def test_self_masked_program_vectorizes(self):
         sim, _, _ = _replay_vs_op_by_op(
@@ -286,8 +285,9 @@ class TestEngineSelection:
                 if isinstance(step, replay.GateRun)]
         assert [len(run.steps) for run in runs] == [1, 1]
 
-    def test_body_program_falls_back_to_thunks(self):
-        """Gates under caller-set masks: no static accounting, no plan."""
+    def test_body_program_replays_through_the_reference(self):
+        """Gates under caller-set masks: not self-masked, so no static
+        bill holds for it and no plan is built."""
         sim, _, program = _replay_vs_op_by_op(
             CFG, [_init1(3), _gate(3, 0, 1)],
             masks=[CrossbarMaskOp(1, 2, 1), RowMaskOp(0, 6, 2)],
@@ -376,8 +376,10 @@ class TestEngineSelection:
 
 
     def test_program_replay_info_walks_the_program_once(self, monkeypatch):
-        """``self_masked`` is read from the plan memo: asking again (or
-        replaying) never re-walks the ops."""
+        """The program carries its bill: it is walked once, asking again
+        (or replaying) never re-walks the ops, and a program that is not
+        self-masked — no static bill could hold for it — is not walked
+        at all."""
         from repro.backend.simulator import SimulatorBackend
         from repro.sim import simulator
 
@@ -389,14 +391,18 @@ class TestEngineSelection:
                 walks.append(len(ops)) or walk(ops, *args, **kwargs)
             ),
         )
-        for ops in (_masked([_init1(3), _gate(3, 0, 1)] * 25_000),
-                    [_init1(3)]):  # with a plan, and without one
+        masked = _masked([_init1(3), _gate(3, 0, 1)] * 25_000)
+        for ops, expected in ((masked, [len(masked)]),
+                              ([_init1(3)], [])):  # with a plan, without one
             backend = SimulatorBackend(CFG)
             program = MicroProgram.from_ops(ops, "p", CFG)
             del walks[:]
             first = backend.program_replay_info(program)
             backend.simulator.execute_program(program)
             assert backend.program_replay_info(program) == first
+            assert walks == expected
+            # Pricing reads the same bill (and is what walks the body).
+            assert backend.program_stats(program).micro_ops == len(ops)
             assert walks == [len(ops)]
 
 

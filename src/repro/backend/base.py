@@ -1,8 +1,9 @@
 """The execution-backend protocol behind :class:`repro.pim.device.PIMDevice`.
 
-A *backend* is the engine a device runs macro-instructions on. The tensor
-library (``repro.pim``) is written entirely against this protocol, so the
-same user program can execute on the bit-accurate simulator (the default,
+A *backend* is how a macro-instruction reaches the ``(crossbars,
+registers, rows)`` word image. The tensor library (``repro.pim``) is
+written entirely against this protocol, so the same user program can
+execute on the bit-accurate simulator (the default,
 :class:`~repro.backend.simulator.SimulatorBackend`) or on the fast
 functional model (:class:`~repro.backend.numpy_backend.NumpyBackend`)
 without touching user code — ``pim.init(backend="numpy")`` is the whole
@@ -11,19 +12,28 @@ switch.
 Every backend exposes:
 
 - :meth:`Backend.execute` — run one macro-instruction eagerly;
+- :meth:`Backend.run_stream` — run a stream as one dispatch unit;
 - :meth:`Backend.compile` / :meth:`Backend.run_program` — turn a recorded
   macro-instruction stream into a replayable program (the lowering target
   of the ``pim.compile`` graph front-end) and replay it;
-- :attr:`Backend.words` — the raw ``(crossbars, registers, rows)`` word
-  image, used by the device's DMA-style bulk load/dump path;
+- :attr:`Backend.words` — the raw word image, used by the device's
+  DMA-style bulk load/dump path;
 - :attr:`Backend.stats` — the :class:`~repro.sim.stats.SimStats` cycle
-  counters, with identical accounting semantics across backends (the
-  functional backend charges the same cycle model the simulator counts).
+  counters, with identical accounting semantics across backends.
+
+Backends that apply instructions without running micro-ops (the
+functional backend, the pool) derive from :class:`BilledBackend`, which
+owns everything around "apply" once: pricing (from the real driver's
+lowering), refusal bills, the stream-program cache and the fault window
+that closes a dispatch unit. Verification itself is
+:func:`repro.faults.checksum.verify_window`; which cells an instruction
+writes is :func:`repro.isa.instructions.written_region`.
 """
 
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,7 +41,9 @@ import numpy as np
 from repro.arch.config import PIMConfig
 from repro.driver.driver import Driver
 from repro.driver.program import config_fingerprint
-from repro.isa.instructions import Instruction, MoveInstr, validate
+from repro.driver.stream import MacroStream
+from repro.faults.checksum import fault_counters, verify_window
+from repro.isa.instructions import Instruction, RInstr, validate
 from repro.sim.simulator import SimulationError
 from repro.sim.stats import SimStats
 
@@ -83,22 +95,21 @@ class Backend(abc.ABC):
         free of cycle/memory side effects.
         """
 
+    @abc.abstractmethod
     def run_stream(
         self, instructions: Sequence[Instruction], name: str = "stream"
     ) -> Optional[int]:
         """Execute a macro-instruction stream as one emission unit.
 
-        Backends with a stream compiler (see :mod:`repro.driver.stream`)
-        fuse the stream into one cached emission plan and dispatch it
-        with a single call; the default is the bit-identical per-macro
-        loop. Returns the last read response, like the loop would.
+        The stream is fused into one cached emission plan (see
+        :mod:`repro.driver.stream`) and dispatched with a single call,
+        bit-identically to a loop over :meth:`execute`. Returns the last
+        read response, like the loop would.
         """
-        response: Optional[int] = None
-        for instr in instructions:
-            result = self.execute(instr)
-            if result is not None:
-                response = result
-        return response
+
+    def _stream_program(self, instructions: Sequence[Instruction], name: str):
+        """The program a verbatim stream replays as (the pool asks a shard)."""
+        return self.compile(instructions, name=name, optimize=False)
 
     def program_stats(self, program) -> SimStats:
         """The per-replay cycle bill of a compiled program.
@@ -233,16 +244,38 @@ class Backend(abc.ABC):
         return {}
 
 
+@dataclass(frozen=True, eq=False)
+class BilledProgram:
+    """What a :class:`BilledBackend`'s program handle carries, whatever it
+    replays: identity-hashed, stamped with the geometry it was priced
+    for, and billed ``stats_delta`` (the bill of the lowered, optionally
+    peephole-optimized stream) once per replay."""
+
+    name: str
+    config_fingerprint: Tuple[int, int, int, int, int]
+    stats_delta: SimStats
+    macros: int
+    #: Micro-ops before the peephole passes ran (``MicroProgram.source_ops``).
+    source_ops: int
+
+    def __len__(self) -> int:
+        return self.stats_delta.micro_ops
+
+
 class BilledBackend(Backend):
     """A backend that applies macro-instructions itself and bills them
     from a driver's lowering (:class:`NumpyBackend`, the pool).
 
-    Every distinct instruction is priced once through a real
-    :class:`~repro.driver.driver.Driver` whose chip port is never used
-    (:meth:`Backend.instr_stats`, memoized here with the hit/miss
-    counters ``cache_counters`` reports), and a stream is one cached
-    program (``run_stream``: one replay plan, one stats merge, one fault
-    tick). Subclasses say how instructions and programs reach memory.
+    A subclass says how an instruction and a program reach the word
+    image (``execute`` / ``run_program``) and what handle a priced
+    stream becomes (``_assemble(instrs, name, delta, source_ops,
+    optimize)``, ``optimize`` being ``None`` for a stream priced by
+    bills). The rest is here, once: every distinct instruction is
+    priced through a real :class:`~repro.driver.driver.Driver` whose
+    chip port is never used (:meth:`_instr_delta`, memoized, with the
+    hit/miss counters ``cache_counters`` reports), a stream is one
+    cached program (:meth:`_run_stream`), and every dispatch unit ends
+    in one fault window (:meth:`_settle`).
     """
 
     def __init__(self, config: PIMConfig, move_cost: str, **driver_kwargs):
@@ -257,8 +290,16 @@ class BilledBackend(Backend):
         self._hits = 0
         self._misses = 0
         # Stream tier, mirroring the driver's StreamPlan cache.
-        self._stream_programs: Dict[Tuple, object] = {}
+        self._stream_programs: Dict[Tuple, BilledProgram] = {}
         self._emit_counters: Dict[str, int] = {"stream": 0, "macro": 0}
+        # Installed fault overlay over ``words`` (None = fault-free),
+        # ticked once per dispatch unit exactly like the driver's.
+        self._fault_overlay = None
+        self._verify_tally: Dict[str, int] = {}
+
+    @property
+    def words(self) -> np.ndarray:
+        return self._words  # allocated by the subclass
 
     @property
     def stats(self) -> SimStats:
@@ -275,6 +316,17 @@ class BilledBackend(Backend):
     def emit_counters(self) -> Dict[str, int]:
         return dict(self._emit_counters)
 
+    def install_faults(self, plan):
+        """Bind a fault plan's cell faults to the word image."""
+        self._fault_overlay = plan.overlay_for(self.words, self.config)
+        return self._fault_overlay
+
+    def fault_counters(self) -> Dict[str, int]:
+        return fault_counters(self._fault_overlay, self._verify_tally)
+
+    # ------------------------------------------------------------------
+    # Pricing
+    # ------------------------------------------------------------------
     def _instr_delta(self, instr: Instruction) -> SimStats:
         """The cycle bill of one instruction's lowering (memoized); a
         first sight raises the chip's own errors (mask ranges, H-tree
@@ -291,19 +343,63 @@ class BilledBackend(Backend):
         return delta
 
     def _eager_delta(self, instr: Instruction) -> SimStats:
-        """:meth:`_instr_delta` for an instruction executed on its own.
-
-        An inter-warp move lowering starts with a crossbar-mask op, which
-        the simulator executes (and counts) before the H-tree validation
-        rejects the ``MoveOp`` — so that cycle is charged here too.
-        """
+        """:meth:`_instr_delta` for an instruction executed on its own,
+        refused as the chip behind a driver refuses it: an R-type macro
+        whole, by the driver's mask check at plan build, before anything
+        runs; a non-R lowering op by op, so the ops before the refused
+        one ran and their bill (handed over by the walk) is charged."""
+        if isinstance(instr, RInstr):
+            self.lowering._check_instr_masks(instr.warp_mask, instr.row_mask)
         try:
             return self._instr_delta(instr)
-        except SimulationError:
-            if isinstance(instr, MoveInstr) and instr.warp_dist:
-                self._stats.record("mask_crossbar")
+        except SimulationError as refusal:
+            if refusal.prefix is not None:
+                self._stats.merge(refusal.prefix.billed(self.move_cost))
             raise
 
+    def _compile(
+        self, instructions: Sequence[Instruction], name: str, optimize: bool
+    ) -> BilledProgram:
+        """``compile``: lower once through the real driver (with the
+        peephole passes when ``optimize``) purely to fix the cycle bill."""
+        instrs = tuple(instructions)
+        micro = self.lowering.compile(list(instrs), name=name, optimize=optimize)
+        delta = micro.bill(self.config).billed(self.move_cost)
+        return self._assemble(instrs, name, delta, micro.source_ops, optimize)
+
+    def _stream_program(
+        self, instructions: Sequence[Instruction], name: str
+    ) -> BilledProgram:
+        """The cached program of a verbatim stream, priced as the sum of
+        the bills :meth:`execute` charges (:meth:`Backend.stream_stats`):
+        nothing is lowered, kept or persisted for a stream that is never
+        replayed as micro-ops."""
+        instrs = MacroStream.wrap(instructions)
+        key = (instrs, name)
+        program = self._stream_programs.get(key)
+        if program is None:
+            delta = SimStats()
+            for instr in instrs:
+                delta.merge(self._instr_delta(instr))
+            program = self._assemble(instrs, name, delta, delta.micro_ops, None)
+            if len(self._stream_programs) < 4096:
+                self._stream_programs[key] = program
+        return program
+
+    def _run_stream(
+        self, instructions: Sequence[Instruction], name: str
+    ) -> Optional[int]:
+        """``run_stream``: one cached program, one replay, one fault tick."""
+        instrs = MacroStream.wrap(instructions)
+        if not instrs:
+            return None
+        program = self._stream_program(instrs, name)
+        self._emit_counters["stream"] += 1
+        return self.run_program(program)
+
+    # ------------------------------------------------------------------
+    # The two ends of a dispatch unit
+    # ------------------------------------------------------------------
     def _admit(self, program, verify: Optional[str]) -> None:
         """The checks (and the cache hit) every ``run_program`` starts with."""
         if verify not in (None, "checksum"):
@@ -315,3 +411,14 @@ class BilledBackend(Backend):
                 f"{self._fingerprint}"
             )
         self._hits += 1
+
+    def _settle(self, delta: SimStats, verify=None, regions=None, name=None) -> None:
+        """What every dispatch unit ends with: its bill, then the fault
+        window — checksummed for a verified replay of program ``name``."""
+        self._stats.merge(delta)
+        if verify is not None:
+            verify_window(
+                self.words, regions, self._fault_overlay, name, self._verify_tally
+            )
+        elif self._fault_overlay is not None:
+            self._fault_overlay.tick()

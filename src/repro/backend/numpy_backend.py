@@ -9,13 +9,18 @@ flush-to-zero convention) at a fraction of the host cost.
 
 The chip cycle model is **not** approximated away: every instruction is
 still priced through the real :class:`~repro.driver.driver.Driver` (once
-per distinct instruction; see :class:`~repro.backend.base.BilledBackend`)
-and charged to :class:`~repro.sim.stats.SimStats` with exactly the
-simulator's accounting rules — per-kind counters, INIT/mask overhead,
-gate counts scaled by the active rows, optional H-tree move costs. A
-profiled block therefore reports the *same* PIM cycles on both backends;
-only the wall-clock (and the bit-exactness guarantee of the memory
-image under fault injection) differs.
+per distinct instruction) and charged to :class:`~repro.sim.stats.SimStats`
+with exactly the simulator's accounting rules — per-kind counters,
+INIT/mask overhead, gate counts scaled by the active rows, optional
+H-tree move costs. A profiled block therefore reports the *same* PIM
+cycles on both backends; only the wall-clock (and the bit-exactness
+guarantee of the memory image under fault injection) differs.
+
+All of that pricing (and the stream cache, refusal bills, the fault
+window) is :class:`~repro.backend.base.BilledBackend`'s; this module is
+the functional model only. :meth:`NumpyBackend._plan_instr` resolves an
+instruction into a closure over the word image — the one apply path:
+``execute`` runs it once, a replay plan keeps it.
 
 Known deviations from the bit-accurate model, all outside the tested
 value domain (see DESIGN.md's FTZ notes): NaN payloads, the
@@ -32,12 +37,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arch.config import PIMConfig
-from repro.arch.htree import validate_move_pattern
 from repro.arch.masks import RangeMask
-from repro.backend.base import BilledBackend
-from repro.driver.program import config_fingerprint
-from repro.driver.stream import MacroStream
-from repro.faults.checksum import ChecksumError, region_checksums
+from repro.backend.base import BilledBackend, BilledProgram
+from repro.faults.checksum import program_regions
 from repro.isa.instructions import (
     Instruction,
     MoveInstr,
@@ -46,8 +48,7 @@ from repro.isa.instructions import (
     ROp,
     WriteInstr,
 )
-from repro.sim.simulator import SimulationError
-from repro.sim.stats import SimStats
+from repro.sim.simulator import SimulationError, checked_move_cycles
 
 _WORD_MASK = np.uint64(0xFFFFFFFF)
 _EXP_MASK = np.uint32(0x7F800000)
@@ -55,28 +56,16 @@ _SIGN_MASK = np.uint32(0x80000000)
 
 
 @dataclass(frozen=True, eq=False)
-class FunctionalProgram:
+class FunctionalProgram(BilledProgram):
     """A compiled macro-instruction stream for the NumPy backend.
 
     The functional twin of :class:`~repro.driver.program.MicroProgram`:
-    ``instructions`` replay as vectorized NumPy updates, while
-    ``stats_delta`` holds the micro-op accounting of the (optionally
-    peephole-optimized) lowered stream, precomputed once at compile time
-    so replay charges the exact cycles the simulator backend would.
+    ``instructions`` replay as vectorized NumPy updates, while the
+    carried ``stats_delta`` charges the exact cycles the simulator
+    backend would.
     """
 
-    instructions: Tuple[Instruction, ...]
-    name: str
-    config_fingerprint: Tuple[int, int, int, int, int]
-    stats_delta: SimStats
-    macros: int
-    #: Micro-ops of the lowered stream before the peephole passes ran —
-    #: the pre- vs post-optimization instruction count this backend
-    #: reports (same name and meaning as ``MicroProgram.source_ops``).
-    source_ops: int = 0
-
-    def __len__(self) -> int:
-        return self.stats_delta.micro_ops
+    instructions: Tuple[Instruction, ...] = ()
 
 
 class NumpyBackend(BilledBackend):
@@ -110,25 +99,19 @@ class NumpyBackend(BilledBackend):
         # Validated (warp_mask, dist) -> source-warp index array, shared by
         # every move (eager or planned) with the same pattern.
         self._move_cache: Dict[Tuple, np.ndarray] = {}
-        # Installed fault overlay (None = fault-free), ticked once per
-        # dispatch unit exactly like the driver's — see repro.faults.
-        self._fault_overlay = None
-        self._verify_checks = 0
-        self._verify_detected = 0
 
     # ------------------------------------------------------------------
     # Backend interface
     # ------------------------------------------------------------------
-    @property
-    def words(self) -> np.ndarray:
-        return self._words
-
     def execute(self, instr: Instruction) -> Optional[int]:
         delta = self._eager_delta(instr)
-        result = self._apply(instr)
-        self._stats.merge(delta)
-        if self._fault_overlay is not None:
-            self._fault_overlay.tick()
+        step = self._plan_instr(instr)
+        if isinstance(instr, RInstr):  # only arithmetic can trip a NumPy warning
+            with np.errstate(all="ignore"):
+                result = step()
+        else:
+            result = step()
+        self._settle(delta)
         return result
 
     def compile(
@@ -137,15 +120,13 @@ class NumpyBackend(BilledBackend):
         name: str = "stream",
         optimize: bool = True,
     ) -> FunctionalProgram:
-        """Compile a stream: lower once (through the real driver, with the
-        peephole passes when ``optimize``) purely to fix the cycle bill,
-        and keep the macro-instructions for functional replay."""
-        instrs = tuple(instructions)
-        micro = self.lowering.compile(list(instrs), name=name, optimize=optimize)
-        delta = micro.bill(self.config).billed(self.move_cost)
+        """Compile a stream: priced by the driver's lowering, replayed
+        from its macro-instructions."""
+        return self._compile(instructions, name, optimize)
+
+    def _assemble(self, instrs, name, delta, source_ops, optimize):
         return FunctionalProgram(
-            instrs, name, config_fingerprint(self.config), delta, len(instrs),
-            source_ops=micro.source_ops,
+            name, self._fingerprint, delta, len(instrs), source_ops, instrs
         )
 
     def run_program(
@@ -175,122 +156,15 @@ class NumpyBackend(BilledBackend):
                 result = step()
                 if result is not None:
                     response = result
-        self._stats.merge(program.stats_delta)
-        if verify is not None:
-            self._verify_replay(program)
-        elif self._fault_overlay is not None:
-            self._fault_overlay.tick()
+        regions = program_regions(program, self.config) if verify else None
+        self._settle(program.stats_delta, verify, regions, program.name)
         return response
-
-    def _verify_replay(self, program: FunctionalProgram) -> None:
-        """The driver's checksum protocol at macro-region granularity."""
-        regions = self._program_regions(program)
-        self._verify_checks += 1
-        before = region_checksums(self._words, regions)
-        if self._fault_overlay is not None:
-            self._fault_overlay.tick()
-        after = region_checksums(self._words, regions)
-        if after != before:
-            self._verify_detected += 1
-            bad = tuple(
-                region
-                for region, b, a in zip(regions, before, after)
-                if b != a
-            )
-            raise ChecksumError(program.name, bad)
-
-    def _program_regions(self, program: FunctionalProgram):
-        """Written regions of the macro stream, memoized on the program.
-
-        The functional model writes only the architectural destinations
-        (no scratch staging), so regions come straight from the macro
-        instructions rather than a micro-op walk.
-        """
-        cached = program.__dict__.get("_verify_regions")
-        if cached is not None:
-            return cached
-        cfg = self.config
-        seen = set()
-        regions = []
-
-        def add(reg, warp_mask, rows):
-            wm = warp_mask or RangeMask.all(cfg.crossbars)
-            region = (reg, (wm.start, wm.stop, wm.step), rows)
-            if region not in seen:
-                seen.add(region)
-                regions.append(region)
-
-        def row_range(row_mask):
-            rm = row_mask or RangeMask.all(cfg.rows)
-            return (rm.start, rm.stop, rm.step)
-
-        for instr in program.instructions:
-            if isinstance(instr, RInstr):
-                add(instr.dest, instr.warp_mask, row_range(instr.row_mask))
-            elif isinstance(instr, WriteInstr):
-                add(instr.reg, instr.warp_mask, row_range(instr.row_mask))
-            elif isinstance(instr, MoveInstr):
-                wm = instr.warp_mask or RangeMask.all(cfg.crossbars)
-                shifted = (
-                    wm.start + instr.warp_dist,
-                    wm.stop + instr.warp_dist,
-                    wm.step,
-                )
-                add_region = (
-                    instr.dst_reg,
-                    shifted,
-                    (instr.dst_thread, instr.dst_thread, 1),
-                )
-                if add_region not in seen:
-                    seen.add(add_region)
-                    regions.append(add_region)
-        cached = tuple(regions)
-        program.__dict__["_verify_regions"] = cached
-        return cached
-
-    def install_faults(self, plan):
-        """Bind a fault plan's cell faults to the functional word image."""
-        overlay = plan.overlay_for(self._words, self.config)
-        self._fault_overlay = overlay
-        return overlay
-
-    def fault_counters(self) -> Dict[str, int]:
-        counters = {}
-        if self._fault_overlay is not None:
-            counters.update(self._fault_overlay.counters)
-        if self._verify_checks:
-            counters["verify_checks"] = self._verify_checks
-        if self._verify_detected:
-            counters["verify_detected"] = self._verify_detected
-        return counters
 
     def run_stream(
         self, instructions: Sequence[Instruction], name: str = "stream"
     ) -> Optional[int]:
-        """Emit a whole stream through one cached ``FunctionalProgram``.
-
-        Billed as the sum of the per-instruction deltas :meth:`execute`
-        charges (see :meth:`Backend.stream_stats`): no lowered
-        ``MicroProgram`` is built or kept (in memory or in ``cache_dir``)
-        for a stream that only ever replays as NumPy updates.
-        """
-        instrs = MacroStream.wrap(instructions)
-        if not instrs:
-            return None
-        key = (instrs, name)
-        program = self._stream_programs.get(key)
-        if program is None:
-            delta = SimStats()
-            for instr in instrs:
-                delta.merge(self._instr_delta(instr))
-            program = FunctionalProgram(
-                instrs, name, config_fingerprint(self.config), delta,
-                len(instrs), source_ops=delta.micro_ops,
-            )
-            if len(self._stream_programs) < 4096:
-                self._stream_programs[key] = program
-        self._emit_counters["stream"] += 1
-        return self.run_program(program)
+        """Emit a whole stream through one cached ``FunctionalProgram``."""
+        return self._run_stream(instructions, name)
 
     def _plan_steps(
         self, instructions: Sequence[Instruction]
@@ -390,41 +264,16 @@ class NumpyBackend(BilledBackend):
             return read_step
         if isinstance(instr, MoveInstr):
             sources = self._move_sources(instr)
+            if len(sources) == 1:  # plain ints take NumPy's scalar get/set
+                sources = int(sources[0])
+            dests = sources + instr.warp_dist
             src_reg, dst_reg = instr.src_reg, instr.dst_reg
             src_row, dst_row = instr.src_thread, instr.dst_thread
-            if len(sources) == 1:
-                sw = int(sources[0])
-                dw = sw + instr.warp_dist
 
-                def single_move():
-                    words[dw, dst_reg, dst_row] = words[sw, src_reg, src_row]
-
-                return single_move
-            dests = sources + instr.warp_dist
-
-            def move_step(sources=sources, dests=dests):
+            def move_step():
                 words[dests, dst_reg, dst_row] = words[sources, src_reg, src_row]
 
             return move_step
-        raise SimulationError(f"not an instruction: {instr!r}")
-
-    # ------------------------------------------------------------------
-    # Functional execution
-    # ------------------------------------------------------------------
-    def _apply(self, instr: Instruction) -> Optional[int]:
-        if isinstance(instr, RInstr):
-            self._apply_rtype(instr)
-            return None
-        if isinstance(instr, WriteInstr):
-            self._region(instr.reg, instr.warp_mask, instr.row_mask)[...] = (
-                np.uint32(instr.value)
-            )
-            return None
-        if isinstance(instr, ReadInstr):
-            return int(self._words[instr.warp, instr.reg, instr.thread])
-        if isinstance(instr, MoveInstr):
-            self._apply_move(instr)
-            return None
         raise SimulationError(f"not an instruction: {instr!r}")
 
     def _region(
@@ -450,35 +299,11 @@ class NumpyBackend(BilledBackend):
         sources = self._move_cache.get(key)
         if sources is None:
             if instr.warp_dist:
-                try:
-                    validate_move_pattern(
-                        warps, instr.warp_dist, self.config.crossbars
-                    )
-                except ValueError as exc:
-                    raise SimulationError(str(exc)) from exc
+                checked_move_cycles(warps, instr.warp_dist, self.config.crossbars)
             sources = np.fromiter(warps.indices(), dtype=np.int64)
             if len(self._move_cache) < 65536:
                 self._move_cache[key] = sources
         return sources
-
-    def _apply_move(self, instr: MoveInstr) -> None:
-        sources = self._move_sources(instr)
-        self._words[sources + instr.warp_dist, instr.dst_reg, instr.dst_thread] = (
-            self._words[sources, instr.src_reg, instr.src_thread]
-        )
-
-    def _apply_rtype(self, instr: RInstr) -> None:
-        out = self._region(instr.dest, instr.warp_mask, instr.row_mask)
-        srcs = [
-            self._region(reg, instr.warp_mask, instr.row_mask)
-            for reg in instr.sources()
-        ]
-        with np.errstate(all="ignore"):
-            if instr.dtype.is_float:
-                result = _float_op(instr.op, srcs)
-            else:
-                result = _int_op(instr.op, srcs)
-        out[...] = result
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 from repro.arch.config import PIMConfig
 from repro.backend.base import Backend
 from repro.driver.driver import Driver
+from repro.faults.checksum import fault_counters
 from repro.isa.instructions import Instruction
 from repro.sim.simulator import Simulator
 from repro.sim.stats import SimStats
@@ -81,14 +82,7 @@ class SimulatorBackend(Backend):
         return overlay
 
     def fault_counters(self):
-        counters = {}
-        if self.driver.faults is not None:
-            counters.update(self.driver.faults.counters)
-        if self.driver.verify_checks:
-            counters["verify_checks"] = self.driver.verify_checks
-        if self.driver.verify_detected:
-            counters["verify_detected"] = self.driver.verify_detected
-        return counters
+        return fault_counters(self.driver.faults, self.driver.verify_tally)
 
     def program_stats(self, program) -> SimStats:
         """The bill a fused ``MicroProgram`` carries, under this chip's

@@ -205,10 +205,10 @@ class Driver:
         #: plans and the op-by-op reference observe identical fault
         #: behaviour.
         self.faults = None
-        #: ``verify="checksum"`` accounting (replays checked / corrupted
-        #: replays caught), surfaced via ``Backend.fault_counters()``.
-        self.verify_checks = 0
-        self.verify_detected = 0
+        #: ``verify="checksum"`` accounting (``verify_checks`` replays
+        #: checked, ``verify_detected`` corrupted replays caught),
+        #: surfaced via ``Backend.fault_counters()``.
+        self.verify_tally: Dict[str, int] = {}
 
     @property
     def cache_hits(self) -> int:
@@ -520,31 +520,17 @@ class Driver:
 
     def _verify_replay(self, program: MicroProgram) -> None:
         """Checksum the written regions across the post-op fault window."""
-        from repro.faults.checksum import (
-            ChecksumError,
-            program_regions,
-            region_checksums,
-        )
+        from repro.faults.checksum import program_regions, verify_window
 
         memory = getattr(self.chip, "memory", None)
         if memory is None:
             raise ValueError(
                 "verify='checksum' requires a chip with a memory image"
             )
-        regions = program_regions(program, self.config)
-        self.verify_checks += 1
-        before = region_checksums(memory.words, regions)
-        if self.faults is not None:
-            self.faults.tick()
-        after = region_checksums(memory.words, regions)
-        if after != before:
-            self.verify_detected += 1
-            bad = tuple(
-                region
-                for region, b, a in zip(regions, before, after)
-                if b != a
-            )
-            raise ChecksumError(program.name, bad)
+        verify_window(
+            memory.words, program_regions(program, self.config), self.faults,
+            program.name, self.verify_tally,
+        )
 
     # ------------------------------------------------------------------
     # Masks

@@ -21,7 +21,6 @@ The subsystem has three layers, threaded through the whole stack:
 
 from repro.faults.checksum import (
     ChecksumError,
-    image_checksum,
     program_regions,
     region_checksums,
     written_regions,
@@ -48,5 +47,4 @@ __all__ = [
     "written_regions",
     "program_regions",
     "region_checksums",
-    "image_checksum",
 ]

@@ -1,14 +1,17 @@
 """Per-region checksum verification of compiled-program outputs.
 
-``verify="checksum"`` on ``Driver.run_program`` / ``pim.compile`` turns
-every program replay into a self-checking transaction: after the replay
-finishes, the driver checksums the program's *written regions* (derived
-statically from the micro-op stream, below), opens the post-op fault
-window, then re-checksums and compares. A transient flip or stuck-at
-clamp that lands inside an output region between the two walks is
-reported as a :class:`ChecksumError` naming the corrupted regions, which
-the recovery layer (``pim.compile`` retry → allocator quarantine →
-recompile) consumes.
+``verify="checksum"`` on ``run_program`` / ``pim.compile`` turns every
+program replay into a self-checking transaction, and
+:func:`verify_window` is that transaction on every backend: after the
+replay finishes, checksum the program's *written regions*, open the
+post-op fault window, then re-checksum and compare. A transient flip or
+stuck-at clamp that lands inside an output region between the two walks
+is reported as a :class:`ChecksumError` naming the corrupted regions,
+which the recovery layer (``pim.compile`` retry → allocator quarantine →
+recompile) consumes. Only the regions differ per caller
+(:func:`program_regions`): derived statically from a ``MicroProgram``'s
+micro-ops, from a functional program's macro-instructions, or — the pool
+— none: one CRC over the whole shared image.
 
 Checksums are computed host-side over the DMA-visible word image — the
 read happens outside the PIM cycle model, exactly like the device's
@@ -16,14 +19,14 @@ bulk ``dump_array`` path — so enabling verification changes no cycle
 count and no memory bit.
 
 This module deliberately imports nothing from the driver or simulator
-packages (only the micro-op dataclasses), so the driver can import it
-without cycles.
+packages (only the micro-op and instruction dataclasses), so the driver
+can import it without cycles.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,10 +36,10 @@ from repro.arch.micro_ops import (
     LogicHOp,
     LogicVOp,
     MoveOp,
-    ReadOp,
     RowMaskOp,
     WriteOp,
 )
+from repro.isa.instructions import written_region
 
 #: A written region: ``(reg, (xb_start, xb_stop, xb_step), (row_start,
 #: row_stop, row_step))`` with *inclusive* stops (RangeMask semantics).
@@ -104,31 +107,69 @@ def written_regions(ops, config: PIMConfig) -> Tuple[Region, ...]:
             else:  # clipped asymmetrically: fall back to a dense span
                 dst_xb = (start, max(start, stop), 1)
             add(op.dst_index, dst_xb, (op.dst_row, op.dst_row, 1))
-        elif isinstance(op, ReadOp):
-            pass
     return tuple(regions)
 
 
 def program_regions(program, config: PIMConfig) -> Tuple[Region, ...]:
-    """:func:`written_regions` of a ``MicroProgram``, memoized on it."""
+    """The regions a program writes, memoized on it: :func:`written_regions`
+    of a ``MicroProgram``'s ops, or the architectural destinations of a
+    functional program's macro-instructions (it stages nothing in scratch)."""
     cached = program.__dict__.get("_verify_regions")
     if cached is None:
-        cached = written_regions(program.ops, config)
+        if hasattr(program, "ops"):
+            cached = written_regions(program.ops, config)
+        else:
+            written = (written_region(i, config) for i in program.instructions)
+            cached = tuple(dict.fromkeys(
+                (reg, (w.start, w.stop, w.step), (r.start, r.stop, r.step))
+                for reg, w, r in filter(None, written)
+            ))
         program.__dict__["_verify_regions"] = cached
     return cached
 
 
+def verify_window(
+    words: np.ndarray,
+    regions: Optional[Sequence[Region]],
+    overlay,
+    name: str,
+    tally: Dict[str, int],
+) -> None:
+    """Bracket one post-replay fault window with checksums.
+
+    Checksums ``regions`` of ``words`` (``None``: the whole image), ticks
+    ``overlay`` (``None``: no plan installed, an empty window) and
+    checksums again; a difference raises :class:`ChecksumError` for
+    program ``name``. ``tally`` counts ``verify_checks`` /
+    ``verify_detected`` for :func:`fault_counters`.
+    """
+    tally["verify_checks"] = tally.get("verify_checks", 0) + 1
+    before = region_checksums(words, regions)
+    if overlay is not None:
+        overlay.tick()
+    after = region_checksums(words, regions)
+    if after != before:
+        tally["verify_detected"] = tally.get("verify_detected", 0) + 1
+        raise ChecksumError(name, regions and tuple(
+            region for region, b, a in zip(regions, before, after) if b != a
+        ))
+
+
+def fault_counters(overlay, tally: Dict[str, int]) -> Dict[str, int]:
+    """What ``Backend.fault_counters()`` reports for one fault timeline:
+    the overlay's injection counters plus :func:`verify_window`'s tally."""
+    return {**(overlay.counters if overlay is not None else {}), **tally}
+
+
 def region_checksums(
-    words: np.ndarray, regions: Sequence[Region]
+    words: np.ndarray, regions: Optional[Sequence[Region]]
 ) -> Tuple[int, ...]:
-    """CRC32 per region over the ``(xb, reg, row)`` word image."""
+    """CRC32 per region over the ``(xb, reg, row)`` word image (``None``:
+    one CRC of the whole image, the pool's granularity)."""
+    if regions is None:
+        return (zlib.crc32(np.ascontiguousarray(words).tobytes()),)
     sums = []
     for reg, (xs, xe, xstep), (rs, re_, rstep) in regions:
         view = words[xs : xe + 1 : xstep, reg, rs : re_ + 1 : rstep]
         sums.append(zlib.crc32(np.ascontiguousarray(view).tobytes()))
     return tuple(sums)
-
-
-def image_checksum(words: np.ndarray) -> int:
-    """CRC32 of a whole word image (pool-level coarse verification)."""
-    return zlib.crc32(np.ascontiguousarray(words).tobytes())

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
+from repro.arch.config import PIMConfig
 from repro.arch.masks import RangeMask
 from repro.isa.dtypes import DType, float32, int32
 
@@ -170,6 +171,28 @@ class WriteInstr:
 
 
 Instruction = Union[RInstr, MoveInstr, ReadInstr, WriteInstr]
+
+
+def written_region(
+    instr: Instruction, config: PIMConfig
+) -> Optional[Tuple[int, RangeMask, RangeMask]]:
+    """The cells an instruction writes, as ``(register, warps, rows)``;
+    ``None`` for a read. An unset mask is the whole axis; a move writes
+    one thread of its warp mask shifted by ``warp_dist``. Checksum
+    regions, ``pim.compile``'s deferred-read and argument-aliasing checks
+    and the pool's sharding all read it."""
+    if isinstance(instr, ReadInstr):
+        return None
+    warps = instr.warp_mask or RangeMask.all(config.crossbars)
+    if isinstance(instr, MoveInstr):
+        dist = instr.warp_dist
+        return (
+            instr.dst_reg,
+            RangeMask(warps.start + dist, warps.stop + dist, warps.step),
+            RangeMask.single(instr.dst_thread),
+        )
+    reg = instr.dest if isinstance(instr, RInstr) else instr.reg
+    return reg, warps, instr.row_mask or RangeMask.all(config.rows)
 
 
 def validate(instr: Instruction, registers: int) -> None:

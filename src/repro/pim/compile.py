@@ -39,9 +39,9 @@ the replayed stream is the eager stream, so memory contents and PIM
 cycle counters match bit-for-bit. Higher optimization levels trade that
 full-memory identity for speed while keeping every *observable* value
 bit-identical (outputs, arguments, deferred scalar reads): level 1
-(the legacy ``optimize=True``) runs the driver's peephole passes, level
-2 adds graph-level constant folding, common-subexpression elimination
-and dead-temporary elimination, and level 3 adds register reuse so the
+runs the driver's peephole passes, level 2 adds graph-level constant
+folding, common-subexpression elimination and dead-temporary
+elimination, and level 3 adds register reuse so the
 compiled graph reserves fewer crossbar cells (see
 :mod:`repro.pim.optimizer`). ``CompiledFunction.opt_report()`` exposes
 the pre- vs post-optimization instruction and cycle counts.
@@ -65,9 +65,8 @@ from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.masks import RangeMask
 from repro.driver.program import config_fingerprint
-from repro.isa.instructions import MoveInstr, ReadInstr, RInstr, WriteInstr
+from repro.isa.instructions import ReadInstr, written_region
 from repro.pim.graph import Graph, ScalarRef, TraceError, TraceSession
 from repro.pim.tensor import Tensor, TensorView
 
@@ -104,47 +103,6 @@ def _collect_output_bases(value, acc: set) -> None:
             _collect_output_bases(item, acc)
 
 
-def _writes_slot(instr, slot, config) -> bool:
-    """Does this instruction write anywhere inside a slot's cells?"""
-
-    def overlaps(reg: int, warps: Optional[RangeMask], shift: int = 0) -> bool:
-        if reg != slot.reg:
-            return False
-        warps = warps or RangeMask.all(config.crossbars)
-        lo, hi = warps.start + shift, warps.stop + shift
-        return hi >= slot.warp_start and lo < slot.warp_stop
-
-    if isinstance(instr, RInstr):
-        return overlaps(instr.dest, instr.warp_mask)
-    if isinstance(instr, WriteInstr):
-        return overlaps(instr.reg, instr.warp_mask)
-    if isinstance(instr, MoveInstr):
-        return overlaps(instr.dst_reg, instr.warp_mask, instr.warp_dist)
-    return False
-
-
-def _overwrites_cell(instr, reg: int, warp: int, thread: int, config) -> bool:
-    """Does this instruction write the memory word a read observed?"""
-    if isinstance(instr, RInstr):
-        if instr.dest != reg:
-            return False
-        warps = instr.warp_mask or RangeMask.all(config.crossbars)
-        rows = instr.row_mask or RangeMask.all(config.rows)
-        return warp in warps and thread in rows
-    if isinstance(instr, WriteInstr):
-        if instr.reg != reg:
-            return False
-        warps = instr.warp_mask or RangeMask.all(config.crossbars)
-        rows = instr.row_mask or RangeMask.all(config.rows)
-        return warp in warps and thread in rows
-    if isinstance(instr, MoveInstr):
-        if instr.dst_reg != reg or instr.dst_thread != thread:
-            return False
-        warps = instr.warp_mask or RangeMask.all(config.crossbars)
-        return (warp - instr.warp_dist) in warps
-    return False
-
-
 def _check_deferred_reads(instructions, config) -> None:
     """Reject captures whose scalar reads replay cannot defer.
 
@@ -158,9 +116,12 @@ def _check_deferred_reads(instructions, config) -> None:
     for instr in instructions:
         if isinstance(instr, ReadInstr):
             pending.append(instr)
-            continue
-        for read in pending:
-            if _overwrites_cell(instr, read.reg, read.warp, read.thread, config):
+        elif pending:
+            reg, warps, rows = written_region(instr, config)
+            if any(
+                reg == read.reg and read.warp in warps and read.thread in rows
+                for read in pending
+            ):
                 raise TraceError(
                     "a scalar read inside the traced function observes "
                     "memory that later operations overwrite, so its value "
@@ -211,13 +172,17 @@ class CompiledGraph:
         # Argument tensors the traced stream itself writes: eager mode
         # mutates the caller's tensor in place, so replay must copy the
         # computed contents back out instead of restoring stale data.
+        regions = (written_region(i, device.config) for i in self.graph.instructions)
+        written = list(filter(None, regions))  # reads write nothing
         self._mutated_bound_ids = {
             id(bound)
             for bound in bound_args
             if isinstance(bound, Tensor)
             and any(
-                _writes_slot(instr, bound.slot, device.config)
-                for instr in self.graph.instructions
+                reg == bound.slot.reg
+                and warps.stop >= bound.slot.warp_start
+                and warps.start < bound.slot.warp_stop
+                for reg, warps, _ in written
             )
         }
 
@@ -293,8 +258,7 @@ class CompiledFunction:
         self,
         fn: Callable,
         device=None,
-        optimize: bool = False,
-        opt_level: Optional[int] = None,
+        opt_level: int = 0,
         name: Optional[str] = None,
         cache_size: int = 32,
         verify: Optional[str] = None,
@@ -303,7 +267,7 @@ class CompiledFunction:
 
         functools.update_wrapper(self, fn)
         self.fn = fn
-        self.opt_level = resolve_opt_level(optimize, opt_level)
+        self.opt_level = resolve_opt_level(opt_level)
         self.name = name or getattr(fn, "__name__", "graph")
         self.cache_size = max(int(cache_size), 1)
         if verify not in (None, "checksum"):
@@ -491,8 +455,7 @@ def compile(
     fn: Optional[Callable] = None,
     *,
     device=None,
-    optimize: bool = False,
-    opt_level: Optional[int] = None,
+    opt_level: int = 0,
     cache_size: int = 32,
     verify: Optional[str] = None,
 ):
@@ -501,10 +464,10 @@ def compile(
     Usable bare (``@pim.compile``) or parameterized
     (``@pim.compile(opt_level=2)``). ``opt_level`` selects the optimizer
     pipeline (0 = cycle-exact verbatim replay, the default; 1 = driver
-    peephole passes, the legacy ``optimize=True``; 2 = graph-level
-    constant folding + CSE + dead-temporary elimination; 3 = level 2
-    plus register reuse — see :mod:`repro.pim.optimizer`). Optimized
-    replays stay bit-identical on every observable value. ``cache_size``
+    peephole passes; 2 = graph-level constant folding + CSE +
+    dead-temporary elimination; 3 = level 2 plus register reuse — see
+    :mod:`repro.pim.optimizer`). Optimized replays stay bit-identical
+    on every observable value. ``cache_size``
     bounds the per-function signature cache (LRU; evicted graphs release
     their reserved device cells). ``verify="checksum"`` makes every
     replay self-checking: output regions are checksummed across the
@@ -518,7 +481,6 @@ def compile(
         return functools.partial(
             compile,
             device=device,
-            optimize=optimize,
             opt_level=opt_level,
             cache_size=cache_size,
             verify=verify,
@@ -526,7 +488,6 @@ def compile(
     return CompiledFunction(
         fn,
         device=device,
-        optimize=optimize,
         opt_level=opt_level,
         cache_size=cache_size,
         verify=verify,

@@ -311,12 +311,7 @@ class TraceSession:
         self.device.execute_stream(stretch, name=self.graph.name)
         self.values = values
 
-    def lower(
-        self,
-        optimize: bool = False,
-        keep_reads: bool = True,
-        opt_level: Optional[int] = None,
-    ):
+    def lower(self, keep_reads: bool = True, opt_level: int = 0):
         """Compile the captured instruction stream through the backend.
 
         Returns the backend's program handle (a ``MicroProgram`` on the
@@ -329,11 +324,11 @@ class TraceSession:
 
         ``opt_level`` selects the optimizer pipeline (see
         :mod:`repro.pim.optimizer`): 0 replays the eager stream verbatim
-        (cycle-exact), 1 runs the driver's peephole passes (the legacy
-        ``optimize=True``), 2 adds constant folding, CSE and
-        dead-temporary elimination on the graph IR, 3 adds register
-        reuse. Levels >= 1 leave an :class:`~repro.pim.optimizer.OptReport`
-        in :attr:`last_report` (and on ``device.opt_reports`` for the
+        (cycle-exact), 1 runs the driver's peephole passes, 2 adds
+        constant folding, CSE and dead-temporary elimination on the
+        graph IR, 3 adds register reuse. Levels >= 1 leave an
+        :class:`~repro.pim.optimizer.OptReport` in
+        :attr:`last_report` (and on ``device.opt_reports`` for the
         Profiler); levels >= 2 shrink :attr:`replay_cells`, the cell
         reservation compiled graphs hold.
 
@@ -350,7 +345,7 @@ class TraceSession:
             resolve_opt_level,
         )
 
-        level = resolve_opt_level(optimize, opt_level)
+        level = resolve_opt_level(opt_level)
         raw = self.graph.instructions
         if not keep_reads:
             raw = [

@@ -73,15 +73,8 @@ Cell = Tuple[int, int]
 _EXPONENT_MASK = 0x7F800000
 
 
-def resolve_opt_level(optimize: bool = False, opt_level: Optional[int] = None) -> int:
-    """Resolve the legacy ``optimize`` flag and ``opt_level`` into a level.
-
-    ``opt_level`` wins when given; otherwise ``optimize=True`` maps to
-    level 1 (the PR-2 behavior: driver peephole passes only) and
-    ``optimize=False`` to level 0 (cycle-exact verbatim replay).
-    """
-    if opt_level is None:
-        return 1 if optimize else 0
+def resolve_opt_level(opt_level: int = 0) -> int:
+    """Validate an ``opt_level`` (see the module docstring table)."""
     level = int(opt_level)
     if level not in OPT_LEVELS:
         raise ValueError(

@@ -28,55 +28,47 @@ Instruction routing:
   keeps accept/reject behavior bit-identical to a single device.
 
 Cycle accounting is *canonical*, not additive: the pool charges every
-instruction and compiled program the full-geometry bill of the driver's
-lowering (:class:`~repro.backend.base.BilledBackend`, exactly like the
-NumPy backend), so a pooled run reports the :class:`~repro.sim.stats.
+instruction and program the full-geometry bill of the driver's lowering
+(:class:`~repro.backend.base.BilledBackend`, exactly like the NumPy
+backend — pricing, refusal bills, the stream cache and the fault window
+all live there), so a pooled run reports the :class:`~repro.sim.stats.
 SimStats` of a single device — the crossbars of one memory operate in
 lock-step, and sharding the host-side work does not change what the chip
 executes. Workers keep per-shard stats (:meth:`PooledBackend.worker_stats`).
 
-Compiled streams (:meth:`PooledBackend.compile`) become a
-:class:`PooledProgram`: the instruction stream is cut at bridges into
-segments, each segment compiled per worker it touches, and replay runs
-segments in order (bridges at pool level, shard segments through each
-worker's own compiled-replay fast path). The replayed response is the
-globally-last read's worker result.
+What this module adds is the routing above and the handle it assembles:
+a :class:`PooledProgram` is the instruction stream cut at bridges into
+segments, each segment one program per worker it touches, and replay
+runs segments in order (bridges at pool level, shard segments through
+each worker's own replay fast path). The replayed response is the
+globally-last read's worker result. :meth:`PooledBackend.compile` prices
+the stream through the full-geometry lowering; :meth:`PooledBackend.
+run_stream` prices it by bills, so no full-geometry ``MicroProgram`` is
+lowered for a stream, and on numpy workers no per-shard one either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arch.config import PIMConfig
 from repro.arch.masks import RangeMask
-from repro.backend.base import Backend, BilledBackend
-from repro.backend.numpy_backend import NumpyBackend
+from repro.backend import BACKENDS
+from repro.backend.base import Backend, BilledBackend, BilledProgram
 from repro.backend.simulator import SimulatorBackend
-from repro.driver.program import config_fingerprint
-from repro.driver.stream import MacroStream
-from repro.faults.checksum import ChecksumError, image_checksum
 from repro.faults.plan import ShardError, WorkerFault
 from repro.isa.instructions import (
     Instruction,
     MoveInstr,
     ReadInstr,
-    RInstr,
-    WriteInstr,
+    written_region,
 )
 from repro.sim.simulator import SimulationError
 from repro.sim.stats import SimStats
-
-#: Worker-backend choices for ``pim.init(backend="pooled", worker_backend=...)``.
-WORKER_BACKENDS = {
-    "simulator": SimulatorBackend,
-    "sim": SimulatorBackend,
-    "bit": SimulatorBackend,
-    "numpy": NumpyBackend,
-    "functional": NumpyBackend,
-}
 
 
 def shard_mask(mask: RangeMask, lo: int, hi: int) -> Optional[RangeMask]:
@@ -114,25 +106,17 @@ class _Segment:
 
 
 @dataclass(frozen=True, eq=False)
-class PooledProgram:
+class PooledProgram(BilledProgram):
     """A compiled macro stream, pre-split across the worker shards.
 
-    Identity-hashed like its single-device twins. ``stats_delta`` is the
-    canonical full-geometry cycle bill charged once per replay;
-    ``response_site`` is the ``(segment index, worker index)`` holding
-    the stream's last read (``None`` for read-free streams).
+    ``stats_delta`` is the canonical full-geometry cycle bill charged
+    once per replay; ``response_site`` is the ``(segment index, worker
+    index)`` holding the stream's last read (``None`` for read-free
+    streams).
     """
 
-    segments: Tuple[_Segment, ...]
-    name: str
-    config_fingerprint: Tuple[int, int, int, int, int]
-    stats_delta: SimStats
-    macros: int
-    source_ops: int = 0
+    segments: Tuple[_Segment, ...] = ()
     response_site: Optional[Tuple[int, int]] = None
-
-    def __len__(self) -> int:
-        return self.stats_delta.micro_ops
 
 
 class PooledBackend(BilledBackend):
@@ -169,36 +153,36 @@ class PooledBackend(BilledBackend):
                 f"cannot shard {config.crossbars} crossbars across "
                 f"{workers} workers"
             )
-        try:
-            worker_cls = WORKER_BACKENDS[str(worker_backend).lower()]
+        try:  # the single-device backends, by their ``pim.init`` names
+            worker_cls = BACKENDS[str(worker_backend).lower()]
         except KeyError:
             raise ValueError(
                 f"unknown worker backend {worker_backend!r}; choose from "
-                f"{sorted(set(WORKER_BACKENDS))}"
+                f"{sorted(set(BACKENDS))}"
             ) from None
         self.shard = config.crossbars // workers
-        self._sub_config = replace(config, crossbars=self.shard)
         # Kept so failover can spawn a replacement worker with the exact
         # construction arguments of the one it retires.
-        self._worker_cls = worker_cls
-        self._worker_kwargs = dict(driver_kwargs)
+        self._spawn_worker = partial(
+            worker_cls, replace(config, crossbars=self.shard),
+            move_cost=move_cost, **driver_kwargs,
+        )
         self.workers: List[Backend] = [
-            worker_cls(self._sub_config, move_cost=move_cost, **driver_kwargs)
-            for _ in range(workers)
+            self._spawn_worker() for _ in range(workers)
         ]
         # One shared word image; each worker's memory becomes a contiguous
         # axis-0 view (safe pre-execution: simulator replay plans and the
         # numpy backend's closures resolve regions lazily, so every later
         # access goes through the view).
-        self._words = np.zeros_like(self._worker_words(0), shape=(
+        self._words = np.zeros_like(self.workers[0].words, shape=(
             config.crossbars, config.registers, config.rows
         ))
         for k in range(workers):
             lo = k * self.shard
             self._set_worker_words(k, self._words[lo : lo + self.shard])
-        # Fault-injection / resilience state (repro.faults).
+        # Resilience state (repro.faults): the cell faults are the base
+        # class's one overlay over the shared image.
         self._fault_plan = None
-        self._pool_overlay = None
         self._resilient = False
         self._unit_counts = [0] * workers
         self._quarantined: List[Tuple[int, Backend]] = []
@@ -206,18 +190,10 @@ class PooledBackend(BilledBackend):
             "worker_faults": 0,
             "failovers": 0,
         }
-        self._verify_checks = 0
-        self._verify_detected = 0
 
     # ------------------------------------------------------------------
     # Worker memory plumbing
     # ------------------------------------------------------------------
-    def _worker_words(self, k: int) -> np.ndarray:
-        worker = self.workers[k]
-        if isinstance(worker, SimulatorBackend):
-            return worker.simulator.memory.words
-        return worker._words
-
     def _set_worker_words(self, k: int, view: np.ndarray) -> None:
         worker = self.workers[k]
         if isinstance(worker, SimulatorBackend):
@@ -232,10 +208,6 @@ class PooledBackend(BilledBackend):
     # ------------------------------------------------------------------
     # Backend interface
     # ------------------------------------------------------------------
-    @property
-    def words(self) -> np.ndarray:
-        return self._words
-
     @property
     def cache_evictions(self) -> int:
         return super().cache_evictions + sum(
@@ -259,24 +231,17 @@ class PooledBackend(BilledBackend):
         shard is quarantined and its work replayed bit-identically on a
         fresh replacement worker.
         """
-        overlay = plan.overlay_for(self._words, self.config)
         self._fault_plan = plan
-        self._pool_overlay = overlay
         self._resilient = bool(plan.worker_failures)
-        return overlay
+        return super().install_faults(plan)
 
     def fault_counters(self) -> Dict[str, int]:
-        counters: Dict[str, int] = {}
-        if self._pool_overlay is not None:
-            counters.update(self._pool_overlay.counters)
+        counters = super().fault_counters()
         for kind, count in self._fault_counters.items():
             if count:
                 counters[kind] = count
         if self._quarantined:
             counters["quarantined_shards"] = len(self._quarantined)
-        if self._verify_checks:
-            counters["verify_checks"] = self._verify_checks
-            counters["verify_detected"] = self._verify_detected
         return counters
 
     @property
@@ -287,9 +252,7 @@ class PooledBackend(BilledBackend):
     def execute(self, instr: Instruction) -> Optional[int]:
         delta = self._eager_delta(instr)
         result = self._dispatch(instr)
-        self._stats.merge(delta)
-        if self._pool_overlay is not None:
-            self._pool_overlay.tick()
+        self._settle(delta)
         return result
 
     def compile(
@@ -300,18 +263,13 @@ class PooledBackend(BilledBackend):
     ) -> PooledProgram:
         """Compile a stream: price it against the full geometry, then cut
         it at bridge moves and compile each segment per worker shard."""
-        instrs = tuple(instructions)
-        micro = self.lowering.compile(list(instrs), name=name, optimize=optimize)
-        delta = micro.bill(self.config).billed(self.move_cost)
+        return self._compile(instructions, name, optimize)
+
+    def _assemble(self, instrs, name, delta, source_ops, optimize):
         segments, response_site = self._partition(instrs, name, optimize)
         return PooledProgram(
-            segments,
-            name,
-            config_fingerprint(self.config),
-            delta,
-            macros=len(instrs),
-            source_ops=micro.source_ops,
-            response_site=response_site,
+            name, self._fingerprint, delta, len(instrs), source_ops,
+            segments, response_site,
         )
 
     def run_program(
@@ -329,55 +287,33 @@ class PooledBackend(BilledBackend):
                 )
                 if program.response_site == (index, k):
                     response = result
-        self._stats.merge(program.stats_delta)
-        if verify is not None:
-            # Whole-image granularity: the pool's shards share one word
-            # image, so one CRC over it brackets the post-replay fault
-            # window (region-precise checksums live in the single-device
-            # drivers; the pool only needs corruption *detection*).
-            self._verify_checks += 1
-            before = image_checksum(self._words)
-            if self._pool_overlay is not None:
-                self._pool_overlay.tick()
-            if image_checksum(self._words) != before:
-                self._verify_detected += 1
-                raise ChecksumError(program.name, None)
-        elif self._pool_overlay is not None:
-            self._pool_overlay.tick()
+        # Whole-image granularity (no regions): the shards share one word
+        # image, so one CRC over it brackets the post-replay fault window
+        # (region-precise checksums live in the single-device backends;
+        # the pool only needs corruption *detection*).
+        self._settle(program.stats_delta, verify, None, program.name)
         return response
 
     def run_stream(
         self, instructions: Sequence[Instruction], name: str = "stream"
     ) -> Optional[int]:
-        """Emit a whole stream through one cached :class:`PooledProgram`."""
-        instrs = MacroStream.wrap(instructions)
-        if not instrs:
-            return None
-        key = (instrs, name)
-        program = self._stream_programs.get(key)
-        if program is None:
-            program = self.compile(instrs, name=name, optimize=False)
-            if len(self._stream_programs) < 4096:
-                self._stream_programs[key] = program
-        self._emit_counters["stream"] += 1
-        return self.run_program(program)
+        """Emit a whole stream through one cached :class:`PooledProgram`,
+        priced by bills: each shard replays its own stream program."""
+        return self._run_stream(instructions, name)
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
     def _dispatch(self, instr: Instruction) -> Optional[int]:
-        if isinstance(instr, ReadInstr):
-            k = instr.warp // self.shard
-            local = replace(instr, warp=instr.warp - k * self.shard)
-            return self._run_shard(
-                k, lambda w, local=local: w.execute(local), instr
-            )
         if isinstance(instr, MoveInstr) and instr.warp_dist:
             self._bridge_move(instr)
             return None
+        response: Optional[int] = None
         for k, local in self._localize(instr):
-            self._run_shard(k, lambda w, local=local: w.execute(local), instr)
-        return None
+            response = self._run_shard(
+                k, lambda w, local=local: w.execute(local), instr
+            )
+        return response
 
     # ------------------------------------------------------------------
     # Shard fault handling: injection, quarantine, failover
@@ -409,7 +345,7 @@ class PooledBackend(BilledBackend):
             if snapshot is not None:
                 return self._failover(k, snapshot, thunk, what, exc)
             raise ShardError(
-                k, (lo, lo + self.shard - 1), self._context(what), exc
+                k, (lo, lo + self.shard - 1), str(what), exc
             ) from exc
 
     def _maybe_inject(
@@ -436,9 +372,7 @@ class PooledBackend(BilledBackend):
     def _failover(self, k, snapshot, thunk, what, cause) -> Optional[int]:
         lo = k * self.shard
         self._quarantined.append((k, self.workers[k]))
-        self.workers[k] = self._worker_cls(
-            self._sub_config, move_cost=self.move_cost, **self._worker_kwargs
-        )
+        self.workers[k] = self._spawn_worker()
         self._set_worker_words(k, self._words[lo : lo + self.shard])
         self._words[lo : lo + self.shard] = snapshot
         self._fault_counters["failovers"] += 1
@@ -448,16 +382,18 @@ class PooledBackend(BilledBackend):
             raise
         except Exception as exc:
             raise ShardError(
-                k, (lo, lo + self.shard - 1), self._context(what), exc
+                k, (lo, lo + self.shard - 1), str(what), exc
             ) from exc
 
-    @staticmethod
-    def _context(what) -> str:
-        return what if isinstance(what, str) else repr(what)
-
     def _localize(self, instr: Instruction):
-        """Split a warp-masked instruction across the shards it touches."""
-        mask = instr.warp_mask or RangeMask.all(self.config.crossbars)
+        """An instruction as the ``(shard, shard-local instruction)`` pairs
+        it reaches: a read on the shard owning its warp, anything
+        warp-masked split across the shards its written warps touch."""
+        if isinstance(instr, ReadInstr):
+            k = instr.warp // self.shard
+            yield k, replace(instr, warp=instr.warp - k * self.shard)
+            return
+        _, mask, _ = written_region(instr, self.config)
         for k in range(len(self.workers)):
             lo = k * self.shard
             local = shard_mask(mask, lo, lo + self.shard - 1)
@@ -468,9 +404,10 @@ class PooledBackend(BilledBackend):
         """Execute an inter-warp move over the shared word image.
 
         The H-tree pattern was already validated against the full
-        geometry by the canonical accounting (strict walk), which runs
-        before any mutation — so by the time a bridge executes, the move
-        is known legal and reduces to an exact word copy.  To stay
+        geometry when the move was priced (``_instr_delta`` walks its
+        lowering once; ``compile`` walks the lowered program), which
+        happens before any mutation — so by the time a bridge executes,
+        the move is known legal and reduces to an exact word copy.  To stay
         bit-identical with the single-device memory image, the staging
         residue of the lowering is reproduced too: the H-tree lands the
         word in ``stage1`` of the destination warps and the NOT pair
@@ -486,26 +423,26 @@ class PooledBackend(BilledBackend):
         self._words[dests, instr.dst_reg, instr.dst_thread] = value
 
     def _partition(
-        self, instrs: Tuple[Instruction, ...], name: str, optimize: bool
+        self, instrs: Tuple[Instruction, ...], name: str, optimize: Optional[bool]
     ):
-        """Cut a stream at bridges; compile each segment per shard."""
+        """Cut a stream at bridges; each shard's part of a segment is that
+        worker's own program: compiled under ``optimize``, or (``None``)
+        its stream program, which a numpy worker prices without lowering."""
         segments: List[_Segment] = []
         pending: List[List[Instruction]] = [[] for _ in self.workers]
         pending_read: Optional[int] = None
         response_site: Optional[Tuple[int, int]] = None
 
+        def shard_program(k: int, sub: List[Instruction], sub_name: str):
+            if optimize is None:
+                return self.workers[k]._stream_program(sub, sub_name)
+            return self.workers[k].compile(sub, name=sub_name, optimize=optimize)
+
         def flush() -> None:
             nonlocal pending, pending_read, response_site
             if any(pending):
                 programs = tuple(
-                    (
-                        k,
-                        self.workers[k].compile(
-                            sub,
-                            name=f"{name}#s{len(segments)}w{k}",
-                            optimize=optimize,
-                        ),
-                    )
+                    (k, shard_program(k, sub, f"{name}#s{len(segments)}w{k}"))
                     for k, sub in enumerate(pending)
                     if sub
                 )
@@ -519,14 +456,10 @@ class PooledBackend(BilledBackend):
             if isinstance(instr, MoveInstr) and instr.warp_dist:
                 flush()
                 segments.append(_Segment("bridge", instr=instr))
-            elif isinstance(instr, ReadInstr):
-                k = instr.warp // self.shard
-                pending[k].append(
-                    replace(instr, warp=instr.warp - k * self.shard)
-                )
-                pending_read = k
             else:
                 for k, local in self._localize(instr):
                     pending[k].append(local)
+                    if isinstance(instr, ReadInstr):
+                        pending_read = k
         flush()
         return tuple(segments), response_site

@@ -512,7 +512,7 @@ class CompiledWorkload:
     def __init__(
         self,
         fn: Callable,
-        opt_level: Optional[int] = None,
+        opt_level: int = 0,
         name: Optional[str] = None,
     ):
         self.fn = fn

@@ -40,9 +40,30 @@ from repro.sim.stats import SimStats
 class SimulationError(Exception):
     """Raised when a micro-operation is invalid for the current state."""
 
+    #: On errors :func:`accounting_walk` raises: the bill of the ops before
+    #: the refused one (what a chip fed op by op has run by then).
+    prefix: Optional[SimStats] = None
+
 
 _GATE_KEYS_H = {gate: f"logic_h_{gate.name.lower()}" for gate in GateType}
 _GATE_KEYS_V = {gate: f"logic_v_{gate.name.lower()}" for gate in GateType}
+
+
+def _check_row(config: PIMConfig, row: int) -> None:
+    if not 0 <= row < config.rows:
+        raise SimulationError(f"row {row} out of range")
+
+
+def checked_move_cycles(
+    xb: RangeMask, dist: int, crossbars: int, move_cost: str = "unit"
+) -> int:
+    """The cycles of an H-tree move the chip accepts under ``move_cost``;
+    a pattern it refuses raises :class:`SimulationError`."""
+    try:
+        validate_move_pattern(xb, dist, crossbars)
+    except ValueError as exc:
+        raise SimulationError(str(exc)) from exc
+    return max(1, move_cycles(xb, dist, crossbars)) if move_cost == "htree" else 1
 
 
 def accounting_walk(
@@ -58,8 +79,9 @@ def accounting_walk(
     running them: mask state is tracked as the chip would track it
     (``xb`` / ``row`` default to a fresh chip's all-selected masks),
     horizontal gates scale with the active rows, and an op the chip
-    would refuse (mask range, H-tree pattern, read shape) raises
-    :class:`SimulationError` like live execution. A compiled program is
+    would refuse (mask range, row range, H-tree pattern, read shape)
+    raises :class:`SimulationError` like live execution, carrying the
+    bill of the ops before it (``prefix``). A compiled program is
     walked once (:meth:`repro.driver.program.MicroProgram.bill`).
     """
     delta = SimStats()
@@ -71,53 +93,58 @@ def accounting_walk(
     lanes = len(xb) * len(row)
     h_counts = dict.fromkeys(GateType, 0)
     h_gates = 0
-    for op in ops:
-        if isinstance(op, LogicHOp):
-            h_counts[op.gate] += 1
-            h_gates += lanes * _pattern_mask(
-                op.gate, op.p_a, op.p_b, op.p_out, op.p_end, op.p_step,
-                config.partitions,
-            )[1]
-        elif isinstance(op, CrossbarMaskOp):
-            if op.stop >= config.crossbars:
-                raise SimulationError("crossbar mask out of range")
-            xb = RangeMask(op.start, op.stop, op.step)
-            lanes = len(xb) * len(row)
-            delta.record("mask_crossbar")
-        elif isinstance(op, RowMaskOp):
-            if op.stop >= config.rows:
-                raise SimulationError("row mask out of range")
-            row = RangeMask(op.start, op.stop, op.step)
-            lanes = len(xb) * len(row)
-            delta.record("mask_row")
-        elif isinstance(op, LogicVOp):
-            delta.record(_GATE_KEYS_V[op.gate], gates=config.partitions * len(xb))
-        elif isinstance(op, MoveOp):
-            try:
-                validate_move_pattern(xb, op.dist, config.crossbars)
-            except ValueError as exc:
-                raise SimulationError(str(exc)) from exc
-            if move_cost == "htree":
-                cycles = max(1, move_cycles(xb, op.dist, config.crossbars))
-                delta.htree_hop_cycles += cycles - 1
-            else:
-                cycles = 1
-            delta.record("move", cycles=cycles)
-        elif isinstance(op, ReadOp):
-            if len(xb) != 1 or len(row) != 1:
-                raise SimulationError(
-                    "read requires masks selecting a single row of a single crossbar"
+    try:
+        for op in ops:
+            if isinstance(op, LogicHOp):
+                h_counts[op.gate] += 1
+                h_gates += lanes * _pattern_mask(
+                    op.gate, op.p_a, op.p_b, op.p_out, op.p_end, op.p_step,
+                    config.partitions,
+                )[1]
+            elif isinstance(op, CrossbarMaskOp):
+                if op.stop >= config.crossbars:
+                    raise SimulationError("crossbar mask out of range")
+                xb = RangeMask(op.start, op.stop, op.step)
+                lanes = len(xb) * len(row)
+                delta.record("mask_crossbar")
+            elif isinstance(op, RowMaskOp):
+                if op.stop >= config.rows:
+                    raise SimulationError("row mask out of range")
+                row = RangeMask(op.start, op.stop, op.step)
+                lanes = len(xb) * len(row)
+                delta.record("mask_row")
+            elif isinstance(op, LogicVOp):
+                _check_row(config, op.out_row)
+                if op.gate == GateType.NOT:
+                    _check_row(config, op.in_row)
+                delta.record(
+                    _GATE_KEYS_V[op.gate], gates=config.partitions * len(xb)
                 )
-            delta.record("read")
-        elif isinstance(op, WriteOp):
-            delta.record("write")
-        else:
-            raise SimulationError(f"unknown micro-operation {op!r}")
-    delta.merge(SimStats(
-        {_GATE_KEYS_H[gate]: n for gate, n in h_counts.items() if n},
-        cycles=sum(h_counts.values()),
-        gates_executed=h_gates,
-    ))
+            elif isinstance(op, MoveOp):
+                _check_row(config, op.src_row)
+                _check_row(config, op.dst_row)
+                cycles = checked_move_cycles(xb, op.dist, config.crossbars, move_cost)
+                delta.htree_hop_cycles += cycles - 1
+                delta.record("move", cycles=cycles)
+            elif isinstance(op, ReadOp):
+                if len(xb) != 1 or len(row) != 1:
+                    raise SimulationError(
+                        "read requires masks selecting a single row of a single crossbar"
+                    )
+                delta.record("read")
+            elif isinstance(op, WriteOp):
+                delta.record("write")
+            else:
+                raise SimulationError(f"unknown micro-operation {op!r}")
+    except SimulationError as refusal:
+        refusal.prefix = delta
+        raise
+    finally:
+        delta.merge(SimStats(
+            {_GATE_KEYS_H[gate]: n for gate, n in h_counts.items() if n},
+            cycles=sum(h_counts.values()),
+            gates_executed=h_gates,
+        ))
     return delta
 
 
@@ -351,10 +378,6 @@ class Simulator:
         if not 0 <= index < self.config.registers:
             raise SimulationError(f"intra-row index {index} out of range")
 
-    def _check_row(self, row: int) -> None:
-        if not 0 <= row < self.config.rows:
-            raise SimulationError(f"row {row} out of range")
-
     def _reg_region(self, reg: int) -> np.ndarray:
         """Masked (crossbars, rows) view of one register's words."""
         return self.memory.region(self._xb_mask, reg, self._row_mask)
@@ -428,7 +451,7 @@ class Simulator:
 
     def _exec_logic_v(self, op: LogicVOp) -> None:
         self._check_index(op.index)
-        self._check_row(op.out_row)
+        _check_row(self.config, op.out_row)
         xm = self._xb_mask
         column = self.memory.words[
             xm.start : xm.stop + 1 : xm.step, op.index, :
@@ -438,7 +461,7 @@ class Simulator:
         elif op.gate == GateType.INIT0:
             column[:, op.out_row] = 0
         else:  # NOT
-            self._check_row(op.in_row)
+            _check_row(self.config, op.in_row)
             column[:, op.out_row] &= ~column[:, op.in_row]
         active = len(xm)
         self.stats.record(_GATE_KEYS_V[op.gate], gates=self.config.partitions * active)
@@ -447,19 +470,14 @@ class Simulator:
         cfg = self.config
         self._check_index(op.src_index)
         self._check_index(op.dst_index)
-        self._check_row(op.src_row)
-        self._check_row(op.dst_row)
-        try:
-            validate_move_pattern(self._xb_mask, op.dist, cfg.crossbars)
-        except ValueError as exc:
-            raise SimulationError(str(exc)) from exc
+        _check_row(self.config, op.src_row)
+        _check_row(self.config, op.dst_row)
+        cycles = checked_move_cycles(
+            self._xb_mask, op.dist, cfg.crossbars, self.move_cost
+        )
         sources = np.fromiter(self._xb_mask.indices(), dtype=np.int64)
         self.memory.words[sources + op.dist, op.dst_index, op.dst_row] = (
             self.memory.words[sources, op.src_index, op.src_row]
         )
-        if self.move_cost == "htree":
-            cycles = max(1, move_cycles(self._xb_mask, op.dist, cfg.crossbars))
-            self.stats.htree_hop_cycles += cycles - 1
-        else:
-            cycles = 1
+        self.stats.htree_hop_cycles += cycles - 1
         self.stats.record("move", cycles=cycles)

@@ -199,8 +199,11 @@ class TestProgramBill:
                                      warp_mask=RangeMask(0, 7, 1)))
         with pytest.raises(SimulationError, match="source and destination"):
             driver.instr_bill(MoveInstr(0, 1, 0, 0, RangeMask(0, 1, 1), 1))
-        with pytest.raises(SimulationError, match="row mask out of range"):
+        # Refused where the chip refuses it: at the vertical gate into
+        # row 99, two ops before the row mask that names it.
+        with pytest.raises(SimulationError, match="row 99 out of range") as info:
             driver.instr_bill(MoveInstr(0, 1, 0, 99, RangeMask(0, 0, 1), 0))
+        assert info.value.prefix.cycles == 4  # what ran before the refusal
 
     def test_self_masked_is_structural(self):
         gate = LogicHOp(GateType.INIT1, 0, 0, 3, 0, 0, 0, 31, 1)

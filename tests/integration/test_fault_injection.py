@@ -56,15 +56,12 @@ def _arrays(seed=7):
     )
 
 
-def _target_cells(fn_handle, limit=5, device=None):
+def _target_cells(fn_handle, limit=5):
     """Pick up to ``limit`` distinct written cells of a captured program."""
     entry = next(iter(fn_handle._cache.values()))
-    if hasattr(entry.program, "ops"):
-        regions = program_regions(entry.program, CFG)
-    else:
-        # Functional programs carry macro instructions, not micro-ops;
-        # the numpy backend derives its own (architectural) regions.
-        regions = device.backend._program_regions(entry.program)
+    # Micro-op regions of a MicroProgram; a functional program's
+    # (architectural) regions come from its macro instructions.
+    regions = program_regions(entry.program, CFG)
     cells = []
     for reg, (xs, xe, xstep), (rs, re_, rstep) in regions:
         for xb in range(xs, xe + 1, xstep):
@@ -89,7 +86,7 @@ class TestChecksumDetection:
             )
             before = handle.fault_retries
             for index, (xb, reg, row) in enumerate(
-                _target_cells(handle, device=device)
+                _target_cells(handle)
             ):
                 # Fresh plan per injection: the overlay restarts at tick
                 # 0, so the flip lands inside the next verify window.
@@ -117,7 +114,7 @@ class TestChecksumDetection:
         handle = pim.compile(lambda a, b: (a + b) * b, verify="checksum")
         a, b = _arrays(int(rng.integers(1, 2**20)))
         golden = pim.to_numpy(handle(pim.from_numpy(a), pim.from_numpy(b)))
-        cells = _target_cells(handle, limit=64, device=device)
+        cells = _target_cells(handle, limit=64)
         before = handle.fault_retries
         for _ in range(8):
             xb, reg, row = cells[int(rng.integers(0, len(cells)))]
@@ -145,6 +142,59 @@ class TestChecksumDetection:
         out = pim.to_numpy(handle(pim.from_numpy(a), pim.from_numpy(b)))
         np.testing.assert_array_equal(out, golden)
         assert handle.fault_retries == 0
+
+    @pytest.mark.parametrize("route", ["driver", "numpy", "pooled"])
+    def test_one_window_behind_every_run_program(self, route):
+        """``Driver.run_program``, ``NumpyBackend.run_program`` and
+        ``PooledBackend.run_program`` all close a verified replay with
+        :func:`repro.faults.checksum.verify_window`: same counters, same
+        error, region-precise on a single device and whole-image on the
+        pool."""
+        from repro.backend import NumpyBackend, SimulatorBackend
+        from repro.isa.dtypes import int32
+        from repro.isa.instructions import RInstr, ROp, WriteInstr
+        from repro.pool import PooledBackend
+
+        backend = {
+            "driver": lambda: SimulatorBackend(CFG),
+            "numpy": lambda: NumpyBackend(CFG),
+            "pooled": lambda: PooledBackend(CFG, workers=2, worker_backend="numpy"),
+        }[route]()
+        runner = backend.driver if route == "driver" else backend
+        program = backend.compile(
+            [WriteInstr(1, 5), RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1)],
+            name="windowed",
+        )
+        regional = route != "pooled"
+
+        # No overlay installed: the window is empty, the check still counts.
+        runner.run_program(program, verify="checksum")
+        assert backend.fault_counters() == {"verify_checks": 1}
+
+        # A flip outside the written regions (register 5 is never
+        # touched): silent where regions are checked, caught by the
+        # pool's whole-image CRC.
+        backend.install_faults(FaultPlan(CFG, seed=0, flips=[(1, 0, 5, 0, 0)]))
+        if regional:
+            runner.run_program(program, verify="checksum")
+        else:
+            with pytest.raises(ChecksumError) as info:
+                runner.run_program(program, verify="checksum")
+            assert info.value.regions is None
+        counters = backend.fault_counters()
+        assert counters["flips"] == 1 and counters["verify_checks"] == 2
+        assert counters.get("verify_detected", 0) == (0 if regional else 1)
+
+        # A flip inside the destination register: caught everywhere, and
+        # named where regions are checked.
+        backend.install_faults(FaultPlan(CFG, seed=0, flips=[(1, 3, 2, 7, 4)]))
+        with pytest.raises(ChecksumError, match="windowed") as info:
+            runner.run_program(program, verify="checksum")
+        if regional:
+            assert [region[0] for region in info.value.regions] == [2]
+        after = backend.fault_counters()
+        assert after["verify_checks"] == 3
+        assert after["verify_detected"] == counters.get("verify_detected", 0) + 1
 
     def test_checksum_counters_surface(self):
         device = pim.init(config=CFG, backend="simulator")

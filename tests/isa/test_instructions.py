@@ -1,7 +1,9 @@
 """Tests for macro-instruction definitions and validation."""
 
+import numpy as np
 import pytest
 
+from repro.arch.config import small_config
 from repro.arch.masks import RangeMask
 from repro.isa.dtypes import float32, int32
 from repro.isa.instructions import (
@@ -13,7 +15,10 @@ from repro.isa.instructions import (
     ROp,
     WriteInstr,
     validate,
+    written_region,
 )
+from repro.pim.optimizer import _accesses
+from tests.pim.test_bulk_move import SEEDS, _fuzz_streams
 
 REGS = 32
 
@@ -90,3 +95,48 @@ class TestValidation:
             WriteInstr(3, 7, warp_mask=RangeMask(0, 2, 1), row_mask=RangeMask.single(4)),
             REGS,
         )
+
+
+class TestWrittenRegion:
+    CFG = small_config(crossbars=8, rows=4)
+
+    def test_masks_default_to_the_whole_axis(self):
+        add = RInstr(ROp.ADD, int32, dest=3, src_a=1, src_b=2)
+        assert written_region(add, self.CFG) == (
+            3, RangeMask.all(8), RangeMask.all(4)
+        )
+        write = WriteInstr(5, 7, RangeMask(0, 6, 2), RangeMask.single(1))
+        assert written_region(write, self.CFG) == (
+            5, RangeMask(0, 6, 2), RangeMask.single(1)
+        )
+
+    def test_a_move_writes_one_thread_of_the_shifted_warps(self):
+        move = MoveInstr(0, 1, 2, 3, RangeMask(0, 3, 1), 4)
+        assert written_region(move, self.CFG) == (
+            1, RangeMask(4, 7, 1), RangeMask.single(3)
+        )
+
+    def test_a_read_writes_nothing(self):
+        assert written_region(ReadInstr(0, 0, 5), self.CFG) is None
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_agrees_with_the_optimizer_footprint_on_the_fuzz_corpus(self, seed):
+        """One footprint, two representations: the range triple expands to
+        exactly the boolean cells the optimizer's dataflow analysis marks
+        written, on every instruction of both fuzz corpora."""
+        checked = 0
+        for config, stream in _fuzz_streams(seed):
+            cache: dict = {}
+            for instr in stream:
+                writes, _ = _accesses(instr, config, cache)
+                region = written_region(instr, config)
+                if region is None:
+                    assert writes == []
+                    continue
+                (reg, cells), = writes
+                expected = np.zeros((config.crossbars, config.rows), dtype=bool)
+                expected[np.ix_(list(region[1].indices()),
+                                list(region[2].indices()))] = True
+                assert reg == region[0] and np.array_equal(cells, expected), instr
+                checked += 1
+        assert checked > 20

@@ -9,6 +9,7 @@ cells (everything outside the declared dead-temporary set) bit-identical.
 import numpy as np
 import pytest
 
+import repro.pim as pim
 from repro.arch.config import small_config
 from repro.arch.masks import RangeMask
 from repro.driver.driver import Driver
@@ -66,17 +67,19 @@ def rop(op, dest, a, b=None, c=None, dtype=int32, warps=FULL_W, rows=FULL_R):
 
 
 class TestResolveOptLevel:
-    def test_legacy_flag_mapping(self):
-        assert resolve_opt_level(False, None) == 0
-        assert resolve_opt_level(True, None) == 1
+    def test_default_is_verbatim(self):
+        assert resolve_opt_level() == 0
 
-    def test_explicit_level_wins(self):
-        assert resolve_opt_level(False, 3) == 3
-        assert resolve_opt_level(True, 0) == 0
+    def test_accepts_every_level(self):
+        assert [resolve_opt_level(level) for level in OPT_LEVELS] == [0, 1, 2, 3]
 
     def test_rejects_unknown_levels(self):
         with pytest.raises(ValueError, match="opt_level"):
-            resolve_opt_level(False, 7)
+            resolve_opt_level(7)
+
+    def test_optimize_alias_is_gone(self):
+        with pytest.raises(TypeError):
+            pim.compile(lambda a: a, optimize=True)
 
     def test_levels_are_contiguous(self):
         assert OPT_LEVELS == (0, 1, 2, 3)

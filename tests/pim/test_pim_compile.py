@@ -298,7 +298,7 @@ class TestOptimizedLowering:
         pim.reset()
 
         device, x, y = _setup()
-        func = pim.compile(fig12, optimize=True)
+        func = pim.compile(fig12, opt_level=1)
         assert func(x, y) == expected  # capture (eager, full cycles)
         before = device.stats_snapshot()
         assert func(x, y) == expected  # optimized replay
@@ -845,8 +845,8 @@ class TestTraceSession:
         device, x, y = _setup()
         with pim.trace() as session:
             _ = x * y + x
-        raw = session.lower(optimize=False)
-        tight = session.lower(optimize=True)
+        raw = session.lower(opt_level=0)
+        tight = session.lower(opt_level=1)
         assert len(tight) < len(raw)
 
     def test_trace_lower_opt_level_with_kept_reads(self):

@@ -28,6 +28,8 @@ from repro.isa.instructions import (
 from repro.faults import ShardError
 from repro.pool import PooledBackend
 from repro.pool.backend import shard_mask
+from tests.driver.test_stream_emission import CFG as STREAM_CFG, random_stream
+from tests.integration.test_differential_fuzz import _seeds
 
 
 CFG = small_config(crossbars=8, rows=8)
@@ -87,7 +89,7 @@ class TestConstruction:
         pool = PooledBackend(CFG, workers=4)
         assert pool.words.shape == (8, CFG.registers, CFG.rows)
         for k in range(4):
-            view = pool._worker_words(k)
+            view = pool.workers[k].words
             assert view.base is pool.words or view.base is pool.words.base
             assert view.shape[0] == 2
 
@@ -210,6 +212,56 @@ class TestCompiledPath:
         first = dict(pool.emit_counters())
         pool.run_stream(instrs, name="s")
         assert pool.emit_counters()["stream"] == first["stream"] + 1
+
+
+    @pytest.mark.parametrize("worker_backend", ["numpy", "simulator"])
+    def test_streams_are_priced_by_bills_not_lowered(self, worker_backend, tmp_path):
+        """A stream with bridges and reads matches the single device and
+        leaves no fused program behind: not in the pool's lowering
+        driver, not in a numpy worker's, not in ``cache_dir``."""
+        single = SimulatorBackend(CFG)
+        pool = PooledBackend(CFG, workers=2, worker_backend=worker_backend,
+                             cache_dir=str(tmp_path))
+        instrs = _program() + [ReadInstr(5, 2, 5)]
+        for _ in range(2):
+            assert pool.run_stream(instrs, name="s") == \
+                single.run_stream(instrs, name="s")
+        assert pool.stats == single.stats
+        # Registers 0..6 are the program's; a numpy worker skips scratch.
+        registers = slice(None) if worker_backend == "simulator" else slice(0, 7)
+        assert np.array_equal(pool.words[:, registers], single.words[:, registers])
+
+        assert len(pool.lowering.streams) == 0
+        if worker_backend == "numpy":
+            drivers = [pool.lowering] + [w.lowering for w in pool.workers]
+            assert all(len(driver.streams) == 0 for driver in drivers)
+            # Every entry written to cache_dir is an R-type body: each
+            # body a driver holds was stored by it or loaded from a twin.
+            counters = pool.persist_counters()
+            bodies = sum(len(driver.programs) for driver in drivers)
+            assert counters["stores"] > 0
+            assert counters["stores"] + counters.get("loads", 0) == bodies
+
+
+    @pytest.mark.parametrize("worker_backend", ["numpy", "simulator"])
+    @pytest.mark.parametrize("seed", _seeds())
+    def test_random_streams_match_the_single_device(self, seed, worker_backend):
+        """The stream-conformance corpus (every instruction family, reads
+        in the stream, all three move shapes) through ``run_stream``."""
+        stream = random_stream(seed)
+        single = SimulatorBackend(STREAM_CFG)
+        pool = PooledBackend(STREAM_CFG, workers=2, worker_backend=worker_backend)
+        for _ in range(2):
+            assert pool.run_stream(stream) == single.run_stream(stream), seed
+        assert pool.stats == single.stats, seed
+        registers = (
+            STREAM_CFG.registers if worker_backend == "simulator"
+            else STREAM_CFG.user_registers
+        )
+        assert np.array_equal(
+            pool.words[:, :registers], single.words[:, :registers]
+        ), seed
+        assert len(pool.lowering.streams) == 0
 
 
 class TestCounters:

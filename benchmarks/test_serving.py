@@ -125,9 +125,35 @@ def _compile_session(cache_dir):
     return elapsed, programs, driver
 
 
+def _compiled_session(cache_dir):
+    """One fresh compiled session (the shape ``bench``'s ``session_warm``
+    times): new device on ``cache_dir``, O3 compile, two calls."""
+    import repro.pim as pim
+
+    config = small_config(crossbars=4, rows=16)
+    device = pim.PIMDevice(config, backend="simulator", cache_dir=str(cache_dir))
+    rng = np.random.default_rng(3)
+    x, y = (
+        pim.from_numpy(rng.uniform(0.5, 2.0, 64).astype(np.float32), device=device)
+        for _ in range(2)
+    )
+    func = pim.CompiledFunction(
+        lambda a, b: (a * b + a, (a * b - a).sum()), device=device, opt_level=3
+    )
+    results = []
+    for _ in range(2):
+        pred, total = func(x, y)
+        results.append((pred.to_numpy().copy(), total))
+    info = func.replay_info(x, y)
+    program = func._entry_for((x, y)).program
+    device.close()
+    return results, info, program
+
+
 def test_warm_start_skips_gate_build(tmp_path, monkeypatch):
-    """A warm cache_dir skips the gate build and the billing walk: exact
-    counts gate; the wall-clock share that skips is only reported."""
+    """A warm cache_dir skips the gate build and the billing walk, and a
+    warm compiled session never turns a gate word back into an object:
+    exact counts gate; the wall-clock share that skips is only reported."""
     from repro.driver.gates import GateBuilder
     from repro.sim import simulator
 
@@ -167,6 +193,36 @@ def test_warm_start_skips_gate_build(tmp_path, monkeypatch):
         assert warm_program.bill(config) == cold_program.bill(config)
         assert warm_program.ops == cold_program.ops
     assert calls["accounting_walk"] == 0, "the bill came with the entry"
+
+    # The program's words are the replay plan: over a populated cache_dir
+    # both calls of a compiled session build no LogicHOp, decode only the
+    # non-gate words, and leave the restored program undecoded.
+    from repro.arch import micro_ops
+    from repro.driver import program as program_module
+
+    cold_results, cold_info, _ = _compiled_session(tmp_path / "session")
+    built, decoded = [], []
+    monkeypatch.setattr(
+        micro_ops.LogicHOp, "__post_init__", lambda self: built.append(self)
+    )
+    monkeypatch.setattr(
+        program_module, "decode_many",
+        lambda words, *args: decoded.append(words)
+        or micro_ops.decode_many(words, *args),
+    )
+    warm_results, info, program = _compiled_session(tmp_path / "session")
+    for (cold_pred, cold_total), (pred, total) in zip(cold_results, warm_results):
+        assert np.array_equal(cold_pred, pred) and cold_total == total
+    assert info["engine"] == "vectorized" and program._ops is None
+    assert {key: info[key] for key in info if key != "plan_build_ms"} == {
+        key: cold_info[key] for key in cold_info if key != "plan_build_ms"
+    }, "the plan of the restored words is the plan of the compiled ops"
+    assert not built, "a warm session constructs no LogicHOp"
+    assert not any(micro_ops.is_logic_h(words).any() for words in decoded)
+    words = program.encoded(program.config_fingerprint[4])
+    others = words[~micro_ops.is_logic_h(words)]
+    assert len(others) == info["fallback_ops"] < len(words) // 100
+    assert any(np.array_equal(words, others) for words in decoded)
 
     skipped = 1.0 - warm_s / cold_s
     _LINES.append(

@@ -206,6 +206,13 @@ _PART_FIELD = 6  # up to 64 partitions
 _GATE_FIELD = 2
 
 
+def _write_layout(word_size: int) -> "tuple[tuple[str, int], ...]":
+    """The WRITE payload: the value field is the word size, capped by what
+    the 61 payload bits leave beside the index (a ``word_size=64`` chip's
+    operation word carries write values below ``2**54``)."""
+    return (("index", _IDX_FIELD), ("value", min(word_size, 61 - _IDX_FIELD)))
+
+
 def _pack(fields: "list[tuple[int, int]]", kind: _Kind) -> int:
     """Pack (value, width) fields LSB-first under a 3-bit kind tag."""
     word = 0
@@ -218,18 +225,6 @@ def _pack(fields: "list[tuple[int, int]]", kind: _Kind) -> int:
     if shift > 61:
         raise ValueError("payload exceeds 61 bits")
     return word | (int(kind) << 61)
-
-
-class _Unpacker:
-    """Sequential LSB-first field reader for a 64-bit operation word."""
-
-    def __init__(self, word: int) -> None:
-        self._word = word
-
-    def take(self, width: int) -> int:
-        value = self._word & ((1 << width) - 1)
-        self._word >>= width
-        return value
 
 
 def encode(op: MicroOp, word_size: int = 32) -> int:
@@ -252,7 +247,8 @@ def encode(op: MicroOp, word_size: int = 32) -> int:
     if isinstance(op, WriteOp):
         if op.value >= (1 << word_size):
             raise ValueError("write value exceeds word size")
-        return _pack([(op.index, _IDX_FIELD), (op.value, word_size)], _Kind.WRITE)
+        layout = _write_layout(word_size)
+        return _pack([(getattr(op, name), bits) for name, bits in layout], _Kind.WRITE)
     if isinstance(op, LogicHOp):
         return _pack(
             [
@@ -295,55 +291,9 @@ def encode(op: MicroOp, word_size: int = 32) -> int:
     raise TypeError(f"not a micro-operation: {op!r}")
 
 
-def decode(word: int, word_size: int = 32) -> MicroOp:
-    """Decode a 64-bit operation word back into a micro-operation."""
-    if not 0 <= word < (1 << 64):
-        raise ValueError("operation word must fit in 64 bits")
-    kind = _Kind((word >> 61) & 0b111)
-    u = _Unpacker(word & ((1 << 61) - 1))
-    if kind == _Kind.XB_MASK:
-        return CrossbarMaskOp(u.take(_XB_FIELD), u.take(_XB_FIELD), u.take(_XB_FIELD))
-    if kind == _Kind.ROW_MASK:
-        return RowMaskOp(u.take(_ROW_FIELD), u.take(_ROW_FIELD), u.take(_ROW_FIELD))
-    if kind == _Kind.READ:
-        return ReadOp(u.take(_IDX_FIELD))
-    if kind == _Kind.WRITE:
-        return WriteOp(u.take(_IDX_FIELD), u.take(word_size))
-    if kind == _Kind.LOGIC_H:
-        return LogicHOp(
-            GateType(u.take(_GATE_FIELD)),
-            u.take(_IDX_FIELD),
-            u.take(_IDX_FIELD),
-            u.take(_IDX_FIELD),
-            u.take(_PART_FIELD),
-            u.take(_PART_FIELD),
-            u.take(_PART_FIELD),
-            u.take(_PART_FIELD),
-            u.take(_PART_FIELD),
-        )
-    if kind == _Kind.LOGIC_V:
-        return LogicVOp(
-            GateType(u.take(_GATE_FIELD)),
-            u.take(_ROW_FIELD),
-            u.take(_ROW_FIELD),
-            u.take(_IDX_FIELD),
-        )
-    if kind == _Kind.MOVE:
-        magnitude = u.take(_XB_FIELD)
-        sign = u.take(1)
-        return MoveOp(
-            -magnitude if sign else magnitude,
-            u.take(_ROW_FIELD),
-            u.take(_ROW_FIELD),
-            u.take(_IDX_FIELD),
-            u.take(_IDX_FIELD),
-        )
-    raise ValueError(f"unknown operation kind {kind}")
-
-
 #: Payload layout per kind: the op class plus (field name, width) pairs,
-#: LSB-first (the WRITE value field width is the runtime ``word_size``,
-#: so it is filled in by :func:`decode_many`).
+#: LSB-first (the WRITE value field follows the runtime ``word_size``:
+#: :func:`_write_layout`).
 _LAYOUT = {
     _Kind.XB_MASK: (
         CrossbarMaskOp,
@@ -405,11 +355,9 @@ def encode_many(ops, word_size: int = 32):
         where = positions.pop(cls, None)
         if where is None:
             continue
-        layout = layout or (("index", _IDX_FIELD), ("value", word_size))
+        layout = layout or _write_layout(word_size)
         names = [name for name, _ in layout if name != "sign"]
         group = ops if len(where) == len(ops) else [ops[i] for i in where]
-        if sum(width for _, width in layout) > 61:
-            raise ValueError("payload exceeds 61 bits")
         fields = map(attrgetter(*names), group)
         try:
             matrix = np.fromiter(
@@ -440,18 +388,64 @@ def encode_many(ops, word_size: int = 32):
     return words
 
 
+def _field_columns(words, kind: _Kind, word_size: int = 32) -> dict:
+    """The payload fields of ``words`` (``np.uint64``, all of one ``kind``)
+    as ``{name: column}``, in layout order.
+
+    The one reader of :data:`_LAYOUT` and the one copy of the ops'
+    ``__post_init__`` invariants, batched: a rejected batch raises
+    exactly like the scalar constructor. Fields below 8 bits come back
+    as ``int8`` (differences of partition indices stay exact, and a
+    60k-op program's nine gate columns are half a megabyte).
+    """
+    import numpy as np
+
+    payload = words & np.uint64((1 << 61) - 1)
+    raw, shift = {}, 0
+    for name, width in _LAYOUT[kind][1] or _write_layout(word_size):
+        column = payload >> np.uint64(shift)
+        column &= np.uint64((1 << width) - 1)
+        raw[name] = column.astype(np.int8) if width < 8 else column
+        shift += width
+    if kind == _Kind.LOGIC_H:
+        if (raw["p_a"] > raw["p_b"]).any():
+            raise ValueError("encoding requires p_a <= p_b")
+        if (raw["p_step"] == 0).any():
+            raise ValueError("p_step must be positive")
+        if (raw["p_end"] < raw["p_out"]).any():
+            raise ValueError("p_end must be >= p_out")
+        if ((raw["p_end"] - raw["p_out"]) % raw["p_step"]).any():
+            raise ValueError("p_step must divide p_end - p_out")
+    elif kind == _Kind.LOGIC_V:
+        if (raw["gate"] == int(GateType.NOR)).any():
+            raise ValueError("vertical operations do not support NOR")
+    return raw
+
+
+def is_logic_h(words):
+    """Boolean column: which operation words are horizontal gates."""
+    import numpy as np
+
+    return (words >> np.uint64(61)) == np.uint64(_Kind.LOGIC_H)
+
+
+def logic_h_columns(words) -> dict:
+    """``{field: int8 column}`` of horizontal-gate words, every
+    :class:`LogicHOp` constructor invariant checked — what a replay plan
+    is built from instead of op objects."""
+    return _field_columns(words, _Kind.LOGIC_H)
+
+
 def decode_many(words, word_size: int = 32) -> "tuple[MicroOp, ...]":
     """Bulk :func:`decode`: one vectorized pass over many operation words.
 
     Semantically identical to ``tuple(decode(w) for w in words)`` but an
     order of magnitude faster on large programs: field extraction and the
     ``__post_init__`` invariant checks run as NumPy array operations over
-    the whole batch, objects are built by direct ``__dict__`` fill (the
-    per-field ``object.__setattr__`` dance of frozen dataclasses is the
-    dominant scalar cost), and duplicate words share one decoded object
-    (micro-ops are frozen, so sharing is safe).  This is the restore path
-    of the persistent program cache, where per-op Python decoding would
-    otherwise eat most of the warm-start win.
+    the whole batch (:func:`_field_columns`), objects are built by direct
+    ``__dict__`` fill (the per-field ``object.__setattr__`` dance of
+    frozen dataclasses is the dominant scalar cost), and duplicate words
+    share one decoded object (micro-ops are frozen, so sharing is safe).
     """
     import numpy as np
 
@@ -477,44 +471,15 @@ def decode_many(words, word_size: int = 32) -> "tuple[MicroOp, ...]":
     inverse = np.empty(len(arr), dtype=np.int64)
     inverse[order] = np.cumsum(fresh) - 1
     kinds = (unique >> np.uint64(61)).astype(np.int64)
-    payload = unique & np.uint64((1 << 61) - 1)
     gate_table = {int(gate): gate for gate in GateType}
     decoded: "list[MicroOp | None]" = [None] * len(unique)
 
     for kind_value in sorted(set(kinds.tolist())):
-        kind = _Kind(kind_value)  # raises on an unknown tag, like decode()
-        cls, layout = _LAYOUT[kind]
-        if layout is None:  # WRITE: the value width is the word size
-            layout = (("index", _IDX_FIELD), ("value", word_size))
+        kind = _Kind(kind_value)  # raises on an unknown tag
         positions = np.nonzero(kinds == kind_value)[0]
-        sub = payload[positions]
-        names = []
-        columns = []
-        shift = 0
-        for name, width in layout:
-            names.append(name)
-            columns.append(
-                (sub >> np.uint64(shift)) & np.uint64((1 << width) - 1)
-            )
-            shift += width
-        raw = dict(zip(names, columns))
-
-        # The batched equivalents of each op's __post_init__ invariants —
-        # a rejected batch raises exactly like the scalar constructor.
-        if kind == _Kind.LOGIC_H:
-            if (raw["p_a"] > raw["p_b"]).any():
-                raise ValueError("encoding requires p_a <= p_b")
-            if (raw["p_step"] == 0).any():
-                raise ValueError("p_step must be positive")
-            if (raw["p_end"] < raw["p_out"]).any():
-                raise ValueError("p_end must be >= p_out")
-            if ((raw["p_end"] - raw["p_out"]) % raw["p_step"]).any():
-                raise ValueError("p_step must divide p_end - p_out")
-        elif kind == _Kind.LOGIC_V:
-            if (raw["gate"] == int(GateType.NOR)).any():
-                raise ValueError("vertical operations do not support NOR")
-
-        columns = [column.tolist() for column in columns]
+        raw = _field_columns(unique[positions], kind, word_size)
+        names = list(raw)
+        columns = [column.tolist() for column in raw.values()]
         if "gate" in raw:
             columns[names.index("gate")] = [
                 gate_table[value] for value in columns[names.index("gate")]
@@ -528,6 +493,7 @@ def decode_many(words, word_size: int = 32) -> "tuple[MicroOp, ...]":
             ]
             del columns[sign_at], names[sign_at]
 
+        cls = _LAYOUT[kind][0]
         new = cls.__new__
         for position, values in zip(positions.tolist(), zip(*columns)):
             op = new(cls)
@@ -535,3 +501,8 @@ def decode_many(words, word_size: int = 32) -> "tuple[MicroOp, ...]":
             decoded[position] = op
 
     return tuple(map(decoded.__getitem__, inverse.tolist()))
+
+
+def decode(word: int, word_size: int = 32) -> MicroOp:
+    """Decode a 64-bit operation word back into a micro-operation."""
+    return decode_many([word], word_size)[0]

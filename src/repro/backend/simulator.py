@@ -20,6 +20,7 @@ from repro.backend.base import Backend
 from repro.driver.driver import Driver
 from repro.faults.checksum import fault_counters
 from repro.isa.instructions import Instruction
+from repro.sim.replay import GateRun
 from repro.sim.simulator import Simulator
 from repro.sim.stats import SimStats
 
@@ -101,13 +102,20 @@ class SimulatorBackend(Backend):
         a program whose carried bill holds from any mask state
         (``self_masked``) and whose gate runs are narrow enough for
         lanes to pay; everything else replays through the op-by-op
-        ``"reference"``. The remaining keys are the IR's
+        ``"reference"``. ``plan`` is the plan itself, summarized per gate
+        run (:meth:`repro.sim.replay.GateRun.summary`; ``None`` on the
+        reference route) and ``plan_build_ms`` what building it cost.
+        The remaining keys are the IR's
         :meth:`~repro.driver.program.MicroProgram.replay_summary`.
         """
         plan = self.simulator._plan(program)
         info = dict(program.replay_summary())
         info["engine"] = "reference" if plan.steps is None else "vectorized"
         info["self_masked"] = plan.static_stats is not None
+        info["plan"] = None if plan.steps is None else [
+            step.summary() for step in plan.steps if isinstance(step, GateRun)
+        ]
+        info["plan_build_ms"] = plan.build_ms
         return info
 
     # ------------------------------------------------------------------

@@ -214,7 +214,7 @@ def validate_ops(ops: Iterable[MicroOp], config: PIMConfig) -> int:
                     if not 0 <= row < rows:
                         raise ValueError(f"row {row} out of range")
                 # The crossbar-pattern restrictions depend on the mask in
-                # effect at replay time; checked there (see _plan_step).
+                # effect at replay time; checked there (the program's bill).
             else:
                 raise ValueError(f"unknown micro-operation {op!r}")
         except ValueError as exc:

@@ -33,10 +33,13 @@ above, the program metadata, the payload's word count and CRC-32, and
 the program's *bill* (:meth:`~repro.driver.program.MicroProgram.bill`),
 so a restored program is priced without being walked. A load checks
 header, length and checksum and wraps the payload with
-``np.frombuffer``: **no op object is built**. The program decodes its
-words (``decode_many``, re-running every op's constructor invariants)
-the first time something iterates ``.ops`` — a replay-plan build does; a
-body loaded only to price an instruction never does. Stores encode
+``np.frombuffer``: **no op object is built**. A replay plan is built
+from bit-field columns of those words (every gate word's constructor
+invariants checked as column operations; only the non-gate words, a
+fraction of a percent, are decoded), and a body loaded only to price an
+instruction is never read at all: the program decodes its words in full
+(``decode_many``) only if something iterates ``.ops`` — the op-by-op
+reference loop, checksum verification. Stores encode
 through :func:`~repro.arch.micro_ops.encode_many`. Cache keys are
 deterministic across processes because every key component has a
 value-based repr (enums, frozen dataclasses, strings, ints).

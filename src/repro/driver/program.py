@@ -41,7 +41,6 @@ import numpy as np
 from repro.arch.config import PIMConfig
 from repro.arch.micro_ops import (
     CrossbarMaskOp,
-    LogicHOp,
     LogicVOp,
     MicroOp,
     MoveOp,
@@ -49,6 +48,7 @@ from repro.arch.micro_ops import (
     RowMaskOp,
     decode_many,
     encode_many,
+    is_logic_h,
 )
 from repro.sim import simulator
 from repro.sim.stats import SimStats
@@ -61,23 +61,17 @@ ProgramKey = Hashable
 class SuperStep:
     """One segment of a program's super-step decomposition.
 
-    A ``"gates"`` segment is a maximal run of consecutive
-    :class:`~repro.arch.micro_ops.LogicHOp`\\ s whose crossbar and row
-    masks are *statically known* (both were set by earlier operations of
-    the same program — always true for self-masked fused streams); the
-    simulator's vectorized replay lowers each such run into a handful of
-    fused bulk updates over the packed memory image. Every other
-    operation — mask changes, reads, writes, vertical logic, H-tree
-    moves, and gates executing under caller-set masks — is its own
-    ``"op"`` segment.
-
-    Attributes:
-        kind: ``"gates"`` or ``"op"``.
-        start: index of the segment's first op in ``program.ops``.
-        stop: one past the segment's last op.
-        xb: the ``(start, stop, step)`` crossbar mask the segment runs
-            under (``None`` when unknown or irrelevant).
-        row: the ``(start, stop, step)`` row mask, likewise.
+    A ``"gates"`` segment is a maximal run of consecutive horizontal
+    gates whose crossbar and row masks are *statically known* (both set
+    by earlier operations of the same program — always true for
+    self-masked fused streams); vectorized replay lowers each such run
+    into one lane program. Every other operation — a mask change, read,
+    write, vertical gate or H-tree move — is its own ``"op"`` segment,
+    carrying the decoded ``op``; a stretch of gates under caller-set
+    masks is one ``"op"`` segment without (gate words are never decoded
+    here). ``start`` / ``stop`` index the program's ops; ``xb`` / ``row``
+    are the ``(start, stop, step)`` masks the segment runs under
+    (``None`` when unknown).
     """
 
     kind: str
@@ -85,40 +79,41 @@ class SuperStep:
     stop: int
     xb: Optional[Tuple[int, int, int]] = None
     row: Optional[Tuple[int, int, int]] = None
+    op: Optional[MicroOp] = None
 
     def __len__(self) -> int:
         return self.stop - self.start
 
 
-def segment_super_steps(ops: Tuple[MicroOp, ...]) -> Tuple[SuperStep, ...]:
-    """Slice an op stream into :class:`SuperStep` segments.
+def segment_super_steps(words: np.ndarray, word_size: int) -> Tuple[SuperStep, ...]:
+    """Slice a program's operation words into :class:`SuperStep` segments.
 
-    Purely structural (geometry-independent): mask state is tracked as
-    the triples the stream itself establishes, and gate runs are broken
-    at every mask/read/write/vertical/move boundary.
+    Purely structural (geometry-independent), and read off the words:
+    the kind column says which are horizontal gates, only the others —
+    a fraction of a percent of a fused stream — are decoded to objects
+    (``decode_many`` rejects an unknown kind tag or a bad field among
+    them), and mask state is tracked as the triples those establish.
+    Gate runs are the gaps between them.
     """
     segments: List[SuperStep] = []
     xb = row = None
-    run_start: Optional[int] = None
 
-    def close_run(end: int) -> None:
-        nonlocal run_start
-        if run_start is not None:
-            segments.append(SuperStep("gates", run_start, end, xb, row))
-            run_start = None
+    def gates(start: int, stop: int) -> None:
+        if stop > start:
+            kind = "op" if xb is None or row is None else "gates"
+            segments.append(SuperStep(kind, start, stop, xb, row))
 
-    for index, op in enumerate(ops):
-        if isinstance(op, LogicHOp) and xb is not None and row is not None:
-            if run_start is None:
-                run_start = index
-            continue
-        close_run(index)
-        segments.append(SuperStep("op", index, index + 1, xb, row))
+    others = np.flatnonzero(~is_logic_h(words))
+    cursor = 0
+    for index, op in zip(others.tolist(), decode_many(words[others], word_size)):
+        gates(cursor, index)
+        segments.append(SuperStep("op", index, index + 1, xb, row, op))
         if isinstance(op, CrossbarMaskOp):
             xb = (op.start, op.stop, op.step)
         elif isinstance(op, RowMaskOp):
             row = (op.start, op.stop, op.step)
-    close_run(len(ops))
+        cursor = index + 1
+    gates(cursor, len(words))
     return tuple(segments)
 
 
@@ -204,12 +199,16 @@ class MicroProgram:
     def super_steps(self) -> Tuple[SuperStep, ...]:
         """The program's super-step decomposition (built once, memoized).
 
-        See :func:`segment_super_steps`; the simulator's vectorized
-        replay consumes this, and :meth:`replay_summary` reports
-        it.
+        See :func:`segment_super_steps`: read off :meth:`encoded`, so a
+        program whose fields do not fit the word format has none
+        (``ValueError``). The simulator's vectorized replay consumes
+        this, and :meth:`replay_summary` reports it.
         """
         if self._super_steps is None:
-            self._super_steps = segment_super_steps(self.ops)
+            word_size = self.config_fingerprint[4]
+            self._super_steps = segment_super_steps(
+                self.encoded(word_size), word_size
+            )
         return self._super_steps
 
     @property
@@ -220,9 +219,9 @@ class MicroProgram:
         mask state a chip may be in."""
         for segment in self.super_steps:
             if segment.kind == "op":
-                op = self.ops[segment.start]
+                op = segment.op
                 # A gate whose masks are both known sits in a gate run.
-                if isinstance(op, LogicHOp) or (
+                if op is None or (
                     segment.xb is None
                     and isinstance(op, (ReadOp, LogicVOp, MoveOp))
                 ) or (segment.row is None and isinstance(op, ReadOp)):
@@ -250,17 +249,13 @@ class MicroProgram:
         ``gate_ops`` (ops inside them — what a vectorized replay fuses),
         and ``fallback_ops`` (ops replayed one at a time).
         """
-        gate_runs = gate_ops = 0
-        for segment in self.super_steps:
-            if segment.kind == "gates":
-                gate_runs += 1
-                gate_ops += len(segment)
+        runs = [len(step) for step in self.super_steps if step.kind == "gates"]
         return {
             "ops": len(self),
             "super_steps": len(self.super_steps),
-            "gate_runs": gate_runs,
-            "gate_ops": gate_ops,
-            "fallback_ops": len(self) - gate_ops,
+            "gate_runs": len(runs),
+            "gate_ops": sum(runs),
+            "fallback_ops": len(self) - sum(runs),
         }
 
     def encoded(self, word_size: int) -> "np.ndarray":

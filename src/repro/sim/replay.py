@@ -10,24 +10,23 @@ extend the packing one level further:
 
 - a validated program is sliced into *super-steps*
   (:attr:`~repro.driver.program.MicroProgram.super_steps`): maximal runs
-  of ``LogicHOp``\\ s between mask/read/write/vertical/move boundaries,
+  of horizontal gates between mask/read/write/vertical/move boundaries,
   each run under statically-known masks;
-- at plan-compile time every run is lowered to a short straight-line
-  *lane program*: each touched register's masked region is packed into
+- at plan-build time every run becomes a short straight-line *lane
+  program*, a :class:`GateRun` record, built from **bit-field columns of
+  the program's 64-bit operation words** (:func:`build_gate_runs`) — no
+  op object exists on this path;
+- at replay time a run packs each touched register's masked region into
   one arbitrary-precision integer, a *lane* per word exactly as wide as
   the memory dtype (:meth:`~repro.sim.memory.CrossbarMemory.pack_lanes`
-  — the region's own bytes), gate-pattern bitmasks are replicated
-  across the lanes once, and each gate becomes a handful of
-  whole-region bitwise operations on non-negative integers —
+  — the region's own bytes), and each gate is a handful of whole-region
+  bitwise operations on non-negative integers —
   ``v ^ (v & pull & out_mask)``, bit for bit the ``out &= gate(inputs)``
-  1→0 stateful-logic update, applied to every masked crossbar and row
-  in one arithmetic operation. Lanes need no guard space and shifts no
-  re-masking: what a partition shift spills into the neighbouring lane
-  can never be selected by the gate's own out-mask (the argument, and
-  its check, are in :func:`_pattern_mask`);
-- at replay time a run packs its registers, interprets the lane program,
-  and writes the (provably in-range) results back through the same
-  strided views op-by-op execution updates.
+  1→0 stateful-logic update, applied to every masked crossbar and row at
+  once. Lanes need no guard space and shifts no re-masking: what a
+  partition shift spills into the neighbouring lane can never be
+  selected by the gate's own out-mask (the argument, and its check, are
+  in :func:`_pattern_mask`).
 
 The result is bit-identical to op-by-op execution at every operation
 boundary — runs contain no observable point (no reads, no mask changes)
@@ -42,19 +41,24 @@ graphs all replay this way, on ``uint32`` and ``uint64``
 One rule (``Simulator.execute_program``): **plan → vectorized replay;
 otherwise a loop over ``Simulator.execute``**, the op-by-op reference.
 A program has no plan when it is not self-masked (a hand-built program
-running under caller-set masks), when an op of it must raise, or when
-its gate runs are so wide that lane programs lose to op-by-op NumPy
-(:func:`lanes_pay_off`). There is no engine setting.
+running under caller-set masks), when an op of it must raise or does not
+fit the word format, or when its gate runs are so wide that lane
+programs lose to op-by-op NumPy (:func:`lanes_pay_off`). There is no
+engine setting.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, NamedTuple, Tuple
+
+import numpy as np
 
 from repro.arch.halfgates import pattern_outputs
 from repro.arch.masks import RangeMask
-from repro.arch.micro_ops import GateType, LogicHOp
+from repro.arch.micro_ops import GateType, LogicHOp, is_logic_h, logic_h_columns
 from repro.sim.memory import CrossbarMemory
 
 
@@ -87,12 +91,7 @@ def lanes_pay_off(program) -> bool:
 
 @lru_cache(maxsize=65536)
 def _pattern_mask(
-    gate: GateType,
-    p_a: int,
-    p_b: int,
-    p_out: int,
-    p_end: int,
-    p_step: int,
+    gate: GateType, p_a: int, p_b: int, p_out: int, p_end: int, p_step: int,
     partitions: int,
 ) -> Tuple[int, int]:
     """(output-partition bitmask, gate count) of a validated pattern.
@@ -117,9 +116,7 @@ def _pattern_mask(
     ``partitions``, the tighter bound) turns a violation of that
     argument into an error instead of silent cross-lane corruption.
     """
-    mask, count = pattern_outputs(
-        gate, p_a, p_b, p_out, p_end, p_step, partitions
-    )
+    mask, count = pattern_outputs(gate, p_a, p_b, p_out, p_end, p_step, partitions)
     inputs = {GateType.NOR: (p_a, p_b), GateType.NOT: (p_a,)}.get(gate, ())
     for shift in (p_out - p_in for p_in in inputs):
         spill = (mask & ((1 << shift) - 1) if shift > 0
@@ -136,139 +133,151 @@ def _pattern_mask(
     return mask, count
 
 
-# Lane-program opcodes (see GateRun): constants chosen for dispatch order
-# in the hot interpreter loop (NOR first — it dominates real programs).
-_NOR, _NOT, _INIT1, _INIT0 = 0, 1, 2, 3
+#: Lane-program opcodes, ``(gate, sign of shift a, sign of shift b)`` in
+#: the interpreter's dispatch order (most frequent in real programs
+#: first): an input's shift direction is decided at build time, steps
+#: carry magnitudes. ``p_a <= p_b`` leaves NOR these six sign pairs.
+OPCODES = (
+    (GateType.NOR, 1, 1), (GateType.NOR, 1, -1), (GateType.NOR, -1, -1),
+    (GateType.INIT1, 0, 0), (GateType.NOT, 1, 0), (GateType.NOR, 1, 0),
+    (GateType.NOT, -1, 0), (GateType.NOR, 0, -1), (GateType.NOT, 0, 0),
+    (GateType.NOR, 0, 0), (GateType.INIT0, 0, 0),
+)
+_OPCODE_OF = np.zeros((len(GateType), 3, 3), dtype=np.int8)
+for _code, (_gate, _sign_a, _sign_b) in enumerate(OPCODES):
+    _OPCODE_OF[_gate, _sign_a + 1, _sign_b + 1] = _code
 
 
-class GateRun:
-    """One ``"gates"`` super-step compiled to a lane program.
+class GateRun(NamedTuple):
+    """One ``"gates"`` super-step as a lane program: plain data.
 
-    Built once per replay plan; calling the instance executes the whole
-    run — typically thousands of micro-ops — as pack / interpret /
-    unpack over the packed memory image.
+    ``steps`` holds one ``(opcode, out, a, shift_a, b, shift_b, mask)``
+    record per gate — registers, shift magnitudes and the out-mask
+    replicated across the region's lanes; an operand slot the gate does
+    not read holds ``out`` and shift 0. Calling the record on a memory
+    executes the whole run — typically thousands of micro-ops — as pack
+    / interpret / unpack over the packed image.
     """
 
-    __slots__ = ("memory", "xb", "row", "regs", "written", "steps")
+    xb: RangeMask
+    row: RangeMask
+    regs: Tuple[int, ...]
+    written: Tuple[int, ...]
+    steps: Tuple[Tuple, ...]
 
-    def __init__(
-        self,
-        ops: Tuple[LogicHOp, ...],
-        xb: RangeMask,
-        row: RangeMask,
-        memory: CrossbarMemory,
-        partitions: int,
-        rep_cache: Dict[int, Dict[int, int]],
-    ):
-        self.memory = memory
-        self.xb = xb
-        self.row = row
-        lanes = len(xb) * len(row)
-        width = 8 * memory.dtype.itemsize
-        # Bit 0 of every lane: ``mask * unit`` replicates a (< 2**width)
-        # mask into all of them.
-        unit = ((1 << width * lanes) - 1) // ((1 << width) - 1)
-        word_mask = int(memory.word_mask)
-        reps = rep_cache.setdefault(lanes, {})  # mask -> replicated mask
-        steps: List[Tuple] = []
-        touched: Dict[int, bool] = {}  # reg -> written (order = first touch)
-        for op in ops:
-            gate = op.gate
-            mask, _ = _pattern_mask(
-                gate, op.p_a, op.p_b, op.p_out, op.p_end, op.p_step, partitions
-            )
-            if gate == GateType.INIT0:
-                # An AND-mask, built from the word mask (not an all-ones
-                # lane) so ``word_size`` < dtype bits stays exact.
-                mask ^= word_mask
-            out_mask = reps.get(mask)
-            if out_mask is None:
-                out_mask = reps[mask] = mask * unit
-            if gate == GateType.NOR:
-                touched.setdefault(op.in_a, False)
-                touched.setdefault(op.in_b, False)
-                steps.append((_NOR, op.out, op.in_a, op.p_out - op.p_a,
-                              op.in_b, op.p_out - op.p_b, out_mask))
-            elif gate == GateType.NOT:
-                touched.setdefault(op.in_a, False)
-                steps.append(
-                    (_NOT, op.out, op.in_a, op.p_out - op.p_a, out_mask)
-                )
-            else:
-                kind = _INIT1 if gate == GateType.INIT1 else _INIT0
-                steps.append((kind, op.out, out_mask))
-            touched[op.out] = True
-        self.steps = tuple(steps)
-        self.regs = tuple(touched)
-        self.written = tuple(r for r, dirty in touched.items() if dirty)
-
-    def __call__(self) -> None:
-        memory, xb, row = self.memory, self.xb, self.row
-        state = {reg: memory.pack_lanes(xb, reg, row) for reg in self.regs}
+    def __call__(self, memory: CrossbarMemory) -> None:
+        xb, row, regs, written, steps = self
+        state = {reg: memory.pack_lanes(xb, reg, row) for reg in regs}
         # The 1->0 update ``out &= ~(pull & out_mask)`` is written
         # ``v ^ (v & pull & out_mask)``: the same bits from three
         # non-negative operations (no big-integer negation), and the AND
         # with ``v`` bounds a left-shifted ``pull`` to the region's bits.
-        for step in self.steps:
-            kind = step[0]
-            if kind == _NOR:
-                _, out, a, s_a, b, s_b, out_mask = step
-                t_a = state[a]
-                if s_a > 0:
-                    t_a <<= s_a
-                elif s_a < 0:
-                    t_a >>= -s_a
-                t_b = state[b]
-                if s_b > 0:
-                    t_b <<= s_b
-                elif s_b < 0:
-                    t_b >>= -s_b
-                value = state[out]
-                state[out] = value ^ (value & (t_a | t_b) & out_mask)
-            elif kind == _NOT:
-                _, out, a, s_a, out_mask = step
-                t_a = state[a]
-                if s_a > 0:
-                    t_a <<= s_a
-                elif s_a < 0:
-                    t_a >>= -s_a
-                value = state[out]
-                state[out] = value ^ (value & t_a & out_mask)
-            elif kind == _INIT1:
-                state[step[1]] |= step[2]
-            else:  # _INIT0
-                state[step[1]] &= step[2]
-        for reg in self.written:
+        for op, out, a, s_a, b, s_b, mask in steps:
+            value = state[out]
+            if op == 0:
+                pull = (state[a] << s_a) | (state[b] << s_b)
+            elif op == 1:
+                pull = (state[a] << s_a) | (state[b] >> s_b)
+            elif op == 2:
+                pull = (state[a] >> s_a) | (state[b] >> s_b)
+            elif op == 3:  # INIT1
+                state[out] = value | mask
+                continue
+            elif op == 4:
+                pull = state[a] << s_a
+            elif op == 5:
+                pull = (state[a] << s_a) | state[b]
+            elif op == 6:
+                pull = state[a] >> s_a
+            elif op == 7:
+                pull = state[a] | (state[b] >> s_b)
+            elif op == 8:
+                pull = state[a]
+            elif op == 9:
+                pull = state[a] | state[b]
+            else:  # INIT0
+                pull = mask
+            state[out] = value ^ (value & pull & mask)
+        for reg in written:
             memory.unpack_lanes(xb, reg, row, state[reg])
 
+    def summary(self) -> Dict[str, object]:
+        """What ``replay_info()`` prints of the run."""
+        reads = {GateType.NOR: 2, GateType.NOT: 1}  # inputs: "<" ">" "=" each
+        names = [
+            gate.name + "".join("=<>"[sign] for sign in signs[: reads.get(gate, 0)])
+            for gate, *signs in OPCODES
+        ]
+        return {
+            "lanes": len(self.xb) * len(self.row),
+            "steps": len(self.steps),
+            "regs": len(self.regs),
+            "masks": len({step[6] for step in self.steps}),
+            "opcodes": dict(Counter(names[step[0]] for step in self.steps)),
+        }
 
-def build_vector_steps(program, simulator) -> List[Callable]:
-    """Lower a self-masked program into vectorized replay steps.
 
-    Gate runs (of any length) become :class:`GateRun` instances; every
-    other op keeps the simulator's pre-resolved silent step. The caller
-    guarantees the program is self-masked (its static stats delta
-    exists — so every gate sits in a run) and :func:`lanes_pay_off`
-    holds.
+def build_gate_runs(program, config, memory: CrossbarMemory) -> Iterator[GateRun]:
+    """The :class:`GateRun` of every ``"gates"`` super-step, in order.
+
+    Built by slicing bit-field columns out of the program's operation
+    words (:func:`~repro.arch.micro_ops.logic_h_columns`: every gate
+    word's constructor invariants checked, no op object built). Each
+    distinct partition pattern is validated once (:func:`_pattern_mask`);
+    replicated lane masks are shared per distinct mask *value* by the
+    runs of one plan (they depend on the lane width, so never across
+    simulators). The caller guarantees the program is self-masked —
+    every gate sits in a run — and that :func:`lanes_pay_off` holds.
     """
-    # Replicated lane masks are shared by the runs of one plan (programs
-    # reuse a small set of gate patterns); they depend on the lane width,
-    # so never across simulators.
-    rep_cache: Dict[int, Dict[int, int]] = {}  # lanes -> mask -> replicated
-    steps: List[Callable] = []
+    words = program.encoded(config.word_size)
+    fields = logic_h_columns(words[is_logic_h(words)])
+    gate, out = fields["gate"], fields["out"]
+    reads_a, reads_b = gate >= GateType.NOT, gate == GateType.NOR
+    shift_a = np.where(reads_a, fields["p_out"] - fields["p_a"], 0)
+    shift_b = np.where(reads_b, fields["p_out"] - fields["p_b"], 0)
+    columns = (
+        _OPCODE_OF[gate, np.sign(shift_a) + 1, np.sign(shift_b) + 1], out,
+        np.where(reads_a, fields["in_a"], out), np.abs(shift_a),
+        np.where(reads_b, fields["in_b"], out), np.abs(shift_b),
+    )
+    # A gate's pattern as one 32-bit key (2 gate bits, five 6-bit partition
+    # fields): its out-mask is a dict hit per gate and a _pattern_mask call
+    # per *distinct* pattern.
+    shifts = range(2, 32, 6)
+    key = gate.astype(np.uint32)
+    for shift, name in zip(shifts, ("p_a", "p_b", "p_out", "p_end", "p_step")):
+        key |= fields[name].astype(np.uint32) << np.uint32(shift)
+    del fields
+    gates = tuple(GateType)
+    width = 8 * memory.dtype.itemsize
+    masks: Dict[int, int] = {}  # pattern key -> out-mask
+    replicated: Dict[int, Dict[int, int]] = {}  # lanes -> out-mask -> replicated
+    done = 0
     for segment in program.super_steps:
-        ops = program.ops[segment.start : segment.stop]
-        if segment.kind == "gates":
-            steps.append(
-                GateRun(
-                    ops,
-                    RangeMask(*segment.xb),
-                    RangeMask(*segment.row),
-                    simulator.memory,
-                    simulator.config.partitions,
-                    rep_cache=rep_cache,
-                )
-            )
-        else:
-            steps.extend(simulator._plan_step(op, segment.xb) for op in ops)
-    return steps
+        if segment.kind != "gates":
+            continue
+        span = slice(done, done + len(segment))
+        done = span.stop
+        keys = key[span].tolist()
+        distinct = set(keys)
+        fresh = np.fromiter(distinct.difference(masks), np.uint32)
+        parts = [((fresh >> shift) & 63).tolist() for shift in shifts]
+        found = map(_pattern_mask, map(gates.__getitem__, (fresh & 3).tolist()),
+                    *parts, repeat(config.partitions))
+        masks.update(zip(fresh.tolist(), [mask for mask, _ in found]))
+        xb, row = RangeMask(*segment.xb), RangeMask(*segment.row)
+        lanes = len(xb) * len(row)
+        # Bit 0 of every lane: ``mask * unit`` replicates a (< 2**width)
+        # mask into all of them.
+        unit = ((1 << width * lanes) - 1) // ((1 << width) - 1)
+        reps = replicated.setdefault(lanes, {})
+        for mask in set(map(masks.__getitem__, distinct)).difference(reps):
+            reps[mask] = mask * unit
+        run = [column[span].tolist() for column in columns]
+        run.append(map(reps.__getitem__, map(masks.__getitem__, keys)))
+        yield GateRun(
+            xb, row,
+            tuple(sorted(set().union(run[1], run[2], run[4]))),
+            tuple(sorted(set(run[1]))),
+            tuple(zip(*run)),
+        )

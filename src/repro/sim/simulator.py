@@ -12,8 +12,8 @@ cycles are counted).
 from __future__ import annotations
 
 import weakref
-from functools import partial
-from typing import Callable, Iterable, NamedTuple, Optional
+from time import perf_counter
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -149,22 +149,24 @@ def accounting_walk(
 
 
 class ReplayPlan(NamedTuple):
-    """What the simulator memoizes per program on first sight.
+    """What the simulator memoizes per program on first sight: plain data.
 
     Attributes:
-        steps: the vectorized replay callables —
-            :class:`~repro.sim.replay.GateRun` super-steps, and silent
-            pre-resolved steps for every mask/read/write/vertical/move op
-            between them — or ``None`` when the program replays through
-            the op-by-op reference.
+        steps: the vectorized replay records, in program order — a
+            :class:`~repro.sim.replay.GateRun` per gate super-step, a
+            silent ``(opcode, args...)`` record
+            (:meth:`Simulator._silent_step`) per op between them — or
+            ``None`` when the program replays through the reference.
         static_stats: the per-replay stats delta — the bill the program
             carries, under this chip's move-cost model — merged once per
             vectorized replay. ``None`` (and then no ``steps`` either)
             when the program is not self-masked or an op of it must raise.
+        build_ms: host milliseconds the build took.
     """
 
-    steps: Optional[list]
+    steps: Optional[tuple]
     static_stats: Optional[SimStats]
+    build_ms: float = 0.0
 
 
 class Simulator:
@@ -198,6 +200,15 @@ class Simulator:
         # One :class:`ReplayPlan` per compiled program, built once and
         # dropped automatically when the program is garbage-collected.
         self._plans: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        #: Silent-step dispatch: a plan record's opcode -> its handler.
+        self._silent = {
+            CrossbarMaskOp: self._silent_xb_mask,
+            RowMaskOp: self._silent_row_mask,
+            ReadOp: self._silent_read,
+            WriteOp: self._silent_write,
+            LogicVOp: self._silent_logic_v,
+            MoveOp: self._silent_move,
+        }
 
     # ------------------------------------------------------------------
     # Interface
@@ -235,14 +246,11 @@ class Simulator:
           emits), of either word format, whose gate runs are narrow
           enough for lane arithmetic to pay
           (:func:`repro.sim.replay.lanes_pay_off`), replay through a
-          vectorized :class:`ReplayPlan`: fused
-          :class:`~repro.sim.replay.GateRun` super-steps, silent steps
-          for the ops between them, and one static stats merge;
+          vectorized :class:`ReplayPlan` and one static stats merge;
         - anything else (hand-built programs relying on caller-set
-          masks, programs whose static walk finds an op that must
-          raise, regions of thousands of rows where NumPy per op is the
-          faster form) is a plain loop over :meth:`execute`, the
-          op-by-op reference.
+          masks or not fitting the word format, a static walk that finds
+          an op that must raise, regions of thousands of rows) is a
+          plain loop over :meth:`execute`, the op-by-op reference.
 
         Either way memory, profiling counters and raised errors are
         exactly those of op-by-op execution. Returns the response word
@@ -258,12 +266,12 @@ class Simulator:
                     response = result
             return response
         self.replay_counters["vectorized"] += 1
-        if program.reads == 0:
-            for step in plan.steps:
-                step()
-        else:
-            for step in plan.steps:
-                result = step()
+        memory, silent, gate_run = self.memory, self._silent, replay.GateRun
+        for step in plan.steps:
+            if type(step) is gate_run:
+                step(memory)
+            else:
+                result = silent[step[0]](*step[1:])
                 if result is not None:
                     response = result
         self.stats.merge(plan.static_stats)
@@ -273,10 +281,8 @@ class Simulator:
     # Replay-plan construction
     # ------------------------------------------------------------------
     def replay_plan(self, program) -> Optional[ReplayPlan]:
-        """The program's vectorized plan, or ``None`` (reference replay).
-
-        Built on first sight of the program and memoized on it.
-        """
+        """The program's vectorized plan (built on first sight, memoized),
+        or ``None`` (reference replay)."""
         plan = self._plan(program)
         return None if plan.steps is None else plan
 
@@ -296,70 +302,68 @@ class Simulator:
                 f"{program.config_fingerprint}, this chip is "
                 f"{config_fingerprint(self.config)}"
             )
-        static_stats = None
-        if program.self_masked:
+        start = perf_counter()
+        steps = static_stats = None
+        try:
+            self_masked = program.self_masked
+        except ValueError:  # a field does not fit the word format: no
+            self_masked = False  # columns, so no plan
+        if self_masked:
             try:
                 static_stats = program.bill(self.config).billed(self.move_cost)
             except SimulationError:
                 pass  # an op must raise: the reference loop raises it, at the op
-        steps = None
         if static_stats is not None and replay.lanes_pay_off(program):
-            steps = replay.build_vector_steps(program, self)
-        return ReplayPlan(steps, static_stats)
-
-    def _plan_step(self, op: MicroOp, xb) -> Callable[[], Optional[int]]:
-        """A silent pre-resolved step for a non-gate op of a vectorized plan.
-
-        Silent steps skip per-op counter updates and runtime checks:
-        the plan's stats delta and every mask range, move pattern and
-        read shape were established statically (``ReplayPlan.static_stats``).
-        ``xb`` is the ``(start, stop, step)`` crossbar mask the op runs
-        under, which binds a move's index arrays at plan build.
-        """
-        if isinstance(op, CrossbarMaskOp):
-            mask = RangeMask(op.start, op.stop, op.step)
-            return partial(setattr, self, "_xb_mask", mask)
-        if isinstance(op, RowMaskOp):
-            mask = RangeMask(op.start, op.stop, op.step)
-            return partial(setattr, self, "_row_mask", mask)
-        if isinstance(op, MoveOp):
-            sources = np.arange(xb[0], xb[1] + 1, xb[2])
-            return partial(
-                self._exec_move_silent,
-                (sources + op.dist, op.dst_index, op.dst_row),
-                (sources, op.src_index, op.src_row),
+            runs = replay.build_gate_runs(program, self.config, self.memory)
+            steps = tuple(
+                next(runs) if segment.kind == "gates"
+                else self._silent_step(segment.op)
+                for segment in program.super_steps
             )
-        handler = {
-            ReadOp: self._exec_read_silent,
-            WriteOp: self._exec_write_silent,
-            LogicVOp: self._exec_logic_v_silent,
-        }[type(op)]
-        return partial(handler, op)
+        return ReplayPlan(steps, static_stats, 1e3 * (perf_counter() - start))
 
-    # -- silent step bodies (statically validated and accounted) --------
-    def _exec_read_silent(self, op: ReadOp) -> int:
-        return self.memory.get_word(
-            self._xb_mask.start, self._row_mask.start, op.index
-        )
+    @staticmethod
+    def _silent_step(op: MicroOp) -> tuple:
+        """The ``(opcode, args...)`` record of a non-gate op of a plan:
+        the op's class, then its fields (a mask op's, as the mask).
 
-    def _exec_write_silent(self, op: WriteOp) -> None:
-        self._reg_region(op.index)[...] = self.memory.dtype.type(op.value)
+        Silent steps skip per-op counter updates and runtime checks: the
+        plan's stats delta and every mask range, move pattern and read
+        shape were established statically (``ReplayPlan.static_stats``).
+        """
+        if isinstance(op, (CrossbarMaskOp, RowMaskOp)):
+            return (type(op), RangeMask(op.start, op.stop, op.step))
+        return (type(op), *(getattr(op, name) for name in op.__dataclass_fields__))
 
-    def _exec_logic_v_silent(self, op: LogicVOp) -> None:
+    # -- op bodies: the effect alone (a silent step's all; ``_exec_*``
+    # wrap them in the runtime checks and the count) ---------------------
+    def _silent_xb_mask(self, mask: RangeMask) -> None:
+        self._xb_mask = mask
+
+    def _silent_row_mask(self, mask: RangeMask) -> None:
+        self._row_mask = mask
+
+    def _silent_read(self, index: int) -> int:
+        return self.memory.get_word(self._xb_mask.start, self._row_mask.start, index)
+
+    def _silent_write(self, index: int, value: int) -> None:
+        self._reg_region(index)[...] = self.memory.dtype.type(value)
+
+    def _silent_logic_v(self, gate, in_row: int, out_row: int, index: int) -> None:
         xm = self._xb_mask
-        column = self.memory.words[
-            xm.start : xm.stop + 1 : xm.step, op.index, :
-        ]
-        if op.gate == GateType.INIT1:
-            column[:, op.out_row] = self.memory.word_mask
-        elif op.gate == GateType.INIT0:
-            column[:, op.out_row] = 0
+        column = self.memory.words[xm.start : xm.stop + 1 : xm.step, index, :]
+        if gate == GateType.INIT1:
+            column[:, out_row] = self.memory.word_mask
+        elif gate == GateType.INIT0:
+            column[:, out_row] = 0
         else:  # NOT
-            column[:, op.out_row] &= ~column[:, op.in_row]
+            column[:, out_row] &= ~column[:, in_row]
 
-    def _exec_move_silent(self, dst, src) -> None:
-        words = self.memory.words
-        words[dst] = words[src]
+    def _silent_move(self, dist, src_row, dst_row, src_index, dst_index) -> None:
+        xm, words = self._xb_mask, self.memory.words
+        words[xm.start + dist : xm.stop + dist + 1 : xm.step, dst_index, dst_row] = (
+            words[xm.start : xm.stop + 1 : xm.step, src_index, src_row]
+        )
 
     @property
     def crossbar_mask(self) -> RangeMask:
@@ -411,15 +415,13 @@ class Simulator:
                 "read requires masks selecting a single row of a single crossbar"
             )
         self.stats.record("read")
-        return self.memory.get_word(
-            self._xb_mask.start, self._row_mask.start, op.index
-        )
+        return self._silent_read(op.index)
 
     def _exec_write(self, op: WriteOp) -> None:
         self._check_index(op.index)
         if op.value >= (1 << self.config.word_size):
             raise SimulationError("write value exceeds word size")
-        self._reg_region(op.index)[...] = self.memory.dtype.type(op.value)
+        self._silent_write(op.index, op.value)
         self.stats.record("write")
 
     def _exec_logic_h(self, op: LogicHOp) -> None:
@@ -452,32 +454,22 @@ class Simulator:
     def _exec_logic_v(self, op: LogicVOp) -> None:
         self._check_index(op.index)
         _check_row(self.config, op.out_row)
-        xm = self._xb_mask
-        column = self.memory.words[
-            xm.start : xm.stop + 1 : xm.step, op.index, :
-        ]
-        if op.gate == GateType.INIT1:
-            column[:, op.out_row] = self.memory.word_mask
-        elif op.gate == GateType.INIT0:
-            column[:, op.out_row] = 0
-        else:  # NOT
+        if op.gate == GateType.NOT:
             _check_row(self.config, op.in_row)
-            column[:, op.out_row] &= ~column[:, op.in_row]
-        active = len(xm)
-        self.stats.record(_GATE_KEYS_V[op.gate], gates=self.config.partitions * active)
+        self._silent_logic_v(op.gate, op.in_row, op.out_row, op.index)
+        self.stats.record(
+            _GATE_KEYS_V[op.gate],
+            gates=self.config.partitions * len(self._xb_mask),
+        )
 
     def _exec_move(self, op: MoveOp) -> None:
-        cfg = self.config
         self._check_index(op.src_index)
         self._check_index(op.dst_index)
         _check_row(self.config, op.src_row)
         _check_row(self.config, op.dst_row)
         cycles = checked_move_cycles(
-            self._xb_mask, op.dist, cfg.crossbars, self.move_cost
+            self._xb_mask, op.dist, self.config.crossbars, self.move_cost
         )
-        sources = np.fromiter(self._xb_mask.indices(), dtype=np.int64)
-        self.memory.words[sources + op.dist, op.dst_index, op.dst_row] = (
-            self.memory.words[sources, op.src_index, op.src_row]
-        )
+        self._silent_move(op.dist, op.src_row, op.dst_row, op.src_index, op.dst_index)
         self.stats.htree_hop_cycles += cycles - 1
         self.stats.record("move", cycles=cycles)

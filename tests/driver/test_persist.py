@@ -268,9 +268,9 @@ class TestInvalidation:
 
     def test_payload_decoding_to_an_invalid_op(self, tmp_path):
         """An entry that passes every load check but whose words are not
-        ops is caught by ``decode_many``'s invariant checks on the first
-        use of ``.ops`` — before a replay plan is built, before any
-        memory changes."""
+        ops is caught when the replay plan is built from its word columns
+        — the constructor invariants ``decode_many`` runs, with its
+        message, and no op decoded — before any memory changes."""
         import zlib
 
         cache, path = self._stored(tmp_path)
@@ -285,10 +285,13 @@ class TestInvalidation:
         assert program is not None and len(program) == header["words"]
         sim = Simulator(CFG)
         before = sim.memory.words.copy()
-        with pytest.raises(ValueError, match="p_step"):
+        with pytest.raises(ValueError, match="p_step") as raised:
             sim.execute_program(program)
         assert np.array_equal(sim.memory.words, before)
-        assert sim.stats.cycles == 0
+        assert sim.stats.cycles == 0 and program._ops is None
+        with pytest.raises(ValueError) as decoded:
+            micro_ops.decode_many(program.encoded(CFG.word_size))
+        assert str(raised.value) == str(decoded.value)
 
     def test_fingerprint_mismatch(self, tmp_path):
         _, path = self._stored(tmp_path)

@@ -218,8 +218,7 @@ class TestEmitModeResolution:
     driver can build one (cache on, chip with a program/batch port) and
     lowered op-by-op otherwise."""
 
-    def test_default_is_stream(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DRIVER_EMIT", "macro")  # leftover: ignored
+    def test_default_is_stream(self):
         _, driver, _ = stream_emission(random_stream(SEEDS[1]))
         assert driver.emit_counters == {"stream": 1, "macro": 0}
 
@@ -236,10 +235,6 @@ class TestEmitModeResolution:
         assert driver.emit_counters == {"stream": 1, "macro": 0}
 
     def test_unknown_mode_names_source(self):
-        with pytest.raises(TypeError, match="emit_mode"):
-            Driver(Simulator(CFG), emit_mode="macro")
-        with pytest.raises(TypeError, match="emit_mode"):
-            pim.init(crossbars=CFG.crossbars, rows=CFG.rows, emit_mode="macro")
         with pytest.raises(ValueError, match="'eager'"):
             Driver(Simulator(CFG)).compile([], emit="eager")
 
@@ -330,12 +325,9 @@ class TestStreamExecutionConformance:
         assert sim.replay_counters == {"vectorized": 2 * rtypes, "reference": 0}
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize(
-        "engine", ["vectorized", pytest.param("reference", id="thunk")]
-    )
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
     def test_both_replay_engines(self, seed, engine):
-        """One fused plan program through both ``execute_program`` routes
-        (the ``thunk`` id predates the op-by-op reference loop)."""
+        """One fused plan program through both ``execute_program`` routes."""
         stream = random_stream(seed)
         sim = Simulator(CFG)
         driver = Driver(sim)

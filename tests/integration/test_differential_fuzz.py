@@ -777,6 +777,23 @@ def _dump_artifact(seed: int, error: BaseException) -> None:
         handle.write("float inputs (raw bits):\n")
         for arr in float_inputs:
             handle.write(f"  {_bits(arr)!r}\n")
+        handle.write("\nreplay plan (O0, simulator):\n")
+        try:
+            for line in _plan_lines(make_program(desc), int_inputs, float_inputs):
+                handle.write(f"  {line}\n")
+        except Exception as plan_error:  # noqa: BLE001 - the dump must land
+            handle.write(f"  unavailable: {plan_error!r}\n")
+
+
+def _plan_lines(program, int_inputs, float_inputs) -> List[str]:
+    """The case's O0 replay plan as ``replay_info()`` reports it: the
+    segmentation counts, then one line per gate run."""
+    pim.reset()
+    pim.init(crossbars=CROSSBARS, rows=ROWS)
+    func = pim.compile(lambda *args: program(*args), opt_level=0, cache_size=2)
+    info = func.replay_info(*_fresh_inputs(int_inputs, float_inputs))
+    runs = info.pop("plan") or []
+    return [repr(info)] + [f"run {index}: {run!r}" for index, run in enumerate(runs)]
 
 
 @pytest.fixture(autouse=True)
@@ -804,6 +821,18 @@ def test_carried_bill_is_the_executed_bill(seed, tmp_path):
     except BaseException as error:  # noqa: BLE001 - re-raised below
         _dump_artifact(seed, error)
         raise
+
+
+def test_failure_dump_carries_the_replay_plan(tmp_path, monkeypatch):
+    """A failing seed's artifact holds the plan the replays ran, as data."""
+    monkeypatch.setenv("REPRO_FUZZ_ARTIFACT_DIR", str(tmp_path))
+    seed = PINNED_SEEDS[0]
+    _dump_artifact(seed, AssertionError("synthetic"))
+    text = (tmp_path / f"failure_seed_{seed}.txt").read_text()
+    plan = text.split("replay plan (O0, simulator):\n")[1].splitlines()
+    assert "'engine': 'vectorized'" in plan[0] and "plan_build_ms" in plan[0]
+    assert plan[1].startswith("  run 0: {'lanes': ")
+    assert "'opcodes': {" in plan[1] and "'masks': " in plan[1]
 
 
 def test_generator_is_deterministic():

@@ -231,11 +231,10 @@ class TestReplayEngineIdentity:
             device.backend.fault_counters(), device.backend.emit_counters(),
         )
 
-    def test_thunk_and_vectorized_agree_under_faults(self):
+    def test_reference_and_vectorized_agree_under_faults(self):
         """Eager macros through vectorized plans versus a ``cache_size=0``
-        device (every macro lowered and executed op-by-op; the test's
-        name predates that reference): one tick per macro on both, so
-        the same flips land in the same windows."""
+        device (every macro lowered and executed op-by-op): one tick per
+        macro on both, so the same flips land in the same windows."""
         ref_outs, ref_words, ref_stats, ref_counts, ref_emit = self._run(
             cache_size=0
         )

@@ -19,7 +19,9 @@ Covers the correctness obligations of ``repro.sim.replay``:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.arch import micro_ops
 from repro.arch.config import PIMConfig, small_config
 from repro.arch.halfgates import expand_pattern
 from repro.arch.masks import RangeMask
@@ -34,10 +36,11 @@ from repro.arch.micro_ops import (
     WriteOp,
 )
 from repro.driver.compiler import compile_ops
-from repro.driver.program import MicroProgram, segment_super_steps
+from repro.driver.program import MicroProgram, SuperStep
 from repro.sim import replay
 from repro.sim.memory import CrossbarMemory
 from repro.sim.simulator import SimulationError, Simulator
+from repro.sim.stats import SimStats
 
 CFG = small_config(crossbars=4, rows=8)
 
@@ -58,6 +61,11 @@ def _masked(ops):
             RowMaskOp(0, CFG.rows - 1, 1)] + list(ops)
 
 
+def _segments(ops):
+    """The super-step records of ``ops``, read off their operation words."""
+    return MicroProgram.from_ops(ops, "p", CFG).super_steps
+
+
 class TestSegmentation:
     def test_gates_fuse_between_boundaries(self):
         ops = tuple(_masked([
@@ -65,7 +73,7 @@ class TestSegmentation:
             RowMaskOp(0, 0, 1),
             _init1(4), _gate(4, 1, 2), _gate(5, 2, 3),
         ]))
-        segments = segment_super_steps(ops)
+        segments = _segments(ops)
         kinds = [(s.kind, len(s)) for s in segments]
         assert kinds == [
             ("op", 1), ("op", 1), ("gates", 2), ("op", 1), ("gates", 3),
@@ -74,6 +82,13 @@ class TestSegmentation:
         assert first.row == (0, CFG.rows - 1, 1)
         assert second.row == (0, 0, 1)
         assert first.xb == second.xb == (0, CFG.crossbars - 1, 1)
+        # "op" records carry the decoded op; gate words are never decoded.
+        assert [s.op for s in segments] == [
+            ops[0], ops[1], None, ops[4], None,
+        ]
+        assert segments[3] == SuperStep(
+            "op", 4, 5, first.xb, first.row, RowMaskOp(0, 0, 1)
+        )
 
     def test_every_non_gate_op_is_a_boundary(self):
         ops = tuple(_masked([
@@ -87,15 +102,20 @@ class TestSegmentation:
             MoveOp(1, 0, 0, 3, 4),
             _gate(6, 0, 1),
         ]))
-        segments = segment_super_steps(ops)
+        segments = _segments(ops)
         gate_spans = [s for s in segments if s.kind == "gates"]
         # Every gate is isolated: boundaries on both sides.
         assert [len(s) for s in gate_spans] == [1, 1, 1, 1, 1]
 
     def test_gates_before_masks_stay_fallback_ops(self):
-        ops = (_init1(3), _gate(3, 0, 1))
-        segments = segment_super_steps(ops)
-        assert all(s.kind == "op" for s in segments)
+        ops = (_init1(3), _gate(3, 0, 1), CrossbarMaskOp(0, 0, 1), _init1(4))
+        segments = _segments(ops)
+        assert [(s.kind, s.start, s.stop, s.op) for s in segments] == [
+            ("op", 0, 2, None), ("op", 2, 3, ops[2]), ("op", 3, 4, None),
+        ]  # the row mask is never set: no gate run
+        program = MicroProgram.from_ops(ops, "p", CFG)
+        assert not program.self_masked
+        assert program.replay_summary()["fallback_ops"] == len(ops)
 
     def test_replay_summary_counts(self):
         program = MicroProgram.from_ops(
@@ -120,7 +140,7 @@ def _random_pattern(rng, gate, partitions):
         p_a, p_b = sorted(
             p_out + int(offset) for offset in rng.integers(-4, 5, size=2)
         )
-        if p_a < 0:
+        if p_a < 0 or p_b >= partitions:  # must fit the operation word
             continue
         fields = dict(p_a=p_a, p_b=p_b, p_out=p_out, p_end=p_end,
                       p_step=p_step)
@@ -278,12 +298,27 @@ class TestEngineSelection:
         assert sim.replay_counters == {"vectorized": 2, "reference": 0}
 
     def test_single_gate_runs_vectorize_too(self):
-        # No run-length threshold: an isolated gate is a GateRun.
+        # No run-length threshold: an isolated gate is a GateRun — and a
+        # plan is plain data, comparable to the records written out here.
         ops = _masked([_init1(3), WriteOp(2, 7), _gate(3, 0, 1)])
         sim, _, program = _replay_vs_op_by_op(CFG, ops)
-        runs = [step for step in sim.replay_plan(program).steps
-                if isinstance(step, replay.GateRun)]
-        assert [len(run.steps) for run in runs] == [1, 1]
+        xb, row = RangeMask(0, CFG.crossbars - 1, 1), RangeMask(0, CFG.rows - 1, 1)
+        unit = sum(1 << 32 * lane for lane in range(len(xb) * len(row)))
+        init1, nor_up = replay.OPCODES.index((GateType.INIT1, 0, 0)), 0
+        assert replay.OPCODES[nor_up] == (GateType.NOR, 1, 1)
+        assert sim.replay_plan(program).steps == (
+            (CrossbarMaskOp, xb),
+            (RowMaskOp, row),
+            replay.GateRun(xb, row, (3,), (3,),
+                           ((init1, 3, 3, 0, 3, 0, 0xFFFFFFFF * unit),)),
+            (WriteOp, 2, 7),
+            replay.GateRun(xb, row, (0, 1, 3), (3,),
+                           ((nor_up, 3, 0, 2, 1, 1, 0b100 * unit),)),
+        )
+        run = sim.replay_plan(program).steps[-1]
+        assert list(run) == [run.xb, run.row, run.regs, run.written, run.steps]
+        assert run.summary() == {"lanes": 32, "steps": 1, "regs": 3, "masks": 1,
+                                 "opcodes": {"NOR<<": 1}}
 
     def test_body_program_replays_through_the_reference(self):
         """Gates under caller-set masks: not self-masked, so no static
@@ -404,6 +439,156 @@ class TestEngineSelection:
             # Pricing reads the same bill (and is what walks the body).
             assert backend.program_stats(program).micro_ops == len(ops)
             assert walks == [len(ops)]
+
+
+def _word_twin(program, config, bill=None):
+    """The same program rebuilt from its operation words, as the
+    persistent cache restores it (optionally carrying a bill)."""
+    return MicroProgram(
+        program.encoded(config.word_size).copy(), program.name,
+        program.config_fingerprint, program.reads, program.macros,
+        program.source_ops, bill=bill,
+    )
+
+
+class TestPlanRecords:
+    """A plan is a function of the program's words, and plain data."""
+
+    @pytest.mark.parametrize("config", [CFG, WIDE], ids=["w32", "w64"])
+    def test_plan_from_ops_equals_plan_from_words(self, config):
+        ops = _random_self_masked_ops(np.random.default_rng(9), config, 300)
+        program = compile_ops(ops, config, optimize=False)
+        twin = _word_twin(program, config)
+        sim = Simulator(config)
+        plan, rebuilt = sim.replay_plan(program), sim.replay_plan(twin)
+        assert plan.steps == rebuilt.steps and len(plan.steps) > 100
+        assert plan.static_stats == rebuilt.static_stats
+        assert hash(plan.steps) == hash(rebuilt.steps)  # records all the way
+        assert twin.super_steps == program.super_steps
+        # The twin decoded its ops for the bill it did not carry; one that
+        # carries it (a cache restore) builds the same plan from columns.
+        carried = _word_twin(program, config, bill=program.bill(config))
+        assert sim.replay_plan(carried).steps == plan.steps
+        assert carried._ops is None
+
+    def test_unread_operand_slots_are_canonical(self):
+        """Fields a gate does not read never reach the plan: two programs
+        differing only there have equal plans."""
+        plans = []
+        for junk in (0, 5):
+            ops = _masked([
+                LogicHOp(GateType.INIT1, junk, junk, 3, p_a=0, p_b=junk,
+                         p_out=0, p_end=31, p_step=1),
+                LogicHOp(GateType.NOT, 1, junk, 3, p_a=4, p_b=4 + junk,
+                         p_out=2, p_end=2, p_step=1),
+            ])
+            sim, _, program = _replay_vs_op_by_op(CFG, ops)
+            plans.append(sim.replay_plan(program).steps)
+        assert plans[0] == plans[1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 160),
+           config=st.sampled_from([CFG, WIDE]))
+    def test_plan_replay_agrees_with_the_execute_loop(self, seed, length, config):
+        ops = _random_self_masked_ops(np.random.default_rng(seed), config, length)
+        program = _word_twin(compile_ops(ops, config, optimize=False), config)
+        reference, sim = Simulator(config), Simulator(config)
+        for chip in (reference, sim):
+            _seed_memory(chip.memory, np.random.default_rng(seed + 1))
+        expected = None
+        for op in ops:
+            result = reference.execute(op)
+            expected = result if result is not None else expected
+        assert sim.execute_program(program) == expected
+        assert np.array_equal(sim.memory.words, reference.memory.words)
+        assert sim.stats == reference.stats
+        assert sim.replay_counters == {"vectorized": 1, "reference": 0}
+
+
+def _h_word(**fields):
+    """A LOGIC_H operation word packed field by field — past the
+    constructor, the way a damaged cache entry holds it."""
+    values = dict(gate=GateType.INIT1, in_a=0, in_b=0, out=3, p_a=0, p_b=0,
+                  p_out=0, p_end=31, p_step=1)
+    values.update(fields)
+    layout = micro_ops._LAYOUT[micro_ops._Kind.LOGIC_H][1]
+    return micro_ops._pack(
+        [(int(values[name]), width) for name, width in layout],
+        micro_ops._Kind.LOGIC_H,
+    )
+
+
+class TestColumnPathRejections:
+    """A words-born program is checked as thoroughly by the column path
+    as ``decode_many`` / ``_pattern_mask`` check op objects: same
+    exception type, same message, no memory touched, no op decoded."""
+
+    @staticmethod
+    def _program(*bad_words):
+        words = micro_ops.encode_many(_masked([_init1(3)])).tolist()
+        return MicroProgram(
+            np.array(words + list(bad_words), dtype=np.uint64), "bad",
+            (CFG.crossbars, CFG.rows, CFG.columns, CFG.partitions, CFG.word_size),
+            bill=SimStats(),  # carried, as a cache restore carries it
+        )
+
+    def _assert_raises_like(self, program, expected):
+        sim = Simulator(CFG)
+        before = sim.memory.words.copy()
+        with pytest.raises(type(expected.value)) as raised:
+            sim.execute_program(program)
+        assert str(raised.value) == str(expected.value)
+        assert np.array_equal(sim.memory.words, before) and sim.stats.cycles == 0
+        assert program._ops is None
+
+    @pytest.mark.parametrize("word, message", [
+        (_h_word(p_a=2, p_b=1), "p_a <= p_b"),
+        (_h_word(p_step=0), "p_step must be positive"),
+        (_h_word(p_out=4, p_end=2), "p_end must be >= p_out"),
+        (_h_word(p_out=0, p_end=5, p_step=2), "p_step must divide"),
+        (7 << 61, "7 is not a valid _Kind"),
+        (micro_ops.encode(LogicVOp(GateType.NOT, 0, 1, 3)) | 1, "vertical"),
+    ], ids=["pa>pb", "step0", "end<out", "nondividing", "tag7", "vnor"])
+    def test_constructor_invariants(self, word, message):
+        program = self._program(word)
+        with pytest.raises(ValueError, match=message) as expected:
+            micro_ops.decode_many(program.encoded(CFG.word_size))
+        self._assert_raises_like(program, expected)
+
+    def test_pattern_expand_pattern_refuses(self):
+        # Two NOR sections one partition apart: gate 1's output partition
+        # is gate 0's input section.
+        word = _h_word(gate=GateType.NOR, in_a=0, in_b=1, p_a=0, p_b=1,
+                       p_out=2, p_end=4, p_step=1)
+        with pytest.raises(ValueError) as expected:
+            Simulator(CFG).execute(micro_ops.decode(word))
+        self._assert_raises_like(self._program(word), expected)
+
+    def test_out_mask_meeting_the_spill_window(self, monkeypatch):
+        monkeypatch.setattr(replay, "pattern_outputs", lambda *fields: (0b110, 2))
+        replay._pattern_mask.cache_clear()
+        try:
+            with pytest.raises(SimulationError, match="spill") as expected:
+                replay._pattern_mask(GateType.NOR, 0, 1, 2, 7, 5, CFG.partitions)
+            word = _h_word(gate=GateType.NOR, p_a=0, p_b=1, p_out=2, p_end=7,
+                           p_step=5)
+            self._assert_raises_like(self._program(word), expected)
+        finally:
+            replay._pattern_mask.cache_clear()
+
+    def test_foreign_fingerprint_is_refused(self):
+        program = compile_ops(_masked([_init1(3)]), WIDE, optimize=False)
+        with pytest.raises(SimulationError, match="compiled for fingerprint"):
+            Simulator(CFG).execute_program(_word_twin(program, WIDE))
+
+    def test_unencodable_program_has_no_plan(self):
+        """A field that does not fit the word format: no columns, no plan
+        — the reference loop runs it, and raises where op-by-op does."""
+        ops = _masked([_init1(3), LogicHOp(GateType.NOT, 200, 0, 4, 0, 0, 0, 0, 1)])
+        program = MicroProgram.from_ops(ops, "wide-index", CFG)
+        with pytest.raises(ValueError, match="does not fit"):
+            program.super_steps
+        _raises_like_op_by_op(CFG, ops)
 
 
 class TestRegionCachePersistence:

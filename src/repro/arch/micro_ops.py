@@ -213,84 +213,6 @@ def _write_layout(word_size: int) -> "tuple[tuple[str, int], ...]":
     return (("index", _IDX_FIELD), ("value", min(word_size, 61 - _IDX_FIELD)))
 
 
-def _pack(fields: "list[tuple[int, int]]", kind: _Kind) -> int:
-    """Pack (value, width) fields LSB-first under a 3-bit kind tag."""
-    word = 0
-    shift = 0
-    for value, width in fields:
-        if not 0 <= value < (1 << width):
-            raise ValueError(f"field value {value} does not fit in {width} bits")
-        word |= value << shift
-        shift += width
-    if shift > 61:
-        raise ValueError("payload exceeds 61 bits")
-    return word | (int(kind) << 61)
-
-
-def encode(op: MicroOp, word_size: int = 32) -> int:
-    """Encode a micro-operation into its 64-bit binary representation.
-
-    ``word_size`` bounds the write-value field (N bits).
-    """
-    if isinstance(op, CrossbarMaskOp):
-        return _pack(
-            [(op.start, _XB_FIELD), (op.stop, _XB_FIELD), (op.step, _XB_FIELD)],
-            _Kind.XB_MASK,
-        )
-    if isinstance(op, RowMaskOp):
-        return _pack(
-            [(op.start, _ROW_FIELD), (op.stop, _ROW_FIELD), (op.step, _ROW_FIELD)],
-            _Kind.ROW_MASK,
-        )
-    if isinstance(op, ReadOp):
-        return _pack([(op.index, _IDX_FIELD)], _Kind.READ)
-    if isinstance(op, WriteOp):
-        if op.value >= (1 << word_size):
-            raise ValueError("write value exceeds word size")
-        layout = _write_layout(word_size)
-        return _pack([(getattr(op, name), bits) for name, bits in layout], _Kind.WRITE)
-    if isinstance(op, LogicHOp):
-        return _pack(
-            [
-                (int(op.gate), _GATE_FIELD),
-                (op.in_a, _IDX_FIELD),
-                (op.in_b, _IDX_FIELD),
-                (op.out, _IDX_FIELD),
-                (op.p_a, _PART_FIELD),
-                (op.p_b, _PART_FIELD),
-                (op.p_out, _PART_FIELD),
-                (op.p_end, _PART_FIELD),
-                (op.p_step, _PART_FIELD),
-            ],
-            _Kind.LOGIC_H,
-        )
-    if isinstance(op, LogicVOp):
-        return _pack(
-            [
-                (int(op.gate), _GATE_FIELD),
-                (op.in_row, _ROW_FIELD),
-                (op.out_row, _ROW_FIELD),
-                (op.index, _IDX_FIELD),
-            ],
-            _Kind.LOGIC_V,
-        )
-    if isinstance(op, MoveOp):
-        # Signed distance stored as sign-magnitude to keep decode trivial.
-        sign = 1 if op.dist < 0 else 0
-        return _pack(
-            [
-                (abs(op.dist), _XB_FIELD),
-                (sign, 1),
-                (op.src_row, _ROW_FIELD),
-                (op.dst_row, _ROW_FIELD),
-                (op.src_index, _IDX_FIELD),
-                (op.dst_index, _IDX_FIELD),
-            ],
-            _Kind.MOVE,
-        )
-    raise TypeError(f"not a micro-operation: {op!r}")
-
-
 #: Payload layout per kind: the op class plus (field name, width) pairs,
 #: LSB-first (the WRITE value field follows the runtime ``word_size``:
 #: :func:`_write_layout`).
@@ -324,6 +246,31 @@ _LAYOUT = {
          ("dst_index", _IDX_FIELD)),
     ),
 }
+_KIND_OF = {cls: kind for kind, (cls, _) in _LAYOUT.items()}
+
+
+def encode(op: MicroOp, word_size: int = 32) -> int:
+    """Encode a micro-operation into its 64-bit binary representation.
+
+    ``word_size`` bounds the write-value field (N bits). Fields are packed
+    LSB-first in :data:`_LAYOUT` order under the 3-bit kind tag.
+    """
+    kind = _KIND_OF.get(type(op))
+    if kind is None:
+        raise TypeError(f"not a micro-operation: {op!r}")
+    if kind == _Kind.WRITE and op.value >= (1 << word_size):
+        raise ValueError("write value exceeds word size")
+    word, shift = int(kind) << 61, 0
+    for name, width in _LAYOUT[kind][1] or _write_layout(word_size):
+        if name == "sign":  # the distance is stored as sign-magnitude
+            value = int(op.dist < 0)
+        else:
+            value = abs(op.dist) if name == "dist" else int(getattr(op, name))
+        if not 0 <= value < (1 << width):
+            raise ValueError(f"field value {value} does not fit in {width} bits")
+        word |= value << shift
+        shift += width
+    return word
 
 
 #: Ops per :func:`encode_many` block: bounds its int64 field matrices to ~1 MB.

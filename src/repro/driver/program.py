@@ -41,6 +41,7 @@ import numpy as np
 from repro.arch.config import PIMConfig
 from repro.arch.micro_ops import (
     CrossbarMaskOp,
+    LogicHOp,
     LogicVOp,
     MicroOp,
     MoveOp,
@@ -85,15 +86,18 @@ class SuperStep:
         return self.stop - self.start
 
 
-def segment_super_steps(words: np.ndarray, word_size: int) -> Tuple[SuperStep, ...]:
+def segment_super_steps(
+    words: np.ndarray, word_size: int, ops: Optional[Tuple[MicroOp, ...]] = None
+) -> Tuple[SuperStep, ...]:
     """Slice a program's operation words into :class:`SuperStep` segments.
 
     Purely structural (geometry-independent), and read off the words:
     the kind column says which are horizontal gates, only the others —
-    a fraction of a percent of a fused stream — are decoded to objects
-    (``decode_many`` rejects an unknown kind tag or a bad field among
-    them), and mask state is tracked as the triples those establish.
-    Gate runs are the gaps between them.
+    a fraction of a percent of a fused stream — are objects (taken from
+    ``ops`` when the program has them, else decoded: ``decode_many``
+    rejects an unknown kind tag or a bad field among them), and mask
+    state is tracked as the triples those establish. Gate runs are the
+    gaps between them.
     """
     segments: List[SuperStep] = []
     xb = row = None
@@ -104,8 +108,12 @@ def segment_super_steps(words: np.ndarray, word_size: int) -> Tuple[SuperStep, .
             segments.append(SuperStep(kind, start, stop, xb, row))
 
     others = np.flatnonzero(~is_logic_h(words))
+    if ops is None:
+        ops = decode_many(words[others], word_size)
+    else:
+        ops = [ops[index] for index in others.tolist()]
     cursor = 0
-    for index, op in zip(others.tolist(), decode_many(words[others], word_size)):
+    for index, op in zip(others.tolist(), ops):
         gates(cursor, index)
         segments.append(SuperStep("op", index, index + 1, xb, row, op))
         if isinstance(op, CrossbarMaskOp):
@@ -199,17 +207,38 @@ class MicroProgram:
     def super_steps(self) -> Tuple[SuperStep, ...]:
         """The program's super-step decomposition (built once, memoized).
 
-        See :func:`segment_super_steps`: read off :meth:`encoded`, so a
-        program whose fields do not fit the word format has none
-        (``ValueError``). The simulator's vectorized replay consumes
-        this, and :meth:`replay_summary` reports it.
+        See :func:`segment_super_steps`: read off :meth:`plan_words`, so
+        a program with a gate that fits no word is one undecoded ``"op"``
+        segment. The simulator's vectorized replay consumes this, and
+        :meth:`replay_summary` reports it.
         """
         if self._super_steps is None:
-            word_size = self.config_fingerprint[4]
-            self._super_steps = segment_super_steps(
-                self.encoded(word_size), word_size
-            )
+            try:
+                words = self.plan_words()
+            except ValueError:
+                self._super_steps = (SuperStep("op", 0, len(self)),)
+            else:
+                self._super_steps = segment_super_steps(
+                    words, self.config_fingerprint[4], self._ops
+                )
         return self._super_steps
+
+    def plan_words(self) -> np.ndarray:
+        """The words a replay plan's columns are sliced from: :meth:`encoded`
+        — or, when a non-gate op fits no word (a ``word_size=64`` write of
+        ``2**54`` or more), the gates' words with zero words between: a plan
+        takes the non-gate ops of a program built from objects as they are.
+        ``ValueError`` when a gate fits no word."""
+        word_size = self.config_fingerprint[4]
+        try:
+            return self.encoded(word_size)
+        except ValueError:
+            gate = [type(op) is LogicHOp for op in self._ops]
+            words = np.zeros(len(gate), dtype=np.uint64)
+            words[gate] = encode_many(
+                [op for op in self._ops if type(op) is LogicHOp], word_size
+            )
+            return words
 
     @property
     def self_masked(self) -> bool:

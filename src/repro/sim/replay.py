@@ -41,10 +41,10 @@ graphs all replay this way, on ``uint32`` and ``uint64``
 One rule (``Simulator.execute_program``): **plan → vectorized replay;
 otherwise a loop over ``Simulator.execute``**, the op-by-op reference.
 A program has no plan when it is not self-masked (a hand-built program
-running under caller-set masks), when an op of it must raise or does not
-fit the word format, or when its gate runs are so wide that lane
-programs lose to op-by-op NumPy (:func:`lanes_pay_off`). There is no
-engine setting.
+running under caller-set masks), when an op of it must raise or a gate
+of it fits no operation word, or when its gate runs are so wide that
+lane programs lose to op-by-op NumPy (:func:`lanes_pay_off`). There is
+no engine setting.
 """
 
 from __future__ import annotations
@@ -91,7 +91,12 @@ def lanes_pay_off(program) -> bool:
 
 @lru_cache(maxsize=65536)
 def _pattern_mask(
-    gate: GateType, p_a: int, p_b: int, p_out: int, p_end: int, p_step: int,
+    gate: GateType,
+    p_a: int,
+    p_b: int,
+    p_out: int,
+    p_end: int,
+    p_step: int,
     partitions: int,
 ) -> Tuple[int, int]:
     """(output-partition bitmask, gate count) of a validated pattern.
@@ -116,7 +121,9 @@ def _pattern_mask(
     ``partitions``, the tighter bound) turns a violation of that
     argument into an error instead of silent cross-lane corruption.
     """
-    mask, count = pattern_outputs(gate, p_a, p_b, p_out, p_end, p_step, partitions)
+    mask, count = pattern_outputs(
+        gate, p_a, p_b, p_out, p_end, p_step, partitions
+    )
     inputs = {GateType.NOR: (p_a, p_b), GateType.NOT: (p_a,)}.get(gate, ())
     for shift in (p_out - p_in for p_in in inputs):
         spill = (mask & ((1 << shift) - 1) if shift > 0
@@ -146,6 +153,12 @@ OPCODES = (
 _OPCODE_OF = np.zeros((len(GateType), 3, 3), dtype=np.int8)
 for _code, (_gate, _sign_a, _sign_b) in enumerate(OPCODES):
     _OPCODE_OF[_gate, _sign_a + 1, _sign_b + 1] = _code
+#: Their printed names: the gate, then "<" / ">" / "=" per input it reads
+#: (INIT0 and INIT1 none, NOT one, NOR two).
+_OPCODE_NAMES = [
+    gate.name + "".join("=<>"[sign] for sign in signs[: (0, 0, 1, 2)[gate]])
+    for gate, *signs in OPCODES
+]
 
 
 class GateRun(NamedTuple):
@@ -203,17 +216,13 @@ class GateRun(NamedTuple):
 
     def summary(self) -> Dict[str, object]:
         """What ``replay_info()`` prints of the run."""
-        reads = {GateType.NOR: 2, GateType.NOT: 1}  # inputs: "<" ">" "=" each
-        names = [
-            gate.name + "".join("=<>"[sign] for sign in signs[: reads.get(gate, 0)])
-            for gate, *signs in OPCODES
-        ]
+        opcodes = Counter(_OPCODE_NAMES[step[0]] for step in self.steps)
         return {
             "lanes": len(self.xb) * len(self.row),
             "steps": len(self.steps),
             "regs": len(self.regs),
             "masks": len({step[6] for step in self.steps}),
-            "opcodes": dict(Counter(names[step[0]] for step in self.steps)),
+            "opcodes": dict(opcodes),
         }
 
 
@@ -229,7 +238,7 @@ def build_gate_runs(program, config, memory: CrossbarMemory) -> Iterator[GateRun
     simulators). The caller guarantees the program is self-masked —
     every gate sits in a run — and that :func:`lanes_pay_off` holds.
     """
-    words = program.encoded(config.word_size)
+    words = program.plan_words()
     fields = logic_h_columns(words[is_logic_h(words)])
     gate, out = fields["gate"], fields["out"]
     reads_a, reads_b = gate >= GateType.NOT, gate == GateType.NOR

@@ -248,9 +248,10 @@ class Simulator:
           (:func:`repro.sim.replay.lanes_pay_off`), replay through a
           vectorized :class:`ReplayPlan` and one static stats merge;
         - anything else (hand-built programs relying on caller-set
-          masks or not fitting the word format, a static walk that finds
-          an op that must raise, regions of thousands of rows) is a
-          plain loop over :meth:`execute`, the op-by-op reference.
+          masks or holding a gate that fits no operation word, a static
+          walk that finds an op that must raise, regions of thousands
+          of rows) is a plain loop over :meth:`execute`, the op-by-op
+          reference.
 
         Either way memory, profiling counters and raised errors are
         exactly those of op-by-op execution. Returns the response word
@@ -281,8 +282,10 @@ class Simulator:
     # Replay-plan construction
     # ------------------------------------------------------------------
     def replay_plan(self, program) -> Optional[ReplayPlan]:
-        """The program's vectorized plan (built on first sight, memoized),
-        or ``None`` (reference replay)."""
+        """The program's vectorized plan, or ``None`` (reference replay).
+
+        Built on first sight of the program and memoized on it.
+        """
         plan = self._plan(program)
         return None if plan.steps is None else plan
 
@@ -304,11 +307,7 @@ class Simulator:
             )
         start = perf_counter()
         steps = static_stats = None
-        try:
-            self_masked = program.self_masked
-        except ValueError:  # a field does not fit the word format: no
-            self_masked = False  # columns, so no plan
-        if self_masked:
+        if program.self_masked:
             try:
                 static_stats = program.bill(self.config).billed(self.move_cost)
             except SimulationError:
@@ -344,14 +343,18 @@ class Simulator:
         self._row_mask = mask
 
     def _silent_read(self, index: int) -> int:
-        return self.memory.get_word(self._xb_mask.start, self._row_mask.start, index)
+        return self.memory.get_word(
+            self._xb_mask.start, self._row_mask.start, index
+        )
 
     def _silent_write(self, index: int, value: int) -> None:
         self._reg_region(index)[...] = self.memory.dtype.type(value)
 
     def _silent_logic_v(self, gate, in_row: int, out_row: int, index: int) -> None:
         xm = self._xb_mask
-        column = self.memory.words[xm.start : xm.stop + 1 : xm.step, index, :]
+        column = self.memory.words[
+            xm.start : xm.stop + 1 : xm.step, index, :
+        ]
         if gate == GateType.INIT1:
             column[:, out_row] = self.memory.word_mask
         elif gate == GateType.INIT0:
@@ -463,13 +466,19 @@ class Simulator:
         )
 
     def _exec_move(self, op: MoveOp) -> None:
+        cfg = self.config
         self._check_index(op.src_index)
         self._check_index(op.dst_index)
         _check_row(self.config, op.src_row)
         _check_row(self.config, op.dst_row)
         cycles = checked_move_cycles(
-            self._xb_mask, op.dist, self.config.crossbars, self.move_cost
+            self._xb_mask, op.dist, cfg.crossbars, self.move_cost
         )
-        self._silent_move(op.dist, op.src_row, op.dst_row, op.src_index, op.dst_index)
+        # Index arrays, not the plan's slice views (``_silent_move``): the
+        # reference stays an independent statement of the move.
+        sources = np.fromiter(self._xb_mask.indices(), dtype=np.int64)
+        self.memory.words[sources + op.dist, op.dst_index, op.dst_row] = (
+            self.memory.words[sources, op.src_index, op.src_row]
+        )
         self.stats.htree_hop_cycles += cycles - 1
         self.stats.record("move", cycles=cycles)

@@ -218,7 +218,8 @@ class TestEmitModeResolution:
     driver can build one (cache on, chip with a program/batch port) and
     lowered op-by-op otherwise."""
 
-    def test_default_is_stream(self):
+    def test_default_is_stream(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DRIVER_EMIT", "macro")  # leftover: ignored
         _, driver, _ = stream_emission(random_stream(SEEDS[1]))
         assert driver.emit_counters == {"stream": 1, "macro": 0}
 

@@ -140,7 +140,7 @@ def _random_pattern(rng, gate, partitions):
         p_a, p_b = sorted(
             p_out + int(offset) for offset in rng.integers(-4, 5, size=2)
         )
-        if p_a < 0 or p_b >= partitions:  # must fit the operation word
+        if p_a < 0 or p_b > 63:  # the operation word's 6-bit field
             continue
         fields = dict(p_a=p_a, p_b=p_b, p_out=p_out, p_end=p_end,
                       p_step=p_step)
@@ -346,6 +346,41 @@ class TestEngineSelection:
         sim, _, _ = _replay_vs_op_by_op(WIDE, ops, replays=2)
         assert sim.replay_counters == {"vectorized": 2, "reference": 0}
 
+    def test_strided_moves_on_one_register_and_row(self):
+        """The plan's move (slice views) against the reference's (index
+        arrays): strided sources interleaved with their destinations on
+        the same register and row, sending right and left."""
+        config = small_config(crossbars=16, rows=4)
+        ops = [RowMaskOp(0, 3, 1)]
+        for start, stop, step, dist in (
+            (0, 12, 4, 1), (3, 15, 4, -2), (0, 1, 1, 2), (14, 15, 1, -9),
+            (5, 5, 1, 10),
+        ):
+            ops += [CrossbarMaskOp(start, stop, step), MoveOp(dist, 2, 2, 1, 1)]
+        sim, _, _ = _replay_vs_op_by_op(config, ops)
+        assert sim.replay_counters == {"vectorized": 1, "reference": 0}
+
+    def test_full_width_writes_vectorize(self):
+        """A ``word_size=64`` write of ``2**54`` or more fits no operation
+        word; a plan takes the op as it is, and reads only gate words."""
+        top = (1 << 64) - 1
+        ops = [
+            CrossbarMaskOp(0, 3, 1), RowMaskOp(0, 7, 1),
+            WriteOp(0, top), WriteOp(1, 1 << 54), WriteOp(2, (1 << 54) - 1),
+            LogicHOp(GateType.INIT1, 0, 0, 3, p_a=0, p_b=0, p_out=0,
+                     p_end=63, p_step=1),
+            LogicHOp(GateType.NOR, 0, 1, 3, p_a=0, p_b=0, p_out=0,
+                     p_end=63, p_step=1),
+            WriteOp(4, top ^ 1),
+            CrossbarMaskOp(2, 2, 1), RowMaskOp(5, 5, 1), ReadOp(3),
+        ]
+        sim, _, program = _replay_vs_op_by_op(WIDE, ops, replays=2)
+        assert sim.replay_counters == {"vectorized": 2, "reference": 0}
+        assert sim.memory.words[1, 4, 2] == top ^ 1
+        with pytest.raises(ValueError, match="does not fit"):
+            program.encoded(64)  # no word image: not storable, not DMA-able
+        assert (WriteOp, 0, top) in sim.replay_plan(program).steps
+
     def test_word_formats_share_no_lane_masks(self):
         """A 32- and a 64-bit simulator in one process, same lane count
         and same gate patterns: replicated masks depend on the lane
@@ -511,11 +546,11 @@ def _h_word(**fields):
     values = dict(gate=GateType.INIT1, in_a=0, in_b=0, out=3, p_a=0, p_b=0,
                   p_out=0, p_end=31, p_step=1)
     values.update(fields)
-    layout = micro_ops._LAYOUT[micro_ops._Kind.LOGIC_H][1]
-    return micro_ops._pack(
-        [(int(values[name]), width) for name, width in layout],
-        micro_ops._Kind.LOGIC_H,
-    )
+    word, shift = int(micro_ops._Kind.LOGIC_H) << 61, 0
+    for name, width in micro_ops._LAYOUT[micro_ops._Kind.LOGIC_H][1]:
+        word |= int(values[name]) << shift
+        shift += width
+    return word
 
 
 class TestColumnPathRejections:
@@ -582,12 +617,20 @@ class TestColumnPathRejections:
             Simulator(CFG).execute_program(_word_twin(program, WIDE))
 
     def test_unencodable_program_has_no_plan(self):
-        """A field that does not fit the word format: no columns, no plan
-        — the reference loop runs it, and raises where op-by-op does."""
+        """A gate that fits no word: no columns, so one undecoded segment
+        and no plan — the reference loop runs it, raises where op-by-op
+        does, and ``replay_info`` still reports it."""
+        from repro.backend.simulator import SimulatorBackend
+
         ops = _masked([_init1(3), LogicHOp(GateType.NOT, 200, 0, 4, 0, 0, 0, 0, 1)])
         program = MicroProgram.from_ops(ops, "wide-index", CFG)
         with pytest.raises(ValueError, match="does not fit"):
-            program.super_steps
+            program.plan_words()
+        assert program.super_steps == (SuperStep("op", 0, len(ops)),)
+        assert not program.self_masked
+        info = SimulatorBackend(CFG).program_replay_info(program)
+        assert (info["engine"], info["plan"]) == ("reference", None)
+        assert (info["ops"], info["gate_ops"], info["fallback_ops"]) == (4, 0, 4)
         _raises_like_op_by_op(CFG, ops)
 
 

@@ -1,4 +1,4 @@
-"""Figure 13 (third series) + driver cache ablation + emission breakdown.
+"""Figure 13 (third series) + driver cache ablation.
 
 Measures the host driver's micro-op generation rate into a memory buffer
 (the artifact appendix's methodology: micro-operations rerouted from the
@@ -13,15 +13,8 @@ fused program per 64-macro stream). The stream column is the headline
 number — it is what compiled graphs and stream-aware hosts pay — and
 the CI gate: **every** op type, including the short-bodied int add /
 int ``<`` that cap per-macro dispatch below 1x, must clear 1x headroom
-against the 300MHz chip.
-
-The per-op-type breakdown attributes each case's headroom: *gate
-building* (cold lowering cost, paid once per distinct instruction and
-then cached) versus steady-state *emission* (the per-macro cost of
-shipping the cached pre-encoded stream), against the chip's own
-consumption time for that macro's micro-ops. Stream-plan cache traffic
-is reported alongside so cold/warm attribution stays honest: a steady
-stream loop must be all plan hits.
+against the 300MHz chip. A steady stream loop must be all plan hits, so
+plan compilation cannot hide inside the emission figure.
 """
 
 import os
@@ -29,11 +22,7 @@ import os
 import pytest
 
 from repro.arch.config import PIMConfig
-from repro.driver.throughput import (
-    EmissionBreakdown,
-    measure_driver_throughput,
-    measure_gate_build_cost,
-)
+from repro.driver.throughput import measure_driver_throughput
 from repro.isa.dtypes import float32, int32
 from repro.isa.instructions import ROp
 
@@ -52,7 +41,6 @@ CASES = [
 STREAM_LEN = 64
 
 _LINES = []
-_BREAKDOWN = []
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +63,6 @@ def test_driver_throughput(benchmark, cfg, name, op, dtype):
         return stream, macro
 
     stream, macro = benchmark.pedantic(run, rounds=1, iterations=1)
-    build = measure_gate_build_cost(cfg, op, dtype, samples=12)
-    breakdown = EmissionBreakdown(stream, build)
     benchmark.extra_info.update(
         micro_per_second=f"{stream.micro_per_second:.3e}",
         headroom=f"{stream.headroom:.2f}",
@@ -89,14 +75,6 @@ def test_driver_throughput(benchmark, cfg, name, op, dtype):
         f"(headroom {stream.headroom:5.2f}x)   "
         f"per-macro: {macro.micro_per_second:9.3e} uops/s "
         f"(headroom {macro.headroom:5.2f}x)"
-    )
-    _BREAKDOWN.append(
-        f"{name:<10} {stream.ops_per_macro:7.0f} uops/macro | "
-        f"emit {stream.emit_seconds_per_macro * 1e6:7.3f} us/macro (stream) "
-        f"{macro.emit_seconds_per_macro * 1e6:7.2f} us/macro (per-macro)  "
-        f"build {build * 1e6:9.2f} us/macro (cold, cached away)  "
-        f"chip {stream.chip_seconds_per_macro * 1e6:7.2f} us/macro | "
-        f"plans {breakdown.plan_counters} | limit: {breakdown.bottleneck}"
     )
     assert stream.micro_per_second > 1e6
     # The steady loop replays warm plans only: compilation must not be
@@ -149,22 +127,6 @@ def teardown_module(module):
         " (Driver.execute).",
         "",
     ] + _LINES
-    if _BREAKDOWN:
-        sections += [
-            "",
-            "Per-op-type emission breakdown (headroom attribution):",
-            "",
-        ] + _BREAKDOWN + [
-            "",
-            "Whole-stream emission removes the fixed per-macro dispatch",
-            "that capped the short-bodied cases (int add, int <) below 1x:",
-            "a warm stream replays one cached fused plan per"
-            f" {STREAM_LEN} macros",
-            "(all plan-cache hits in the steady state), so every op type",
-            "now clears 1x headroom — enforced in CI. Gate building stays",
-            "fully amortized by the compiled-sequence cache; the per-macro",
-            "column is the same plan dispatch at one-instruction granularity.",
-        ]
     text = "\n".join(sections)
     print("\n" + text)
     with open(os.path.join(RESULTS_DIR, "driver_throughput.txt"), "w") as handle:

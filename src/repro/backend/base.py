@@ -289,7 +289,7 @@ class BilledBackend(Backend):
         self._instr_stats: Dict[Instruction, SimStats] = {}
         self._hits = 0
         self._misses = 0
-        # Stream tier, mirroring the driver's StreamPlan cache.
+        # Stream tier, mirroring the driver's stream-plan cache.
         self._stream_programs: Dict[Tuple, BilledProgram] = {}
         self._emit_counters: Dict[str, int] = {"stream": 0, "macro": 0}
         # Installed fault overlay over ``words`` (None = fault-free),

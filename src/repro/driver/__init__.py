@@ -18,8 +18,8 @@ re-implement the AritPIM suite from scratch:
   passes (mask coalescing, redundant-INIT1 elimination);
 - :mod:`repro.driver.driver` — the :class:`Driver` itself, with its
   compiled-program cache;
-- :mod:`repro.driver.stream` — the stream emission compiler
-  (:class:`MacroStream` IR, cached :class:`StreamPlan` dispatch: an
+- :mod:`repro.driver.stream` — the stream handle (:class:`MacroStream`;
+  a stream's plan is its cached fused :class:`MicroProgram`, and an
   eager R-type macro is a one-instruction stream);
 - :mod:`repro.driver.throughput` — the driver-throughput measurement
   harness (micro-ops rerouted to a memory buffer, Section VI-B / artifact
@@ -30,7 +30,7 @@ from repro.driver.compiler import CompileError, compile_ops
 from repro.driver.driver import Driver, BufferSink
 from repro.driver.gates import GateBuilder, ScratchOverflow
 from repro.driver.program import MicroProgram, ProgramCache, config_fingerprint
-from repro.driver.stream import MacroStream, StreamPlan
+from repro.driver.stream import MacroStream
 
 __all__ = [
     "Driver",
@@ -40,7 +40,6 @@ __all__ = [
     "MicroProgram",
     "ProgramCache",
     "MacroStream",
-    "StreamPlan",
     "CompileError",
     "compile_ops",
     "config_fingerprint",

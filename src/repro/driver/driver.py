@@ -3,8 +3,10 @@
 The driver is the software replacement for the on-chip controllers of
 previous works (Section V-B): it lowers each ISA macro-instruction into the
 stateful-logic micro-operation sequence of the microarchitecture and
-forwards the stream to the chip (the simulator, or any sink implementing
-``execute``).
+forwards the stream to the chip over one interface: ``execute(op)`` and
+``execute_program(program)``, implemented by the simulator and by
+:class:`BufferSink` (the artifact's driver-throughput method: the same
+interface pointed at a memory buffer).
 
 Because lowering is deterministic in the register operands, the driver
 keeps a *program cache*: the micro-op body of an R-type instruction is
@@ -15,12 +17,12 @@ Python driver fast enough to outpace the PIM chip's consumption rate (the
 claim benchmarked in ``benchmarks/test_driver_throughput.py``).
 
 There is one dispatch path: an R-type macro is a one-instruction stream,
-and every stream is emitted as a cached, self-masked
-:class:`~repro.driver.stream.StreamPlan` through a single chip call
-(``execute_program`` replay, or one pre-encoded ``execute_batch`` word
-block). Whatever has no plan — non-R-type macros issued one at a time, a
-disabled cache, chips without a program/batch port — is lowered and
-forwarded op-by-op by :meth:`Driver._execute_lowered`, the reference the
+and every stream is emitted as a cached, self-masked fused
+:class:`~repro.driver.program.MicroProgram` through a single
+``chip.execute_program`` call. Whatever has no plan — non-R-type macros
+issued one at a time, a disabled cache, a stream longer than
+:data:`~repro.driver.stream.MAX_PLAN_MACROS` — is lowered and forwarded
+op-by-op by :meth:`Driver._execute_lowered`, the reference the
 differential suites compare against. Multi-instruction streams can
 additionally be recorded and peephole-optimized with
 :meth:`Driver.compile` / :meth:`Driver.run_program` (see
@@ -29,7 +31,6 @@ additionally be recorded and peephole-optimized with
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.config import PIMConfig
@@ -51,7 +52,7 @@ from repro.driver.compiler import CompileError, compile_ops, validate_ops
 from repro.driver.gates import GateBuilder
 from repro.driver.persist import PersistentProgramCache, resolve_cache_dir
 from repro.driver.program import MicroProgram, ProgramCache, config_fingerprint
-from repro.driver.stream import UNSUPPORTED, MacroStream, build_plan
+from repro.driver.stream import MAX_PLAN_MACROS, MacroStream
 from repro.isa.instructions import (
     Instruction,
     MoveInstr,
@@ -68,28 +69,6 @@ from repro.sim.stats import SimStats
 #: Default LRU capacity of each program-cache tier.
 DEFAULT_CACHE_SIZE = 4096
 
-#: Environment variable overriding the default cache capacity.
-CACHE_SIZE_ENV = "REPRO_CACHE_SIZE"
-
-
-def resolve_cache_size(requested: Optional[int] = None) -> int:
-    """The effective per-tier LRU capacity.
-
-    Explicit ``cache_size=`` wins; otherwise ``REPRO_CACHE_SIZE`` (an
-    unparsable value falls back to the default rather than erroring —
-    cache sizing must never take the session down); otherwise
-    :data:`DEFAULT_CACHE_SIZE`. Zero disables caching entirely.
-    """
-    if requested is not None:
-        return int(requested)
-    raw = os.environ.get(CACHE_SIZE_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_CACHE_SIZE
-
 
 class BufferSink:
     """A chip stand-in that encodes micro-ops into a bounded ring buffer.
@@ -97,8 +76,8 @@ class BufferSink:
     Mirrors the paper's driver-throughput methodology (artifact appendix):
     micro-operations are rerouted to a memory buffer instead of the
     simulator, so the measured time is purely the host's generation cost.
-    Exposes :meth:`execute_batch` so the driver can DMA pre-encoded cached
-    sequences instead of re-encoding them operation by operation.
+    :meth:`execute_program` copies a program's pre-encoded words DMA-style
+    instead of re-encoding them operation by operation. Reads answer 0.
     """
 
     def __init__(self, config: PIMConfig, capacity: int = 100_000):
@@ -115,8 +94,9 @@ class BufferSink:
             return 0
         return None
 
-    def execute_batch(self, words) -> None:
-        """Copy a pre-encoded operation block into the ring buffer."""
+    def execute_program(self, program: MicroProgram) -> Optional[int]:
+        """Copy the program's operation words into the ring buffer."""
+        words = program.encoded(self.config.word_size)
         capacity = len(self.buffer)
         size = len(words)
         start = self.count % capacity
@@ -126,6 +106,7 @@ class BufferSink:
             rest = min(size - take, capacity)
             self.buffer[:rest] = words[size - rest : size]
         self.count += size
+        return 0 if program.reads else None
 
 
 class Driver:
@@ -133,17 +114,19 @@ class Driver:
 
     Args:
         chip: the micro-op consumer (a :class:`repro.sim.Simulator` or a
-            :class:`BufferSink`); must expose ``execute(op)``.
+            :class:`BufferSink`), exposing ``execute(op)`` and
+            ``execute_program(program)``; ``None`` for a driver that only
+            lowers and prices (``config`` is then required).
         config: architecture parameters (defaults to the chip's config).
         parallelism: ``"parallel"`` uses the partition-based fast paths for
             addition/subtraction and bitwise operations (the paper's
             configuration); ``"serial"`` forces the bit-serial suite
             everywhere (the parallelism ablation).
         cache_size: maximum number of compiled R-type bodies to retain
-            (the stream-plan tier is bounded by the same size). Defaults
-            from ``REPRO_CACHE_SIZE`` when unset (else 4096); evictions
-            beyond the bound are counted per tier and surfaced via
-            ``Backend.cache_counters()``.
+            (the stream-plan tier is bounded by the same size); ``None``
+            means :data:`DEFAULT_CACHE_SIZE`, 0 disables caching.
+            Evictions beyond the bound are counted per tier and surfaced
+            via ``Backend.cache_counters()``.
         cache_dir: directory for the cross-session persistent program
             store (see :mod:`repro.driver.persist`): compiled bodies and
             fused streams are written through and restored on later
@@ -171,7 +154,7 @@ class Driver:
         self.config = config if config is not None else chip.config
         self.parallelism = parallelism
         self.guard = guard
-        cache_size = resolve_cache_size(cache_size)
+        cache_size = DEFAULT_CACHE_SIZE if cache_size is None else int(cache_size)
         self.cache_enabled = cache_size > 0
         self.cache_dir = resolve_cache_dir(cache_dir)
         #: The durable cross-session tier (``None`` when no cache
@@ -182,11 +165,11 @@ class Driver:
             else None
         )
         self.programs = ProgramCache(maxsize=cache_size, store=self.persist)
-        #: The stream tier: fused multi-instruction programs and
-        #: :class:`~repro.driver.stream.StreamPlan`\ s, keyed on the
-        #: instruction-tuple signature plus everything lowering depends
-        #: on. Separate from :attr:`programs` (the per-R-type body tier)
-        #: so body-cache hit rates stay meaningful.
+        #: The stream tier: fused multi-instruction programs (compiled
+        #: streams and stream plans), keyed on the instruction-tuple
+        #: signature plus everything lowering depends on. Separate from
+        #: :attr:`programs` (the per-R-type body tier) so body-cache hit
+        #: rates stay meaningful.
         self.streams = ProgramCache(maxsize=cache_size, store=self.persist)
         # The config is fixed for the driver's lifetime; hoist the
         # fingerprint out of the per-instruction cache-key path.
@@ -437,40 +420,29 @@ class Driver:
     ) -> Optional[int]:
         """Emit a whole macro-instruction stream as one dispatch unit.
 
-        The stream is fused into a cached
-        :class:`~repro.driver.stream.StreamPlan` (see
-        :mod:`repro.driver.stream`) and dispatched with a single chip
-        call — ``execute_program`` replay, or one pre-encoded
-        ``execute_batch`` word block — followed by one fault tick.
-        Streams with no plan (a disabled cache, a chip without a
-        program/batch port, a batch-only sink asked for read responses,
-        more than :data:`~repro.driver.stream.MAX_PLAN_MACROS` macros)
-        are lowered and forwarded op-by-op instead, one fault tick per
-        macro, bit-identically. Returns the last read response.
+        The stream's plan is its fused, unoptimized program — a plan
+        must match op-by-op lowering in memory *and* cycle accounting,
+        and the peephole passes trade cycles — spliced once from the
+        cached bodies and mask preambles and kept in the stream tier in
+        memory only (re-splicing is cheaper than a disk load). It is
+        dispatched with a single ``chip.execute_program`` call followed
+        by one fault tick. A stream with no plan (a disabled cache, more
+        than :data:`~repro.driver.stream.MAX_PLAN_MACROS` macros)
+        touches no cache: it is lowered and forwarded op-by-op instead,
+        one fault tick per macro, bit-identically. Returns the last
+        read response.
         """
         instrs = MacroStream.wrap(instructions)
         if not instrs:
             return None
-        if self.cache_enabled:
+        if self.cache_enabled and len(instrs) <= MAX_PLAN_MACROS:
             key = ("plan", instrs, name, self.parallelism, self._fingerprint)
-            plan = self.streams.get(key, durable=False)
-            if plan is None:
-                plan = build_plan(self, instrs, name=name) or UNSUPPORTED
-                self.streams.put(key, plan)
-            if plan is not UNSUPPORTED:
-                self.emit_counters["stream"] += 1
-                self.macro_count += plan.program.macros
-                self.micro_count += len(plan.program)
-                if plan.route == "program":
-                    response = self.chip.execute_program(plan.program)
-                else:
-                    self.chip.execute_batch(
-                        plan.program.encoded(self.config.word_size)
-                    )
-                    response = None
-                if self.faults is not None:
-                    self.faults.tick()
-                return response
+            program = self.streams.get(key, durable=False)
+            if program is None:
+                program = self._compile_spliced(instrs, name, optimize=False)
+                self.streams.put(key, program, durable=False)
+            self.emit_counters["stream"] += 1
+            return self._dispatch(program)
         self.emit_counters["macro"] += 1
         response: Optional[int] = None
         for instr in instrs:
@@ -482,13 +454,10 @@ class Driver:
     def run_program(
         self, program: MicroProgram, verify: Optional[str] = None
     ) -> Optional[int]:
-        """Replay a compiled program on the chip.
+        """Replay a compiled program on the chip (``execute_program``).
 
-        Uses the chip's ``execute_program`` fast path when available,
-        then the DMA-style ``execute_batch`` word-block path (e.g.
-        :class:`BufferSink`), falling back to op-by-op ``execute``.
         Returns the last read response (``None`` if the program contains
-        no reads; batch sinks never respond).
+        no reads).
 
         ``verify="checksum"`` checksums the program's statically-derived
         written regions across the post-replay fault window and raises
@@ -499,19 +468,15 @@ class Driver:
         """
         if verify is not None and verify != "checksum":
             raise ValueError(f"unknown verify mode {verify!r}")
+        return self._dispatch(program, verify)
+
+    def _dispatch(
+        self, program: MicroProgram, verify: Optional[str] = None
+    ) -> Optional[int]:
+        """Counters, one chip call, then the fault tick or checksum window."""
         self.macro_count += program.macros
         self.micro_count += len(program)
-        if hasattr(self.chip, "execute_program"):
-            response = self.chip.execute_program(program)
-        elif hasattr(self.chip, "execute_batch"):
-            self.chip.execute_batch(program.encoded(self.config.word_size))
-            response = None
-        else:
-            response = None
-            for op in program:
-                result = self.chip.execute(op)
-                if result is not None:
-                    response = result
+        response = self.chip.execute_program(program)
         if verify is not None:
             self._verify_replay(program)
         elif self.faults is not None:

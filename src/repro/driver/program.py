@@ -24,9 +24,10 @@ Three pieces live here:
   programs, with hit/miss counters surfaced by ``pim.Profiler``.
 
 Programs are *built* by :mod:`repro.driver.compiler` (validation and the
-peephole passes) and *consumed* either op-by-op, as pre-encoded word
-blocks (``BufferSink.execute_batch``), or via the simulator's
-:meth:`~repro.sim.simulator.Simulator.execute_program` replay fast path.
+peephole passes) and *consumed* op-by-op or through a chip's
+``execute_program`` port: the simulator's
+:meth:`~repro.sim.simulator.Simulator.execute_program` replay, or
+``BufferSink.execute_program``'s copy of the pre-encoded words.
 """
 
 from __future__ import annotations
@@ -324,11 +325,10 @@ class ProgramCache:
     program compiled under different flags.
 
     The driver holds two independent instances: the per-R-type *body*
-    tier (``Driver.programs``) and the whole-stream *plan* tier
-    (``Driver.streams``, fused programs and
-    :class:`~repro.driver.stream.StreamPlan`\\ s keyed on the
-    instruction-tuple signature). Keeping the tiers separate keeps
-    each one's hit/miss accounting meaningful;
+    tier (``Driver.programs``) and the whole-stream tier
+    (``Driver.streams``: compiled streams and stream plans, both fused
+    programs keyed on the instruction-tuple signature). Keeping the
+    tiers separate keeps each one's hit/miss accounting meaningful;
     ``Driver.cache_hits`` / ``SimulatorBackend.cache_hits`` report the
     sum.
 
@@ -341,10 +341,9 @@ class ProgramCache:
     When a :class:`~repro.driver.persist.PersistentProgramCache` is
     attached as ``store``, misses probe the disk tier before reporting a
     miss, and inserts write through — the cross-session warm-start path
-    (``pim.init(cache_dir=...)``). Only :class:`MicroProgram` values
-    persist; plan-tier wrappers (``StreamPlan``, the ``UNSUPPORTED``
-    sentinel) are cheap to rebuild and stay in-memory only, and their
-    keys are looked up with ``durable=False``.
+    (``pim.init(cache_dir=...)``). Stream plans are cheaper to re-splice
+    than to load, so their keys are looked up and inserted with
+    ``durable=False`` and stay in memory only.
     """
 
     def __init__(self, maxsize: int = 4096, store=None):
@@ -369,8 +368,9 @@ class ProgramCache:
     def get(self, key: ProgramKey, durable: bool = True) -> Optional[MicroProgram]:
         """Look up a program, counting the hit/miss and refreshing LRU order.
 
-        ``durable=False`` marks a key whose values :meth:`put` never writes
-        through (stream plans): the disk tier cannot hold it, so is not probed.
+        ``durable=False`` marks a key that is :meth:`put` with
+        ``durable=False`` (stream plans): the disk tier cannot hold it, so
+        is not probed.
         """
         with self._lock:
             program = self._entries.get(key)
@@ -392,13 +392,18 @@ class ProgramCache:
             self.misses += 1
         return None
 
-    def put(self, key: ProgramKey, program: MicroProgram) -> None:
-        """Insert a program, evicting the least-recently-used beyond maxsize."""
+    def put(
+        self, key: ProgramKey, program: MicroProgram, durable: bool = True
+    ) -> None:
+        """Insert a program, evicting the least-recently-used beyond maxsize.
+
+        ``durable=False`` keeps it out of the disk tier.
+        """
         if not self.enabled:
             return
         with self._lock:
             self._insert(key, program)
-        if self.store is not None and isinstance(program, MicroProgram):
+        if durable and self.store is not None:
             self.store.store(key, program)
 
     def _insert(self, key: ProgramKey, program: MicroProgram) -> None:

@@ -1,48 +1,32 @@
-"""Stream emission: macro-instruction streams as one cached plan.
+"""Stream emission: a macro-instruction stream is one cached program.
 
 The *stream* — not the macro — is the driver's unit of emission.  A
 macro-instruction sequence (an eager R-type macro is the one-instruction
 case) is lowered once into a single fused, self-masked
-:class:`~repro.driver.program.MicroProgram` (splicing the cached
-per-(op, dtype, operand-layout) bodies behind cached mask preambles) and
-wrapped in a :class:`StreamPlan` that fixes, at build time, the dispatch
-route the chip supports.  Replaying the plan re-enters Python once per
-*stream*: one cache lookup, one chip call.  Short bit-parallel bodies
-(int add at ~185 micro-ops, comparisons at ~274) need this to keep the
-chip busy: ``results/driver_throughput.txt`` attributes their sub-1x
-per-macro headroom entirely to fixed per-dispatch cost.
+:class:`~repro.driver.program.MicroProgram` (the cached per-(op, dtype,
+operand-layout) bodies spliced behind cached mask preambles), kept in the
+driver's stream tier, and handed to the chip's ``execute_program`` port.
+Replaying it re-enters Python once per *stream*: one cache lookup, one
+chip call.  Short bit-parallel bodies (int add at ~185 micro-ops,
+comparisons at ~274) need this to keep the chip busy:
+``results/driver_throughput.txt`` shows their per-macro headroom below 1x
+from fixed per-dispatch cost alone.
 
-Three pieces live here:
+A stream has no plan for exactly two reasons: the driver's cache is off
+(``cache_size=0``: there is nowhere to keep one), or the stream is longer
+than :data:`MAX_PLAN_MACROS`.  It is then lowered and forwarded op-by-op,
+macro by macro, by ``Driver._execute_lowered`` — bit-identically in
+memory, ``SimStats`` and read responses.  Nothing selects between the
+two.
 
-- :class:`MacroStream` — the stream IR handle: an immutable instruction
-  tuple with a cached content hash, so steady-state plan lookups cost an
-  identity check instead of re-hashing every instruction;
-- :class:`StreamPlan` — a fused program plus its pre-resolved dispatch
-  route (``execute_program`` replay, or pre-encoded ``execute_batch``
-  word blocks);
-- :func:`build_plan` / :func:`plan_route` — plan construction.
-
-One rule decides how a stream reaches the chip: **plan → chip; otherwise
-``Driver._execute_lowered``.**  A stream has no plan when the chip has no
-program/batch port, when a batch-only sink is asked for in-stream read
-responses it cannot return, when the driver's cache is disabled
-(``cache_size=0``), or when it is longer than :data:`MAX_PLAN_MACROS`;
-it is then lowered and forwarded op-by-op, macro by macro,
-bit-identically in memory and ``SimStats``.  There is no mode to
-select between the two.
-
-The :attr:`Driver.emit_counters <repro.driver.driver.Driver.emit_counters>`
-dict records which of the two served each stream (``"stream"`` /
-``"macro"``); ``pim.Profiler`` snapshots it as ``emit_counts``.
+This module holds the two things a plan lookup needs besides the driver:
+:class:`MacroStream`, the stream handle, and :data:`MAX_PLAN_MACROS`.
+:attr:`Driver.emit_counters <repro.driver.driver.Driver.emit_counters>`
+records which of the two served each stream (``"stream"`` / ``"macro"``);
+``pim.Profiler`` snapshots it as ``emit_counts``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
-
-from repro.driver.program import MicroProgram
-from repro.isa.instructions import Instruction, ReadInstr  # noqa: F401
 
 
 class MacroStream(tuple):
@@ -72,30 +56,6 @@ class MacroStream(tuple):
         return cls(instructions)
 
 
-@dataclass(frozen=True, eq=False)
-class StreamPlan:
-    """A fused emission plan: one program, one pre-resolved dispatch route.
-
-    Attributes:
-        program: the fused (unoptimized — cycle counts must match
-            op-by-op lowering exactly) :class:`MicroProgram` of the whole
-            stream; its ``macros`` and ``reads`` are the plan's.
-        route: ``"program"`` (chip ``execute_program`` replay) or
-            ``"batch"`` (one pre-encoded ``execute_batch`` word block).
-    """
-
-    program: MicroProgram
-    route: str
-
-    def __len__(self) -> int:
-        return len(self.program)
-
-
-#: Cache sentinel for streams with no supported plan route, so the
-#: unsupported verdict is cached instead of re-derived per emission.
-UNSUPPORTED = object()
-
-
 #: Longest stream (in macro-instructions) that gets a plan. A plan keeps
 #: the fused program and the chip's replay plan alive for as long as the
 #: stream tier holds it, and the tier is bounded by entry count, not by
@@ -107,50 +67,3 @@ UNSUPPORTED = object()
 #: planned 38.4 s / 790 MB; up to 16 384 macros 42.9 s / 334 MB; up to
 #: 4 096 macros 44.0 s / 218 MB; up to 1 024 macros 55.7 s / 188 MB.
 MAX_PLAN_MACROS = 4096
-
-
-def plan_route(chip, reads: int) -> Optional[str]:
-    """The fastest whole-stream dispatch route ``chip`` supports.
-
-    ``execute_program`` replay handles everything (including in-stream
-    reads — replay returns the last response).  Batch-only sinks ship one
-    pre-encoded word block, but cannot return read responses
-    (``execute_batch`` has no return channel), so streams containing
-    reads are unsupported there.  Chips exposing only ``execute`` gain
-    nothing from a fused plan — per-op dispatch dominates either way —
-    and are served by ``Driver._execute_lowered``.
-    """
-    if chip is None:
-        return None
-    if hasattr(chip, "execute_program"):
-        return "program"
-    if hasattr(chip, "execute_batch") and reads == 0:
-        return "batch"
-    return None
-
-
-def build_plan(driver, instructions, name: str = "stream") -> Optional[StreamPlan]:
-    """Compile a macro stream into a :class:`StreamPlan`, or ``None``.
-
-    ``None`` means no supported dispatch route exists for this chip and
-    stream shape (see :func:`plan_route`), or the stream is longer than
-    :data:`MAX_PLAN_MACROS`; the caller lowers the stream op-by-op
-    instead.  The fused program is compiled *unoptimized*: a
-    plan must be bit-identical to op-by-op lowering in both memory
-    effects and cycle accounting, and the peephole passes trade cycles
-    for a different (if state-equivalent) stream.
-
-    The program is spliced from the cached mask preambles and the cached
-    (and persisted) bodies and lives only in the plan: re-splicing is
-    cheaper than a disk load, so it is neither written through to the
-    persistent store nor entered into the stream tier a second time.
-    """
-    instrs = MacroStream.wrap(instructions)
-    if len(instrs) > MAX_PLAN_MACROS:
-        return None
-    reads = sum(1 for instr in instrs if isinstance(instr, ReadInstr))
-    route = plan_route(driver.chip, reads)
-    if route is None:
-        return None
-    program = driver._compile_spliced(instrs, name, optimize=False)
-    return StreamPlan(program, route)

@@ -60,116 +60,6 @@ class ThroughputResult:
         """Micro-operations emitted per macro-instruction."""
         return self.micro_ops / max(self.macro_instructions, 1)
 
-    @property
-    def emit_seconds_per_macro(self) -> float:
-        """Host time spent emitting one macro-instruction's stream."""
-        return self.seconds / max(self.macro_instructions, 1)
-
-    @property
-    def chip_seconds_per_macro(self) -> float:
-        """Time the chip needs to consume one macro's micro-ops."""
-        return self.ops_per_macro / self.frequency_hz
-
-
-@dataclass(frozen=True)
-class EmissionBreakdown:
-    """Per-op-type attribution of the driver-throughput headroom.
-
-    Separates the two candidate bottlenecks behind a sub-1x headroom
-    figure: *gate building* (lowering a macro-instruction into its
-    micro-op body — paid once per distinct instruction, then cached)
-    versus *emission* (the steady-state per-macro cost of shipping the
-    cached, pre-encoded stream). ``ops_per_macro`` converts both into a
-    comparison against the chip's consumption rate: a short body (e.g.
-    the parallel int adder) gives the chip only nanoseconds of work per
-    macro, so even a microsecond of fixed per-macro host dispatch caps
-    headroom — that is an emission (dispatch-overhead) limit, not a
-    gate-building one.
-    """
-
-    steady: ThroughputResult
-    build_seconds_per_macro: float
-
-    @property
-    def ops_per_macro(self) -> float:
-        return self.steady.ops_per_macro
-
-    @property
-    def plan_counters(self) -> str:
-        """The steady run's stream-plan cache traffic, for reports.
-
-        A warm whole-stream measurement must be all hits ("N hits / 0
-        misses"); misses in the steady loop would mean the attribution
-        is charging plan compilation to emission.
-        """
-        return (
-            f"{self.steady.plan_hits} hits / {self.steady.plan_misses} misses"
-        )
-
-    @property
-    def cold_headroom(self) -> float:
-        """Headroom if every macro paid gate building (cache disabled)."""
-        return self.steady.chip_seconds_per_macro / (
-            self.build_seconds_per_macro + self.steady.emit_seconds_per_macro
-        )
-
-    @property
-    def bottleneck(self) -> str:
-        """Which stage caps headroom, from the two measured costs.
-
-        A warm cache removes gate building from the steady state
-        entirely, so a sub-1x steady headroom is an emission-dispatch
-        limit by construction; gate building is the limit only for the
-        cold stream (before the cache warms), which
-        :attr:`cold_headroom` measures.
-        """
-        if self.steady.headroom >= 1.0:
-            if self.cold_headroom < 1.0:
-                return "gate building, until the cache warms"
-            return "none (driver outpaces the chip)"
-        return "per-macro emission dispatch"
-
-
-def measure_gate_build_cost(
-    config: PIMConfig,
-    op: ROp,
-    dtype: DType,
-    samples: int = 24,
-    seed: int = 0,
-    parallelism: str = "parallel",
-) -> float:
-    """Seconds to *build* one macro's micro-op body, uncached.
-
-    Times the driver's gate-building path (:meth:`Driver._rtype_program`
-    with the program cache disabled) over ``samples`` distinct register
-    tuples — the one-time cost the compiled-sequence cache amortizes
-    away, reported so headroom gaps can be attributed to building versus
-    emission.
-    """
-    sink = BufferSink(config, capacity=1)
-    driver = Driver(sink, config=config, parallelism=parallelism, cache_size=0)
-    rng = random.Random(seed)
-    user = config.user_registers
-    arity = ARITY[op]
-    pool = []
-    for _ in range(max(1, samples)):
-        regs = [rng.randrange(user) for _ in range(1 + arity)]
-        pool.append(
-            RInstr(
-                op,
-                dtype,
-                dest=regs[0],
-                src_a=regs[1],
-                src_b=regs[2] if arity >= 2 else None,
-                src_c=regs[3] if arity >= 3 else None,
-            )
-        )
-    driver._rtype_program(pool[0])  # warm imports/halfgate tables
-    start = time.perf_counter()
-    for instr in pool:
-        driver._rtype_program(instr)
-    return (time.perf_counter() - start) / len(pool)
-
 
 def measure_driver_throughput(
     config: PIMConfig,

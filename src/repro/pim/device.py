@@ -388,7 +388,7 @@ def init(
     the pool shape — see :mod:`repro.pool`).
 
     Cache controls: ``cache_size=`` bounds each program-cache tier's LRU
-    (default from ``REPRO_CACHE_SIZE``, else 4096; 0 disables) and
+    (default 4096; 0 disables) and
     ``cache_dir=`` enables the cross-session persistent program cache
     (default from ``REPRO_CACHE_DIR``) so a warm-started session skips
     gate building — see :mod:`repro.driver.persist`.

@@ -59,72 +59,10 @@ def _node(device: PIMDevice, kind: str, **meta):
     return trace.node(kind, **meta)
 
 
-class Tensor:
-    """A 1-D PIM tensor (one register index across a warp range)."""
-
-    def __init__(
-        self,
-        device: PIMDevice,
-        length: int,
-        dtype: DType,
-        reference: Optional[Slot] = None,
-    ):
-        self._device = device
-        self.length = length
-        self.dtype = dtype
-        self.slot = device.allocator.allocate(length, reference=reference)
-        trace = _active_trace(device)
-        if trace is not None:
-            trace.track(self)
-
-    @classmethod
-    def _from_slot(cls, device: PIMDevice, slot: Slot, length: int, dtype: DType):
-        """Wrap a pre-allocated slot (used by group-aligned staging)."""
-        tensor = cls.__new__(cls)
-        tensor._device = device
-        tensor.length = length
-        tensor.dtype = dtype
-        tensor.slot = slot
-        trace = _active_trace(device)
-        if trace is not None:
-            trace.track(tensor)
-        return tensor
-
-    # ------------------------------------------------------------------
-    # Lifecycle / basics
-    # ------------------------------------------------------------------
-    @property
-    def device(self) -> PIMDevice:
-        """The owning device; raises after ``pim.reset()`` closed it."""
-        device = self._device
-        if device is None or device.closed:
-            raise RuntimeError(
-                "this Tensor's device has been reset (pim.reset()); "
-                "reallocate the tensor on the new device"
-            )
-        return device
-
-    def __del__(self):
-        try:
-            device = self._device
-            if (
-                device is not None
-                and not device.closed
-                and self.slot is not None
-            ):
-                device.allocator.free(self.slot)
-        except Exception:  # interpreter teardown
-            pass
-
-    def _release(self) -> None:
-        """Free the backing slot early (internal staging helper)."""
-        device = self._device
-        if device is None or device.closed:
-            self.slot = None
-            return
-        if self.slot is not None:
-            device.allocator.free(self.slot)
-            self.slot = None
+class _TensorOps:
+    """What :class:`Tensor` and :class:`TensorView` share, written against
+    ``length`` / ``dtype`` / ``device``: length and index checks, the
+    routines, and the operator table."""
 
     def __len__(self) -> int:
         return self.length
@@ -133,62 +71,6 @@ class Tensor:
     def shape(self) -> Tuple[int]:
         return (self.length,)
 
-    @property
-    def _mask(self) -> RangeMask:
-        return RangeMask.all(self.length)
-
-    @property
-    def _base(self) -> "Tensor":
-        return self
-
-    def __repr__(self) -> str:
-        values = ", ".join(repr(v) for v in self.to_numpy().tolist())
-        return (
-            f"Tensor(shape=({self.length},), dtype={self.dtype}):\n[{values}]"
-        )
-
-    # ------------------------------------------------------------------
-    # Indexing
-    # ------------------------------------------------------------------
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            view = TensorView(self, RangeMask.from_slice(key, self.length))
-            trace = _active_trace(self.device)
-            if trace is not None:
-                trace.note("view", slice=key, length=view.length)
-            return view
-        index = self._check_index(key)
-        device = self.device
-        warp, thread = device.locate(self.slot, index)
-        instr = ReadInstr(warp, thread, self.slot.reg)
-        trace = _active_trace(device)
-        if trace is not None:
-            with trace.node("read", index=index):
-                device.execute(instr)
-            # Defer the scalar: every replay reads it from the fresh result.
-            return trace.wrap_scalar(self.dtype)
-        raw = device.execute(instr)
-        return raw_to_value(raw, self.dtype)
-
-    def __setitem__(self, key, value) -> None:
-        if isinstance(key, slice):
-            mask = RangeMask.from_slice(key, self.length)
-            with _node(self.device, "write", slice=key):
-                _masked_fill(self, mask, value)
-            return
-        index = self._check_index(key)
-        device = self.device
-        warp, thread = device.locate(self.slot, index)
-        with _node(device, "write", index=index):
-            device.execute(
-                WriteInstr(
-                    self.slot.reg,
-                    value_to_raw(value, self.dtype),
-                    RangeMask.single(warp),
-                    RangeMask.single(thread),
-                )
-            )
-
     def _check_index(self, key) -> int:
         index = int(key)
         if index < 0:
@@ -196,18 +78,6 @@ class Tensor:
         if not 0 <= index < self.length:
             raise IndexError(f"index {key} out of range for length {self.length}")
         return index
-
-    # ------------------------------------------------------------------
-    # Host transfer
-    # ------------------------------------------------------------------
-    def to_numpy(self) -> np.ndarray:
-        """Copy the tensor to a host NumPy array (DMA-style readback)."""
-        return self.device.dump_array(self.slot, self.length, self.dtype)
-
-    def copy(self) -> "Tensor":
-        """A new tensor with the same contents (one COPY instruction when
-        the allocator achieves alignment, moves otherwise)."""
-        return _copy_tensor(self)
 
     # ------------------------------------------------------------------
     # Routines (implemented in repro.pim.routines)
@@ -302,7 +172,143 @@ class Tensor:
         return _unary(ROp.SIGN, self)
 
 
-class TensorView:
+class Tensor(_TensorOps):
+    """A 1-D PIM tensor (one register index across a warp range)."""
+
+    def __init__(
+        self,
+        device: PIMDevice,
+        length: int,
+        dtype: DType,
+        reference: Optional[Slot] = None,
+    ):
+        self._device = device
+        self.length = length
+        self.dtype = dtype
+        self.slot = device.allocator.allocate(length, reference=reference)
+        trace = _active_trace(device)
+        if trace is not None:
+            trace.track(self)
+
+    @classmethod
+    def _from_slot(cls, device: PIMDevice, slot: Slot, length: int, dtype: DType):
+        """Wrap a pre-allocated slot (used by group-aligned staging)."""
+        tensor = cls.__new__(cls)
+        tensor._device = device
+        tensor.length = length
+        tensor.dtype = dtype
+        tensor.slot = slot
+        trace = _active_trace(device)
+        if trace is not None:
+            trace.track(tensor)
+        return tensor
+
+    # ------------------------------------------------------------------
+    # Lifecycle / basics
+    # ------------------------------------------------------------------
+    @property
+    def device(self) -> PIMDevice:
+        """The owning device; raises after ``pim.reset()`` closed it."""
+        device = self._device
+        if device is None or device.closed:
+            raise RuntimeError(
+                "this Tensor's device has been reset (pim.reset()); "
+                "reallocate the tensor on the new device"
+            )
+        return device
+
+    def __del__(self):
+        try:
+            device = self._device
+            if (
+                device is not None
+                and not device.closed
+                and self.slot is not None
+            ):
+                device.allocator.free(self.slot)
+        except Exception:  # interpreter teardown
+            pass
+
+    def _release(self) -> None:
+        """Free the backing slot early (internal staging helper)."""
+        device = self._device
+        if device is None or device.closed:
+            self.slot = None
+            return
+        if self.slot is not None:
+            device.allocator.free(self.slot)
+            self.slot = None
+
+    @property
+    def _mask(self) -> RangeMask:
+        return RangeMask.all(self.length)
+
+    @property
+    def _base(self) -> "Tensor":
+        return self
+
+    def __repr__(self) -> str:
+        values = ", ".join(repr(v) for v in self.to_numpy().tolist())
+        return (
+            f"Tensor(shape=({self.length},), dtype={self.dtype}):\n[{values}]"
+        )
+
+    # ------------------------------------------------------------------
+    # Indexing
+    # ------------------------------------------------------------------
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            view = TensorView(self, RangeMask.from_slice(key, self.length))
+            trace = _active_trace(self.device)
+            if trace is not None:
+                trace.note("view", slice=key, length=view.length)
+            return view
+        index = self._check_index(key)
+        device = self.device
+        warp, thread = device.locate(self.slot, index)
+        instr = ReadInstr(warp, thread, self.slot.reg)
+        trace = _active_trace(device)
+        if trace is not None:
+            with trace.node("read", index=index):
+                device.execute(instr)
+            # Defer the scalar: every replay reads it from the fresh result.
+            return trace.wrap_scalar(self.dtype)
+        raw = device.execute(instr)
+        return raw_to_value(raw, self.dtype)
+
+    def __setitem__(self, key, value) -> None:
+        if isinstance(key, slice):
+            mask = RangeMask.from_slice(key, self.length)
+            with _node(self.device, "write", slice=key):
+                _masked_fill(self, mask, value)
+            return
+        index = self._check_index(key)
+        device = self.device
+        warp, thread = device.locate(self.slot, index)
+        with _node(device, "write", index=index):
+            device.execute(
+                WriteInstr(
+                    self.slot.reg,
+                    value_to_raw(value, self.dtype),
+                    RangeMask.single(warp),
+                    RangeMask.single(thread),
+                )
+            )
+
+    # ------------------------------------------------------------------
+    # Host transfer
+    # ------------------------------------------------------------------
+    def to_numpy(self) -> np.ndarray:
+        """Copy the tensor to a host NumPy array (DMA-style readback)."""
+        return self.device.dump_array(self.slot, self.length, self.dtype)
+
+    def copy(self) -> "Tensor":
+        """A new tensor with the same contents (one COPY instruction when
+        the allocator achieves alignment, moves otherwise)."""
+        return _copy_tensor(self)
+
+
+class TensorView(_TensorOps):
     """A strided view over a tensor's memory (``x[a:b:c]`` semantics)."""
 
     def __init__(self, base: Tensor, mask: RangeMask):
@@ -325,19 +331,12 @@ class TensorView:
         return len(self.mask)
 
     @property
-    def shape(self) -> Tuple[int]:
-        return (self.length,)
-
-    @property
     def _mask(self) -> RangeMask:
         return self.mask
 
     @property
     def _base(self) -> Tensor:
         return self.base
-
-    def __len__(self) -> int:
-        return self.length
 
     def __repr__(self) -> str:
         values = ", ".join(repr(v) for v in self.to_numpy().tolist())
@@ -363,14 +362,6 @@ class TensorView:
         index = self._check_index(key)
         self.base[self.mask.start + index * self.mask.step] = value
 
-    def _check_index(self, key) -> int:
-        index = int(key)
-        if index < 0:
-            index += self.length
-        if not 0 <= index < self.length:
-            raise IndexError(f"index {key} out of range for length {self.length}")
-        return index
-
     def to_numpy(self) -> np.ndarray:
         base = self.base.to_numpy()
         return base[self.mask.start : self.mask.stop + 1 : self.mask.step].copy()
@@ -378,48 +369,6 @@ class TensorView:
     def compact(self) -> Tensor:
         """Materialize the view into a fresh compact tensor (move instrs)."""
         return _compact(self)
-
-    # Routines ----------------------------------------------------------
-    def sum(self):
-        from repro.pim import routines
-
-        return routines.reduce(self, ROp.ADD)
-
-    def prod(self):
-        from repro.pim import routines
-
-        return routines.reduce(self, ROp.MUL)
-
-    def sort(self) -> Tensor:
-        from repro.pim import routines
-
-        return routines.sort(self)
-
-    # Operators (same dispatch as Tensor) -------------------------------
-    __add__ = Tensor.__add__
-    __radd__ = Tensor.__radd__
-    __sub__ = Tensor.__sub__
-    __rsub__ = Tensor.__rsub__
-    __mul__ = Tensor.__mul__
-    __rmul__ = Tensor.__rmul__
-    __truediv__ = Tensor.__truediv__
-    __rtruediv__ = Tensor.__rtruediv__
-    __mod__ = Tensor.__mod__
-    __lt__ = Tensor.__lt__
-    __le__ = Tensor.__le__
-    __gt__ = Tensor.__gt__
-    __ge__ = Tensor.__ge__
-    __eq__ = Tensor.__eq__  # type: ignore[assignment]
-    __ne__ = Tensor.__ne__  # type: ignore[assignment]
-    __hash__ = None  # type: ignore[assignment]
-    __and__ = Tensor.__and__
-    __or__ = Tensor.__or__
-    __xor__ = Tensor.__xor__
-    __invert__ = Tensor.__invert__
-    __neg__ = Tensor.__neg__
-    __abs__ = Tensor.__abs__
-    abs = Tensor.abs
-    sign = Tensor.sign
 
 
 TensorLike = Union[Tensor, TensorView]

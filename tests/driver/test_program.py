@@ -123,9 +123,11 @@ class TestDurableProbes:
         assert cache.get("body") is None
         assert cache.get("plan", durable=False) is None
         assert store.probed == ["body"] and cache.misses == 2
-        cache.put("plan", object())  # a plan wrapper: memory only
-        cache.put("body", MicroProgram.from_ops([], "p", CFG))
+        program = MicroProgram.from_ops([], "p", CFG)
+        cache.put("plan", program, durable=False)  # memory only
+        cache.put("body", program)
         assert store.stored == ["body"]
+        assert cache.get("plan", durable=False) is program
 
     def test_stream_plans_never_reach_the_disk_tier(self, tmp_path):
         sim, driver = fresh_pair(cache_dir=str(tmp_path))

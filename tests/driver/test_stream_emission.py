@@ -16,10 +16,13 @@ plan), on every backend.  This suite checks that promise differentially:
   ``optimize`` flags;
 - the numpy backend's fused ``run_stream`` is compared against its own
   per-instruction loop (memory image and cycle bill);
-- every stream without a plan route (batch-only sinks with in-stream
-  reads, execute-only chips, a disabled cache) is shown to produce
-  identical results through ``Driver._execute_lowered`` while
-  ``emit_counters`` attributes the emission level.
+- the chip contract itself — ``execute_program(p)`` is the loop over
+  ``execute(op)`` — is checked on both chips (``Simulator`` and
+  ``BufferSink``), and the two kinds of stream without a plan (a
+  disabled cache, more than ``MAX_PLAN_MACROS`` macros) are shown to
+  produce identical results through ``Driver._execute_lowered`` without
+  touching the stream tier, while ``emit_counters`` attributes the
+  emission level.
 
 On failure the offending stream is dumped to ``fuzz_artifacts/``
 (override with ``REPRO_FUZZ_ARTIFACT_DIR``), like the integration fuzz
@@ -37,15 +40,10 @@ import repro.pim as pim
 from repro.arch.config import small_config
 from repro.arch.masks import RangeMask
 from repro.driver.compiler import CompileError
-from repro.driver.driver import BufferSink, Driver
+from repro.driver.driver import DEFAULT_CACHE_SIZE, BufferSink, Driver
 from repro.driver import stream as stream_mod
-from repro.driver.stream import (
-    UNSUPPORTED,
-    MacroStream,
-    StreamPlan,
-    build_plan,
-    plan_route,
-)
+from repro.driver.program import MicroProgram
+from repro.driver.stream import MacroStream
 from repro.isa.dtypes import float32, int32
 from repro.isa.instructions import (
     ARITY,
@@ -215,7 +213,7 @@ def assert_conformant(seed, stream, context, reference, candidate):
 
 class TestEmitModeResolution:
     """There is no emission knob: a stream is emitted as a plan when the
-    driver can build one (cache on, chip with a program/batch port) and
+    driver can keep one (cache on, at most ``MAX_PLAN_MACROS`` macros) and
     lowered op-by-op otherwise."""
 
     def test_default_is_stream(self, monkeypatch):
@@ -223,17 +221,21 @@ class TestEmitModeResolution:
         _, driver, _ = stream_emission(random_stream(SEEDS[1]))
         assert driver.emit_counters == {"stream": 1, "macro": 0}
 
-    def test_env_selects_fallback(self, monkeypatch):
-        # The only environment setting that reaches emission is the cache
-        # size: without a cache there is nowhere to keep a plan.
-        monkeypatch.setenv("REPRO_CACHE_SIZE", "0")
-        _, driver, _ = stream_emission(random_stream(SEEDS[1]))
+    def test_env_selects_fallback(self):
+        # ``cache_size=0`` selects the unplanned path: without a cache
+        # there is nowhere to keep a plan.
+        _, driver, _ = stream_emission(random_stream(SEEDS[1]), cache_size=0)
         assert driver.emit_counters == {"stream": 0, "macro": 1}
 
     def test_explicit_mode_beats_env(self, monkeypatch):
+        # ``cache_size=`` is the one way to size the cache: a leftover
+        # REPRO_CACHE_SIZE is ignored, set or not.
         monkeypatch.setenv("REPRO_CACHE_SIZE", "0")
-        _, driver, _ = stream_emission(random_stream(SEEDS[1]), cache_size=64)
+        _, driver, _ = stream_emission(random_stream(SEEDS[1]))
         assert driver.emit_counters == {"stream": 1, "macro": 0}
+        assert driver.streams.maxsize == DEFAULT_CACHE_SIZE
+        _, driver, _ = stream_emission(random_stream(SEEDS[1]), cache_size=64)
+        assert driver.streams.maxsize == 64
 
     def test_unknown_mode_names_source(self):
         with pytest.raises(ValueError, match="'eager'"):
@@ -328,11 +330,11 @@ class TestStreamExecutionConformance:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("engine", ["vectorized", "reference"])
     def test_both_replay_engines(self, seed, engine):
-        """One fused plan program through both ``execute_program`` routes."""
+        """One fused plan program through both ``execute_program`` outcomes."""
         stream = random_stream(seed)
         sim = Simulator(CFG)
         driver = Driver(sim)
-        program = build_plan(driver, stream).program
+        program = driver.compile(stream, optimize=False)  # a plan's program
         if engine == "reference":
             # what a non-self-masked verdict memoizes: no steps, no stats
             sim._plans[program] = ReplayPlan(None, None)
@@ -354,8 +356,10 @@ class TestStreamExecutionConformance:
             seed, stream, "cache disabled",
             per_macro_reference(stream), candidate,
         )
-        assert candidate[1].emit_counters["stream"] == 0
-        assert candidate[1].emit_counters["macro"] == 1
+        driver = candidate[1]
+        assert driver.emit_counters == {"stream": 0, "macro": 1}
+        assert len(driver.streams) == 0
+        assert (driver.streams.hits, driver.streams.misses) == (0, 0)
 
     def test_plain_tuple_and_list_share_the_plan(self):
         # MacroStream equality is tuple equality: re-emitting the same
@@ -485,35 +489,76 @@ class TestNumpyBackendConformance:
         assert counters[1] == {"stream": 0, "macro": 0}
 
 
-class _ExecuteOnlyChip:
-    """A chip exposing only op-by-op execute (no program/batch transport)."""
+class TestChipContract:
+    """The driver's one chip interface: ``execute_program(p)`` is the loop
+    over ``execute(op)`` — same state left behind, same last read response."""
 
-    def __init__(self, config):
-        self.config = config
-        self.sim = Simulator(config)
+    @staticmethod
+    def _program() -> MicroProgram:
+        program = Driver(None, config=CFG).compile(
+            random_stream(SEEDS[0]), optimize=False
+        )
+        assert program.reads  # read responses are part of the contract
+        return program
 
-    def execute(self, op):
-        return self.sim.execute(op)
+    @pytest.mark.parametrize("chip_cls", [Simulator, BufferSink])
+    def test_execute_program_is_the_execute_loop(self, chip_cls):
+        program = self._program()
+        if chip_cls is Simulator:
+            whole, looped = Simulator(CFG), Simulator(CFG)
+        else:
+            # The program fits, its second copy wraps around the end.
+            capacity = len(program) * 3 // 2
+            whole = BufferSink(CFG, capacity=capacity)
+            looped = BufferSink(CFG, capacity=capacity)
+        for _ in range(2):
+            response = whole.execute_program(program)
+            expected = None
+            for op in program:
+                result = looped.execute(op)
+                if result is not None:
+                    expected = result
+            assert response == expected and response is not None
+        if chip_cls is Simulator:
+            assert np.array_equal(whole.memory.words, looped.memory.words)
+            assert whole.stats == looped.stats
+        else:
+            assert whole.count == looped.count == 2 * len(program)
+            assert np.array_equal(whole.buffer, looped.buffer)
+
+    def test_block_longer_than_the_sink(self):
+        # What bench/workloads.py's deep check relies on: a block longer
+        # than the buffer leaves its last ``capacity`` words, from index 0.
+        program = self._program()
+        capacity = len(program) // 3
+        sink = BufferSink(CFG, capacity=capacity)
+        assert sink.execute_program(program) == 0
+        assert sink.count == len(program)
+        words = program.encoded(CFG.word_size)
+        assert np.array_equal(sink.buffer, words[-capacity:])
 
 
 class TestFallbackLadder:
     def test_batch_sink_with_reads_is_unsupported(self):
-        # BufferSink.execute_batch has no read-response channel: a stream
-        # containing reads must be lowered op-by-op — and the
-        # unsupported verdict must be cached, not re-derived.
-        sink = BufferSink(CFG)
-        driver = Driver(sink, config=CFG)
+        # What used to be unsupported: a sink answers a program with reads
+        # exactly as its ``execute`` answers a ReadOp (0), so a stream with
+        # reads is planned there like any other.
         stream = MacroStream([
             WriteInstr(0, 7),
             ReadInstr(0, 0, 0),
         ])
-        assert driver.execute_stream(stream) == 0  # BufferSink reads as 0
-        assert driver.emit_counters["macro"] == 1
-        misses = driver.streams.misses
-        driver.execute_stream(stream)
-        assert driver.emit_counters["macro"] == 2
-        assert driver.streams.misses == misses  # cached UNSUPPORTED verdict
-        assert driver.streams.hits >= 1
+        sink = BufferSink(CFG)
+        driver = Driver(sink, config=CFG)
+        for emitted in (1, 2):
+            assert driver.execute_stream(stream) == 0
+            assert driver.emit_counters == {"stream": emitted, "macro": 0}
+        assert (driver.streams.hits, driver.streams.misses) == (1, 1)
+        lowered = BufferSink(CFG)
+        reference = Driver(lowered, config=CFG, cache_size=0)
+        for _ in range(2):
+            assert reference.execute_stream(stream) == 0
+        assert sink.count == lowered.count
+        assert np.array_equal(sink.buffer, lowered.buffer)
 
     def test_batch_sink_without_reads_takes_batch_route(self):
         # Same word-for-word buffer contents as op-by-op lowering, but
@@ -542,31 +587,25 @@ class TestFallbackLadder:
             ladder.macro_count, ladder.micro_count
         )
 
-    def test_execute_only_chip_falls_back(self):
-        stream = random_stream(SEEDS[2])
-        chip = _ExecuteOnlyChip(CFG)
-        driver = Driver(chip, config=CFG)
-        driver.execute_stream(stream)
-        assert driver.emit_counters == {"stream": 0, "macro": 1}
-        sim_ref, _, _ = per_macro_reference(stream)
-        assert np.array_equal(chip.sim.memory.words, sim_ref.memory.words)
-        assert chip.sim.stats == sim_ref.stats
-
     def test_overlong_stream_is_lowered_macro_by_macro(self):
         # A plan lives as long as the stream tier holds it, so streams
         # beyond MAX_PLAN_MACROS (a bulk move of one move per element)
-        # never get one; the verdict is cached like any other.
+        # never get one: decided by length, before any cache lookup.
         limit = stream_mod.MAX_PLAN_MACROS
         writes = [WriteInstr(0, value) for value in range(limit + 1)]
         sim = Simulator(CFG)
         driver = Driver(sim)
         driver.execute_stream(MacroStream(writes[:limit]))
         assert driver.emit_counters == {"stream": 1, "macro": 0}
+        tier = (len(driver.streams), driver.streams.hits, driver.streams.misses)
+        assert tier == (1, 0, 1)
         overlong = MacroStream(writes)
         driver.execute_stream(overlong)
         driver.execute_stream(overlong)
         assert driver.emit_counters == {"stream": 1, "macro": 2}
-        assert build_plan(driver, overlong) is None
+        assert tier == (
+            len(driver.streams), driver.streams.hits, driver.streams.misses
+        )
         reference, _, _ = per_macro_reference(writes[:limit] + 2 * writes)
         assert np.array_equal(sim.memory.words, reference.memory.words)
         assert sim.stats == reference.stats
@@ -577,27 +616,25 @@ class TestFallbackLadder:
         assert driver.emit_counters == {"stream": 0, "macro": 0}
         assert driver.macro_count == 0
 
-    def test_plan_route_ladder(self):
-        sim = Simulator(CFG)
-        sink = BufferSink(CFG)
-        assert plan_route(sim, reads=2) == "program"
-        assert plan_route(sink, reads=0) == "batch"
-        assert plan_route(sink, reads=1) is None
-        assert plan_route(_ExecuteOnlyChip(CFG), reads=0) is None
-        assert plan_route(None, reads=0) is None
-
     def test_build_plan_shapes(self):
-        driver = Driver(Simulator(CFG))
+        # A stream's plan is its fused program, held by the stream tier.
+        sim = Simulator(CFG)
+        driver = Driver(sim)
         stream = random_stream(SEEDS[3])
-        plan = build_plan(driver, stream)
-        assert isinstance(plan, StreamPlan)
-        assert plan.route == "program"
-        assert plan.program.macros == len(stream)
-        assert plan.program.reads == sum(
+        driver.execute_stream(stream)
+        key = ("plan", stream, "stream", driver.parallelism,
+               driver._fingerprint)
+        plan = driver.streams.get(key, durable=False)
+        assert isinstance(plan, MicroProgram)
+        assert plan.macros == len(stream)
+        assert plan.reads == sum(
             1 for instr in stream if isinstance(instr, ReadInstr)
         )
-        assert len(plan) == len(plan.program)
-        assert build_plan(Driver(None, config=CFG), stream) is None
+        assert plan.self_masked and plan.source_ops == len(plan)
+        assert (driver.macro_count, driver.micro_count) == (
+            len(stream), len(plan)
+        )
+        assert sim.replay_plan(plan) is not None  # the chip's plan of it
 
 
 class TestCountersAndProfiler:
@@ -623,16 +660,3 @@ class TestCountersAndProfiler:
             assert prof.emit_counts == {"macro": 1}
         finally:
             pim.reset()
-
-    def test_unsupported_sentinel_is_shared(self):
-        assert UNSUPPORTED is not None
-        # The sentinel is module-level state: two drivers caching the
-        # same verdict compare by identity, never by (absent) equality.
-        sink = BufferSink(CFG)
-        stream = MacroStream([ReadInstr(0, 0, 0)])
-        for _ in range(2):
-            driver = Driver(sink, config=CFG)
-            driver.execute_stream(stream)
-            key = ("plan", stream, "stream", driver.parallelism,
-                   driver._fingerprint)
-            assert driver.streams.get(key) is UNSUPPORTED

@@ -236,6 +236,50 @@ def test_warm_start_skips_gate_build(tmp_path, monkeypatch):
     )
 
 
+def test_cold_start_builds_no_gate_object(tmp_path, monkeypatch):
+    """The cold counterpart of the gate above: gates are born as operation
+    words, so both calls of a compiled session over an *empty* cache_dir
+    (capture, O3, gate build, splice, peephole, store, plan build, two
+    replays) construct no ``LogicHOp``; ``encode_many`` sees only non-gate
+    ops (and the rows of a move's gates), ``decode_many`` only non-gate
+    words. Exact counts; the process-wide pattern memos are filled first
+    (``pattern_outputs`` spells a pattern it has never seen as one op)."""
+    from repro.arch import micro_ops
+    from repro.driver import compiler, driver, program as program_module
+
+    warm_results, warm_info, _ = _compiled_session(tmp_path / "memo-fill")
+    built, encoded, decoded = [], [], []
+    monkeypatch.setattr(
+        micro_ops.LogicHOp, "__post_init__", lambda self: built.append(self)
+    )
+
+    def encode_many(ops, *args):
+        encoded.append(list(ops))
+        return micro_ops.encode_many(encoded[-1], *args)
+
+    def decode_many(words, *args):
+        decoded.append(words)
+        return micro_ops.decode_many(words, *args)
+
+    for module in (driver, program_module):
+        monkeypatch.setattr(module, "encode_many", encode_many)
+    for module in (compiler, program_module):
+        monkeypatch.setattr(module, "decode_many", decode_many)
+    results, info, program = _compiled_session(tmp_path / "cold")
+    for (warm_pred, warm_total), (pred, total) in zip(warm_results, results):
+        assert np.array_equal(warm_pred, pred) and warm_total == total
+    assert info["engine"] == "vectorized" and program._ops is None
+    assert not built, "a cold session constructs no LogicHOp"
+    assert encoded and decoded, "the splicer and the segmenter ran"
+    for ops in encoded:
+        assert not any(isinstance(op, micro_ops.LogicHOp) for op in ops)
+    assert any(type(op) is tuple for ops in encoded for op in ops)  # a move's gates
+    assert not any(micro_ops.is_logic_h(words).any() for words in decoded)
+    assert {key: info[key] for key in info if key != "plan_build_ms"} == {
+        key: warm_info[key] for key in warm_info if key != "plan_build_ms"
+    }
+
+
 def test_chaos_serving_resilience():
     """Chaos leg: injected faults + stalls, p99 bounded, zero lost.
 

@@ -21,7 +21,7 @@ setup(
     long_description_content_type="text/markdown",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={
         "test": ["pytest", "hypothesis", "pytest-benchmark"],

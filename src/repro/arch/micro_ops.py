@@ -277,14 +277,67 @@ def encode(op: MicroOp, word_size: int = 32) -> int:
 _ENCODE_BLOCK = 16384
 
 
+def _matrix(fields, count: int, width: int):
+    """``count`` ops' integer fields, op after op, as an int64 matrix."""
+    import numpy as np
+
+    try:
+        return np.fromiter(fields, np.int64, count * width).reshape(count, width)
+    except OverflowError as error:
+        raise ValueError(f"field value does not fit: {error}")
+
+
+def _pack(kind: _Kind, matrix, word_size: int = 32):
+    """One kind's field matrix (a column per non-sign layout field) as
+    operation words, each column range-checked against its width."""
+    import numpy as np
+
+    cls, layout = _LAYOUT[kind]
+    layout = layout or _write_layout(word_size)
+    names = [name for name, _ in layout if name != "sign"]
+    packed = np.full(len(matrix), int(kind) << 61, dtype=np.uint64)
+    shift = 0
+    for name, width in layout:
+        if name == "sign":
+            column = matrix[:, names.index("dist")] < 0
+        else:
+            column = matrix[:, names.index(name)]
+            if name == "dist":
+                column = np.abs(column)
+            if (column < 0).any() or (column >> width).any():
+                raise ValueError(
+                    f"a {cls.__name__}.{name} does not fit in {width} bits"
+                )
+        packed |= column.astype(np.uint64) << np.uint64(shift)
+        shift += width
+    return packed
+
+
+def encode_rows(rows):
+    """The operation words of horizontal gates given as *rows*: 9-tuples
+    of a :class:`LogicHOp`'s fields in :data:`_LAYOUT` order, the only form
+    a gate has on the driver's compile path. No op object is built: the
+    constructor's invariants (:func:`_check_logic_h`) and
+    :func:`encode_many`'s range checks run as column operations and raise
+    the same ``ValueError``s — ``encode_rows(rows)`` is
+    ``encode_many([LogicHOp(*row) for row in rows])``."""
+    from itertools import chain
+
+    layout = _LAYOUT[_Kind.LOGIC_H][1]
+    matrix = _matrix(chain.from_iterable(rows), len(rows), len(layout))
+    _check_logic_h(dict(zip((name for name, _ in layout), matrix.T)))
+    return _pack(_Kind.LOGIC_H, matrix)
+
+
 def encode_many(ops, word_size: int = 32):
     """Bulk :func:`encode`: the ``np.uint64`` operation words of many ops.
 
     Semantically identical to ``[encode(op) for op in ops]`` (same words,
     ``ValueError`` for a field that does not fit) but several times
     faster: per kind, the ops' fields are pulled into one integer matrix,
-    and range checks and packing run as NumPy column operations. The
-    persistent cache's store path and the DMA encoding of stream plans.
+    and range checks and packing run as NumPy column operations. A
+    horizontal gate may also be given as its row (:func:`encode_rows`).
+    The persistent cache's store path and the DMA encoding of stream plans.
     """
     import numpy as np
     from itertools import chain
@@ -298,6 +351,9 @@ def encode_many(ops, word_size: int = 32):
     positions: "dict[type, list[int]]" = {}
     for position, cls in enumerate(map(type, ops)):
         positions.setdefault(cls, []).append(position)
+    where = positions.pop(tuple, None)
+    if where is not None:
+        words[where] = encode_rows([ops[i] for i in where])
     for kind, (cls, layout) in _LAYOUT.items():
         where = positions.pop(cls, None)
         if where is None:
@@ -306,43 +362,36 @@ def encode_many(ops, word_size: int = 32):
         names = [name for name, _ in layout if name != "sign"]
         group = ops if len(where) == len(ops) else [ops[i] for i in where]
         fields = map(attrgetter(*names), group)
-        try:
-            matrix = np.fromiter(
-                chain.from_iterable(fields) if len(names) > 1 else fields,
-                dtype=np.int64, count=len(names) * len(group),
-            ).reshape(len(group), len(names))
-        except OverflowError as error:
-            raise ValueError(f"field value does not fit: {error}")
-        packed = np.full(len(group), int(kind) << 61, dtype=np.uint64)
-        shift = 0
-        for name, width in layout:
-            if name == "sign":
-                column = matrix[:, names.index("dist")] < 0
-            else:
-                column = matrix[:, names.index(name)]
-                if name == "dist":
-                    column = np.abs(column)
-                if (column < 0).any() or (column >> width).any():
-                    raise ValueError(
-                        f"a {cls.__name__}.{name} does not fit in {width} bits"
-                    )
-            packed |= column.astype(np.uint64) << np.uint64(shift)
-            shift += width
-        words[where] = packed
+        matrix = _matrix(
+            chain.from_iterable(fields) if len(names) > 1 else fields,
+            len(group), len(names),
+        )
+        words[where] = _pack(kind, matrix, word_size)
     if positions:
         stray = next(iter(positions.values()))[0]
         raise TypeError(f"not a micro-operation: {ops[stray]!r}")
     return words
 
 
+def _check_logic_h(raw: dict) -> None:
+    """:class:`LogicHOp`'s ``__post_init__`` invariants, over field columns."""
+    if (raw["p_a"] > raw["p_b"]).any():
+        raise ValueError("encoding requires p_a <= p_b")
+    if (raw["p_step"] <= 0).any():
+        raise ValueError("p_step must be positive")
+    if (raw["p_end"] < raw["p_out"]).any():
+        raise ValueError("p_end must be >= p_out")
+    if ((raw["p_end"] - raw["p_out"]) % raw["p_step"]).any():
+        raise ValueError("p_step must divide p_end - p_out")
+
+
 def _field_columns(words, kind: _Kind, word_size: int = 32) -> dict:
     """The payload fields of ``words`` (``np.uint64``, all of one ``kind``)
     as ``{name: column}``, in layout order.
 
-    The one reader of :data:`_LAYOUT` and the one copy of the ops'
-    ``__post_init__`` invariants, batched: a rejected batch raises
-    exactly like the scalar constructor. Fields below 8 bits come back
-    as ``int8`` (differences of partition indices stay exact, and a
+    The one reader of :data:`_LAYOUT`, with the ops' ``__post_init__``
+    invariants batched (:func:`_check_logic_h`). Fields below 8 bits come
+    back as ``int8`` (differences of partition indices stay exact, and a
     60k-op program's nine gate columns are half a megabyte).
     """
     import numpy as np
@@ -355,14 +404,7 @@ def _field_columns(words, kind: _Kind, word_size: int = 32) -> dict:
         raw[name] = column.astype(np.int8) if width < 8 else column
         shift += width
     if kind == _Kind.LOGIC_H:
-        if (raw["p_a"] > raw["p_b"]).any():
-            raise ValueError("encoding requires p_a <= p_b")
-        if (raw["p_step"] == 0).any():
-            raise ValueError("p_step must be positive")
-        if (raw["p_end"] < raw["p_out"]).any():
-            raise ValueError("p_end must be >= p_out")
-        if ((raw["p_end"] - raw["p_out"]) % raw["p_step"]).any():
-            raise ValueError("p_step must divide p_end - p_out")
+        _check_logic_h(raw)
     elif kind == _Kind.LOGIC_V:
         if (raw["gate"] == int(GateType.NOR)).any():
             raise ValueError("vertical operations do not support NOR")
@@ -381,6 +423,42 @@ def logic_h_columns(words) -> dict:
     :class:`LogicHOp` constructor invariant checked — what a replay plan
     is built from instead of op objects."""
     return _field_columns(words, _Kind.LOGIC_H)
+
+
+def _distinct(values):
+    """``(sorted distinct values, each value's index among them)`` — by
+    hand: ``np.unique`` pulls in ``numpy.ma`` on first use, a large
+    one-time import that would be charged to the first warm start."""
+    import numpy as np
+
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    fresh = np.ones(len(ranked), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
+    index = np.empty(len(values), dtype=np.int64)
+    index[order] = np.cumsum(fresh) - 1
+    return ranked[fresh], index
+
+
+#: Where the five partition fields (``p_a`` ... ``p_step``, 6 bits each) sit in
+#: a gate's 32-bit *pattern key*, above its 2 gate bits.
+PATTERN_SHIFTS = range(_GATE_FIELD, 32, _PART_FIELD)
+
+
+def gate_table(words) -> tuple:
+    """The horizontal gates among ``words`` as integer columns: ``(fields,
+    keys, index)`` — their :func:`logic_h_columns`, the distinct pattern keys
+    and each gate's position among those: what depends on the pattern alone
+    (out-mask, gate count) is computed once per key and gathered per gate."""
+    import numpy as np
+
+    fields = logic_h_columns(words[is_logic_h(words)])
+    key = fields["gate"].astype(np.uint32)
+    names = ("p_a", "p_b", "p_out", "p_end", "p_step")
+    for shift, name in zip(PATTERN_SHIFTS, names):
+        key |= fields[name].astype(np.uint32) << np.uint32(shift)
+    keys, index = _distinct(key)
+    return fields, keys, index.astype(np.int32)
 
 
 def decode_many(words, word_size: int = 32) -> "tuple[MicroOp, ...]":
@@ -407,16 +485,7 @@ def decode_many(words, word_size: int = 32) -> "tuple[MicroOp, ...]":
         raise ValueError("decode_many expects a flat sequence of words")
     if len(arr) == 0:
         return ()
-    # Dedup by hand (np.unique pulls in numpy.ma on first use — a large
-    # one-time import that would be charged to the first warm start).
-    order = np.argsort(arr, kind="stable")
-    ranked = arr[order]
-    fresh = np.empty(len(ranked), dtype=bool)
-    fresh[0] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
-    unique = ranked[fresh]
-    inverse = np.empty(len(arr), dtype=np.int64)
-    inverse[order] = np.cumsum(fresh) - 1
+    unique, inverse = _distinct(arr)
     kinds = (unique >> np.uint64(61)).astype(np.int64)
     gate_table = {int(gate): gate for gate in GateType}
     decoded: "list[MicroOp | None]" = [None] * len(unique)

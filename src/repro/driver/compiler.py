@@ -1,34 +1,19 @@
 """Compilation of micro-op streams into validated :class:`MicroProgram`s.
 
-This is the "compile" half of the compile/replay pipeline: a recorded
-micro-operation list goes through
+The "compile" half of the compile/replay pipeline:
 
-1. **peephole optimization** (optional) — stream-level rewrites that
-   preserve the final memory state bit-for-bit while removing wasted
-   cycles:
-
-   - *mask coalescing*: a ``CrossbarMaskOp``/``RowMaskOp`` that is
-     superseded by a later mask of the same kind before any consuming
-     operation, or that re-sets the mask value already in effect, is
-     dropped.  Macro-instruction streams re-emit identical full-range
-     masks before every instruction, so this collapses the per-instruction
-     mask preamble of a fused loop body to a single pair.
-   - *INIT1 elimination*: an ``INIT1`` whose output cells are already
-     known to hold logical 1 (from an earlier ``INIT1`` under the same
-     masks, with no intervening pull-down on those cells) is a no-op and
-     is dropped.  Tracking is reset conservatively on every mask change
-     and on any write the pass cannot reason about.
-
-2. **validation** — every op is range-checked against the architecture
-   exactly once (register/row/crossbar bounds, partition-pattern
-   disjointness via :func:`repro.arch.halfgates.pattern_outputs`, the
-   memoized :func:`~repro.arch.halfgates.expand_pattern`; H-tree move
-   restrictions), so replay paths can skip per-op re-validation.
-   Callers that assemble streams from already-validated pieces (the
-   driver's cached R-type bodies, the spliced stream compiler in
-   :meth:`repro.driver.driver.Driver._compile_spliced`) pass
-   ``validate=False`` and take responsibility for the few checks their
-   construction does not imply (mask ranges).
+1. **peephole optimization** (optional) — :func:`coalesce_masks` and
+   :func:`eliminate_redundant_init1` preserve the final memory state
+   bit-for-bit while removing wasted cycles. Each is stated once, over
+   integer columns (:class:`Columns`), and clears the keep-flag of the ops
+   it drops; two small extractors feed it: :func:`columns_of_words` from
+   operation words (the driver's spliced streams, whose gates never exist
+   as objects), :func:`columns_of_ops` from op objects (:func:`compile_ops`).
+2. **validation** (:func:`validate_ops`) — every op object is range-checked
+   against the architecture exactly once, so replay paths can skip per-op
+   re-validation. The driver's spliced streams are assembled from pieces
+   valid by construction and validate only what that does not imply
+   (:meth:`repro.driver.driver.Driver._compile_spliced`).
 
 The result is an immutable :class:`~repro.driver.program.MicroProgram`
 stamped with the config fingerprint it was validated against.
@@ -36,7 +21,10 @@ stamped with the config fingerprint it was validated against.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from operator import attrgetter
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from repro.arch.config import PIMConfig
 from repro.arch.halfgates import pattern_outputs
@@ -51,6 +39,9 @@ from repro.arch.micro_ops import (
     ReadOp,
     RowMaskOp,
     WriteOp,
+    decode_many,
+    is_logic_h,
+    logic_h_columns,
 )
 from repro.driver.program import MicroProgram
 
@@ -59,103 +50,131 @@ class CompileError(Exception):
     """Raised when a recorded stream is invalid for the architecture."""
 
 
-# ----------------------------------------------------------------------
-# Peephole pass 1: mask coalescing
-# ----------------------------------------------------------------------
-def coalesce_masks(ops: Sequence[MicroOp]) -> List[MicroOp]:
-    """Drop redundant and superseded crossbar/row mask operations.
+# -- The column form the peephole passes read, and its two extractors ----
+class Columns(NamedTuple):
+    """A stream as the passes read it: integers, no gate object. ``others``
+    holds the non-gate ops — a fraction of a percent of a lowered stream —
+    as ``(position, op)``; every other position is a horizontal gate, and
+    ``gates`` holds three lists over them in stream order: is it an INIT1,
+    its output register, the bit mask of the partitions it writes."""
+
+    size: int
+    others: list
+    gates: tuple
+
+
+_GATE_FIELDS = ("gate", "out", "p_out", "p_end", "p_step")
+
+
+def _columns(size: int, others: list, fields) -> Columns:
+    """:class:`Columns` from the gates' ``_GATE_FIELDS``, an int64 row each."""
+    gate, out, p_out, p_end, p_step = fields
+    count = (p_end - p_out) // p_step + 1
+    written, live = np.zeros(len(count), dtype=np.uint64), np.arange(len(count))
+    for k in range(int(count.max(initial=0))):  # gate k of the patterns that have one
+        live = live[count[live] > k]
+        part = (p_out[live] + k * p_step[live]).astype(np.uint64)
+        written[live] |= np.uint64(1) << part
+    gates = ((gate == GateType.INIT1).tolist(), out.tolist(), written.tolist())
+    return Columns(size, others, gates)
+
+
+def columns_of_ops(ops: Sequence[MicroOp]) -> Columns:
+    others = [pair for pair in enumerate(ops) if not isinstance(pair[1], LogicHOp)]
+    rows = [attrgetter(*_GATE_FIELDS)(op) for op in ops if isinstance(op, LogicHOp)]
+    return _columns(len(ops), others, np.array(rows, dtype=np.int64).reshape(-1, 5).T)
+
+
+def columns_of_words(words: np.ndarray, word_size: int) -> Columns:
+    """Gate columns sliced from the words' bit fields; only the non-gate
+    words are decoded."""
+    gate = is_logic_h(words)
+    where = np.flatnonzero(~gate)
+    others = list(zip(where.tolist(), decode_many(words[where], word_size)))
+    fields = logic_h_columns(words[gate])
+    rows = [fields[name] for name in _GATE_FIELDS]
+    return _columns(len(words), others, np.array(rows, dtype=np.int64))
+
+
+# -- The passes: each clears the ``keep`` flag of the ops it drops --------
+def coalesce_masks(columns: Columns, keep: np.ndarray) -> None:
+    """Drop a mask op that a later one of its kind supersedes before any
+    op consumes it, or that re-sets the value already in effect (fused
+    streams re-emit identical masks before every instruction).
 
     Semantics-preserving for any starting simulator state: the first mask
-    of each kind is always emitted (the mask state at replay time is
+    of each kind is always kept (the mask state at replay time is
     unknown), and trailing masks are kept because mask state persists
     beyond the program.
     """
-    out: List[MicroOp] = []
-    # The mask value in effect at this point of the *optimized* stream
-    # (None = unknown), and the pending not-yet-emitted mask ops.
+    # Per mask kind: the value in effect at this point of the *optimized*
+    # stream (None = unknown), and the pending not-yet-kept mask op.
     current = {CrossbarMaskOp: None, RowMaskOp: None}
-    pending: Dict[type, Optional[MicroOp]] = {
-        CrossbarMaskOp: None, RowMaskOp: None,
-    }
+    pending: Dict[type, Optional[tuple]] = {CrossbarMaskOp: None, RowMaskOp: None}
 
     def flush() -> None:
-        for kind in (CrossbarMaskOp, RowMaskOp):
-            op = pending[kind]
-            if op is not None:
-                out.append(op)
-                current[kind] = (op.start, op.stop, op.step)
-                pending[kind] = None
+        for kind, entry in pending.items():
+            if entry is not None:
+                keep[entry[0]], current[kind], pending[kind] = True, entry[1], None
 
-    for op in ops:
+    previous = -1
+    for position, op in columns.others:
         kind = type(op)
+        if position - previous > 1 or kind not in pending:
+            flush()  # a gate ran since the last non-gate op, or this one runs
+        previous = position
         if kind in pending:
-            if current[kind] == (op.start, op.stop, op.step):
-                pending[kind] = None  # back to the value in effect: cancel
-            else:
-                pending[kind] = op  # supersedes any unconsumed pending mask
-        else:
-            flush()
-            out.append(op)
+            keep[position] = False
+            value = (op.start, op.stop, op.step)
+            # Back to the value in effect cancels; anything else supersedes
+            # the unconsumed pending mask.
+            pending[kind] = None if current[kind] == value else (position, value)
     flush()
-    return out
 
 
-# ----------------------------------------------------------------------
-# Peephole pass 2: redundant-INIT1 elimination
-# ----------------------------------------------------------------------
-def _h_output_mask(op: LogicHOp) -> int:
-    """Bitmask of the partitions written by a horizontal operation."""
-    mask = 0
-    for p_out in range(op.p_out, op.p_end + 1, op.p_step):
-        mask |= 1 << p_out
-    return mask
-
-
-def eliminate_redundant_init1(ops: Sequence[MicroOp]) -> List[MicroOp]:
+def eliminate_redundant_init1(columns: Columns, keep: np.ndarray) -> None:
     """Drop ``INIT1`` ops whose output cells are provably already 1.
 
     Tracks, per register, the set of partitions known to hold logical 1 in
-    the currently-masked region.  Any mask change resets all knowledge
-    (the known-ones property is relative to the selected rows/crossbars);
-    any operation that can pull cells down, or whose effect the pass does
-    not model (writes, moves, vertical logic), clears the affected
-    register conservatively.
+    the currently-masked region.  Any (kept) mask change resets all
+    knowledge (the known-ones property is relative to the selected
+    rows/crossbars); any operation that can pull cells down, or whose
+    effect the pass does not model (writes, moves, vertical logic), clears
+    the affected register conservatively.
     """
-    out: List[MicroOp] = []
     known: Dict[int, int] = {}  # register -> bitmask of known-one partitions
-
-    for op in ops:
-        if isinstance(op, (CrossbarMaskOp, RowMaskOp)):
-            known.clear()
-            out.append(op)
-        elif isinstance(op, LogicHOp):
-            written = _h_output_mask(op)
-            if op.gate == GateType.INIT1:
-                if known.get(op.out, 0) & written == written:
-                    continue  # every output cell is already 1: a no-op
-                known[op.out] = known.get(op.out, 0) | written
-                out.append(op)
+    dropped: List[int] = []
+    done = 0  # gates seen so far
+    for seen, (position, op) in enumerate(columns.others + [(columns.size, None)]):
+        stop = position - seen  # gates before this non-gate op
+        run = zip(*(column[done:stop] for column in columns.gates))
+        for gate_at, (init1, reg, written) in enumerate(run, done + seen):
+            if not init1:  # INIT0 / NOT / NOR pull (or force) outputs toward 0
+                known[reg] = known.get(reg, 0) & ~written
+            elif known.get(reg, 0) & written == written:
+                dropped.append(gate_at)  # every output cell is already 1
             else:
-                # INIT0 / NOT / NOR pull (or force) outputs toward 0.
-                known[op.out] = known.get(op.out, 0) & ~written
-                out.append(op)
-        elif isinstance(op, WriteOp):
+                known[reg] = known.get(reg, 0) | written
+        done = stop
+        if isinstance(op, (CrossbarMaskOp, RowMaskOp)):
+            if keep[position]:
+                known.clear()
+        elif isinstance(op, (WriteOp, LogicVOp)):
             known.pop(op.index, None)
-            out.append(op)
-        elif isinstance(op, LogicVOp):
-            known.pop(op.index, None)
-            out.append(op)
         elif isinstance(op, MoveOp):
             known.pop(op.dst_index, None)
-            out.append(op)
-        else:  # ReadOp: no state change
-            out.append(op)
-    return out
+    keep[np.array(dropped, dtype=np.intp)] = False
 
 
-# ----------------------------------------------------------------------
-# Validation
-# ----------------------------------------------------------------------
+def kept(columns: Columns) -> np.ndarray:
+    """The keep-flags both passes leave of a stream."""
+    keep = np.ones(columns.size, dtype=bool)
+    coalesce_masks(columns, keep)
+    eliminate_redundant_init1(columns, keep)
+    return keep
+
+
+# -- Validation and the entry point --------------------------------------
 def validate_ops(ops: Iterable[MicroOp], config: PIMConfig) -> int:
     """Range-check every micro-op against the architecture once.
 
@@ -165,13 +184,17 @@ def validate_ops(ops: Iterable[MicroOp], config: PIMConfig) -> int:
     :class:`CompileError` on the first invalid operation.
     """
     registers, rows, crossbars = config.registers, config.rows, config.crossbars
+
+    def check(kind: str, values, bound: int) -> None:
+        for value in values:
+            if not 0 <= value < bound:
+                raise ValueError(f"{kind} {value} out of range")
+
     reads = 0
     for position, op in enumerate(ops):
         try:
             if isinstance(op, LogicHOp):
-                for index in (op.in_a, op.in_b, op.out):
-                    if not 0 <= index < registers:
-                        raise ValueError(f"intra-row index {index} out of range")
+                check("intra-row index", (op.in_a, op.in_b, op.out), registers)
                 pattern_outputs(
                     op.gate, op.p_a, op.p_b, op.p_out, op.p_end, op.p_step,
                     config.partitions,
@@ -185,34 +208,21 @@ def validate_ops(ops: Iterable[MicroOp], config: PIMConfig) -> int:
                     raise ValueError("row mask out of range")
                 RangeMask(op.start, op.stop, op.step)
             elif isinstance(op, ReadOp):
-                if not 0 <= op.index < registers:
-                    raise ValueError(f"intra-row index {op.index} out of range")
+                check("intra-row index", (op.index,), registers)
                 reads += 1
             elif isinstance(op, WriteOp):
-                if not 0 <= op.index < registers:
-                    raise ValueError(f"intra-row index {op.index} out of range")
+                check("intra-row index", (op.index,), registers)
                 if op.value >= (1 << config.word_size):
                     raise ValueError("write value exceeds word size")
             elif isinstance(op, LogicVOp):
-                if not 0 <= op.index < registers:
-                    raise ValueError(f"intra-row index {op.index} out of range")
+                check("intra-row index", (op.index,), registers)
                 # in_row is ignored (and unchecked) for INIT gates, matching
                 # the simulator's runtime behavior.
-                checked = (
-                    (op.in_row, op.out_row)
-                    if op.gate == GateType.NOT
-                    else (op.out_row,)
-                )
-                for row in checked:
-                    if not 0 <= row < rows:
-                        raise ValueError(f"row {row} out of range")
+                is_not = op.gate == GateType.NOT
+                check("row", (op.in_row, op.out_row) if is_not else (op.out_row,), rows)
             elif isinstance(op, MoveOp):
-                for index in (op.src_index, op.dst_index):
-                    if not 0 <= index < registers:
-                        raise ValueError(f"intra-row index {index} out of range")
-                for row in (op.src_row, op.dst_row):
-                    if not 0 <= row < rows:
-                        raise ValueError(f"row {row} out of range")
+                check("intra-row index", (op.src_index, op.dst_index), registers)
+                check("row", (op.src_row, op.dst_row), rows)
                 # The crossbar-pattern restrictions depend on the mask in
                 # effect at replay time; checked there (the program's bill).
             else:
@@ -222,35 +232,25 @@ def validate_ops(ops: Iterable[MicroOp], config: PIMConfig) -> int:
     return reads
 
 
-# ----------------------------------------------------------------------
-# Entry point
-# ----------------------------------------------------------------------
 def compile_ops(
     ops: Iterable[MicroOp],
     config: PIMConfig,
     name: str = "program",
     optimize: bool = True,
-    validate: bool = True,
     macros: int = 0,
 ) -> MicroProgram:
     """Validate (and optionally peephole-optimize) a recorded op stream.
 
-    With ``optimize=False`` the stream is preserved verbatim — the mode
-    the driver uses for its per-instruction cache, where cycle counts
-    must match uncached lowering exactly.  With ``optimize=True`` the
+    With ``optimize=False`` the stream is preserved verbatim, so cycle
+    counts match op-by-op lowering exactly.  With ``optimize=True`` the
     stream may shrink (fewer cycles), but the resulting memory state is
-    bit-identical.
-
-    ``validate=False`` skips the per-op range checks — only for streams
-    that are valid by construction (the driver's own lowering output);
-    externally recorded streams should keep the default. ``macros`` is
-    the number of macro-instructions the stream was recorded from.
+    bit-identical. ``macros`` is the number of macro-instructions the
+    stream was recorded from.
     """
     ops = list(ops)
     source_ops = len(ops)
     if optimize:
-        ops = coalesce_masks(ops)
-        ops = eliminate_redundant_init1(ops)
-    if validate:
-        validate_ops(ops, config)
+        keep = kept(columns_of_ops(ops)).tolist()
+        ops = [op for op, kept_ in zip(ops, keep) if kept_]
+    validate_ops(ops, config)
     return MicroProgram.from_ops(ops, name, config, source_ops, macros)

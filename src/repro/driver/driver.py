@@ -10,11 +10,14 @@ interface pointed at a memory buffer).
 
 Because lowering is deterministic in the register operands, the driver
 keeps a *program cache*: the micro-op body of an R-type instruction is
-compiled once per (op, dtype, operand layout, config fingerprint) into an
+built once per (op, dtype, operand layout, config fingerprint) into an
 immutable :class:`~repro.driver.program.MicroProgram` and replayed on
-later calls with fresh mask operations prepended. This is what makes the
-Python driver fast enough to outpace the PIM chip's consumption rate (the
-claim benchmarked in ``benchmarks/test_driver_throughput.py``).
+later calls with fresh mask operations prepended. A body's gates are
+born as 64-bit operation words — what the driver hands the chip — and
+streams are spliced, optimized and billed as word columns: no gate is an
+object on the compile path. This is what makes the Python driver fast
+enough to outpace the PIM chip's consumption rate (the claim benchmarked
+in ``benchmarks/test_driver_throughput.py``).
 
 There is one dispatch path: an R-type macro is a one-instruction stream,
 and every stream is emitted as a cached, self-masked fused
@@ -31,7 +34,10 @@ additionally be recorded and peephole-optimized with
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.arch.config import PIMConfig
 from repro.arch.masks import RangeMask
@@ -46,9 +52,17 @@ from repro.arch.micro_ops import (
     RowMaskOp,
     WriteOp,
     encode,
+    encode_many,
+    encode_rows,
 )
 from repro.driver import fixed, floating, parallel
-from repro.driver.compiler import CompileError, compile_ops, validate_ops
+from repro.driver.compiler import (
+    CompileError,
+    columns_of_words,
+    compile_ops,
+    kept,
+    validate_ops,
+)
 from repro.driver.gates import GateBuilder
 from repro.driver.persist import PersistentProgramCache, resolve_cache_dir
 from repro.driver.program import MicroProgram, ProgramCache, config_fingerprint
@@ -81,8 +95,6 @@ class BufferSink:
     """
 
     def __init__(self, config: PIMConfig, capacity: int = 100_000):
-        import numpy as np
-
         self.config = config
         self.buffer = np.zeros(capacity, dtype=np.uint64)
         self.count = 0
@@ -90,9 +102,7 @@ class BufferSink:
     def execute(self, op: MicroOp) -> Optional[int]:
         self.buffer[self.count % len(self.buffer)] = encode(op, self.config.word_size)
         self.count += 1
-        if isinstance(op, ReadOp):
-            return 0
-        return None
+        return 0 if isinstance(op, ReadOp) else None
 
     def execute_program(self, program: MicroProgram) -> Optional[int]:
         """Copy the program's operation words into the ring buffer."""
@@ -136,9 +146,6 @@ class Driver:
         guard: enable gate-level lifetime checking (slow; for tests).
     """
 
-    #: The two scratch registers used as staging columns by move lowering.
-    _MOVE_STAGE = 2
-
     def __init__(
         self,
         chip,
@@ -174,7 +181,6 @@ class Driver:
         # The config is fixed for the driver's lifetime; hoist the
         # fingerprint out of the per-instruction cache-key path.
         self._fingerprint = config_fingerprint(self.config)
-        self._mask_op_cache: Dict[Tuple, Tuple[MicroOp, MicroOp]] = {}
         self.macro_count = 0
         self.micro_count = 0
         #: Streams served per emission level: ``"stream"`` counts plan
@@ -249,24 +255,22 @@ class Driver:
         """The compiled body program of an R-type instruction (cached).
 
         The body excludes the two leading mask operations (which vary per
-        call); it is validated once at compile time and preserved verbatim
-        (``optimize=False``) so cycle counts match uncached lowering.
+        call). Its gates are born as operation words: the builder records
+        rows, :func:`~repro.arch.micro_ops.encode_rows` packs and checks
+        them as columns, and no gate object exists unless something asks
+        the program for ``.ops``. Valid by construction: nothing else is
+        checked.
         """
         if self.cache_enabled:
             key = self._rtype_key(instr)
             program = self.programs.get(key)
             if program is not None:
                 return program
-        builder, ops = GateBuilder.recording(self.config, guard=self.guard)
+        builder, rows = GateBuilder.recording(self.config, guard=self.guard)
         self._build_rtype(builder, instr)
-        # The builder's output is valid by construction; skip per-op
-        # validation so the uncached path pays no new per-call cost.
-        program = compile_ops(
-            ops,
-            self.config,
-            name=f"{instr.op.value}.{instr.dtype.name}",
-            optimize=False,
-            validate=False,
+        program = MicroProgram(
+            encode_rows(rows), f"{instr.op.value}.{instr.dtype.name}",
+            self._fingerprint, source_ops=len(rows),
         )
         if self.cache_enabled:
             self.programs.put(key, program)
@@ -283,13 +287,28 @@ class Driver:
     def _lower_ops(self, instr: Instruction) -> List[MicroOp]:
         """Lowering without validation or counter updates (shared core)."""
         if isinstance(instr, RInstr):
-            return self._lower_rtype(instr)
+            body = self._rtype_program(instr)
+            return self._mask_ops(instr.warp_mask, instr.row_mask) + list(body.ops)
+        return [
+            LogicHOp(*op) if type(op) is tuple else op
+            for op in self._lower_short(instr)
+        ]
+
+    def _lower_short(self, instr: Instruction) -> list:
+        """The short non-R lowerings, a horizontal gate as its row (the
+        splicer encodes it as it is, :meth:`_lower_ops` makes it an object)."""
         if isinstance(instr, MoveInstr):
             return self._lower_move(instr)
         if isinstance(instr, ReadInstr):
-            return self._lower_read(instr)
+            return [
+                CrossbarMaskOp(instr.warp, instr.warp, 1),
+                RowMaskOp(instr.thread, instr.thread, 1),
+                ReadOp(instr.reg),
+            ]
         if isinstance(instr, WriteInstr):
-            return self._lower_write(instr)
+            return self._mask_ops(instr.warp_mask, instr.row_mask) + [
+                WriteOp(instr.reg, instr.value)
+            ]
         raise TypeError(f"not an instruction: {instr!r}")
 
     def instr_bill(self, instr: Instruction) -> SimStats:
@@ -331,20 +350,19 @@ class Driver:
         """Record a macro-instruction sequence into one compiled program.
 
         Each instruction is lowered exactly as :meth:`execute` would, the
-        streams are concatenated, and the result is validated and (by
-        default) peephole-optimized: redundant mask changes between
-        consecutive instructions are coalesced and provably-redundant
-        ``INIT1`` cycles are eliminated (see :mod:`repro.driver.compiler`).
-        The optimized program produces a bit-identical memory state in
-        fewer cycles; replay it with :meth:`run_program`.
+        streams are concatenated, and the result is (by default)
+        peephole-optimized: redundant mask changes between consecutive
+        instructions are coalesced and provably-redundant ``INIT1`` cycles
+        eliminated (see :mod:`repro.driver.compiler`) — a bit-identical
+        memory state in fewer cycles; replay it with :meth:`run_program`.
 
-        The lowering is *spliced*: cached per-R-type bodies (valid by
-        construction, never re-validated) are stitched between cached
-        mask preambles, so the per-macro cost is a cache lookup plus a
-        list extend instead of a full re-lowering and per-op validation
-        pass. ``emit="macro"`` selects the *reference lowering* — every
-        macro re-lowered, the whole stream validated — which the
-        conformance suite checks the spliced programs against, op for op.
+        The lowering is *spliced* (:meth:`_compile_spliced`): the words of
+        cached per-R-type bodies (valid by construction, never
+        re-validated) between encoded mask preambles, so the per-macro
+        cost is a cache lookup plus an array copy. ``emit="macro"``
+        selects the *reference lowering* — every macro lowered into op
+        objects, the whole stream validated — which the conformance suite
+        checks the spliced programs against, op for op.
 
         Compiled streams are cached in :attr:`streams` (the stream tier),
         keyed on the exact instruction sequence, the profiling ``name``,
@@ -364,46 +382,68 @@ class Driver:
             cached = self.streams.get(key)
             if cached is not None:
                 return cached
-        if emit == "stream":
-            program = self._compile_spliced(instrs, name, optimize)
-        else:
-            ops: List[MicroOp] = []
-            for instr in instrs:
-                validate(instr, self.config.registers)
-                ops.extend(self._lower_ops(instr))
-            program = compile_ops(
-                ops, self.config, name=name, optimize=optimize,
-                macros=len(instrs),
-            )
+        lower = self._compile_spliced if emit == "stream" else self._compile_reference
+        program = lower(instrs, name, optimize)
         if key is not None:
             self.streams.put(key, program)
         return program
 
+    def _compile_reference(
+        self, instrs: Tuple[Instruction, ...], name: str, optimize: bool
+    ) -> MicroProgram:
+        """The reference lowering: op objects, validated and optimized one by one."""
+        ops: List[MicroOp] = []
+        for instr in instrs:
+            validate(instr, self.config.registers)
+            ops.extend(self._lower_ops(instr))
+        return compile_ops(
+            ops, self.config, name=name, optimize=optimize, macros=len(instrs)
+        )
+
     def _compile_spliced(
         self, instrs: Tuple[Instruction, ...], name: str, optimize: bool
     ) -> MicroProgram:
-        """Splice cached bodies between cached mask preambles (no re-walk).
+        """Splice operation words: cached bodies between the encoding of
+        everything else (mask preambles, the short non-R lowerings).
 
-        R-type bodies come pre-validated from the body cache; only their
-        mask preambles need range checks here (the single check the full
-        validation pass would add for them). The short non-R lowerings
-        (moves, reads, writes) are validated op-by-op as before.
+        R-type bodies come pre-validated from the body cache (only their
+        mask preambles need range checks here) and a move's gates act on
+        validated registers, so only the non-gate ops of the short non-R
+        lowerings are validated op by op; one ``encode_many`` call encodes
+        everything outside the bodies. The peephole passes read the words
+        as integer columns. A stream holding an op that fits no operation
+        word — a mask of a geometry beyond the word's fields — takes
+        :meth:`_compile_reference`.
         """
-        registers = self.config.registers
-        ops: List[MicroOp] = []
+        config, word_size = self.config, self.config.word_size
+        pieces: list = []  # body programs, and between them op lists
         for instr in instrs:
-            validate(instr, registers)
+            validate(instr, config.registers)
             if isinstance(instr, RInstr):
                 self._check_instr_masks(instr.warp_mask, instr.row_mask)
-                ops.extend(self._mask_ops(instr.warp_mask, instr.row_mask))
-                ops.extend(self._rtype_program(instr).ops)
+                pieces.append(self._mask_ops(instr.warp_mask, instr.row_mask))
+                pieces.append(self._rtype_program(instr))
             else:
-                lowered = self._lower_ops(instr)
-                validate_ops(lowered, self.config)
-                ops.extend(lowered)
-        return compile_ops(
-            ops, self.config, name=name, optimize=optimize, validate=False,
-            macros=len(instrs),
+                lowered = self._lower_short(instr)
+                validate_ops([op for op in lowered if type(op) is not tuple], config)
+                pieces.append(lowered)
+        loose = [piece for piece in pieces if type(piece) is list]
+        try:
+            encoded = encode_many(chain.from_iterable(loose), word_size)
+        except ValueError:
+            return self._compile_reference(instrs, name, optimize)
+        cuts = iter(np.split(encoded, np.cumsum([len(piece) for piece in loose])))
+        words = np.concatenate([encoded[:0]] + [
+            next(cuts) if type(piece) is list else piece.encoded(word_size)
+            for piece in pieces
+        ])
+        source_ops = len(words)
+        if optimize:
+            words = words[kept(columns_of_words(words, word_size))]
+        return MicroProgram(
+            words, name, self._fingerprint,
+            reads=sum(isinstance(instr, ReadInstr) for instr in instrs),
+            macros=len(instrs), source_ops=source_ops,
         )
 
     def _check_instr_masks(
@@ -503,34 +543,17 @@ class Driver:
     def _mask_ops(
         self, warp_mask: Optional[RangeMask], row_mask: Optional[RangeMask]
     ) -> List[MicroOp]:
-        """The two-mask preamble of an instruction, built once per pair.
-
-        Mask resolution (the ``None`` → full-range defaulting and the
-        range arithmetic) is cached per distinct ``(warp, row)`` pair, so
-        splicing a long stream re-resolves each address pattern once —
-        not once per macro.  The cached ops are immutable; a fresh list
-        is returned because callers concatenate.
-        """
-        key = (warp_mask, row_mask)
-        cached = self._mask_op_cache.get(key)
-        if cached is None:
-            warps = warp_mask or RangeMask.all(self.config.crossbars)
-            rows = row_mask or RangeMask.all(self.config.rows)
-            cached = (
-                CrossbarMaskOp(warps.start, warps.stop, warps.step),
-                RowMaskOp(rows.start, rows.stop, rows.step),
-            )
-            if len(self._mask_op_cache) < 4096:
-                self._mask_op_cache[key] = cached
-        return list(cached)
+        """The two-mask preamble of an instruction (``None`` = the whole axis)."""
+        warps = warp_mask or RangeMask.all(self.config.crossbars)
+        rows = row_mask or RangeMask.all(self.config.rows)
+        return [
+            CrossbarMaskOp(warps.start, warps.stop, warps.step),
+            RowMaskOp(rows.start, rows.stop, rows.step),
+        ]
 
     # ------------------------------------------------------------------
     # R-type
     # ------------------------------------------------------------------
-    def _lower_rtype(self, instr: RInstr) -> List[MicroOp]:
-        body = self._rtype_program(instr)
-        return self._mask_ops(instr.warp_mask, instr.row_mask) + list(body.ops)
-
     def _build_rtype(self, gb: GateBuilder, instr: RInstr) -> None:
         op, dest = instr.op, instr.dest
         a, b, c = instr.src_a, instr.src_b, instr.src_c
@@ -607,23 +630,17 @@ class Driver:
         regs = list(self.config.scratch_register_indices())
         return regs[-1], regs[-2]
 
-    def _lower_move(self, instr: MoveInstr) -> List[MicroOp]:
+    def _lower_move(self, instr: MoveInstr) -> list:
         cfg = self.config
         stage1, stage2 = self._stage_registers()
         warps = instr.warp_mask or RangeMask.all(cfg.crossbars)
-        ops: List[MicroOp] = []
+        ops: list = []  # micro-ops, the horizontal gates as rows
 
-        def init_column(reg: int) -> MicroOp:
-            return LogicHOp(
-                GateType.INIT1, in_a=0, in_b=0, out=reg,
-                p_a=0, p_b=0, p_out=0, p_end=cfg.partitions - 1, p_step=1,
-            )
+        def init_column(reg: int) -> tuple:
+            return (GateType.INIT1, 0, 0, reg, 0, 0, 0, cfg.partitions - 1, 1)
 
-        def not_column(src: int, dst: int) -> MicroOp:
-            return LogicHOp(
-                GateType.NOT, in_a=src, in_b=src, out=dst,
-                p_a=0, p_b=0, p_out=0, p_end=cfg.partitions - 1, p_step=1,
-            )
+        def not_column(src: int, dst: int) -> tuple:
+            return (GateType.NOT, src, src, dst, 0, 0, 0, cfg.partitions - 1, 1)
 
         if instr.warp_dist == 0 and instr.src_thread == instr.dst_thread:
             # Same thread: a pure register-to-register copy (two parallel
@@ -681,18 +698,3 @@ class Driver:
         ops.append(init_column(instr.dst_reg))
         ops.append(not_column(stage2, instr.dst_reg))  # dst = v
         return ops
-
-    # ------------------------------------------------------------------
-    # Read / write
-    # ------------------------------------------------------------------
-    def _lower_read(self, instr: ReadInstr) -> List[MicroOp]:
-        return [
-            CrossbarMaskOp(instr.warp, instr.warp, 1),
-            RowMaskOp(instr.thread, instr.thread, 1),
-            ReadOp(instr.reg),
-        ]
-
-    def _lower_write(self, instr: WriteInstr) -> List[MicroOp]:
-        return self._mask_ops(instr.warp_mask, instr.row_mask) + [
-            WriteOp(instr.reg, instr.value)
-        ]

@@ -10,7 +10,10 @@ Stateful logic can only pull an output memristor from logical 1 to logical
 these ``INIT1`` cycles honestly while amortizing them: scratch cells are
 handed out from whole *columns* (one register across all partitions) that
 are bulk-initialized with a single micro-operation whenever the entire
-column is reusable.
+column is reusable. A column's state is two integers (bit masks of its
+clean and its stale free partitions), and a gate leaves the builder as a
+*row* of nine integers (:data:`Row`) — never as an op object: a recorded
+list of rows is packed straight into a body program's operation words.
 """
 
 from __future__ import annotations
@@ -18,10 +21,18 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.arch.config import PIMConfig
-from repro.arch.micro_ops import GateType, LogicHOp, MicroOp
+from repro.arch.micro_ops import GateType
 
 #: A memristor address within a row: (register index, partition index).
 Cell = Tuple[int, int]
+
+#: A horizontal gate as the builder emits it: the nine fields of a
+#: :class:`~repro.arch.micro_ops.LogicHOp` in its layout order, ``(gate,
+#: in_a, in_b, out, p_a, p_b, p_out, p_end, p_step)``. No op object is
+#: built here; :func:`~repro.arch.micro_ops.encode_rows` packs rows.
+Row = Tuple[int, int, int, int, int, int, int, int, int]
+
+_INIT0, _INIT1, _NOT, _NOR = GateType
 
 
 class ScratchOverflow(Exception):
@@ -56,7 +67,8 @@ class GateBuilder:
 
     Args:
         config: architecture parameters (defines partitions and scratch).
-        emit: callback receiving each generated :class:`MicroOp` in order.
+        emit: callback receiving each generated gate, as a :data:`Row`,
+            in order.
         scratch_registers: register indices the builder may use for
             temporaries; defaults to the config's reserved scratch range.
         guard: when True, track cell lifetimes and raise :class:`GateError`
@@ -66,7 +78,7 @@ class GateBuilder:
     def __init__(
         self,
         config: PIMConfig,
-        emit: Callable[[MicroOp], None],
+        emit: Callable[[Row], None],
         scratch_registers: Optional[List[int]] = None,
         guard: bool = False,
     ):
@@ -78,13 +90,16 @@ class GateBuilder:
         if not scratch_registers:
             raise ValueError("the builder needs at least one scratch register")
         self._scratch_regs = list(scratch_registers)
-        parts = config.partitions
-        # Per-column state: free cells and dirty cells (value unknown, needs
-        # INIT1 before reuse as a gate output). Everything starts dirty.
-        self._free = {reg: set(range(parts)) for reg in self._scratch_regs}
-        self._dirty = {reg: set(range(parts)) for reg in self._scratch_regs}
+        # Per-column state, two integers with one bit per partition: the
+        # free cells that are clean (hold 1, gate-ready) and those that are
+        # stale (need INIT1 before reuse as a gate output). Everything
+        # starts stale. No column before ``_first`` holds a clean cell.
+        self._full = (1 << config.partitions) - 1
+        self._clean = dict.fromkeys(self._scratch_regs, 0)
+        self._stale = dict.fromkeys(self._scratch_regs, self._full)
+        self._first = 0
         self._reserved_columns: List[int] = []
-        self._freed_guard: set = set()
+        self._freed_guard: set = set()  # tracked under ``guard`` only
         # Shared constant cells, created lazily (never freed).
         self._const_cells: dict = {}
         self._protected: set = set()
@@ -95,17 +110,12 @@ class GateBuilder:
         config: PIMConfig,
         scratch_registers: Optional[List[int]] = None,
         guard: bool = False,
-    ) -> "Tuple[GateBuilder, List[MicroOp]]":
-        """A builder that records into a fresh op list: ``(builder, ops)``.
-
-        The recorded list is what :func:`repro.driver.compiler.compile_ops`
-        turns into a replayable :class:`~repro.driver.program.MicroProgram`.
-        """
-        ops: List[MicroOp] = []
-        builder = cls(
-            config, ops.append, scratch_registers=scratch_registers, guard=guard
-        )
-        return builder, ops
+    ) -> "Tuple[GateBuilder, List[Row]]":
+        """A builder that records into a fresh row list: ``(builder, rows)``;
+        :func:`~repro.arch.micro_ops.encode_rows` of the list is a body
+        :class:`~repro.driver.program.MicroProgram`'s words."""
+        rows: List[Row] = []
+        return cls(config, rows.append, scratch_registers, guard), rows
 
     # ------------------------------------------------------------------
     # Scratch management
@@ -113,51 +123,49 @@ class GateBuilder:
     @property
     def free_cell_count(self) -> int:
         """Currently available scratch cells (for tests and sizing checks)."""
-        return sum(len(free) for free in self._free.values())
+        return sum(
+            (self._clean[reg] | self._stale[reg]).bit_count()
+            for reg in self._scratch_regs
+        )
 
     def alloc(self) -> Cell:
         """Claim one scratch cell, initialized to logical 1 (gate-ready)."""
-        parts = self.config.partitions
-        # Prefer a clean free cell (no init needed).
-        for reg in self._scratch_regs:
-            clean = self._free[reg] - self._dirty[reg]
-            if clean:
-                part = min(clean)
-                return self._take(reg, part)
+        clean, stale, regs = self._clean, self._stale, self._scratch_regs
+        # Prefer a clean free cell (no init needed): the lowest one of the
+        # first column that has any. Cells become clean only below, in the
+        # column ``_first`` then names, so the scan starts there.
+        for index in range(self._first, len(regs)):
+            reg = regs[index]
+            bits = clean[reg]
+            if bits:
+                self._first = index
+                low = bits & -bits
+                clean[reg] = bits ^ low
+                cell = (reg, low.bit_length() - 1)
+                if self.guard:
+                    self._freed_guard.discard(cell)
+                return cell
         # Next, bulk-initialize a fully-free column with one micro-op.
-        for reg in self._scratch_regs:
-            if len(self._free[reg]) == parts and self._dirty[reg]:
+        for index, reg in enumerate(regs):
+            if stale[reg] == self._full:
                 self.init_column(reg, 1)
-                self._dirty[reg].clear()
-                return self._take(reg, min(self._free[reg]))
+                clean[reg], stale[reg], self._first = self._full, 0, index
+                return self.alloc()
         # Otherwise, batch-clean the column holding the most reclaimable
-        # cells: its free-and-dirty set is re-initialized with strided
-        # INIT1 runs, amortizing init cycles over many future allocs.
-        best = max(
-            self._scratch_regs,
-            key=lambda reg: len(self._free[reg] & self._dirty[reg]),
-        )
-        reclaimable = sorted(self._free[best] & self._dirty[best])
-        if reclaimable:
-            for start, stop, step in _arith_runs(reclaimable):
-                self.emit(
-                    LogicHOp(
-                        GateType.INIT1, in_a=0, in_b=0, out=best,
-                        p_a=0, p_b=0, p_out=start, p_end=stop, p_step=step,
-                    )
-                )
-            self._dirty[best].difference_update(reclaimable)
-            return self._take(best, reclaimable[0])
-        raise ScratchOverflow(
-            f"out of scratch cells ({len(self._scratch_regs)} columns x "
-            f"{parts} partitions all live)"
-        )
-
-    def _take(self, reg: int, part: int) -> Cell:
-        self._free[reg].discard(part)
-        cell = (reg, part)
-        self._freed_guard.discard(cell)
-        return cell
+        # cells: its stale set is re-initialized with strided INIT1 runs,
+        # amortizing init cycles over many future allocs.
+        best = max(regs, key=lambda reg: stale[reg].bit_count())
+        reclaimable = stale[best]
+        if not reclaimable:
+            raise ScratchOverflow(
+                f"out of scratch cells ({len(regs)} columns x "
+                f"{self.config.partitions} partitions all live)"
+            )
+        parts = [p for p in range(self.config.partitions) if reclaimable >> p & 1]
+        for start, stop, step in _arith_runs(parts):
+            self.emit((_INIT1, 0, 0, best, 0, 0, start, stop, step))
+        clean[best], stale[best], self._first = reclaimable, 0, regs.index(best)
+        return self.alloc()
 
     def alloc_bits(self, count: int) -> List[Cell]:
         """Claim ``count`` scratch cells (LSB-first bit vector)."""
@@ -171,13 +179,13 @@ class GateBuilder:
         scratch with aliased constants.
         """
         reg, part = cell
-        if reg not in self._free or cell in self._protected:
+        if reg not in self._stale or cell in self._protected:
             return
-        if self.guard and part in self._free[reg]:
-            raise GateError(f"double free of cell {cell}")
-        self._free[reg].add(part)
-        self._dirty[reg].add(part)
-        self._freed_guard.add(cell)
+        if self.guard:
+            if (self._clean[reg] | self._stale[reg]) >> part & 1:
+                raise GateError(f"double free of cell {cell}")
+            self._freed_guard.add(cell)
+        self._stale[reg] |= 1 << part
 
     def free_bits(self, cells: List[Cell]) -> None:
         """Release a vector of scratch cells."""
@@ -190,10 +198,9 @@ class GateBuilder:
         Returns the register index; all its cells leave the cell pool. The
         column is *not* initialized (bit-parallel routines init explicitly).
         """
-        parts = self.config.partitions
         for reg in self._scratch_regs:
-            if len(self._free[reg]) == parts:
-                self._free[reg].clear()
+            if (self._clean[reg] | self._stale[reg]) == self._full:
+                self._clean[reg] = self._stale[reg] = 0
                 self._reserved_columns.append(reg)
                 return reg
         raise ScratchOverflow("no fully-free scratch column available")
@@ -203,9 +210,7 @@ class GateBuilder:
         if reg not in self._reserved_columns:
             raise GateError(f"register {reg} was not reserved")
         self._reserved_columns.remove(reg)
-        parts = self.config.partitions
-        self._free[reg] = set(range(parts))
-        self._dirty[reg] = set(range(parts))
+        self._clean[reg], self._stale[reg] = 0, self._full
 
     def const(self, bit: int) -> Cell:
         """A shared constant cell holding ``bit`` (read-only, never freed)."""
@@ -213,7 +218,7 @@ class GateBuilder:
         if bit not in self._const_cells:
             cell = self.alloc()
             if bit == 0:
-                self._emit_init_cell(cell[0], cell[1], 0)
+                self.init_cell(cell, 0)
             self._const_cells[bit] = cell
             self._protected.add(cell)
         return self._const_cells[bit]
@@ -223,37 +228,15 @@ class GateBuilder:
     # ------------------------------------------------------------------
     def init_column(self, reg: int, value: int) -> None:
         """Bulk-initialize one register across all partitions (1 micro-op)."""
-        gate = GateType.INIT1 if value else GateType.INIT0
-        self.emit(
-            LogicHOp(
-                gate,
-                in_a=0,
-                in_b=0,
-                out=reg,
-                p_a=0,
-                p_b=0,
-                p_out=0,
-                p_end=self.config.partitions - 1,
-                p_step=1,
-            )
-        )
-
-    def _emit_init_cell(self, reg: int, part: int, value: int) -> None:
-        gate = GateType.INIT1 if value else GateType.INIT0
-        self.emit(
-            LogicHOp(
-                gate, in_a=0, in_b=0, out=reg, p_a=0, p_b=0,
-                p_out=part, p_end=part, p_step=1,
-            )
-        )
+        last = self.config.partitions - 1
+        self.emit((_INIT1 if value else _INIT0, 0, 0, reg, 0, 0, 0, last, 1))
 
     def init_cell(self, cell: Cell, value: int) -> None:
         """Initialize a single cell (1 micro-op)."""
-        self._emit_init_cell(cell[0], cell[1], value)
+        reg, part = cell
+        self.emit((_INIT1 if value else _INIT0, 0, 0, reg, 0, 0, part, part, 1))
 
     def _check_read(self, *cells: Cell) -> None:
-        if not self.guard:
-            return
         for cell in cells:
             if cell in self._freed_guard:
                 raise GateError(f"read of freed cell {cell}")
@@ -263,7 +246,8 @@ class GateBuilder:
     # ------------------------------------------------------------------
     def nor_into(self, a: Cell, b: Cell, out: Cell) -> None:
         """``out &= NOR(a, b)`` — out must be freshly initialized to 1."""
-        self._check_read(a, b)
+        if self.guard:
+            self._check_read(a, b)
         if out == a or out == b:
             raise GateError("gate output must differ from its inputs")
         if a == b:
@@ -271,27 +255,18 @@ class GateBuilder:
             return
         (reg_a, p_a), (reg_b, p_b) = a, b
         if p_a > p_b:
-            (reg_a, p_a), (reg_b, p_b) = (reg_b, p_b), (reg_a, p_a)
-        self.emit(
-            LogicHOp(
-                GateType.NOR,
-                in_a=reg_a, in_b=reg_b, out=out[0],
-                p_a=p_a, p_b=p_b, p_out=out[1], p_end=out[1], p_step=1,
-            )
-        )
+            reg_a, p_a, reg_b, p_b = reg_b, p_b, reg_a, p_a
+        reg, part = out
+        self.emit((_NOR, reg_a, reg_b, reg, p_a, p_b, part, part, 1))
 
     def not_into(self, a: Cell, out: Cell) -> None:
         """``out &= NOT(a)`` — out must be freshly initialized to 1."""
-        self._check_read(a)
+        if self.guard:
+            self._check_read(a)
         if out == a:
             raise GateError("gate output must differ from its input")
-        self.emit(
-            LogicHOp(
-                GateType.NOT,
-                in_a=a[0], in_b=a[0], out=out[0],
-                p_a=a[1], p_b=a[1], p_out=out[1], p_end=out[1], p_step=1,
-            )
-        )
+        (reg_a, p_a), (reg, part) = a, out
+        self.emit((_NOT, reg_a, reg_a, reg, p_a, p_a, part, part, 1))
 
     def nor(self, a: Cell, b: Cell) -> Cell:
         """NOR of two cells into a fresh scratch cell."""
@@ -414,11 +389,5 @@ class GateBuilder:
         """
         if src_reg == dst_reg:
             raise GateError("parallel NOT output must differ from its input")
-        self.emit(
-            LogicHOp(
-                GateType.NOT,
-                in_a=src_reg, in_b=src_reg, out=dst_reg,
-                p_a=0, p_b=0, p_out=0,
-                p_end=self.config.partitions - 1, p_step=1,
-            )
-        )
+        last = self.config.partitions - 1
+        self.emit((_NOT, src_reg, src_reg, dst_reg, 0, 0, 0, last, 1))

@@ -23,22 +23,14 @@ re-validation — by the whole-stream emission compiler
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.arch.micro_ops import GateType, LogicHOp
+from repro.arch.micro_ops import GateType
 from repro.driver.gates import GateBuilder
 
 
 def _nor_column(gb: GateBuilder, a_reg: int, b_reg: int, out_reg: int) -> None:
     """Partition-parallel NOR of two registers (1 micro-op, N gates)."""
-    gb.emit(
-        LogicHOp(
-            GateType.NOR,
-            in_a=min(a_reg, b_reg), in_b=max(a_reg, b_reg), out=out_reg,
-            p_a=0, p_b=0, p_out=0,
-            p_end=gb.config.partitions - 1, p_step=1,
-        )
-    )
+    in_a, in_b = min(a_reg, b_reg), max(a_reg, b_reg)
+    gb.emit((GateType.NOR, in_a, in_b, out_reg, 0, 0, 0, gb.config.partitions - 1, 1))
 
 
 def _strided_not(gb: GateBuilder, src_reg: int, dst_reg: int, dist: int) -> int:
@@ -57,12 +49,8 @@ def _strided_not(gb: GateBuilder, src_reg: int, dst_reg: int, dist: int) -> int:
             break
         last_out = first_out + ((parts - 1 - first_out) // step) * step
         gb.emit(
-            LogicHOp(
-                GateType.NOT,
-                in_a=src_reg, in_b=src_reg, out=dst_reg,
-                p_a=offset, p_b=offset, p_out=first_out,
-                p_end=last_out, p_step=step,
-            )
+            (GateType.NOT, src_reg, src_reg, dst_reg,
+             offset, offset, first_out, last_out, step)
         )
         emitted += 1
     return emitted

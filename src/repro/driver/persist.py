@@ -1,14 +1,13 @@
 """Cross-session persistence for compiled micro-op programs.
 
-Gate building dominates cold-start latency: the 20-25x cold/warm gap in
-``results/compile_cache.txt`` is almost entirely the cost of recording
-R-type bodies through :class:`~repro.driver.gates.GateBuilder`.  Within a
-session the driver's :class:`~repro.driver.program.ProgramCache` tiers
-absorb that cost, but every new process pays it again.  This module makes
-the cache *durable*: compiled :class:`~repro.driver.program.MicroProgram`
-entries are written through to a cache directory and loaded back on the
-first miss of a later session, so a warm-started process (``pim.init(
-cache_dir=...)``, or ``REPRO_CACHE_DIR``) skips gate building entirely.
+Gate building is the largest stage of a cold start, even with gates born
+as words (``docs/architecture.md`` §10).  Within a session the driver's
+:class:`~repro.driver.program.ProgramCache` tiers absorb that cost, but
+every new process pays it again.  This module makes the cache *durable*:
+compiled :class:`~repro.driver.program.MicroProgram` entries are written
+through to a cache directory and loaded back on the first miss of a later
+session, so a warm-started process (``pim.init(cache_dir=...)``, or
+``REPRO_CACHE_DIR``) skips gate building entirely.
 
 Design constraints, in order:
 
@@ -27,22 +26,19 @@ Design constraints, in order:
    cache directory can only ever observe whole entries.
 
 Serialized form: one binary file per entry — a one-line JSON header, a
-newline, then the ops as their 64-bit encodings (the words the DMA path
+newline, then the program's 64-bit operation words (what the DMA path
 ships), raw little-endian ``<u8``. The header holds the identity checks
 above, the program metadata, the payload's word count and CRC-32, and
 the program's *bill* (:meth:`~repro.driver.program.MicroProgram.bill`),
-so a restored program is priced without being walked. A load checks
-header, length and checksum and wraps the payload with
-``np.frombuffer``: **no op object is built**. A replay plan is built
-from bit-field columns of those words (every gate word's constructor
-invariants checked as column operations; only the non-gate words, a
-fraction of a percent, are decoded), and a body loaded only to price an
-instruction is never read at all: the program decodes its words in full
-(``decode_many``) only if something iterates ``.ops`` — the op-by-op
-reference loop, checksum verification. Stores encode
-through :func:`~repro.arch.micro_ops.encode_many`. Cache keys are
-deterministic across processes because every key component has a
-value-based repr (enums, frozen dataclasses, strings, ints).
+so a restored program is priced without being walked. Neither side
+touches an op object: a store writes the words the program was spliced
+from and the bill summed from their columns, a load checks header,
+length and checksum and wraps the payload with ``np.frombuffer``. A
+restored program decodes its words in full (``decode_many``) only if
+something iterates ``.ops`` — the op-by-op reference loop, checksum
+verification. Cache keys are deterministic across processes because
+every key component has a value-based repr (enums, frozen dataclasses,
+strings, ints).
 """
 
 from __future__ import annotations
@@ -160,8 +156,11 @@ class PersistentProgramCache:
         """Write a program through to disk (atomically; errors ignored)."""
         if program.config_fingerprint != self.fingerprint:
             return
+        try:
+            words = program.encoded(self.config.word_size)
+        except ValueError:
+            return  # an op that fits no operation word: no word image to store
         bill = program.bill(self.config)
-        words = program.encoded(self.config.word_size)
         payload = words.astype("<u8", copy=False).tobytes()
         header = {
             "version": FORMAT_VERSION,

@@ -10,11 +10,12 @@ many times").
 
 Three pieces live here:
 
-- :class:`MicroProgram` — the immutable IR: a tuple of micro-ops (or the
-  64-bit operation words they decode from, which also ship DMA-style to
-  a :class:`~repro.driver.driver.BufferSink`) plus a name, the
-  fingerprint of the architecture it was validated against, and its
-  *bill* — the static ``SimStats`` of one execution, walked once.
+- :class:`MicroProgram` — the immutable IR: the stream's 64-bit
+  operation words (what the driver builds, splices, stores and ships
+  DMA-style to a :class:`~repro.driver.driver.BufferSink`; op objects
+  only if asked for — or a tuple of op objects, for a recorded stream)
+  plus a name, the fingerprint of the architecture it was validated
+  against, and its *bill* — the static ``SimStats`` of one execution.
 - :func:`config_fingerprint` — the hashable identity of every
   :class:`~repro.arch.config.PIMConfig` parameter that affects micro-op
   validity.  Cache keys embed it, and the simulator's
@@ -23,11 +24,11 @@ Three pieces live here:
 - :class:`ProgramCache` — a small LRU mapping cache keys to compiled
   programs, with hit/miss counters surfaced by ``pim.Profiler``.
 
-Programs are *built* by :mod:`repro.driver.compiler` (validation and the
-peephole passes) and *consumed* op-by-op or through a chip's
-``execute_program`` port: the simulator's
+Programs are *built* by the driver's splicer (words) or by
+:func:`repro.driver.compiler.compile_ops` (objects) and *consumed*
+through a chip's ``execute_program`` port: the simulator's
 :meth:`~repro.sim.simulator.Simulator.execute_program` replay, or
-``BufferSink.execute_program``'s copy of the pre-encoded words.
+``BufferSink.execute_program``'s copy of the words.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import numpy as np
 from repro.arch.config import PIMConfig
 from repro.arch.micro_ops import (
     CrossbarMaskOp,
+    GateType,
     LogicHOp,
     LogicVOp,
     MicroOp,
@@ -50,9 +52,10 @@ from repro.arch.micro_ops import (
     RowMaskOp,
     decode_many,
     encode_many,
+    gate_table,
     is_logic_h,
 )
-from repro.sim import simulator
+from repro.sim import replay, simulator
 from repro.sim.stats import SimStats
 
 #: The cache-key type: any hashable tuple assembled by the caller.
@@ -153,10 +156,11 @@ class MicroProgram:
 
     Attributes:
         ops: the micro-operations, in execution order. Built from its
-            64-bit operation words instead (as the persistent cache
-            restores programs), a program decodes them on first use:
-            one that is only priced (:meth:`bill`) or shipped as words
-            (:meth:`encoded`) never pays for the objects.
+            64-bit operation words instead (as the driver builds and the
+            persistent cache restores programs), a program decodes them
+            on first use: one that is only priced (:meth:`bill`), planned
+            or shipped as words (:meth:`encoded`) never pays for the
+            objects.
         name: a human-readable label (e.g. ``"add.int32"``) for profiling.
         config_fingerprint: the :func:`config_fingerprint` of the config
             the program was validated against.
@@ -191,6 +195,7 @@ class MicroProgram:
         self.source_ops = source_ops
         self._bill = bill
         self._super_steps: Optional[Tuple[SuperStep, ...]] = None
+        self._gates: Optional[tuple] = None
 
     @property
     def ops(self) -> Tuple[MicroOp, ...]:
@@ -241,6 +246,14 @@ class MicroProgram:
             )
             return words
 
+    def gate_table(self) -> tuple:
+        """The :func:`~repro.arch.micro_ops.gate_table` of :meth:`plan_words`
+        (memoized): what the bill and the replay plan read instead of op
+        objects. ``ValueError`` for a gate word breaking a constructor invariant."""
+        if self._gates is None:
+            self._gates = gate_table(self.plan_words())
+        return self._gates
+
     @property
     def self_masked(self) -> bool:
         """Whether every gate, move, vertical op and read runs under masks
@@ -263,14 +276,42 @@ class MicroProgram:
 
         The one :func:`~repro.sim.simulator.accounting_walk` of the
         program, made on first request and kept (the persistent cache
-        stores it with the words); it raises the chip's own
-        ``SimulationError`` for a stream the chip would refuse. H-tree
-        hops are itemized: :meth:`SimStats.billed` turns the bill into
-        either move-cost model's. Treat the result as read-only.
+        stores it with the words). A program that is only its words is
+        billed from them (:meth:`_tallied`); one that holds op objects is
+        walked op by op — as is one the chip would refuse, raising the
+        chip's own ``SimulationError`` at the op, with the bill of the ops
+        before it. H-tree hops are itemized: :meth:`SimStats.billed` turns
+        the bill into either move-cost model's. Treat it as read-only.
         """
+        walk = simulator.accounting_walk
+        if self._bill is None and self._ops is None:
+            try:
+                self._bill = walk(self._tallied(config.partitions), config, "htree")
+            except (simulator.SimulationError, ValueError):
+                pass
         if self._bill is None:
-            self._bill = simulator.accounting_walk(self.ops, config, "htree")
+            self._bill = walk(self.ops, config, "htree")
         return self._bill
+
+    def _tallied(self, partitions: int) -> list:
+        """The stream as :func:`~repro.sim.simulator.accounting_walk` bills
+        it from words: the non-gate ops (objects :attr:`super_steps` holds)
+        and each stretch of gates between them as one
+        :class:`~repro.sim.simulator.GateTally` — per gate type a count, and
+        the patterns' gate counts (one ``_pattern_mask`` call each) summed."""
+        steps = self.super_steps
+        fields, keys, index = self.gate_table()
+        masks = replay.pattern_masks(keys, partitions)
+        per_pattern = np.array([count for _, count in masks], dtype=np.int64)
+        columns = np.stack(
+            [fields["gate"] == code for code in GateType] + [per_pattern[index]]
+        )
+        starts = np.cumsum([0] + [len(step) for step in steps if step.op is None])
+        sums = iter(np.add.reduceat(columns, starts[:-1], axis=1).T.tolist())
+        return [
+            simulator.GateTally(*next(sums)) if step.op is None else step.op
+            for step in steps
+        ]
 
     def replay_summary(self) -> Dict[str, int]:
         """Segmentation accounting: how much of the stream can fuse.

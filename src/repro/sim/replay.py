@@ -58,7 +58,7 @@ import numpy as np
 
 from repro.arch.halfgates import pattern_outputs
 from repro.arch.masks import RangeMask
-from repro.arch.micro_ops import GateType, LogicHOp, is_logic_h, logic_h_columns
+from repro.arch.micro_ops import PATTERN_SHIFTS, GateType, LogicHOp
 from repro.sim.memory import CrossbarMemory
 
 
@@ -226,20 +226,28 @@ class GateRun(NamedTuple):
         }
 
 
+def pattern_masks(keys, partitions: int) -> list:
+    """``(out-mask, gate count)`` per distinct pattern key of a
+    :func:`~repro.arch.micro_ops.gate_table`: one :func:`_pattern_mask`
+    call — the pattern's validation — each."""
+    gates = map(tuple(GateType).__getitem__, (keys & 3).tolist())
+    parts = [((keys >> shift) & 63).tolist() for shift in PATTERN_SHIFTS]
+    return list(map(_pattern_mask, gates, *parts, repeat(partitions)))
+
+
 def build_gate_runs(program, config, memory: CrossbarMemory) -> Iterator[GateRun]:
     """The :class:`GateRun` of every ``"gates"`` super-step, in order.
 
-    Built by slicing bit-field columns out of the program's operation
-    words (:func:`~repro.arch.micro_ops.logic_h_columns`: every gate
-    word's constructor invariants checked, no op object built). Each
-    distinct partition pattern is validated once (:func:`_pattern_mask`);
-    replicated lane masks are shared per distinct mask *value* by the
-    runs of one plan (they depend on the lane width, so never across
-    simulators). The caller guarantees the program is self-masked —
-    every gate sits in a run — and that :func:`lanes_pay_off` holds.
+    Built from the bit-field columns of the program's operation words
+    (:meth:`~repro.driver.program.MicroProgram.gate_table`: constructor
+    invariants checked, no op object built). Each distinct partition
+    pattern is validated once (:func:`pattern_masks`); replicated lane
+    masks are shared per distinct mask *value* by the runs of one plan
+    (they depend on the lane width, so never across simulators). The
+    caller guarantees the program is self-masked — every gate sits in a
+    run — and that :func:`lanes_pay_off` holds.
     """
-    words = program.plan_words()
-    fields = logic_h_columns(words[is_logic_h(words)])
+    fields, keys, index = program.gate_table()
     gate, out = fields["gate"], fields["out"]
     reads_a, reads_b = gate >= GateType.NOT, gate == GateType.NOR
     shift_a = np.where(reads_a, fields["p_out"] - fields["p_a"], 0)
@@ -249,17 +257,8 @@ def build_gate_runs(program, config, memory: CrossbarMemory) -> Iterator[GateRun
         np.where(reads_a, fields["in_a"], out), np.abs(shift_a),
         np.where(reads_b, fields["in_b"], out), np.abs(shift_b),
     )
-    # A gate's pattern as one 32-bit key (2 gate bits, five 6-bit partition
-    # fields): its out-mask is a dict hit per gate and a _pattern_mask call
-    # per *distinct* pattern.
-    shifts = range(2, 32, 6)
-    key = gate.astype(np.uint32)
-    for shift, name in zip(shifts, ("p_a", "p_b", "p_out", "p_end", "p_step")):
-        key |= fields[name].astype(np.uint32) << np.uint32(shift)
-    del fields
-    gates = tuple(GateType)
+    masks = [mask for mask, _ in pattern_masks(keys, config.partitions)]
     width = 8 * memory.dtype.itemsize
-    masks: Dict[int, int] = {}  # pattern key -> out-mask
     replicated: Dict[int, Dict[int, int]] = {}  # lanes -> out-mask -> replicated
     done = 0
     for segment in program.super_steps:
@@ -267,23 +266,17 @@ def build_gate_runs(program, config, memory: CrossbarMemory) -> Iterator[GateRun
             continue
         span = slice(done, done + len(segment))
         done = span.stop
-        keys = key[span].tolist()
-        distinct = set(keys)
-        fresh = np.fromiter(distinct.difference(masks), np.uint32)
-        parts = [((fresh >> shift) & 63).tolist() for shift in shifts]
-        found = map(_pattern_mask, map(gates.__getitem__, (fresh & 3).tolist()),
-                    *parts, repeat(config.partitions))
-        masks.update(zip(fresh.tolist(), [mask for mask, _ in found]))
+        used = index[span].tolist()
         xb, row = RangeMask(*segment.xb), RangeMask(*segment.row)
         lanes = len(xb) * len(row)
         # Bit 0 of every lane: ``mask * unit`` replicates a (< 2**width)
         # mask into all of them.
         unit = ((1 << width * lanes) - 1) // ((1 << width) - 1)
         reps = replicated.setdefault(lanes, {})
-        for mask in set(map(masks.__getitem__, distinct)).difference(reps):
+        for mask in set(map(masks.__getitem__, set(used))).difference(reps):
             reps[mask] = mask * unit
         run = [column[span].tolist() for column in columns]
-        run.append(map(reps.__getitem__, map(masks.__getitem__, keys)))
+        run.append(map(reps.__getitem__, map(masks.__getitem__, used)))
         yield GateRun(
             xb, row,
             tuple(sorted(set().union(run[1], run[2], run[4]))),

@@ -45,6 +45,18 @@ class SimulationError(Exception):
     prefix: Optional[SimStats] = None
 
 
+class GateTally(NamedTuple):
+    """A stretch of horizontal gates as :func:`accounting_walk` bills it in
+    bulk: ops per :class:`GateType`, then the gates their patterns encode
+    per masked row — column sums over operation words (``MicroProgram.bill``)."""
+
+    init0: int
+    init1: int
+    not_: int
+    nor: int
+    gates: int
+
+
 _GATE_KEYS_H = {gate: f"logic_h_{gate.name.lower()}" for gate in GateType}
 _GATE_KEYS_V = {gate: f"logic_v_{gate.name.lower()}" for gate in GateType}
 
@@ -81,8 +93,9 @@ def accounting_walk(
     horizontal gates scale with the active rows, and an op the chip
     would refuse (mask range, row range, H-tree pattern, read shape)
     raises :class:`SimulationError` like live execution, carrying the
-    bill of the ops before it (``prefix``). A compiled program is
-    walked once (:meth:`repro.driver.program.MicroProgram.bill`).
+    bill of the ops before it (``prefix``). A stretch of gates may come
+    as one :class:`GateTally` in place of its ops. A compiled program is
+    billed once (:meth:`repro.driver.program.MicroProgram.bill`).
     """
     delta = SimStats()
     xb = xb or RangeMask.all(config.crossbars)
@@ -96,11 +109,15 @@ def accounting_walk(
     try:
         for op in ops:
             if isinstance(op, LogicHOp):
-                h_counts[op.gate] += 1
                 h_gates += lanes * _pattern_mask(
                     op.gate, op.p_a, op.p_b, op.p_out, op.p_end, op.p_step,
                     config.partitions,
                 )[1]
+                h_counts[op.gate] += 1  # after the check: a refused gate is not billed
+            elif isinstance(op, GateTally):
+                for gate, count in zip(GateType, op):
+                    h_counts[gate] += count
+                h_gates += lanes * op.gates
             elif isinstance(op, CrossbarMaskOp):
                 if op.stop >= config.crossbars:
                     raise SimulationError("crossbar mask out of range")

@@ -1,5 +1,6 @@
 """Tests for the 64-bit micro-operation encoding (Figure 5)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -128,3 +129,67 @@ def test_logic_h_roundtrip_property(
         p_step=p_step,
     )
     assert roundtrip(op) == op
+
+
+class TestEncodeRows:
+    """A gate given as its row — the nine fields in layout order — packs to
+    the word of the op object, and is refused like the op object."""
+
+    GOOD = [
+        (GateType.NOR, 1, 2, 3, 4, 9, 6, 6, 1),
+        (GateType.NOT, 0, 0, 7, 0, 0, 0, 31, 1),
+        (GateType.INIT1, 0, 0, 127, 0, 0, 1, 61, 4),
+        (GateType.INIT0, 0, 0, 5, 63, 63, 63, 63, 63),
+    ]
+
+    def test_rows_pack_to_the_ops_words(self):
+        from repro.arch.micro_ops import encode_many, encode_rows
+
+        words = encode_rows(self.GOOD)
+        assert words.dtype == np.uint64
+        assert words.tolist() == [encode(LogicHOp(*row)) for row in self.GOOD]
+        mixed = [ReadOp(1), self.GOOD[0], RowMaskOp(0, 3, 1), self.GOOD[2]]
+        assert encode_many(mixed).tolist() == [
+            encode(LogicHOp(*op) if type(op) is tuple else op) for op in mixed
+        ]
+        assert encode_rows([]).tolist() == []
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("p_a", 10, "p_a <= p_b"),               # p_a > p_b
+        ("p_step", 0, "p_step must be positive"),
+        ("p_step", -1, "p_step must be positive"),
+        ("p_end", 3, "p_end must be >= p_out"),  # p_end < p_out
+        ("p_step", 4, "p_step must divide"),
+    ])
+    def test_a_row_breaking_a_constructor_invariant(self, field, value, message):
+        from repro.arch.micro_ops import _LAYOUT, _Kind, encode_rows
+
+        names = [name for name, _ in _LAYOUT[_Kind.LOGIC_H][1]]
+        row = dict(zip(names, (GateType.NOR, 1, 2, 3, 4, 9, 6, 12, 3)))
+        row[field] = value
+        with pytest.raises(ValueError, match=message):
+            LogicHOp(**row)
+        with pytest.raises(ValueError, match=message):
+            encode_rows([self.GOOD[0], tuple(row.values())])
+
+    @pytest.mark.parametrize("field", ["gate", "in_a", "in_b", "out", "p_b",
+                                       "p_out", "p_end", "p_step"])
+    def test_a_field_one_past_its_width(self, field):
+        from repro.arch.micro_ops import _LAYOUT, _Kind, encode_rows
+
+        layout = _LAYOUT[_Kind.LOGIC_H][1]
+        row = dict(zip((name for name, _ in layout), (3, 0, 0, 0, 0, 0, 0, 0, 1)))
+        row[field] = 1 << dict(layout)[field]
+        if field in ("p_out", "p_end"):  # keep the constructor satisfied
+            row["p_end"] = 64
+        with pytest.raises(ValueError, match="does not fit") as scalar:
+            encode(LogicHOp(**row))
+        with pytest.raises(ValueError, match="does not fit") as packed:
+            encode_rows([tuple(row.values())])
+        assert f"in {dict(layout)[field]} bits" in str(scalar.value)
+        if field != "p_out":  # (then p_end overflows too, and is met first)
+            assert f"LogicHOp.{field} does not fit" in str(packed.value)
+        for value in (-1, 1 << 70):
+            row[field] = value
+            with pytest.raises(ValueError):
+                encode_rows([tuple(row.values())])

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.arch.config import PIMConfig, small_config
 from repro.arch.masks import RangeMask
+from repro.arch.micro_ops import LogicHOp
 from repro.driver.driver import Driver
 from repro.isa.dtypes import DType, raw_to_value, value_to_raw
 from repro.isa.instructions import ReadInstr, RInstr, ROp, WriteInstr
@@ -71,8 +72,9 @@ class GateHarness:
         self.simulator = Simulator(self.config)
         self.gb = GateBuilder(self.config, self._emit, guard=guard)
 
-    def _emit(self, op) -> None:
-        self.simulator.execute(op)
+    def _emit(self, row) -> None:
+        """The builder emits rows; the simulator executes op objects."""
+        self.simulator.execute(LogicHOp(*row))
 
     def set_cell(self, cell, value: int) -> None:
         reg, part = cell

@@ -1,8 +1,11 @@
 """Tests for the gate-level builder: primitives, scratch pool, init rules."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.driver.gates import GateError, ScratchOverflow
+from repro.arch.config import PIMConfig
+from repro.arch.micro_ops import GateType
+from repro.driver.gates import GateBuilder, GateError, ScratchOverflow, _arith_runs
 
 from tests.driver.harness import GateHarness
 
@@ -159,3 +162,141 @@ class TestRegisterHelpers:
     def test_wrong_width_rejected(self, h):
         with pytest.raises(GateError):
             h.gb.write_register(h.gb.alloc_bits(8), 0)
+
+
+class _SetModel:
+    """The scratch allocator stated over sets of partitions — the form the
+    builder had before its columns became two bit masks each. Kept here
+    as the reference: same cells, same rows, ``ScratchOverflow`` at the
+    same call."""
+
+    def __init__(self, regs, parts):
+        self.regs, self.parts, self.rows = list(regs), parts, []
+        self.free = {reg: set(range(parts)) for reg in regs}
+        self.dirty = {reg: set(range(parts)) for reg in regs}
+        self.reserved, self.consts, self.protected = [], {}, set()
+
+    def _take(self, reg, part):
+        self.free[reg].discard(part)
+        return (reg, part)
+
+    def alloc(self):
+        for reg in self.regs:
+            clean = self.free[reg] - self.dirty[reg]
+            if clean:
+                return self._take(reg, min(clean))
+        for reg in self.regs:
+            if len(self.free[reg]) == self.parts and self.dirty[reg]:
+                self.rows.append((GateType.INIT1, 0, 0, reg, 0, 0, 0, self.parts - 1, 1))
+                self.dirty[reg].clear()
+                return self._take(reg, 0)
+        best = max(self.regs, key=lambda reg: len(self.free[reg] & self.dirty[reg]))
+        reclaimable = sorted(self.free[best] & self.dirty[best])
+        if not reclaimable:
+            raise ScratchOverflow
+        for start, stop, step in _arith_runs(reclaimable):
+            self.rows.append((GateType.INIT1, 0, 0, best, 0, 0, start, stop, step))
+        self.dirty[best].difference_update(reclaimable)
+        return self._take(best, reclaimable[0])
+
+    def free_cell(self, cell):
+        reg, part = cell
+        if reg in self.free and cell not in self.protected:
+            self.free[reg].add(part)
+            self.dirty[reg].add(part)
+
+    def reserve_column(self):
+        for reg in self.regs:
+            if len(self.free[reg]) == self.parts:
+                self.free[reg].clear()
+                self.reserved.append(reg)
+                return reg
+        raise ScratchOverflow
+
+    def release_column(self, reg):
+        self.reserved.remove(reg)
+        self.free[reg] = set(range(self.parts))
+        self.dirty[reg] = set(range(self.parts))
+
+    def const(self, bit):
+        if bit not in self.consts:
+            cell = self.alloc()
+            if bit == 0:
+                self.rows.append((GateType.INIT0, 0, 0, cell[0], 0, 0, cell[1], cell[1], 1))
+            self.consts[bit] = cell
+            self.protected.add(cell)
+        return self.consts[bit]
+
+
+class TestAllocatorAgainstTheSetModel:
+    """Random alloc / free / alloc_bits / reserve / release / const
+    sequences: the bit-mask builder and the set model agree call by call."""
+
+    STEP = st.tuples(
+        st.sampled_from(
+            ["alloc", "alloc_bits", "alloc_bits", "free", "free_some", "free_some",
+             "reserve", "release", "const"]
+        ),
+        st.integers(0, 15), st.integers(0, 63),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        wide=st.booleans(), scratch=st.integers(10, 24),
+        steps=st.lists(STEP, min_size=1, max_size=60),
+    )
+    def test_same_cells_same_rows_same_overflow(self, wide, scratch, steps):
+        parts = 64 if wide else 32
+        config = PIMConfig(
+            crossbars=1, rows=1, columns=32 * parts, partitions=parts,
+            word_size=parts, scratch_registers=scratch,
+        )
+        builder, rows = GateBuilder.recording(config)
+        model = _SetModel(config.scratch_register_indices(), parts)
+        live, columns = [], []
+
+        def both(real, reference):
+            """One call on each side: same result, or the same overflow."""
+            try:
+                expected = reference()
+            except ScratchOverflow:
+                with pytest.raises(ScratchOverflow):
+                    real()
+                return None
+            result = real()
+            assert result == expected
+            return result
+
+        for action, share, number in steps:
+            if action == "alloc":
+                cell = both(builder.alloc, model.alloc)
+                live += [cell] if cell is not None else []
+            elif action == "alloc_bits":
+                # Up to a little more than everything that is free: one
+                # step can drain the pool, or overflow mid-vector.
+                count = builder.free_cell_count * share // 12 + number % 8
+                cells = both(
+                    lambda: builder.alloc_bits(count),
+                    lambda: [model.alloc() for _ in range(count)],
+                )
+                if cells is None:
+                    break  # both sides stopped mid-vector, at the same cell
+                live += cells
+            elif action in ("free", "free_some") and live:
+                chosen = live[number % len(live) :: 1 + share % 5]
+                for cell in chosen[:1] if action == "free" else chosen:
+                    live.remove(cell)
+                    builder.free(cell)
+                    model.free_cell(cell)
+            elif action == "reserve":
+                reg = both(builder.reserve_column, model.reserve_column)
+                columns += [reg] if reg is not None else []
+            elif action == "release" and columns:
+                reg = columns.pop(number % len(columns))
+                builder.release_column(reg)
+                model.release_column(reg)
+            elif action == "const":
+                both(lambda: builder.const(number & 1), lambda: model.const(number & 1))
+            assert rows == model.rows
+            assert builder.free_cell_count == sum(map(len, model.free.values()))
+        assert rows == model.rows

@@ -116,7 +116,9 @@ class TestRoundTrip:
 
     def test_load_decodes_nothing_until_ops_are_used(self, tmp_path, monkeypatch):
         """A restored program is its words and its bill: pricing it and
-        shipping it as words build no op object; ``.ops`` decodes once."""
+        shipping it as words build no op object; ``.ops`` decodes once.
+        (So is the compiled program it was stored from: neither holds an
+        op object until asked.)"""
         cache = fresh_cache(tmp_path)
         program = compiled_program()
         cache.store(KEY, program)
@@ -137,9 +139,11 @@ class TestRoundTrip:
         assert np.array_equal(
             restored.encoded(CFG.word_size), program.encoded(CFG.word_size)
         )
-        assert decodes == []
-        assert restored.ops == program.ops and restored.ops is restored.ops
-        assert decodes == [len(program)]
+        assert decodes == [] and restored._ops is None and program._ops is None
+        ops = restored.ops
+        assert decodes == [len(program)] and restored.ops is ops
+        assert ops == program.ops and program.ops is program.ops
+        assert decodes == [len(program)] * 2
 
     def test_stored_bill_serves_both_move_cost_models(self, tmp_path):
         """The bill is stored once, H-tree hops itemized, whatever model

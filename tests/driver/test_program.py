@@ -35,6 +35,7 @@ from repro.arch.micro_ops import (
 from repro.driver.compiler import (
     CompileError,
     coalesce_masks,
+    columns_of_ops,
     compile_ops,
     eliminate_redundant_init1,
 )
@@ -180,7 +181,13 @@ class TestProgramBill:
         first = program.bill(CFG)
         driver.run_program(program)
         driver.run_program(program)
-        assert program.bill(CFG) is first and walks == [len(program)]
+        # Computed once and kept — from the words: the one walk saw the
+        # non-gate ops and a tally per stretch of gates, never the gates.
+        assert program.bill(CFG) is first and len(walks) == 1
+        stretches = sum(step.op is None for step in program.super_steps)
+        assert walks[0] == len(program.super_steps) < len(program) // 100
+        assert 0 < stretches < walks[0] and program._ops is None
+        assert first == walk(program.ops, CFG, "htree")
 
     @pytest.mark.parametrize("move_cost", ["unit", "htree"])
     def test_instruction_bills_sum_to_the_stream_bill(self, move_cost):
@@ -206,6 +213,51 @@ class TestProgramBill:
         with pytest.raises(SimulationError, match="row 99 out of range") as info:
             driver.instr_bill(MoveInstr(0, 1, 0, 99, RangeMask(0, 0, 1), 0))
         assert info.value.prefix.cycles == 4  # what ran before the refusal
+
+    def test_a_pattern_refused_mid_run_bills_like_the_walk(self):
+        """A words-born program is billed in bulk, one ``_pattern_mask`` call
+        per distinct pattern. Make a pattern that first occurs deep inside
+        a gate run invalid: the bill raises the op-by-op walk's error,
+        carrying the walk's prefix — the ops before the *first* gate of
+        that pattern, not before the run."""
+        from repro.arch.micro_ops import decode_many
+        from repro.sim import replay
+
+        _, driver = fresh_pair()
+        words = driver.compile(self.STREAM, optimize=False).encoded(CFG.word_size)
+        ops = decode_many(words, CFG.word_size)
+        shifted = [
+            (op.gate, op.p_a, op.p_b, op.p_out, op.p_end, op.p_step)
+            for op in ops
+            if isinstance(op, LogicHOp) and op.gate == GateType.NOT
+            and op.p_out > op.p_a
+        ]
+        target = shifted[len(shifted) // 2]  # first seen somewhere mid-stream
+        first = next(
+            at for at, op in enumerate(ops) if isinstance(op, LogicHOp)
+            and (op.gate, op.p_a, op.p_b, op.p_out, op.p_end, op.p_step) == target
+        )
+        assert isinstance(ops[first - 1], LogicHOp)  # inside a gate run
+        real = replay.pattern_outputs
+
+        def broken(*pattern):
+            return (1, 1) if pattern[:6] == target else real(*pattern)
+
+        replay.pattern_outputs = broken
+        replay._pattern_mask.cache_clear()
+        try:
+            with pytest.raises(SimulationError, match="spill") as walked:
+                accounting_walk(ops, CFG, "htree")
+            twin = MicroProgram(words.copy(), "twin", config_fingerprint(CFG))
+            with pytest.raises(SimulationError, match="spill") as billed:
+                twin.bill(CFG)
+        finally:
+            replay.pattern_outputs = real
+            replay._pattern_mask.cache_clear()
+        assert str(billed.value) == str(walked.value)
+        assert billed.value.prefix == walked.value.prefix
+        assert billed.value.prefix == accounting_walk(ops[:first], CFG, "htree")
+        assert twin.bill(CFG) == accounting_walk(ops, CFG, "htree")  # healed
 
     def test_self_masked_is_structural(self):
         gate = LogicHOp(GateType.INIT1, 0, 0, 3, 0, 0, 0, 31, 1)
@@ -308,13 +360,20 @@ class TestCompileValidation:
         assert decoded == ops
 
 
+def _after(peephole, ops):
+    """The ops a pass (stated over integer columns) keeps of a stream."""
+    keep = np.ones(len(ops), dtype=bool)
+    peephole(columns_of_ops(ops), keep)
+    return [op for op, kept in zip(ops, keep) if kept]
+
+
 class TestPeepholeMasks:
     def test_identical_masks_coalesced(self):
         ops = [
             CrossbarMaskOp(0, 3, 1), RowMaskOp(0, 7, 1), WriteOp(0, 1),
             CrossbarMaskOp(0, 3, 1), RowMaskOp(0, 7, 1), WriteOp(1, 2),
         ]
-        out = coalesce_masks(ops)
+        out = _after(coalesce_masks, ops)
         assert out == [
             CrossbarMaskOp(0, 3, 1), RowMaskOp(0, 7, 1),
             WriteOp(0, 1), WriteOp(1, 2),
@@ -322,18 +381,18 @@ class TestPeepholeMasks:
 
     def test_superseded_mask_dropped(self):
         ops = [RowMaskOp(0, 0, 1), RowMaskOp(1, 1, 1), WriteOp(0, 1)]
-        assert coalesce_masks(ops) == [RowMaskOp(1, 1, 1), WriteOp(0, 1)]
+        assert _after(coalesce_masks, ops) == [RowMaskOp(1, 1, 1), WriteOp(0, 1)]
 
     def test_first_mask_always_kept(self):
         # The mask state at replay time is unknown, so the leading mask of
         # each kind must survive even if it looks "redundant" in isolation.
         ops = [CrossbarMaskOp(0, 3, 1), WriteOp(0, 1)]
-        assert coalesce_masks(ops) == ops
+        assert _after(coalesce_masks, ops) == ops
 
     def test_trailing_masks_kept(self):
         # Mask state persists beyond the program; trailing sets are visible.
         ops = [WriteOp(0, 1), RowMaskOp(2, 2, 1)]
-        assert coalesce_masks(ops) == ops
+        assert _after(coalesce_masks, ops) == ops
 
 
 class TestPeepholeInit1:
@@ -343,25 +402,25 @@ class TestPeepholeInit1:
 
     def test_repeated_init1_eliminated(self):
         ops = [self.init1(6, 0, 31), self.init1(6, 0, 31)]
-        assert eliminate_redundant_init1(ops) == [self.init1(6, 0, 31)]
+        assert _after(eliminate_redundant_init1, ops) == [self.init1(6, 0, 31)]
 
     def test_subset_init1_eliminated(self):
         ops = [self.init1(6, 0, 31), self.init1(6, 3, 5)]
-        assert eliminate_redundant_init1(ops) == [self.init1(6, 0, 31)]
+        assert _after(eliminate_redundant_init1, ops) == [self.init1(6, 0, 31)]
 
     def test_pulldown_blocks_elimination(self):
         pull = LogicHOp(GateType.NOT, in_a=0, in_b=0, out=6,
                         p_a=0, p_b=0, p_out=4, p_end=4, p_step=1)
         ops = [self.init1(6, 0, 31), pull, self.init1(6, 4, 4)]
-        assert eliminate_redundant_init1(ops) == ops
+        assert _after(eliminate_redundant_init1, ops) == ops
 
     def test_mask_change_resets_tracking(self):
         ops = [self.init1(6, 0, 31), RowMaskOp(0, 3, 1), self.init1(6, 0, 31)]
-        assert eliminate_redundant_init1(ops) == ops
+        assert _after(eliminate_redundant_init1, ops) == ops
 
     def test_write_resets_tracking(self):
         ops = [self.init1(6, 0, 31), WriteOp(6, 0), self.init1(6, 0, 31)]
-        assert eliminate_redundant_init1(ops) == ops
+        assert _after(eliminate_redundant_init1, ops) == ops
 
 
 class TestReplayEquivalence:

@@ -257,6 +257,14 @@ class TestSplicedCompileParity:
         spliced = driver.compile(stream, optimize=optimize, emit="stream")
         legacy = driver.compile(stream, optimize=optimize, emit="macro")
         try:
+            # Spliced, optimized and billed as word columns, against the
+            # reference lowered, optimized and walked as op objects.
+            assert spliced._ops is None and legacy._ops is not None
+            assert np.array_equal(
+                spliced.encoded(CFG.word_size), legacy.encoded(CFG.word_size)
+            )
+            assert spliced.bill(CFG) == legacy.bill(CFG)
+            assert spliced._ops is None
             assert list(spliced.ops) == list(legacy.ops)
             assert spliced.reads == legacy.reads
             assert spliced.macros == legacy.macros == len(stream)
@@ -451,6 +459,100 @@ class TestMacroIsOneInstructionStream:
         # Threads neither mask pair selects kept their seeded destination.
         for warp, thread in ((0, 0), (3, 1)):
             assert ref_words[warp, 4, thread] == seeded[warp, 4, thread]
+
+
+#: Operand aliasing shapes of an R-type body: (dest, src_a, src_b, src_c).
+ALIASES = {
+    "distinct": (4, 0, 1, 2), "dest=a": (0, 0, 1, 2),
+    "dest=b": (1, 0, 1, 2), "a=b": (4, 0, 0, 2),
+}
+
+
+class TestBodiesAreBornAsWords:
+    """A body is the packed rows of its gates: for every R-type op, dtype,
+    operand aliasing and parallelism mode, ``encode_rows`` of what the
+    builder recorded is ``encode_many`` of the op objects those rows
+    spell — and it is the cached body program, which holds no object."""
+
+    @pytest.mark.parametrize("parallelism", ["parallel", "serial"])
+    @pytest.mark.parametrize(
+        "op,dtype,alias",
+        [(op, dtype, alias) for op, dtypes in SUPPORT_MATRIX.items()
+         for dtype in dtypes for alias in ALIASES
+         if ARITY[op] >= 2 or alias in ("distinct", "dest=a")],
+        ids=lambda value: getattr(value, "name", value),
+    )
+    def test_packed_rows_are_the_encoded_ops(self, op, dtype, alias, parallelism):
+        from repro.arch.micro_ops import LogicHOp, encode_many, encode_rows
+        from repro.driver.gates import GateBuilder
+
+        dest, *sources = ALIASES[alias]
+        operands = dict(zip(("src_a", "src_b", "src_c"), sources[: ARITY[op]]))
+        instr = RInstr(op, dtype, dest=dest, **operands)
+        driver = Driver(None, config=CFG, parallelism=parallelism)
+        builder, rows = GateBuilder.recording(CFG)
+        driver._build_rtype(builder, instr)
+        words = encode_rows(rows)
+        assert np.array_equal(
+            words, encode_many([LogicHOp(*row) for row in rows], CFG.word_size)
+        )
+        body = driver._rtype_program(instr)
+        assert body._ops is None and body.source_ops == len(body) == len(rows)
+        assert rows or (op, alias) == (ROp.COPY, "dest=a")  # a copy onto itself
+        assert np.array_equal(body.encoded(CFG.word_size), words)
+
+    def test_a_stream_with_an_op_that_fits_no_word_takes_the_reference(self, tmp_path):
+        """A geometry beyond the word's fields (8192 rows: a 12-bit row
+        field) has masks that fit no operation word: the splicer hands
+        the stream to the reference lowering, whose program holds objects
+        and replays bit- and cycle-identically to op-by-op execution."""
+        from repro.arch.config import PIMConfig
+        from repro.arch.micro_ops import encode
+
+        tall = PIMConfig(crossbars=1, rows=8192)
+        stream = [
+            WriteInstr(0, 7, None, RangeMask(0, 4096, 4096)),
+            RInstr(ROp.BIT_NOT, int32, dest=1, src_a=0),
+            RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1,
+                   row_mask=RangeMask(4096, 8191, 1)),
+        ]
+        sim, reference = Simulator(tall), Simulator(tall)
+        driver = Driver(sim, cache_dir=str(tmp_path))  # nothing to persist
+        lowered = Driver(reference, cache_size=0)
+        for optimize in (False, True):
+            spliced = driver.compile(stream, optimize=optimize)
+            macro = driver.compile(stream, optimize=optimize, emit="macro")
+            assert spliced._ops is not None and spliced.ops == macro.ops
+            with pytest.raises(ValueError, match="does not fit"):
+                spliced.encoded(tall.word_size)
+            assert spliced.bill(tall) == macro.bill(tall)
+        with pytest.raises(ValueError, match="4096 does not fit in 12 bits"):
+            encode(spliced.ops[1])
+        driver.execute_stream(stream)
+        for instr in stream:
+            lowered.execute(instr)
+        assert np.array_equal(sim.memory.words, reference.memory.words)
+        assert sim.stats == reference.stats
+        assert sim.memory.words[0, 2, 4096] == 0xFFFFFFFF  # 7 + ~7
+        counters = driver.persist.counters()  # the bodies are stored, as words
+        assert counters["stores"] == 2 and counters["invalid"] == 0
+
+    def test_a_wide_write_never_reaches_the_splicer(self):
+        """The other op that fits no word — a ``word_size=64`` write of
+        ``2**54`` or more — is not an ISA write (raw values are 32-bit):
+        both lowerings refuse the instruction before lowering it."""
+        from repro.arch.config import PIMConfig
+
+        wide = PIMConfig(crossbars=4, rows=8, columns=2048, partitions=64,
+                         word_size=64)
+        driver = Driver(Simulator(wide))
+        for emit in ("stream", "macro"):
+            with pytest.raises(ValueError, match="raw 32-bit word"):
+                driver.compile([WriteInstr(0, 1 << 54)], emit=emit)
+        with pytest.raises(ValueError, match="raw 32-bit word"):
+            driver.execute_stream([WriteInstr(0, 1 << 54)])
+        fits = driver.compile([WriteInstr(0, (1 << 32) - 1)])
+        assert fits._ops is None and len(fits) == 3
 
 
 class TestNumpyBackendConformance:

@@ -720,10 +720,17 @@ def _check_bills(seed, program, int_inputs, float_inputs, cache_dir):
     }
     for move_cost in ("unit", "htree"):
         for optimize in (False, True):
-            strict = accounting_walk(
-                reference.compile(instrs, optimize=optimize, emit="macro").ops,
-                config, move_cost,
-            )
+            macro = reference.compile(instrs, optimize=optimize, emit="macro")
+            strict = accounting_walk(macro.ops, config, move_cost)
+            # The spliced program — words from birth, optimized and billed
+            # as columns — is the reference lowering, word for word.
+            spliced = reference.compile(instrs, optimize=optimize)
+            context = f"seed={seed} spliced-vs-macro optimize={optimize}"
+            assert np.array_equal(
+                spliced.encoded(config.word_size), macro.encoded(config.word_size)
+            ), context
+            assert spliced.bill(config).billed(move_cost) == strict, context
+            assert spliced._ops is None, context
             for name, kwargs in backends.items():
                 directory = os.path.join(cache_dir, f"{name}-{move_cost}")
                 for session in ("cold", "warm"):

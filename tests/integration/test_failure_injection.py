@@ -92,7 +92,7 @@ class TestResourceExhaustion:
     def test_scratch_overflow_raises_not_corrupts(self):
         cfg = small_config(crossbars=1, rows=1)
         sim = Simulator(cfg)
-        gb = GateBuilder(cfg, sim.execute)
+        gb = GateBuilder(cfg, lambda row: sim.execute(LogicHOp(*row)))
         with pytest.raises(ScratchOverflow):
             for _ in range(10_000):
                 gb.alloc()

@@ -7,7 +7,7 @@ model of Section III-D3, and the H-tree inter-crossbar communication
 framework of Section III-F.
 """
 
-from repro.arch.config import PIMConfig
+from repro.arch.config import PIMConfig, config_fingerprint
 from repro.arch.masks import RangeMask
 from repro.arch.micro_ops import (
     GateType,
@@ -33,6 +33,7 @@ from repro.arch.htree import HTree, validate_move_pattern
 
 __all__ = [
     "PIMConfig",
+    "config_fingerprint",
     "RangeMask",
     "GateType",
     "CrossbarMaskOp",

@@ -4,12 +4,17 @@ The paper evaluates an 8 GB memory of 64k crossbars, each a 1024x1024
 memristor array with 32 transistor-delimited partitions, a 32-bit word size
 and a 300 MHz clock. All of these are configurable here; tests use smaller
 memories because cycle counts per macro-instruction are independent of the
-crossbar count (operations are broadcast to all crossbars).
+crossbar count (operations are broadcast to all crossbars). The 64-bit
+operation word (:mod:`repro.arch.micro_ops`) bounds the geometry: at most
+4096 rows, 2**18 crossbars, 128 registers and 64 partitions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Tuple
+
+from repro.arch.micro_ops import _IDX_FIELD, _PART_FIELD, _ROW_FIELD, _XB_FIELD
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,17 @@ class PIMConfig:
                 "not enough registers: need more than scratch_registers "
                 f"({self.registers} <= {self.scratch_registers})"
             )
+        # A chip the 64-bit operation word cannot address is not a chip of
+        # this microarchitecture: every count is bounded by its field.
+        for name, width in (
+            ("crossbars", _XB_FIELD), ("rows", _ROW_FIELD),
+            ("registers", _IDX_FIELD), ("partitions", _PART_FIELD),
+        ):
+            if getattr(self, name) > 1 << width:
+                raise ValueError(
+                    f"{name}={getattr(self, name)} exceeds the {1 << width} "
+                    f"the operation word's {width}-bit field addresses"
+                )
 
     @property
     def registers(self) -> int:
@@ -86,6 +102,24 @@ class PIMConfig:
     def scratch_register_indices(self) -> range:
         """The reserved (driver-owned) register indices."""
         return range(self.user_registers, self.registers)
+
+
+def config_fingerprint(config: PIMConfig) -> Tuple[int, int, int, int, int]:
+    """The geometry identity a compiled program depends on.
+
+    Two configs with equal fingerprints validate exactly the same micro-op
+    streams (register/row/crossbar ranges, partition patterns, and word
+    size all match).  ``frequency_hz`` and ``scratch_registers`` are
+    deliberately excluded: they change throughput numbers and lowering
+    choices, but never the validity of an already-generated stream.
+    """
+    return (
+        config.crossbars,
+        config.rows,
+        config.columns,
+        config.partitions,
+        config.word_size,
+    )
 
 
 def paper_config() -> PIMConfig:

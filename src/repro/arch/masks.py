@@ -35,6 +35,10 @@ class RangeMask:
             raise ValueError("step must divide stop - start")
         if self.start < 0:
             raise ValueError("start must be non-negative")
+        if self.stop == self.start:
+            # One index, one spelling: a slice like ``t[5:6:5000]`` would
+            # otherwise carry a step no mask operation word can hold.
+            object.__setattr__(self, "step", 1)
 
     @classmethod
     def all(cls, length: int) -> "RangeMask":

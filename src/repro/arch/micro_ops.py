@@ -198,7 +198,8 @@ MicroOp = Union[
 
 # Field widths (bits) for the concrete binary layout. The tag occupies the
 # top 3 bits of the 64-bit word; payload fields are packed LSB-first in the
-# order listed per operation below.
+# order listed per operation below. They are the geometry limits too:
+# ``PIMConfig`` refuses a chip these fields cannot address.
 _XB_FIELD = 18  # up to 256k crossbars
 _ROW_FIELD = 12  # up to 4096 rows
 _IDX_FIELD = 7  # up to 128 registers (intra-partition indices)
@@ -206,11 +207,15 @@ _PART_FIELD = 6  # up to 64 partitions
 _GATE_FIELD = 2
 
 
+def write_value_bits(word_size: int) -> int:
+    """Width of the WRITE value field: the word size, capped by what the 61
+    payload bits leave beside the index (a ``word_size=64`` chip writes
+    values below ``2**54``; validation and the simulator refuse wider)."""
+    return min(word_size, 61 - _IDX_FIELD)
+
+
 def _write_layout(word_size: int) -> "tuple[tuple[str, int], ...]":
-    """The WRITE payload: the value field is the word size, capped by what
-    the 61 payload bits leave beside the index (a ``word_size=64`` chip's
-    operation word carries write values below ``2**54``)."""
-    return (("index", _IDX_FIELD), ("value", min(word_size, 61 - _IDX_FIELD)))
+    return (("index", _IDX_FIELD), ("value", write_value_bits(word_size)))
 
 
 #: Payload layout per kind: the op class plus (field name, width) pairs,

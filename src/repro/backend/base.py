@@ -38,9 +38,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.config import PIMConfig
+from repro.arch.config import PIMConfig, config_fingerprint
 from repro.driver.driver import Driver
-from repro.driver.program import config_fingerprint
+from repro.driver.program import ProgramCache
 from repro.driver.stream import MacroStream
 from repro.faults.checksum import fault_counters, verify_window
 from repro.isa.instructions import Instruction, RInstr, validate
@@ -289,8 +289,8 @@ class BilledBackend(Backend):
         self._instr_stats: Dict[Instruction, SimStats] = {}
         self._hits = 0
         self._misses = 0
-        # Stream tier, mirroring the driver's stream-plan cache.
-        self._stream_programs: Dict[Tuple, BilledProgram] = {}
+        # Stream tier: the driver's own LRU (memory only, like its plans).
+        self._stream_programs = ProgramCache(maxsize=4096)
         self._emit_counters: Dict[str, int] = {"stream": 0, "macro": 0}
         # Installed fault overlay over ``words`` (None = fault-free),
         # ticked once per dispatch unit exactly like the driver's.
@@ -312,6 +312,10 @@ class BilledBackend(Backend):
     @property
     def cache_misses(self) -> int:
         return self._misses
+
+    @property
+    def cache_evictions(self) -> int:
+        return super().cache_evictions + self._stream_programs.evictions
 
     def emit_counters(self) -> Dict[str, int]:
         return dict(self._emit_counters)
@@ -382,8 +386,7 @@ class BilledBackend(Backend):
             for instr in instrs:
                 delta.merge(self._instr_delta(instr))
             program = self._assemble(instrs, name, delta, delta.micro_ops, None)
-            if len(self._stream_programs) < 4096:
-                self._stream_programs[key] = program
+            self._stream_programs.put(key, program)
         return program
 
     def _run_stream(

@@ -26,10 +26,11 @@ re-implement the AritPIM suite from scratch:
   appendix).
 """
 
+from repro.arch.config import config_fingerprint
 from repro.driver.compiler import CompileError, compile_ops
 from repro.driver.driver import Driver, BufferSink
 from repro.driver.gates import GateBuilder, ScratchOverflow
-from repro.driver.program import MicroProgram, ProgramCache, config_fingerprint
+from repro.driver.program import MicroProgram, ProgramCache
 from repro.driver.stream import MacroStream
 
 __all__ = [

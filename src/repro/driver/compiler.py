@@ -5,13 +5,12 @@ The "compile" half of the compile/replay pipeline:
 1. **peephole optimization** (optional) — :func:`coalesce_masks` and
    :func:`eliminate_redundant_init1` preserve the final memory state
    bit-for-bit while removing wasted cycles. Each is stated once, over
-   integer columns (:class:`Columns`), and clears the keep-flag of the ops
-   it drops; two small extractors feed it: :func:`columns_of_words` from
-   operation words (the driver's spliced streams, whose gates never exist
-   as objects), :func:`columns_of_ops` from op objects (:func:`compile_ops`).
+   integer columns (:class:`Columns`, sliced from operation words by
+   :func:`columns_of_words`: gates never exist as objects), and clears the
+   keep-flag of the ops it drops.
 2. **validation** (:func:`validate_ops`) — every op object is range-checked
-   against the architecture exactly once, so replay paths can skip per-op
-   re-validation. The driver's spliced streams are assembled from pieces
+   against the architecture exactly once, before any pass reads it, so
+   replay paths can skip per-op re-validation. The driver's spliced streams are assembled from pieces
    valid by construction and validate only what that does not imply
    (:meth:`repro.driver.driver.Driver._compile_spliced`).
 
@@ -21,8 +20,8 @@ stamped with the config fingerprint it was validated against.
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
+from itertools import compress
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from repro.arch.micro_ops import (
     decode_many,
     is_logic_h,
     logic_h_columns,
+    write_value_bits,
 )
 from repro.driver.program import MicroProgram
 
@@ -50,7 +50,7 @@ class CompileError(Exception):
     """Raised when a recorded stream is invalid for the architecture."""
 
 
-# -- The column form the peephole passes read, and its two extractors ----
+# -- The column form the peephole passes read, and its extractor ---------
 class Columns(NamedTuple):
     """A stream as the passes read it: integers, no gate object. ``others``
     holds the non-gate ops — a fraction of a percent of a lowered stream —
@@ -63,12 +63,17 @@ class Columns(NamedTuple):
     gates: tuple
 
 
-_GATE_FIELDS = ("gate", "out", "p_out", "p_end", "p_step")
-
-
-def _columns(size: int, others: list, fields) -> Columns:
-    """:class:`Columns` from the gates' ``_GATE_FIELDS``, an int64 row each."""
-    gate, out, p_out, p_end, p_step = fields
+def columns_of_words(words: np.ndarray, word_size: int) -> Columns:
+    """Gate columns sliced from the words' bit fields; only the non-gate
+    words are decoded."""
+    is_gate = is_logic_h(words)
+    where = np.flatnonzero(~is_gate)
+    others = list(zip(where.tolist(), decode_many(words[where], word_size)))
+    fields = logic_h_columns(words[is_gate])
+    gate, out, p_out, p_end, p_step = (
+        fields[name].astype(np.int64)
+        for name in ("gate", "out", "p_out", "p_end", "p_step")
+    )
     count = (p_end - p_out) // p_step + 1
     written, live = np.zeros(len(count), dtype=np.uint64), np.arange(len(count))
     for k in range(int(count.max(initial=0))):  # gate k of the patterns that have one
@@ -76,24 +81,7 @@ def _columns(size: int, others: list, fields) -> Columns:
         part = (p_out[live] + k * p_step[live]).astype(np.uint64)
         written[live] |= np.uint64(1) << part
     gates = ((gate == GateType.INIT1).tolist(), out.tolist(), written.tolist())
-    return Columns(size, others, gates)
-
-
-def columns_of_ops(ops: Sequence[MicroOp]) -> Columns:
-    others = [pair for pair in enumerate(ops) if not isinstance(pair[1], LogicHOp)]
-    rows = [attrgetter(*_GATE_FIELDS)(op) for op in ops if isinstance(op, LogicHOp)]
-    return _columns(len(ops), others, np.array(rows, dtype=np.int64).reshape(-1, 5).T)
-
-
-def columns_of_words(words: np.ndarray, word_size: int) -> Columns:
-    """Gate columns sliced from the words' bit fields; only the non-gate
-    words are decoded."""
-    gate = is_logic_h(words)
-    where = np.flatnonzero(~gate)
-    others = list(zip(where.tolist(), decode_many(words[where], word_size)))
-    fields = logic_h_columns(words[gate])
-    rows = [fields[name] for name in _GATE_FIELDS]
-    return _columns(len(words), others, np.array(rows, dtype=np.int64))
+    return Columns(len(words), others, gates)
 
 
 # -- The passes: each clears the ``keep`` flag of the ops it drops --------
@@ -212,7 +200,7 @@ def validate_ops(ops: Iterable[MicroOp], config: PIMConfig) -> int:
                 reads += 1
             elif isinstance(op, WriteOp):
                 check("intra-row index", (op.index,), registers)
-                if op.value >= (1 << config.word_size):
+                if op.value >> write_value_bits(config.word_size):
                     raise ValueError("write value exceeds word size")
             elif isinstance(op, LogicVOp):
                 check("intra-row index", (op.index,), registers)
@@ -245,12 +233,20 @@ def compile_ops(
     counts match op-by-op lowering exactly.  With ``optimize=True`` the
     stream may shrink (fewer cycles), but the resulting memory state is
     bit-identical. ``macros`` is the number of macro-instructions the
-    stream was recorded from.
+    stream was recorded from. The program is the stream's operation words:
+    an op the chip's 64-bit interface cannot carry (a field wider than the
+    word's) is a :class:`CompileError` like any other invalid op.
     """
     ops = list(ops)
-    source_ops = len(ops)
-    if optimize:
-        keep = kept(columns_of_ops(ops)).tolist()
-        ops = [op for op, kept_ in zip(ops, keep) if kept_]
     validate_ops(ops, config)
-    return MicroProgram.from_ops(ops, name, config, source_ops, macros)
+    try:
+        program = MicroProgram.from_ops(ops, name, config, macros=macros)
+    except ValueError as exc:
+        raise CompileError(str(exc)) from exc
+    if optimize:
+        words = program.encoded(config.word_size)
+        keep = kept(columns_of_words(words, config.word_size)).tolist()
+        program = MicroProgram.from_ops(
+            compress(ops, keep), name, config, len(ops), macros
+        )
+    return program

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.config import PIMConfig
+from repro.arch.config import PIMConfig, config_fingerprint
 from repro.arch.masks import RangeMask
 from repro.arch.micro_ops import (
     CrossbarMaskOp,
@@ -65,7 +65,7 @@ from repro.driver.compiler import (
 )
 from repro.driver.gates import GateBuilder
 from repro.driver.persist import PersistentProgramCache, resolve_cache_dir
-from repro.driver.program import MicroProgram, ProgramCache, config_fingerprint
+from repro.driver.program import MicroProgram, ProgramCache
 from repro.driver.stream import MAX_PLAN_MACROS, MacroStream
 from repro.isa.instructions import (
     Instruction,
@@ -410,10 +410,9 @@ class Driver:
         mask preambles need range checks here) and a move's gates act on
         validated registers, so only the non-gate ops of the short non-R
         lowerings are validated op by op; one ``encode_many`` call encodes
-        everything outside the bodies. The peephole passes read the words
-        as integer columns. A stream holding an op that fits no operation
-        word — a mask of a geometry beyond the word's fields — takes
-        :meth:`_compile_reference`.
+        everything outside the bodies (what passed validation fits its
+        word: ``PIMConfig`` bounds the geometry by the field widths). The
+        peephole passes read the words as integer columns.
         """
         config, word_size = self.config, self.config.word_size
         pieces: list = []  # body programs, and between them op lists
@@ -428,10 +427,7 @@ class Driver:
                 validate_ops([op for op in lowered if type(op) is not tuple], config)
                 pieces.append(lowered)
         loose = [piece for piece in pieces if type(piece) is list]
-        try:
-            encoded = encode_many(chain.from_iterable(loose), word_size)
-        except ValueError:
-            return self._compile_reference(instrs, name, optimize)
+        encoded = encode_many(chain.from_iterable(loose), word_size)
         cuts = iter(np.split(encoded, np.cumsum([len(piece) for piece in loose])))
         words = np.concatenate([encoded[:0]] + [
             next(cuts) if type(piece) is list else piece.encoded(word_size)

@@ -1,7 +1,7 @@
 """Cross-session persistence for compiled micro-op programs.
 
 Gate building is the largest stage of a cold start, even with gates born
-as words (``docs/architecture.md`` §10).  Within a session the driver's
+as words (``docs/architecture.md`` §9).  Within a session the driver's
 :class:`~repro.driver.program.ProgramCache` tiers absorb that cost, but
 every new process pays it again.  This module makes the cache *durable*:
 compiled :class:`~repro.driver.program.MicroProgram` entries are written
@@ -35,10 +35,9 @@ touches an op object: a store writes the words the program was spliced
 from and the bill summed from their columns, a load checks header,
 length and checksum and wraps the payload with ``np.frombuffer``. A
 restored program decodes its words in full (``decode_many``) only if
-something iterates ``.ops`` — the op-by-op reference loop, checksum
-verification. Cache keys are deterministic across processes because
-every key component has a value-based repr (enums, frozen dataclasses,
-strings, ints).
+something iterates ``.ops`` — the op-by-op reference loop. Cache keys
+are deterministic across processes because every key component has a
+value-based repr (enums, frozen dataclasses, strings, ints).
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ from typing import Dict, Hashable, Optional
 
 import numpy as np
 
-from repro.arch.config import PIMConfig
-from repro.driver.program import MicroProgram, config_fingerprint
+from repro.arch.config import PIMConfig, config_fingerprint
+from repro.driver.program import MicroProgram
 from repro.sim.stats import SimStats
 
 #: Bump when the on-disk entry layout (or the meaning of any field)
@@ -156,11 +155,8 @@ class PersistentProgramCache:
         """Write a program through to disk (atomically; errors ignored)."""
         if program.config_fingerprint != self.fingerprint:
             return
-        try:
-            words = program.encoded(self.config.word_size)
-        except ValueError:
-            return  # an op that fits no operation word: no word image to store
         bill = program.bill(self.config)
+        words = program.encoded(self.config.word_size)
         payload = words.astype("<u8", copy=False).tobytes()
         header = {
             "version": FORMAT_VERSION,
@@ -214,7 +210,7 @@ class PersistentProgramCache:
             return None
         counts, cycles, hops, gates = header["bill"]
         return MicroProgram(
-            np.frombuffer(payload, dtype="<u8"),
+            np.frombuffer(payload, dtype="<u8").astype(np.uint64, copy=False),
             name=str(header["name"]),
             config_fingerprint=self.fingerprint,
             reads=int(header["reads"]),

@@ -8,27 +8,24 @@ macro-instruction never changes — so the natural unit of reuse is a
 can be replayed many times at near-zero host cost ("compile once, replay
 many times").
 
-Three pieces live here:
+Two pieces live here:
 
 - :class:`MicroProgram` — the immutable IR: the stream's 64-bit
   operation words (what the driver builds, splices, stores and ships
   DMA-style to a :class:`~repro.driver.driver.BufferSink`; op objects
-  only if asked for — or a tuple of op objects, for a recorded stream)
-  plus a name, the fingerprint of the architecture it was validated
-  against, and its *bill* — the static ``SimStats`` of one execution.
-- :func:`config_fingerprint` — the hashable identity of every
-  :class:`~repro.arch.config.PIMConfig` parameter that affects micro-op
-  validity.  Cache keys embed it, and the simulator's
-  ``execute_program`` fast path refuses programs compiled for a different
-  geometry, so a configuration change can never replay a stale stream.
+  are a memo of their decoding, made only if asked for) plus a name, the
+  :func:`~repro.arch.config.config_fingerprint` of the architecture it
+  was validated against (cache keys embed it, and every consumer refuses
+  a program compiled for another geometry), and its *bill* — the static
+  ``SimStats`` of one execution.
 - :class:`ProgramCache` — a small LRU mapping cache keys to compiled
   programs, with hit/miss counters surfaced by ``pim.Profiler``.
 
-Programs are *built* by the driver's splicer (words) or by
-:func:`repro.driver.compiler.compile_ops` (objects) and *consumed*
-through a chip's ``execute_program`` port: the simulator's
-:meth:`~repro.sim.simulator.Simulator.execute_program` replay, or
-``BufferSink.execute_program``'s copy of the words.
+Programs are *built* by the driver's splicer or by
+:func:`repro.driver.compiler.compile_ops` (which encodes a recorded op
+stream) and *consumed* through a chip's ``execute_program`` port: the
+simulator's :meth:`~repro.sim.simulator.Simulator.execute_program`
+replay, or ``BufferSink.execute_program``'s copy of the words.
 """
 
 from __future__ import annotations
@@ -36,15 +33,15 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.config import PIMConfig
+from repro.arch.config import PIMConfig, config_fingerprint
 from repro.arch.micro_ops import (
     CrossbarMaskOp,
     GateType,
-    LogicHOp,
     LogicVOp,
     MicroOp,
     MoveOp,
@@ -90,63 +87,6 @@ class SuperStep:
         return self.stop - self.start
 
 
-def segment_super_steps(
-    words: np.ndarray, word_size: int, ops: Optional[Tuple[MicroOp, ...]] = None
-) -> Tuple[SuperStep, ...]:
-    """Slice a program's operation words into :class:`SuperStep` segments.
-
-    Purely structural (geometry-independent), and read off the words:
-    the kind column says which are horizontal gates, only the others —
-    a fraction of a percent of a fused stream — are objects (taken from
-    ``ops`` when the program has them, else decoded: ``decode_many``
-    rejects an unknown kind tag or a bad field among them), and mask
-    state is tracked as the triples those establish. Gate runs are the
-    gaps between them.
-    """
-    segments: List[SuperStep] = []
-    xb = row = None
-
-    def gates(start: int, stop: int) -> None:
-        if stop > start:
-            kind = "op" if xb is None or row is None else "gates"
-            segments.append(SuperStep(kind, start, stop, xb, row))
-
-    others = np.flatnonzero(~is_logic_h(words))
-    if ops is None:
-        ops = decode_many(words[others], word_size)
-    else:
-        ops = [ops[index] for index in others.tolist()]
-    cursor = 0
-    for index, op in zip(others.tolist(), ops):
-        gates(cursor, index)
-        segments.append(SuperStep("op", index, index + 1, xb, row, op))
-        if isinstance(op, CrossbarMaskOp):
-            xb = (op.start, op.stop, op.step)
-        elif isinstance(op, RowMaskOp):
-            row = (op.start, op.stop, op.step)
-        cursor = index + 1
-    gates(cursor, len(words))
-    return tuple(segments)
-
-
-def config_fingerprint(config: PIMConfig) -> Tuple[int, int, int, int, int]:
-    """The geometry identity a compiled program depends on.
-
-    Two configs with equal fingerprints validate exactly the same micro-op
-    streams (register/row/crossbar ranges, partition patterns, and word
-    size all match).  ``frequency_hz`` and ``scratch_registers`` are
-    deliberately excluded: they change throughput numbers and lowering
-    choices, but never the validity of an already-generated stream.
-    """
-    return (
-        config.crossbars,
-        config.rows,
-        config.columns,
-        config.partitions,
-        config.word_size,
-    )
-
-
 class MicroProgram:
     """An immutable, validated micro-operation stream.
 
@@ -154,13 +94,16 @@ class MicroProgram:
     replay plans on the object itself, so equality by content would make
     every lookup O(len(ops)).
 
+    A program *is* its 64-bit operation words (a 1-D ``np.uint64``
+    array: what the driver splices, the persistent cache restores and
+    :meth:`from_ops` encodes), so every program can be stored, shipped
+    and planned.
+
     Attributes:
-        ops: the micro-operations, in execution order. Built from its
-            64-bit operation words instead (as the driver builds and the
-            persistent cache restores programs), a program decodes them
-            on first use: one that is only priced (:meth:`bill`), planned
-            or shipped as words (:meth:`encoded`) never pays for the
-            objects.
+        ops: the micro-operations, in execution order — the words,
+            decoded on first use and kept: a program that is only priced
+            (:meth:`bill`), planned or shipped (:meth:`encoded`) never
+            pays for the objects.
         name: a human-readable label (e.g. ``"add.int32"``) for profiling.
         config_fingerprint: the :func:`config_fingerprint` of the config
             the program was validated against.
@@ -177,7 +120,7 @@ class MicroProgram:
 
     def __init__(
         self,
-        ops,
+        words: np.ndarray,
         name: str,
         config_fingerprint: Tuple[int, int, int, int, int],
         reads: int = 0,
@@ -185,17 +128,19 @@ class MicroProgram:
         source_ops: int = 0,
         bill: Optional[SimStats] = None,
     ):
-        words = isinstance(ops, np.ndarray)
-        self._ops: Optional[Tuple[MicroOp, ...]] = None if words else tuple(ops)
-        self._words: Optional[np.ndarray] = ops if words else None
+        if getattr(words, "dtype", None) != np.uint64 or words.ndim != 1:
+            raise TypeError(
+                "a MicroProgram is built from a 1-D np.uint64 array of "
+                "operation words (MicroProgram.from_ops encodes op objects)"
+            )
+        self._words = words
+        self._ops: Optional[Tuple[MicroOp, ...]] = None  # decode_many's memo
         self.name = name
         self.config_fingerprint = config_fingerprint
         self.reads = reads
         self.macros = macros
         self.source_ops = source_ops
         self._bill = bill
-        self._super_steps: Optional[Tuple[SuperStep, ...]] = None
-        self._gates: Optional[tuple] = None
 
     @property
     def ops(self) -> Tuple[MicroOp, ...]:
@@ -204,55 +149,53 @@ class MicroProgram:
         return self._ops
 
     def __len__(self) -> int:
-        return len(self._words if self._ops is None else self._ops)
+        return len(self._words)
 
     def __iter__(self) -> Iterator[MicroOp]:
         return iter(self.ops)
 
-    @property
+    @cached_property
     def super_steps(self) -> Tuple[SuperStep, ...]:
-        """The program's super-step decomposition (built once, memoized).
+        """The program's :class:`SuperStep` decomposition (built once).
 
-        See :func:`segment_super_steps`: read off :meth:`plan_words`, so
-        a program with a gate that fits no word is one undecoded ``"op"``
-        segment. The simulator's vectorized replay consumes this, and
-        :meth:`replay_summary` reports it.
+        Purely structural (geometry-independent), and read off the words:
+        the kind column says which are horizontal gates, only the others —
+        a fraction of a percent of a fused stream — are decoded
+        (``decode_many`` rejects an unknown kind tag or a bad field among
+        them), and mask state is tracked as the triples those establish.
+        Gate runs are the gaps between them. The simulator's vectorized
+        replay consumes this, and :meth:`replay_summary` reports it.
         """
-        if self._super_steps is None:
-            try:
-                words = self.plan_words()
-            except ValueError:
-                self._super_steps = (SuperStep("op", 0, len(self)),)
-            else:
-                self._super_steps = segment_super_steps(
-                    words, self.config_fingerprint[4], self._ops
-                )
-        return self._super_steps
+        words = self._words
+        segments: List[SuperStep] = []
+        xb = row = None
 
-    def plan_words(self) -> np.ndarray:
-        """The words a replay plan's columns are sliced from: :meth:`encoded`
-        — or, when a non-gate op fits no word (a ``word_size=64`` write of
-        ``2**54`` or more), the gates' words with zero words between: a plan
-        takes the non-gate ops of a program built from objects as they are.
-        ``ValueError`` when a gate fits no word."""
-        word_size = self.config_fingerprint[4]
-        try:
-            return self.encoded(word_size)
-        except ValueError:
-            gate = [type(op) is LogicHOp for op in self._ops]
-            words = np.zeros(len(gate), dtype=np.uint64)
-            words[gate] = encode_many(
-                [op for op in self._ops if type(op) is LogicHOp], word_size
-            )
-            return words
+        def gates(start: int, stop: int) -> None:
+            if stop > start:
+                kind = "op" if xb is None or row is None else "gates"
+                segments.append(SuperStep(kind, start, stop, xb, row))
 
+        others = np.flatnonzero(~is_logic_h(words))
+        decoded = decode_many(words[others], self.config_fingerprint[4])
+        cursor = 0
+        for index, op in zip(others.tolist(), decoded):
+            gates(cursor, index)
+            segments.append(SuperStep("op", index, index + 1, xb, row, op))
+            if isinstance(op, CrossbarMaskOp):
+                xb = (op.start, op.stop, op.step)
+            elif isinstance(op, RowMaskOp):
+                row = (op.start, op.stop, op.step)
+            cursor = index + 1
+        gates(cursor, len(words))
+        return tuple(segments)
+
+    @cached_property
     def gate_table(self) -> tuple:
-        """The :func:`~repro.arch.micro_ops.gate_table` of :meth:`plan_words`
-        (memoized): what the bill and the replay plan read instead of op
-        objects. ``ValueError`` for a gate word breaking a constructor invariant."""
-        if self._gates is None:
-            self._gates = gate_table(self.plan_words())
-        return self._gates
+        """The :func:`~repro.arch.micro_ops.gate_table` of the words
+        (built once): what the bill, the replay plan and checksum regions
+        read instead of op objects. ``ValueError`` for a gate word
+        breaking a constructor invariant."""
+        return gate_table(self._words)
 
     @property
     def self_masked(self) -> bool:
@@ -276,21 +219,19 @@ class MicroProgram:
 
         The one :func:`~repro.sim.simulator.accounting_walk` of the
         program, made on first request and kept (the persistent cache
-        stores it with the words). A program that is only its words is
-        billed from them (:meth:`_tallied`); one that holds op objects is
-        walked op by op — as is one the chip would refuse, raising the
-        chip's own ``SimulationError`` at the op, with the bill of the ops
-        before it. H-tree hops are itemized: :meth:`SimStats.billed` turns
-        the bill into either move-cost model's. Treat it as read-only.
+        stores it with the words), billed from the words
+        (:meth:`_tallied`). One the chip would refuse is walked again op
+        by op, only to raise the chip's own ``SimulationError`` at the op,
+        with the bill of the ops before it. H-tree hops are itemized:
+        :meth:`SimStats.billed` turns the bill into either move-cost
+        model's. Treat it as read-only.
         """
         walk = simulator.accounting_walk
-        if self._bill is None and self._ops is None:
+        if self._bill is None:
             try:
                 self._bill = walk(self._tallied(config.partitions), config, "htree")
             except (simulator.SimulationError, ValueError):
-                pass
-        if self._bill is None:
-            self._bill = walk(self.ops, config, "htree")
+                self._bill = walk(self.ops, config, "htree")
         return self._bill
 
     def _tallied(self, partitions: int) -> list:
@@ -300,7 +241,7 @@ class MicroProgram:
         :class:`~repro.sim.simulator.GateTally` — per gate type a count, and
         the patterns' gate counts (one ``_pattern_mask`` call each) summed."""
         steps = self.super_steps
-        fields, keys, index = self.gate_table()
+        fields, keys, index = self.gate_table
         masks = replay.pattern_masks(keys, partitions)
         per_pattern = np.array([count for _, count in masks], dtype=np.int64)
         columns = np.stack(
@@ -330,13 +271,8 @@ class MicroProgram:
         }
 
     def encoded(self, word_size: int) -> "np.ndarray":
-        """The stream as a ``np.uint64`` array of 64-bit operation words.
-
-        Built on first use (``word_size`` is the fingerprint's) and kept;
-        a program restored from its words returns them as they are.
-        """
-        if self._words is None:
-            self._words = encode_many(self._ops, word_size)
+        """The stream as a ``np.uint64`` array of 64-bit operation words:
+        the program itself (``word_size`` is the fingerprint's)."""
         return self._words
 
     @classmethod
@@ -344,14 +280,17 @@ class MicroProgram:
         cls, ops, name: str, config: PIMConfig, source_ops: Optional[int] = None,
         macros: int = 0,
     ) -> "MicroProgram":
-        """Wrap an op sequence without optimization (validation is the
-        compiler's job; prefer :func:`repro.driver.compiler.compile_ops`)."""
+        """Encode an op sequence without optimization (validation is the
+        compiler's job; prefer :func:`repro.driver.compiler.compile_ops`).
+        ``ValueError`` for a field wider than the operation word's."""
         ops = tuple(ops)
         reads = sum(1 for op in ops if isinstance(op, ReadOp))
-        return cls(
-            ops, name, config_fingerprint(config), reads, macros,
-            source_ops=len(ops) if source_ops is None else source_ops,
+        program = cls(
+            encode_many(ops, config.word_size), name, config_fingerprint(config),
+            reads, macros, source_ops=len(ops) if source_ops is None else source_ops,
         )
+        program._ops = ops  # the caller held the objects: nothing to decode
+        return program
 
 
 class ProgramCache:

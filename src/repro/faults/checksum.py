@@ -10,8 +10,8 @@ is reported as a :class:`ChecksumError` naming the corrupted regions,
 which the recovery layer (``pim.compile`` retry → allocator quarantine →
 recompile) consumes. Only the regions differ per caller
 (:func:`program_regions`): derived statically from a ``MicroProgram``'s
-micro-ops, from a functional program's macro-instructions, or — the pool
-— none: one CRC over the whole shared image.
+operation words, from a functional program's macro-instructions, or —
+the pool — none: one CRC over the whole shared image.
 
 Checksums are computed host-side over the DMA-visible word image — the
 read happens outside the PIM cycle model, exactly like the device's
@@ -26,19 +26,12 @@ can import it without cycles.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arch.config import PIMConfig
-from repro.arch.micro_ops import (
-    CrossbarMaskOp,
-    LogicHOp,
-    LogicVOp,
-    MoveOp,
-    RowMaskOp,
-    WriteOp,
-)
+from repro.arch.micro_ops import LogicVOp, MoveOp, WriteOp
 from repro.isa.instructions import written_region
 
 #: A written region: ``(reg, (xb_start, xb_stop, xb_step), (row_start,
@@ -67,38 +60,34 @@ class ChecksumError(RuntimeError):
         )
 
 
-def written_regions(ops, config: PIMConfig) -> Tuple[Region, ...]:
-    """Statically derive the regions a micro-op stream writes.
+def written_regions(program, config: PIMConfig) -> Tuple[Region, ...]:
+    """Statically derive the regions a ``MicroProgram`` writes.
 
-    Walks the stream tracking the crossbar/row mask state the way the
-    chip would; an op issued before any mask is charged conservatively
-    to the full range. The result over-approximates (a masked-out
-    partition still counts the whole word) but never misses a written
-    cell, which is the property detection needs.
+    A fold over the program's super-steps, which track the crossbar/row
+    mask state the way the chip would: a stretch of gates writes the
+    registers in its slice of the gate table's ``out`` column (no gate is
+    decoded), a write, vertical gate or move its own destination; an op
+    issued before any mask is charged conservatively to the full range.
+    The result over-approximates (a masked-out partition still counts the
+    whole word) but never misses a written cell, which is the property
+    detection needs.
     """
     full_xb = (0, config.crossbars - 1, 1)
     full_row = (0, config.rows - 1, 1)
-    xb, row = full_xb, full_row
-    seen = set()
-    regions: List[Region] = []
-
-    def add(reg: int, xbr, rowr) -> None:
-        region = (reg, xbr, rowr)
-        if region not in seen:
-            seen.add(region)
-            regions.append(region)
-
-    for op in ops:
-        if isinstance(op, CrossbarMaskOp):
-            xb = (op.start, op.stop, op.step)
-        elif isinstance(op, RowMaskOp):
-            row = (op.start, op.stop, op.step)
+    out = program.gate_table[0]["out"]
+    regions: Dict[Region, None] = {}  # an ordered set
+    done = 0  # gates folded so far
+    for step in program.super_steps:
+        xb, row, op = step.xb or full_xb, step.row or full_row, step.op
+        if op is None:
+            stop = done + len(step)
+            for reg in dict.fromkeys(out[done:stop].tolist()):
+                regions[reg, xb, row] = None
+            done = stop
         elif isinstance(op, WriteOp):
-            add(op.index, xb, row)
-        elif isinstance(op, LogicHOp):
-            add(op.out, xb, row)
+            regions[op.index, xb, row] = None
         elif isinstance(op, LogicVOp):
-            add(op.index, xb, (op.out_row, op.out_row, 1))
+            regions[op.index, xb, (op.out_row, op.out_row, 1)] = None
         elif isinstance(op, MoveOp):
             start = max(0, xb[0] + op.dist)
             stop = min(config.crossbars - 1, xb[1] + op.dist)
@@ -106,24 +95,24 @@ def written_regions(ops, config: PIMConfig) -> Tuple[Region, ...]:
                 dst_xb = (start, stop, xb[2])
             else:  # clipped asymmetrically: fall back to a dense span
                 dst_xb = (start, max(start, stop), 1)
-            add(op.dst_index, dst_xb, (op.dst_row, op.dst_row, 1))
+            regions[op.dst_index, dst_xb, (op.dst_row, op.dst_row, 1)] = None
     return tuple(regions)
 
 
 def program_regions(program, config: PIMConfig) -> Tuple[Region, ...]:
     """The regions a program writes, memoized on it: :func:`written_regions`
-    of a ``MicroProgram``'s ops, or the architectural destinations of a
+    of a ``MicroProgram``, or the architectural destinations of a
     functional program's macro-instructions (it stages nothing in scratch)."""
     cached = program.__dict__.get("_verify_regions")
     if cached is None:
-        if hasattr(program, "ops"):
-            cached = written_regions(program.ops, config)
-        else:
+        if hasattr(program, "instructions"):
             written = (written_region(i, config) for i in program.instructions)
             cached = tuple(dict.fromkeys(
                 (reg, (w.start, w.stop, w.step), (r.start, r.stop, r.step))
                 for reg, w, r in filter(None, written)
             ))
+        else:
+            cached = written_regions(program, config)
         program.__dict__["_verify_regions"] = cached
     return cached
 

@@ -27,10 +27,9 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.config import PIMConfig
-from repro.driver.program import config_fingerprint
+from repro.arch.config import PIMConfig, config_fingerprint
 
-#: Fault kinds a cell can carry (the taxonomy of docs/architecture.md §11).
+#: Fault kinds a cell can carry (the taxonomy of docs/architecture.md §10).
 STUCK0 = "stuck0"
 STUCK1 = "stuck1"
 

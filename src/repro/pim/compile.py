@@ -65,7 +65,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.driver.program import config_fingerprint
+from repro.arch.config import config_fingerprint
 from repro.isa.instructions import ReadInstr, written_region
 from repro.pim.graph import Graph, ScalarRef, TraceError, TraceSession
 from repro.pim.tensor import Tensor, TensorView

@@ -15,9 +15,9 @@ import numpy as np
 
 from repro.arch.masks import RangeMask
 from repro.isa.dtypes import DType, float32, int32, value_to_raw
-from repro.isa.instructions import ROp, WriteInstr
+from repro.isa.instructions import ROp
 from repro.pim.device import PIMDevice, default_device
-from repro.pim.tensor import Tensor, TensorLike, TensorView, _nary
+from repro.pim.tensor import Tensor, TensorLike, TensorView, _fill, _nary
 
 
 def _resolve_dtype(dtype) -> DType:
@@ -40,9 +40,7 @@ def full(
     dtype = _resolve_dtype(dtype)
     device = device or default_device()
     out = Tensor(device, length, dtype)
-    raw = value_to_raw(value, dtype)
-    for warp_mask, row_mask in device.segments(out.slot, RangeMask.all(length)):
-        device.execute(WriteInstr(out.slot.reg, raw, warp_mask, row_mask))
+    _fill(out, RangeMask.all(length), value_to_raw(value, dtype))
     return out
 
 

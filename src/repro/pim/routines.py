@@ -26,8 +26,16 @@ import numpy as np
 
 from repro.arch.masks import RangeMask
 from repro.isa.dtypes import float32, int32, value_to_raw
-from repro.isa.instructions import RInstr, ROp, WriteInstr
-from repro.pim.tensor import Tensor, TensorLike, TensorView, _bulk_move, _node
+from repro.isa.instructions import ROp, WriteInstr
+from repro.pim.tensor import (
+    Tensor,
+    TensorLike,
+    TensorView,
+    _bulk_move,
+    _fill,
+    _issue_op,
+    _node,
+)
 
 #: Number of CORDIC rotation iterations (enough for float32 precision).
 CORDIC_ITERATIONS = 24
@@ -63,18 +71,7 @@ def _reduce_lowered(operand: TensorLike, op: ROp, device, dtype, n: int):
         half = n // 2
         keep = n - half  # elements [0, keep) stay; [keep, n) fold in
         _bulk_move(device, work.slot, range(keep, n), scratch.slot, range(half))
-        mask = RangeMask(0, half - 1, 1)
-        for warp_mask, row_mask in device.segments(work.slot, mask):
-            device.execute(
-                RInstr(
-                    op, dtype,
-                    dest=work.slot.reg,
-                    src_a=work.slot.reg,
-                    src_b=scratch.slot.reg,
-                    warp_mask=warp_mask,
-                    row_mask=row_mask,
-                )
-            )
+        _issue_op(op, dtype, work, [work, scratch], RangeMask(0, half - 1, 1))
         n = keep
     return work[0]
 
@@ -90,10 +87,8 @@ def _write_pattern(tensor: Tensor, bit: int) -> None:
     rows = device.rows
     n = tensor.length
     slot = tensor.slot
-    zero = value_to_raw(0, int32)
     one = value_to_raw(1, int32)
-    for warp_mask, row_mask in device.segments(slot, RangeMask.all(n)):
-        device.execute(WriteInstr(slot.reg, zero, warp_mask, row_mask))
+    _fill(tensor, RangeMask.all(n), value_to_raw(0, int32))
     period = 1 << (bit + 1)
     run = 1 << bit
     if run >= n:
@@ -102,9 +97,7 @@ def _write_pattern(tensor: Tensor, bit: int) -> None:
         # Non-power-of-two row counts break the per-warp periodicity; fall
         # back to writing each 1-run through the generic segmenter.
         for start in range(run, n, period):
-            stop = min(start + run, n) - 1
-            for warp_mask, row_mask in device.segments(slot, RangeMask(start, stop, 1)):
-                device.execute(WriteInstr(slot.reg, one, warp_mask, row_mask))
+            _fill(tensor, RangeMask(start, min(start + run, n) - 1, 1), one)
     elif run < rows:
         # Row-level pattern, identical in every warp the tensor spans.
         warp_mask = RangeMask(slot.warp_start, slot.warp_stop - 1, 1)
@@ -169,28 +162,14 @@ def _sort_lowered(operand: TensorLike, device, dtype, n: int) -> Tensor:
     pattern_k = Tensor._from_slot(device, slots[5], padded, int32)
 
     if padded > n:
-        pad_raw = _pad_value(dtype)
-        for warp_mask, row_mask in device.segments(work.slot, RangeMask.all(padded)):
-            device.execute(WriteInstr(work.slot.reg, pad_raw, warp_mask, row_mask))
+        _fill(work, RangeMask.all(padded), _pad_value(dtype))
     _bulk_move(device, operand._base.slot, operand._mask.indices(),
                work.slot, range(n))
 
     full = RangeMask.all(padded)
 
-    def vector(op: ROp, dest: Tensor, a: Tensor, b: Tensor = None,
-               c: Tensor = None, dt=dtype):
-        for warp_mask, row_mask in device.segments(dest.slot, full):
-            device.execute(
-                RInstr(
-                    op, dt,
-                    dest=dest.slot.reg,
-                    src_a=a.slot.reg,
-                    src_b=b.slot.reg if b is not None else None,
-                    src_c=c.slot.reg if c is not None else None,
-                    warp_mask=warp_mask,
-                    row_mask=row_mask,
-                )
-            )
+    def vector(op: ROp, dest: Tensor, *operands: Tensor, dt=dtype):
+        _issue_op(op, dt, dest, operands, full)
 
     k = 2
     while k <= padded:
@@ -257,9 +236,7 @@ def _cordic(z: TensorLike):
 
 def _full_like(ref: TensorLike, value: float) -> Tensor:
     out = Tensor(ref.device, ref.length, ref.dtype, reference=ref._base.slot)
-    raw = value_to_raw(value, ref.dtype)
-    for warp_mask, row_mask in ref.device.segments(out.slot, RangeMask.all(out.length)):
-        ref.device.execute(WriteInstr(out.slot.reg, raw, warp_mask, row_mask))
+    _fill(out, RangeMask.all(out.length), value_to_raw(value, ref.dtype))
     return out
 
 

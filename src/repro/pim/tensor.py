@@ -280,7 +280,7 @@ class Tensor(_TensorOps):
         if isinstance(key, slice):
             mask = RangeMask.from_slice(key, self.length)
             with _node(self.device, "write", slice=key):
-                _masked_fill(self, mask, value)
+                _fill(self, mask, value_to_raw(value, self.dtype))
             return
         index = self._check_index(key)
         device = self.device
@@ -357,7 +357,7 @@ class TensorView(_TensorOps):
     def __setitem__(self, key, value) -> None:
         if isinstance(key, slice):
             inner = RangeMask.from_slice(key, self.length)
-            _masked_fill(self.base, self.mask.compose(inner), value)
+            _fill(self.base, self.mask.compose(inner), value_to_raw(value, self.dtype))
             return
         index = self._check_index(key)
         self.base[self.mask.start + index * self.mask.step] = value
@@ -388,16 +388,16 @@ def _broadcast_scalar(
     device, dtype = ref.device, dtype or ref.dtype
     with _node(device, "constant", value=value):
         base = Tensor(device, ref._base.length, dtype, reference=ref._base.slot)
-        raw = value_to_raw(value, dtype)
-        for warp_mask, row_mask in device.segments(base.slot, ref._mask):
-            device.execute(WriteInstr(base.slot.reg, raw, warp_mask, row_mask))
+        _fill(base, ref._mask, value_to_raw(value, dtype))
     return TensorView(base, ref._mask)
 
 
-def _masked_fill(base: Tensor, mask: RangeMask, value: Scalar) -> None:
-    raw = value_to_raw(value, base.dtype)
-    for warp_mask, row_mask in base.device.segments(base.slot, mask):
-        base.device.execute(WriteInstr(base.slot.reg, raw, warp_mask, row_mask))
+def _fill(base: Tensor, mask: RangeMask, raw: int) -> None:
+    """Write the raw word over ``base``'s elements ``mask``: one masked
+    write per (warp range, row pattern) segment."""
+    device, slot = base.device, base.slot
+    for warp_mask, row_mask in device.segments(slot, mask):
+        device.execute(WriteInstr(slot.reg, raw, warp_mask, row_mask))
 
 
 def _aligned(operands: Sequence[TensorLike]) -> bool:
@@ -440,21 +440,12 @@ def _unary(op: ROp, operand: TensorLike, result_dtype: Optional[DType] = None):
 
 
 def _issue_op(op: ROp, dtype: DType, result: Tensor, operands, mask: RangeMask):
-    device = result.device
-    regs = [t._base.slot.reg for t in operands]
+    """Issue ``result = op(*operands)`` over the elements ``mask`` (operands
+    aligned with ``result``): one masked R-type instruction per segment."""
+    device, dest = result.device, result.slot.reg
+    a, b, c = ([t._base.slot.reg for t in operands] + [None, None])[:3]
     for warp_mask, row_mask in device.segments(result.slot, mask):
-        device.execute(
-            RInstr(
-                op,
-                dtype,
-                dest=result.slot.reg,
-                src_a=regs[0],
-                src_b=regs[1] if len(regs) > 1 else None,
-                src_c=regs[2] if len(regs) > 2 else None,
-                warp_mask=warp_mask,
-                row_mask=row_mask,
-            )
-        )
+        device.execute(RInstr(op, dtype, dest, a, b, c, warp_mask, row_mask))
 
 
 def _nary(op: ROp, operands: List[TensorLike], result_dtype: DType):
@@ -507,17 +498,7 @@ def _copy_tensor(src: Tensor) -> Tensor:
     """Duplicate a compact tensor (COPY instruction when warp-aligned)."""
     dst = Tensor(src.device, src.length, src.dtype, reference=src.slot)
     if dst.slot.warp_start == src.slot.warp_start:
-        for warp_mask, row_mask in src.device.segments(src.slot, src._mask):
-            src.device.execute(
-                RInstr(
-                    ROp.COPY,
-                    src.dtype,
-                    dest=dst.slot.reg,
-                    src_a=src.slot.reg,
-                    warp_mask=warp_mask,
-                    row_mask=row_mask,
-                )
-            )
+        _issue_op(ROp.COPY, src.dtype, dst, [src], src._mask)
         return dst
     _bulk_move(
         src.device,

@@ -41,10 +41,9 @@ graphs all replay this way, on ``uint32`` and ``uint64``
 One rule (``Simulator.execute_program``): **plan → vectorized replay;
 otherwise a loop over ``Simulator.execute``**, the op-by-op reference.
 A program has no plan when it is not self-masked (a hand-built program
-running under caller-set masks), when an op of it must raise or a gate
-of it fits no operation word, or when its gate runs are so wide that
-lane programs lose to op-by-op NumPy (:func:`lanes_pay_off`). There is
-no engine setting.
+running under caller-set masks) or an op of it must raise, or when its
+gate runs are so wide that lane programs lose to op-by-op NumPy
+(:func:`lanes_pay_off`). There is no engine setting.
 """
 
 from __future__ import annotations
@@ -239,7 +238,7 @@ def build_gate_runs(program, config, memory: CrossbarMemory) -> Iterator[GateRun
     """The :class:`GateRun` of every ``"gates"`` super-step, in order.
 
     Built from the bit-field columns of the program's operation words
-    (:meth:`~repro.driver.program.MicroProgram.gate_table`: constructor
+    (:attr:`~repro.driver.program.MicroProgram.gate_table`: constructor
     invariants checked, no op object built). Each distinct partition
     pattern is validated once (:func:`pattern_masks`); replicated lane
     masks are shared per distinct mask *value* by the runs of one plan
@@ -247,7 +246,7 @@ def build_gate_runs(program, config, memory: CrossbarMemory) -> Iterator[GateRun
     caller guarantees the program is self-masked — every gate sits in a
     run — and that :func:`lanes_pay_off` holds.
     """
-    fields, keys, index = program.gate_table()
+    fields, keys, index = program.gate_table
     gate, out = fields["gate"], fields["out"]
     reads_a, reads_b = gate >= GateType.NOT, gate == GateType.NOR
     shift_a = np.where(reads_a, fields["p_out"] - fields["p_a"], 0)

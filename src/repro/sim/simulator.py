@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from repro.arch.config import PIMConfig
+from repro.arch.config import PIMConfig, config_fingerprint
 from repro.arch.htree import move_cycles, validate_move_pattern
 from repro.arch.masks import RangeMask
 from repro.arch.micro_ops import (
@@ -30,6 +30,7 @@ from repro.arch.micro_ops import (
     ReadOp,
     RowMaskOp,
     WriteOp,
+    write_value_bits,
 )
 from repro.sim import replay
 from repro.sim.memory import CrossbarMemory
@@ -265,10 +266,9 @@ class Simulator:
           (:func:`repro.sim.replay.lanes_pay_off`), replay through a
           vectorized :class:`ReplayPlan` and one static stats merge;
         - anything else (hand-built programs relying on caller-set
-          masks or holding a gate that fits no operation word, a static
-          walk that finds an op that must raise, regions of thousands
-          of rows) is a plain loop over :meth:`execute`, the op-by-op
-          reference.
+          masks, a static walk that finds an op that must raise, regions
+          of thousands of rows) is a plain loop over :meth:`execute`,
+          the op-by-op reference.
 
         Either way memory, profiling counters and raised errors are
         exactly those of op-by-op execution. Returns the response word
@@ -314,8 +314,6 @@ class Simulator:
             return plan
 
     def _compile_plan(self, program) -> ReplayPlan:
-        from repro.driver.program import config_fingerprint
-
         if program.config_fingerprint != config_fingerprint(self.config):
             raise SimulationError(
                 f"program {program.name!r} was compiled for fingerprint "
@@ -439,7 +437,7 @@ class Simulator:
 
     def _exec_write(self, op: WriteOp) -> None:
         self._check_index(op.index)
-        if op.value >= (1 << self.config.word_size):
+        if op.value >> write_value_bits(self.config.word_size):
             raise SimulationError("write value exceeds word size")
         self._silent_write(op.index, op.value)
         self.stats.record("write")

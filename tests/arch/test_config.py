@@ -51,6 +51,35 @@ class TestPIMConfig:
         with pytest.raises(ValueError):
             PIMConfig(columns=256, partitions=32, word_size=32, scratch_registers=8)
 
+    @pytest.mark.parametrize("limit, beyond", [
+        (dict(crossbars=1, rows=4096), dict(crossbars=1, rows=4097)),
+        (dict(crossbars=1 << 18), dict(crossbars=1 << 19)),
+        (dict(columns=4096), dict(columns=4128)),  # 128 / 129 registers
+        (dict(columns=4096, partitions=64, word_size=64),
+         dict(columns=8192, partitions=128, word_size=128)),
+    ], ids=["rows", "crossbars", "registers", "partitions"])
+    def test_geometry_is_bounded_by_the_operation_word(self, limit, beyond):
+        """A chip the 64-bit interface cannot address is refused; the
+        limits are the field widths of ``arch.micro_ops``, reached."""
+        from repro.arch import micro_ops
+
+        cfg = PIMConfig(**limit)
+        assert cfg.rows <= 1 << micro_ops._ROW_FIELD
+        assert cfg.crossbars <= 1 << micro_ops._XB_FIELD
+        assert cfg.registers <= 1 << micro_ops._IDX_FIELD
+        assert cfg.partitions <= 1 << micro_ops._PART_FIELD
+        with pytest.raises(ValueError):
+            PIMConfig(**beyond)
+
+    def test_fingerprint_is_the_geometry(self):
+        from repro.arch.config import config_fingerprint
+        from repro.driver import config_fingerprint as exported
+
+        assert exported is config_fingerprint
+        assert config_fingerprint(small_config(4, 8)) == (4, 8, 1024, 32, 32)
+        assert config_fingerprint(PIMConfig(frequency_hz=1e6, scratch_registers=8)) \
+            == config_fingerprint(PIMConfig())
+
     def test_frozen(self):
         cfg = PIMConfig()
         with pytest.raises(Exception):

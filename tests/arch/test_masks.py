@@ -23,6 +23,14 @@ class TestRangeMaskBasics:
         mask = RangeMask(2, 10, 4)
         assert list(mask.indices()) == [2, 6, 10]
 
+    def test_one_index_has_one_spelling(self):
+        """A slice like ``t[5:6:5000]`` selects one index; its step says
+        nothing, and would fit no mask operation's step field."""
+        mask = RangeMask.from_slice(slice(5, 6, 5000), 64)
+        assert mask == RangeMask.single(5) and mask.step == 1
+        assert hash(RangeMask(3, 3, 7)) == hash(RangeMask(3, 3, 1))
+        assert RangeMask(0, 12, 4).compose(RangeMask(2, 2, 9)).step == 1
+
     def test_step_must_divide(self):
         with pytest.raises(ValueError):
             RangeMask(0, 10, 3)

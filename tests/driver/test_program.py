@@ -35,7 +35,7 @@ from repro.arch.micro_ops import (
 from repro.driver.compiler import (
     CompileError,
     coalesce_masks,
-    columns_of_ops,
+    columns_of_words,
     compile_ops,
     eliminate_redundant_init1,
 )
@@ -363,7 +363,7 @@ class TestCompileValidation:
 def _after(peephole, ops):
     """The ops a pass (stated over integer columns) keeps of a stream."""
     keep = np.ones(len(ops), dtype=bool)
-    peephole(columns_of_ops(ops), keep)
+    peephole(columns_of_words(encode_many(ops), CFG.word_size), keep)
     return [op for op, kept in zip(ops, keep) if kept]
 
 

@@ -501,45 +501,48 @@ class TestBodiesAreBornAsWords:
         assert rows or (op, alias) == (ROp.COPY, "dest=a")  # a copy onto itself
         assert np.array_equal(body.encoded(CFG.word_size), words)
 
-    def test_a_stream_with_an_op_that_fits_no_word_takes_the_reference(self, tmp_path):
-        """A geometry beyond the word's fields (8192 rows: a 12-bit row
-        field) has masks that fit no operation word: the splicer hands
-        the stream to the reference lowering, whose program holds objects
-        and replays bit- and cycle-identically to op-by-op execution."""
+    def test_the_tallest_geometry_splices_and_a_taller_one_is_no_chip(self, tmp_path):
+        """4096 rows fill the row field: masks reaching row 4095 (and the
+        widest step) splice as words, store, and replay bit- and
+        cycle-identically to op-by-op lowering. One row more is a chip the
+        64-bit interface cannot address: refused as a configuration."""
         from repro.arch.config import PIMConfig
-        from repro.arch.micro_ops import encode
 
-        tall = PIMConfig(crossbars=1, rows=8192)
+        with pytest.raises(ValueError, match="rows=4097 exceeds the 4096"):
+            PIMConfig(crossbars=1, rows=4097)
+        tall = PIMConfig(crossbars=1, rows=4096)
         stream = [
-            WriteInstr(0, 7, None, RangeMask(0, 4096, 4096)),
+            WriteInstr(0, 7, None, RangeMask(0, 4095, 4095)),
             RInstr(ROp.BIT_NOT, int32, dest=1, src_a=0),
             RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1,
-                   row_mask=RangeMask(4096, 8191, 1)),
+                   row_mask=RangeMask(2048, 4095, 1)),
+            # One index, whatever step the slice that made it carried.
+            WriteInstr(3, 9, None, RangeMask(5, 5, 5000)),
         ]
         sim, reference = Simulator(tall), Simulator(tall)
-        driver = Driver(sim, cache_dir=str(tmp_path))  # nothing to persist
+        driver = Driver(sim, cache_dir=str(tmp_path))
         lowered = Driver(reference, cache_size=0)
         for optimize in (False, True):
             spliced = driver.compile(stream, optimize=optimize)
             macro = driver.compile(stream, optimize=optimize, emit="macro")
-            assert spliced._ops is not None and spliced.ops == macro.ops
-            with pytest.raises(ValueError, match="does not fit"):
-                spliced.encoded(tall.word_size)
+            assert spliced._ops is None
+            assert np.array_equal(
+                spliced.encoded(tall.word_size), macro.encoded(tall.word_size)
+            )
             assert spliced.bill(tall) == macro.bill(tall)
-        with pytest.raises(ValueError, match="4096 does not fit in 12 bits"):
-            encode(spliced.ops[1])
         driver.execute_stream(stream)
         for instr in stream:
             lowered.execute(instr)
         assert np.array_equal(sim.memory.words, reference.memory.words)
         assert sim.stats == reference.stats
-        assert sim.memory.words[0, 2, 4096] == 0xFFFFFFFF  # 7 + ~7
-        counters = driver.persist.counters()  # the bodies are stored, as words
-        assert counters["stores"] == 2 and counters["invalid"] == 0
+        assert sim.memory.words[0, 2, 4095] == 0xFFFFFFFF  # 7 + ~7
+        assert sim.memory.words[0, 3, 5] == 9
+        counters = driver.persist.counters()  # two bodies, four compiled streams
+        assert counters["stores"] == 6 and counters["invalid"] == 0
 
     def test_a_wide_write_never_reaches_the_splicer(self):
-        """The other op that fits no word — a ``word_size=64`` write of
-        ``2**54`` or more — is not an ISA write (raw values are 32-bit):
+        """A ``word_size=64`` write of ``2**54`` or more — wider than the
+        word's value field — is not an ISA write (raw values are 32-bit):
         both lowerings refuse the instruction before lowering it."""
         from repro.arch.config import PIMConfig
 

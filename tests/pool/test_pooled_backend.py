@@ -291,6 +291,31 @@ class TestCounters:
         pool.execute(RInstr(ROp.SUB, int32, dest=4, src_a=0, src_b=1))
         assert pool.cache_evictions > 0
 
+    def test_the_stream_tier_is_an_lru_not_a_cliff(self):
+        """One stream more than the tier holds: the oldest is evicted and
+        counted (once per tier that saw it), the newest is cached — before
+        this was an LRU, stream 4097 and every later one was re-partitioned
+        on each call — and every stream still matches a single device."""
+        from repro.backend.numpy_backend import NumpyBackend
+        from repro.driver.stream import MacroStream
+
+        single = NumpyBackend(CFG)
+        pool = PooledBackend(CFG, workers=2, worker_backend="numpy")
+        add = RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=0)
+        streams = [MacroStream([WriteInstr(0, value), add]) for value in range(4097)]
+        for stream in streams:
+            assert pool.run_stream(stream) == single.run_stream(stream)
+        assert np.array_equal(pool.words, single.words)
+        assert pool.stats == single.stats
+        assert single.cache_evictions == 1
+        assert pool.cache_evictions == 1 + len(pool.workers)
+        tier = pool._stream_programs
+        assert len(tier) == 4096 and (streams[0], "stream") not in tier
+        newest = tier.get((streams[-1], "stream"))
+        assert newest is not None
+        assert pool._stream_program(streams[-1], "stream") is newest
+        assert pool.cache_evictions == 1 + len(pool.workers)
+
 
 class TestShardFaults:
     """Crash containment: ShardError context, quarantine, failover."""

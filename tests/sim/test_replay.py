@@ -35,7 +35,7 @@ from repro.arch.micro_ops import (
     RowMaskOp,
     WriteOp,
 )
-from repro.driver.compiler import compile_ops
+from repro.driver.compiler import CompileError, compile_ops
 from repro.driver.program import MicroProgram, SuperStep
 from repro.sim import replay
 from repro.sim.memory import CrossbarMemory
@@ -360,26 +360,37 @@ class TestEngineSelection:
         sim, _, _ = _replay_vs_op_by_op(config, ops)
         assert sim.replay_counters == {"vectorized": 1, "reference": 0}
 
-    def test_full_width_writes_vectorize(self):
-        """A ``word_size=64`` write of ``2**54`` or more fits no operation
-        word; a plan takes the op as it is, and reads only gate words."""
-        top = (1 << 64) - 1
+    def test_a_write_is_its_words_value_field_or_refused(self):
+        """A ``word_size=64`` operation word carries write values below
+        ``2**54``: the widest one vectorizes like any write; one bit more
+        is no operation of this chip — a typed refusal on every path."""
+        limit = 1 << micro_ops.write_value_bits(WIDE.word_size)
+        assert limit == 1 << 54 and micro_ops.write_value_bits(32) == 32
         ops = [
             CrossbarMaskOp(0, 3, 1), RowMaskOp(0, 7, 1),
-            WriteOp(0, top), WriteOp(1, 1 << 54), WriteOp(2, (1 << 54) - 1),
+            WriteOp(0, limit - 1), WriteOp(1, 1),
             LogicHOp(GateType.INIT1, 0, 0, 3, p_a=0, p_b=0, p_out=0,
                      p_end=63, p_step=1),
             LogicHOp(GateType.NOR, 0, 1, 3, p_a=0, p_b=0, p_out=0,
                      p_end=63, p_step=1),
-            WriteOp(4, top ^ 1),
-            CrossbarMaskOp(2, 2, 1), RowMaskOp(5, 5, 1), ReadOp(3),
+            CrossbarMaskOp(2, 2, 1), RowMaskOp(5, 5, 1), ReadOp(0),
         ]
         sim, _, program = _replay_vs_op_by_op(WIDE, ops, replays=2)
         assert sim.replay_counters == {"vectorized": 2, "reference": 0}
-        assert sim.memory.words[1, 4, 2] == top ^ 1
-        with pytest.raises(ValueError, match="does not fit"):
-            program.encoded(64)  # no word image: not storable, not DMA-able
-        assert (WriteOp, 0, top) in sim.replay_plan(program).steps
+        assert sim.memory.words[1, 0, 2] == limit - 1
+        assert (WriteOp, 0, limit - 1) in sim.replay_plan(program).steps
+        assert micro_ops.decode_many(program.encoded(64), 64) == tuple(ops)
+
+        wide = [CrossbarMaskOp(0, 3, 1), RowMaskOp(0, 7, 1), WriteOp(0, limit)]
+        with pytest.raises(CompileError, match="op 2: write value exceeds"):
+            compile_ops(wide, WIDE)
+        with pytest.raises(ValueError, match="does not fit in 54 bits"):
+            MicroProgram.from_ops(wide, "wide", WIDE)
+        sim = Simulator(WIDE)
+        before = sim.memory.words.copy()
+        with pytest.raises(SimulationError, match="write value exceeds"):
+            sim.execute(wide[2])
+        assert np.array_equal(sim.memory.words, before) and sim.stats.cycles == 0
 
     def test_word_formats_share_no_lane_masks(self):
         """A 32- and a 64-bit simulator in one process, same lane count
@@ -462,18 +473,19 @@ class TestEngineSelection:
             ),
         )
         masked = _masked([_init1(3), _gate(3, 0, 1)] * 25_000)
-        for ops, expected in ((masked, [len(masked)]),
-                              ([_init1(3)], [])):  # with a plan, without one
+        # What the one walk sees: the non-gate ops and a tally per stretch
+        # of gates (two masks + one tally; one tally), never 50,000 gates.
+        for ops, billed, planned in ((masked, 3, True), ([_init1(3)], 1, False)):
             backend = SimulatorBackend(CFG)
             program = MicroProgram.from_ops(ops, "p", CFG)
             del walks[:]
             first = backend.program_replay_info(program)
             backend.simulator.execute_program(program)
             assert backend.program_replay_info(program) == first
-            assert walks == expected
+            assert walks == ([billed] if planned else [])
             # Pricing reads the same bill (and is what walks the body).
             assert backend.program_stats(program).micro_ops == len(ops)
-            assert walks == [len(ops)]
+            assert walks == [billed]
 
 
 def _word_twin(program, config, bill=None):
@@ -616,22 +628,37 @@ class TestColumnPathRejections:
         with pytest.raises(SimulationError, match="compiled for fingerprint"):
             Simulator(CFG).execute_program(_word_twin(program, WIDE))
 
-    def test_unencodable_program_has_no_plan(self):
-        """A gate that fits no word: no columns, so one undecoded segment
-        and no plan — the reference loop runs it, raises where op-by-op
-        does, and ``replay_info`` still reports it."""
-        from repro.backend.simulator import SimulatorBackend
+    def test_a_program_is_only_ever_its_words(self):
+        """No second representation: the constructor takes a 1-D
+        ``np.uint64`` array and nothing else, and an op no word holds is
+        refused where the program would be born — at the field's limit it
+        is a program like any other."""
+        ops = _masked([_init1(3)])
+        words = micro_ops.encode_many(ops)
+        fingerprint = MicroProgram.from_ops(ops, "p", CFG).config_fingerprint
+        for not_words in (tuple(ops), words.tolist(), words.astype(np.int64),
+                          words.reshape(1, -1)):
+            with pytest.raises(TypeError, match="1-D np.uint64"):
+                MicroProgram(not_words, "p", fingerprint)
+        assert MicroProgram(words, "p", fingerprint).ops == tuple(ops)
 
-        ops = _masked([_init1(3), LogicHOp(GateType.NOT, 200, 0, 4, 0, 0, 0, 0, 1)])
-        program = MicroProgram.from_ops(ops, "wide-index", CFG)
-        with pytest.raises(ValueError, match="does not fit"):
-            program.plan_words()
-        assert program.super_steps == (SuperStep("op", 0, len(ops)),)
-        assert not program.self_masked
-        info = SimulatorBackend(CFG).program_replay_info(program)
-        assert (info["engine"], info["plan"]) == ("reference", None)
-        assert (info["ops"], info["gate_ops"], info["fallback_ops"]) == (4, 0, 4)
-        _raises_like_op_by_op(CFG, ops)
+        tall = PIMConfig(crossbars=4, rows=8, columns=4096)  # 128 registers
+        top = LogicHOp(GateType.NOT, 127, 0, 4, 0, 0, 0, 0, 1)
+        program = compile_ops(
+            [CrossbarMaskOp(0, 3, 1), RowMaskOp(0, 7, 1), _init1(4), top],
+            tall, optimize=False,
+        )
+        assert program.ops[-1] == top and program.self_masked
+        assert Simulator(tall).replay_plan(program) is not None
+        beyond = [LogicHOp(GateType.NOT, 128, 0, 4, 0, 0, 0, 0, 1)]
+        with pytest.raises(CompileError, match="op 0: intra-row index 128"):
+            compile_ops(beyond, tall)
+        with pytest.raises(ValueError, match="in_a does not fit in 7 bits"):
+            MicroProgram.from_ops(beyond, "beyond", tall)
+        # Valid for the chip's own checks, yet no word holds it (a step wider
+        # than its field on a one-index mask): refused at compile, typed.
+        with pytest.raises(CompileError, match="step does not fit in 12 bits"):
+            compile_ops([RowMaskOp(5, 5, 5000)], tall)
 
 
 class TestRegionCachePersistence:

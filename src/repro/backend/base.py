@@ -21,13 +21,16 @@ Every backend exposes:
 - :attr:`Backend.stats` — the :class:`~repro.sim.stats.SimStats` cycle
   counters, with identical accounting semantics across backends.
 
-Backends that apply instructions without running micro-ops (the
-functional backend, the pool) derive from :class:`BilledBackend`, which
-owns everything around "apply" once: pricing (from the real driver's
-lowering), refusal bills, the stream-program cache and the fault window
-that closes a dispatch unit. Verification itself is
-:func:`repro.faults.checksum.verify_window`; which cells an instruction
-writes is :func:`repro.isa.instructions.written_region`.
+Every backend owns one :class:`~repro.driver.driver.Driver`
+(:attr:`Backend.lowering`), and that driver keeps the books of a
+dispatch unit for all of them: the stream tier, the emission counters,
+the fault overlay and the one fault window that closes a unit
+(:meth:`~repro.driver.driver.Driver.close_window`). Backends that apply
+instructions without running micro-ops (the functional backend, the
+pool) derive from :class:`BilledBackend`, which owns everything else
+around "apply" once: pricing (from the driver's lowering) and refusal
+bills. Which cells an instruction writes is
+:func:`repro.isa.instructions.written_region`.
 """
 
 from __future__ import annotations
@@ -40,9 +43,8 @@ import numpy as np
 
 from repro.arch.config import PIMConfig, config_fingerprint
 from repro.driver.driver import Driver
-from repro.driver.program import ProgramCache
 from repro.driver.stream import MacroStream
-from repro.faults.checksum import fault_counters, verify_window
+from repro.faults.checksum import check_verify_mode
 from repro.isa.instructions import Instruction, RInstr, validate
 from repro.sim.simulator import SimulationError
 from repro.sim.stats import SimStats
@@ -55,8 +57,9 @@ class Backend(abc.ABC):
     name: str = "abstract"
 
     #: The :class:`~repro.driver.driver.Driver` whose lowering this backend
-    #: bills, and the move-cost model it bills under. Set by subclasses.
-    lowering = None
+    #: bills and whose books (stream tier, counters, fault window) it
+    #: keeps, and the move-cost model it bills under. Set by subclasses.
+    lowering: Driver
     move_cost: str = "unit"
 
     def __init__(self, config: PIMConfig):
@@ -107,10 +110,6 @@ class Backend(abc.ABC):
         read response, like the loop would.
         """
 
-    def _stream_program(self, instructions: Sequence[Instruction], name: str):
-        """The program a verbatim stream replays as (the pool asks a shard)."""
-        return self.compile(instructions, name=name, optimize=False)
-
     def program_stats(self, program) -> SimStats:
         """The per-replay cycle bill of a compiled program.
 
@@ -156,10 +155,8 @@ class Backend(abc.ABC):
         return self.stats.copy()
 
     def _tier_total(self, counter: str) -> int:
-        """A counter summed over the driver's two cache tiers (0 without one)."""
+        """A counter summed over the driver's two cache tiers."""
         driver = self.lowering
-        if driver is None:
-            return 0
         return getattr(driver.programs, counter) + getattr(driver.streams, counter)
 
     @property
@@ -185,44 +182,41 @@ class Backend(abc.ABC):
 
         ``loads``/``misses``/``invalid``/``stores`` from the driver's
         :class:`~repro.driver.persist.PersistentProgramCache`; empty when
-        no cache directory is configured (or the backend has no driver).
+        no cache directory is configured.
         """
-        persist = getattr(self.lowering, "persist", None)
+        persist = self.lowering.persist
         return {} if persist is None else persist.counters()
 
     def emit_counters(self) -> Dict[str, int]:
         """Streams served per emission level (see
         :mod:`repro.driver.stream`): ``"stream"`` counts plan emissions
         (eager R-type macros included), ``"macro"`` counts streams
-        lowered op-by-op.
-        ``pim.Profiler`` snapshots this; backends without a stream
-        compiler report nothing.
+        lowered op-by-op. ``pim.Profiler`` snapshots this.
         """
-        return {}
+        return dict(self.lowering.emit_counters)
 
     def install_faults(self, plan):
         """Arm a :class:`repro.faults.FaultPlan` on this backend.
 
-        Returns the bound :class:`repro.faults.FaultOverlay` (or ``None``
-        for plans with only process-level faults). Backends without
-        fault support reject installation rather than silently running
-        fault-free.
+        Its cell faults become the driver's overlay over :attr:`words`,
+        ticked by the driver's one fault window at the end of every
+        dispatch unit; returns the bound :class:`repro.faults.FaultOverlay`.
         """
-        raise NotImplementedError(
-            f"the {self.name!r} backend does not support fault injection"
-        )
+        self.lowering.faults = plan.overlay_for(self.words, self.config)
+        return self.lowering.faults
 
     def fault_counters(self) -> Dict[str, int]:
         """Fault-injection and detection counters.
 
         ``ticks``/``flips``/``stuck_clamps`` from the installed
-        :class:`~repro.faults.FaultOverlay`, plus detection/recovery
-        counters the backend layers on top (``verify_checks``,
-        ``verify_detected``, pool ``failovers``, ...). Empty when no
-        fault plan is installed; ``pim.Profiler`` snapshots this like
-        the replay/emit counters.
+        :class:`~repro.faults.FaultOverlay`, plus the driver's tally
+        (``verify_checks``, ``verify_detected``, pool ``failovers``,
+        ...). Empty when no fault plan is installed; ``pim.Profiler``
+        snapshots this like the replay/emit counters.
         """
-        return {}
+        faults = self.lowering.faults
+        injected = {} if faults is None else faults.counters
+        return {**injected, **self.lowering.verify_tally}
 
     def replay_counters(self) -> Dict[str, int]:
         """Program replays served per replay route.
@@ -273,9 +267,9 @@ class BilledBackend(Backend):
     bills). The rest is here, once: every distinct instruction is
     priced through a real :class:`~repro.driver.driver.Driver` whose
     chip port is never used (:meth:`_instr_delta`, memoized, with the
-    hit/miss counters ``cache_counters`` reports), a stream is one
-    cached program (:meth:`_run_stream`), and every dispatch unit ends
-    in one fault window (:meth:`_settle`).
+    hit/miss counters ``cache_counters`` reports), a stream is that
+    driver's stream-tier entry (:meth:`_stream_program`), and every
+    dispatch unit ends in the driver's fault window (:meth:`_settle`).
     """
 
     def __init__(self, config: PIMConfig, move_cost: str, **driver_kwargs):
@@ -289,13 +283,6 @@ class BilledBackend(Backend):
         self._instr_stats: Dict[Instruction, SimStats] = {}
         self._hits = 0
         self._misses = 0
-        # Stream tier: the driver's own LRU (memory only, like its plans).
-        self._stream_programs = ProgramCache(maxsize=4096)
-        self._emit_counters: Dict[str, int] = {"stream": 0, "macro": 0}
-        # Installed fault overlay over ``words`` (None = fault-free),
-        # ticked once per dispatch unit exactly like the driver's.
-        self._fault_overlay = None
-        self._verify_tally: Dict[str, int] = {}
 
     @property
     def words(self) -> np.ndarray:
@@ -312,21 +299,6 @@ class BilledBackend(Backend):
     @property
     def cache_misses(self) -> int:
         return self._misses
-
-    @property
-    def cache_evictions(self) -> int:
-        return super().cache_evictions + self._stream_programs.evictions
-
-    def emit_counters(self) -> Dict[str, int]:
-        return dict(self._emit_counters)
-
-    def install_faults(self, plan):
-        """Bind a fault plan's cell faults to the word image."""
-        self._fault_overlay = plan.overlay_for(self.words, self.config)
-        return self._fault_overlay
-
-    def fault_counters(self) -> Dict[str, int]:
-        return fault_counters(self._fault_overlay, self._verify_tally)
 
     # ------------------------------------------------------------------
     # Pricing
@@ -374,20 +346,20 @@ class BilledBackend(Backend):
     def _stream_program(
         self, instructions: Sequence[Instruction], name: str
     ) -> BilledProgram:
-        """The cached program of a verbatim stream, priced as the sum of
-        the bills :meth:`execute` charges (:meth:`Backend.stream_stats`):
-        nothing is lowered, kept or persisted for a stream that is never
-        replayed as micro-ops."""
-        instrs = MacroStream.wrap(instructions)
-        key = (instrs, name)
-        program = self._stream_programs.get(key)
-        if program is None:
-            delta = SimStats()
-            for instr in instrs:
-                delta.merge(self._instr_delta(instr))
-            program = self._assemble(instrs, name, delta, delta.micro_ops, None)
-            self._stream_programs.put(key, program)
-        return program
+        """A verbatim stream's program: the driver's stream-tier entry,
+        built by :meth:`_price_stream` — nothing is lowered, kept or
+        persisted as micro-ops for a stream that never replays them."""
+        return self.lowering.stream_program(
+            instructions, name, build=self._price_stream
+        )
+
+    def _price_stream(self, instrs: MacroStream, name: str) -> BilledProgram:
+        """A stream's handle, priced as the sum of the bills :meth:`execute`
+        charges (:meth:`Backend.stream_stats`)."""
+        delta = SimStats()
+        for instr in instrs:
+            delta.merge(self._instr_delta(instr))
+        return self._assemble(instrs, name, delta, delta.micro_ops, None)
 
     def _run_stream(
         self, instructions: Sequence[Instruction], name: str
@@ -397,7 +369,7 @@ class BilledBackend(Backend):
         if not instrs:
             return None
         program = self._stream_program(instrs, name)
-        self._emit_counters["stream"] += 1
+        self.lowering.emit_counters["stream"] += 1
         return self.run_program(program)
 
     # ------------------------------------------------------------------
@@ -405,8 +377,7 @@ class BilledBackend(Backend):
     # ------------------------------------------------------------------
     def _admit(self, program, verify: Optional[str]) -> None:
         """The checks (and the cache hit) every ``run_program`` starts with."""
-        if verify not in (None, "checksum"):
-            raise ValueError(f"unknown verify mode {verify!r}; expected 'checksum'")
+        check_verify_mode(verify)
         if program.config_fingerprint != self._fingerprint:
             raise SimulationError(
                 f"program {program.name!r} was compiled for fingerprint "
@@ -416,12 +387,9 @@ class BilledBackend(Backend):
         self._hits += 1
 
     def _settle(self, delta: SimStats, verify=None, regions=None, name=None) -> None:
-        """What every dispatch unit ends with: its bill, then the fault
-        window — checksummed for a verified replay of program ``name``."""
+        """What every dispatch unit ends with: its bill, then the driver's
+        fault window — checksummed for a verified replay of ``name``."""
         self._stats.merge(delta)
-        if verify is not None:
-            verify_window(
-                self.words, regions, self._fault_overlay, name, self._verify_tally
-            )
-        elif self._fault_overlay is not None:
-            self._fault_overlay.tick()
+        self.lowering.close_window(
+            None if verify is None else self.words, regions, name
+        )

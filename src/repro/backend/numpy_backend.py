@@ -16,11 +16,12 @@ H-tree move costs. A profiled block therefore reports the *same* PIM
 cycles on both backends; only the wall-clock (and the bit-exactness
 guarantee of the memory image under fault injection) differs.
 
-All of that pricing (and the stream cache, refusal bills, the fault
-window) is :class:`~repro.backend.base.BilledBackend`'s; this module is
-the functional model only. :meth:`NumpyBackend._plan_instr` resolves an
-instruction into a closure over the word image — the one apply path:
-``execute`` runs it once, a replay plan keeps it.
+All of that pricing (and refusal bills) is
+:class:`~repro.backend.base.BilledBackend`'s, the stream tier and the
+fault window its driver's; this module is the functional model only.
+:meth:`NumpyBackend._plan_instr` resolves an instruction into a closure
+over the word image — the one apply path: ``execute`` runs it once, a
+replay plan keeps it.
 
 Known deviations from the bit-accurate model, all outside the tested
 value domain (see DESIGN.md's FTZ notes): NaN payloads, the

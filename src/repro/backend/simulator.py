@@ -18,7 +18,6 @@ import numpy as np
 from repro.arch.config import PIMConfig
 from repro.backend.base import Backend
 from repro.driver.driver import Driver
-from repro.faults.checksum import fault_counters
 from repro.isa.instructions import Instruction
 from repro.sim.replay import GateRun
 from repro.sim.simulator import Simulator
@@ -66,24 +65,9 @@ class SimulatorBackend(Backend):
     ) -> Optional[int]:
         return self.driver.execute_stream(instructions, name=name)
 
-    def emit_counters(self):
-        return dict(self.driver.emit_counters)
-
-    def install_faults(self, plan):
-        """Bind a fault plan's cell faults to the simulator's memory.
-
-        The overlay is owned (and ticked) by the driver so that macro
-        dispatch, fused-stream emission, and program replay open
-        identical fault windows; the memory keeps a reference for
-        introspection (``memory.overlay``).
-        """
-        overlay = plan.overlay_for(self.simulator.memory.words, self.config)
-        self.driver.faults = overlay
-        self.simulator.memory.overlay = overlay
-        return overlay
-
-    def fault_counters(self):
-        return fault_counters(self.driver.faults, self.driver.verify_tally)
+    def _stream_program(self, instructions: Sequence[Instruction], name: str):
+        """A pool shard's part of a stream: the driver's plan for it."""
+        return self.driver.stream_program(instructions, name)
 
     def program_stats(self, program) -> SimStats:
         """The bill a fused ``MicroProgram`` carries, under this chip's

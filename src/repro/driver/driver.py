@@ -26,10 +26,12 @@ and every stream is emitted as a cached, self-masked fused
 issued one at a time, a disabled cache, a stream longer than
 :data:`~repro.driver.stream.MAX_PLAN_MACROS` — is lowered and forwarded
 op-by-op by :meth:`Driver._execute_lowered`, the reference the
-differential suites compare against. Multi-instruction streams can
-additionally be recorded and peephole-optimized with
-:meth:`Driver.compile` / :meth:`Driver.run_program` (see
-:mod:`repro.driver.compiler`).
+differential suites compare against. Every dispatch unit — on this
+driver's chip, or on a backend that only prices through the driver —
+ends in :meth:`Driver.close_window`, the one fault window.
+Multi-instruction streams can additionally be recorded and
+peephole-optimized with :meth:`Driver.compile` /
+:meth:`Driver.run_program` (see :mod:`repro.driver.compiler`).
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from repro.driver.gates import GateBuilder
 from repro.driver.persist import PersistentProgramCache, resolve_cache_dir
 from repro.driver.program import MicroProgram, ProgramCache
 from repro.driver.stream import MAX_PLAN_MACROS, MacroStream
+from repro.faults.checksum import check_verify_mode, program_regions, verify_window
 from repro.isa.instructions import (
     Instruction,
     MoveInstr,
@@ -172,8 +175,8 @@ class Driver:
             else None
         )
         self.programs = ProgramCache(maxsize=cache_size, store=self.persist)
-        #: The stream tier: fused multi-instruction programs (compiled
-        #: streams and stream plans), keyed on the instruction-tuple
+        #: The stream tier: compiled streams and stream plans (what
+        #: :meth:`stream_program` builds), keyed on the instruction-tuple
         #: signature plus everything lowering depends on. Separate from
         #: :attr:`programs` (the per-R-type body tier) so body-cache hit
         #: rates stay meaningful.
@@ -189,13 +192,14 @@ class Driver:
         #: served macro by macro.
         self.emit_counters: Dict[str, int] = {"stream": 0, "macro": 0}
         #: Installed :class:`repro.faults.FaultOverlay` (``None`` = no
-        #: faults). Ticked once per dispatch unit — after each macro
-        #: ``execute``, fused-stream emission, or program replay — so
-        #: plans and the op-by-op reference observe identical fault
-        #: behaviour.
+        #: faults) over the owning backend's word image. Ticked once per
+        #: dispatch unit, by :meth:`close_window` only, so plans, the
+        #: op-by-op reference and the billed backends observe identical
+        #: fault behaviour.
         self.faults = None
-        #: ``verify="checksum"`` accounting (``verify_checks`` replays
-        #: checked, ``verify_detected`` corrupted replays caught),
+        #: Fault accounting beside the overlay's: ``verify_checks`` /
+        #: ``verify_detected`` from :meth:`close_window`, and a pool's
+        #: ``worker_faults`` / ``failovers`` / ``quarantined_shards``;
         #: surfaced via ``Backend.fault_counters()``.
         self.verify_tally: Dict[str, int] = {}
 
@@ -233,8 +237,7 @@ class Driver:
             result = self.chip.execute(op)
             if result is not None:
                 response = result
-        if self.faults is not None:
-            self.faults.tick()
+        self.close_window()
         return response
 
     # ------------------------------------------------------------------
@@ -401,7 +404,7 @@ class Driver:
         )
 
     def _compile_spliced(
-        self, instrs: Tuple[Instruction, ...], name: str, optimize: bool
+        self, instrs: Tuple[Instruction, ...], name: str, optimize: bool = False
     ) -> MicroProgram:
         """Splice operation words: cached bodies between the encoding of
         everything else (mask preambles, the short non-R lowerings).
@@ -451,32 +454,42 @@ class Driver:
         if row_mask is not None and row_mask.stop >= self.config.rows:
             raise CompileError("row mask out of range")
 
+    def stream_program(self, instructions, name: str = "stream", build=None):
+        """The stream-tier entry of a verbatim stream, kept in memory only.
+
+        ``build(instrs, name)`` makes it on a miss: by default the fused,
+        unoptimized splice the chip replays (a plan must match op-by-op
+        lowering in memory *and* cycle accounting, and the peephole
+        passes trade cycles); a backend that replays no micro-ops passes
+        the builder of its own handle. Re-splicing is cheaper than a disk
+        load, so nothing here is persisted, and with the cache off
+        (``cache_size=0``) nothing is kept.
+        """
+        instrs = MacroStream.wrap(instructions)
+        key = ("plan", instrs, name, self.parallelism, self._fingerprint)
+        program = self.streams.get(key, durable=False) if self.cache_enabled else None
+        if program is None:
+            program = (build or self._compile_spliced)(instrs, name)
+            self.streams.put(key, program, durable=False)  # a no-op when off
+        return program
+
     def execute_stream(
         self, instructions, name: str = "stream"
     ) -> Optional[int]:
         """Emit a whole macro-instruction stream as one dispatch unit.
 
-        The stream's plan is its fused, unoptimized program — a plan
-        must match op-by-op lowering in memory *and* cycle accounting,
-        and the peephole passes trade cycles — spliced once from the
-        cached bodies and mask preambles and kept in the stream tier in
-        memory only (re-splicing is cheaper than a disk load). It is
-        dispatched with a single ``chip.execute_program`` call followed
-        by one fault tick. A stream with no plan (a disabled cache, more
-        than :data:`~repro.driver.stream.MAX_PLAN_MACROS` macros)
-        touches no cache: it is lowered and forwarded op-by-op instead,
-        one fault tick per macro, bit-identically. Returns the last
-        read response.
+        The stream's plan is its :meth:`stream_program`, dispatched with
+        a single ``chip.execute_program`` call followed by one fault
+        tick. A stream with no plan (a disabled cache, more than
+        :data:`~repro.driver.stream.MAX_PLAN_MACROS` macros) touches no
+        cache: it is lowered and forwarded op-by-op instead, one fault
+        tick per macro, bit-identically. Returns the last read response.
         """
         instrs = MacroStream.wrap(instructions)
         if not instrs:
             return None
         if self.cache_enabled and len(instrs) <= MAX_PLAN_MACROS:
-            key = ("plan", instrs, name, self.parallelism, self._fingerprint)
-            program = self.streams.get(key, durable=False)
-            if program is None:
-                program = self._compile_spliced(instrs, name, optimize=False)
-                self.streams.put(key, program, durable=False)
+            program = self.stream_program(instrs, name)
             self.emit_counters["stream"] += 1
             return self._dispatch(program)
         self.emit_counters["macro"] += 1
@@ -502,8 +515,7 @@ class Driver:
         DMA-visible word image, so verification changes no cycle count
         and no memory bit.
         """
-        if verify is not None and verify != "checksum":
-            raise ValueError(f"unknown verify mode {verify!r}")
+        check_verify_mode(verify)
         return self._dispatch(program, verify)
 
     def _dispatch(
@@ -513,25 +525,32 @@ class Driver:
         self.macro_count += program.macros
         self.micro_count += len(program)
         response = self.chip.execute_program(program)
-        if verify is not None:
-            self._verify_replay(program)
-        elif self.faults is not None:
-            self.faults.tick()
-        return response
-
-    def _verify_replay(self, program: MicroProgram) -> None:
-        """Checksum the written regions across the post-op fault window."""
-        from repro.faults.checksum import program_regions, verify_window
-
+        if verify is None:
+            self.close_window()
+            return response
         memory = getattr(self.chip, "memory", None)
         if memory is None:
             raise ValueError(
                 "verify='checksum' requires a chip with a memory image"
             )
-        verify_window(
-            memory.words, program_regions(program, self.config), self.faults,
-            program.name, self.verify_tally,
+        self.close_window(
+            memory.words, program_regions(program, self.config), program.name
         )
+        return response
+
+    def close_window(self, words=None, regions=None, name=None) -> None:
+        """The fault window that ends every dispatch unit, on every backend.
+
+        One tick of the installed overlay (none installed: an empty
+        window). Given the word image ``words`` — a verified replay of
+        program ``name`` — the tick is bracketed by checksums of its
+        ``regions`` (``None``: the whole image), see
+        :func:`repro.faults.checksum.verify_window`.
+        """
+        if words is not None:
+            verify_window(words, regions, self.faults, name, self.verify_tally)
+        elif self.faults is not None:
+            self.faults.tick()
 
     # ------------------------------------------------------------------
     # Masks

@@ -117,6 +117,14 @@ def program_regions(program, config: PIMConfig) -> Tuple[Region, ...]:
     return cached
 
 
+def check_verify_mode(verify: Optional[str]) -> None:
+    """Refuse a ``verify=`` other than ``None`` or ``"checksum"``."""
+    if verify not in (None, "checksum"):
+        raise ValueError(
+            f"unknown verify mode {verify!r}; expected None or 'checksum'"
+        )
+
+
 def verify_window(
     words: np.ndarray,
     regions: Optional[Sequence[Region]],
@@ -130,7 +138,7 @@ def verify_window(
     ``overlay`` (``None``: no plan installed, an empty window) and
     checksums again; a difference raises :class:`ChecksumError` for
     program ``name``. ``tally`` counts ``verify_checks`` /
-    ``verify_detected`` for :func:`fault_counters`.
+    ``verify_detected`` for ``Backend.fault_counters()``.
     """
     tally["verify_checks"] = tally.get("verify_checks", 0) + 1
     before = region_checksums(words, regions)
@@ -142,12 +150,6 @@ def verify_window(
         raise ChecksumError(name, regions and tuple(
             region for region, b, a in zip(regions, before, after) if b != a
         ))
-
-
-def fault_counters(overlay, tally: Dict[str, int]) -> Dict[str, int]:
-    """What ``Backend.fault_counters()`` reports for one fault timeline:
-    the overlay's injection counters plus :func:`verify_window`'s tally."""
-    return {**(overlay.counters if overlay is not None else {}), **tally}
 
 
 def region_checksums(

@@ -222,8 +222,8 @@ class FaultPlan:
 class FaultOverlay:
     """A plan's cell faults bound to one ``(xb, reg, row)`` word image.
 
-    :meth:`tick` is called by the owning dispatch layer after every
-    operation boundary: it applies any transient flips scheduled at the
+    :meth:`tick` is called by the owning backend's driver at the end of
+    every dispatch unit (``Driver.close_window``): it applies any transient flips scheduled at the
     new tick, then clamps active stuck-at cells (a stuck cell cannot
     hold the opposite value, so whatever the operation wrote is forced
     back at the next boundary). Counters mirror the style of the

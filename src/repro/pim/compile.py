@@ -66,6 +66,7 @@ from typing import Any, Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.arch.config import config_fingerprint
+from repro.faults.checksum import ChecksumError, check_verify_mode
 from repro.isa.instructions import ReadInstr, written_region
 from repro.pim.graph import Graph, ScalarRef, TraceError, TraceSession
 from repro.pim.tensor import Tensor, TensorView
@@ -270,8 +271,7 @@ class CompiledFunction:
         self.opt_level = resolve_opt_level(opt_level)
         self.name = name or getattr(fn, "__name__", "graph")
         self.cache_size = max(int(cache_size), 1)
-        if verify not in (None, "checksum"):
-            raise ValueError(f"unknown verify mode {verify!r}")
+        check_verify_mode(verify)
         self.verify = verify
         #: Recovery accounting: replays retried after a checksum
         #: mismatch, and graphs recompiled around quarantined cells.
@@ -374,8 +374,6 @@ class CompiledFunction:
         is dropped, and the signature recaptures — its fresh allocations
         planned around the bad cells — and replays, verified, once more.
         """
-        from repro.faults.checksum import ChecksumError
-
         try:
             return entry.replay(args, verify=self.verify)
         except ChecksumError:

@@ -30,11 +30,12 @@ Instruction routing:
 Cycle accounting is *canonical*, not additive: the pool charges every
 instruction and program the full-geometry bill of the driver's lowering
 (:class:`~repro.backend.base.BilledBackend`, exactly like the NumPy
-backend — pricing, refusal bills, the stream cache and the fault window
-all live there), so a pooled run reports the :class:`~repro.sim.stats.
-SimStats` of a single device — the crossbars of one memory operate in
-lock-step, and sharding the host-side work does not change what the chip
-executes. Workers keep per-shard stats (:meth:`PooledBackend.worker_stats`).
+backend — pricing and refusal bills live there, the stream tier and
+the fault window in its driver), so a pooled run reports the
+:class:`~repro.sim.stats.SimStats` of a single device — the crossbars of
+one memory operate in lock-step, and sharding the host-side work does
+not change what the chip executes. Workers keep per-shard stats
+(:meth:`PooledBackend.worker_stats`).
 
 What this module adds is the routing above and the handle it assembles:
 a :class:`PooledProgram` is the instruction stream cut at bridges into
@@ -180,16 +181,13 @@ class PooledBackend(BilledBackend):
         for k in range(workers):
             lo = k * self.shard
             self._set_worker_words(k, self._words[lo : lo + self.shard])
-        # Resilience state (repro.faults): the cell faults are the base
-        # class's one overlay over the shared image.
+        # Resilience state (repro.faults): the cell faults are the
+        # driver's one overlay over the shared image, and worker faults
+        # are counted into its tally.
         self._fault_plan = None
         self._resilient = False
         self._unit_counts = [0] * workers
         self._quarantined: List[Tuple[int, Backend]] = []
-        self._fault_counters: Dict[str, int] = {
-            "worker_faults": 0,
-            "failovers": 0,
-        }
 
     # ------------------------------------------------------------------
     # Worker memory plumbing
@@ -234,15 +232,6 @@ class PooledBackend(BilledBackend):
         self._fault_plan = plan
         self._resilient = bool(plan.worker_failures)
         return super().install_faults(plan)
-
-    def fault_counters(self) -> Dict[str, int]:
-        counters = super().fault_counters()
-        for kind, count in self._fault_counters.items():
-            if count:
-                counters[kind] = count
-        if self._quarantined:
-            counters["quarantined_shards"] = len(self._quarantined)
-        return counters
 
     @property
     def quarantined_workers(self) -> List[Tuple[int, Backend]]:
@@ -354,7 +343,8 @@ class PooledBackend(BilledBackend):
         plan = self._fault_plan
         if plan is None or not plan.worker_fails(k, unit):
             return
-        self._fault_counters["worker_faults"] += 1
+        tally = self.lowering.verify_tally
+        tally["worker_faults"] = tally.get("worker_faults", 0) + 1
         if resilient:
             # A crashing worker may leave its shard image in any state;
             # scribble seeded garbage so failover provably restores from
@@ -375,7 +365,9 @@ class PooledBackend(BilledBackend):
         self.workers[k] = self._spawn_worker()
         self._set_worker_words(k, self._words[lo : lo + self.shard])
         self._words[lo : lo + self.shard] = snapshot
-        self._fault_counters["failovers"] += 1
+        tally = self.lowering.verify_tally
+        tally["failovers"] = tally.get("failovers", 0) + 1
+        tally["quarantined_shards"] = len(self._quarantined)
         try:
             return thunk(self.workers[k])
         except SimulationError:

@@ -40,6 +40,11 @@ from repro.arch.config import PIMConfig
 from repro.faults.plan import WorkerFault
 from repro.pim.device import PIMDevice
 
+#: Base of the exponential retry backoff: attempt ``n``'s re-arrival is
+#: delayed ``RETRY_BACKOFF_S * 2**(n-1)`` simulated seconds after the
+#: failed attempt.
+RETRY_BACKOFF_S = 1e-3
+
 
 class ServerClosed(RuntimeError):
     """The server was closed while (or before) the request could run.
@@ -152,10 +157,8 @@ class Server:
             whose serving-tier entries inject deterministic worker
             failures (``serve_failures`` / ``fail_every``) and stalls
             (``serve_stalls`` / ``stall_every``) keyed on request
-            sequence number and attempt.
-        retry_backoff_s: base of the exponential retry backoff —
-            attempt ``n``'s re-arrival is delayed ``retry_backoff_s *
-            2**(n-1)`` simulated seconds after the failed attempt.
+            sequence number and attempt; failed attempts re-arrive after
+            :data:`RETRY_BACKOFF_S`-based exponential backoff.
         **backend_kwargs: forwarded to every worker's backend
             (``cache_dir=...`` warm-starts all workers from one
             persistent program cache, ``parallelism``, ...).
@@ -177,7 +180,6 @@ class Server:
         backend: str = "numpy",
         batch_limit: int = 32,
         fault_plan=None,
-        retry_backoff_s: float = 1e-3,
         **backend_kwargs,
     ):
         if workers < 1:
@@ -204,7 +206,6 @@ class Server:
         self._wall_start: Optional[float] = None
         self._closed = False
         self._fault_plan = fault_plan
-        self.retry_backoff_s = float(retry_backoff_s)
         self._seq = 0
         self._outstanding: set = set()
         self._timeouts = 0
@@ -400,7 +401,7 @@ class Server:
                 # re-arrives after the failed attempt plus the backoff,
                 # but its deadline stays anchored at the original
                 # arrival — retries spend the same budget.
-                backoff = self.retry_backoff_s * (2.0 ** request.attempt)
+                backoff = RETRY_BACKOFF_S * (2.0 ** request.attempt)
                 request.attempt += 1
                 request.arrival = end + backoff
                 with self._sim_lock:

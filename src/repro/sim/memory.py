@@ -39,12 +39,6 @@ class CrossbarMemory:
         )
         mask = (1 << config.word_size) - 1
         self.word_mask = dtype(mask)
-        #: The installed :class:`repro.faults.FaultOverlay` clamping
-        #: stuck-at cells and injecting transient flips into this image
-        #: (``None`` when fault-free). The overlay is *ticked* by the
-        #: driver at dispatch boundaries, never by the micro-op
-        #: interpreter, so every replay route sees identical faults.
-        self.overlay = None
 
     @property
     def dtype(self) -> np.dtype:

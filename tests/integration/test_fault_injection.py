@@ -23,6 +23,7 @@ import pytest
 
 import repro.pim as pim
 from repro.arch.config import PIMConfig
+from repro.arch.masks import RangeMask
 from repro.faults import (
     ChecksumError,
     FaultPlan,
@@ -195,6 +196,50 @@ class TestChecksumDetection:
         after = backend.fault_counters()
         assert after["verify_checks"] == 3
         assert after["verify_detected"] == counters.get("verify_detected", 0) + 1
+
+    @pytest.mark.parametrize(
+        "kind", ["simulator", "numpy", "pooled-numpy", "pooled-simulator"]
+    )
+    def test_one_overlay_one_tick_per_dispatch_unit(self, kind):
+        """Every backend arms its driver: the overlay ``install_faults``
+        returns is ``lowering.faults``, and each dispatch unit — an eager
+        macro, a stream, a replay (verified or not) — ticks it once, while
+        compiling ticks nothing."""
+        from repro.backend import NumpyBackend, SimulatorBackend
+        from repro.isa.dtypes import int32
+        from repro.isa.instructions import MoveInstr, RInstr, ROp, WriteInstr
+        from repro.pool import PooledBackend
+
+        if kind.startswith("pooled"):
+            backend = PooledBackend(
+                CFG, workers=2, worker_backend=kind.split("-")[1]
+            )
+        else:
+            backend = {"simulator": SimulatorBackend, "numpy": NumpyBackend}[kind](CFG)
+        overlay = backend.install_faults(FaultPlan(CFG, seed=0))
+        assert backend.lowering.faults is overlay
+        add = RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1)
+        units = [
+            lambda: backend.execute(WriteInstr(1, 5)),
+            lambda: backend.execute(add),
+            lambda: backend.run_stream([
+                WriteInstr(0, 3), add,
+                MoveInstr(src_reg=2, dst_reg=3, src_thread=0, dst_thread=0,
+                          warp_mask=RangeMask(0, 1, 1), warp_dist=2),
+            ]),
+            lambda: backend.compile([add], name="unit"),
+            lambda: backend.run_program(backend.compile([add], name="unit")),
+            lambda: backend.run_program(
+                backend.compile([add], name="unit"), verify="checksum"
+            ),
+        ]
+        ticks = []
+        for unit in units:
+            unit()
+            ticks.append(overlay.counters["ticks"])
+        assert ticks == [1, 2, 3, 3, 4, 5]
+        counters = backend.fault_counters()
+        assert counters["ticks"] == 5 and counters["verify_checks"] == 1
 
     def test_checksum_counters_surface(self):
         device = pim.init(config=CFG, backend="simulator")

@@ -15,8 +15,11 @@ import pytest
 
 from repro.arch.config import small_config
 from repro.arch.masks import RangeMask
-from repro.backend import make_backend
+from repro.backend import NumpyBackend, make_backend
+from repro.backend.base import BilledBackend, BilledProgram
 from repro.backend.simulator import SimulatorBackend
+from repro.driver.driver import Driver
+from repro.driver.stream import MacroStream
 from repro.isa.dtypes import int32
 from repro.isa.instructions import (
     MoveInstr,
@@ -120,6 +123,15 @@ def _program():
     return instrs
 
 
+def _billed_only(driver):
+    """Every stream-tier entry of ``driver`` is a bill-priced handle: no
+    ``MicroProgram`` was lowered for a stream."""
+    return all(
+        isinstance(program, BilledProgram)
+        for program in driver.streams._entries.values()
+    )
+
+
 def _run(backend, instrs):
     reads = []
     for instr in instrs:
@@ -215,32 +227,42 @@ class TestCompiledPath:
 
 
     @pytest.mark.parametrize("worker_backend", ["numpy", "simulator"])
-    def test_streams_are_priced_by_bills_not_lowered(self, worker_backend, tmp_path):
+    def test_streams_are_priced_by_bills_not_lowered(
+        self, worker_backend, tmp_path, monkeypatch
+    ):
         """A stream with bridges and reads matches the single device and
-        leaves no fused program behind: not in the pool's lowering
-        driver, not in a numpy worker's, not in ``cache_dir``."""
+        leaves no fused program behind: the pool's lowering driver and a
+        numpy worker's hold only bill-priced handles, and ``cache_dir``
+        only R-type bodies, whichever kind the workers are."""
         single = SimulatorBackend(CFG)
+        instrs = _program() + [ReadInstr(5, 2, 5)]
+        expected = [single.run_stream(instrs, name="s") for _ in range(2)]
+        compiled = []  # the drivers of every R-type body built from here on
+        build_rtype = Driver._build_rtype
+        monkeypatch.setattr(
+            Driver, "_build_rtype",
+            lambda driver, gb, instr: compiled.append(driver)
+            or build_rtype(driver, gb, instr),
+        )
         pool = PooledBackend(CFG, workers=2, worker_backend=worker_backend,
                              cache_dir=str(tmp_path))
-        instrs = _program() + [ReadInstr(5, 2, 5)]
-        for _ in range(2):
-            assert pool.run_stream(instrs, name="s") == \
-                single.run_stream(instrs, name="s")
+        assert [pool.run_stream(instrs, name="s") for _ in range(2)] == expected
         assert pool.stats == single.stats
         # Registers 0..6 are the program's; a numpy worker skips scratch.
         registers = slice(None) if worker_backend == "simulator" else slice(0, 7)
         assert np.array_equal(pool.words[:, registers], single.words[:, registers])
 
-        assert len(pool.lowering.streams) == 0
-        if worker_backend == "numpy":
-            drivers = [pool.lowering] + [w.lowering for w in pool.workers]
-            assert all(len(driver.streams) == 0 for driver in drivers)
-            # Every entry written to cache_dir is an R-type body: each
-            # body a driver holds was stored by it or loaded from a twin.
-            counters = pool.persist_counters()
-            bodies = sum(len(driver.programs) for driver in drivers)
-            assert counters["stores"] > 0
-            assert counters["stores"] + counters.get("loads", 0) == bodies
+        billed = [pool] + [w for w in pool.workers if isinstance(w, BilledBackend)]
+        assert all(_billed_only(backend.lowering) for backend in billed)
+        # Every entry written to cache_dir is an R-type body: each body a
+        # driver holds was stored by it or loaded from a twin, and every
+        # probe that missed was a body compiled.
+        drivers = [pool.lowering] + [w.lowering for w in pool.workers]
+        counters = pool.persist_counters()
+        bodies = sum(len(driver.programs) for driver in drivers)
+        assert counters["stores"] > 0
+        assert counters["stores"] + counters["loads"] == bodies
+        assert counters["misses"] == len(compiled)
 
 
     @pytest.mark.parametrize("worker_backend", ["numpy", "simulator"])
@@ -261,7 +283,7 @@ class TestCompiledPath:
         assert np.array_equal(
             pool.words[:, :registers], single.words[:, :registers]
         ), seed
-        assert len(pool.lowering.streams) == 0
+        assert _billed_only(pool.lowering)
 
 
 class TestCounters:
@@ -296,9 +318,6 @@ class TestCounters:
         counted (once per tier that saw it), the newest is cached — before
         this was an LRU, stream 4097 and every later one was re-partitioned
         on each call — and every stream still matches a single device."""
-        from repro.backend.numpy_backend import NumpyBackend
-        from repro.driver.stream import MacroStream
-
         single = NumpyBackend(CFG)
         pool = PooledBackend(CFG, workers=2, worker_backend="numpy")
         add = RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=0)
@@ -309,12 +328,41 @@ class TestCounters:
         assert pool.stats == single.stats
         assert single.cache_evictions == 1
         assert pool.cache_evictions == 1 + len(pool.workers)
-        tier = pool._stream_programs
-        assert len(tier) == 4096 and (streams[0], "stream") not in tier
-        newest = tier.get((streams[-1], "stream"))
-        assert newest is not None
+        tier = pool.lowering.streams
+        assert len(tier) == 4096 and _billed_only(pool.lowering)
+        hits, misses = tier.hits, tier.misses
+        newest = pool._stream_program(streams[-1], "stream")
         assert pool._stream_program(streams[-1], "stream") is newest
+        assert (tier.hits, tier.misses) == (hits + 2, misses)
         assert pool.cache_evictions == 1 + len(pool.workers)
+        pool._stream_program(streams[0], "stream")  # the evicted oldest
+        assert tier.misses == misses + 1
+
+    @pytest.mark.parametrize("kind", ["numpy", "pooled-numpy", "pooled-simulator"])
+    def test_cache_size_zero_keeps_no_stream(self, kind):
+        """``cache_size=0`` turns a billed stream tier off as it does a
+        driver's: each stream is priced afresh and none is kept, and the
+        device stays bit- and cycle-identical to a cached one."""
+        def make(**kwargs):
+            if kind == "numpy":
+                return NumpyBackend(CFG, **kwargs)
+            return PooledBackend(CFG, workers=2,
+                                 worker_backend=kind.split("-")[1], **kwargs)
+
+        cached, uncached = make(), make(cache_size=0)
+        instrs = MacroStream(_program() + [ReadInstr(5, 2, 5)])
+        for _ in range(2):
+            assert uncached.run_stream(instrs, name="s") == \
+                cached.run_stream(instrs, name="s")
+        assert np.array_equal(uncached.words, cached.words)
+        assert uncached.stats == cached.stats
+        assert uncached.emit_counters() == cached.emit_counters()
+        assert uncached._stream_program(instrs, "s") is not \
+            uncached._stream_program(instrs, "s")
+        drivers = [uncached.lowering] + [
+            worker.lowering for worker in getattr(uncached, "workers", ())
+        ]
+        assert all(len(driver.streams) == 0 for driver in drivers)
 
 
 class TestShardFaults:

@@ -431,12 +431,13 @@ def logic_h_columns(words) -> dict:
 
 
 def _distinct(values):
-    """``(sorted distinct values, each value's index among them)`` — by
-    hand: ``np.unique`` pulls in ``numpy.ma`` on first use, a large
-    one-time import that would be charged to the first warm start."""
+    """``(sorted distinct values, each value's rank among them)`` — what
+    ``np.unique(values, return_inverse=True)`` returns, by hand (it pulls
+    in ``numpy.ma``, a one-time import charged to the first warm start).
+    Only ranks are returned: no order is promised between equal values."""
     import numpy as np
 
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     ranked = values[order]
     fresh = np.ones(len(ranked), dtype=bool)
     np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])

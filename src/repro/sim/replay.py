@@ -15,12 +15,16 @@ extend the packing one level further:
 - at plan-build time every run becomes a short straight-line *lane
   program*, a :class:`GateRun` record, built from **bit-field columns of
   the program's 64-bit operation words** (:func:`build_gate_runs`) — no
-  op object exists on this path;
+  op object exists on this path. Its steps reference the program's
+  :func:`lane_table`, one lane-free record per *distinct* gate shared by
+  every run of the plan; a record's out-mask is an id into the plan's
+  table of replicated masks for the run's lane count;
 - at replay time a run packs each touched register's masked region into
   one arbitrary-precision integer, a *lane* per word exactly as wide as
   the memory dtype (:meth:`~repro.sim.memory.CrossbarMemory.pack_lanes`
-  — the region's own bytes), and each gate is a handful of whole-region
-  bitwise operations on non-negative integers —
+  — the region's own bytes; a list indexed by register holds them), and
+  each gate is a handful of whole-region bitwise operations on
+  non-negative integers —
   ``v ^ (v & pull & out_mask)``, bit for bit the ``out &= gate(inputs)``
   1→0 stateful-logic update, applied to every masked crossbar and row at
   once. Lanes need no guard space and shifts no re-masking: what a
@@ -51,13 +55,15 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import repeat
-from typing import Dict, Iterator, NamedTuple, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.arch.halfgates import pattern_outputs
 from repro.arch.masks import RangeMask
-from repro.arch.micro_ops import PATTERN_SHIFTS, GateType, LogicHOp
+from repro.arch.micro_ops import (
+    _IDX_FIELD, _PART_FIELD, PATTERN_SHIFTS, GateType, LogicHOp, _distinct,
+)
 from repro.sim.memory import CrossbarMemory
 
 
@@ -163,28 +169,33 @@ _OPCODE_NAMES = [
 class GateRun(NamedTuple):
     """One ``"gates"`` super-step as a lane program: plain data.
 
-    ``steps`` holds one ``(opcode, out, a, shift_a, b, shift_b, mask)``
-    record per gate — registers, shift magnitudes and the out-mask
-    replicated across the region's lanes; an operand slot the gate does
-    not read holds ``out`` and shift 0. Calling the record on a memory
-    executes the whole run — typically thousands of micro-ops — as pack
-    / interpret / unpack over the packed image.
+    ``steps`` holds one lane-free ``(opcode, out, a, shift_a, b, shift_b,
+    mask_id)`` record per gate — a reference into the plan's shared
+    :func:`lane_table`; an operand slot the gate does not read holds
+    ``out`` and shift 0. ``masks[mask_id]`` is the out-mask replicated
+    across the region's lanes (``None`` for ids no run of this lane count
+    reads; one table per lane count of the plan). Calling the record on a
+    memory executes the whole run — typically thousands of micro-ops — as
+    pack / interpret / unpack over the packed image.
     """
 
     xb: RangeMask
     row: RangeMask
     regs: Tuple[int, ...]
     written: Tuple[int, ...]
+    masks: Tuple[Optional[int], ...]
     steps: Tuple[Tuple, ...]
 
     def __call__(self, memory: CrossbarMemory) -> None:
-        xb, row, regs, written, steps = self
-        state = {reg: memory.pack_lanes(xb, reg, row) for reg in regs}
+        xb, row, regs, written, masks, steps = self
+        state = [0] * (regs[-1] + 1)  # indexed by register
+        for reg in regs:
+            state[reg] = memory.pack_lanes(xb, reg, row)
         # The 1->0 update ``out &= ~(pull & out_mask)`` is written
         # ``v ^ (v & pull & out_mask)``: the same bits from three
         # non-negative operations (no big-integer negation), and the AND
         # with ``v`` bounds a left-shifted ``pull`` to the region's bits.
-        for op, out, a, s_a, b, s_b, mask in steps:
+        for op, out, a, s_a, b, s_b, m in steps:
             value = state[out]
             if op == 0:
                 pull = (state[a] << s_a) | (state[b] << s_b)
@@ -193,7 +204,7 @@ class GateRun(NamedTuple):
             elif op == 2:
                 pull = (state[a] >> s_a) | (state[b] >> s_b)
             elif op == 3:  # INIT1
-                state[out] = value | mask
+                state[out] = value | masks[m]
                 continue
             elif op == 4:
                 pull = state[a] << s_a
@@ -208,8 +219,8 @@ class GateRun(NamedTuple):
             elif op == 9:
                 pull = state[a] | state[b]
             else:  # INIT0
-                pull = mask
-            state[out] = value ^ (value & pull & mask)
+                pull = masks[m]
+            state[out] = value ^ (value & pull & masks[m])
         for reg in written:
             memory.unpack_lanes(xb, reg, row, state[reg])
 
@@ -234,51 +245,91 @@ def pattern_masks(keys, partitions: int) -> list:
     return list(map(_pattern_mask, gates, *parts, repeat(partitions)))
 
 
-def build_gate_runs(program, config, memory: CrossbarMemory) -> Iterator[GateRun]:
-    """The :class:`GateRun` of every ``"gates"`` super-step, in order.
+#: Bit widths of a record's fields in its ``int64`` key, in record order:
+#: opcode, out, a, shift a, b, shift b (register and partition fields as
+#: wide as the operation word's), then the mask id in the bits left (an
+#: out-mask is fixed by ``p_out, p_end, p_step``: < 2**(3 * part) of them).
+_RECORD_WIDTHS = (len(OPCODES).bit_length(), _IDX_FIELD, _IDX_FIELD,
+                  _PART_FIELD, _IDX_FIELD, _PART_FIELD)
+_RECORD_WIDTHS += (63 - sum(_RECORD_WIDTHS),)
+assert _RECORD_WIDTHS[-1] >= 3 * _PART_FIELD, "a record key overflows int64"
 
-    Built from the bit-field columns of the program's operation words
-    (:attr:`~repro.driver.program.MicroProgram.gate_table`: constructor
-    invariants checked, no op object built). Each distinct partition
-    pattern is validated once (:func:`pattern_masks`); replicated lane
-    masks are shared per distinct mask *value* by the runs of one plan
-    (they depend on the lane width, so never across simulators). The
-    caller guarantees the program is self-masked — every gate sits in a
-    run — and that :func:`lanes_pay_off` holds.
+
+def lane_table(gate_table, partitions: int) -> tuple:
+    """``(records, ids, masks)`` of a
+    :func:`~repro.arch.micro_ops.gate_table`'s gates: the distinct
+    lane-free records, each gate's index among them, and the distinct
+    out-mask values a record's mask id indexes. The seven per-gate
+    columns are keyed into one ``int64``; only distinct keys become
+    tuples. Each distinct pattern is validated once (:func:`pattern_masks`).
     """
-    fields, keys, index = program.gate_table
+    fields, keys, index = gate_table
     gate, out = fields["gate"], fields["out"]
     reads_a, reads_b = gate >= GateType.NOT, gate == GateType.NOR
     shift_a = np.where(reads_a, fields["p_out"] - fields["p_a"], 0)
     shift_b = np.where(reads_b, fields["p_out"] - fields["p_b"], 0)
+    mask_ids: Dict[int, int] = {}
+    of_pattern = np.array([mask_ids.setdefault(mask, len(mask_ids))
+                           for mask, _ in pattern_masks(keys, partitions)], np.int64)
     columns = (
         _OPCODE_OF[gate, np.sign(shift_a) + 1, np.sign(shift_b) + 1], out,
         np.where(reads_a, fields["in_a"], out), np.abs(shift_a),
         np.where(reads_b, fields["in_b"], out), np.abs(shift_b),
+        of_pattern[index],
     )
-    masks = [mask for mask, _ in pattern_masks(keys, config.partitions)]
+    key = np.zeros(len(index), dtype=np.int64)
+    starts = np.cumsum((0,) + _RECORD_WIDTHS[:-1]).tolist()
+    for column, start in zip(columns, starts):
+        key |= column.astype(np.int64) << start
+    distinct, ids = _distinct(key)
+    records = list(zip(*(
+        ((distinct >> start) & ((1 << width) - 1)).tolist()
+        for start, width in zip(starts, _RECORD_WIDTHS)
+    )))
+    return records, ids, list(mask_ids)
+
+
+def build_gate_runs(program, config, memory: CrossbarMemory) -> Iterator[GateRun]:
+    """The :class:`GateRun` of every ``"gates"`` super-step, in order.
+
+    A run's steps are references into the program's :func:`lane_table`
+    (bit-field columns of its words; no op object built), one tuple per
+    distinct body — the same fp-add body at 1 ... 64 lanes. A mask is
+    replicated across the lanes (``mask * unit``) only for the lane
+    counts whose runs read it, one table per lane count (it depends on
+    the lane width, so is never shared across simulators). The caller
+    guarantees the program is self-masked — every gate sits in a run —
+    and that :func:`lanes_pay_off` holds.
+    """
+    records, ids, masks = lane_table(program.gate_table, config.partitions)
     width = 8 * memory.dtype.itemsize
-    replicated: Dict[int, Dict[int, int]] = {}  # lanes -> out-mask -> replicated
+    runs, read = [], {}  # read: lanes -> the mask ids its runs read
+    bodies = {}  # a run's record ids -> (regs, written, mask ids, steps)
     done = 0
     for segment in program.super_steps:
         if segment.kind != "gates":
             continue
-        span = slice(done, done + len(segment))
-        done = span.stop
-        used = index[span].tolist()
+        run_ids = ids[done : done + len(segment)]
+        done += len(segment)
+        body = run_ids.tobytes()
+        if body not in bodies:
+            used = run_ids.tolist()
+            _, out, a, _, b, _, mask_ids = zip(*map(records.__getitem__, set(used)))
+            bodies[body] = (
+                tuple(sorted(set(out).union(a, b))), tuple(sorted(set(out))),
+                set(mask_ids), tuple(map(records.__getitem__, used)),
+            )
+        regs, written, mask_ids, steps = bodies[body]
         xb, row = RangeMask(*segment.xb), RangeMask(*segment.row)
         lanes = len(xb) * len(row)
+        read.setdefault(lanes, set()).update(mask_ids)
+        runs.append((xb, row, regs, written, lanes, steps))
+    tables = {}
+    for lanes, mask_ids in read.items():
         # Bit 0 of every lane: ``mask * unit`` replicates a (< 2**width)
         # mask into all of them.
         unit = ((1 << width * lanes) - 1) // ((1 << width) - 1)
-        reps = replicated.setdefault(lanes, {})
-        for mask in set(map(masks.__getitem__, set(used))).difference(reps):
-            reps[mask] = mask * unit
-        run = [column[span].tolist() for column in columns]
-        run.append(map(reps.__getitem__, map(masks.__getitem__, used)))
-        yield GateRun(
-            xb, row,
-            tuple(sorted(set().union(run[1], run[2], run[4]))),
-            tuple(sorted(set(run[1]))),
-            tuple(zip(*run)),
-        )
+        tables[lanes] = tuple(mask * unit if mask_id in mask_ids else None
+                              for mask_id, mask in enumerate(masks))
+    for xb, row, regs, written, lanes, steps in runs:
+        yield GateRun(xb, row, regs, written, tables[lanes], steps)

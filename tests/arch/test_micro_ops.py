@@ -131,6 +131,25 @@ def test_logic_h_roundtrip_property(
     assert roundtrip(op) == op
 
 
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64, np.uint64])
+def test_distinct_ranks_values_like_np_unique(dtype):
+    """``_distinct`` is ``np.unique(values, return_inverse=True)``: sorted
+    distinct values and each value's rank, duplicates included."""
+    from repro.arch.micro_ops import _distinct
+
+    rng = np.random.default_rng(26)
+    info = np.iinfo(dtype)
+    for size, kinds in ((0, 1), (1, 1), (500, 7), (4000, 300), (4000, 3000)):
+        pool = rng.integers(info.min, info.max, size=kinds, dtype=dtype,
+                            endpoint=True)
+        values = rng.choice(pool, size=size)  # size 0: the empty array
+        distinct, ranks = _distinct(values)
+        expected, inverse = np.unique(values, return_inverse=True)
+        assert distinct.dtype == values.dtype
+        assert np.array_equal(distinct, expected)
+        assert np.array_equal(ranks, inverse.reshape(-1))
+
+
 class TestEncodeRows:
     """A gate given as its row — the nine fields in layout order — packs to
     the word of the op object, and is refused like the op object."""

@@ -306,17 +306,21 @@ class TestEngineSelection:
         unit = sum(1 << 32 * lane for lane in range(len(xb) * len(row)))
         init1, nor_up = replay.OPCODES.index((GateType.INIT1, 0, 0)), 0
         assert replay.OPCODES[nor_up] == (GateType.NOR, 1, 1)
+        # Mask ids follow the pattern keys: the NOR's (p_end 2) before the
+        # INIT1's (p_end 31); both runs have 32 lanes, so share one table.
+        masks = (0b100 * unit, 0xFFFFFFFF * unit)
         assert sim.replay_plan(program).steps == (
             (CrossbarMaskOp, xb),
             (RowMaskOp, row),
-            replay.GateRun(xb, row, (3,), (3,),
-                           ((init1, 3, 3, 0, 3, 0, 0xFFFFFFFF * unit),)),
+            replay.GateRun(xb, row, (3,), (3,), masks,
+                           ((init1, 3, 3, 0, 3, 0, 1),)),
             (WriteOp, 2, 7),
-            replay.GateRun(xb, row, (0, 1, 3), (3,),
-                           ((nor_up, 3, 0, 2, 1, 1, 0b100 * unit),)),
+            replay.GateRun(xb, row, (0, 1, 3), (3,), masks,
+                           ((nor_up, 3, 0, 2, 1, 1, 0),)),
         )
         run = sim.replay_plan(program).steps[-1]
-        assert list(run) == [run.xb, run.row, run.regs, run.written, run.steps]
+        assert list(run) == [run.xb, run.row, run.regs, run.written,
+                             run.masks, run.steps]
         assert run.summary() == {"lanes": 32, "steps": 1, "regs": 3, "masks": 1,
                                  "opcodes": {"NOR<<": 1}}
 
@@ -550,6 +554,80 @@ class TestPlanRecords:
         assert np.array_equal(sim.memory.words, reference.memory.words)
         assert sim.stats == reference.stats
         assert sim.replay_counters == {"vectorized": 1, "reference": 0}
+
+
+def _grad_terms(x, y):
+    """``bench``'s ``session_warm`` function: a dead temporary, a constant
+    subgraph and a recomputed product for the O3 optimizer."""
+    import repro.pim as pim
+
+    _ = x - y
+    scale = pim.full(len(x), 0.5, dtype=pim.float32, device=x.device) * 4.0
+    pred = x * y + x
+    resid = x * y - x
+    return pred, (resid * scale).sum()
+
+
+@pytest.fixture(scope="module")
+def session_plan():
+    """The lane table's records and masks of the ``session_warm`` program
+    (``_grad_terms`` at O3, 4x16, n=64), and its plan's gate runs."""
+    import repro.pim as pim
+
+    config = PIMConfig(crossbars=4, rows=16)
+    device = pim.PIMDevice(config, backend="simulator")
+    rng = np.random.default_rng(3)
+    x, y = (pim.from_numpy(rng.uniform(0.5, 2.0, 64).astype(np.float32),
+                           device=device) for _ in range(2))
+    func = pim.CompiledFunction(_grad_terms, device=device, opt_level=3)
+    func(x, y)
+    program = func._entry_for((x, y)).program
+    plan = device.backend.simulator.replay_plan(program)
+    device.close()
+    records, _, masks = replay.lane_table(program.gate_table, config.partitions)
+    return records, masks, [s for s in plan.steps if type(s) is replay.GateRun]
+
+
+class TestSharedRecords:
+    """A plan holds one record object per distinct gate record: lane-free
+    records shared by every run, out-masks in one table per lane count."""
+
+    def test_one_slice_under_two_row_masks_shares_its_records(self):
+        body = [_init1(3), _gate(3, 0, 1), _gate(4, 3, 2, p_out=5, p_a=1, p_b=6)]
+        ops = _masked(body + [RowMaskOp(0, 3, 1)] + body)
+        sim, _, program = _replay_vs_op_by_op(CFG, ops, replays=2)
+        wide, narrow = [s for s in sim.replay_plan(program).steps
+                        if type(s) is replay.GateRun]
+        assert wide.steps == narrow.steps
+        assert all(a is b for a, b in zip(wide.steps, narrow.steps))
+        assert len(wide.xb) * len(wide.row) == 32
+        assert len(narrow.xb) * len(narrow.row) == 16
+        assert wide.masks != narrow.masks
+
+    def test_the_session_plan_holds_one_object_per_distinct_record(
+        self, session_plan
+    ):
+        records, _, runs = session_plan
+        objects = {id(record) for run in runs for record in run.steps}
+        values = {record for run in runs for record in run.steps}
+        assert len(objects) == len(values) == len(records) == 12706
+        assert sum(len(run.steps) for run in runs) > 4 * len(records)
+
+    def test_a_widths_mask_table_holds_exactly_the_ids_its_runs_read(
+        self, session_plan
+    ):
+        _, masks, runs = session_plan
+        by_width = {}
+        for run in runs:
+            by_width.setdefault(len(run.xb) * len(run.row), []).append(run)
+        assert len(by_width) > 2
+        for lanes, group in by_width.items():
+            table = group[0].masks
+            assert all(run.masks is table for run in group)
+            read = {record[6] for run in group for record in run.steps}
+            assert {m for m, rep in enumerate(table) if rep is not None} == read
+            unit = sum(1 << 32 * lane for lane in range(lanes))
+            assert all(table[m] == masks[m] * unit for m in read)
 
 
 def _h_word(**fields):

@@ -104,22 +104,18 @@ class PIMConfig:
         return range(self.user_registers, self.registers)
 
 
-def config_fingerprint(config: PIMConfig) -> Tuple[int, int, int, int, int]:
-    """The geometry identity a compiled program depends on.
+def config_fingerprint(config: PIMConfig) -> Tuple[int, int, int, int, int, int]:
+    """The identity a compiled program depends on.
 
     Two configs with equal fingerprints validate exactly the same micro-op
     streams (register/row/crossbar ranges, partition patterns, and word
-    size all match).  ``frequency_hz`` and ``scratch_registers`` are
-    deliberately excluded: they change throughput numbers and lowering
-    choices, but never the validity of an already-generated stream.
+    size all match) and lower every macro alike: ``scratch_registers``
+    fixes the registers a body may clobber, so a body lowered under
+    another range would overwrite live user registers. ``frequency_hz``
+    only changes throughput numbers.
     """
-    return (
-        config.crossbars,
-        config.rows,
-        config.columns,
-        config.partitions,
-        config.word_size,
-    )
+    return (config.crossbars, config.rows, config.columns, config.partitions,
+            config.word_size, config.scratch_registers)
 
 
 def paper_config() -> PIMConfig:

@@ -81,6 +81,7 @@ class Backend(abc.ABC):
     ):
         """Compile a macro-instruction stream into a replayable program.
 
+        A verbatim compile is the program :meth:`run_stream` dispatches.
         The returned handle is backend-specific (a
         :class:`~repro.driver.program.MicroProgram` on the simulator, a
         :class:`~repro.backend.numpy_backend.FunctionalProgram` on the
@@ -246,7 +247,7 @@ class BilledProgram:
     peephole-optimized stream) once per replay."""
 
     name: str
-    config_fingerprint: Tuple[int, int, int, int, int]
+    config_fingerprint: Tuple[int, ...]
     stats_delta: SimStats
     macros: int
     #: Micro-ops before the peephole passes ran (``MicroProgram.source_ops``).
@@ -262,14 +263,14 @@ class BilledBackend(Backend):
 
     A subclass says how an instruction and a program reach the word
     image (``execute`` / ``run_program``) and what handle a priced
-    stream becomes (``_assemble(instrs, name, delta, source_ops,
-    optimize)``, ``optimize`` being ``None`` for a stream priced by
-    bills). The rest is here, once: every distinct instruction is
-    priced through a real :class:`~repro.driver.driver.Driver` whose
-    chip port is never used (:meth:`_instr_delta`, memoized, with the
-    hit/miss counters ``cache_counters`` reports), a stream is that
-    driver's stream-tier entry (:meth:`_stream_program`), and every
-    dispatch unit ends in the driver's fault window (:meth:`_settle`).
+    stream becomes (``_assemble(instrs, name, delta, source_ops)``).
+    The rest is here, once: every distinct instruction is priced
+    through a real :class:`~repro.driver.driver.Driver` whose chip port
+    is never used (:meth:`_instr_delta`, memoized, with the hit/miss
+    counters ``cache_counters`` reports), a verbatim stream — run or
+    compiled — is that driver's stream-tier entry
+    (:meth:`_stream_program`), and every dispatch unit ends in the
+    driver's fault window (:meth:`_settle`).
     """
 
     def __init__(self, config: PIMConfig, move_cost: str, **driver_kwargs):
@@ -325,7 +326,7 @@ class BilledBackend(Backend):
         runs; a non-R lowering op by op, so the ops before the refused
         one ran and their bill (handed over by the walk) is charged."""
         if isinstance(instr, RInstr):
-            self.lowering._check_instr_masks(instr.warp_mask, instr.row_mask)
+            self.lowering.check_stream((instr,))
         try:
             return self._instr_delta(instr)
         except SimulationError as refusal:
@@ -336,12 +337,14 @@ class BilledBackend(Backend):
     def _compile(
         self, instructions: Sequence[Instruction], name: str, optimize: bool
     ) -> BilledProgram:
-        """``compile``: lower once through the real driver (with the
-        peephole passes when ``optimize``) purely to fix the cycle bill."""
-        instrs = tuple(instructions)
-        micro = self.lowering.compile(list(instrs), name=name, optimize=optimize)
+        """``compile``: a verbatim stream is its :meth:`_stream_program`; an
+        optimized one is lowered through the real driver for its bill."""
+        if not optimize:
+            return self._stream_program(instructions, name)
+        instrs = MacroStream.wrap(instructions)
+        micro = self.lowering.compile(instrs, name=name, optimize=True)
         delta = micro.bill(self.config).billed(self.move_cost)
-        return self._assemble(instrs, name, delta, micro.source_ops, optimize)
+        return self._assemble(instrs, name, delta, micro.source_ops)
 
     def _stream_program(
         self, instructions: Sequence[Instruction], name: str
@@ -354,12 +357,13 @@ class BilledBackend(Backend):
         )
 
     def _price_stream(self, instrs: MacroStream, name: str) -> BilledProgram:
-        """A stream's handle, priced as the sum of the bills :meth:`execute`
-        charges (:meth:`Backend.stream_stats`)."""
+        """A stream's handle: refused whole as the splice refuses it, then
+        priced as the sum of the bills :meth:`execute` charges."""
+        self.lowering.check_stream(instrs)
         delta = SimStats()
         for instr in instrs:
             delta.merge(self._instr_delta(instr))
-        return self._assemble(instrs, name, delta, delta.micro_ops, None)
+        return self._assemble(instrs, name, delta, delta.micro_ops)
 
     def _run_stream(
         self, instructions: Sequence[Instruction], name: str

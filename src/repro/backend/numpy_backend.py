@@ -121,11 +121,11 @@ class NumpyBackend(BilledBackend):
         name: str = "stream",
         optimize: bool = True,
     ) -> FunctionalProgram:
-        """Compile a stream: priced by the driver's lowering, replayed
-        from its macro-instructions."""
+        """Compile a stream: priced by the driver's lowering (verbatim:
+        the stream program), replayed from its macro-instructions."""
         return self._compile(instructions, name, optimize)
 
-    def _assemble(self, instrs, name, delta, source_ops, optimize):
+    def _assemble(self, instrs, name, delta, source_ops):
         return FunctionalProgram(
             name, self._fingerprint, delta, len(instrs), source_ops, instrs
         )

@@ -142,7 +142,7 @@ class Driver:
             via ``Backend.cache_counters()``.
         cache_dir: directory for the cross-session persistent program
             store (see :mod:`repro.driver.persist`): compiled bodies and
-            fused streams are written through and restored on later
+            optimized streams are written through and restored on later
             sessions' misses, skipping gate building entirely. Defaults
             from ``REPRO_CACHE_DIR``; ``None`` (and no env var) keeps
             the cache in-memory only.
@@ -227,16 +227,16 @@ class Driver:
         """
         if isinstance(instr, RInstr):
             return self.execute_stream((instr,))
-        return self._execute_lowered(instr)
+        return self._execute_lowered((instr,))
 
-    def _execute_lowered(self, instr: Instruction) -> Optional[int]:
-        """The plan-less path: lower, forward op-by-op, one fault tick."""
-        ops = self.lower(instr)
+    def _execute_lowered(self, instrs: Tuple[Instruction, ...]) -> Optional[int]:
+        """The plan-less path: one dispatch unit's macros op by op, one window."""
         response: Optional[int] = None
-        for op in ops:
-            result = self.chip.execute(op)
-            if result is not None:
-                response = result
+        for instr in instrs:
+            for op in self.lower(instr):
+                result = self.chip.execute(op)
+                if result is not None:
+                    response = result
         self.close_window()
         return response
 
@@ -358,6 +358,8 @@ class Driver:
         instructions are coalesced and provably-redundant ``INIT1`` cycles
         eliminated (see :mod:`repro.driver.compiler`) — a bit-identical
         memory state in fewer cycles; replay it with :meth:`run_program`.
+        A verbatim stream (``optimize=False``) *is* its
+        :meth:`stream_program`, kept in memory only.
 
         The lowering is *spliced* (:meth:`_compile_spliced`): the words of
         cached per-R-type bodies (valid by construction, never
@@ -367,16 +369,17 @@ class Driver:
         objects, the whole stream validated — which the conformance suite
         checks the spliced programs against, op for op.
 
-        Compiled streams are cached in :attr:`streams` (the stream tier),
-        keyed on the exact instruction sequence, the profiling ``name``,
-        *and the full lowering configuration* (the ``optimize`` flag, the
-        lowering, the parallelism mode, and the config fingerprint):
-        recompiling the same stream is a cache hit, and switching any of
-        those mid-session can never replay a stale program compiled
-        under different flags.
+        Other programs are cached in :attr:`streams` (written through to
+        ``cache_dir``), keyed on the exact instruction sequence, the
+        profiling ``name``, *and the full lowering configuration* (the
+        ``optimize`` flag, the lowering, the parallelism mode, and the
+        config fingerprint): switching any of those mid-session can never
+        replay a stale program compiled under different flags.
         """
         if emit not in ("stream", "macro"):
             raise ValueError(f"emit must be 'stream' or 'macro', not {emit!r}")
+        if emit == "stream" and not optimize:
+            return self.stream_program(instructions, name)
         instrs = MacroStream.wrap(instructions)
         key = None
         if self.cache_enabled:
@@ -409,26 +412,20 @@ class Driver:
         """Splice operation words: cached bodies between the encoding of
         everything else (mask preambles, the short non-R lowerings).
 
-        R-type bodies come pre-validated from the body cache (only their
-        mask preambles need range checks here) and a move's gates act on
-        validated registers, so only the non-gate ops of the short non-R
-        lowerings are validated op by op; one ``encode_many`` call encodes
-        everything outside the bodies (what passed validation fits its
-        word: ``PIMConfig`` bounds the geometry by the field widths). The
-        peephole passes read the words as integer columns.
+        The stream is refused whole first (:meth:`check_stream`); one
+        ``encode_many`` call then encodes everything outside the bodies
+        (what passed validation fits its word: ``PIMConfig`` bounds the
+        geometry by the field widths). The peephole passes read the words
+        as integer columns.
         """
-        config, word_size = self.config, self.config.word_size
+        word_size = self.config.word_size
         pieces: list = []  # body programs, and between them op lists
-        for instr in instrs:
-            validate(instr, config.registers)
-            if isinstance(instr, RInstr):
-                self._check_instr_masks(instr.warp_mask, instr.row_mask)
+        for instr, short in zip(instrs, self.check_stream(instrs)):
+            if short is None:
                 pieces.append(self._mask_ops(instr.warp_mask, instr.row_mask))
                 pieces.append(self._rtype_program(instr))
             else:
-                lowered = self._lower_short(instr)
-                validate_ops([op for op in lowered if type(op) is not tuple], config)
-                pieces.append(lowered)
+                pieces.append(short)
         loose = [piece for piece in pieces if type(piece) is list]
         encoded = encode_many(chain.from_iterable(loose), word_size)
         cuts = iter(np.split(encoded, np.cumsum([len(piece) for piece in loose])))
@@ -445,17 +442,30 @@ class Driver:
             macros=len(instrs), source_ops=source_ops,
         )
 
-    def _check_instr_masks(
-        self, warp_mask: Optional[RangeMask], row_mask: Optional[RangeMask]
-    ) -> None:
-        """The mask-range checks full validation would apply (spliced path)."""
-        if warp_mask is not None and warp_mask.stop >= self.config.crossbars:
-            raise CompileError("crossbar mask out of range")
-        if row_mask is not None and row_mask.stop >= self.config.rows:
-            raise CompileError("row mask out of range")
+    def check_stream(self, instrs: Tuple[Instruction, ...]) -> list:
+        """Refuse a stream whole before any of it is built, priced or run,
+        on every backend: ISA validation, an R-type's mask ranges, a short
+        lowering's non-gate ops. Returns the short lowerings (``None`` for
+        an R-type, whose body is valid by construction)."""
+        config = self.config
+        shorts: list = []
+        for instr in instrs:
+            validate(instr, config.registers)
+            if not isinstance(instr, RInstr):
+                lowered = self._lower_short(instr)
+                validate_ops([op for op in lowered if type(op) is not tuple], config)
+                shorts.append(lowered)
+                continue
+            for mask, size, axis in ((instr.warp_mask, config.crossbars, "crossbar"),
+                                     (instr.row_mask, config.rows, "row")):
+                if mask is not None and mask.stop >= size:
+                    raise CompileError(f"{axis} mask out of range")
+            shorts.append(None)
+        return shorts
 
     def stream_program(self, instructions, name: str = "stream", build=None):
-        """The stream-tier entry of a verbatim stream, kept in memory only.
+        """A verbatim stream's stream-tier entry, in memory only: what
+        :meth:`execute_stream` dispatches and an O0 :meth:`compile` returns.
 
         ``build(instrs, name)`` makes it on a miss: by default the fused,
         unoptimized splice the chip replays (a plan must match op-by-op
@@ -482,8 +492,8 @@ class Driver:
         a single ``chip.execute_program`` call followed by one fault
         tick. A stream with no plan (a disabled cache, more than
         :data:`~repro.driver.stream.MAX_PLAN_MACROS` macros) touches no
-        cache: it is lowered and forwarded op-by-op instead, one fault
-        tick per macro, bit-identically. Returns the last read response.
+        cache: it is lowered and forwarded op-by-op instead, still one
+        fault tick, bit-identically. Returns the last read response.
         """
         instrs = MacroStream.wrap(instructions)
         if not instrs:
@@ -493,12 +503,7 @@ class Driver:
             self.emit_counters["stream"] += 1
             return self._dispatch(program)
         self.emit_counters["macro"] += 1
-        response: Optional[int] = None
-        for instr in instrs:
-            result = self._execute_lowered(instr)
-            if result is not None:
-                response = result
-        return response
+        return self._execute_lowered(instrs)
 
     def run_program(
         self, program: MicroProgram, verify: Optional[str] = None

@@ -58,9 +58,9 @@ from repro.sim.stats import SimStats
 
 #: Bump when the on-disk entry layout (or the meaning of any field)
 #: changes; older entries then read as cold misses, never as garbage.
-#: v3: binary entries carrying the program's bill (v2 was JSON+base64 in
-#: ``pim-<digest>.json`` files, which a v3 store of the same key removes).
-FORMAT_VERSION = 3
+#: v3: binary entries carrying the program's bill (v2: ``pim-<digest>.json``
+#: files, removed by a later store of the key); v4: scratch in the fingerprint.
+FORMAT_VERSION = 4
 
 #: Environment variable supplying a default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -122,7 +122,7 @@ class MicroProgram:
         self,
         words: np.ndarray,
         name: str,
-        config_fingerprint: Tuple[int, int, int, int, int],
+        config_fingerprint: Tuple[int, ...],
         reads: int = 0,
         macros: int = 0,
         source_ops: int = 0,

@@ -16,8 +16,8 @@ A stream has no plan for exactly two reasons: the driver's cache is off
 (``cache_size=0``: there is nowhere to keep one), or the stream is longer
 than :data:`MAX_PLAN_MACROS`.  It is then lowered and forwarded op-by-op,
 macro by macro, by ``Driver._execute_lowered`` — bit-identically in
-memory, ``SimStats`` and read responses.  Nothing selects between the
-two.
+memory, ``SimStats``, read responses and its one fault window.  Nothing
+selects between the two.
 
 This module holds the two things a plan lookup needs besides the driver:
 :class:`MacroStream`, the stream handle, and :data:`MAX_PLAN_MACROS`.
@@ -66,4 +66,7 @@ class MacroStream(tuple):
 #: 64x1024; no plans at all: 62.6 s, 47 MB peak RSS): every stream
 #: planned 38.4 s / 790 MB; up to 16 384 macros 42.9 s / 334 MB; up to
 #: 4 096 macros 44.0 s / 218 MB; up to 1 024 macros 55.7 s / 188 MB.
+#: Planning only to drop the plan loses: 4 096 random intra-warp moves
+#: (simulator, 16x256, 2-vCPU Xeon) take 380-500 ms op by op, 550-640 ms
+#: to plan and replay once; only a warm replay (110-130 ms) wins.
 MAX_PLAN_MACROS = 4096

@@ -34,18 +34,19 @@ backend — pricing and refusal bills live there, the stream tier and
 the fault window in its driver), so a pooled run reports the
 :class:`~repro.sim.stats.SimStats` of a single device — the crossbars of
 one memory operate in lock-step, and sharding the host-side work does
-not change what the chip executes. Workers keep per-shard stats
-(:meth:`PooledBackend.worker_stats`).
+not change what the chip executes. A worker's own counters are nobody's
+books.
 
 What this module adds is the routing above and the handle it assembles:
 a :class:`PooledProgram` is the instruction stream cut at bridges into
-segments, each segment one program per worker it touches, and replay
-runs segments in order (bridges at pool level, shard segments through
-each worker's own replay fast path). The replayed response is the
-globally-last read's worker result. :meth:`PooledBackend.compile` prices
-the stream through the full-geometry lowering; :meth:`PooledBackend.
-run_stream` prices it by bills, so no full-geometry ``MicroProgram`` is
-lowered for a stream, and on numpy workers no per-shard one either.
+segments, each segment one program per worker it touches — always that
+worker's stream program for its part — and replay runs segments in
+order (bridges at pool level, shard segments through each worker's own
+replay fast path). The replayed response is the globally-last read's
+worker result. Only the canonical bill follows ``optimize``: an
+optimized :meth:`PooledBackend.compile` lowers the full-geometry stream
+to price it, a verbatim one and :meth:`PooledBackend.run_stream` price
+it by bills (the peephole passes never change the image).
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from repro.isa.instructions import (
     written_region,
 )
 from repro.sim.simulator import SimulationError
-from repro.sim.stats import SimStats
 
 
 def shard_mask(mask: RangeMask, lo: int, hi: int) -> Optional[RangeMask]:
@@ -98,7 +98,7 @@ class _Segment:
 
     ``kind == "bridge"``: ``instr`` is the inter-warp move executed at
     pool level. ``kind == "shard"``: ``programs`` maps worker index to
-    that worker's compiled program for this run of instructions.
+    that worker's stream program for this run of instructions.
     """
 
     kind: str
@@ -199,10 +199,6 @@ class PooledBackend(BilledBackend):
         else:
             worker._words = view
 
-    def worker_stats(self) -> List[SimStats]:
-        """Per-shard stats snapshots (host-side accounting of each worker)."""
-        return [worker.stats.copy() for worker in self.workers]
-
     # ------------------------------------------------------------------
     # Backend interface
     # ------------------------------------------------------------------
@@ -251,11 +247,11 @@ class PooledBackend(BilledBackend):
         optimize: bool = True,
     ) -> PooledProgram:
         """Compile a stream: price it against the full geometry, then cut
-        it at bridge moves and compile each segment per worker shard."""
+        it at bridge moves into each worker shard's stream programs."""
         return self._compile(instructions, name, optimize)
 
-    def _assemble(self, instrs, name, delta, source_ops, optimize):
-        segments, response_site = self._partition(instrs, name, optimize)
+    def _assemble(self, instrs, name, delta, source_ops):
+        segments, response_site = self._partition(instrs, name)
         return PooledProgram(
             name, self._fingerprint, delta, len(instrs), source_ops,
             segments, response_site,
@@ -307,8 +303,9 @@ class PooledBackend(BilledBackend):
     # ------------------------------------------------------------------
     # Shard fault handling: injection, quarantine, failover
     # ------------------------------------------------------------------
-    def _run_shard(self, k: int, thunk, what) -> Optional[int]:
-        """Run one unit of shard work with crash containment.
+    def _run_shard(self, k: int, work, what) -> Optional[int]:
+        """Run one unit of shard work, ``work(worker)``, with crash
+        containment.
 
         Every worker call funnels through here. A worker exception (real
         or injected) either surfaces as a :class:`ShardError` carrying
@@ -327,12 +324,12 @@ class PooledBackend(BilledBackend):
             snapshot = self._words[lo : lo + self.shard].copy()
         try:
             self._maybe_inject(k, unit, lo, snapshot is not None)
-            return thunk(self.workers[k])
+            return work(self.workers[k])
         except SimulationError:
             raise
         except Exception as exc:
             if snapshot is not None:
-                return self._failover(k, snapshot, thunk, what, exc)
+                return self._failover(k, snapshot, work, what, exc)
             raise ShardError(
                 k, (lo, lo + self.shard - 1), str(what), exc
             ) from exc
@@ -359,7 +356,7 @@ class PooledBackend(BilledBackend):
             f"injected fault in pool worker {k} (unit {unit})"
         )
 
-    def _failover(self, k, snapshot, thunk, what, cause) -> Optional[int]:
+    def _failover(self, k, snapshot, work, what, cause) -> Optional[int]:
         lo = k * self.shard
         self._quarantined.append((k, self.workers[k]))
         self.workers[k] = self._spawn_worker()
@@ -369,7 +366,7 @@ class PooledBackend(BilledBackend):
         tally["failovers"] = tally.get("failovers", 0) + 1
         tally["quarantined_shards"] = len(self._quarantined)
         try:
-            return thunk(self.workers[k])
+            return work(self.workers[k])
         except SimulationError:
             raise
         except Exception as exc:
@@ -414,27 +411,21 @@ class PooledBackend(BilledBackend):
         self._words[dests, stage2, instr.dst_thread] = ~value
         self._words[dests, instr.dst_reg, instr.dst_thread] = value
 
-    def _partition(
-        self, instrs: Tuple[Instruction, ...], name: str, optimize: Optional[bool]
-    ):
+    def _partition(self, instrs: Tuple[Instruction, ...], name: str):
         """Cut a stream at bridges; each shard's part of a segment is that
-        worker's own program: compiled under ``optimize``, or (``None``)
-        its stream program, which a numpy worker prices without lowering."""
+        worker's stream program (a numpy worker prices it without
+        lowering), whatever the pool's own program was compiled under."""
         segments: List[_Segment] = []
         pending: List[List[Instruction]] = [[] for _ in self.workers]
         pending_read: Optional[int] = None
         response_site: Optional[Tuple[int, int]] = None
 
-        def shard_program(k: int, sub: List[Instruction], sub_name: str):
-            if optimize is None:
-                return self.workers[k]._stream_program(sub, sub_name)
-            return self.workers[k].compile(sub, name=sub_name, optimize=optimize)
-
         def flush() -> None:
             nonlocal pending, pending_read, response_site
             if any(pending):
                 programs = tuple(
-                    (k, shard_program(k, sub, f"{name}#s{len(segments)}w{k}"))
+                    (k, self.workers[k]._stream_program(
+                        sub, f"{name}#s{len(segments)}w{k}"))
                     for k, sub in enumerate(pending)
                     if sub
                 )

@@ -76,9 +76,12 @@ class TestPIMConfig:
         from repro.driver import config_fingerprint as exported
 
         assert exported is config_fingerprint
-        assert config_fingerprint(small_config(4, 8)) == (4, 8, 1024, 32, 32)
-        assert config_fingerprint(PIMConfig(frequency_hz=1e6, scratch_registers=8)) \
+        # The geometry, then the scratch range lowering clobbers.
+        assert config_fingerprint(small_config(4, 8)) == (4, 8, 1024, 32, 32, 16)
+        assert config_fingerprint(PIMConfig(frequency_hz=1e6)) \
             == config_fingerprint(PIMConfig())
+        assert config_fingerprint(PIMConfig(scratch_registers=8)) \
+            != config_fingerprint(PIMConfig())
 
     def test_frozen(self):
         cfg = PIMConfig()

@@ -34,7 +34,7 @@ import pytest
 
 import repro.pim as pim
 from repro.arch import micro_ops
-from repro.arch.config import small_config
+from repro.arch.config import PIMConfig, small_config
 from repro.arch.micro_ops import GateType, LogicHOp, encode
 from repro.driver.driver import Driver
 from repro.driver.persist import (
@@ -42,7 +42,8 @@ from repro.driver.persist import (
     PersistentProgramCache,
     resolve_cache_dir,
 )
-from repro.isa.dtypes import int32
+from repro.backend import SimulatorBackend
+from repro.isa.dtypes import float32, int32
 from repro.isa.instructions import RInstr, ROp
 from repro.sim.simulator import Simulator
 
@@ -504,3 +505,22 @@ class TestSessionWarmStart:
         assert resolve_cache_dir("/explicit/wins") == "/explicit/wins"
         monkeypatch.delenv("REPRO_CACHE_DIR")
         assert resolve_cache_dir() is None
+
+    def test_a_foreign_scratch_range_is_never_restored(self, tmp_path):
+        """Lowering clobbers the scratch registers, so a body built under
+        another ``scratch_registers`` setting must miss: restored into a
+        session with fewer scratch registers, it would overwrite that
+        session's live registers (its user registers are the other's
+        scratch)."""
+        mul = RInstr(ROp.MUL, float32, dest=2, src_a=0, src_b=1)
+        rng = np.random.default_rng(3)
+        for scratch in (24, 8):
+            config = PIMConfig(crossbars=4, rows=64, scratch_registers=scratch)
+            backend = SimulatorBackend(config, cache_dir=str(tmp_path))
+            user = config.user_registers
+            values = rng.uniform(-4, 4, (4, user, 64)).astype(np.float32)
+            backend.words[:, :user] = values.view(np.uint32)
+            backend.execute(mul)
+            values[:, 2] = values[:, 0] * values[:, 1]
+            assert np.array_equal(backend.words[:, :user], values.view(np.uint32))
+            assert backend.persist_counters()["loads"] == 0, scratch

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import micro_ops
-from repro.arch.config import PIMConfig, small_config
+from repro.arch.config import PIMConfig, config_fingerprint, small_config
 from repro.arch.halfgates import expand_pattern
 from repro.arch.masks import RangeMask
 from repro.arch.micro_ops import (
@@ -653,7 +653,7 @@ class TestColumnPathRejections:
         words = micro_ops.encode_many(_masked([_init1(3)])).tolist()
         return MicroProgram(
             np.array(words + list(bad_words), dtype=np.uint64), "bad",
-            (CFG.crossbars, CFG.rows, CFG.columns, CFG.partitions, CFG.word_size),
+            config_fingerprint(CFG),
             bill=SimStats(),  # carried, as a cache restore carries it
         )
 

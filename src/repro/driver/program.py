@@ -189,12 +189,13 @@ class MicroProgram:
         gates(cursor, len(words))
         return tuple(segments)
 
-    @cached_property
+    @property
     def gate_table(self) -> tuple:
-        """The :func:`~repro.arch.micro_ops.gate_table` of the words
-        (built once): what the bill, the replay plan and checksum regions
-        read instead of op objects. ``ValueError`` for a gate word
-        breaking a constructor invariant."""
+        """The :func:`~repro.arch.micro_ops.gate_table` of the words: what
+        the bill, the replay plan and checksum regions read instead of op
+        objects. Built on each read and not kept — each reader memoizes
+        its own result. ``ValueError`` for a gate word breaking a
+        constructor invariant."""
         return gate_table(self._words)
 
     @property
@@ -313,8 +314,8 @@ class ProgramCache:
     sum.
 
     Both tiers are thread-safe: lookups and inserts hold an internal
-    lock, so a driver shared by several serving threads (see
-    :mod:`repro.serve`) keeps coherent LRU order and exact counters.
+    lock, so a driver shared by several user threads keeps coherent LRU
+    order and exact counters.
     Capacity overflow evicts least-recently-used entries and counts them
     in :attr:`evictions` (surfaced via ``Backend.cache_counters()``).
 

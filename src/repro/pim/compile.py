@@ -280,7 +280,7 @@ class CompiledFunction:
         self._device = device
         self._cache: "OrderedDict[Tuple, CompiledGraph]" = OrderedDict()
         self.captures = 0
-        # Serving threads share CompiledFunction objects (the per-session
+        # User threads may share a CompiledFunction (the per-session
         # handle is the function, not the device), so the signature cache
         # and capture/replay critical section take a lock. Reentrant:
         # a traced body may call back into the same compiled function

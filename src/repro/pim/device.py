@@ -210,7 +210,7 @@ class PIMDevice:
         """True when a trace is active *and owned by the calling thread*.
 
         Nested-capture inlining must key on this, not on ``_trace`` being
-        set: with serving threads sharing compiled functions, another
+        set: with user threads sharing compiled functions, another
         thread's in-progress capture would otherwise be mistaken for "we
         are inside our own trace" and executed eagerly against it.
         """

@@ -2,21 +2,23 @@
 
 :class:`Server` models the production front-end the ROADMAP's north star
 asks for: many logical sessions submit work concurrently, an asyncio
-scheduler coalesces compatible requests into batches, and batches are
-dispatched onto free worker devices — each worker a full
-:class:`~repro.pim.device.PIMDevice` replica (any backend, including the
-pooled one). Compiled-program caches do the heavy lifting: a worker that
-has already served a request signature replays the cached program, and a
-server started with ``cache_dir=`` warm-starts every worker from the
-cross-session :class:`~repro.driver.persist.PersistentProgramCache`.
+scheduler coalesces compatible requests into batches, and each batch runs
+on the worker device whose simulated clock frees first — each worker a
+full :class:`~repro.pim.device.PIMDevice` replica (any backend, including
+the pooled one). Compiled-program caches do the heavy lifting: a worker
+that has already served a request signature replays the cached program,
+and a server started with ``cache_dir=`` warm-starts every worker from
+the cross-session :class:`~repro.driver.persist.PersistentProgramCache`.
 
 Latency accounting runs on *simulated device time*: executing a request
 costs ``cycles / frequency_hz`` seconds of its worker's clock, a request
 starts at ``max(arrival, worker-free time)``, and the reported p50/p99
-latencies and sustained requests/sec are computed on that clock. This
-keeps the scheduler's throughput claims about the modeled chip — which
-the host's GIL cannot serialize — while wall-clock time is reported
-alongside for the host-cost view.
+latencies and sustained requests/sec are computed on that clock. The
+crossbars behind one host driver run in lockstep, so the scheduler
+coroutine is the only executor: batches run inline on the event loop's
+thread, placed by the simulated clocks alone, and a seeded run replays
+the same batches, latencies and fault timeline every time. Wall-clock
+time is reported alongside for the host-cost view.
 
 Batching is by *signature affinity*: the scheduler drains whatever is
 queued and groups requests whose workload and payload signature match,
@@ -28,10 +30,8 @@ across workers.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,8 +105,6 @@ class _Worker:
     device: PIMDevice
     busy_until: float = 0.0
     busy_time: float = 0.0
-    requests: int = 0
-    batches: int = 0
 
 
 @dataclass
@@ -145,6 +143,13 @@ class ServerMetrics:
 
 class Server:
     """An asyncio batch scheduler over ``workers`` device replicas.
+
+    The scheduler coroutine runs every batch itself, inline on the event
+    loop's thread, on the worker whose simulated clock frees first (ties
+    go to the lowest index), and yields to the loop between batches. No
+    batch is ever in flight across an ``await``, so placement, latencies
+    and injected faults depend only on the requests and the fault plan,
+    never on host timing.
 
     Args:
         workers: pool size (device replicas, each its own backend).
@@ -191,15 +196,9 @@ class Server:
             for i in range(workers)
         ]
         self._queue: "asyncio.Queue[_Request]" = None  # built in start()
-        self._free: "asyncio.Queue[_Worker]" = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="pim-serve"
-        )
         self._scheduler_task: Optional["asyncio.Task"] = None
-        self._dispatch_tasks: set = set()
         self._loop: Optional["asyncio.AbstractEventLoop"] = None
-        self._sim_lock = threading.Lock()
-        self._latencies: List[float] = []
+        # One row per finished request (its latency is end - arrival).
         self._arrivals: List[float] = []
         self._ends: List[float] = []
         self._batches = 0
@@ -219,9 +218,6 @@ class Server:
 
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue()
-        self._free = asyncio.Queue()
-        for worker in self.workers:
-            self._free.put_nowait(worker)
         self._wall_start = time.perf_counter()
         self._scheduler_task = asyncio.ensure_future(self._scheduler())
         device_mod.register_reset_guard(self)
@@ -246,10 +242,12 @@ class Server:
     ) -> Any:
         """Queue one request and await its result.
 
-        ``workload(device, payload)`` runs on a free worker's thread;
+        ``workload(device, payload)`` runs on the event loop's thread,
+        on the device of the worker whose simulated clock frees first;
         ``arrival`` is the request's simulated arrival time (seconds on
         the device clock — schedulers and benchmarks supply it, sessions
-        submitting "now" can leave 0.0).
+        submitting "now" can leave 0.0). An ``Exception`` it raises is
+        delivered to the caller.
 
         ``deadline`` is a per-request budget in simulated seconds,
         measured from ``arrival``: a request that cannot finish inside
@@ -280,15 +278,16 @@ class Server:
         )
         self._outstanding.add(future)
         future.add_done_callback(self._outstanding.discard)
-        await self._queue.put(request)
+        self._queue.put_nowait(request)
         return await future
 
     async def close(self) -> None:
-        """Drain in-flight work, stop the scheduler, fail the stranded.
+        """Stop the scheduler and fail every request it has not served.
 
-        Batches already dispatched run to completion; requests still
-        queued (including retries in their backoff window) get
-        :class:`ServerClosed` set on their futures so no caller hangs.
+        The scheduler yields only between batches, so the batch that ran
+        last has delivered; every request still queued (retries in their
+        backoff window included) gets :class:`ServerClosed` set on its
+        future so no caller hangs.
         """
         if self._closed:
             return
@@ -299,9 +298,6 @@ class Server:
                 await self._scheduler_task
             except asyncio.CancelledError:
                 pass
-        if self._dispatch_tasks:
-            await asyncio.gather(*self._dispatch_tasks, return_exceptions=True)
-        self._executor.shutdown(wait=True)
         for future in list(self._outstanding):
             _set_exception(future, ServerClosed("server closed with request outstanding"))
 
@@ -328,74 +324,59 @@ class Server:
             for item in deferred:
                 self._queue.put_nowait(item)
             # Shard the group across the pool: one batch per worker (at
-            # most ``batch_limit`` each), dispatched as workers free up —
-            # same-signature floods parallelize instead of pinning one
-            # worker while the rest idle.
+            # most ``batch_limit`` each), each on the worker whose clock
+            # frees first — same-signature floods parallelize instead of
+            # pinning one worker while the rest idle.
             chunks = min(len(self.workers), len(group))
             size = -(-len(group) // chunks)
             for offset in range(0, len(group), size):
-                batch = group[offset : offset + size]
-                worker = await self._free.get()
-                task = self._loop.run_in_executor(
-                    self._executor, self._run_batch, worker, batch
-                )
-                self._dispatch_tasks.add(task)
-
-                def _release(done, worker=worker):
-                    self._dispatch_tasks.discard(done)
-                    self._free.put_nowait(worker)
-
-                task.add_done_callback(_release)
+                worker = min(self.workers, key=lambda w: w.busy_until)
+                self._run_batch(worker, group[offset : offset + size])
+                await asyncio.sleep(0)  # the served clients resume
 
     def _run_batch(self, worker: _Worker, batch: List[_Request]) -> None:
-        """Execute one batch on one worker (executor thread).
+        """Execute one batch on one worker, inline on the loop's thread.
 
         Simulated-time bookkeeping: each request occupies the worker's
-        clock for its measured device cycles; its latency is the span
-        from arrival to completion on that clock.
+        clock for its measured device cycles plus any injected stall,
+        from ``max(arrival, busy_until)``; its latency is the span from
+        submission to completion on that clock. Each future is resolved
+        as its request finishes, and a retry goes back on the queue.
         """
         device = worker.device
         plan = self._fault_plan
-        with self._sim_lock:
-            self._batches += 1
-            worker.batches += 1
+        self._batches += 1
         for request in batch:
+            start = max(request.arrival, worker.busy_until)
             # Deadline fail-fast: if the worker's clock already puts the
             # start past the budget, don't burn device cycles at all.
-            if request.deadline_at is not None:
-                with self._sim_lock:
-                    start = max(request.arrival, worker.busy_until)
-                if start >= request.deadline_at:
-                    self._finish_timeout(worker, request)
-                    continue
+            if request.deadline_at is not None and start >= request.deadline_at:
+                self._finish_timeout(request)
+                continue
             stall_s = 0.0
             if plan is not None:
                 # Injected DMA/compile stall: simulated seconds added to
                 # the request's duration, no device cycles.
                 stall_s = plan.serve_stall_s(request.seq, request.attempt)
             cycles_before = device.backend.stats.cycles
+            value = error = None
             if plan is not None and plan.serve_should_fail(
                 request.seq, request.attempt
             ):
-                value = None
-                error: Optional[BaseException] = WorkerFault(
+                error = WorkerFault(
                     f"injected serve fault (request {request.seq}, "
                     f"attempt {request.attempt})"
                 )
             else:
                 try:
                     value = request.workload(device, request.payload)
-                    error = None
-                except BaseException as exc:  # delivered to the caller
-                    value, error = None, exc
+                except Exception as exc:  # delivered to the caller
+                    error = exc
             cycles = device.backend.stats.cycles - cycles_before
             duration = cycles / self.config.frequency_hz + stall_s
-            with self._sim_lock:
-                start = max(request.arrival, worker.busy_until)
-                end = start + duration
-                worker.busy_until = end
-                worker.busy_time += duration
-                worker.requests += 1
+            end = start + duration
+            worker.busy_until = end
+            worker.busy_time += duration
             if isinstance(error, WorkerFault) and request.attempt < request.retries:
                 # Exponential backoff on the simulated clock: the retry
                 # re-arrives after the failed attempt plus the backoff,
@@ -404,48 +385,28 @@ class Server:
                 backoff = RETRY_BACKOFF_S * (2.0 ** request.attempt)
                 request.attempt += 1
                 request.arrival = end + backoff
-                with self._sim_lock:
-                    self._retries += 1
-                self._loop.call_soon_threadsafe(self._requeue, request)
+                self._retries += 1
+                self._queue.put_nowait(request)
                 continue
             if request.deadline_at is not None and end > request.deadline_at:
-                self._finish_timeout(worker, request)
+                self._finish_timeout(request)
                 continue
-            with self._sim_lock:
-                self._arrivals.append(request.submitted)
-                self._ends.append(end)
-                self._latencies.append(end - request.submitted)
-                if error is None and request.attempt:
-                    self._failovers += 1
-            if error is not None:
-                self._loop.call_soon_threadsafe(
-                    _set_exception, request.future, error
-                )
-            else:
-                self._loop.call_soon_threadsafe(
-                    _set_result, request.future, value
-                )
-
-    def _requeue(self, request: _Request) -> None:
-        """Put a retry back on the queue (loop thread); a server torn
-        down mid-backoff fails the request instead of stranding it."""
-        if self._closed:
-            _set_exception(
-                request.future, ServerClosed("server closed during retry")
-            )
-            return
-        self._queue.put_nowait(request)
-
-    def _finish_timeout(self, worker: _Worker, request: _Request) -> None:
-        """Account and deliver a missed deadline (latency = the budget)."""
-        with self._sim_lock:
-            self._timeouts += 1
             self._arrivals.append(request.submitted)
-            self._ends.append(request.deadline_at)
-            self._latencies.append(request.deadline_at - request.submitted)
+            self._ends.append(end)
+            if error is not None:
+                _set_exception(request.future, error)
+            else:
+                if request.attempt:
+                    self._failovers += 1
+                _set_result(request.future, value)
+
+    def _finish_timeout(self, request: _Request) -> None:
+        """Account and deliver a missed deadline (latency = the budget)."""
+        self._timeouts += 1
+        self._arrivals.append(request.submitted)
+        self._ends.append(request.deadline_at)
         budget = request.deadline_at - request.submitted
-        self._loop.call_soon_threadsafe(
-            _set_exception,
+        _set_exception(
             request.future,
             DeadlineExceeded(
                 f"request {request.seq} missed its {budget:.6f}s deadline "
@@ -456,17 +417,9 @@ class Server:
     # ------------------------------------------------------------------
     def metrics(self) -> ServerMetrics:
         """Aggregate statistics over everything served so far."""
-        with self._sim_lock:
-            latencies = list(self._latencies)
-            arrivals = list(self._arrivals)
-            ends = list(self._ends)
-            batches = self._batches
-            busy = tuple(worker.busy_time for worker in self.workers)
-            timeouts = self._timeouts
-            retries = self._retries
-            failovers = self._failovers
+        latencies = np.subtract(self._ends, self._arrivals)
         count = len(latencies)
-        makespan = (max(ends) - min(arrivals)) if count else 0.0
+        makespan = (max(self._ends) - min(self._arrivals)) if count else 0.0
         wall = (
             time.perf_counter() - self._wall_start
             if self._wall_start is not None
@@ -474,17 +427,17 @@ class Server:
         )
         return ServerMetrics(
             requests=count,
-            batches=batches,
+            batches=self._batches,
             workers=len(self.workers),
             sim_makespan_s=makespan,
             requests_per_sec=(count / makespan) if makespan else 0.0,
             p50_latency_s=float(np.percentile(latencies, 50)) if count else 0.0,
             p99_latency_s=float(np.percentile(latencies, 99)) if count else 0.0,
-            worker_busy_s=busy,
+            worker_busy_s=tuple(worker.busy_time for worker in self.workers),
             wall_s=wall,
-            timeouts=timeouts,
-            retries=retries,
-            failovers=failovers,
+            timeouts=self._timeouts,
+            retries=self._retries,
+            failovers=self._failovers,
         )
 
 
@@ -520,22 +473,19 @@ class CompiledWorkload:
         self.opt_level = opt_level
         self.name = name or getattr(fn, "__name__", "workload")
         self._compiled: Dict[int, Any] = {}
-        self._lock = threading.Lock()
 
     def _compiled_for(self, device: PIMDevice):
         from repro.pim.compile import CompiledFunction
 
-        with self._lock:
-            handle = self._compiled.get(id(device))
-            if handle is None:
-                handle = CompiledFunction(
-                    self.fn,
-                    device=device,
-                    opt_level=self.opt_level,
-                    name=self.name,
-                )
-                self._compiled[id(device)] = handle
-            return handle
+        handle = self._compiled.get(id(device))
+        if handle is None:
+            handle = self._compiled[id(device)] = CompiledFunction(
+                self.fn,
+                device=device,
+                opt_level=self.opt_level,
+                name=self.name,
+            )
+        return handle
 
     def signature(self, payload) -> Tuple:
         arrays = payload if isinstance(payload, (tuple, list)) else (payload,)

@@ -1,9 +1,10 @@
 """Thread-safety regression test: one CompiledFunction, many threads.
 
-The serving layer (:mod:`repro.serve`) calls compiled functions from a
-thread pool, so ``CompiledFunction.__call__`` and the driver's two
-program-cache tiers must tolerate concurrent callers.  The hazards this
-hammers:
+User threads may share one device and call the same compiled function
+(the serving layer does not: :mod:`repro.serve` runs every batch on the
+event loop's thread), so ``CompiledFunction.__call__`` and the driver's
+two program-cache tiers must tolerate concurrent callers.  The hazards
+this hammers:
 
 - the capture race: N threads hit a cold CompiledFunction at once; the
   signature must be captured exactly once, everyone else replays;

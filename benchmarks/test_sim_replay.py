@@ -197,6 +197,44 @@ def test_wide_word_survey():
     )
 
 
+def test_wide_eager_floor():
+    """64x1024, n=65,536: eager ``x*y + x`` replays its fp bodies as
+    bit-planes, against the ``cache_size=0`` op-by-op reference — the
+    same memory image and stats, and >= 2x wall-clock."""
+    legs = {}
+    for leg, kwargs in (("planned", {}), ("reference", {"cache_size": 0})):
+        device, x, y = _fresh(64, 1024, 65_536, **kwargs)
+        before = device.stats_snapshot()
+        start = time.perf_counter()
+        x * y + x  # the planned leg builds its plans here
+        seconds = time.perf_counter() - start
+        delta = device.backend.stats.diff(before)
+        words = device.backend.words.copy()
+        if leg == "planned":
+            before = device.stats_snapshot()
+            start = time.perf_counter()
+            x * y + x
+            seconds = time.perf_counter() - start
+            assert device.backend.stats.diff(before) == delta
+            assert device.backend.replay_counters()["reference"] == 0
+            plans = device.backend.simulator._plans.values()
+            assert {type(step).__name__ for plan in plans for step in plan.steps
+                    if type(step) is not tuple} == {"PlaneRun"}
+        legs[leg] = (seconds, words, delta)
+        pim.reset()
+    (planned, words, delta), (reference, ref_words, ref_delta) = (
+        legs["planned"], legs["reference"]
+    )
+    assert np.array_equal(words, ref_words)
+    assert delta == ref_delta
+    _LINES.append(
+        f"wide eager (simulator, 64x1024, n=65536, x*y + x): op-by-op "
+        f"reference {reference * 1e3:9.2f} ms  bit-plane replay "
+        f"{planned * 1e3:8.2f} ms  speedup {reference / planned:5.2f}x (floor 2x)"
+    )
+    assert reference / planned >= 2.0, f"wide speedup {reference / planned:.2f}x < 2x"
+
+
 def test_replay_info_reports_segmentation():
     """The compiled function exposes the route + super-step counts."""
     device, x, y = _fresh()

@@ -19,7 +19,6 @@ from repro.arch.config import PIMConfig
 from repro.backend.base import Backend
 from repro.driver.driver import Driver
 from repro.isa.instructions import Instruction
-from repro.sim.replay import GateRun
 from repro.sim.simulator import Simulator
 from repro.sim.stats import SimStats
 
@@ -84,11 +83,12 @@ class SimulatorBackend(Backend):
         ``engine`` is what :meth:`run_program` will use, as decided (and
         memoized) by the simulator itself: a ``"vectorized"`` plan needs
         a program whose carried bill holds from any mask state
-        (``self_masked``) and whose gate runs are narrow enough for
-        lanes to pay; everything else replays through the op-by-op
+        (``self_masked``); everything else replays through the op-by-op
         ``"reference"``. ``plan`` is the plan itself, summarized per gate
-        run (:meth:`repro.sim.replay.GateRun.summary`; ``None`` on the
-        reference route) and ``plan_build_ms`` what building it cost.
+        run (:meth:`repro.sim.replay.GateRun.summary` /
+        :meth:`~repro.sim.replay.PlaneRun.summary`, with its
+        ``"layout"``; ``None`` on the reference route) and
+        ``plan_build_ms`` what building it cost.
         The remaining keys are the IR's
         :meth:`~repro.driver.program.MicroProgram.replay_summary`.
         """
@@ -97,7 +97,7 @@ class SimulatorBackend(Backend):
         info["engine"] = "reference" if plan.steps is None else "vectorized"
         info["self_masked"] = plan.static_stats is not None
         info["plan"] = None if plan.steps is None else [
-            step.summary() for step in plan.steps if isinstance(step, GateRun)
+            step.summary() for step in plan.steps if type(step) is not tuple
         ]
         info["plan_build_ms"] = plan.build_ms
         return info

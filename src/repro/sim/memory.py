@@ -16,6 +16,11 @@ import numpy as np
 
 from repro.arch.config import PIMConfig
 from repro.arch.masks import RangeMask
+from repro.arch.micro_ops import _PART_FIELD, _distinct
+
+#: Bytes of unpacked bits a plane pack or unpack holds at once: a wide
+#: region's registers go a few at a time.
+_BIT_BUDGET = 1 << 22
 
 
 class CrossbarMemory:
@@ -89,16 +94,19 @@ class CrossbarMemory:
         return bits
 
     def region(self, xb: RangeMask, reg: int, row: RangeMask) -> np.ndarray:
-        """Strided ``(crossbars, rows)`` view of one register's words.
+        """Strided ``(crossbars, rows)`` view of one register's words (a
+        ``(crossbars, registers, rows)`` copy for an array of registers).
 
         The bulk word-view a horizontal logic operation updates in
         place (op-by-op execution directly, vectorized runs on unpack).
         """
-        return self.words[
-            xb.start : xb.stop + 1 : xb.step,
-            reg,
-            row.start : row.stop + 1 : row.step,
-        ]
+        return self.words[self._index(xb, reg, row)]
+
+    @staticmethod
+    def _index(xb: RangeMask, reg, row: RangeMask) -> tuple:
+        """The :attr:`words` index of :meth:`region`, to read or assign."""
+        return (slice(xb.start, xb.stop + 1, xb.step), reg,
+                slice(row.start, row.stop + 1, row.step))
 
     def pack_lanes(self, xb: RangeMask, reg: int, row: RangeMask) -> int:
         """Pack a register's masked region into one dense-lane integer.
@@ -128,6 +136,68 @@ class CrossbarMemory:
         self.region(xb, reg, row)[...] = np.frombuffer(
             data, dtype=self._dtype
         ).reshape(shape)
+
+    def _bits(self, xb: RangeMask, regs, row: RangeMask) -> np.ndarray:
+        """``(registers, lanes, dtype bits)`` ``uint8`` bits of the
+        registers' masked regions, lanes in row-major ``(crossbars,
+        rows)`` order."""
+        words = self.region(xb, regs, row).transpose(1, 0, 2)
+        little = np.ascontiguousarray(words, self.dtype.newbyteorder("<"))
+        return np.unpackbits(
+            little.view(np.uint8).reshape(len(regs), -1, self.dtype.itemsize),
+            axis=-1, bitorder="little",
+        )
+
+    def _plane_chunks(self, xb: RangeMask, row: RangeMask, planes):
+        """``(registers, slice of planes, rows into them, partitions)`` per
+        group of registers whose bits fit :data:`_BIT_BUDGET`; ``planes``
+        (``reg << 6 | partition`` numbers) sorted."""
+        planes = np.asarray(planes, dtype=np.int64)
+        registers, rank = _distinct(planes >> _PART_FIELD)
+        bits = len(xb) * len(row) * 8 * self.dtype.itemsize
+        group = max(1, _BIT_BUDGET // bits)
+        for low in range(0, len(registers), group):
+            span = slice(*np.searchsorted(rank, (low, low + group)).tolist())
+            yield (registers[low : low + group], span, rank[span] - low,
+                   planes[span] & ((1 << _PART_FIELD) - 1))
+
+    def pack_planes(self, xb: RangeMask, row: RangeMask, planes) -> list:
+        """One integer per *plane* of the masked region: bit ``k`` of plane
+        ``reg << 6 | p`` is partition ``p`` of register ``reg`` in lane
+        ``k`` (row-major ``(crossbars, rows)``) — the bit-plane replay's
+        representation, where a partition-parallel gate is one bitwise
+        operation per output partition. Only the sorted ``planes`` are
+        packed."""
+        size = (len(xb) * len(row) + 7) // 8
+        values: list = []
+        for registers, _, at, parts in self._plane_chunks(xb, row, planes):
+            data = np.packbits(
+                self._bits(xb, registers, row)[at, :, parts], axis=-1,
+                bitorder="little",
+            ).tobytes()
+            values += [int.from_bytes(data[i : i + size], "little")
+                       for i in range(0, len(data), size)]
+        return values
+
+    def unpack_planes(self, xb: RangeMask, row: RangeMask, planes, values) -> None:
+        """Write :meth:`pack_planes` integers back: the sorted ``planes``
+        are cleared and rewritten, every other bit of the region is left
+        as it is. A value must fit the region's lanes."""
+        lanes = len(xb) * len(row)
+        size = (lanes + 7) // 8
+        data = np.frombuffer(
+            b"".join(value.to_bytes(size, "little") for value in values), np.uint8
+        ).reshape(len(values), size)
+        shape = (len(xb), len(row))
+        for registers, span, at, parts in self._plane_chunks(xb, row, planes):
+            bits = self._bits(xb, registers, row)
+            bits[at, :, parts] = np.unpackbits(
+                data[span], axis=-1, count=lanes, bitorder="little"
+            )
+            words = np.packbits(bits, axis=-1, bitorder="little").view(
+                self.dtype.newbyteorder("<")
+            ).reshape(len(registers), *shape)
+            self.words[self._index(xb, registers, row)] = words.transpose(1, 0, 2)
 
     def fill(self, value: int) -> None:
         """Set every word of the memory to ``value`` (testing helper)."""

@@ -12,47 +12,45 @@ extend the packing one level further:
   (:attr:`~repro.driver.program.MicroProgram.super_steps`): maximal runs
   of horizontal gates between mask/read/write/vertical/move boundaries,
   each run under statically-known masks;
-- at plan-build time every run becomes a short straight-line *lane
-  program*, a :class:`GateRun` record, built from **bit-field columns of
-  the program's 64-bit operation words** (:func:`build_gate_runs`) — no
-  op object exists on this path. Its steps reference the program's
-  :func:`lane_table`, one lane-free record per *distinct* gate shared by
-  every run of the plan; a record's out-mask is an id into the plan's
-  table of replicated masks for the run's lane count;
-- at replay time a run packs each touched register's masked region into
-  one arbitrary-precision integer, a *lane* per word exactly as wide as
-  the memory dtype (:meth:`~repro.sim.memory.CrossbarMemory.pack_lanes`
-  — the region's own bytes; a list indexed by register holds them), and
-  each gate is a handful of whole-region bitwise operations on
-  non-negative integers —
-  ``v ^ (v & pull & out_mask)``, bit for bit the ``out &= gate(inputs)``
-  1→0 stateful-logic update, applied to every masked crossbar and row at
-  once. Lanes need no guard space and shifts no re-masking: what a
-  partition shift spills into the neighbouring lane can never be
-  selected by the gate's own out-mask (the argument, and its check, are
-  in :func:`_pattern_mask`).
+- at plan-build time every run becomes a short straight-line program
+  built from **bit-field columns of the program's 64-bit operation
+  words** (:func:`build_gate_runs`) — no op object exists on this path —
+  over the program's :func:`lane_table`, one lane-free record per
+  *distinct* gate;
+- a run up to :data:`MAX_WORD_LANES` lanes (or a short wider one) is a
+  :class:`GateRun`: at replay it packs each touched register's masked
+  region into one big integer, a *lane* per word as wide as the memory
+  dtype (:meth:`~repro.sim.memory.CrossbarMemory.pack_lanes`), and each
+  gate is a few whole-region bitwise operations, ``v ^ (v & pull &
+  out_mask)`` — bit for bit the ``out &= gate(inputs)`` 1→0 update. What
+  a partition shift spills into the neighbouring lane is never selected
+  by the gate's own out-mask (argument and check: :func:`_pattern_mask`);
+- a wider run long enough for its planes (:data:`MIN_GATES_PER_PLANE`)
+  is a :class:`PlaneRun`, the packing transposed: one integer of
+  ``lanes`` bits per touched (register, partition) *plane*
+  (:meth:`~repro.sim.memory.CrossbarMemory.pack_planes`). A partition
+  shift is plane renaming, resolved at plan build (:func:`plane_body`),
+  so a gate is one mask-free update per output partition.
 
 The result is bit-identical to op-by-op execution at every operation
-boundary — runs contain no observable point (no reads, no mask changes)
-— and cycle accounting is untouched: plans exist only for *self-masked*
-programs, whose per-replay :class:`~repro.sim.stats.SimStats` delta is
-established statically and merged once per replay. Everything the
-driver emits is self-masked by construction — every spliced instruction
-re-establishes its masks first — so eager macros, streams and compiled
-graphs all replay this way, on ``uint32`` and ``uint64``
-(``word_size > 32``) words alike.
+boundary — runs contain no observable point — and cycle accounting is
+untouched: plans exist only for *self-masked* programs, whose
+per-replay :class:`~repro.sim.stats.SimStats` delta is established
+statically and merged once per replay. Everything the driver emits is
+self-masked by construction, so eager macros, streams and compiled
+graphs all replay this way, on ``uint32`` and ``uint64`` words alike.
 
 One rule (``Simulator.execute_program``): **plan → vectorized replay;
 otherwise a loop over ``Simulator.execute``**, the op-by-op reference.
-A program has no plan when it is not self-masked (a hand-built program
-running under caller-set masks) or an op of it must raise, or when its
-gate runs are so wide that lane programs lose to op-by-op NumPy
-(:func:`lanes_pay_off`). There is no engine setting.
+A program has no plan only when it has no static bill: it runs under
+caller-set masks, or an op of it must raise. Region width picks a run's
+layout, never the route. There is no engine setting.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from typing import Dict, Iterator, NamedTuple, Optional, Tuple
@@ -67,31 +65,23 @@ from repro.arch.micro_ops import (
 from repro.sim.memory import CrossbarMemory
 
 
-#: Mean lanes per gate (masked crossbars x rows, weighted by run length)
-#: up to which a lane program beats op-by-op NumPy. Measured on the fp-add
-#: body (5617 micro-ops, eager ``x + y``) from 4x16 to 64x1024, us per
-#: micro-op as a dense-lane big integer against five NumPy calls on the
-#: strided view: 0.33 vs 7.6 at 64 lanes, 1.8 vs 10.0 at 1024, 3.6 vs
-#: 11.2 at 2048, 9.0 vs 18.0 at 4096 (2.0x ahead), 13.3 vs 15.9 at 8192
-#: (1.2x — inside run-to-run spread), 29 vs 31 at 16384, 138 vs 116 at
-#: 65536 (0.84x). The bound is the widest point with a clear win.
-MAX_MEAN_LANES = 4096
+#: Lanes (masked crossbars x rows) up to which a run packs words
+#: (:class:`GateRun`); only wider runs may be bit-planes (:class:`PlaneRun`).
+#: The fp-mul body (6,965 gates), ms per replay, words / planes (2-vCPU x86,
+#: CPython 3.11): 4.1 / 2.5 at 64 lanes, 7.2 / 2.1 at 128, 14 / 2.3 at
+#: 256, 29 / 3.8 at 1,024, 121 / 9.2 at 4,096, 1,961 / 157 at 65,536. A
+#: plane run pays ~0.1 ms to pack and unpack, so ``fig12_replay_sim``'s
+#: hundreds of short narrow runs make an all-planes replay 2x slower.
+MAX_WORD_LANES = 64
 
-
-def lanes_pay_off(program) -> bool:
-    """Whether the program's gate runs are narrow enough to vectorize.
-
-    Per-op dispatch is a fixed cost per gate while lane arithmetic grows
-    with the masked region, so the choice follows the region size the
-    program itself fixes: see :data:`MAX_MEAN_LANES`.
-    """
-    gates = lanes = 0
-    for segment in program.super_steps:
-        if segment.kind == "gates":
-            width = len(RangeMask(*segment.xb)) * len(RangeMask(*segment.row))
-            gates += len(segment)
-            lanes += len(segment) * width
-    return lanes <= MAX_MEAN_LANES * gates
+#: Gates per packed plane (read + written) a wider run needs to be planes:
+#: packing costs per plane, which a short body never wins back. Eager
+#: bodies by gates per plane, words / planes time at 65 / 256 / 4,096
+#: lanes (same machine): int add 0.64: 0.16 / 0.27 / 0.39; eq, ne, mux
+#: 0.65-0.85: 0.46-0.55 / 0.65-1.08 / 0.56-1.04; int lt 1.21: 0.62 / 1.39 /
+#: 1.77; fp lt 1.98: 0.86 / 1.59 / 2.5; fp add, fp mul 9.2: 1.8-2.0 /
+#: 3.8-6.6 / 7.3-8.8 (more in docs/architecture.md).
+MIN_GATES_PER_PLANE = 1.5
 
 
 @lru_cache(maxsize=65536)
@@ -233,6 +223,88 @@ class GateRun(NamedTuple):
             "regs": len(self.regs),
             "masks": len({step[6] for step in self.steps}),
             "opcodes": dict(opcodes),
+            "layout": "words",
+        }
+
+
+class WideGateRun(GateRun):
+    """A word run wider than :data:`MAX_WORD_LANES` (its body too short for
+    planes) whose ``masks`` are the out-masks it reads *unreplicated*,
+    replicated at each replay (+13 % of an int-add run at 65 lanes, +87 %
+    at 65,536): kept replicated, a mask is 256 KB at 65,536 lanes, and
+    ``test_cordic_sine``'s plans held 166 MB of them."""
+
+    __slots__ = ()
+
+    def __call__(self, memory: CrossbarMemory) -> None:
+        unit = _lane_unit(8 * memory.dtype.itemsize, len(self.xb) * len(self.row))
+        masks = [mask and mask * unit for mask in self.masks]
+        GateRun.__call__(self._replace(masks=masks), memory)
+
+
+def _lane_unit(width: int, lanes: int) -> int:
+    """Bit 0 of every ``width``-bit lane: ``mask * unit`` replicates a
+    (< 2**width) mask into all of them."""
+    return ((1 << width * lanes) - 1) // ((1 << width) - 1)
+
+
+@dataclass(frozen=True)
+class PlaneBody:
+    """What a :class:`PlaneRun` replays, fixed by its gate words alone.
+
+    A *plane* is one register's bit at one partition in every lane of the
+    region: an integer of ``lanes`` bits, numbered ``reg << 6 | partition``.
+    ``steps`` holds one shared ``(gate, out, a, b)`` record
+    (:func:`plane_body`) per output partition of each gate, shifts
+    resolved to planes: ``o ^= o & (a | b)`` (NOR), ``o ^= o & a`` (NOT),
+    ``o = full`` (INIT1) or ``o = 0`` (INIT0). ``read`` are the planes
+    whose value before the run matters, ``written`` those it writes.
+    """
+
+    read: Tuple[int, ...]
+    written: Tuple[int, ...]
+    steps: Tuple[Tuple[int, int, int, int], ...]
+
+
+class PlaneRun(NamedTuple):
+    """A wide ``"gates"`` super-step as a bit-plane program: plain data,
+    like :class:`GateRun`. Runs of the same gate words share one
+    :class:`PlaneBody` at any region."""
+
+    xb: RangeMask
+    row: RangeMask
+    body: PlaneBody
+
+    def __call__(self, memory: CrossbarMemory) -> None:
+        xb, row, body = self
+        read, written, steps = body.read, body.written, body.steps
+        full = (1 << len(xb) * len(row)) - 1
+        state = [0] * (1 + max(read[-1:] + written[-1:]))  # indexed by plane
+        for plane, value in zip(read, memory.pack_planes(xb, row, read)):
+            state[plane] = value
+        for gate, out, a, b in steps:
+            if gate == 3:  # NOR
+                value = state[out]
+                state[out] = value ^ (value & (state[a] | state[b]))
+            elif gate == 1:  # INIT1
+                state[out] = full
+            elif gate == 2:  # NOT
+                value = state[out]
+                state[out] = value ^ (value & state[a])
+            else:  # INIT0
+                state[out] = 0
+        memory.unpack_planes(xb, row, written, [state[plane] for plane in written])
+
+    def summary(self) -> Dict[str, object]:
+        """What ``replay_info()`` prints of the run (no mask table: 0)."""
+        read, written, steps = self.body.read, self.body.written, self.body.steps
+        return {
+            "lanes": len(self.xb) * len(self.row),
+            "steps": len(steps),
+            "regs": len({plane >> _PART_FIELD for plane in read + written}),
+            "masks": 0,
+            "opcodes": dict(Counter(GateType(step[0]).name for step in steps)),
+            "layout": "planes",
         }
 
 
@@ -289,20 +361,73 @@ def lane_table(gate_table, partitions: int) -> tuple:
     return records, ids, list(mask_ids)
 
 
-def build_gate_runs(program, config, memory: CrossbarMemory) -> Iterator[GateRun]:
-    """The :class:`GateRun` of every ``"gates"`` super-step, in order.
+#: Per lane-program opcode: its gate and the sign of each input's shift.
+_GATE_OF, _SIGN_A, _SIGN_B = (np.array(column, np.int64) for column in zip(*OPCODES))
+#: A plane number's bits (``reg << _PART_FIELD | partition``), and where a
+#: plane step's three planes sit in its ``int64`` key, above 2 gate bits.
+_PLANE_BITS = _IDX_FIELD + _PART_FIELD
+_PLANE_SHIFTS = (2, 2 + _PLANE_BITS, 2 + 2 * _PLANE_BITS)
+assert _PLANE_SHIFTS[-1] + _PLANE_BITS < 63, "a plane step key overflows int64"
 
-    A run's steps are references into the program's :func:`lane_table`
-    (bit-field columns of its words; no op object built), one tuple per
-    distinct body — the same fp-add body at 1 ... 64 lanes. A mask is
-    replicated across the lanes (``mask * unit``) only for the lane
-    counts whose runs read it, one table per lane count (it depends on
-    the lane width, so is never shared across simulators). The caller
-    guarantees the program is self-masked — every gate sits in a run —
-    and that :func:`lanes_pay_off` holds.
+
+def plane_body(table, masks, run_ids) -> PlaneBody:
+    """The :class:`PlaneBody` of the gates whose :func:`lane_table`
+    records are rows ``run_ids`` of ``table``, derived column-wise: a gate
+    repeats once per output partition ``p`` of its out-mask, an operand
+    becomes plane ``reg << 6 | p - shift``, and equal steps share a tuple.
+
+    Per-plane evaluation is exact because a gate never reads a plane it
+    writes except its own output at shift 0 (``expand_pattern`` keeps
+    gate sections disjoint); a record breaking that raises
+    :class:`~repro.sim.simulator.SimulationError` here, at plan build.
+    """
+    code, out, a, shift_a, b, shift_b, mask_id = table[run_ids].T
+    bits = np.arange(64, dtype=np.uint64)
+    is_output = ((np.array(masks, np.uint64)[:, None] >> bits) & 1 > 0)[mask_id]
+    of, part = np.nonzero(is_output)  # a plane step per output partition
+    planes = [out[of] << _PART_FIELD | part]
+    for reg, shift, sign in ((a, shift_a, _SIGN_A), (b, shift_b, _SIGN_B)):
+        source = part - (sign[code] * shift)[of]
+        planes.append(reg[of] << _PART_FIELD | source)
+        rereads = (reg[of] == out[of]) & (source != part) & is_output[of, source]
+        if rereads.any():
+            from repro.sim.simulator import SimulationError  # import cycle
+
+            record = tuple(table[run_ids[of[np.argmax(rereads)]]].tolist())
+            raise SimulationError(f"record {record} reads another of its own "
+                                  "output planes: per-plane replay is not exact")
+    key = _GATE_OF[code][of]
+    for shift, plane in zip(_PLANE_SHIFTS, planes):
+        key |= plane << shift
+    keys, ids = _distinct(key)
+    fields = [keys >> shift & ((1 << _PLANE_BITS) - 1) for shift in _PLANE_SHIFTS]
+    steps = list(zip((keys & 3).tolist(), *(field.tolist() for field in fields)))
+    out, a, b = planes
+    touched, seen = np.unique(np.stack((a, b, out), axis=1), return_index=True)
+    reads = (key & 3)[seen // 3] >= GateType.NOT  # first touched by a read
+    return PlaneBody(tuple(touched[reads].tolist()), tuple(np.unique(out).tolist()),
+                     tuple(map(steps.__getitem__, ids.tolist())))
+
+
+def build_gate_runs(program, config, memory: CrossbarMemory, plane_bodies) -> Iterator:
+    """The replay record of every ``"gates"`` super-step, in order: a
+    :class:`PlaneRun` if the run is wider than :data:`MAX_WORD_LANES` with
+    :data:`MIN_GATES_PER_PLANE`, else a :class:`GateRun` (a
+    :class:`WideGateRun` if wide). The caller guarantees the program is
+    self-masked — every gate sits in a run.
+
+    A word run's steps are references into the program's
+    :func:`lane_table` (no op object built), one tuple per distinct body.
+    A mask is replicated across the lanes (``mask * unit``) only for the
+    lane counts whose runs read it, one table per lane count (it depends
+    on the lane width, so is never shared across simulators). A plane
+    body depends on the gate words alone: ``plane_bodies``, the caller's
+    ``WeakValueDictionary``, finds it by the words while a plan holds it.
     """
     records, ids, masks = lane_table(program.gate_table, config.partitions)
+    words = program.encoded(config.word_size)
     width = 8 * memory.dtype.itemsize
+    table = None  # the records as rows, for the first plane body missing
     runs, read = [], {}  # read: lanes -> the mask ids its runs read
     bodies = {}  # a run's record ids -> (regs, written, mask ids, steps)
     done = 0
@@ -311,6 +436,20 @@ def build_gate_runs(program, config, memory: CrossbarMemory) -> Iterator[GateRun
             continue
         run_ids = ids[done : done + len(segment)]
         done += len(segment)
+        xb, row = RangeMask(*segment.xb), RangeMask(*segment.row)
+        lanes = len(xb) * len(row)
+        if lanes > MAX_WORD_LANES:
+            key = words[segment.start : segment.stop].tobytes()
+            planar = plane_bodies.get(key)
+            if planar is None:
+                if table is None:
+                    table = np.array(records, np.int64).reshape(-1, 7)
+                planar = plane_body(table, masks, run_ids)
+            packed = len(planar.read) + len(planar.written)
+            if len(segment) >= MIN_GATES_PER_PLANE * packed:
+                plane_bodies[key] = planar
+                runs.append(PlaneRun(xb, row, planar))
+                continue
         body = run_ids.tobytes()
         if body not in bodies:
             used = run_ids.tolist()
@@ -320,16 +459,19 @@ def build_gate_runs(program, config, memory: CrossbarMemory) -> Iterator[GateRun
                 set(mask_ids), tuple(map(records.__getitem__, used)),
             )
         regs, written, mask_ids, steps = bodies[body]
-        xb, row = RangeMask(*segment.xb), RangeMask(*segment.row)
-        lanes = len(xb) * len(row)
+        if lanes > MAX_WORD_LANES:
+            raw = tuple(mask if i in mask_ids else None for i, mask in enumerate(masks))
+            runs.append(WideGateRun(xb, row, regs, written, raw, steps))
+            continue
         read.setdefault(lanes, set()).update(mask_ids)
         runs.append((xb, row, regs, written, lanes, steps))
     tables = {}
     for lanes, mask_ids in read.items():
-        # Bit 0 of every lane: ``mask * unit`` replicates a (< 2**width)
-        # mask into all of them.
-        unit = ((1 << width * lanes) - 1) // ((1 << width) - 1)
+        unit = _lane_unit(width, lanes)
         tables[lanes] = tuple(mask * unit if mask_id in mask_ids else None
                               for mask_id, mask in enumerate(masks))
-    for xb, row, regs, written, lanes, steps in runs:
-        yield GateRun(xb, row, regs, written, tables[lanes], steps)
+    for run in runs:
+        if type(run) is tuple:
+            xb, row, regs, written, lanes, steps = run
+            run = GateRun(xb, row, regs, written, tables[lanes], steps)
+        yield run

@@ -171,7 +171,8 @@ class ReplayPlan(NamedTuple):
 
     Attributes:
         steps: the vectorized replay records, in program order — a
-            :class:`~repro.sim.replay.GateRun` per gate super-step, a
+            :class:`~repro.sim.replay.GateRun` or
+            :class:`~repro.sim.replay.PlaneRun` per gate super-step, a
             silent ``(opcode, args...)`` record
             (:meth:`Simulator._silent_step`) per op between them — or
             ``None`` when the program replays through the reference.
@@ -218,6 +219,9 @@ class Simulator:
         # One :class:`ReplayPlan` per compiled program, built once and
         # dropped automatically when the program is garbage-collected.
         self._plans: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        #: Bit-plane run bodies by gate words, shared by those plans and
+        #: dropped with the last of them.
+        self._plane_bodies: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
         #: Silent-step dispatch: a plan record's opcode -> its handler.
         self._silent = {
             CrossbarMaskOp: self._silent_xb_mask,
@@ -261,14 +265,12 @@ class Simulator:
 
         - *self-masked* programs (every gate, move and read runs under
           masks the program itself set — true of everything the driver
-          emits), of either word format, whose gate runs are narrow
-          enough for lane arithmetic to pay
-          (:func:`repro.sim.replay.lanes_pay_off`), replay through a
-          vectorized :class:`ReplayPlan` and one static stats merge;
+          emits), of either word format and any region width, replay
+          through a vectorized :class:`ReplayPlan` and one static stats
+          merge;
         - anything else (hand-built programs relying on caller-set
-          masks, a static walk that finds an op that must raise, regions
-          of thousands of rows) is a plain loop over :meth:`execute`,
-          the op-by-op reference.
+          masks, a static walk that finds an op that must raise) is a
+          plain loop over :meth:`execute`, the op-by-op reference.
 
         Either way memory, profiling counters and raised errors are
         exactly those of op-by-op execution. Returns the response word
@@ -284,14 +286,14 @@ class Simulator:
                     response = result
             return response
         self.replay_counters["vectorized"] += 1
-        memory, silent, gate_run = self.memory, self._silent, replay.GateRun
+        memory, silent = self.memory, self._silent
         for step in plan.steps:
-            if type(step) is gate_run:
-                step(memory)
-            else:
+            if type(step) is tuple:
                 result = silent[step[0]](*step[1:])
                 if result is not None:
                     response = result
+            else:
+                step(memory)
         self.stats.merge(plan.static_stats)
         return response
 
@@ -327,8 +329,10 @@ class Simulator:
                 static_stats = program.bill(self.config).billed(self.move_cost)
             except SimulationError:
                 pass  # an op must raise: the reference loop raises it, at the op
-        if static_stats is not None and replay.lanes_pay_off(program):
-            runs = replay.build_gate_runs(program, self.config, self.memory)
+        if static_stats is not None:
+            runs = replay.build_gate_runs(
+                program, self.config, self.memory, self._plane_bodies
+            )
             steps = tuple(
                 next(runs) if segment.kind == "gates"
                 else self._silent_step(segment.op)

@@ -1,0 +1,346 @@
+"""Bit-plane replay: wide gate runs as one integer per (register, partition).
+
+Covers the obligations of ``repro.sim.replay.PlaneRun``:
+
+- random self-masked programs at 1, 64, 65, 128 and 16x512 lanes, on
+  16-, 32- and 64-partition chips: bit-planes, word lanes (with wide
+  runs' masks replicated at build or per replay) and
+  ``Simulator.execute`` leave the same memory, the same read responses
+  and the same ``SimStats`` (cycles included);
+- the plan-build check that makes per-plane evaluation exact — a gate
+  reading another of its own output planes raises ``SimulationError``
+  before anything replays;
+- the layout rule: planes only for runs wider than ``MAX_WORD_LANES``
+  with ``MIN_GATES_PER_PLANE`` gates per plane they pack;
+- plane records are plain, deduplicated data shared across plans for as
+  long as a plan holds them, and the plane pack / unpack helpers
+  round-trip and touch only the named planes.
+"""
+
+import gc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.arch.config import PIMConfig
+from repro.arch.halfgates import expand_pattern
+from repro.arch.masks import RangeMask
+from repro.arch.micro_ops import (
+    CrossbarMaskOp,
+    GateType,
+    LogicHOp,
+    LogicVOp,
+    MoveOp,
+    ReadOp,
+    RowMaskOp,
+    WriteOp,
+    write_value_bits,
+)
+from repro.driver.program import MicroProgram
+from repro.sim import replay
+from repro.sim.memory import CrossbarMemory
+from repro.sim.simulator import SimulationError, Simulator
+
+#: One chip per partition count, each 16 crossbars x 512 rows, 32 registers.
+CHIPS = {
+    partitions: PIMConfig(crossbars=16, rows=512, columns=32 * partitions,
+                          partitions=partitions, word_size=partitions)
+    for partitions in (16, 32, 64)
+}
+
+#: ``(crossbar mask, row mask)`` per lane count, strided ones included.
+REGIONS = {
+    1: ((5, 5, 1), (7, 7, 1)),
+    64: ((0, 3, 1), (0, 15, 1)),
+    65: ((0, 4, 1), (0, 12, 1)),
+    128: ((0, 14, 2), (1, 31, 2)),
+    16 * 512: ((0, 15, 1), (0, 511, 1)),
+}
+
+
+def _pattern(rng, gate, partitions):
+    """Pattern fields ``expand_pattern`` accepts, shifts both ways."""
+    while True:
+        p_out = int(rng.integers(0, partitions))
+        p_step = int(rng.integers(1, 9))
+        p_end = p_out + p_step * int(rng.integers(0, 4))
+        p_a, p_b = sorted(p_out + int(d) for d in rng.integers(-4, 5, size=2))
+        fields = dict(p_a=p_a, p_b=p_b, p_out=p_out, p_end=p_end, p_step=p_step)
+        if p_a < 0 or p_b > 63:
+            continue
+        try:
+            expand_pattern(LogicHOp(gate, 0, 0, 0, **fields), partitions)
+        except ValueError:
+            continue
+        return fields
+
+
+def _program_ops(rng, config, region, length):
+    """A self-masked stream whose gate runs sit under ``region``: gates on
+    a few registers (so outputs alias inputs), broken by writes, vertical
+    gates and moves; single-cell masks and a read at the end."""
+    xb, row = region
+    masks = [CrossbarMaskOp(*xb), RowMaskOp(*row)]
+    ops = list(masks)
+    registers = 6
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.8:
+            gate = GateType(int(rng.integers(0, 4)))
+            out, in_a, in_b = (int(r) for r in rng.integers(0, registers, 3))
+            ops.append(LogicHOp(gate, in_a, in_b, out,
+                                **_pattern(rng, gate, config.partitions)))
+        elif roll < 0.88:
+            bits = write_value_bits(config.word_size)
+            ops.append(WriteOp(int(rng.integers(0, registers)),
+                               int(rng.integers(0, 1 << min(bits, 62)))))
+        elif roll < 0.94:
+            ops.append(LogicVOp(GateType(int(rng.integers(0, 3))),
+                                int(rng.integers(0, config.rows)),
+                                int(rng.integers(0, config.rows)),
+                                int(rng.integers(0, registers))))
+        else:
+            src = int(rng.integers(0, config.crossbars - 1))
+            ops += [CrossbarMaskOp(src, src, 1),
+                    MoveOp(1, 0, 0, int(rng.integers(0, registers)),
+                           int(rng.integers(0, registers)))] + masks
+    return ops + [CrossbarMaskOp(xb[0], xb[0], 1), RowMaskOp(row[0], row[0], 1),
+                  ReadOp(int(rng.integers(0, registers)))]
+
+
+def _seeded(config, seed):
+    sim = Simulator(config)
+    sim.memory.words[...] = np.random.default_rng(seed).integers(
+        0, int(sim.memory.word_mask), size=sim.memory.words.shape,
+        dtype=sim.memory.dtype, endpoint=True,
+    )
+    return sim
+
+
+@pytest.fixture
+def any_length_planes(monkeypatch):
+    """Let a wide run of any length be bit-planes."""
+    monkeypatch.setattr(replay, "MIN_GATES_PER_PLANE", 0)
+
+
+def _replayed(config, program, seed, word_lanes, min_gates):
+    """A fresh chip's replay of ``program`` with runs up to ``word_lanes``
+    lanes as word lanes, wider ones as bit-planes if they have
+    ``min_gates`` gates per plane and as wide word runs if not."""
+    sim = _seeded(config, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(replay, "MAX_WORD_LANES", word_lanes)
+        patch.setattr(replay, "MIN_GATES_PER_PLANE", min_gates)
+        response = sim.execute_program(program)
+    return sim, response
+
+
+#: Per layout: ``(word_lanes, min_gates)`` making every run of it, and
+#: the run types a plan may then hold.
+LAYOUTS = {
+    "planes": (0, 0, {replay.PlaneRun}),
+    "words": (1 << 30, 0, {replay.GateRun}),
+    "wide words": (64, float("inf"), {replay.GateRun, replay.WideGateRun}),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lanes=st.sampled_from(sorted(REGIONS)),
+       partitions=st.sampled_from(sorted(CHIPS)), length=st.integers(1, 60))
+def test_planes_words_and_execute_agree(seed, lanes, partitions, length):
+    config = CHIPS[partitions]
+    ops = _program_ops(np.random.default_rng(seed), config, REGIONS[lanes], length)
+    program = MicroProgram.from_ops(ops, "p", config)
+
+    reference = _seeded(config, seed)
+    expected = None
+    for op in ops:
+        result = reference.execute(op)
+        expected = result if result is not None else expected
+
+    for name, (word_lanes, min_gates, types) in LAYOUTS.items():
+        sim, response = _replayed(config, program, seed, word_lanes, min_gates)
+        kinds = {type(step) for step in sim.replay_plan(program).steps} - {tuple}
+        assert kinds <= types, name
+        assert response == expected, name
+        assert np.array_equal(sim.memory.words, reference.memory.words), name
+        assert sim.stats == reference.stats, name
+        assert sim.stats.cycles == reference.stats.cycles
+        assert sim.replay_counters == {"vectorized": 1, "reference": 0}
+
+
+def _bodies(config, region):
+    """One gate run each: a long body on three planes (48 gates per packed
+    plane: its output plane is both read and written) and a one-gate body
+    writing 32 planes."""
+    single = dict(p_a=0, p_b=1, p_out=2, p_end=2, p_step=1)
+    long = [LogicHOp(GateType.NOR, 0, 1, 3, **single)] * 192
+    short = [LogicHOp(GateType.INIT1, 0, 0, 4, 0, 0, 0, 31, 1)]
+    return [[CrossbarMaskOp(*region[0]), RowMaskOp(*region[1])] + body
+            for body in (long, short)]
+
+
+def test_wide_long_runs_are_planes_and_the_rest_words():
+    """Lanes above ``MAX_WORD_LANES`` and ``MIN_GATES_PER_PLANE`` gates
+    per packed plane make a plane run; any other run packs words."""
+    config = CHIPS[32]
+    for lanes, region in REGIONS.items():
+        for ops, long in zip(_bodies(config, region), (True, False)):
+            program = MicroProgram.from_ops(ops, "p", config)
+            sim, reference = _seeded(config, 1), _seeded(config, 1)
+            sim.execute_program(program)
+            for op in ops:
+                reference.execute(op)
+            assert np.array_equal(sim.memory.words, reference.memory.words)
+            (run,) = [s for s in sim.replay_plan(program).steps if type(s) is not tuple]
+            wide = lanes > replay.MAX_WORD_LANES
+            assert run.summary()["layout"] == ("planes" if long and wide else "words")
+            assert run.summary()["lanes"] == lanes
+            if wide and not long:  # masks kept unreplicated: one lane wide
+                assert type(run) is replay.WideGateRun
+                assert max(filter(None, run.masks)) < 1 << config.word_size
+
+
+class TestOverlapCheck:
+    """Per-plane evaluation is exact only because no gate reads another of
+    its own output planes; the builder checks it, like the spill check."""
+
+    def test_a_record_reading_its_own_output_plane_raises(self):
+        nor_up = replay.OPCODES.index((GateType.NOR, 1, 1))
+        # Output partitions 1 and 2 of register 3; the gate at partition 2
+        # reads partition 1 of register 3 (shift 1) — an output plane.
+        record = (nor_up, 3, 3, 1, 4, 1, 0)
+        with pytest.raises(SimulationError, match="own"):
+            replay.plane_body(np.array([record]), [0b110], np.array([0]))
+        # Shift 0 on its own output, or another register: exact, accepted.
+        body = replay.plane_body(np.array([(nor_up, 3, 4, 1, 5, 1, 0)]), [0b110],
+                                 np.array([0]))
+        assert body.steps == ((GateType.NOR, 3 << 6 | 1, 4 << 6 | 0, 5 << 6 | 0),
+                              (GateType.NOR, 3 << 6 | 2, 4 << 6 | 1, 5 << 6 | 1))
+        assert body.read == (3 << 6 | 1, 3 << 6 | 2, 4 << 6 | 0, 4 << 6 | 1,
+                             5 << 6 | 0, 5 << 6 | 1)
+        assert body.written == (3 << 6 | 1, 3 << 6 | 2)
+
+    def test_the_program_raises_at_plan_build_and_never_replays(self, monkeypatch):
+        # A pattern table that overlaps two gates' sections: outputs 1 and
+        # 2, each NOR reading partition p - 1 of its own register.
+        monkeypatch.setattr(replay, "pattern_outputs", lambda *fields: (0b110, 2))
+        replay._pattern_mask.cache_clear()
+        try:
+            config = CHIPS[32]
+            xb, row = REGIONS[128]
+            ops = [CrossbarMaskOp(*xb), RowMaskOp(*row),
+                   LogicHOp(GateType.NOR, 3, 3, 3, p_a=0, p_b=0, p_out=1,
+                            p_end=2, p_step=1)]
+            program = MicroProgram.from_ops(ops, "overlap", config)
+            sim = _seeded(config, 2)
+            before = sim.memory.words.copy()
+            with pytest.raises(SimulationError, match="own output plane"):
+                sim.execute_program(program)
+            assert np.array_equal(sim.memory.words, before)
+            assert sim.stats.cycles == 0
+            assert sim.replay_counters == {"vectorized": 0, "reference": 0}
+        finally:
+            replay._pattern_mask.cache_clear()
+
+
+@pytest.mark.usefixtures("any_length_planes")
+class TestPlaneRecords:
+    def test_plane_steps_are_deduplicated_and_bodies_shared(self):
+        """One tuple per distinct plane step of a body; a body built once
+        serves every plan of the simulator holding the same gate words."""
+        config = CHIPS[32]
+        ops = _program_ops(np.random.default_rng(11), config, REGIONS[128], 60)
+        sim, runs = _seeded(config, 3), []
+        for program in (MicroProgram.from_ops(ops, name, config) for name in "ab"):
+            sim.execute_program(program)
+            runs.append([s for s in sim.replay_plan(program).steps
+                         if type(s) is replay.PlaneRun])
+        assert runs[0] and all(a.body is b.body for a, b in zip(*runs))
+        for body in (run.body for run in runs[0]):
+            assert len({id(step) for step in body.steps}) == len(set(body.steps))
+            assert set(body.written) == {step[1] for step in body.steps}
+            assert set(body.read) <= {plane for step in body.steps for plane in step[1:]}
+
+    def test_a_body_lives_as_long_as_a_plan_holds_it(self):
+        """The simulator finds bodies through its live plans only: once
+        the programs holding one are gone, so is the body."""
+        config = CHIPS[32]
+        ops = _program_ops(np.random.default_rng(11), config, REGIONS[128], 60)
+        sim = _seeded(config, 3)
+        programs = [MicroProgram.from_ops(ops, name, config) for name in "ab"]
+        list(map(sim.execute_program, programs))
+        bodies = len(sim._plane_bodies)
+        assert bodies
+        programs.pop()
+        gc.collect()
+        assert len(sim._plane_bodies) == bodies  # program "a" still holds them
+        programs.pop()
+        gc.collect()
+        assert len(sim._plane_bodies) == 0 and len(sim._plans) == 0
+
+    def test_summary_reports_the_layout_and_the_same_keys(self):
+        config = CHIPS[32]
+        xb, row = REGIONS[128]
+        ops = [CrossbarMaskOp(*xb), RowMaskOp(*row),
+               LogicHOp(GateType.INIT1, 0, 0, 3, 0, 0, 0, 31, 1),
+               LogicHOp(GateType.NOR, 0, 1, 3, p_a=0, p_b=1, p_out=2,
+                        p_end=2, p_step=1)]
+        program = MicroProgram.from_ops(ops, "p", config)
+        sim = _seeded(config, 5)
+        sim.execute_program(program)
+        (run,) = [s for s in sim.replay_plan(program).steps if type(s) is not tuple]
+        assert run.summary() == {
+            "lanes": 128, "steps": 33, "regs": 3, "masks": 0,
+            "opcodes": {"INIT1": 32, "NOR": 1}, "layout": "planes",
+        }
+        # Register 3 is initialized first: only the NOR's inputs are packed.
+        assert run.body.read == (0 << 6 | 0, 1 << 6 | 1)
+        assert run.body.written == tuple(3 << 6 | p for p in range(32))
+
+
+class TestPlaneHelpers:
+    @staticmethod
+    def _memories():
+        for partitions in (16, 32, 64):
+            memory = CrossbarMemory(CHIPS[partitions])
+            memory.words[...] = np.random.default_rng(partitions).integers(
+                0, int(memory.word_mask), size=memory.words.shape,
+                dtype=memory.dtype, endpoint=True,
+            )
+            yield memory, partitions
+
+    def test_pack_reads_partition_bits_lane_by_lane(self):
+        for memory, partitions in self._memories():
+            xb, row = RangeMask(1, 9, 4), RangeMask(3, 21, 3)
+            planes = [2 << 6 | 0, 2 << 6 | partitions - 1, 7 << 6 | 5]
+            region = {reg: memory.region(xb, reg, row).ravel() for reg in (2, 7)}
+            for plane, value in zip(planes, memory.pack_planes(xb, row, planes)):
+                words = region[plane >> 6]
+                bits = (words >> memory.dtype.type(plane & 63)) & 1
+                assert value == sum(int(bit) << k for k, bit in enumerate(bits))
+
+    def test_unpack_rewrites_only_the_named_planes(self):
+        lanes = 16 * 512
+        xb, row = RangeMask(0, 15, 1), RangeMask(0, 511, 1)
+        rng = np.random.default_rng(9)
+        for memory, partitions in self._memories():
+            # Two planes of register 0, one of every other register: more
+            # registers than one chunk of unpacked bits holds at this width.
+            touched = [(0, 3), (0, partitions - 1)] + [
+                (reg, reg * 7 % partitions) for reg in range(1, 32)
+            ]
+            planes = [reg << 6 | p for reg, p in touched]
+            before = memory.words.copy()
+            memory.unpack_planes(xb, row, planes, memory.pack_planes(xb, row, planes))
+            assert np.array_equal(memory.words, before)
+            values = [int.from_bytes(rng.bytes(lanes // 8), "little") for _ in planes]
+            values[:3] = [0, (1 << lanes) - 1, 0b101]
+            memory.unpack_planes(xb, row, planes, values)
+            assert memory.pack_planes(xb, row, planes) == values
+            flipped = memory.words ^ before
+            for reg in range(memory.words.shape[1]):
+                for p in range(8 * memory.dtype.itemsize):
+                    bits = (flipped[:, reg, :] >> memory.dtype.type(p)) & 1
+                    assert (reg, p) in touched or not bits.any()

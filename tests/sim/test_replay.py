@@ -8,10 +8,10 @@ Covers the correctness obligations of ``repro.sim.replay``:
   and vectorized replay, on randomized op streams that exercise every
   op kind;
 - the two outcomes of ``Simulator.execute_program``: self-masked
-  programs vectorize, on ``uint32`` and ``uint64`` words alike;
-  caller-mask programs, regions too wide for lane arithmetic to pay and
-  programs whose static walk fails replay through ``Simulator.execute``
-  (bit- and stats-identical, raising where op-by-op raises);
+  programs vectorize, on ``uint32`` and ``uint64`` words and at any
+  region width alike; caller-mask programs and programs whose static
+  walk fails replay through ``Simulator.execute`` (bit- and
+  stats-identical, raising where op-by-op raises);
 - dense lanes: a shifted input never spills into a bit the gate's
   out-mask selects, and lane packing round-trips on the bulk memory
   helpers for both dtypes.
@@ -322,7 +322,7 @@ class TestEngineSelection:
         assert list(run) == [run.xb, run.row, run.regs, run.written,
                              run.masks, run.steps]
         assert run.summary() == {"lanes": 32, "steps": 1, "regs": 3, "masks": 1,
-                                 "opcodes": {"NOR<<": 1}}
+                                 "opcodes": {"NOR<<": 1}, "layout": "words"}
 
     def test_body_program_replays_through_the_reference(self):
         """Gates under caller-set masks: not self-masked, so no static
@@ -406,20 +406,25 @@ class TestEngineSelection:
             sim, _, _ = _replay_vs_op_by_op(config, ops)
             assert sim.replay_counters == {"vectorized": 1, "reference": 0}
 
-    def test_wide_regions_replay_through_reference(self):
-        """Lane programs lose to per-op NumPy on thousands of rows: the
-        route follows the region the program's own masks select."""
+    def test_wide_regions_plan_as_planes(self):
+        """Region width picks a run's layout, never the route: 16x512
+        regions plan and match the reference on memory and stats, beside
+        a narrow region's word lanes in the same program. The wide run is
+        bit-planes once it is long enough for the planes it packs, word
+        lanes with its masks replicated per replay before."""
         big = PIMConfig(crossbars=16, rows=512)
-        gates = [_init1(3), _gate(3, 0, 1), _gate(3, 1, 2)]
-        wide = [CrossbarMaskOp(0, 15, 1), RowMaskOp(0, 511, 1)] + gates
-        narrow = [CrossbarMaskOp(0, 15, 1), RowMaskOp(0, 255, 1)] + gates
-        sim, _, program = _replay_vs_op_by_op(big, wide)
-        assert 16 * 512 > replay.MAX_MEAN_LANES >= 16 * 256
-        assert not replay.lanes_pay_off(program)
-        assert sim.replay_counters == {"vectorized": 0, "reference": 1}
-        sim, _, program = _replay_vs_op_by_op(big, narrow)
-        assert replay.lanes_pay_off(program)
-        assert sim.replay_counters == {"vectorized": 1, "reference": 0}
+        gates = [_init1(3), _gate(3, 0, 1), _gate(3, 1, 2),
+                 _gate(4, 3, 2, gate=GateType.NOT, p_out=5, p_a=1, p_b=1)]
+        for repeats, layout in ((1, replay.WideGateRun), (20, replay.PlaneRun)):
+            ops = ([CrossbarMaskOp(0, 15, 1), RowMaskOp(0, 511, 1)] + gates * repeats
+                   + [CrossbarMaskOp(3, 3, 1), RowMaskOp(0, 63, 1)] + gates)
+            sim, _, program = _replay_vs_op_by_op(big, ops, replays=2)
+            assert sim.replay_counters == {"vectorized": 2, "reference": 0}
+            wide, narrow = [step for step in sim.replay_plan(program).steps
+                            if type(step) is not tuple]
+            assert type(wide) is layout and type(narrow) is replay.GateRun
+            assert wide.summary()["lanes"] == 16 * 512 > replay.MAX_WORD_LANES
+            assert narrow.summary()["lanes"] == 64 == replay.MAX_WORD_LANES
 
     def test_illegal_htree_move_raises_like_op_by_op(self):
         _raises_like_op_by_op(CFG, _masked([
@@ -443,12 +448,12 @@ class TestEngineSelection:
 
         masked = _masked([_init1(3), _gate(3, 0, 1)])
         big = PIMConfig(crossbars=16, rows=512)
-        too_wide = [CrossbarMaskOp(0, 15, 1), RowMaskOp(0, 511, 1)] + masked[2:]
+        wide = [CrossbarMaskOp(0, 15, 1), RowMaskOp(0, 511, 1)] + masked[2:]
         for config, ops, engine, self_masked in (
             (CFG, masked, "vectorized", True),
             (CFG, masked[2:], "reference", False),
             (WIDE, masked, "vectorized", True),
-            (big, too_wide, "reference", True),
+            (big, wide, "vectorized", True),
         ):
             backend = SimulatorBackend(config)
             program = MicroProgram.from_ops(ops, "p", config)

@@ -13,6 +13,9 @@ The PR-4 acceptance criteria, enforced here:
    vectorized replay beats the op-by-op reference by >= 5x wall-clock.
    (Cached eager dispatch is itself vectorized, one plan per macro, so
    it is surveyed but no longer the baseline of the floor.)
+3. **Layout rule** — narrow eager bodies dense enough for bit-planes
+   replay them, >= 1.3x faster than with every run forced to word lanes,
+   with the same memory image and stats.
 
 Results are written to ``results/sim_replay.txt`` (reference vs eager
 vs vectorized-replay survey, plus a ``word_size=64`` row, mirroring
@@ -31,6 +34,7 @@ import pytest
 import repro.pim as pim
 from repro.arch.config import PIMConfig
 from repro.driver.program import MicroProgram
+from repro.sim import replay
 from repro.sim.simulator import Simulator
 
 from benchmarks.conftest import RESULTS_DIR
@@ -233,6 +237,47 @@ def test_wide_eager_floor():
         f"{planned * 1e3:8.2f} ms  speedup {reference / planned:5.2f}x (floor 2x)"
     )
     assert reference / planned >= 2.0, f"wide speedup {reference / planned:.2f}x < 2x"
+
+
+def _eager_leg(min_gates: float, reps: int):
+    """Steady-state eager s/call at 4x16, n=64, with runs of ``min_gates``
+    gates per plane as bit-planes; the memory image, stats delta and run
+    layouts after the timed calls."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(replay, "MIN_GATES_PER_PLANE", min_gates)
+        device, x, y = _fresh()
+        my_func(x, y)  # builds the gates and the plans
+        before = device.stats_snapshot()
+        start = time.perf_counter()
+        for _ in range(reps):
+            my_func(x, y)
+        seconds = (time.perf_counter() - start) / reps
+        delta = device.backend.stats.diff(before)
+        words = device.backend.words.copy()
+        layouts = {type(step).__name__ for plan in device.backend.simulator._plans.values()
+                   for step in plan.steps or () if type(step) is not tuple}
+        pim.reset()
+    return seconds, words, delta, layouts
+
+
+def test_narrow_eager_floor():
+    """4x16, n=64: eager Figure-12 bodies of at most 64 lanes replay as
+    bit-planes where dense enough — >= 1.3x over every run forced to word
+    lanes (``MIN_GATES_PER_PLANE = inf``), same memory image and stats."""
+    best = 0.0
+    for _ in range(2):
+        planes, words, delta, layouts = _eager_leg(replay.MIN_GATES_PER_PLANE, 4)
+        forced, forced_words, forced_delta, forced_layouts = _eager_leg(float("inf"), 4)
+        assert np.array_equal(words, forced_words)
+        assert delta == forced_delta
+        assert "PlaneRun" in layouts and "PlaneRun" not in forced_layouts
+        best = max(best, forced / planes)
+    _LINES.append(
+        f"narrow eager (simulator, 4x16, n=64): word lanes forced "
+        f"{forced * 1e3:8.2f} ms  density rule {planes * 1e3:8.2f} ms  "
+        f"speedup {forced / planes:5.2f}x (best-of-2 {best:5.2f}x, floor 1.3x)"
+    )
+    assert best >= 1.3, f"narrow eager speedup {best:.2f}x < 1.3x"
 
 
 def test_replay_info_reports_segmentation():

@@ -87,7 +87,8 @@ class SimulatorBackend(Backend):
         ``"reference"``. ``plan`` is the plan itself, summarized per gate
         run (:meth:`repro.sim.replay.GateRun.summary` /
         :meth:`~repro.sim.replay.PlaneRun.summary`, with its
-        ``"layout"``; ``None`` on the reference route) and
+        ``"layout"`` and the layout rule's input, ``"gates_per_plane"`` or
+        ``"gates_per_plane_at_most"``; ``None`` on the reference route) and
         ``plan_build_ms`` what building it cost.
         The remaining keys are the IR's
         :meth:`~repro.driver.program.MicroProgram.replay_summary`.

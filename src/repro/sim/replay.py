@@ -17,20 +17,20 @@ extend the packing one level further:
   words** (:func:`build_gate_runs`) — no op object exists on this path —
   over the program's :func:`lane_table`, one lane-free record per
   *distinct* gate;
-- a run up to :data:`MAX_WORD_LANES` lanes (or a short wider one) is a
-  :class:`GateRun`: at replay it packs each touched register's masked
-  region into one big integer, a *lane* per word as wide as the memory
-  dtype (:meth:`~repro.sim.memory.CrossbarMemory.pack_lanes`), and each
-  gate is a few whole-region bitwise operations, ``v ^ (v & pull &
+- a run too sparse for planes is a :class:`GateRun`: at replay it packs
+  each touched register's masked region into one big integer, a *lane*
+  per word as wide as the memory dtype
+  (:meth:`~repro.sim.memory.CrossbarMemory.pack_lanes`), and each gate
+  is a few whole-region bitwise operations, ``v ^ (v & pull &
   out_mask)`` — bit for bit the ``out &= gate(inputs)`` 1→0 update. What
   a partition shift spills into the neighbouring lane is never selected
   by the gate's own out-mask (argument and check: :func:`_pattern_mask`);
-- a wider run long enough for its planes (:data:`MIN_GATES_PER_PLANE`)
-  is a :class:`PlaneRun`, the packing transposed: one integer of
-  ``lanes`` bits per touched (register, partition) *plane*
-  (:meth:`~repro.sim.memory.CrossbarMemory.pack_planes`). A partition
-  shift is plane renaming, resolved at plan build (:func:`plane_body`),
-  so a gate is one mask-free update per output partition.
+- a run dense enough (:data:`MIN_GATES_PER_PLANE`), at any width, is a
+  :class:`PlaneRun`: one integer of ``lanes`` bits per touched (register,
+  partition) *plane* (:meth:`~repro.sim.memory.CrossbarMemory.pack_planes`);
+  a partition shift is plane renaming, resolved at plan build
+  (:func:`derive_plane_body`), so a gate is one mask-free update per
+  output partition.
 
 The result is bit-identical to op-by-op execution at every operation
 boundary — runs contain no observable point — and cycle accounting is
@@ -43,8 +43,8 @@ graphs all replay this way, on ``uint32`` and ``uint64`` words alike.
 One rule (``Simulator.execute_program``): **plan → vectorized replay;
 otherwise a loop over ``Simulator.execute``**, the op-by-op reference.
 A program has no plan only when it has no static bill: it runs under
-caller-set masks, or an op of it must raise. Region width picks a run's
-layout, never the route. There is no engine setting.
+caller-set masks, or an op of it must raise. A body's density picks a
+run's layout, never the route. There is no engine setting.
 """
 
 from __future__ import annotations
@@ -65,22 +65,18 @@ from repro.arch.micro_ops import (
 from repro.sim.memory import CrossbarMemory
 
 
-#: Lanes (masked crossbars x rows) up to which a run packs words
-#: (:class:`GateRun`); only wider runs may be bit-planes (:class:`PlaneRun`).
-#: The fp-mul body (6,965 gates), ms per replay, words / planes (2-vCPU x86,
-#: CPython 3.11): 4.1 / 2.5 at 64 lanes, 7.2 / 2.1 at 128, 14 / 2.3 at
-#: 256, 29 / 3.8 at 1,024, 121 / 9.2 at 4,096, 1,961 / 157 at 65,536. A
-#: plane run pays ~0.1 ms to pack and unpack, so ``fig12_replay_sim``'s
-#: hundreds of short narrow runs make an all-planes replay 2x slower.
+#: Lanes (masked crossbars x rows) up to which a word run's out-masks are
+#: replicated across its lanes once, at plan build (:class:`GateRun`); a
+#: wider word run replicates them at each replay (:class:`WideGateRun`).
+#: It does not choose between words and planes.
 MAX_WORD_LANES = 64
 
-#: Gates per packed plane (read + written) a wider run needs to be planes:
-#: packing costs per plane, which a short body never wins back. Eager
-#: bodies by gates per plane, words / planes time at 65 / 256 / 4,096
-#: lanes (same machine): int add 0.64: 0.16 / 0.27 / 0.39; eq, ne, mux
-#: 0.65-0.85: 0.46-0.55 / 0.65-1.08 / 0.56-1.04; int lt 1.21: 0.62 / 1.39 /
-#: 1.77; fp lt 1.98: 0.86 / 1.59 / 2.5; fp add, fp mul 9.2: 1.8-2.0 /
-#: 3.8-6.6 / 7.3-8.8 (more in docs/architecture.md).
+#: Gates per packed plane (read + written) a run needs to be planes, at
+#: any width: packing costs per plane, which a short body never wins back.
+#: Eager bodies by gates per plane, words / planes time at 1 / 16 / 64
+#: lanes (2-vCPU x86, CPython 3.11): fp add, fp mul, int mul 8.9-11.5:
+#: 1.5-2.0; fp lt 1.98: 0.80-0.92, a known loss of ~0.06 ms; int lt 1.21:
+#: 0.56-0.64; eq 0.73: 0.50-0.55; int add 0.64: 0.16 (docs/architecture.md).
 MIN_GATES_PER_PLANE = 1.5
 
 
@@ -164,9 +160,10 @@ class GateRun(NamedTuple):
     :func:`lane_table`; an operand slot the gate does not read holds
     ``out`` and shift 0. ``masks[mask_id]`` is the out-mask replicated
     across the region's lanes (``None`` for ids no run of this lane count
-    reads; one table per lane count of the plan). Calling the record on a
-    memory executes the whole run — typically thousands of micro-ops — as
-    pack / interpret / unpack over the packed image.
+    reads; one table per lane count of the plan); ``rule`` says why it is
+    not planes (:func:`build_gate_runs`). Calling the record on a memory
+    executes the whole run — typically thousands of micro-ops — as pack /
+    interpret / unpack over the packed image.
     """
 
     xb: RangeMask
@@ -175,9 +172,10 @@ class GateRun(NamedTuple):
     written: Tuple[int, ...]
     masks: Tuple[Optional[int], ...]
     steps: Tuple[Tuple, ...]
+    rule: Tuple[str, float]
 
     def __call__(self, memory: CrossbarMemory) -> None:
-        xb, row, regs, written, masks, steps = self
+        xb, row, regs, written, masks, steps, _ = self
         state = [0] * (regs[-1] + 1)  # indexed by register
         for reg in regs:
             state[reg] = memory.pack_lanes(xb, reg, row)
@@ -224,15 +222,16 @@ class GateRun(NamedTuple):
             "masks": len({step[6] for step in self.steps}),
             "opcodes": dict(opcodes),
             "layout": "words",
+            self.rule[0]: round(self.rule[1], 3),
         }
 
 
 class WideGateRun(GateRun):
-    """A word run wider than :data:`MAX_WORD_LANES` (its body too short for
-    planes) whose ``masks`` are the out-masks it reads *unreplicated*,
-    replicated at each replay (+13 % of an int-add run at 65 lanes, +87 %
-    at 65,536): kept replicated, a mask is 256 KB at 65,536 lanes, and
-    ``test_cordic_sine``'s plans held 166 MB of them."""
+    """A word run wider than :data:`MAX_WORD_LANES` whose ``masks`` are the
+    out-masks it reads *unreplicated*, replicated at each replay (+13 % of
+    an int-add run at 65 lanes, +87 % at 65,536): kept replicated, a mask
+    is 256 KB at 65,536 lanes, and ``test_cordic_sine``'s plans held
+    166 MB of them."""
 
     __slots__ = ()
 
@@ -255,19 +254,21 @@ class PlaneBody:
     A *plane* is one register's bit at one partition in every lane of the
     region: an integer of ``lanes`` bits, numbered ``reg << 6 | partition``.
     ``steps`` holds one shared ``(gate, out, a, b)`` record
-    (:func:`plane_body`) per output partition of each gate, shifts
+    (:func:`derive_plane_body`) per output partition of each gate, shifts
     resolved to planes: ``o ^= o & (a | b)`` (NOR), ``o ^= o & a`` (NOT),
     ``o = full`` (INIT1) or ``o = 0`` (INIT0). ``read`` are the planes
-    whose value before the run matters, ``written`` those it writes.
+    whose value before the run matters, ``written`` those it writes, and
+    ``gates`` the run's gate count.
     """
 
     read: Tuple[int, ...]
     written: Tuple[int, ...]
     steps: Tuple[Tuple[int, int, int, int], ...]
+    gates: int
 
 
 class PlaneRun(NamedTuple):
-    """A wide ``"gates"`` super-step as a bit-plane program: plain data,
+    """A dense ``"gates"`` super-step as a bit-plane program: plain data,
     like :class:`GateRun`. Runs of the same gate words share one
     :class:`PlaneBody` at any region."""
 
@@ -305,6 +306,7 @@ class PlaneRun(NamedTuple):
             "masks": 0,
             "opcodes": dict(Counter(GateType(step[0]).name for step in steps)),
             "layout": "planes",
+            "gates_per_plane": round(self.body.gates / len(read + written), 3),
         }
 
 
@@ -328,12 +330,12 @@ assert _RECORD_WIDTHS[-1] >= 3 * _PART_FIELD, "a record key overflows int64"
 
 
 def lane_table(gate_table, partitions: int) -> tuple:
-    """``(records, ids, masks)`` of a
+    """``(table, ids, masks)`` of a
     :func:`~repro.arch.micro_ops.gate_table`'s gates: the distinct
-    lane-free records, each gate's index among them, and the distinct
-    out-mask values a record's mask id indexes. The seven per-gate
-    columns are keyed into one ``int64``; only distinct keys become
-    tuples. Each distinct pattern is validated once (:func:`pattern_masks`).
+    lane-free records as seven ``int32`` columns (a gate's seven columns
+    keyed into one ``int64``), each gate's index among them, and the
+    distinct out-mask values a record's mask id indexes. Each distinct
+    pattern is validated once (:func:`pattern_masks`).
     """
     fields, keys, index = gate_table
     gate, out = fields["gate"], fields["out"]
@@ -354,15 +356,13 @@ def lane_table(gate_table, partitions: int) -> tuple:
     for column, start in zip(columns, starts):
         key |= column.astype(np.int64) << start
     distinct, ids = _distinct(key)
-    records = list(zip(*(
-        ((distinct >> start) & ((1 << width) - 1)).tolist()
-        for start, width in zip(starts, _RECORD_WIDTHS)
-    )))
-    return records, ids, list(mask_ids)
+    table = np.array([(distinct >> start) & ((1 << width) - 1)
+                      for start, width in zip(starts, _RECORD_WIDTHS)], np.int32)
+    return table, ids.astype(np.int32), list(mask_ids)
 
 
 #: Per lane-program opcode: its gate and the sign of each input's shift.
-_GATE_OF, _SIGN_A, _SIGN_B = (np.array(column, np.int64) for column in zip(*OPCODES))
+_GATE_OF, _SIGN_A, _SIGN_B = (np.array(column, np.int32) for column in zip(*OPCODES))
 #: A plane number's bits (``reg << _PART_FIELD | partition``), and where a
 #: plane step's three planes sit in its ``int64`` key, above 2 gate bits.
 _PLANE_BITS = _IDX_FIELD + _PART_FIELD
@@ -370,66 +370,101 @@ _PLANE_SHIFTS = (2, 2 + _PLANE_BITS, 2 + 2 * _PLANE_BITS)
 assert _PLANE_SHIFTS[-1] + _PLANE_BITS < 63, "a plane step key overflows int64"
 
 
-def plane_body(table, masks, run_ids) -> PlaneBody:
-    """The :class:`PlaneBody` of the gates whose :func:`lane_table`
-    records are rows ``run_ids`` of ``table``, derived column-wise: a gate
-    repeats once per output partition ``p`` of its out-mask, an operand
-    becomes plane ``reg << 6 | p - shift``, and equal steps share a tuple.
+def _planes_at_least(table, masks, run) -> int:
+    """A lower bound on the planes a body of :func:`lane_table` rows
+    ``run`` packs, from out-masks alone: those it writes, and those it
+    reads (a shifted out-mask) but never writes."""
+    code, out, a, shift_a, b, shift_b, mask_id = table[:, np.flatnonzero(np.bincount(run))]
+    mask = np.array(masks, np.uint64)[mask_id]
+    written, read = np.zeros((2, 1 << _IDX_FIELD), np.uint64)
+    np.bitwise_or.at(written, out, mask)
+    for reg, shift, sign in ((a, shift_a, _SIGN_A), (b, shift_b, _SIGN_B)):
+        shift = shift.astype(np.uint64)
+        np.bitwise_or.at(read, reg, np.where(sign[code] < 0, mask << shift, mask >> shift))
+    return int(np.bitwise_count(written).sum() + np.bitwise_count(read & ~written).sum())
+
+
+def _spans(start, count, of):
+    """``start[r] ... start[r] + count[r] - 1`` for each ``r`` of ``of``."""
+    n = count[of]
+    ends = np.cumsum(n, dtype=np.int32)
+    return np.repeat(start[of] - ends + n, n) + np.arange(ends[-1], dtype=np.int32)
+
+
+def derive_plane_body(table, masks, run) -> PlaneBody:
+    """The :class:`PlaneBody` of the gates whose :func:`lane_table` rows
+    are ``run``, derived column-wise once per distinct record: a plane
+    step per output partition ``p`` of its out-mask, an operand plane
+    ``reg << 6 | p - shift``; equal steps share a tuple. The body's steps
+    are its records' in gate order; it reads the planes whose first gate
+    is a NOT or NOR.
 
     Per-plane evaluation is exact because a gate never reads a plane it
     writes except its own output at shift 0 (``expand_pattern`` keeps
     gate sections disjoint); a record breaking that raises
     :class:`~repro.sim.simulator.SimulationError` here, at plan build.
     """
-    code, out, a, shift_a, b, shift_b, mask_id = table[run_ids].T
+    code, out, a, shift_a, b, shift_b, mask_id = table
+    first = np.full(len(code), len(run), np.int32)  # a record's first gate
+    np.minimum.at(first, run, np.arange(len(run), dtype=np.int32))
+    used = first < len(run)
     bits = np.arange(64, dtype=np.uint64)
-    is_output = ((np.array(masks, np.uint64)[:, None] >> bits) & 1 > 0)[mask_id]
-    of, part = np.nonzero(is_output)  # a plane step per output partition
+    is_output = (np.array(masks, np.uint64)[:, None] >> bits) & 1 > 0
+    per_mask = is_output.sum(axis=1, dtype=np.int32)
+    count = np.where(used, per_mask[mask_id], 0)  # a plane step per output partition
+    of = np.repeat(np.arange(len(code), dtype=np.int32), count)  # each step's record
+    part = np.nonzero(is_output)[1].astype(np.int32)[
+        _spans(np.cumsum(per_mask, dtype=np.int32) - per_mask, per_mask, mask_id[used])]
     planes = [out[of] << _PART_FIELD | part]
     for reg, shift, sign in ((a, shift_a, _SIGN_A), (b, shift_b, _SIGN_B)):
-        source = part - (sign[code] * shift)[of]
+        source = part - sign[code[of]] * shift[of]
         planes.append(reg[of] << _PART_FIELD | source)
-        rereads = (reg[of] == out[of]) & (source != part) & is_output[of, source]
+        rereads = (reg[of] == out[of]) & (source != part) & is_output[mask_id[of], source]
         if rereads.any():
             from repro.sim.simulator import SimulationError  # import cycle
 
-            record = tuple(table[run_ids[of[np.argmax(rereads)]]].tolist())
+            record = tuple(table[:, of[np.argmax(rereads)]].tolist())
             raise SimulationError(f"record {record} reads another of its own "
                                   "output planes: per-plane replay is not exact")
-    key = _GATE_OF[code][of]
+    touch = np.full(1 << _PLANE_BITS, len(run), np.int32)  # a plane's first gate
+    for plane in planes:
+        np.minimum.at(touch, plane, first[of])
+    touched = np.flatnonzero(touch < len(run))
+    written = np.flatnonzero(np.bincount(planes[0]))
+    reads = _GATE_OF[code[run[touch[touched]]]] >= GateType.NOT
+    key = _GATE_OF[code[of]].astype(np.int64)
     for shift, plane in zip(_PLANE_SHIFTS, planes):
-        key |= plane << shift
-    keys, ids = _distinct(key)
-    fields = [keys >> shift & ((1 << _PLANE_BITS) - 1) for shift in _PLANE_SHIFTS]
-    steps = list(zip((keys & 3).tolist(), *(field.tolist() for field in fields)))
-    out, a, b = planes
-    touched, seen = np.unique(np.stack((a, b, out), axis=1), return_index=True)
-    reads = (key & 3)[seen // 3] >= GateType.NOT  # first touched by a read
-    return PlaneBody(tuple(touched[reads].tolist()), tuple(np.unique(out).tolist()),
-                     tuple(map(steps.__getitem__, ids.tolist())))
+        key |= plane.astype(np.int64) << shift
+    distinct, ids = _distinct(key)
+    numbers = np.arange(1 << _PLANE_BITS).astype(object)  # one int object per plane
+    fields = [numbers[distinct >> s & (len(numbers) - 1)].tolist() for s in _PLANE_SHIFTS]
+    steps = np.fromiter(zip((distinct & 3).tolist(), *fields), dtype=object,
+                        count=len(distinct))
+    start = np.cumsum(count, dtype=np.int32) - count
+    return PlaneBody(tuple(touched[reads].tolist()), tuple(written.tolist()),
+                     tuple(steps[ids[_spans(start, count, run)]].tolist()), len(run))
 
 
 def build_gate_runs(program, config, memory: CrossbarMemory, plane_bodies) -> Iterator:
     """The replay record of every ``"gates"`` super-step, in order: a
-    :class:`PlaneRun` if the run is wider than :data:`MAX_WORD_LANES` with
-    :data:`MIN_GATES_PER_PLANE`, else a :class:`GateRun` (a
-    :class:`WideGateRun` if wide). The caller guarantees the program is
-    self-masked — every gate sits in a run.
+    :class:`PlaneRun` if its body has :data:`MIN_GATES_PER_PLANE`, else a
+    :class:`GateRun` (a :class:`WideGateRun` above :data:`MAX_WORD_LANES`).
+    The caller guarantees the program is self-masked.
 
-    A word run's steps are references into the program's
-    :func:`lane_table` (no op object built), one tuple per distinct body.
-    A mask is replicated across the lanes (``mask * unit``) only for the
-    lane counts whose runs read it, one table per lane count (it depends
-    on the lane width, so is never shared across simulators). A plane
-    body depends on the gate words alone: ``plane_bodies``, the caller's
-    ``WeakValueDictionary``, finds it by the words while a plan holds it.
+    A distinct body is judged once, and a word run's ``rule`` says how:
+    from counts (``("gates_per_plane_at_most", g)``, :func:`_planes_at_least`)
+    or, if they allow planes, from its planes (``("gates_per_plane", g)``,
+    :func:`derive_plane_body`). ``plane_bodies``, the caller's
+    ``WeakValueDictionary``, finds a plane body by its gate words while a
+    plan holds it. Word runs share tuples of the :func:`lane_table`
+    records; a mask is replicated (``mask * unit``) only for the lane
+    counts whose runs read it, a table per lane count.
     """
-    records, ids, masks = lane_table(program.gate_table, config.partitions)
+    table, ids, masks = lane_table(program.gate_table, config.partitions)
     words = program.encoded(config.word_size)
     width = 8 * memory.dtype.itemsize
-    table = None  # the records as rows, for the first plane body missing
     runs, read = [], {}  # read: lanes -> the mask ids its runs read
-    bodies = {}  # a run's record ids -> (regs, written, mask ids, steps)
+    bodies, records = {}, {}  # bodies: a run's record ids -> PlaneBody or word body
     done = 0
     for segment in program.super_steps:
         if segment.kind != "gates":
@@ -437,34 +472,39 @@ def build_gate_runs(program, config, memory: CrossbarMemory, plane_bodies) -> It
         run_ids = ids[done : done + len(segment)]
         done += len(segment)
         xb, row = RangeMask(*segment.xb), RangeMask(*segment.row)
-        lanes = len(xb) * len(row)
-        if lanes > MAX_WORD_LANES:
-            key = words[segment.start : segment.stop].tobytes()
-            planar = plane_bodies.get(key)
-            if planar is None:
-                if table is None:
-                    table = np.array(records, np.int64).reshape(-1, 7)
-                planar = plane_body(table, masks, run_ids)
-            packed = len(planar.read) + len(planar.written)
-            if len(segment) >= MIN_GATES_PER_PLANE * packed:
-                plane_bodies[key] = planar
-                runs.append(PlaneRun(xb, row, planar))
-                continue
         body = run_ids.tobytes()
         if body not in bodies:
+            key = words[segment.start : segment.stop].tobytes()
+            bodies[body] = plane_bodies.get(key)
+        if bodies[body] is None:
+            bound = _planes_at_least(table, masks, run_ids)
+            rule = ("gates_per_plane_at_most", len(segment) / bound)
+            if len(segment) >= MIN_GATES_PER_PLANE * bound:
+                planar = derive_plane_body(table, masks, run_ids)
+                packed = len(planar.read) + len(planar.written)
+                rule = ("gates_per_plane", len(segment) / packed)
+                if len(segment) >= MIN_GATES_PER_PLANE * packed:
+                    bodies[body] = plane_bodies[key] = planar
+        if bodies[body] is None:
             used = run_ids.tolist()
+            fresh = [r for r in set(used) if r not in records]
+            records.update(zip(fresh, zip(*table[:, fresh].tolist())))
             _, out, a, _, b, _, mask_ids = zip(*map(records.__getitem__, set(used)))
             bodies[body] = (
                 tuple(sorted(set(out).union(a, b))), tuple(sorted(set(out))),
-                set(mask_ids), tuple(map(records.__getitem__, used)),
+                set(mask_ids), tuple(map(records.__getitem__, used)), rule,
             )
-        regs, written, mask_ids, steps = bodies[body]
+        if type(bodies[body]) is PlaneBody:
+            runs.append(PlaneRun(xb, row, bodies[body]))
+            continue
+        regs, written, mask_ids, steps, rule = bodies[body]
+        lanes = len(xb) * len(row)
         if lanes > MAX_WORD_LANES:
-            raw = tuple(mask if i in mask_ids else None for i, mask in enumerate(masks))
-            runs.append(WideGateRun(xb, row, regs, written, raw, steps))
+            raw = tuple(mask if m in mask_ids else None for m, mask in enumerate(masks))
+            runs.append(WideGateRun(xb, row, regs, written, raw, steps, rule))
             continue
         read.setdefault(lanes, set()).update(mask_ids)
-        runs.append((xb, row, regs, written, lanes, steps))
+        runs.append((xb, row, regs, written, lanes, steps, rule))
     tables = {}
     for lanes, mask_ids in read.items():
         unit = _lane_unit(width, lanes)
@@ -472,6 +512,6 @@ def build_gate_runs(program, config, memory: CrossbarMemory, plane_bodies) -> It
                               for mask_id, mask in enumerate(masks))
     for run in runs:
         if type(run) is tuple:
-            xb, row, regs, written, lanes, steps = run
-            run = GateRun(xb, row, regs, written, tables[lanes], steps)
+            xb, row, regs, written, lanes, steps, rule = run
+            run = GateRun(xb, row, regs, written, tables[lanes], steps, rule)
         yield run

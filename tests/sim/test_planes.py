@@ -2,16 +2,19 @@
 
 Covers the obligations of ``repro.sim.replay.PlaneRun``:
 
-- random self-masked programs at 1, 64, 65, 128 and 16x512 lanes, on
-  16-, 32- and 64-partition chips: bit-planes, word lanes (with wide
+- random self-masked programs at 1, 4, 64, 65, 128 and 16x512 lanes,
+  on 16-, 32- and 64-partition chips: bit-planes, word lanes (with wide
   runs' masks replicated at build or per replay) and
   ``Simulator.execute`` leave the same memory, the same read responses
   and the same ``SimStats`` (cycles included);
 - the plan-build check that makes per-plane evaluation exact — a gate
   reading another of its own output planes raises ``SimulationError``
   before anything replays;
-- the layout rule: planes only for runs wider than ``MAX_WORD_LANES``
-  with ``MIN_GATES_PER_PLANE`` gates per plane they pack;
+- the layout rule: planes for runs with ``MIN_GATES_PER_PLANE`` gates per
+  plane they pack, at any width; a body the counts reject is never
+  derived, and no body is derived twice in a plan;
+- the per-record derivation equals the per-gate one it replaced
+  (``reference_plane_body``, kept here as the reference);
 - plane records are plain, deduplicated data shared across plans for as
   long as a plan holds them, and the plane pack / unpack helpers
   round-trip and touch only the named planes.
@@ -52,6 +55,7 @@ CHIPS = {
 #: ``(crossbar mask, row mask)`` per lane count, strided ones included.
 REGIONS = {
     1: ((5, 5, 1), (7, 7, 1)),
+    4: ((2, 8, 2), (9, 9, 1)),
     64: ((0, 3, 1), (0, 15, 1)),
     65: ((0, 4, 1), (0, 12, 1)),
     128: ((0, 14, 2), (1, 31, 2)),
@@ -120,14 +124,14 @@ def _seeded(config, seed):
 
 @pytest.fixture
 def any_length_planes(monkeypatch):
-    """Let a wide run of any length be bit-planes."""
+    """Let a run of any length be bit-planes."""
     monkeypatch.setattr(replay, "MIN_GATES_PER_PLANE", 0)
 
 
 def _replayed(config, program, seed, word_lanes, min_gates):
-    """A fresh chip's replay of ``program`` with runs up to ``word_lanes``
-    lanes as word lanes, wider ones as bit-planes if they have
-    ``min_gates`` gates per plane and as wide word runs if not."""
+    """A fresh chip's replay of ``program`` with runs of ``min_gates``
+    gates per plane as bit-planes, the others as word lanes (their masks
+    replicated per replay above ``word_lanes`` lanes)."""
     sim = _seeded(config, seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(replay, "MAX_WORD_LANES", word_lanes)
@@ -139,8 +143,8 @@ def _replayed(config, program, seed, word_lanes, min_gates):
 #: Per layout: ``(word_lanes, min_gates)`` making every run of it, and
 #: the run types a plan may then hold.
 LAYOUTS = {
-    "planes": (0, 0, {replay.PlaneRun}),
-    "words": (1 << 30, 0, {replay.GateRun}),
+    "planes": (64, 0, {replay.PlaneRun}),
+    "words": (1 << 30, float("inf"), {replay.GateRun}),
     "wide words": (64, float("inf"), {replay.GateRun, replay.WideGateRun}),
 }
 
@@ -182,9 +186,13 @@ def _bodies(config, region):
 
 
 def test_wide_long_runs_are_planes_and_the_rest_words():
-    """Lanes above ``MAX_WORD_LANES`` and ``MIN_GATES_PER_PLANE`` gates
-    per packed plane make a plane run; any other run packs words."""
+    """``MIN_GATES_PER_PLANE`` gates per packed plane make a plane run at
+    every width (1 to 16x512 lanes); any other run packs words, its masks
+    replicated per replay above ``MAX_WORD_LANES`` lanes. Each run reports
+    the rule's input: the long body's 48 gates per plane, the short one's
+    count bound (one gate, 32 written planes)."""
     config = CHIPS[32]
+    assert sorted(REGIONS) == [1, 4, 64, 65, 128, 16 * 512]
     for lanes, region in REGIONS.items():
         for ops, long in zip(_bodies(config, region), (True, False)):
             program = MicroProgram.from_ops(ops, "p", config)
@@ -194,12 +202,118 @@ def test_wide_long_runs_are_planes_and_the_rest_words():
                 reference.execute(op)
             assert np.array_equal(sim.memory.words, reference.memory.words)
             (run,) = [s for s in sim.replay_plan(program).steps if type(s) is not tuple]
-            wide = lanes > replay.MAX_WORD_LANES
-            assert run.summary()["layout"] == ("planes" if long and wide else "words")
-            assert run.summary()["lanes"] == lanes
-            if wide and not long:  # masks kept unreplicated: one lane wide
-                assert type(run) is replay.WideGateRun
-                assert max(filter(None, run.masks)) < 1 << config.word_size
+            summary = run.summary()
+            assert summary["layout"] == ("planes" if long else "words")
+            assert summary["lanes"] == lanes
+            if long:
+                assert summary["gates_per_plane"] == 48.0
+            else:
+                assert summary["gates_per_plane_at_most"] == round(1 / 32, 3)
+                wide = lanes > replay.MAX_WORD_LANES
+                assert type(run) is (replay.WideGateRun if wide else replay.GateRun)
+                if wide:  # masks kept unreplicated: one lane wide
+                    assert max(filter(None, run.masks)) < 1 << config.word_size
+
+
+def reference_plane_body(table, masks, run_ids):
+    """The per-gate derivation ``derive_plane_body`` replaced, kept as its
+    reference: ``(read, written, steps)`` of the gates whose lane-table
+    rows are ``run_ids`` of ``table`` (one record per row), expanding every
+    gate, not every distinct record."""
+    code, out, a, shift_a, b, shift_b, mask_id = table[run_ids].T.astype(np.int64)
+    bits = np.arange(64, dtype=np.uint64)
+    is_output = ((np.array(masks, np.uint64)[:, None] >> bits) & 1 > 0)[mask_id]
+    of, part = np.nonzero(is_output)
+    planes = [out[of] << 6 | part]
+    for reg, shift, sign in ((a, shift_a, replay._SIGN_A), (b, shift_b, replay._SIGN_B)):
+        planes.append(reg[of] << 6 | part - (sign[code] * shift)[of])
+    gate = replay._GATE_OF[code][of]
+    steps = tuple(zip(gate.tolist(), *(plane.tolist() for plane in planes)))
+    out, a, b = planes
+    touched, seen = np.unique(np.stack((a, b, out), axis=1), return_index=True)
+    reads = gate[seen // 3] >= GateType.NOT  # first touched by a read
+    return tuple(touched[reads].tolist()), tuple(np.unique(out).tolist()), steps
+
+
+def _gate_runs(program, config):
+    """``(table, masks, run ids per gate run)`` of a program."""
+    table, ids, masks = replay.lane_table(program.gate_table, config.partitions)
+    runs, done = [], 0
+    for segment in program.super_steps:
+        if segment.kind == "gates":
+            runs.append(ids[done : done + len(segment)])
+            done += len(segment)
+    return table, masks, runs
+
+
+def _assert_derivation_is_the_reference(program, config):
+    table, masks, runs = _gate_runs(program, config)
+    bodies = [replay.derive_plane_body(table, masks, run) for run in runs]
+    for run, body in zip(runs, bodies):
+        assert (body.read, body.written, body.steps) == reference_plane_body(
+            table.T, masks, run)
+        assert body.gates == len(run)
+    return bodies
+
+
+class TestDerivation:
+    """Plane bodies are derived once per distinct record and equal the
+    per-gate derivation; the counts reject short bodies first."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), partitions=st.sampled_from(sorted(CHIPS)),
+           length=st.integers(1, 60))
+    def test_equals_the_per_gate_reference(self, seed, partitions, length):
+        config = CHIPS[partitions]
+        ops = _program_ops(np.random.default_rng(seed), config, REGIONS[4], length)
+        _assert_derivation_is_the_reference(MicroProgram.from_ops(ops, "p", config), config)
+
+    def test_equals_the_per_gate_reference_on_the_session_plan(self, session_plan):
+        program, config, runs = session_plan
+        bodies = _assert_derivation_is_the_reference(program, config)
+        assert len(bodies) == len(runs) > 80
+        for run, body in zip(runs, bodies):  # the plan's own bodies too
+            if type(run) is replay.PlaneRun:
+                assert run.body == body
+
+    def test_counts_reject_first_and_no_body_is_derived_twice(self, monkeypatch):
+        """A dense body at two regions, a sparse one twice and a one-gate
+        body: the first two bodies are derived once each. The sparse body
+        passes the counts (3 planes at least, 6 gates) but packs 5 planes
+        (its output planes are read first): it is words, as the one-gate
+        body (32 written planes) is from counts, never derived."""
+        derived = []
+        derive = replay.derive_plane_body
+
+        def counted(table, masks, run):
+            derived.append(run.tobytes())
+            return derive(table, masks, run)
+
+        monkeypatch.setattr(replay, "derive_plane_body", counted)
+        config = CHIPS[32]
+        dense, init = _bodies(config, REGIONS[1])
+        sparse = [LogicHOp(GateType.NOT, 4, 4, 3, 0, 0, 0, 0, 1),
+                  LogicHOp(GateType.NOT, 5, 5, 4, 0, 0, 0, 0, 1)] * 3
+        other = [CrossbarMaskOp(*REGIONS[65][0]), RowMaskOp(*REGIONS[65][1])]
+        ops = (dense + other + dense[2:] + dense[:2] + sparse + other + sparse
+               + init)  # one run per region switch
+        program = MicroProgram.from_ops(ops, "p", config)
+        sim, reference = _seeded(config, 4), _seeded(config, 4)
+        sim.execute_program(program)
+        for op in ops:
+            reference.execute(op)
+        assert np.array_equal(sim.memory.words, reference.memory.words)
+
+        runs = [s for s in sim.replay_plan(program).steps if type(s) is not tuple]
+        ids = _gate_runs(program, config)[2]
+        assert derived == [ids[0].tobytes(), ids[2].tobytes()]
+        assert ids[1].tobytes() == ids[0].tobytes() and ids[3].tobytes() == ids[2].tobytes()
+        assert [type(run).__name__ for run in runs] == [
+            "PlaneRun", "PlaneRun", "GateRun", "WideGateRun", "GateRun"]
+        assert runs[0].body is runs[1].body
+        assert runs[2].rule == runs[3].rule == ("gates_per_plane", 6 / 5)
+        assert runs[4].rule == ("gates_per_plane_at_most", 1 / 32)
+        assert runs[2].summary()["gates_per_plane"] == 1.2
 
 
 class TestOverlapCheck:
@@ -212,19 +326,21 @@ class TestOverlapCheck:
         # reads partition 1 of register 3 (shift 1) — an output plane.
         record = (nor_up, 3, 3, 1, 4, 1, 0)
         with pytest.raises(SimulationError, match="own"):
-            replay.plane_body(np.array([record]), [0b110], np.array([0]))
+            replay.derive_plane_body(np.array([record]).T, [0b110], np.array([0]))
         # Shift 0 on its own output, or another register: exact, accepted.
-        body = replay.plane_body(np.array([(nor_up, 3, 4, 1, 5, 1, 0)]), [0b110],
-                                 np.array([0]))
+        body = replay.derive_plane_body(np.array([(nor_up, 3, 4, 1, 5, 1, 0)]).T,
+                                        [0b110], np.array([0]))
         assert body.steps == ((GateType.NOR, 3 << 6 | 1, 4 << 6 | 0, 5 << 6 | 0),
                               (GateType.NOR, 3 << 6 | 2, 4 << 6 | 1, 5 << 6 | 1))
         assert body.read == (3 << 6 | 1, 3 << 6 | 2, 4 << 6 | 0, 4 << 6 | 1,
                              5 << 6 | 0, 5 << 6 | 1)
         assert body.written == (3 << 6 | 1, 3 << 6 | 2)
 
+    @pytest.mark.usefixtures("any_length_planes")
     def test_the_program_raises_at_plan_build_and_never_replays(self, monkeypatch):
         # A pattern table that overlaps two gates' sections: outputs 1 and
-        # 2, each NOR reading partition p - 1 of its own register.
+        # 2, each NOR reading partition p - 1 of its own register. (Only a
+        # body that is derived is checked: planes are forced.)
         monkeypatch.setattr(replay, "pattern_outputs", lambda *fields: (0b110, 2))
         replay._pattern_mask.cache_clear()
         try:
@@ -294,6 +410,7 @@ class TestPlaneRecords:
         assert run.summary() == {
             "lanes": 128, "steps": 33, "regs": 3, "masks": 0,
             "opcodes": {"INIT1": 32, "NOR": 1}, "layout": "planes",
+            "gates_per_plane": round(2 / 34, 3),  # 2 planes read, 32 written
         }
         # Register 3 is initialized first: only the NOR's inputs are packed.
         assert run.body.read == (0 << 6 | 0, 1 << 6 | 1)

@@ -308,21 +308,26 @@ class TestEngineSelection:
         assert replay.OPCODES[nor_up] == (GateType.NOR, 1, 1)
         # Mask ids follow the pattern keys: the NOR's (p_end 2) before the
         # INIT1's (p_end 31); both runs have 32 lanes, so share one table.
+        # Both are words from counts: one gate writing 32 planes; one
+        # gate reading 2 planes and writing 1.
         masks = (0b100 * unit, 0xFFFFFFFF * unit)
         assert sim.replay_plan(program).steps == (
             (CrossbarMaskOp, xb),
             (RowMaskOp, row),
             replay.GateRun(xb, row, (3,), (3,), masks,
-                           ((init1, 3, 3, 0, 3, 0, 1),)),
+                           ((init1, 3, 3, 0, 3, 0, 1),),
+                           ("gates_per_plane_at_most", 1 / 32)),
             (WriteOp, 2, 7),
             replay.GateRun(xb, row, (0, 1, 3), (3,), masks,
-                           ((nor_up, 3, 0, 2, 1, 1, 0),)),
+                           ((nor_up, 3, 0, 2, 1, 1, 0),),
+                           ("gates_per_plane_at_most", 1 / 3)),
         )
         run = sim.replay_plan(program).steps[-1]
         assert list(run) == [run.xb, run.row, run.regs, run.written,
-                             run.masks, run.steps]
+                             run.masks, run.steps, run.rule]
         assert run.summary() == {"lanes": 32, "steps": 1, "regs": 3, "masks": 1,
-                                 "opcodes": {"NOR<<": 1}, "layout": "words"}
+                                 "opcodes": {"NOR<<": 1}, "layout": "words",
+                                 "gates_per_plane_at_most": 0.333}
 
     def test_body_program_replays_through_the_reference(self):
         """Gates under caller-set masks: not self-masked, so no static
@@ -407,24 +412,28 @@ class TestEngineSelection:
             assert sim.replay_counters == {"vectorized": 1, "reference": 0}
 
     def test_wide_regions_plan_as_planes(self):
-        """Region width picks a run's layout, never the route: 16x512
-        regions plan and match the reference on memory and stats, beside
-        a narrow region's word lanes in the same program. The wide run is
-        bit-planes once it is long enough for the planes it packs, word
-        lanes with its masks replicated per replay before."""
+        """A body's density picks a run's layout at any width, never the
+        route: one body under a 16x512 and a 64-lane region plans and
+        matches the reference on memory and stats. Short, it is word lanes
+        at both widths (its masks replicated per replay above
+        ``MAX_WORD_LANES``); long enough for the planes it packs, it is one
+        shared bit-plane body at both."""
         big = PIMConfig(crossbars=16, rows=512)
         gates = [_init1(3), _gate(3, 0, 1), _gate(3, 1, 2),
                  _gate(4, 3, 2, gate=GateType.NOT, p_out=5, p_a=1, p_b=1)]
-        for repeats, layout in ((1, replay.WideGateRun), (20, replay.PlaneRun)):
+        for repeats, layouts in ((1, (replay.WideGateRun, replay.GateRun)),
+                                 (20, (replay.PlaneRun, replay.PlaneRun))):
             ops = ([CrossbarMaskOp(0, 15, 1), RowMaskOp(0, 511, 1)] + gates * repeats
-                   + [CrossbarMaskOp(3, 3, 1), RowMaskOp(0, 63, 1)] + gates)
+                   + [CrossbarMaskOp(3, 3, 1), RowMaskOp(0, 63, 1)] + gates * repeats)
             sim, _, program = _replay_vs_op_by_op(big, ops, replays=2)
             assert sim.replay_counters == {"vectorized": 2, "reference": 0}
             wide, narrow = [step for step in sim.replay_plan(program).steps
                             if type(step) is not tuple]
-            assert type(wide) is layout and type(narrow) is replay.GateRun
+            assert (type(wide), type(narrow)) == layouts
             assert wide.summary()["lanes"] == 16 * 512 > replay.MAX_WORD_LANES
-            assert narrow.summary()["lanes"] == 64 == replay.MAX_WORD_LANES
+            assert narrow.summary()["lanes"] == 64 <= replay.MAX_WORD_LANES
+            if repeats > 1:
+                assert wide.body is narrow.body
 
     def test_illegal_htree_move_raises_like_op_by_op(self):
         _raises_like_op_by_op(CFG, _masked([
@@ -561,38 +570,6 @@ class TestPlanRecords:
         assert sim.replay_counters == {"vectorized": 1, "reference": 0}
 
 
-def _grad_terms(x, y):
-    """``bench``'s ``session_warm`` function: a dead temporary, a constant
-    subgraph and a recomputed product for the O3 optimizer."""
-    import repro.pim as pim
-
-    _ = x - y
-    scale = pim.full(len(x), 0.5, dtype=pim.float32, device=x.device) * 4.0
-    pred = x * y + x
-    resid = x * y - x
-    return pred, (resid * scale).sum()
-
-
-@pytest.fixture(scope="module")
-def session_plan():
-    """The lane table's records and masks of the ``session_warm`` program
-    (``_grad_terms`` at O3, 4x16, n=64), and its plan's gate runs."""
-    import repro.pim as pim
-
-    config = PIMConfig(crossbars=4, rows=16)
-    device = pim.PIMDevice(config, backend="simulator")
-    rng = np.random.default_rng(3)
-    x, y = (pim.from_numpy(rng.uniform(0.5, 2.0, 64).astype(np.float32),
-                           device=device) for _ in range(2))
-    func = pim.CompiledFunction(_grad_terms, device=device, opt_level=3)
-    func(x, y)
-    program = func._entry_for((x, y)).program
-    plan = device.backend.simulator.replay_plan(program)
-    device.close()
-    records, _, masks = replay.lane_table(program.gate_table, config.partitions)
-    return records, masks, [s for s in plan.steps if type(s) is replay.GateRun]
-
-
 class TestSharedRecords:
     """A plan holds one record object per distinct gate record: lane-free
     records shared by every run, out-masks in one table per lane count."""
@@ -612,18 +589,27 @@ class TestSharedRecords:
     def test_the_session_plan_holds_one_object_per_distinct_record(
         self, session_plan
     ):
-        records, _, runs = session_plan
-        objects = {id(record) for run in runs for record in run.steps}
-        values = {record for run in runs for record in run.steps}
-        assert len(objects) == len(values) == len(records) == 12706
-        assert sum(len(run.steps) for run in runs) > 4 * len(records)
+        """Its word runs' records are lane-table records, one object each;
+        its long fp bodies are dense enough for planes."""
+        program, config, runs = session_plan
+        table = replay.lane_table(program.gate_table, config.partitions)[0]
+        records = set(zip(*table.tolist()))
+        words = [run for run in runs if type(run) is replay.GateRun]
+        objects = {id(record) for run in words for record in run.steps}
+        values = {record for run in words for record in run.steps}
+        assert len(objects) == len(values) and values <= records
+        assert len(records) == 12706
+        assert sum(len(run.steps) for run in words) > len(values)
+        assert {run.body.gates for run in runs if type(run) is replay.PlaneRun} == {
+            5615, 5619, 25142}
 
     def test_a_widths_mask_table_holds_exactly_the_ids_its_runs_read(
         self, session_plan
     ):
-        _, masks, runs = session_plan
+        program, config, runs = session_plan
+        masks = replay.lane_table(program.gate_table, config.partitions)[2]
         by_width = {}
-        for run in runs:
+        for run in (run for run in runs if type(run) is replay.GateRun):
             by_width.setdefault(len(run.xb) * len(run.row), []).append(run)
         assert len(by_width) > 2
         for lanes, group in by_width.items():

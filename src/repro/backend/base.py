@@ -28,9 +28,9 @@ the fault overlay and the one fault window that closes a unit
 (:meth:`~repro.driver.driver.Driver.close_window`). Backends that apply
 instructions without running micro-ops (the functional backend, the
 pool) derive from :class:`BilledBackend`, which owns everything else
-around "apply" once: pricing (from the driver's lowering) and refusal
-bills. Which cells an instruction writes is
-:func:`repro.isa.instructions.written_region`.
+around "apply" once: pricing, from the driver's lowering, after the
+driver's one refusal (``Driver.check_stream``). Which cells an
+instruction writes is :func:`repro.isa.instructions.written_region`.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.arch.config import PIMConfig, config_fingerprint
 from repro.driver.driver import Driver
 from repro.driver.stream import MacroStream
 from repro.faults.checksum import check_verify_mode
-from repro.isa.instructions import Instruction, RInstr, validate
+from repro.isa.instructions import Instruction
 from repro.sim.simulator import SimulationError
 from repro.sim.stats import SimStats
 
@@ -306,9 +306,9 @@ class BilledBackend(Backend):
     # ------------------------------------------------------------------
     def _instr_delta(self, instr: Instruction) -> SimStats:
         """The cycle bill of one instruction's lowering (memoized); a
-        first sight raises the chip's own errors (mask ranges, H-tree
-        patterns) and those of the non-R lowerings' range checks."""
-        validate(instr, self.config.registers)
+        first sight refuses what the driver refuses
+        (:meth:`Driver.check_stream <repro.driver.driver.Driver.check_stream>`),
+        before anything is applied."""
         delta = self._instr_stats.get(instr)
         if delta is not None:
             self._hits += 1
@@ -318,21 +318,6 @@ class BilledBackend(Backend):
         if len(self._instr_stats) < 65536:
             self._instr_stats[instr] = delta
         return delta
-
-    def _eager_delta(self, instr: Instruction) -> SimStats:
-        """:meth:`_instr_delta` for an instruction executed on its own,
-        refused as the chip behind a driver refuses it: an R-type macro
-        whole, by the driver's mask check at plan build, before anything
-        runs; a non-R lowering op by op, so the ops before the refused
-        one ran and their bill (handed over by the walk) is charged."""
-        if isinstance(instr, RInstr):
-            self.lowering.check_stream((instr,))
-        try:
-            return self._instr_delta(instr)
-        except SimulationError as refusal:
-            if refusal.prefix is not None:
-                self._stats.merge(refusal.prefix.billed(self.move_cost))
-            raise
 
     def _compile(
         self, instructions: Sequence[Instruction], name: str, optimize: bool

@@ -105,7 +105,7 @@ class NumpyBackend(BilledBackend):
     # Backend interface
     # ------------------------------------------------------------------
     def execute(self, instr: Instruction) -> Optional[int]:
-        delta = self._eager_delta(instr)
+        delta = self._instr_delta(instr)
         step = self._plan_instr(instr)
         if isinstance(instr, RInstr):  # only arithmetic can trip a NumPy warning
             with np.errstate(all="ignore"):

@@ -36,6 +36,7 @@ peephole-optimized with :meth:`Driver.compile` /
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
@@ -85,6 +86,15 @@ from repro.sim.stats import SimStats
 
 #: Default LRU capacity of each program-cache tier.
 DEFAULT_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=1024)
+def _shared(kind, *fields):
+    """One object per distinct op (``kind`` a micro-op class) or gate row
+    (``kind`` is ``tuple``) of the short lowerings. A plan-less stream is
+    lowered whole and checked before any of it is sent, so until then
+    each of its moves holds a list of shared objects."""
+    return fields if kind is tuple else kind(*fields)
 
 
 class BufferSink:
@@ -230,10 +240,11 @@ class Driver:
         return self._execute_lowered((instr,))
 
     def _execute_lowered(self, instrs: Tuple[Instruction, ...]) -> Optional[int]:
-        """The plan-less path: one dispatch unit's macros op by op, one window."""
+        """The plan-less path: one dispatch unit refused whole
+        (:meth:`check_stream`), then forwarded op by op, one window."""
         response: Optional[int] = None
-        for instr in instrs:
-            for op in self.lower(instr):
+        for instr, short in zip(instrs, self.check_stream(instrs)):
+            for op in self._counted(instr, short):
                 result = self.chip.execute(op)
                 if result is not None:
                     response = result
@@ -280,21 +291,27 @@ class Driver:
         return program
 
     def lower(self, instr: Instruction) -> List[MicroOp]:
-        """Produce the full micro-operation sequence for an instruction."""
-        validate(instr, self.config.registers)
+        """Produce the full micro-operation sequence for an instruction,
+        refused as a one-instruction stream (:meth:`check_stream`)."""
+        (short,) = self.check_stream((instr,))
+        return self._counted(instr, short)
+
+    def _counted(self, instr: Instruction, short) -> List[MicroOp]:
+        """:meth:`_lower_ops` of a checked instruction, counted."""
+        ops = self._lower_ops(instr, short)
         self.macro_count += 1
-        ops = self._lower_ops(instr)
         self.micro_count += len(ops)
         return ops
 
-    def _lower_ops(self, instr: Instruction) -> List[MicroOp]:
-        """Lowering without validation or counter updates (shared core)."""
+    def _lower_ops(self, instr: Instruction, short=None) -> List[MicroOp]:
+        """Lowering without validation or counter updates (shared core);
+        ``short`` is a non-R instruction's :meth:`_lower_short`, if made."""
         if isinstance(instr, RInstr):
             body = self._rtype_program(instr)
             return self._mask_ops(instr.warp_mask, instr.row_mask) + list(body.ops)
         return [
-            LogicHOp(*op) if type(op) is tuple else op
-            for op in self._lower_short(instr)
+            _shared(LogicHOp, *op) if type(op) is tuple else op
+            for op in (self._lower_short(instr) if short is None else short)
         ]
 
     def _lower_short(self, instr: Instruction) -> list:
@@ -317,18 +334,16 @@ class Driver:
     def instr_bill(self, instr: Instruction) -> SimStats:
         """What one instruction's verbatim lowering costs, without running it.
 
-        In the form of :meth:`MicroProgram.bill`, raising what the chip
-        would raise. Every lowering sets its masks first, so a stream's
-        bill is the sum of its instructions'. An R-type bill is its two
-        mask ops plus the body's carried bill, whose gate count scales
-        with the masked crossbars x rows; the short non-R lowerings are
-        walked (and range-checked) as they are.
+        In the form of :meth:`MicroProgram.bill`, after the instruction
+        passed :meth:`check_stream`. Every lowering sets its masks first,
+        so a stream's bill is the sum of its instructions'. An R-type
+        bill is its two mask ops plus the body's carried bill, whose gate
+        count scales with the masked crossbars x rows; the short non-R
+        lowerings are walked as they are.
         """
-        if not isinstance(instr, RInstr):
-            ops = self._lower_ops(instr)
-            bill = accounting_walk(ops, self.config, "htree")
-            validate_ops(ops, self.config)
-            return bill
+        (short,) = self.check_stream((instr,))
+        if short is not None:
+            return accounting_walk(self._lower_ops(instr, short), self.config, "htree")
         config = self.config
         bill = accounting_walk(
             self._mask_ops(instr.warp_mask, instr.row_mask), config
@@ -397,11 +412,11 @@ class Driver:
     def _compile_reference(
         self, instrs: Tuple[Instruction, ...], name: str, optimize: bool
     ) -> MicroProgram:
-        """The reference lowering: op objects, validated and optimized one by one."""
+        """The reference lowering: refused whole, then op objects,
+        validated and optimized one by one."""
         ops: List[MicroOp] = []
-        for instr in instrs:
-            validate(instr, self.config.registers)
-            ops.extend(self._lower_ops(instr))
+        for instr, short in zip(instrs, self.check_stream(instrs)):
+            ops.extend(self._lower_ops(instr, short))
         return compile_ops(
             ops, self.config, name=name, optimize=optimize, macros=len(instrs)
         )
@@ -443,24 +458,36 @@ class Driver:
         )
 
     def check_stream(self, instrs: Tuple[Instruction, ...]) -> list:
-        """Refuse a stream whole before any of it is built, priced or run,
-        on every backend: ISA validation, an R-type's mask ranges, a short
-        lowering's non-gate ops. Returns the short lowerings (``None`` for
+        """The driver's one refusal: a stream is refused whole, before
+        any of it is built, priced or sent, on every backend.
+
+        ISA validation, then an R-type's mask ranges (``CompileError``),
+        or a short lowering's non-gate ops range-checked by
+        :func:`~repro.driver.compiler.validate_ops` (``CompileError``) and
+        walked as the chip walks them (its ``SimulationError``: H-tree
+        patterns, read shape). Returns the short lowerings (``None`` for
         an R-type, whose body is valid by construction)."""
         config = self.config
         shorts: list = []
         for instr in instrs:
             validate(instr, config.registers)
             if not isinstance(instr, RInstr):
-                lowered = self._lower_short(instr)
-                validate_ops([op for op in lowered if type(op) is not tuple], config)
-                shorts.append(lowered)
+                shorts.append(self._lower_short(instr))
                 continue
             for mask, size, axis in ((instr.warp_mask, config.crossbars, "crossbar"),
                                      (instr.row_mask, config.rows, "row")):
                 if mask is not None and mask.stop >= size:
                     raise CompileError(f"{axis} mask out of range")
             shorts.append(None)
+
+        def loose():  # the short lowerings' non-gate ops
+            return (op for short in shorts if short for op in short
+                    if type(op) is not tuple)
+
+        # Every short lowering sets the masks it runs under first: one walk
+        # of them all refuses what a walk of each would.
+        validate_ops(loose(), config)
+        accounting_walk(loose(), config)
         return shorts
 
     def stream_program(self, instructions, name: str = "stream", build=None):
@@ -493,7 +520,9 @@ class Driver:
         tick. A stream with no plan (a disabled cache, more than
         :data:`~repro.driver.stream.MAX_PLAN_MACROS` macros) touches no
         cache: it is lowered and forwarded op-by-op instead, still one
-        fault tick, bit-identically. Returns the last read response.
+        fault tick, bit-identically. Either route refuses the stream
+        whole (:meth:`check_stream`) before one op is sent. Returns the
+        last read response.
         """
         instrs = MacroStream.wrap(instructions)
         if not instrs:
@@ -655,20 +684,21 @@ class Driver:
         stage1, stage2 = self._stage_registers()
         warps = instr.warp_mask or RangeMask.all(cfg.crossbars)
         ops: list = []  # micro-ops, the horizontal gates as rows
+        last = cfg.partitions - 1
 
         def init_column(reg: int) -> tuple:
-            return (GateType.INIT1, 0, 0, reg, 0, 0, 0, cfg.partitions - 1, 1)
+            return _shared(tuple, GateType.INIT1, 0, 0, reg, 0, 0, 0, last, 1)
 
         def not_column(src: int, dst: int) -> tuple:
-            return (GateType.NOT, src, src, dst, 0, 0, 0, cfg.partitions - 1, 1)
+            return _shared(tuple, GateType.NOT, src, src, dst, 0, 0, 0, last, 1)
 
         if instr.warp_dist == 0 and instr.src_thread == instr.dst_thread:
             # Same thread: a pure register-to-register copy (two parallel
             # NOT gates through a staging column, row-masked).
             if instr.src_reg == instr.dst_reg:
                 return ops
-            ops.append(CrossbarMaskOp(warps.start, warps.stop, warps.step))
-            ops.append(RowMaskOp(instr.src_thread, instr.src_thread, 1))
+            ops.append(_shared(CrossbarMaskOp, warps.start, warps.stop, warps.step))
+            ops.append(_shared(RowMaskOp, instr.src_thread, instr.src_thread, 1))
             ops.append(init_column(stage1))
             ops.append(not_column(instr.src_reg, stage1))
             ops.append(init_column(instr.dst_reg))
@@ -680,15 +710,15 @@ class Driver:
             # row, a vertical NOT pair to the destination row, then a
             # horizontal fix-up into the destination register (four NOT
             # gates in total, so the value parity is preserved).
-            ops.append(CrossbarMaskOp(warps.start, warps.stop, warps.step))
-            ops.append(RowMaskOp(instr.src_thread, instr.src_thread, 1))
+            ops.append(_shared(CrossbarMaskOp, warps.start, warps.stop, warps.step))
+            ops.append(_shared(RowMaskOp, instr.src_thread, instr.src_thread, 1))
             ops.append(init_column(stage1))
             ops.append(not_column(instr.src_reg, stage1))  # stage1 = ~v
-            ops.append(LogicVOp(GateType.INIT1, 0, instr.dst_thread, stage1))
-            ops.append(
-                LogicVOp(GateType.NOT, instr.src_thread, instr.dst_thread, stage1)
-            )  # stage1@dst = v
-            ops.append(RowMaskOp(instr.dst_thread, instr.dst_thread, 1))
+            ops.append(_shared(LogicVOp, GateType.INIT1, 0, instr.dst_thread, stage1))
+            ops.append(_shared(
+                LogicVOp, GateType.NOT, instr.src_thread, instr.dst_thread, stage1
+            ))  # stage1@dst = v
+            ops.append(_shared(RowMaskOp, instr.dst_thread, instr.dst_thread, 1))
             ops.append(init_column(stage2))
             ops.append(not_column(stage1, stage2))  # stage2 = ~v
             ops.append(init_column(instr.dst_reg))
@@ -698,21 +728,16 @@ class Driver:
         # Inter-warp: the H-tree move writes the source word directly into
         # the staging column of the destination warps (a plain overwrite),
         # then a NOT pair lands it in the destination register.
-        ops.append(CrossbarMaskOp(warps.start, warps.stop, warps.step))
-        ops.append(
-            MoveOp(
-                instr.warp_dist,
-                instr.src_thread,
-                instr.dst_thread,
-                instr.src_reg,
-                stage1,
-            )
-        )
+        ops.append(_shared(CrossbarMaskOp, warps.start, warps.stop, warps.step))
+        ops.append(_shared(MoveOp, instr.warp_dist, instr.src_thread,
+                           instr.dst_thread, instr.src_reg, stage1))
         dest_warps = RangeMask(
             warps.start + instr.warp_dist, warps.stop + instr.warp_dist, warps.step
         )
-        ops.append(CrossbarMaskOp(dest_warps.start, dest_warps.stop, dest_warps.step))
-        ops.append(RowMaskOp(instr.dst_thread, instr.dst_thread, 1))
+        ops.append(
+            _shared(CrossbarMaskOp, dest_warps.start, dest_warps.stop, dest_warps.step)
+        )
+        ops.append(_shared(RowMaskOp, instr.dst_thread, instr.dst_thread, 1))
         ops.append(init_column(stage2))
         ops.append(not_column(stage1, stage2))  # stage2 = ~v
         ops.append(init_column(instr.dst_reg))

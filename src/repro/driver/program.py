@@ -222,8 +222,9 @@ class MicroProgram:
         program, made on first request and kept (the persistent cache
         stores it with the words), billed from the words
         (:meth:`_tallied`). One the chip would refuse is walked again op
-        by op, only to raise the chip's own ``SimulationError`` at the op,
-        with the bill of the ops before it. H-tree hops are itemized:
+        by op, only to raise the chip's own ``SimulationError`` at the op
+        (a driver stream never gets here: ``Driver.check_stream`` refused
+        it before it was built). H-tree hops are itemized:
         :meth:`SimStats.billed` turns the bill into either move-cost
         model's. Treat it as read-only.
         """

@@ -17,7 +17,9 @@ A stream has no plan for exactly two reasons: the driver's cache is off
 than :data:`MAX_PLAN_MACROS`.  It is then lowered and forwarded op-by-op,
 macro by macro, by ``Driver._execute_lowered`` — bit-identically in
 memory, ``SimStats``, read responses and its one fault window.  Nothing
-selects between the two.
+selects between the two, and neither refuses on its own: both start
+with ``Driver.check_stream``, so a stream is refused whole, before one
+op is sent, or not at all.
 
 This module holds the two things a plan lookup needs besides the driver:
 :class:`MacroStream`, the stream handle, and :data:`MAX_PLAN_MACROS`.

@@ -295,9 +295,8 @@ class TraceSession:
 
         Every read-free stretch is one ``execute_stream`` and every read
         is issued in place, so memory and ``SimStats`` end up where eager
-        execution leaves them (less the crossbar-mask cycle of each
-        bulk-move run the H-tree rejects, which a trace skips rather than
-        attempts), and every :class:`ScalarRef` handed out gets its value.
+        execution leaves them, and every :class:`ScalarRef` handed out
+        gets its value.
         """
         values = []
         stretch: List[Instruction] = []
@@ -334,9 +333,9 @@ class TraceSession:
 
         Under ``pim.compile`` nothing of the stream has run yet, so what
         the chip would have refused at one instruction — an illegal
-        H-tree pattern, a mask or thread out of range — is raised here,
-        as the backend's own ``SimulationError`` / ``CompileError``
-        naming the program.
+        H-tree pattern, a mask or thread out of range, in the stream or
+        in a left-out read — is raised here, as the driver's
+        ``SimulationError`` / ``CompileError`` naming the program.
         """
         from repro.pim.optimizer import (
             OptReport,
@@ -365,6 +364,8 @@ class TraceSession:
             )
         backend = self.device.backend
         try:
+            if not keep_reads:  # re-issued after each replay: refused before it
+                backend.lowering.check_stream(self.reads)
             program = backend.compile(
                 instructions, name=self.graph.name, optimize=level >= 1
             )

@@ -37,7 +37,6 @@ from repro.isa.instructions import (
 )
 from repro.pim.device import PIMDevice, default_device
 from repro.pim.malloc import Slot
-from repro.sim.simulator import SimulationError
 
 Scalar = Union[int, float, np.integer, np.floating]
 
@@ -565,42 +564,20 @@ def _bulk_move(
     single warp-parallel move instruction. The instruction list depends
     only on the geometry and the two (register, first warp, elements)
     triples, so it is planned once (:func:`_move_plan`) and issued as
-    whole streams.
+    one stream.
     """
     with _node(device, "move"):
-        _bulk_move_lowered(device, src_slot, src_elements, dst_slot, dst_elements)
-
-
-def _bulk_move_lowered(
-    device: PIMDevice,
-    src_slot: Slot,
-    src_elements,
-    dst_slot: Slot,
-    dst_elements,
-) -> None:
-    """Issue a bulk move from its memoized plan, one dispatch per stream."""
-    plan = _move_plan(
-        device.rows,
-        device.config.crossbars,
-        src_slot.reg,
-        src_slot.warp_start,
-        src_elements if isinstance(src_elements, range) else tuple(src_elements),
-        dst_slot.reg,
-        dst_slot.warp_start,
-        dst_elements if isinstance(dst_elements, range) else tuple(dst_elements),
-    )
-    for item in plan:
-        if isinstance(item, MacroStream):
-            device.execute_stream(item, name="move")
-        elif not device.tracing_here:
-            # A run the H-tree rejects is still attempted on its own: the
-            # chip counts the crossbar-mask cycle before it refuses the
-            # move, and that cycle is part of the eager bill. A trace skips
-            # it. Its per-warp replacement heads the next stream.
-            try:
-                device.execute(item)
-            except SimulationError:
-                pass
+        plan = _move_plan(
+            device.rows,
+            device.config.crossbars,
+            src_slot.reg,
+            src_slot.warp_start,
+            src_elements if isinstance(src_elements, range) else tuple(src_elements),
+            dst_slot.reg,
+            dst_slot.warp_start,
+            dst_elements if isinstance(dst_elements, range) else tuple(dst_elements),
+        )
+        device.execute_stream(plan, name="move")
 
 
 #: Distinct bulk moves whose plan is kept (least recently used first out).
@@ -617,21 +594,18 @@ def _move_plan(
     dst_reg: int,
     dst_warp_start: int,
     dst_elements,
-) -> Tuple[Union[MacroStream, MoveInstr], ...]:
-    """The dispatch plan of a bulk move, a pure function of its arguments.
+) -> MacroStream:
+    """The move stream of a bulk move, a pure function of its arguments.
 
     Pairs are grouped by (source thread, destination thread, warp
     distance) in order of first appearance, and each group's sorted
     source warps split into runs (:func:`_warp_runs`); every run is one
-    warp-parallel :class:`MoveInstr`. The plan is those instructions in
-    that order, cut into :class:`~repro.driver.stream.MacroStream`
-    handles (hash cached, so a repeated move finds every backend's
-    stream plan by identity) at the runs the H-tree rejects
-    (:func:`~repro.arch.htree.validate_move_pattern`: source and
-    destination warps of the run overlap). A rejected run appears as a
-    bare ``MoveInstr`` between two streams; its pairs are individually
-    valid, so the stream after it starts with one move per warp,
-    ordered so a destination is never a still-unread source
+    warp-parallel :class:`MoveInstr`, in that order, in one
+    :class:`~repro.driver.stream.MacroStream` (hash cached, so a
+    repeated move finds every backend's stream plan by identity). A run
+    the H-tree rejects (:func:`~repro.arch.htree.validate_move_pattern`:
+    its source and destination warps overlap) is replaced by one move
+    per warp, ordered so a destination is never a still-unread source
     (descending for positive distances).
     """
     groups = {}
@@ -641,7 +615,6 @@ def _move_plan(
         key = (src_e % rows, dst_e % rows, dst_warp - src_warp)
         groups.setdefault(key, []).append(src_warp)
 
-    plan: List[Union[MacroStream, MoveInstr]] = []
     stream: List[MoveInstr] = []
     masks: dict = {}  # threads share warp runs: one RangeMask object each
     for (src_thread, dst_thread, dist), warps in groups.items():
@@ -653,19 +626,14 @@ def _move_plan(
                 try:
                     validate_move_pattern(mask, dist, crossbars)
                 except ValueError:
-                    if stream:
-                        plan.append(MacroStream(stream))
-                    plan.append(instr)
                     order = mask.indices()
-                    stream = [
+                    stream.extend(
                         replace(instr, warp_mask=RangeMask.single(warp))
                         for warp in (reversed(order) if dist > 0 else order)
-                    ]
+                    )
                     continue
             stream.append(instr)
-    if stream:
-        plan.append(MacroStream(stream))
-    return tuple(plan)
+    return MacroStream(stream)
 
 
 def _warp_runs(warps: List[int], intra: bool) -> List[RangeMask]:

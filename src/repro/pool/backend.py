@@ -235,7 +235,7 @@ class PooledBackend(BilledBackend):
         return list(self._quarantined)
 
     def execute(self, instr: Instruction) -> Optional[int]:
-        delta = self._eager_delta(instr)
+        delta = self._instr_delta(instr)
         result = self._dispatch(instr)
         self._settle(delta)
         return result
@@ -393,14 +393,13 @@ class PooledBackend(BilledBackend):
         """Execute an inter-warp move over the shared word image.
 
         The H-tree pattern was already validated against the full
-        geometry when the move was priced (``_instr_delta`` walks its
-        lowering once; ``compile`` walks the lowered program), which
-        happens before any mutation — so by the time a bridge executes,
-        the move is known legal and reduces to an exact word copy.  To stay
-        bit-identical with the single-device memory image, the staging
-        residue of the lowering is reproduced too: the H-tree lands the
-        word in ``stage1`` of the destination warps and the NOT pair
-        leaves ``stage2 = ~v`` before writing the destination register.
+        geometry, by the driver's refusal before anything ran, so by the
+        time a bridge executes the move is known legal and reduces to an
+        exact word copy.  To stay bit-identical with the single-device
+        memory image, the staging residue of the lowering is reproduced
+        too: the H-tree lands the word in ``stage1`` of the destination
+        warps and the NOT pair leaves ``stage2 = ~v`` before writing the
+        destination register.
         """
         warps = instr.warp_mask or RangeMask.all(self.config.crossbars)
         sources = np.fromiter(warps.indices(), dtype=np.int64)

@@ -12,6 +12,7 @@ cycles are counted).
 from __future__ import annotations
 
 import weakref
+from functools import lru_cache
 from time import perf_counter
 from typing import Iterable, NamedTuple, Optional
 
@@ -41,10 +42,6 @@ from repro.sim.stats import SimStats
 class SimulationError(Exception):
     """Raised when a micro-operation is invalid for the current state."""
 
-    #: On errors :func:`accounting_walk` raises: the bill of the ops before
-    #: the refused one (what a chip fed op by op has run by then).
-    prefix: Optional[SimStats] = None
-
 
 class GateTally(NamedTuple):
     """A stretch of horizontal gates as :func:`accounting_walk` bills it in
@@ -67,11 +64,14 @@ def _check_row(config: PIMConfig, row: int) -> None:
         raise SimulationError(f"row {row} out of range")
 
 
+@lru_cache(maxsize=1024)
 def checked_move_cycles(
     xb: RangeMask, dist: int, crossbars: int, move_cost: str = "unit"
 ) -> int:
     """The cycles of an H-tree move the chip accepts under ``move_cost``;
-    a pattern it refuses raises :class:`SimulationError`."""
+    a pattern it refuses raises :class:`SimulationError` (only accepted
+    patterns are remembered). A plan-less move is checked twice, by the
+    driver's walk and by the chip, so every pattern repeats."""
     try:
         validate_move_pattern(xb, dist, crossbars)
     except ValueError as exc:
@@ -93,10 +93,10 @@ def accounting_walk(
     (``xb`` / ``row`` default to a fresh chip's all-selected masks),
     horizontal gates scale with the active rows, and an op the chip
     would refuse (mask range, row range, H-tree pattern, read shape)
-    raises :class:`SimulationError` like live execution, carrying the
-    bill of the ops before it (``prefix``). A stretch of gates may come
-    as one :class:`GateTally` in place of its ops. A compiled program is
-    billed once (:meth:`repro.driver.program.MicroProgram.bill`).
+    raises :class:`SimulationError` like live execution. A stretch of
+    gates may come as one :class:`GateTally` in place of its ops. A
+    compiled program is billed once
+    (:meth:`repro.driver.program.MicroProgram.bill`).
     """
     delta = SimStats()
     xb = xb or RangeMask.all(config.crossbars)
@@ -107,62 +107,57 @@ def accounting_walk(
     lanes = len(xb) * len(row)
     h_counts = dict.fromkeys(GateType, 0)
     h_gates = 0
-    try:
-        for op in ops:
-            if isinstance(op, LogicHOp):
-                h_gates += lanes * _pattern_mask(
-                    op.gate, op.p_a, op.p_b, op.p_out, op.p_end, op.p_step,
-                    config.partitions,
-                )[1]
-                h_counts[op.gate] += 1  # after the check: a refused gate is not billed
-            elif isinstance(op, GateTally):
-                for gate, count in zip(GateType, op):
-                    h_counts[gate] += count
-                h_gates += lanes * op.gates
-            elif isinstance(op, CrossbarMaskOp):
-                if op.stop >= config.crossbars:
-                    raise SimulationError("crossbar mask out of range")
-                xb = RangeMask(op.start, op.stop, op.step)
-                lanes = len(xb) * len(row)
-                delta.record("mask_crossbar")
-            elif isinstance(op, RowMaskOp):
-                if op.stop >= config.rows:
-                    raise SimulationError("row mask out of range")
-                row = RangeMask(op.start, op.stop, op.step)
-                lanes = len(xb) * len(row)
-                delta.record("mask_row")
-            elif isinstance(op, LogicVOp):
-                _check_row(config, op.out_row)
-                if op.gate == GateType.NOT:
-                    _check_row(config, op.in_row)
-                delta.record(
-                    _GATE_KEYS_V[op.gate], gates=config.partitions * len(xb)
+    for op in ops:
+        if isinstance(op, LogicHOp):
+            h_gates += lanes * _pattern_mask(
+                op.gate, op.p_a, op.p_b, op.p_out, op.p_end, op.p_step,
+                config.partitions,
+            )[1]
+            h_counts[op.gate] += 1
+        elif isinstance(op, GateTally):
+            for gate, count in zip(GateType, op):
+                h_counts[gate] += count
+            h_gates += lanes * op.gates
+        elif isinstance(op, CrossbarMaskOp):
+            if op.stop >= config.crossbars:
+                raise SimulationError("crossbar mask out of range")
+            xb = RangeMask(op.start, op.stop, op.step)
+            lanes = len(xb) * len(row)
+            delta.record("mask_crossbar")
+        elif isinstance(op, RowMaskOp):
+            if op.stop >= config.rows:
+                raise SimulationError("row mask out of range")
+            row = RangeMask(op.start, op.stop, op.step)
+            lanes = len(xb) * len(row)
+            delta.record("mask_row")
+        elif isinstance(op, LogicVOp):
+            _check_row(config, op.out_row)
+            if op.gate == GateType.NOT:
+                _check_row(config, op.in_row)
+            delta.record(
+                _GATE_KEYS_V[op.gate], gates=config.partitions * len(xb)
+            )
+        elif isinstance(op, MoveOp):
+            _check_row(config, op.src_row)
+            _check_row(config, op.dst_row)
+            cycles = checked_move_cycles(xb, op.dist, config.crossbars, move_cost)
+            delta.htree_hop_cycles += cycles - 1
+            delta.record("move", cycles=cycles)
+        elif isinstance(op, ReadOp):
+            if len(xb) != 1 or len(row) != 1:
+                raise SimulationError(
+                    "read requires masks selecting a single row of a single crossbar"
                 )
-            elif isinstance(op, MoveOp):
-                _check_row(config, op.src_row)
-                _check_row(config, op.dst_row)
-                cycles = checked_move_cycles(xb, op.dist, config.crossbars, move_cost)
-                delta.htree_hop_cycles += cycles - 1
-                delta.record("move", cycles=cycles)
-            elif isinstance(op, ReadOp):
-                if len(xb) != 1 or len(row) != 1:
-                    raise SimulationError(
-                        "read requires masks selecting a single row of a single crossbar"
-                    )
-                delta.record("read")
-            elif isinstance(op, WriteOp):
-                delta.record("write")
-            else:
-                raise SimulationError(f"unknown micro-operation {op!r}")
-    except SimulationError as refusal:
-        refusal.prefix = delta
-        raise
-    finally:
-        delta.merge(SimStats(
-            {_GATE_KEYS_H[gate]: n for gate, n in h_counts.items() if n},
-            cycles=sum(h_counts.values()),
-            gates_executed=h_gates,
-        ))
+            delta.record("read")
+        elif isinstance(op, WriteOp):
+            delta.record("write")
+        else:
+            raise SimulationError(f"unknown micro-operation {op!r}")
+    delta.merge(SimStats(
+        {_GATE_KEYS_H[gate]: n for gate, n in h_counts.items() if n},
+        cycles=sum(h_counts.values()),
+        gates_executed=h_gates,
+    ))
     return delta
 
 

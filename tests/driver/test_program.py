@@ -202,24 +202,21 @@ class TestProgramBill:
         assert total == fused.bill(CFG).billed(move_cost)
 
     def test_instruction_bill_raises_what_the_chip_raises(self):
+        """Refused whole by ``check_stream`` first: range checks raise
+        ``CompileError``, the chip's walk its H-tree ``SimulationError``."""
         _, driver = fresh_pair()
-        with pytest.raises(SimulationError, match="crossbar mask out of range"):
+        with pytest.raises(CompileError, match="crossbar mask out of range"):
             driver.instr_bill(RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1,
                                      warp_mask=RangeMask(0, 7, 1)))
         with pytest.raises(SimulationError, match="source and destination"):
             driver.instr_bill(MoveInstr(0, 1, 0, 0, RangeMask(0, 1, 1), 1))
-        # Refused where the chip refuses it: at the vertical gate into
-        # row 99, two ops before the row mask that names it.
-        with pytest.raises(SimulationError, match="row 99 out of range") as info:
+        with pytest.raises(CompileError, match="row 99 out of range"):
             driver.instr_bill(MoveInstr(0, 1, 0, 99, RangeMask(0, 0, 1), 0))
-        assert info.value.prefix.cycles == 4  # what ran before the refusal
 
     def test_a_pattern_refused_mid_run_bills_like_the_walk(self):
         """A words-born program is billed in bulk, one ``_pattern_mask`` call
         per distinct pattern. Make a pattern that first occurs deep inside
-        a gate run invalid: the bill raises the op-by-op walk's error,
-        carrying the walk's prefix — the ops before the *first* gate of
-        that pattern, not before the run."""
+        a gate run invalid: the bill raises the op-by-op walk's error."""
         from repro.arch.micro_ops import decode_many
         from repro.sim import replay
 
@@ -255,8 +252,6 @@ class TestProgramBill:
             replay.pattern_outputs = real
             replay._pattern_mask.cache_clear()
         assert str(billed.value) == str(walked.value)
-        assert billed.value.prefix == walked.value.prefix
-        assert billed.value.prefix == accounting_walk(ops[:first], CFG, "htree")
         assert twin.bill(CFG) == accounting_walk(ops, CFG, "htree")  # healed
 
     def test_self_masked_is_structural(self):

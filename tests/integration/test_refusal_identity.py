@@ -1,13 +1,14 @@
-"""A refused instruction is refused the same way on every backend.
+"""A refused instruction is refused whole, the same way, everywhere.
 
-The simulator backend is the reference: its driver refuses an R-type
-macro whole at plan build (``CompileError``, nothing runs), and feeds a
-non-R lowering to the chip op by op, so the ops before the refused one
-have run and are billed. The billed backends (numpy, the pool over
-either worker kind) price instructions without a chip; this suite pins
-them to the same exception type, the same ``SimStats`` after the raise
-and — wherever the refusal comes before the first memory write — an
-untouched word image.
+The driver's ``check_stream`` is the one refusal: whatever the chip
+would refuse — a mask or row out of range, an illegal H-tree pattern —
+is refused before one op of the stream is built, priced or sent. So
+every backend (the simulator, planned and plan-less, numpy, and the pool
+over either worker kind) and every entry point (``execute``,
+``run_stream``, a verbatim ``compile`` and a ``pim.compile`` capture)
+raises the same exception type, bills nothing and leaves the word image
+untouched — also when a write and an add come before the refused
+instruction in its stream.
 """
 
 from __future__ import annotations
@@ -15,18 +16,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.pim as pim
 from repro.arch.config import small_config
 from repro.arch.masks import RangeMask
 from repro.backend import NumpyBackend, SimulatorBackend
+from repro.driver.compiler import CompileError
 from repro.isa.dtypes import int32
 from repro.isa.instructions import MoveInstr, ReadInstr, RInstr, ROp, WriteInstr
 from repro.pool import PooledBackend
+from repro.sim.simulator import SimulationError
+from repro.sim.stats import SimStats
 from tests.integration.test_differential_fuzz import _seeds
 
 CFG = small_config(crossbars=4, rows=16)
 
 BACKENDS = {
     "simulator": lambda: SimulatorBackend(CFG),
+    "simulator-unplanned": lambda: SimulatorBackend(CFG, cache_size=0),
     "numpy": lambda: NumpyBackend(CFG),
     "pooled-numpy": lambda: PooledBackend(CFG, workers=2, worker_backend="numpy"),
     "pooled-simulator": lambda: PooledBackend(
@@ -39,67 +45,107 @@ def _add(**masks):
     return RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1, **masks)
 
 
-#: name -> (instruction, cycles the chip ran before refusing it).
+#: name -> (instruction, what refuses it): ``validate_ops`` range checks
+#: raise ``CompileError``, the chip's walk ``SimulationError``, and a
+#: move whose destination warps would start below 0 cannot be lowered.
 REFUSALS = {
-    "move-mask-out-of-range": (MoveInstr(0, 1, 0, 0, RangeMask(0, 7, 1), 1), 0),
-    "move-htree-illegal": (MoveInstr(0, 1, 0, 0, RangeMask(0, 1, 1), 1), 1),
-    "move-dst-thread-out-of-range": (
-        MoveInstr(0, 1, 0, 99, RangeMask(0, 0, 1), 1), 1,
+    "move-mask-out-of-range": (
+        MoveInstr(0, 1, 0, 0, RangeMask(0, 7, 1), 1), CompileError,
     ),
-    "move-dst-warp-above-range": (MoveInstr(0, 1, 0, 0, RangeMask(3, 3, 1), 1), 1),
-    "move-dst-warp-below-range": (MoveInstr(0, 1, 0, 0, RangeMask(0, 0, 1), -1), 0),
-    "rtype-warp-mask-out-of-range": (_add(warp_mask=RangeMask(0, 7, 1)), 0),
-    "rtype-row-mask-out-of-range": (_add(row_mask=RangeMask(0, 99, 1)), 0),
-    "write-row-mask-out-of-range": (WriteInstr(1, 5, None, RangeMask(0, 99, 1)), 1),
-    "read-warp-out-of-range": (ReadInstr(9, 0, 1), 0),
+    "move-htree-illegal": (
+        MoveInstr(0, 1, 0, 0, RangeMask(0, 1, 1), 1), SimulationError,
+    ),
+    "move-dst-thread-out-of-range": (
+        MoveInstr(0, 1, 0, 99, RangeMask(0, 0, 1), 1), CompileError,
+    ),
+    "move-intra-warp-dst-thread-out-of-range": (
+        MoveInstr(0, 1, 0, 99, RangeMask(0, 0, 1), 0), CompileError,
+    ),
+    "move-dst-warp-above-range": (
+        MoveInstr(0, 1, 0, 0, RangeMask(3, 3, 1), 1), CompileError,
+    ),
+    "move-dst-warp-below-range": (
+        MoveInstr(0, 1, 0, 0, RangeMask(0, 0, 1), -1), ValueError,
+    ),
+    "rtype-warp-mask-out-of-range": (_add(warp_mask=RangeMask(0, 7, 1)), CompileError),
+    "rtype-row-mask-out-of-range": (_add(row_mask=RangeMask(0, 99, 1)), CompileError),
+    "write-row-mask-out-of-range": (
+        WriteInstr(1, 5, None, RangeMask(0, 99, 1)), CompileError,
+    ),
+    "read-warp-out-of-range": (ReadInstr(9, 0, 1), CompileError),
+}
+
+#: What runs before the refused instruction in a stream: nothing of it
+#: may run, and nothing of it may be billed.
+PREFIX = [WriteInstr(0, 5), WriteInstr(1, 7), _add()]
+
+
+def _capture(backend, stream):
+    """A ``pim.compile`` capture of ``stream``: its first call records the
+    stream, lowers it and — had it been accepted — replays it."""
+    device = pim.PIMDevice(backend=backend)
+
+    def issue():
+        for instr in stream:
+            device.execute(instr)
+
+    pim.compile(issue, device=device)()
+
+
+ENTRY_POINTS = {
+    "execute": lambda backend, instr: backend.execute(instr),
+    "run_stream": lambda backend, instr: backend.run_stream(PREFIX + [instr]),
+    "compile": lambda backend, instr: backend.compile(
+        PREFIX + [instr], optimize=False
+    ),
+    "capture": lambda backend, instr: _capture(backend, PREFIX + [instr]),
 }
 
 
-def _refuse(make, instr, seed):
-    """Execute ``instr`` on a fresh backend over a seeded image; return
-    what the refusal looked like from outside."""
+def _refuse(make, entry, instr, seed):
+    """Refuse ``instr`` through ``entry`` on a fresh backend over a seeded
+    image; return the exception type, the bill and whether the image
+    was left untouched."""
     backend = make()
     image = np.random.default_rng(seed).integers(
         0, 1 << 32, size=backend.words.shape, dtype=np.uint64
     ).astype(backend.words.dtype)
     backend.words[...] = image
     with pytest.raises(Exception) as info:
-        backend.execute(instr)
-    untouched = np.array_equal(backend.words, image)
-    return type(info.value), backend.stats.copy(), untouched
+        ENTRY_POINTS[entry](backend, instr)
+    return info.type, backend.stats.copy(), np.array_equal(backend.words, image)
 
 
 @pytest.mark.parametrize("seed", _seeds()[:1])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("case", sorted(REFUSALS))
-def test_refusal_is_identical_on_every_backend(case, seed):
-    instr, cycles = REFUSALS[case]
-    error, stats, untouched = _refuse(BACKENDS["simulator"], instr, seed)
-    assert stats.cycles == cycles and untouched, case
-    for name in ("numpy", "pooled-numpy", "pooled-simulator"):
-        assert _refuse(BACKENDS[name], instr, seed) == (error, stats, True), (
-            f"{case} on {name}"
-        )
+def test_refusal_is_identical_on_every_backend(case, entry, seed):
+    instr, error = REFUSALS[case]
+    for name, make in BACKENDS.items():
+        refused = _refuse(make, entry, instr, seed)
+        assert refused == (error, SimStats(), True), f"{case} via {entry} on {name}"
 
 
-def test_refusal_after_the_first_write_bills_the_same_prefix():
-    """An intra-warp move into a thread that does not exist is refused at
-    its vertical gate, four ops in: the staging column is already
-    written on the chip (the functional model has none), so only the
-    type and the bill are common to all backends."""
-    instr = MoveInstr(0, 1, 0, 99, RangeMask(0, 0, 1), 0)
-    error, stats, _ = _refuse(BACKENDS["simulator"], instr, 0)
-    assert stats.cycles == 4
-    for name in ("numpy", "pooled-numpy", "pooled-simulator"):
-        assert _refuse(BACKENDS[name], instr, 0)[:2] == (error, stats), name
+def test_the_stream_is_refused_before_its_write_and_add():
+    """A plan the chip would refuse at its move is refused before the
+    writes and the add ahead of it run: no sum, no cycles."""
+    config = small_config(crossbars=16, rows=16)
+    stream = [WriteInstr(0, 5), WriteInstr(1, 7),
+              RInstr(ROp.ADD, int32, dest=3, src_a=0, src_b=1),
+              MoveInstr(0, 1, 0, 0, RangeMask(0, 2, 1), 1)]
+    for backend in (SimulatorBackend(config), NumpyBackend(config)):
+        with pytest.raises(SimulationError, match="source and destination"):
+            backend.run_stream(stream)
+        assert not backend.words.any() and backend.stats.cycles == 0
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_a_refused_instruction_is_refused_again(name):
     """Nothing about a refusal is memoized: the second attempt raises the
-    same error and bills the same prefix again, like the chip."""
-    instr, cycles = REFUSALS["write-row-mask-out-of-range"]
+    same error, and neither bills anything."""
+    instr, error = REFUSALS["write-row-mask-out-of-range"]
     backend = BACKENDS[name]()
-    for attempt in (1, 2):
-        with pytest.raises(Exception, match="row mask out of range"):
+    for _ in range(2):
+        with pytest.raises(error, match="row mask out of range"):
             backend.execute(instr)
-        assert backend.stats.cycles == attempt * cycles
+        assert backend.stats.cycles == 0

@@ -4,8 +4,9 @@ An ``optimize=False`` compile is the stream program ``run_stream``
 dispatches (kept in memory only, never persisted); a pool shard's part of
 a segment is always its worker's stream program, whatever the pool was
 compiled under; a stream is refused whole, the same way, before anything
-of it runs; and every dispatch unit — planned, or lowered op by op —
-closes exactly one fault window.
+of it runs (over an image seeded from ``REPRO_FUZZ_SEEDS``, like the fuzz
+suites); and every dispatch unit — planned, or lowered op by op — closes
+exactly one fault window.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from repro.faults import FaultPlan, resolve_fault_seed
 from repro.isa.dtypes import int32
 from repro.isa.instructions import MoveInstr, ReadInstr, RInstr, ROp, WriteInstr
 from repro.pool import PooledBackend
+from repro.sim.simulator import SimulationError
+from tests.integration.test_differential_fuzz import _seeds
 
 CFG = small_config(crossbars=4, rows=8)
 
@@ -123,6 +126,7 @@ def test_an_o0_session_persists_only_bodies(kind, tmp_path):
 
 REFUSED = {
     "move": MoveInstr(0, 1, 0, 99, RangeMask(0, 0, 1), 0),
+    "move-htree": MoveInstr(0, 1, 0, 0, RangeMask(0, 1, 1), 1),
     "rtype": RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1,
                     warp_mask=RangeMask(0, CFG.crossbars, 1)),
 }
@@ -132,12 +136,17 @@ REFUSED = {
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_a_stream_is_refused_whole_before_anything_runs(kind, bad):
     backend = BACKENDS[kind]()
+    backend.words[...] = np.random.default_rng(_seeds()[0]).integers(
+        0, 1 << 32, size=backend.words.shape, dtype=np.uint64
+    ).astype(backend.words.dtype)
     stream = [WriteInstr(0, 5), RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=0),
               REFUSED[bad]]
+    # Range checks raise CompileError; an H-tree pattern, the chip's walk.
+    error = SimulationError if bad == "move-htree" else CompileError
     words, stats = backend.words.copy(), backend.stats.copy()
-    with pytest.raises(CompileError):
+    with pytest.raises(error):
         backend.run_stream(stream)
-    with pytest.raises(CompileError):
+    with pytest.raises(error):
         backend.compile(stream, optimize=False)
     assert np.array_equal(backend.words, words)
     assert backend.stats == stats

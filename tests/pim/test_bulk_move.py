@@ -2,17 +2,17 @@
 
 A bulk move used to be regrouped element by element on every call and
 issued one ``MoveInstr`` at a time; it is now planned once, memoized,
-and issued as whole ``MacroStream``s. This suite pins the new path to
-the old one:
+and issued as one ``MacroStream``. This suite pins the new path to the
+old one:
 
-- the per-element grouping of the parent commit is kept here as the
-  reference (:func:`reference_moves`), and the planned streams must
-  concatenate to exactly its instruction sequence, order included;
-- a device running the planned streams must leave the same memory
-  image, the same ``SimStats`` (the mask cycle of an H-tree-rejected
-  run included) and the same trace as a ``cache_size=0`` device fed
-  the reference sequence one instruction at a time, on the simulator,
-  numpy and pooled backends;
+- the per-element grouping of the old loop is kept here as the
+  reference (:func:`reference_moves`), and the planned stream must be
+  exactly the instructions it issued, order included — a run the H-tree
+  rejects replaced by its per-warp moves, never attempted;
+- a device running the planned stream, eagerly or traced, must leave
+  the same memory image, the same ``SimStats`` and the same trace as a
+  ``cache_size=0`` device fed the reference sequence one instruction at
+  a time, on the simulator, numpy and pooled backends;
 - the functional backend's linear stream bill (sum of per-instruction
   deltas) must equal the strict walk of the concatenated lowering, and
   its gather/scatter replay step must fall back to per-move steps
@@ -66,8 +66,8 @@ BACKENDS = {
 # ----------------------------------------------------------------------
 def reference_moves(rows, crossbars, src_reg, src_start, src_elements,
                     dst_reg, dst_start, dst_elements):
-    """``_bulk_move_lowered`` as it was before plans: every instruction
-    it attempted, each flagged with whether the H-tree accepts it (a
+    """``_bulk_move`` as it was before plans: every instruction it
+    attempted, each flagged with whether the H-tree accepts it (a
     rejected run is followed by its per-warp replacement)."""
     groups = {}
     for src_e, dst_e in zip(src_elements, dst_elements):
@@ -164,31 +164,26 @@ def reference_of(case):
 # ----------------------------------------------------------------------
 class TestPlanMatchesReference:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_streams_concatenate_to_the_reference_sequence(self, seed):
+    def test_the_plan_is_the_reference_sequence(self, seed):
         rejected_runs = 0
         for kind, case in cases(seed, per_kind=8):
-            planned = []
-            for item in plan_of(case):
-                if isinstance(item, MacroStream):
-                    assert item, "empty streams are never planned"
-                    planned.extend((instr, True) for instr in item)
-                else:
-                    planned.append((item, False))
-                    rejected_runs += 1
-            assert planned == reference_of(case), f"seed={seed} {kind} {case}"
+            plan = plan_of(case)
+            assert isinstance(plan, MacroStream), "one stream per bulk move"
+            reference = reference_of(case)
+            rejected_runs += sum(not accepted for _, accepted in reference)
+            issued = [instr for instr, accepted in reference if accepted]
+            assert list(plan) == issued, f"seed={seed} {kind} {case}"
         assert rejected_runs, "the corpus must exercise H-tree rejections"
 
-    def test_a_rejected_run_sits_between_two_streams(self):
+    def test_a_rejected_run_is_replaced_in_place(self):
         # Warps 0..2 send to 1..3: sources and destinations overlap.
         plan = _move_plan(4, 4, 0, 0, range(12), 1, 1, range(12))
-        kinds = [type(item) for item in plan]
-        assert MoveInstr in kinds
-        for index, item in enumerate(plan):
-            if isinstance(item, MoveInstr):
-                assert item.warp_mask == RangeMask(0, 2, 1)
-                follower = plan[index + 1]
-                # Descending for a positive distance: 2->3, 1->2, 0->1.
-                assert [m.warp_mask.start for m in follower[:3]] == [2, 1, 0]
+        assert isinstance(plan, MacroStream)
+        assert RangeMask(0, 2, 1) not in {move.warp_mask for move in plan}
+        # One move per warp, per thread, descending for a positive
+        # distance: 2->3, 1->2, 0->1.
+        assert len(plan) == 12
+        assert [move.warp_mask.start for move in plan[:3]] == [2, 1, 0]
 
     def test_generators_and_ranges_share_a_plan(self):
         first = _move_plan(8, 4, 0, 0, tuple(i ^ 2 for i in range(16)),
@@ -226,14 +221,17 @@ def test_planned_streams_match_the_per_instruction_device(backend, seed):
         image = _random_image(seed, config)
 
         attempts = reference_of(case)
+        saw_rejection |= not all(accepted for _, accepted in attempts)
         issued = [instr for instr, accepted in attempts if accepted]
         src, dst = Slot(sr, ss, crossbars - ss), Slot(dr, ds, crossbars - ds)
+        reference = _device(backend, config, image, cache_size=0)
+        for _ in range(2):
+            for instr in issued:
+                reference.execute(instr)
         for traced in (False, True):
             planned = _device(backend, config, image)
             if traced:
-                # Recorded, not executed: the block exit dispatches the
-                # stream, and a run the H-tree rejects is skipped rather
-                # than attempted (its mask cycle is eager-only).
+                # Recorded, not executed: the block exit dispatches it.
                 with pim.trace(planned, name="bulk-move") as session:
                     for _ in range(2):
                         _bulk_move(planned, src, se, dst, de)
@@ -243,16 +241,6 @@ def test_planned_streams_match_the_per_instruction_device(backend, seed):
                 for _ in range(2):  # the second pass replays cached plans
                     _bulk_move(planned, src, se, dst, de)
 
-            reference = _device(backend, config, image, cache_size=0)
-            for _ in range(2):
-                for instr, accepted in attempts:
-                    if accepted:
-                        reference.execute(instr)
-                    elif not traced:
-                        saw_rejection = True
-                        with pytest.raises(SimulationError):
-                            reference.execute(instr)
-
             assert np.array_equal(
                 planned.backend.words, reference.backend.words
             ), (context, traced)
@@ -261,20 +249,19 @@ def test_planned_streams_match_the_per_instruction_device(backend, seed):
     assert saw_rejection
 
 
-def test_rejected_run_bills_its_mask_cycle():
-    """The attempt the H-tree refuses still costs one crossbar-mask op."""
+def test_a_rejected_run_bills_exactly_its_per_warp_replacement():
+    """Nothing of the run the H-tree rejects is attempted or billed: the
+    bulk move costs its per-warp moves, two crossbar masks each."""
     for backend in sorted(BACKENDS):
         device = pim.PIMDevice(small_config(crossbars=4, rows=4),
                                **BACKENDS[backend])
         _bulk_move(device, Slot(0, 0, 3), range(12), Slot(1, 1, 3), range(12))
         plan = _move_plan(4, 4, 0, 0, range(12), 1, 1, range(12))
-        rejected = sum(isinstance(item, MoveInstr) for item in plan)
-        moves = sum(len(item) for item in plan if isinstance(item, MacroStream))
+        assert all(len(move.warp_mask) == 1 for move in plan)
         counts = device.backend.stats.op_counts
-        assert rejected >= 1
-        assert counts["move"] == moves, backend
-        # Two crossbar masks per accepted inter-warp move, one per refusal.
-        assert counts["mask_crossbar"] == 2 * moves + rejected, backend
+        assert counts["move"] == len(plan), backend
+        assert counts["mask_crossbar"] == 2 * len(plan), backend
+        assert device.backend.stats == device.backend.stream_stats(plan), backend
 
 
 def test_execute_stream_keeps_the_stream_handle(monkeypatch):

@@ -401,6 +401,23 @@ class TestShardFaults:
                                    warp_mask=RangeMask(0, 4, 1),
                                    warp_dist=3))
 
+    def test_foreign_shard_program_is_refused_not_failed_over(self):
+        from repro.faults import FaultPlan
+        from repro.sim.simulator import SimulationError
+
+        # Same full geometry, other shard layout: the pool admits the
+        # program and the worker refuses its shard program. That is the
+        # chip's deterministic refusal, not a crash to fail over from.
+        program = PooledBackend(CFG, workers=2).compile(
+            [RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1)], optimize=False
+        )
+        pool = PooledBackend(CFG, workers=4)
+        pool.install_faults(FaultPlan(CFG, seed=1, worker_failures=[(3, 99)]))
+        with pytest.raises(SimulationError, match="fingerprint"):
+            pool.run_program(program)
+        assert pool.fault_counters().get("failovers", 0) == 0
+        assert pool.quarantined_workers == []
+
     def test_injected_failure_fails_over_bit_identically(self):
         from repro.faults import FaultPlan
 

@@ -25,12 +25,14 @@ Every backend owns one :class:`~repro.driver.driver.Driver`
 (:attr:`Backend.lowering`), and that driver keeps the books of a
 dispatch unit for all of them: the stream tier, the emission counters,
 the fault overlay and the one fault window that closes a unit
-(:meth:`~repro.driver.driver.Driver.close_window`). Backends that apply
+(:meth:`~repro.driver.driver.Driver.close_window`), and every backend
+prices a stream with that driver's one walk
+(:meth:`~repro.driver.driver.Driver.stream_bill`). Backends that apply
 instructions without running micro-ops (the functional backend, the
-pool) derive from :class:`BilledBackend`, which owns everything else
-around "apply" once: pricing, from the driver's lowering, after the
-driver's one refusal (``Driver.check_stream``). Which cells an
-instruction writes is :func:`repro.isa.instructions.written_region`.
+pool) derive from :class:`BilledBackend`: their dispatch unit is a
+priced stream program, and an eager instruction is a one-instruction
+stream. Which cells an instruction writes is
+:func:`repro.isa.instructions.written_region`.
 """
 
 from __future__ import annotations
@@ -120,23 +122,12 @@ class Backend(abc.ABC):
         """
         return program.stats_delta.copy()
 
-    def instr_stats(self, instr: Instruction) -> SimStats:
-        """The cycle bill of one macro-instruction lowered verbatim."""
-        return self.lowering.instr_bill(instr).billed(self.move_cost)
-
     def stream_stats(self, instructions: Sequence[Instruction]) -> SimStats:
-        """The cycle bill of a macro stream lowered verbatim (no program).
-
-        The sum of the per-instruction bills: every lowering sets the
-        masks it runs under before its first gate, move or read, so the
-        walk of the concatenated lowering is the sum of the walks of
-        its parts, and an R-type part is priced from its body's carried
-        bill. The optimizer's report prices its baseline with it.
-        """
-        total = SimStats()
-        for instr in instructions:
-            total.merge(self.instr_stats(instr))
-        return total
+        """The cycle bill of a macro stream lowered verbatim (no program):
+        the driver's one walk (:meth:`~repro.driver.driver.Driver.stream_bill`)
+        under this backend's move-cost model. The optimizer's report
+        prices its baseline with it."""
+        return self.lowering.stream_bill(instructions).billed(self.move_cost)
 
     # ------------------------------------------------------------------
     # State and accounting
@@ -261,16 +252,15 @@ class BilledBackend(Backend):
     """A backend that applies macro-instructions itself and bills them
     from a driver's lowering (:class:`NumpyBackend`, the pool).
 
-    A subclass says how an instruction and a program reach the word
-    image (``execute`` / ``run_program``) and what handle a priced
-    stream becomes (``_assemble(instrs, name, delta, source_ops)``).
-    The rest is here, once: every distinct instruction is priced
-    through a real :class:`~repro.driver.driver.Driver` whose chip port
-    is never used (:meth:`_instr_delta`, memoized, with the hit/miss
-    counters ``cache_counters`` reports), a verbatim stream — run or
-    compiled — is that driver's stream-tier entry
-    (:meth:`_stream_program`), and every dispatch unit ends in the
-    driver's fault window (:meth:`_settle`).
+    A subclass says how a program reaches the word image
+    (``run_program``) and what handle a priced stream becomes
+    (``_assemble(instrs, name, delta, source_ops)``); its ``execute``
+    is the one-instruction :meth:`_run_stream`. The rest is here, once:
+    a verbatim stream — run or compiled — is the stream-tier entry
+    (:meth:`_stream_program`) of a real
+    :class:`~repro.driver.driver.Driver` whose chip port is never used,
+    priced by its :meth:`~repro.driver.driver.Driver.stream_bill`, and
+    every dispatch unit ends in the driver's fault window (:meth:`_settle`).
     """
 
     def __init__(self, config: PIMConfig, move_cost: str, **driver_kwargs):
@@ -281,9 +271,6 @@ class BilledBackend(Backend):
         self.lowering = Driver(None, config=config, **driver_kwargs)
         self._fingerprint = config_fingerprint(config)
         self._stats = SimStats()
-        self._instr_stats: Dict[Instruction, SimStats] = {}
-        self._hits = 0
-        self._misses = 0
 
     @property
     def words(self) -> np.ndarray:
@@ -293,32 +280,9 @@ class BilledBackend(Backend):
     def stats(self) -> SimStats:
         return self._stats
 
-    @property
-    def cache_hits(self) -> int:
-        return self._hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self._misses
-
     # ------------------------------------------------------------------
     # Pricing
     # ------------------------------------------------------------------
-    def _instr_delta(self, instr: Instruction) -> SimStats:
-        """The cycle bill of one instruction's lowering (memoized); a
-        first sight refuses what the driver refuses
-        (:meth:`Driver.check_stream <repro.driver.driver.Driver.check_stream>`),
-        before anything is applied."""
-        delta = self._instr_stats.get(instr)
-        if delta is not None:
-            self._hits += 1
-            return delta
-        self._misses += 1
-        delta = self.instr_stats(instr)
-        if len(self._instr_stats) < 65536:
-            self._instr_stats[instr] = delta
-        return delta
-
     def _compile(
         self, instructions: Sequence[Instruction], name: str, optimize: bool
     ) -> BilledProgram:
@@ -342,18 +306,16 @@ class BilledBackend(Backend):
         )
 
     def _price_stream(self, instrs: MacroStream, name: str) -> BilledProgram:
-        """A stream's handle: refused whole as the splice refuses it, then
-        priced as the sum of the bills :meth:`execute` charges."""
-        self.lowering.check_stream(instrs)
-        delta = SimStats()
-        for instr in instrs:
-            delta.merge(self._instr_delta(instr))
+        """A stream's handle, priced by :meth:`stream_stats` (which
+        refuses the stream whole, as the splice refuses it)."""
+        delta = self.stream_stats(instrs)
         return self._assemble(instrs, name, delta, delta.micro_ops)
 
     def _run_stream(
         self, instructions: Sequence[Instruction], name: str
     ) -> Optional[int]:
-        """``run_stream``: one cached program, one replay, one fault tick."""
+        """``run_stream`` (and ``execute``, a one-instruction stream): one
+        cached program, one replay, one fault tick."""
         instrs = MacroStream.wrap(instructions)
         if not instrs:
             return None
@@ -365,7 +327,8 @@ class BilledBackend(Backend):
     # The two ends of a dispatch unit
     # ------------------------------------------------------------------
     def _admit(self, program, verify: Optional[str]) -> None:
-        """The checks (and the cache hit) every ``run_program`` starts with."""
+        """The checks every ``run_program`` starts with (a replay of a
+        program the caller holds is no cache lookup)."""
         check_verify_mode(verify)
         if program.config_fingerprint != self._fingerprint:
             raise SimulationError(
@@ -373,7 +336,6 @@ class BilledBackend(Backend):
                 f"{program.config_fingerprint}, this backend is "
                 f"{self._fingerprint}"
             )
-        self._hits += 1
 
     def _settle(self, delta: SimStats, verify=None, regions=None, name=None) -> None:
         """What every dispatch unit ends with: its bill, then the driver's

@@ -7,21 +7,17 @@ micro-operation individually, this backend executes each
 results (two's-complement int32, IEEE binary32 with the documented
 flush-to-zero convention) at a fraction of the host cost.
 
-The chip cycle model is **not** approximated away: every instruction is
+The chip cycle model is **not** approximated away: every stream is
 still priced through the real :class:`~repro.driver.driver.Driver` (once
-per distinct instruction) and charged to :class:`~repro.sim.stats.SimStats`
-with exactly the simulator's accounting rules — per-kind counters,
-INIT/mask overhead, gate counts scaled by the active rows, optional
-H-tree move costs. A profiled block therefore reports the *same* PIM
-cycles on both backends; only the wall-clock (and the bit-exactness
-guarantee of the memory image under fault injection) differs.
-
-All of that pricing (and refusal bills) is
+per distinct stream) with exactly the simulator's accounting rules, so a
+profiled block reports the *same* PIM cycles on both backends; only the
+wall-clock (and the bit-exactness guarantee of the memory image under
+fault injection) differs. That pricing is
 :class:`~repro.backend.base.BilledBackend`'s, the stream tier and the
 fault window its driver's; this module is the functional model only.
-:meth:`NumpyBackend._plan_instr` resolves an instruction into a closure
-over the word image — the one apply path: ``execute`` runs it once, a
-replay plan keeps it.
+An eager ``execute`` is a one-instruction stream, so the one apply path
+is a program's replay plan of closures over the word image
+(:meth:`NumpyBackend._plan_steps`).
 
 Known deviations from the bit-accurate model, all outside the tested
 value domain (see DESIGN.md's FTZ notes): NaN payloads, the
@@ -98,22 +94,14 @@ class NumpyBackend(BilledBackend):
         # closures), dropped automatically when a program is collected.
         self._plans: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         # Validated (warp_mask, dist) -> source-warp index array, shared by
-        # every move (eager or planned) with the same pattern.
+        # every planned move with the same pattern.
         self._move_cache: Dict[Tuple, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Backend interface
     # ------------------------------------------------------------------
     def execute(self, instr: Instruction) -> Optional[int]:
-        delta = self._instr_delta(instr)
-        step = self._plan_instr(instr)
-        if isinstance(instr, RInstr):  # only arithmetic can trip a NumPy warning
-            with np.errstate(all="ignore"):
-                result = step()
-        else:
-            result = step()
-        self._settle(delta)
-        return result
+        return self._run_stream((instr,), "stream")
 
     def compile(
         self,
@@ -292,8 +280,8 @@ class NumpyBackend(BilledBackend):
     def _move_sources(self, instr: MoveInstr) -> np.ndarray:
         """A move's source-warp indices, its H-tree pattern validated.
 
-        Memoized per ``(warp_mask, dist)``; shared, read-only, by eager
-        moves and every replay step built from the same pattern.
+        Memoized per ``(warp_mask, dist)``; shared, read-only, by every
+        replay step built from the same pattern.
         """
         warps = instr.warp_mask or RangeMask.all(self.config.crossbars)
         key = (warps, instr.warp_dist)

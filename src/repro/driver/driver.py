@@ -80,7 +80,7 @@ from repro.isa.instructions import (
     WriteInstr,
     validate,
 )
-from repro.sim.simulator import accounting_walk
+from repro.sim.simulator import GateTally, accounting_walk
 from repro.sim.stats import SimStats
 
 
@@ -331,32 +331,24 @@ class Driver:
             ]
         raise TypeError(f"not an instruction: {instr!r}")
 
-    def instr_bill(self, instr: Instruction) -> SimStats:
-        """What one instruction's verbatim lowering costs, without running it.
+    def stream_bill(self, instructions) -> SimStats:
+        """What a stream's verbatim lowering costs, without running it.
 
-        In the form of :meth:`MicroProgram.bill`, after the instruction
-        passed :meth:`check_stream`. Every lowering sets its masks first,
-        so a stream's bill is the sum of its instructions'. An R-type
-        bill is its two mask ops plus the body's carried bill, whose gate
-        count scales with the masked crossbars x rows; the short non-R
-        lowerings are walked as they are.
+        In the form of :meth:`MicroProgram.bill`, after the stream passed
+        :meth:`check_stream`: one :func:`accounting_walk` over each R-type's
+        mask preamble and its body as one :class:`GateTally` (read off the
+        body's carried bill), and each short lowering's ops.
         """
-        (short,) = self.check_stream((instr,))
-        if short is not None:
-            return accounting_walk(self._lower_ops(instr, short), self.config, "htree")
         config = self.config
-        bill = accounting_walk(
-            self._mask_ops(instr.warp_mask, instr.row_mask), config
-        )
-        body = self._rtype_program(instr).bill(config)
-        lanes = len(instr.warp_mask or RangeMask.all(config.crossbars)) * len(
-            instr.row_mask or RangeMask.all(config.rows)
-        )
-        bill.merge(SimStats(
-            body.op_counts, body.cycles,
-            gates_executed=body.gates_executed // config.total_rows * lanes,
-        ))
-        return bill
+        pieces: list = []
+        for instr, short in zip(instructions, self.check_stream(instructions)):
+            if short is None:
+                pieces += self._mask_ops(instr.warp_mask, instr.row_mask)
+                body = self._rtype_program(instr).bill(config)
+                pieces.append(GateTally.of_bill(body, config))
+            else:
+                pieces += self._lower_ops(instr, short)
+        return accounting_walk(pieces, config, "htree")
 
     def compile(
         self,

@@ -14,12 +14,13 @@ contiguous axis-0 view into it — so DMA marshalling
 needs no scatter/gather, and cross-shard data movement is a plain slice
 copy.
 
-Instruction routing:
+Instruction routing, made once when a stream's program is assembled (an
+eager ``execute`` is a one-instruction stream):
 
 - :class:`~repro.isa.instructions.RInstr` / ``WriteInstr`` / intra-warp
   ``MoveInstr`` (``warp_dist == 0``): the warp mask is intersected with
   each shard's window, rebased to shard-local coordinates, and the
-  localized instruction dispatched to every worker it touches.
+  localized instruction goes to every worker it touches.
 - ``ReadInstr``: routed to the worker owning the warp.
 - Inter-warp ``MoveInstr`` (``warp_dist != 0``): always executed at pool
   level as a *bridge* — a functional slice copy over the shared image.
@@ -28,10 +29,9 @@ Instruction routing:
   keeps accept/reject behavior bit-identical to a single device.
 
 Cycle accounting is *canonical*, not additive: the pool charges every
-instruction and program the full-geometry bill of the driver's lowering
+program the full-geometry bill of the driver's lowering
 (:class:`~repro.backend.base.BilledBackend`, exactly like the NumPy
-backend — pricing and refusal bills live there, the stream tier and
-the fault window in its driver), so a pooled run reports the
+backend), so a pooled run reports the
 :class:`~repro.sim.stats.SimStats` of a single device — the crossbars of
 one memory operate in lock-step, and sharding the host-side work does
 not change what the chip executes. A worker's own counters are nobody's
@@ -46,7 +46,8 @@ replay fast path). The replayed response is the globally-last read's
 worker result. Only the canonical bill follows ``optimize``: an
 optimized :meth:`PooledBackend.compile` lowers the full-geometry stream
 to price it, a verbatim one and :meth:`PooledBackend.run_stream` price
-it by bills (the peephole passes never change the image).
+it by the driver's stream bill (the peephole passes never change the
+image).
 """
 
 from __future__ import annotations
@@ -202,10 +203,10 @@ class PooledBackend(BilledBackend):
     # ------------------------------------------------------------------
     # Backend interface
     # ------------------------------------------------------------------
-    @property
-    def cache_evictions(self) -> int:
-        return super().cache_evictions + sum(
-            worker.cache_evictions for worker in self.workers
+    def _tier_total(self, counter: str) -> int:
+        """Cache counters over one scope: the pool's driver and its workers'."""
+        return super()._tier_total(counter) + sum(
+            worker._tier_total(counter) for worker in self.workers
         )
 
     def persist_counters(self) -> Dict[str, int]:
@@ -235,10 +236,12 @@ class PooledBackend(BilledBackend):
         return list(self._quarantined)
 
     def execute(self, instr: Instruction) -> Optional[int]:
-        delta = self._instr_delta(instr)
-        result = self._dispatch(instr)
-        self._settle(delta)
-        return result
+        try:
+            return self._run_stream((instr,), "stream")
+        except ShardError as exc:  # name the instruction, not its stream
+            raise ShardError(
+                exc.shard, exc.warps, str(instr), exc.__cause__
+            ) from exc.__cause__
 
     def compile(
         self,
@@ -285,20 +288,6 @@ class PooledBackend(BilledBackend):
         """Emit a whole stream through one cached :class:`PooledProgram`,
         priced by bills: each shard replays its own stream program."""
         return self._run_stream(instructions, name)
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def _dispatch(self, instr: Instruction) -> Optional[int]:
-        if isinstance(instr, MoveInstr) and instr.warp_dist:
-            self._bridge_move(instr)
-            return None
-        response: Optional[int] = None
-        for k, local in self._localize(instr):
-            response = self._run_shard(
-                k, lambda w, local=local: w.execute(local), instr
-            )
-        return response
 
     # ------------------------------------------------------------------
     # Shard fault handling: injection, quarantine, failover

@@ -54,6 +54,14 @@ class GateTally(NamedTuple):
     nor: int
     gates: int
 
+    @classmethod
+    def of_bill(cls, bill: SimStats, config: PIMConfig) -> "GateTally":
+        """A bill of horizontal gates only (an R-type body's, walked under
+        masks that select every row) as one tally."""
+        counts = bill.op_counts
+        return cls(*(counts.get(key, 0) for key in _GATE_KEYS_H.values()),
+                   bill.gates_executed // config.total_rows)
+
 
 _GATE_KEYS_H = {gate: f"logic_h_{gate.name.lower()}" for gate in GateType}
 _GATE_KEYS_V = {gate: f"logic_v_{gate.name.lower()}" for gate in GateType}

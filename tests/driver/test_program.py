@@ -44,6 +44,7 @@ from repro.driver.program import MicroProgram, ProgramCache, config_fingerprint
 from repro.isa.dtypes import float32, int32
 from repro.isa.instructions import MoveInstr, ReadInstr, RInstr, ROp, WriteInstr
 from repro.sim.simulator import SimulationError, Simulator, accounting_walk
+from repro.sim.stats import SimStats
 
 from tests.conftest import rand_float32, rand_int32
 
@@ -191,27 +192,39 @@ class TestProgramBill:
 
     @pytest.mark.parametrize("move_cost", ["unit", "htree"])
     def test_instruction_bills_sum_to_the_stream_bill(self, move_cost):
+        """``stream_bill`` is one walk: a one-instruction stream bills what
+        the walk of its reference lowering does, those bills sum to the
+        whole stream's, and that is the carried bill of its verbatim
+        compile on the simulator."""
         _, driver = fresh_pair()
-        total = None
+        total = SimStats()
         for instr in self.STREAM:
-            bill = driver.instr_bill(instr).billed(move_cost)
+            bill = driver.stream_bill([instr]).billed(move_cost)
             alone = driver.compile([instr], optimize=False, emit="macro")
             assert bill == accounting_walk(alone.ops, CFG, move_cost), instr
-            total = bill if total is None else (total.merge(bill) or total)
+            total.merge(bill)
+        assert driver.stream_bill(self.STREAM).billed(move_cost) == total
         fused = driver.compile(self.STREAM, optimize=False)
         assert total == fused.bill(CFG).billed(move_cost)
 
-    def test_instruction_bill_raises_what_the_chip_raises(self):
-        """Refused whole by ``check_stream`` first: range checks raise
-        ``CompileError``, the chip's walk its H-tree ``SimulationError``."""
+    def test_stream_bill_raises_what_the_chip_raises(self):
+        """Refused whole by ``check_stream`` first, wherever the bad
+        instruction sits: range checks raise ``CompileError``, the chip's
+        walk its H-tree ``SimulationError``."""
         _, driver = fresh_pair()
-        with pytest.raises(CompileError, match="crossbar mask out of range"):
-            driver.instr_bill(RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1,
-                                     warp_mask=RangeMask(0, 7, 1)))
-        with pytest.raises(SimulationError, match="source and destination"):
-            driver.instr_bill(MoveInstr(0, 1, 0, 0, RangeMask(0, 1, 1), 1))
-        with pytest.raises(CompileError, match="row 99 out of range"):
-            driver.instr_bill(MoveInstr(0, 1, 0, 99, RangeMask(0, 0, 1), 0))
+        good = list(self.STREAM)
+        for bad, error, match in (
+            (RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1,
+                    warp_mask=RangeMask(0, 7, 1)),
+             CompileError, "crossbar mask out of range"),
+            (MoveInstr(0, 1, 0, 0, RangeMask(0, 1, 1), 1),
+             SimulationError, "source and destination"),
+            (MoveInstr(0, 1, 0, 99, RangeMask(0, 0, 1), 0),
+             CompileError, "row 99 out of range"),
+        ):
+            for stream in ([bad], good + [bad], [bad] + good):
+                with pytest.raises(error, match=match):
+                    driver.stream_bill(stream)
 
     def test_a_pattern_refused_mid_run_bills_like_the_walk(self):
         """A words-born program is billed in bulk, one ``_pattern_mask`` call
@@ -457,8 +470,6 @@ class TestReplayEquivalence:
     def test_replay_counts_into_reassigned_stats(self):
         # Plans must resolve sim.stats at call time: resetting the public
         # attribute between replays must not orphan the counters.
-        from repro.sim.stats import SimStats
-
         sim, driver = fresh_pair()
         program = driver.compile(
             [RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1)],

@@ -195,13 +195,15 @@ class TestCompiledPath:
         assert np.array_equal(pool.words, single.words)
         assert pool.stats.cycles == single.stats.cycles
 
-    def test_replay_counts_hits(self):
+    def test_replays_are_not_lookups(self):
+        """A replay of a program the caller holds touches no cache tier,
+        on the pool's driver or its workers' — as on the simulator."""
         pool = PooledBackend(CFG, workers=2)
         program = pool.compile(_program(), name="hits")
-        before = pool.cache_hits
+        before = pool.cache_counters()
         pool.run_program(program)
         pool.run_program(program)
-        assert pool.cache_hits == before + 2
+        assert pool.cache_counters() == before
 
     def test_response_site_returns_last_read(self):
         pool = PooledBackend(CFG, workers=4)
@@ -313,6 +315,26 @@ class TestCounters:
         pool.execute(RInstr(ROp.SUB, int32, dest=4, src_a=0, src_b=1))
         assert pool.cache_evictions > 0
 
+    @pytest.mark.parametrize("worker_backend", ["numpy", "simulator"])
+    def test_cache_counters_span_the_pool_and_its_workers(self, worker_backend):
+        """Hits, misses and evictions are counted over one scope, the
+        pool's driver plus its workers' (as ``persist_counters`` is), and
+        the workers' tiers add to each of the three."""
+        pool = PooledBackend(CFG, workers=2, worker_backend=worker_backend,
+                             cache_size=1)
+        add = RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1)
+        pool.execute(add)
+        pool.execute(add)  # a stream-tier hit on the pool's driver
+        pool.run_stream([add], name="other")  # body-tier hits on every driver
+        pool.execute(RInstr(ROp.MUL, int32, dest=3, src_a=0, src_b=1))
+        tiers = (pool.lowering.programs, pool.lowering.streams)
+        own = [sum(getattr(tier, counter) for tier in tiers)
+               for counter in ("hits", "misses", "evictions")]
+        workers = [sum(column) for column in
+                   zip(*(worker.cache_counters() for worker in pool.workers))]
+        assert all(workers)
+        assert pool.cache_counters() == tuple(map(sum, zip(own, workers)))
+
     def test_the_stream_tier_is_an_lru_not_a_cliff(self):
         """One stream more than the tier holds: the oldest is evicted and
         counted (once per tier that saw it), the newest is cached — before
@@ -387,6 +409,25 @@ class TestShardFaults:
         assert "pool shard 2" in message
         assert "warps 4..5" in message
         assert "kaput" in message
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+
+    @pytest.mark.parametrize("worker_backend", ["numpy", "simulator"])
+    def test_eager_crash_names_the_instruction(self, worker_backend):
+        """An eager instruction runs as a one-instruction stream; a crash
+        in it still names the instruction, not the stream's program."""
+        pool = PooledBackend(CFG, workers=4, worker_backend=worker_backend)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("kaput")
+
+        pool.workers[3].run_program = boom
+        instr = RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1,
+                       warp_mask=RangeMask(4, 7, 1))
+        with pytest.raises(ShardError) as excinfo:
+            pool.execute(instr)
+        assert excinfo.value.shard == 3
+        assert excinfo.value.context == str(instr)
+        assert f"during {instr}" in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, RuntimeError)
 
     def test_simulation_errors_are_not_wrapped(self):

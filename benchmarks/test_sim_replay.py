@@ -16,6 +16,8 @@ The PR-4 acceptance criteria, enforced here:
 3. **Layout rule** — narrow eager bodies dense enough for bit-planes
    replay them, >= 1.3x faster than with every run forced to word lanes,
    with the same memory image and stats.
+4. **Fusion** — those plane bodies, each INIT1 folded into the gate
+   consuming it, replay >= 1.2x faster than unfused, same image and stats.
 
 Results are written to ``results/sim_replay.txt`` (reference vs eager
 vs vectorized-replay survey, plus a ``word_size=64`` row, mirroring
@@ -239,12 +241,13 @@ def test_wide_eager_floor():
     assert reference / planned >= 2.0, f"wide speedup {reference / planned:.2f}x < 2x"
 
 
-def _eager_leg(min_gates: float, reps: int):
-    """Steady-state eager s/call at 4x16, n=64, with runs of ``min_gates``
-    gates per plane as bit-planes; the memory image, stats delta and run
-    layouts after the timed calls."""
+def _eager_leg(reps: int, **patches):
+    """Steady-state eager s/call at 4x16, n=64, with ``replay`` attributes
+    set to ``patches``; the memory image, stats delta and run layouts
+    after the timed calls."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(replay, "MIN_GATES_PER_PLANE", min_gates)
+        for name, value in patches.items():
+            patch.setattr(replay, name, value)
         device, x, y = _fresh()
         my_func(x, y)  # builds the gates and the plans
         before = device.stats_snapshot()
@@ -266,8 +269,9 @@ def test_narrow_eager_floor():
     lanes (``MIN_GATES_PER_PLANE = inf``), same memory image and stats."""
     best = 0.0
     for _ in range(2):
-        planes, words, delta, layouts = _eager_leg(replay.MIN_GATES_PER_PLANE, 4)
-        forced, forced_words, forced_delta, forced_layouts = _eager_leg(float("inf"), 4)
+        planes, words, delta, layouts = _eager_leg(4)
+        forced, forced_words, forced_delta, forced_layouts = _eager_leg(
+            4, MIN_GATES_PER_PLANE=float("inf"))
         assert np.array_equal(words, forced_words)
         assert delta == forced_delta
         assert "PlaneRun" in layouts and "PlaneRun" not in forced_layouts
@@ -278,6 +282,26 @@ def test_narrow_eager_floor():
         f"speedup {forced / planes:5.2f}x (best-of-2 {best:5.2f}x, floor 1.3x)"
     )
     assert best >= 1.3, f"narrow eager speedup {best:.2f}x < 1.3x"
+
+
+def test_fused_eager_floor():
+    """4x16, n=64: eager Figure-12 plane bodies with each INIT1 folded
+    into the NOT or NOR consuming it — >= 1.2x over fusion switched off
+    (``replay._fuse_init1`` the identity), same memory image and stats."""
+    best = 0.0
+    for _ in range(2):
+        fused, words, delta, _ = _eager_leg(4)
+        unfused, unfused_words, unfused_delta, _ = _eager_leg(
+            4, _fuse_init1=lambda distinct, ids: (distinct, ids))
+        assert np.array_equal(words, unfused_words)
+        assert delta == unfused_delta
+        best = max(best, unfused / fused)
+    _LINES.append(
+        f"fused eager (simulator, 4x16, n=64): unfused {unfused * 1e3:8.2f} ms  "
+        f"fused {fused * 1e3:8.2f} ms  speedup {unfused / fused:5.2f}x "
+        f"(best-of-2 {best:5.2f}x, floor 1.2x)"
+    )
+    assert best >= 1.2, f"fused eager speedup {best:.2f}x < 1.2x"
 
 
 def test_replay_info_reports_segmentation():

@@ -30,7 +30,7 @@ extend the packing one level further:
   partition) *plane* (:meth:`~repro.sim.memory.CrossbarMemory.pack_planes`);
   a partition shift is plane renaming, resolved at plan build
   (:func:`derive_plane_body`), so a gate is one mask-free update per
-  output partition.
+  output partition, an INIT1 folded into the gate consuming it.
 
 The result is bit-identical to op-by-op execution at every operation
 boundary — runs contain no observable point — and cycle accounting is
@@ -74,9 +74,9 @@ MAX_WORD_LANES = 64
 #: Gates per packed plane (read + written) a run needs to be planes, at
 #: any width: packing costs per plane, which a short body never wins back.
 #: Eager bodies by gates per plane, words / planes time at 1 / 16 / 64
-#: lanes (2-vCPU x86, CPython 3.11): fp add, fp mul, int mul 8.9-11.5:
-#: 1.5-2.0; fp lt 1.98: 0.80-0.92, a known loss of ~0.06 ms; int lt 1.21:
-#: 0.56-0.64; eq 0.73: 0.50-0.55; int add 0.64: 0.16 (docs/architecture.md).
+#: lanes (fused planes; 2-vCPU x86, CPython 3.11): fp add, fp mul, int mul
+#: 8.9-11.5: 2.6-3.2; fp lt 1.98: 0.95-1.16, even; int lt 1.21: 0.63-0.70;
+#: eq 0.73: 0.54-0.60; int add 0.64: 0.21-0.23 (docs/architecture.md).
 MIN_GATES_PER_PLANE = 1.5
 
 
@@ -218,6 +218,7 @@ class GateRun(NamedTuple):
         return {
             "lanes": len(self.xb) * len(self.row),
             "steps": len(self.steps),
+            "fused": 0,
             "regs": len(self.regs),
             "masks": len({step[6] for step in self.steps}),
             "opcodes": dict(opcodes),
@@ -228,10 +229,8 @@ class GateRun(NamedTuple):
 
 class WideGateRun(GateRun):
     """A word run wider than :data:`MAX_WORD_LANES` whose ``masks`` are the
-    out-masks it reads *unreplicated*, replicated at each replay (+13 % of
-    an int-add run at 65 lanes, +87 % at 65,536): kept replicated, a mask
-    is 256 KB at 65,536 lanes, and ``test_cordic_sine``'s plans held
-    166 MB of them."""
+    out-masks it reads *unreplicated*, replicated at each replay: kept
+    replicated, a mask is 256 KB at 65,536 lanes (docs/architecture.md)."""
 
     __slots__ = ()
 
@@ -256,9 +255,10 @@ class PlaneBody:
     ``steps`` holds one shared ``(gate, out, a, b)`` record
     (:func:`derive_plane_body`) per output partition of each gate, shifts
     resolved to planes: ``o ^= o & (a | b)`` (NOR), ``o ^= o & a`` (NOT),
-    ``o = full`` (INIT1) or ``o = 0`` (INIT0). ``read`` are the planes
-    whose value before the run matters, ``written`` those it writes, and
-    ``gates`` the run's gate count.
+    ``o = full`` (INIT1), ``o = 0`` (INIT0), ``o = full ^ a`` (4, INIT1+NOT)
+    or ``o = full ^ (a | b)`` (5, INIT1+NOR: :func:`_fuse_init1`). ``read``
+    are the planes whose value before the run matters, ``written`` those
+    it writes, and ``gates`` the run's gate count.
     """
 
     read: Tuple[int, ...]
@@ -284,27 +284,32 @@ class PlaneRun(NamedTuple):
         for plane, value in zip(read, memory.pack_planes(xb, row, read)):
             state[plane] = value
         for gate, out, a, b in steps:
-            if gate == 3:  # NOR
+            if gate == 5:  # INIT1+NOR
+                state[out] = full ^ (state[a] | state[b])
+            elif gate == 4:  # INIT1+NOT
+                state[out] = full ^ state[a]
+            elif gate == 3:  # NOR
                 value = state[out]
                 state[out] = value ^ (value & (state[a] | state[b]))
-            elif gate == 1:  # INIT1
-                state[out] = full
             elif gate == 2:  # NOT
                 value = state[out]
                 state[out] = value ^ (value & state[a])
-            else:  # INIT0
-                state[out] = 0
+            else:  # INIT1 or INIT0
+                state[out] = full if gate else 0
         memory.unpack_planes(xb, row, written, [state[plane] for plane in written])
 
     def summary(self) -> Dict[str, object]:
         """What ``replay_info()`` prints of the run (no mask table: 0)."""
         read, written, steps = self.body.read, self.body.written, self.body.steps
+        opcodes = Counter(step[0] for step in steps)
+        names = [gate.name for gate in GateType] + ["INIT1+NOT", "INIT1+NOR"]
         return {
             "lanes": len(self.xb) * len(self.row),
             "steps": len(steps),
+            "fused": opcodes[4] + opcodes[5],
             "regs": len({plane >> _PART_FIELD for plane in read + written}),
             "masks": 0,
-            "opcodes": dict(Counter(GateType(step[0]).name for step in steps)),
+            "opcodes": {names[gate]: n for gate, n in opcodes.items()},
             "layout": "planes",
             "gates_per_plane": round(self.body.gates / len(read + written), 3),
         }
@@ -364,9 +369,9 @@ def lane_table(gate_table, partitions: int) -> tuple:
 #: Per lane-program opcode: its gate and the sign of each input's shift.
 _GATE_OF, _SIGN_A, _SIGN_B = (np.array(column, np.int32) for column in zip(*OPCODES))
 #: A plane number's bits (``reg << _PART_FIELD | partition``), and where a
-#: plane step's three planes sit in its ``int64`` key, above 2 gate bits.
+#: plane step's three planes sit in its ``int64`` key, above 3 gate bits.
 _PLANE_BITS = _IDX_FIELD + _PART_FIELD
-_PLANE_SHIFTS = (2, 2 + _PLANE_BITS, 2 + 2 * _PLANE_BITS)
+_PLANE_SHIFTS = (3, 3 + _PLANE_BITS, 3 + 2 * _PLANE_BITS)
 assert _PLANE_SHIFTS[-1] + _PLANE_BITS < 63, "a plane step key overflows int64"
 
 
@@ -396,8 +401,9 @@ def derive_plane_body(table, masks, run) -> PlaneBody:
     are ``run``, derived column-wise once per distinct record: a plane
     step per output partition ``p`` of its out-mask, an operand plane
     ``reg << 6 | p - shift``; equal steps share a tuple. The body's steps
-    are its records' in gate order; it reads the planes whose first gate
-    is a NOT or NOR.
+    are its records' in gate order, each INIT1 folded into the NOT or NOR
+    consuming it (:func:`_fuse_init1`); it reads the planes whose first
+    gate is a NOT or NOR.
 
     Per-plane evaluation is exact because a gate never reads a plane it
     writes except its own output at shift 0 (``expand_pattern`` keeps
@@ -436,13 +442,36 @@ def derive_plane_body(table, masks, run) -> PlaneBody:
     for shift, plane in zip(_PLANE_SHIFTS, planes):
         key |= plane.astype(np.int64) << shift
     distinct, ids = _distinct(key)
-    numbers = np.arange(1 << _PLANE_BITS).astype(object)  # one int object per plane
-    fields = [numbers[distinct >> s & (len(numbers) - 1)].tolist() for s in _PLANE_SHIFTS]
-    steps = np.fromiter(zip((distinct & 3).tolist(), *fields), dtype=object,
-                        count=len(distinct))
     start = np.cumsum(count, dtype=np.int32) - count
+    distinct, ids = _fuse_init1(distinct, ids[_spans(start, count, run)])
+    live = np.flatnonzero(np.bincount(ids, minlength=len(distinct)))  # tuples only for these
+    keys, numbers = distinct[live], np.arange(1 << _PLANE_BITS).astype(object)
+    fields = [numbers[keys >> s & (len(numbers) - 1)].tolist() for s in _PLANE_SHIFTS]
+    steps = np.empty(len(distinct), object)
+    steps[live] = np.fromiter(zip((keys & 7).tolist(), *fields), dtype=object, count=len(keys))
     return PlaneBody(tuple(touched[reads].tolist()), tuple(written.tolist()),
-                     tuple(steps[ids[_spans(start, count, run)]].tolist()), len(run))
+                     tuple(steps[ids].tolist()), len(run))
+
+
+def _fuse_init1(distinct, ids):
+    """The plane steps ``distinct[ids]`` with each INIT1 folded into its
+    plane's next writer, if a NOT or NOR, when no step reads the plane in
+    between (the writer's own operands included): the INIT1 goes, and the
+    writer's id moves to a second copy of ``distinct``, keyed gate ``+ 2``.
+    Sorted stably by plane, the (read a, read b, write) events ``plane <<
+    2 | role`` (0 a read, 1 INIT1, 2 NOT or NOR, 3 INIT0; plane -1 for an
+    operand not read) put a fusible INIT1's event one below the next."""
+    gate = distinct & 7
+    out, a, b = (distinct >> s & ((1 << _PLANE_BITS) - 1) for s in _PLANE_SHIFTS)
+    events = np.take(np.stack((np.where(gate >= GateType.NOT, a << 2, -4),
+                               np.where(gate == GateType.NOR, b << 2, -4),
+                               out << 2 | np.array([3, 1, 2, 2])[gate]), axis=1)
+                     .astype(np.int16), ids, axis=0).ravel()
+    order = np.argsort(events >> 2, kind="stable")
+    events = events[order]
+    pairs = np.flatnonzero(((events[:-1] & 3) == 1) & (events[1:] - events[:-1] == 1))
+    ids[order[pairs + 1] // 3] += len(distinct)
+    return np.concatenate((distinct, distinct + 2)), np.delete(ids, order[pairs] // 3)
 
 
 def build_gate_runs(program, config, memory: CrossbarMemory, plane_bodies) -> Iterator:

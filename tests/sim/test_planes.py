@@ -14,7 +14,10 @@ Covers the obligations of ``repro.sim.replay.PlaneRun``:
   plane they pack, at any width; a body the counts reject is never
   derived, and no body is derived twice in a plan;
 - the per-record derivation equals the per-gate one it replaced
-  (``reference_plane_body``, kept here as the reference);
+  (``reference_plane_body``, kept here as the reference) with each INIT1
+  folded into the NOT or NOR consuming it (``reference_fuse``, a plain
+  loop); fused and unfused bodies replay to the same memory, reads and
+  ``SimStats``, and the hand-written cases pin what must not fuse;
 - plane records are plain, deduplicated data shared across plans for as
   long as a plan holds them, and the plane pack / unpack helpers
   round-trip and touch only the named planes.
@@ -80,10 +83,12 @@ def _pattern(rng, gate, partitions):
         return fields
 
 
-def _program_ops(rng, config, region, length):
+def _program_ops(rng, config, region, length, initialized=0.0):
     """A self-masked stream whose gate runs sit under ``region``: gates on
     a few registers (so outputs alias inputs), broken by writes, vertical
-    gates and moves; single-cell masks and a read at the end."""
+    gates and moves; single-cell masks and a read at the end. A NOT or NOR
+    is preceded, with probability ``initialized``, by an INIT1 of its
+    output pattern, as the driver emits them."""
     xb, row = region
     masks = [CrossbarMaskOp(*xb), RowMaskOp(*row)]
     ops = list(masks)
@@ -93,8 +98,10 @@ def _program_ops(rng, config, region, length):
         if roll < 0.8:
             gate = GateType(int(rng.integers(0, 4)))
             out, in_a, in_b = (int(r) for r in rng.integers(0, registers, 3))
-            ops.append(LogicHOp(gate, in_a, in_b, out,
-                                **_pattern(rng, gate, config.partitions)))
+            pattern = _pattern(rng, gate, config.partitions)
+            if gate >= GateType.NOT and rng.random() < initialized:
+                ops.append(LogicHOp(GateType.INIT1, 0, 0, out, **pattern))
+            ops.append(LogicHOp(gate, in_a, in_b, out, **pattern))
         elif roll < 0.88:
             bits = write_value_bits(config.word_size)
             ops.append(WriteOp(int(rng.integers(0, registers)),
@@ -174,6 +181,36 @@ def test_planes_words_and_execute_agree(seed, lanes, partitions, length):
         assert sim.replay_counters == {"vectorized": 1, "reference": 0}
 
 
+def _unfused(distinct, ids):
+    """``replay._fuse_init1`` switched off."""
+    return distinct, ids
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lanes=st.sampled_from([1, 64, 65, 16 * 512]),
+       partitions=st.sampled_from(sorted(CHIPS)), length=st.integers(1, 60))
+def test_fused_and_unfused_planes_agree(seed, lanes, partitions, length):
+    """Folding INIT1s into their consumers changes no memory, read or
+    ``SimStats``, and only ever shortens a body."""
+    config = CHIPS[partitions]
+    ops = _program_ops(np.random.default_rng(seed), config, REGIONS[lanes], length,
+                       initialized=0.7)
+    program = MicroProgram.from_ops(ops, "p", config)
+    fused, response = _replayed(config, program, seed, 64, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(replay, "_fuse_init1", _unfused)
+        unfused, expected = _replayed(config, program, seed, 64, 0)
+    assert response == expected
+    assert np.array_equal(fused.memory.words, unfused.memory.words)
+    assert fused.stats == unfused.stats
+    runs = [[s for s in sim.replay_plan(program).steps if type(s) is replay.PlaneRun]
+            for sim in (fused, unfused)]
+    for short, full in zip(*runs):
+        summary = short.summary()
+        assert summary["steps"] + summary["fused"] == len(full.body.steps)
+        assert full.summary()["fused"] == 0
+
+
 def _bodies(config, region):
     """One gate run each: a long body on three planes (48 gates per packed
     plane: its output plane is both read and written) and a one-gate body
@@ -235,6 +272,29 @@ def reference_plane_body(table, masks, run_ids):
     return tuple(touched[reads].tolist()), tuple(np.unique(out).tolist()), steps
 
 
+def reference_fuse(steps):
+    """``derive_plane_body``'s INIT1 folding as a plain loop over plane
+    steps: an INIT1 whose plane's next writer is a NOT or NOR, with no
+    read of the plane before that writer's write, becomes that writer
+    with gate ``+ 2`` (INIT1+NOT 4, INIT1+NOR 5)."""
+    steps, dropped = list(steps), set()
+    for i, (gate, out, _, _) in enumerate(steps):
+        if gate != GateType.INIT1:
+            continue
+        for j in range(i + 1, len(steps)):
+            later, o, a, b = steps[j]
+            reads_as = later - 2 if later > GateType.NOR else later  # a fused step
+            reads = {GateType.NOT: (a,), GateType.NOR: (a, b)}.get(reads_as, ())
+            if out in reads:
+                break
+            if o == out:
+                if later in (GateType.NOT, GateType.NOR):
+                    steps[j] = (later + 2, o, a, b)
+                    dropped.add(i)
+                break
+    return tuple(step for i, step in enumerate(steps) if i not in dropped)
+
+
 def _gate_runs(program, config):
     """``(table, masks, run ids per gate run)`` of a program."""
     table, ids, masks = replay.lane_table(program.gate_table, config.partitions)
@@ -250,8 +310,8 @@ def _assert_derivation_is_the_reference(program, config):
     table, masks, runs = _gate_runs(program, config)
     bodies = [replay.derive_plane_body(table, masks, run) for run in runs]
     for run, body in zip(runs, bodies):
-        assert (body.read, body.written, body.steps) == reference_plane_body(
-            table.T, masks, run)
+        read, written, steps = reference_plane_body(table.T, masks, run)
+        assert (body.read, body.written, body.steps) == (read, written, reference_fuse(steps))
         assert body.gates == len(run)
     return bodies
 
@@ -265,7 +325,8 @@ class TestDerivation:
            length=st.integers(1, 60))
     def test_equals_the_per_gate_reference(self, seed, partitions, length):
         config = CHIPS[partitions]
-        ops = _program_ops(np.random.default_rng(seed), config, REGIONS[4], length)
+        ops = _program_ops(np.random.default_rng(seed), config, REGIONS[4], length,
+                           initialized=0.5)
         _assert_derivation_is_the_reference(MicroProgram.from_ops(ops, "p", config), config)
 
     def test_equals_the_per_gate_reference_on_the_session_plan(self, session_plan):
@@ -275,6 +336,14 @@ class TestDerivation:
         for run, body in zip(runs, bodies):  # the plan's own bodies too
             if type(run) is replay.PlaneRun:
                 assert run.body == body
+
+    def test_fusion_halves_the_session_plan(self, session_plan):
+        """Half the session plan's plane steps are INIT1s their consumers
+        absorb: 107,866 plane steps unfused, 53,993 fused."""
+        _, _, runs = session_plan
+        planes = [run.summary() for run in runs if type(run) is replay.PlaneRun]
+        assert sum(summary["steps"] for summary in planes) == 53_993
+        assert sum(summary["fused"] for summary in planes) == 107_866 - 53_993
 
     def test_counts_reject_first_and_no_body_is_derived_twice(self, monkeypatch):
         """A dense body at two regions, a sparse one twice and a one-gate
@@ -314,6 +383,62 @@ class TestDerivation:
         assert runs[2].rule == runs[3].rule == ("gates_per_plane", 6 / 5)
         assert runs[4].rule == ("gates_per_plane_at_most", 1 / 32)
         assert runs[2].summary()["gates_per_plane"] == 1.2
+
+
+#: Lane-table opcodes at shift 0 of the hand-written fusion cases.
+INIT0, INIT1, NOT, NOR = (replay.OPCODES.index((gate, 0, 0)) for gate in GateType)
+
+
+def _derived(*gates, masks=(0b1,)):
+    """The body of ``(opcode, out, a, b, mask id)`` gates at shift 0 (an
+    unread operand is ``out``), one lane-table row each."""
+    table = np.array([(code, out, a, 0, b, 0, m) for code, out, a, b, m in gates]).T
+    return replay.derive_plane_body(table, list(masks), np.arange(len(gates)))
+
+
+def P(reg, partition=0):
+    return reg << 6 | partition
+
+
+class TestFusion:
+    """An INIT1 is folded only into its plane's next writer, a NOT or NOR,
+    when nothing reads the plane before that writer writes it."""
+
+    def test_an_init1_folds_into_its_nor_or_not(self):
+        assert _derived((INIT1, 3, 3, 3, 0), (NOR, 3, 0, 1, 0)).steps == (
+            (5, P(3), P(0), P(1)),)
+        assert _derived((INIT1, 3, 3, 3, 0), (NOT, 3, 0, 3, 0)).steps == (
+            (4, P(3), P(0), P(3)),)
+
+    def test_a_plane_read_before_its_nor_is_not_fused(self):
+        assert _derived((INIT1, 3, 3, 3, 0), (NOT, 4, 3, 4, 0), (NOR, 3, 0, 1, 0)).steps == (
+            (1, P(3), P(3), P(3)), (2, P(4), P(3), P(4)), (3, P(3), P(0), P(1)))
+
+    def test_a_nor_reading_its_own_output_is_not_fused(self):
+        for a, b in ((3, 1), (1, 3)):
+            assert _derived((INIT1, 3, 3, 3, 0), (NOR, 3, a, b, 0)).steps == (
+                (1, P(3), P(3), P(3)), (3, P(3), P(a), P(b)))
+        assert _derived((INIT1, 3, 3, 3, 0), (NOT, 3, 3, 3, 0)).steps == (
+            (1, P(3), P(3), P(3)), (2, P(3), P(3), P(3)))
+
+    def test_an_init1_before_an_init_is_not_fused(self):
+        assert _derived((INIT1, 3, 3, 3, 0), (INIT0, 3, 3, 3, 0)).steps == (
+            (1, P(3), P(3), P(3)), (0, P(3), P(3), P(3)))
+        assert _derived((INIT1, 3, 3, 3, 0), (INIT1, 3, 3, 3, 0), (NOR, 3, 0, 1, 0)).steps == (
+            (1, P(3), P(3), P(3)), (5, P(3), P(0), P(1)))
+
+    def test_a_planes_last_writer_is_not_fused(self):
+        assert _derived((NOR, 3, 0, 1, 0), (INIT1, 3, 3, 3, 0)).steps == (
+            (3, P(3), P(0), P(1)), (1, P(3), P(3), P(3)))
+        assert _derived((INIT1, 3, 3, 3, 0), (NOT, 4, 3, 4, 0)).steps == (
+            (1, P(3), P(3), P(3)), (2, P(4), P(3), P(4)))
+
+    def test_a_wide_init1_fuses_only_the_planes_its_nor_covers(self):
+        body = _derived((INIT1, 3, 3, 3, 0), (NOR, 3, 0, 1, 1), masks=(0b1111, 0b100))
+        assert body.steps == ((1, P(3, 0), P(3, 0), P(3, 0)), (1, P(3, 1), P(3, 1), P(3, 1)),
+                              (1, P(3, 3), P(3, 3), P(3, 3)), (5, P(3, 2), P(0, 2), P(1, 2)))
+        assert body.written == (P(3, 0), P(3, 1), P(3, 2), P(3, 3))
+        assert body.read == (P(0, 2), P(1, 2))
 
 
 class TestOverlapCheck:
@@ -408,8 +533,8 @@ class TestPlaneRecords:
         sim.execute_program(program)
         (run,) = [s for s in sim.replay_plan(program).steps if type(s) is not tuple]
         assert run.summary() == {
-            "lanes": 128, "steps": 33, "regs": 3, "masks": 0,
-            "opcodes": {"INIT1": 32, "NOR": 1}, "layout": "planes",
+            "lanes": 128, "steps": 32, "fused": 1, "regs": 3, "masks": 0,
+            "opcodes": {"INIT1": 31, "INIT1+NOR": 1}, "layout": "planes",
             "gates_per_plane": round(2 / 34, 3),  # 2 planes read, 32 written
         }
         # Register 3 is initialized first: only the NOR's inputs are packed.

@@ -325,8 +325,8 @@ class TestEngineSelection:
         run = sim.replay_plan(program).steps[-1]
         assert list(run) == [run.xb, run.row, run.regs, run.written,
                              run.masks, run.steps, run.rule]
-        assert run.summary() == {"lanes": 32, "steps": 1, "regs": 3, "masks": 1,
-                                 "opcodes": {"NOR<<": 1}, "layout": "words",
+        assert run.summary() == {"lanes": 32, "steps": 1, "fused": 0, "regs": 3,
+                                 "masks": 1, "opcodes": {"NOR<<": 1}, "layout": "words",
                                  "gates_per_plane_at_most": 0.333}
 
     def test_body_program_replays_through_the_reference(self):

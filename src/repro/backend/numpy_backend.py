@@ -70,9 +70,9 @@ class NumpyBackend(BilledBackend):
 
     Accepts the same keyword arguments as the driver (``parallelism``
     changes which lowering — and therefore which cycle counts — are
-    charged; ``cache_size`` bounds the lowering cache) plus the
-    simulator's ``move_cost`` model. ``guard`` is accepted for interface
-    parity and ignored (there is no gate level to guard).
+    charged; ``cache_size`` bounds the lowering cache; ``guard`` checks
+    the pricing lowering's gate lifetimes) plus the simulator's
+    ``move_cost`` model.
     """
 
     name = "numpy"
@@ -81,7 +81,6 @@ class NumpyBackend(BilledBackend):
         self,
         config: PIMConfig,
         move_cost: str = "unit",
-        guard: bool = False,
         **driver_kwargs,
     ):
         super().__init__(config, move_cost, **driver_kwargs)

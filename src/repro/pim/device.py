@@ -240,6 +240,17 @@ class PIMDevice:
     # ------------------------------------------------------------------
     # Bulk data transfer (the test harness's DMA-style load path)
     # ------------------------------------------------------------------
+    def _block(self, slot: Slot, length: int) -> np.ndarray:
+        """The slot's first ``length`` elements as a ``(warps, rows)`` view
+        of the image, in order; a length past the slot is refused."""
+        if length > slot.warp_count * self.rows:
+            raise ValueError(
+                f"{length} elements do not fit {slot} "
+                f"({slot.warp_count * self.rows} elements)"
+            )
+        stop = slot.warp_start - (-length // self.rows)
+        return self.backend.words[slot.warp_start : stop, slot.reg]
+
     def load_array(self, slot: Slot, values: np.ndarray, dtype: DType) -> None:
         """Load host data directly into the simulated memory image.
 
@@ -250,38 +261,19 @@ class PIMDevice:
         """
         self._check_open()
         self._check_not_tracing("bulk-load")
-        raw = array_to_raw(np.asarray(values).reshape(-1), dtype)
-        rows = self.rows
-        mem = self.backend.words
-        for offset in range(0, raw.size, rows):
-            warp = slot.warp_start + offset // rows
-            chunk = raw[offset : offset + rows]
-            mem[warp, slot.reg, : chunk.size] = chunk.astype(mem.dtype)
+        self.write_raw(slot, array_to_raw(np.asarray(values).reshape(-1), dtype))
 
     def dump_array(self, slot: Slot, length: int, dtype: DType) -> np.ndarray:
         """Read a slot's contents back to the host (correctness step (3))."""
         self._check_open()
         self._check_not_tracing("read back")
-        rows = self.rows
-        mem = self.backend.words
-        out = np.empty(length, dtype=np.uint32)
-        for offset in range(0, length, rows):
-            warp = slot.warp_start + offset // rows
-            take = min(rows, length - offset)
-            out[offset : offset + take] = mem[warp, slot.reg, :take].astype(np.uint32)
-        return raw_to_array(out, dtype)
+        return raw_to_array(self.read_raw(slot, length), dtype)
 
     def read_raw(self, slot: Slot, length: int) -> np.ndarray:
         """Snapshot a slot's raw words (DMA-style, uncounted)."""
         self._check_open()
-        rows = self.rows
-        mem = self.backend.words
-        out = np.empty(length, dtype=mem.dtype)
-        for offset in range(0, length, rows):
-            take = min(rows, length - offset)
-            warp = slot.warp_start + offset // rows
-            out[offset : offset + take] = mem[warp, slot.reg, :take]
-        return out
+        # flatten always copies; a one-warp block would reshape to a view
+        return self._block(slot, length).flatten()[:length]
 
     def write_raw(self, slot: Slot, raw: np.ndarray) -> None:
         """Write raw words into a slot (DMA-style, uncounted).
@@ -290,12 +282,11 @@ class PIMDevice:
         marshals fresh input data into the captured argument registers.
         """
         self._check_open()
-        rows = self.rows
-        mem = self.backend.words
-        for offset in range(0, raw.size, rows):
-            take = min(rows, raw.size - offset)
-            warp = slot.warp_start + offset // rows
-            mem[warp, slot.reg, :take] = raw[offset : offset + take]
+        block = self._block(slot, raw.size)
+        full, rest = divmod(raw.size, self.rows)
+        block[:full] = raw[: full * self.rows].reshape(full, self.rows)
+        if rest:
+            block[full, :rest] = raw[full * self.rows :]
 
     # ------------------------------------------------------------------
     # Mask segmentation over element ranges
@@ -330,22 +321,13 @@ class PIMDevice:
             row_mask = RangeMask(begin - lo, end - lo, elements.step)
             per_warp.append((slot.warp_start + warp, row_mask))
 
-        groups: List[Tuple[RangeMask, RangeMask]] = []
-        index = 0
-        while index < len(per_warp):
-            warp, row_mask = per_warp[index]
-            stop = index + 1
-            while (
-                stop < len(per_warp)
-                and per_warp[stop][1] == row_mask
-                and per_warp[stop][0] == per_warp[stop - 1][0] + 1
-            ):
-                stop += 1
-            groups.append(
-                (RangeMask(warp, per_warp[stop - 1][0], 1), row_mask)
-            )
-            index = stop
-        return groups
+        groups: List[list] = []  # [first warp, last warp, row mask]
+        for warp, row_mask in per_warp:
+            if groups and groups[-1][1] == warp - 1 and groups[-1][2] == row_mask:
+                groups[-1][1] = warp
+            else:
+                groups.append([warp, warp, row_mask])
+        return [(RangeMask(first, last, 1), mask) for first, last, mask in groups]
 
 
 _default_device: Optional[PIMDevice] = None

@@ -226,3 +226,31 @@ class TestBackendInterface:
         ).small_config(crossbars=8, rows=32))
         with pytest.raises(SimulationError, match="fingerprint"):
             other.run_program(program)
+
+
+class TestGuard:
+    def test_guard_reaches_the_pricing_driver_and_bills_the_same(self):
+        """``guard`` is a driver keyword like any other: it checks the
+        pricing lowering's gate lifetimes and changes no cycle."""
+        from repro.arch.config import small_config
+        from repro.arch.masks import RangeMask
+        from repro.isa.dtypes import float32, int32
+        from repro.isa.instructions import RInstr, ROp
+
+        config = small_config(crossbars=4, rows=16)
+        stream = [
+            RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1),
+            RInstr(ROp.MUL, float32, dest=3, src_a=2, src_b=1,
+                   warp_mask=RangeMask(1, 3, 2)),
+            RInstr(ROp.LT, float32, dest=4, src_a=3, src_b=0,
+                   row_mask=RangeMask(0, 14, 2)),
+            RInstr(ROp.MUX, int32, dest=5, src_a=4, src_b=2, src_c=3),
+        ]
+        guarded = NumpyBackend(config, guard=True)
+        plain = NumpyBackend(config, guard=False)
+        assert guarded.lowering.guard and not plain.lowering.guard
+        assert guarded.stream_stats(stream) == plain.stream_stats(stream)
+        guarded.run_stream(stream)
+        plain.run_stream(stream)
+        assert guarded.stats == plain.stats
+        assert guarded.stats.cycles > 0

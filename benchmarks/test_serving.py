@@ -12,9 +12,10 @@ Two acceptance claims of the pool + serving subsystem, both enforced:
    directory (``cache_dir=``) does none of a cold compile's work. Gated
    on exact facts about ``Driver.compile`` of the heaviest lowerings
    (float32 multiply chains): a warm session records no gates through
-   ``GateBuilder``, walks no program to price it, and loads exactly one
-   valid entry per compiled stream. The share of cold wall-clock that
-   skips is reported, not gated.
+   ``GateBuilder``, walks no program to price it, loads exactly one
+   valid entry per compiled stream, and derives nothing of a replay plan
+   (the entry carries it). The share of cold wall-clock that skips is
+   reported, not gated.
 
 Results go to ``results/serving.txt`` (human-readable) and
 ``results/BENCH_serving.json`` (machine-readable: requests/sec, p50/p99
@@ -151,9 +152,10 @@ def _compiled_session(cache_dir):
 
 
 def test_warm_start_skips_gate_build(tmp_path, monkeypatch):
-    """A warm cache_dir skips the gate build and the billing walk, and a
-    warm compiled session never turns a gate word back into an object:
-    exact counts gate; the wall-clock share that skips is only reported."""
+    """A warm cache_dir skips the gate build, the billing walk and the
+    plan derivation, and a warm compiled session never turns a gate word
+    back into an object: exact counts gate; the wall-clock share that
+    skips is only reported."""
     from repro.driver.gates import GateBuilder
     from repro.sim import simulator
 
@@ -194,13 +196,22 @@ def test_warm_start_skips_gate_build(tmp_path, monkeypatch):
         assert warm_program.ops == cold_program.ops
     assert calls["accounting_walk"] == 0, "the bill came with the entry"
 
-    # The program's words are the replay plan: over a populated cache_dir
-    # both calls of a compiled session build no LogicHOp, decode only the
-    # non-gate words, and leave the restored program undecoded.
+    # The entry carries the replay plan: over a populated cache_dir both
+    # calls of a compiled session derive nothing of it (no lane table, no
+    # plane count or body), build no LogicHOp, decode only the non-gate
+    # words, and leave the restored program undecoded.
     from repro.arch import micro_ops
     from repro.driver import program as program_module
+    from repro.sim import replay
 
+    derivation = ("lane_table", "_planes_at_least", "derive_plane_body")
+    calls.update(dict.fromkeys(derivation, 0))
+    for name in derivation:
+        monkeypatch.setattr(replay, name, counted(name, getattr(replay, name)))
     cold_results, cold_info, _ = _compiled_session(tmp_path / "session")
+    assert all(calls[name] > 0 for name in derivation)
+    assert cold_info["plan_source"] == "derived"
+    calls.update(dict.fromkeys(derivation, 0))
     built, decoded = [], []
     monkeypatch.setattr(
         micro_ops.LogicHOp, "__post_init__", lambda self: built.append(self)
@@ -214,9 +225,12 @@ def test_warm_start_skips_gate_build(tmp_path, monkeypatch):
     for (cold_pred, cold_total), (pred, total) in zip(cold_results, warm_results):
         assert np.array_equal(cold_pred, pred) and cold_total == total
     assert info["engine"] == "vectorized" and program._ops is None
-    assert {key: info[key] for key in info if key != "plan_build_ms"} == {
-        key: cold_info[key] for key in cold_info if key != "plan_build_ms"
-    }, "the plan of the restored words is the plan of the compiled ops"
+    assert all(calls[name] == 0 for name in derivation), "the plan came with the entry"
+    assert info["plan_source"] == "loaded"
+    unpaid = ("plan_build_ms", "plan_source")
+    assert {key: info[key] for key in info if key not in unpaid} == {
+        key: cold_info[key] for key in cold_info if key not in unpaid
+    }, "the loaded plan is the plan derived from the compiled ops"
     assert not built, "a warm session constructs no LogicHOp"
     assert not any(micro_ops.is_logic_h(words).any() for words in decoded)
     words = program.encoded(program.config_fingerprint[4])

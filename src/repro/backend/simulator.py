@@ -88,8 +88,9 @@ class SimulatorBackend(Backend):
         run (:meth:`repro.sim.replay.GateRun.summary` /
         :meth:`~repro.sim.replay.PlaneRun.summary`, with its
         ``"layout"`` and the layout rule's input, ``"gates_per_plane"`` or
-        ``"gates_per_plane_at_most"``; ``None`` on the reference route) and
-        ``plan_build_ms`` what building it cost.
+        ``"gates_per_plane_at_most"``; ``None`` on the reference route),
+        ``plan_source`` (``"derived"``, or ``"loaded"`` from an entry) and
+        ``plan_build_ms`` what this process paid for it (``ReplayPlan``).
         The remaining keys are the IR's
         :meth:`~repro.driver.program.MicroProgram.replay_summary`.
         """
@@ -100,6 +101,7 @@ class SimulatorBackend(Backend):
         info["plan"] = None if plan.steps is None else [
             step.summary() for step in plan.steps if type(step) is not tuple
         ]
+        info["plan_source"] = plan.source
         info["plan_build_ms"] = plan.build_ms
         return info
 

@@ -80,7 +80,7 @@ from repro.isa.instructions import (
     WriteInstr,
     validate,
 )
-from repro.sim.simulator import GateTally, accounting_walk
+from repro.sim.simulator import GateTally, Simulator, accounting_walk
 from repro.sim.stats import SimStats
 
 
@@ -178,9 +178,11 @@ class Driver:
         self.cache_enabled = cache_size > 0
         self.cache_dir = resolve_cache_dir(cache_dir)
         #: The durable cross-session tier (``None`` when no cache
-        #: directory is configured); shared by both in-memory tiers.
+        #: directory is configured); shared by both in-memory tiers, its
+        #: entries carry the replay plans of a chip that plans.
+        planner = chip if isinstance(chip, Simulator) else None
         self.persist: Optional[PersistentProgramCache] = (
-            PersistentProgramCache(self.cache_dir, self.config)
+            PersistentProgramCache(self.cache_dir, self.config, planner)
             if self.cache_dir is not None
             else None
         )

@@ -27,13 +27,18 @@ Design constraints, in order:
 
 Serialized form: one binary file per entry — a one-line JSON header, a
 newline, then the program's 64-bit operation words (what the DMA path
-ships), raw little-endian ``<u8``. The header holds the identity checks
-above, the program metadata, the payload's word count and CRC-32, and
-the program's *bill* (:meth:`~repro.driver.program.MicroProgram.bill`),
-so a restored program is priced without being walked. Neither side
-touches an op object: a store writes the words the program was spliced
-from and the bill summed from their columns, a load checks header,
-length and checksum and wraps the payload with ``np.frombuffer``. A
+ships), raw little-endian ``<u8``, then its replay plan's
+:data:`PLAN_ARRAYS` (integer columns, no pickle: a load runs no code).
+The header holds the identity checks above, the program metadata, the
+word count, each plan array's name, dtype and shape, one CRC-32 over it
+all, and the program's *bill*
+(:meth:`~repro.driver.program.MicroProgram.bill`), so a restored program
+is priced without being walked. A ``Simulator`` chip (``planner``)
+derives the plan for a store and takes it from a load, which checks it
+against the words (:func:`~repro.sim.replay.check_columns`); a billed
+backend's entries carry none. Neither side touches an op object: a store
+writes the words the program was spliced from and the bill summed from
+their columns, a load wraps the payload with ``np.frombuffer``. A
 restored program decodes its words in full (``decode_many``) only if
 something iterates ``.ops`` — the op-by-op reference loop. Cache keys
 are deterministic across processes because every key component has a
@@ -48,19 +53,26 @@ import os
 import tempfile
 import zlib
 from contextlib import suppress
+from time import perf_counter
 from typing import Dict, Hashable, Optional
 
 import numpy as np
 
 from repro.arch.config import PIMConfig, config_fingerprint
 from repro.driver.program import MicroProgram
+from repro.sim.replay import COLUMN_DTYPES, PlanColumns, check_columns
 from repro.sim.stats import SimStats
 
 #: Bump when the on-disk entry layout (or the meaning of any field)
 #: changes; older entries then read as cold misses, never as garbage.
 #: v3: binary entries carrying the program's bill (v2: ``pim-<digest>.json``
-#: files, removed by a later store of the key); v4: scratch in the fingerprint.
-FORMAT_VERSION = 4
+#: files, removed by a later store of the key); v4: scratch in the
+#: fingerprint; v5: the replay plan's columns after the words.
+FORMAT_VERSION = 5
+
+#: The plan section's ``(name, dtype)`` arrays: the CRC-32 of the words
+#: the plan was derived from, then its ``replay.PlanColumns``.
+PLAN_ARRAYS = (("words_crc32", "<u4"),) + tuple(zip(PlanColumns._fields, COLUMN_DTYPES))
 
 #: Environment variable supplying a default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -98,13 +110,15 @@ class PersistentProgramCache:
       are written through are ever probed, so every one is a compile);
     - ``invalid`` — entries rejected (corrupt/truncated file, format
       version skew, config-fingerprint mismatch, key collision, payload
-      length or checksum mismatch) and deleted best-effort;
+      length or checksum mismatch, a plan not of these words or not
+      fitting them) and deleted best-effort;
     - ``stores`` — entries written.
     """
 
-    def __init__(self, cache_dir: str, config: PIMConfig):
+    def __init__(self, cache_dir: str, config: PIMConfig, planner=None):
         self.cache_dir = cache_dir
         self.config = config
+        self.planner = planner
         self.fingerprint = config_fingerprint(config)
         self.loads = 0
         self.misses = 0
@@ -127,7 +141,8 @@ class PersistentProgramCache:
 
     # ------------------------------------------------------------------
     def load(self, key: Hashable) -> Optional[MicroProgram]:
-        """Restore a program, or ``None`` (cold compile) on any problem."""
+        """Restore a program and its plan, or ``None`` (cold compile) on any problem."""
+        start = perf_counter()
         path = self._path(key)
         try:
             with open(path, "rb") as handle:
@@ -138,8 +153,10 @@ class PersistentProgramCache:
         except OSError:
             data = b""  # unreadable: rejected below, like a corrupt entry
         try:
-            program = self._deserialize(data, key)
-        except (ValueError, TypeError, KeyError, AttributeError):
+            program, columns = self._deserialize(data, key)
+            if columns is not None:
+                self.planner.plan_columns(program, columns, 1e3 * (perf_counter() - start))
+        except (ValueError, TypeError, KeyError, AttributeError, IndexError):
             program = None  # not an entry: corrupt, truncated, foreign
         if program is None:
             # Count and delete (best-effort) so the fresh compile's
@@ -152,12 +169,17 @@ class PersistentProgramCache:
         return program
 
     def store(self, key: Hashable, program: MicroProgram) -> None:
-        """Write a program through to disk (atomically; errors ignored)."""
+        """Write a program and its plan through to disk (atomically; errors ignored)."""
         if program.config_fingerprint != self.fingerprint:
             return
         bill = program.bill(self.config)
-        words = program.encoded(self.config.word_size)
-        payload = words.astype("<u8", copy=False).tobytes()
+        words = program.encoded(self.config.word_size).astype("<u8", copy=False).tobytes()
+        columns = None if self.planner is None else self.planner.plan_columns(program)
+        plan = [] if columns is None else [
+            np.asarray(array, dtype)
+            for array, (_, dtype) in zip([[zlib.crc32(words)], *columns], PLAN_ARRAYS)
+        ]
+        payload = b"".join([words] + [array.tobytes() for array in plan])
         header = {
             "version": FORMAT_VERSION,
             "key": _key_repr(key),
@@ -169,6 +191,8 @@ class PersistentProgramCache:
             "bill": [bill.op_counts, bill.cycles, bill.htree_hop_cycles,
                      bill.gates_executed],
             "words": len(program),
+            "plan": [[name, array.dtype.str, list(array.shape)]
+                     for (name, _), array in zip(PLAN_ARRAYS, plan)],
             "crc32": zlib.crc32(payload),
         }
         path = self._path(key)
@@ -194,23 +218,35 @@ class PersistentProgramCache:
         self.stores += 1
 
     # ------------------------------------------------------------------
-    def _deserialize(self, data: bytes, key: Hashable) -> Optional[MicroProgram]:
-        """Rebuild a program; ``None`` marks an invalid/stale entry."""
+    def _deserialize(self, data: bytes, key: Hashable):
+        """``(program, plan columns or None)``; no program marks an
+        invalid/stale entry."""
         head, _, payload = data.partition(b"\n")
         header = json.loads(head)
         if header["version"] != FORMAT_VERSION:
-            return None  # version skew: recompile under the new format
+            return None, None  # version skew: recompile under the new format
         if tuple(header["fingerprint"]) != self.fingerprint:
-            return None  # compiled for a different geometry
+            return None, None  # compiled for a different geometry
         if header["key"] != _key_repr(key):
-            return None  # hash collision or key-scheme drift
-        if len(payload) != 8 * header["words"]:
-            return None  # truncated, or header and payload disagree
-        if zlib.crc32(payload) != header["crc32"]:
-            return None
+            return None, None  # hash collision or key-scheme drift
+        plan = header["plan"]
+        arrays = [("<u8", [header["words"]])] + [(dtype, shape) for _, dtype, shape in plan]
+        if plan and [(name, dtype) for name, dtype, _ in plan] != list(PLAN_ARRAYS) or not all(
+                type(n) is int and n >= 0 for _, shape in arrays for n in shape):
+            return None, None  # not this format's plan section
+        lengths = [int(np.prod(shape)) for _, shape in arrays]
+        ends = np.cumsum([0] + [n * np.dtype(dtype).itemsize
+                                for (dtype, _), n in zip(arrays, lengths)]).tolist()
+        if len(payload) != ends[-1]:
+            return None, None  # truncated, or header and payload disagree
+        words_crc = zlib.crc32(memoryview(payload)[: ends[1]])
+        if zlib.crc32(memoryview(payload)[ends[1] :], words_crc) != header["crc32"]:
+            return None, None
+        words, *plan = [np.frombuffer(payload, dtype, n, start).reshape(shape)
+                        for (dtype, shape), n, start in zip(arrays, lengths, ends)]
         counts, cycles, hops, gates = header["bill"]
-        return MicroProgram(
-            np.frombuffer(payload, dtype="<u8").astype(np.uint64, copy=False),
+        program = MicroProgram(
+            words.astype(np.uint64, copy=False),
             name=str(header["name"]),
             config_fingerprint=self.fingerprint,
             reads=int(header["reads"]),
@@ -221,3 +257,10 @@ class PersistentProgramCache:
                 int(cycles), int(hops), int(gates),
             ),
         )
+        if not plan or self.planner is None:
+            return program, None
+        if plan[0].tolist() != [words_crc]:
+            return None, None  # a plan derived from other words
+        columns = PlanColumns(*(array.copy() for array in plan[1:]))
+        check_columns(columns, program, self.config)
+        return program, columns

@@ -14,9 +14,11 @@ extend the packing one level further:
   each run under statically-known masks;
 - at plan-build time every run becomes a short straight-line program
   built from **bit-field columns of the program's 64-bit operation
-  words** (:func:`build_gate_runs`) — no op object exists on this path —
-  over the program's :func:`lane_table`, one lane-free record per
-  *distinct* gate;
+  words** — no op object exists on this path — over the program's
+  :func:`lane_table`, one lane-free record per *distinct* gate: the
+  plan's data is integer columns (:func:`plan_columns`, what a persistent
+  entry stores beside the words), its run records are made from them
+  (:func:`materialise`);
 - a run too sparse for planes is a :class:`GateRun`: at replay it packs
   each touched register's masked region into one big integer, a *lane*
   per word as wide as the memory dtype
@@ -49,7 +51,7 @@ run's layout, never the route. There is no engine setting.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -161,7 +163,7 @@ class GateRun(NamedTuple):
     ``out`` and shift 0. ``masks[mask_id]`` is the out-mask replicated
     across the region's lanes (``None`` for ids no run of this lane count
     reads; one table per lane count of the plan); ``rule`` says why it is
-    not planes (:func:`build_gate_runs`). Calling the record on a memory
+    not planes (:func:`plan_columns`). Calling the record on a memory
     executes the whole run — typically thousands of micro-ops — as pack /
     interpret / unpack over the packed image.
     """
@@ -396,14 +398,17 @@ def _spans(start, count, of):
     return np.repeat(start[of] - ends + n, n) + np.arange(ends[-1], dtype=np.int32)
 
 
-def derive_plane_body(table, masks, run) -> PlaneBody:
+def derive_plane_body(table, masks, run) -> tuple:
     """The :class:`PlaneBody` of the gates whose :func:`lane_table` rows
-    are ``run``, derived column-wise once per distinct record: a plane
-    step per output partition ``p`` of its out-mask, an operand plane
-    ``reg << 6 | p - shift``; equal steps share a tuple. The body's steps
-    are its records' in gate order, each INIT1 folded into the NOT or NOR
-    consuming it (:func:`_fuse_init1`); it reads the planes whose first
-    gate is a NOT or NOR.
+    are ``run`` as columns, ``(keys, steps, read, written)``: its distinct
+    plane-step keys (``int64``, the gate, then the out, a and b planes at
+    :data:`_PLANE_SHIFTS`), each step's index among them, and the planes
+    it reads and writes (:func:`materialise_body` makes the record).
+    Derived column-wise once per distinct record: a plane step per output
+    partition ``p`` of its out-mask, an operand plane ``reg << 6 | p -
+    shift``. The body's steps are its records' in gate order, each INIT1
+    folded into the NOT or NOR consuming it (:func:`_fuse_init1`); it
+    reads the planes whose first gate is a NOT or NOR.
 
     Per-plane evaluation is exact because a gate never reads a plane it
     writes except its own output at shift 0 (``expand_pattern`` keeps
@@ -444,13 +449,25 @@ def derive_plane_body(table, masks, run) -> PlaneBody:
     distinct, ids = _distinct(key)
     start = np.cumsum(count, dtype=np.int32) - count
     distinct, ids = _fuse_init1(distinct, ids[_spans(start, count, run)])
-    live = np.flatnonzero(np.bincount(ids, minlength=len(distinct)))  # tuples only for these
-    keys, numbers = distinct[live], np.arange(1 << _PLANE_BITS).astype(object)
-    fields = [numbers[keys >> s & (len(numbers) - 1)].tolist() for s in _PLANE_SHIFTS]
-    steps = np.empty(len(distinct), object)
-    steps[live] = np.fromiter(zip((keys & 7).tolist(), *fields), dtype=object, count=len(keys))
-    return PlaneBody(tuple(touched[reads].tolist()), tuple(written.tolist()),
-                     tuple(steps[ids].tolist()), len(run))
+    live = np.flatnonzero(np.bincount(ids, minlength=len(distinct)))  # keys a step uses
+    rank = np.zeros(len(distinct), np.int32)
+    rank[live] = np.arange(len(live), dtype=np.int32)
+    return distinct[live], rank[ids], touched[reads].astype(np.int32), written.astype(np.int32)
+
+
+#: Every plane number as a Python int, shared by the step tuples.
+_PLANE_NUMBERS = np.arange(1 << _PLANE_BITS).astype(object)
+
+
+def materialise_body(columns, gates: int) -> PlaneBody:
+    """The :class:`PlaneBody` of :func:`derive_plane_body`'s columns for a
+    run of ``gates`` gates: one shared ``(gate, out, a, b)`` tuple per key."""
+    keys, steps, read, written = columns
+    fields = [_PLANE_NUMBERS[keys >> s & (len(_PLANE_NUMBERS) - 1)].tolist()
+              for s in _PLANE_SHIFTS]
+    records = np.fromiter(zip((keys & 7).tolist(), *fields), dtype=object, count=len(keys))
+    return PlaneBody(tuple(read.tolist()), tuple(written.tolist()),
+                     tuple(records[steps].tolist()), gates)
 
 
 def _fuse_init1(distinct, ids):
@@ -474,59 +491,110 @@ def _fuse_init1(distinct, ids):
     return np.concatenate((distinct, distinct + 2)), np.delete(ids, order[pairs] // 3)
 
 
-def build_gate_runs(program, config, memory: CrossbarMemory, plane_bodies) -> Iterator:
-    """The replay record of every ``"gates"`` super-step, in order: a
-    :class:`PlaneRun` if its body has :data:`MIN_GATES_PER_PLANE`, else a
-    :class:`GateRun` (a :class:`WideGateRun` above :data:`MAX_WORD_LANES`).
-    The caller guarantees the program is self-masked.
+#: A program's plan as :func:`plan_columns` derives it and an entry stores
+#: it, arrays only: its :func:`lane_table` (out-masks unreplicated); per
+#: ``"gates"`` super-step its ``layout`` (0 words, judged from counts; 1
+#: words, from its planes; 2 planes), ``rule`` (gates per plane) and plane
+#: ``body`` (-1 for words); per plane body the ``sizes`` of its slices of
+#: ``keys``, ``steps``, ``read``, ``written`` (:func:`derive_plane_body`).
+PlanColumns = namedtuple("PlanColumns", "table ids masks layout rule body sizes "
+                                        "keys steps read written")
+#: Each :data:`PlanColumns` field's dtype (little-endian).
+COLUMN_DTYPES = ("<i4", "<i4", "<u8", "|i1", "<f8", "<i4", "<i4", "<i8", "<i4", "<i4", "<i4")
+_RULES = ("gates_per_plane_at_most", "gates_per_plane")
 
-    A distinct body is judged once, and a word run's ``rule`` says how:
-    from counts (``("gates_per_plane_at_most", g)``, :func:`_planes_at_least`)
-    or, if they allow planes, from its planes (``("gates_per_plane", g)``,
-    :func:`derive_plane_body`). ``plane_bodies``, the caller's
-    ``WeakValueDictionary``, finds a plane body by its gate words while a
-    plan holds it. Word runs share tuples of the :func:`lane_table`
-    records; a mask is replicated (``mask * unit``) only for the lane
-    counts whose runs read it, a table per lane count.
-    """
+
+def plan_columns(program, config, known) -> PlanColumns:
+    """The :data:`PlanColumns` of a self-masked program. A distinct body
+    is judged once (:func:`_judge`); one whose gate words ``known`` maps
+    to a :class:`PlaneBody` is planes, not derived: its slices are empty."""
     table, ids, masks = lane_table(program.gate_table, config.partitions)
     words = program.encoded(config.word_size)
-    width = 8 * memory.dtype.itemsize
-    runs, read = [], {}  # read: lanes -> the mask ids its runs read
-    bodies, records = {}, {}  # bodies: a run's record ids -> PlaneBody or word body
+    judged, verdicts, bodies = {}, [], []  # judged: a run's record ids -> its verdict
     done = 0
     for segment in program.super_steps:
         if segment.kind != "gates":
             continue
         run_ids = ids[done : done + len(segment)]
         done += len(segment)
+        body = run_ids.tobytes()
+        if body not in judged:
+            found = known.get(words[segment.start : segment.stop].tobytes())
+            judged[body] = _judge(table, masks, run_ids, found, bodies)
+        verdicts.append(judged[body])
+    layout, rule, body = zip(*verdicts) if verdicts else ((),) * 3
+    sizes = np.array([list(map(len, planar)) for planar in bodies], np.int32).reshape(-1, 4)
+    return PlanColumns(
+        table, ids, np.array(masks, np.uint64), np.array(layout, np.int8),
+        np.array(rule, np.float64), np.array(body, np.int32), sizes,
+        *(np.concatenate([np.zeros(0, dtype), *column]) for column, dtype in
+          zip(zip(*bodies) if bodies else ((),) * 4, COLUMN_DTYPES[7:])),
+    )
+
+
+def _judge(table, masks, run, found, bodies) -> tuple:
+    """``(layout, rule, body)`` of a body, from counts or, if they allow
+    planes, from its planes (appended to ``bodies`` if they are)."""
+    gates = len(run)
+    if found is not None:
+        bodies.append([np.zeros(0, dtype) for dtype in COLUMN_DTYPES[7:]])
+        return 2, gates / len(found.read + found.written), len(bodies) - 1
+    bound = _planes_at_least(table, masks, run)
+    if gates < MIN_GATES_PER_PLANE * bound:
+        return 0, gates / bound, -1
+    planar = derive_plane_body(table, masks, run)
+    packed = len(planar[2]) + len(planar[3])
+    if gates < MIN_GATES_PER_PLANE * packed:
+        return 1, gates / packed, -1
+    bodies.append(planar)
+    return 2, gates / packed, len(bodies) - 1
+
+
+def materialise(columns, program, config, memory: CrossbarMemory, plane_bodies) -> Iterator:
+    """The replay record of every ``"gates"`` super-step, in order: a
+    :class:`PlaneRun` for layout 2, else a :class:`GateRun` (a
+    :class:`WideGateRun` above :data:`MAX_WORD_LANES`). ``plane_bodies``,
+    the caller's ``WeakValueDictionary``, finds a plane body by its gate
+    words while a plan holds it, else it is made and entered. Word runs
+    share :func:`lane_table` record tuples; a mask is replicated only for
+    the lane counts whose runs read it, a table per lane count."""
+    table, ids, masks = columns.table, columns.ids, columns.masks.tolist()
+    words = program.encoded(config.word_size)
+    width = 8 * memory.dtype.itemsize
+    starts = (np.cumsum(columns.sizes, axis=0) - columns.sizes).tolist()
+    runs, read = [], {}  # read: lanes -> the mask ids its runs read
+    planar, bodies, records = {}, {}, {}  # by body index / by a run's record ids
+    segments = (segment for segment in program.super_steps if segment.kind == "gates")
+    done = 0
+    for segment, layout, rule, index in zip(segments, columns.layout.tolist(),
+                                            columns.rule.tolist(), columns.body.tolist()):
+        run_ids = ids[done : done + len(segment)]
+        done += len(segment)
         xb, row = RangeMask(*segment.xb), RangeMask(*segment.row)
+        if layout == 2:
+            if index not in planar:
+                key = words[segment.start : segment.stop].tobytes()
+                body = plane_bodies.get(key)
+                if body is None:
+                    cut = zip(columns[7:], starts[index], columns.sizes[index])
+                    body = plane_bodies[key] = materialise_body(
+                        [column[start : start + size] for column, start, size in cut],
+                        len(segment))
+                planar[index] = body
+            runs.append(PlaneRun(xb, row, planar[index]))
+            continue
         body = run_ids.tobytes()
         if body not in bodies:
-            key = words[segment.start : segment.stop].tobytes()
-            bodies[body] = plane_bodies.get(key)
-        if bodies[body] is None:
-            bound = _planes_at_least(table, masks, run_ids)
-            rule = ("gates_per_plane_at_most", len(segment) / bound)
-            if len(segment) >= MIN_GATES_PER_PLANE * bound:
-                planar = derive_plane_body(table, masks, run_ids)
-                packed = len(planar.read) + len(planar.written)
-                rule = ("gates_per_plane", len(segment) / packed)
-                if len(segment) >= MIN_GATES_PER_PLANE * packed:
-                    bodies[body] = plane_bodies[key] = planar
-        if bodies[body] is None:
             used = run_ids.tolist()
             fresh = [r for r in set(used) if r not in records]
             records.update(zip(fresh, zip(*table[:, fresh].tolist())))
             _, out, a, _, b, _, mask_ids = zip(*map(records.__getitem__, set(used)))
             bodies[body] = (
                 tuple(sorted(set(out).union(a, b))), tuple(sorted(set(out))),
-                set(mask_ids), tuple(map(records.__getitem__, used)), rule,
+                set(mask_ids), tuple(map(records.__getitem__, used)),
             )
-        if type(bodies[body]) is PlaneBody:
-            runs.append(PlaneRun(xb, row, bodies[body]))
-            continue
-        regs, written, mask_ids, steps, rule = bodies[body]
+        regs, written, mask_ids, steps = bodies[body]
+        rule = (_RULES[layout], rule)
         lanes = len(xb) * len(row)
         if lanes > MAX_WORD_LANES:
             raw = tuple(mask if m in mask_ids else None for m, mask in enumerate(masks))
@@ -544,3 +612,31 @@ def build_gate_runs(program, config, memory: CrossbarMemory, plane_bodies) -> It
             xb, row, regs, written, lanes, steps, rule = run
             run = GateRun(xb, row, regs, written, tables[lanes], steps, rule)
         yield run
+
+
+def check_columns(columns, program, config) -> None:
+    """Refuse (``ValueError``) stored columns that do not fit ``program``'s
+    words: a shape, a count of gate super-steps or gates, an index past
+    what it indexes, an opcode, register, shift or plane out of range."""
+    table, ids, masks, layout, rule, body, sizes, keys, steps, read, written = columns
+    gates = [len(segment) for segment in program.super_steps if segment.kind == "gates"]
+
+    def within(values, stop) -> bool:
+        return values.size == 0 or 0 <= int(values.min()) <= int(values.max()) < stop
+
+    planes = [keys >> shift & (1 << _PLANE_BITS) - 1 for shift in _PLANE_SHIFTS] + [read, written]
+    if not (
+        [column.ndim for column in columns] == [2, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1]
+        and len(table) == len(_RECORD_WIDTHS) and len(ids) == sum(gates)
+        and len(layout) == len(rule) == len(body) == len(gates)
+        and sizes.sum(axis=0).tolist() == [len(keys), len(steps), len(read), len(written)]
+        and within(ids, table.shape[1]) and within(table[6], len(masks)) and within(layout, 3)
+        and within(body[layout == 2], len(sizes)) and bool((sizes[:, 1] > 0).all())
+        and bool(((0 <= steps) & (steps < np.repeat(sizes[:, 0], sizes[:, 1]))).all())
+        and within(table[0], len(OPCODES)) and within(keys & 7, 6)
+        and within(table[[1, 2, 4]], config.registers) and within(table[[3, 5]], config.partitions)
+        and within(masks >> np.uint64(config.partitions - 1), 2)
+        and all(within(plane >> _PART_FIELD, config.registers)
+                and within(plane & (1 << _PART_FIELD) - 1, config.partitions) for plane in planes)
+    ):
+        raise ValueError(f"the plan columns do not fit the words of {program.name!r}")

@@ -183,12 +183,15 @@ class ReplayPlan(NamedTuple):
             carries, under this chip's move-cost model — merged once per
             vectorized replay. ``None`` (and then no ``steps`` either)
             when the program is not self-masked or an op of it must raise.
-        build_ms: host milliseconds the build took.
+        build_ms: host milliseconds this process paid for it (a
+            ``"loaded"`` plan: the entry's load plus making its records).
+        source: ``"derived"`` from the words, or ``"loaded"`` from an entry.
     """
 
     steps: Optional[tuple]
     static_stats: Optional[SimStats]
     build_ms: float = 0.0
+    source: str = "derived"
 
 
 class Simulator:
@@ -314,11 +317,16 @@ class Simulator:
     def _plan(self, program) -> ReplayPlan:
         try:
             return self._plans[program]
-        except KeyError:
-            plan = self._plans[program] = self._compile_plan(program)
-            return plan
+        except KeyError:  # the snapshot holds the bodies it knows alive
+            return self._compile_plan(program, dict(self._plane_bodies.items()))[0]
 
-    def _compile_plan(self, program) -> ReplayPlan:
+    def plan_columns(self, program, columns=None, spent_ms: float = 0.0):
+        """Memoize ``program``'s plan, derived whole or made from stored
+        ``columns`` (``spent_ms`` paid for them), and return its columns:
+        what a persistent entry stores beside the words (``None``: no plan)."""
+        return self._compile_plan(program, {}, columns, spent_ms)[1]
+
+    def _compile_plan(self, program, known, columns=None, spent_ms: float = 0.0):
         if program.config_fingerprint != config_fingerprint(self.config):
             raise SimulationError(
                 f"program {program.name!r} was compiled for fingerprint "
@@ -326,6 +334,7 @@ class Simulator:
                 f"{config_fingerprint(self.config)}"
             )
         start = perf_counter()
+        source = "derived" if columns is None else "loaded"
         steps = static_stats = None
         if program.self_masked:
             try:
@@ -333,15 +342,19 @@ class Simulator:
             except SimulationError:
                 pass  # an op must raise: the reference loop raises it, at the op
         if static_stats is not None:
-            runs = replay.build_gate_runs(
-                program, self.config, self.memory, self._plane_bodies
+            if columns is None:
+                columns = replay.plan_columns(program, self.config, known)
+            runs = replay.materialise(
+                columns, program, self.config, self.memory, self._plane_bodies
             )
             steps = tuple(
                 next(runs) if segment.kind == "gates"
                 else self._silent_step(segment.op)
                 for segment in program.super_steps
             )
-        return ReplayPlan(steps, static_stats, 1e3 * (perf_counter() - start))
+        build_ms = spent_ms + 1e3 * (perf_counter() - start)
+        plan = self._plans[program] = ReplayPlan(steps, static_stats, build_ms, source)
+        return plan, None if steps is None else columns
 
     @staticmethod
     def _silent_step(op: MicroOp) -> tuple:

@@ -11,11 +11,15 @@ compile — with bit-identical results — for *any* damaged cache state:
 - format-version skew (entries from an older repo revision, including
   the v2 JSON+base64 files);
 - config-fingerprint mismatch (entries compiled for another geometry);
-- key collisions (a file whose embedded key repr is not the probed key).
+- key collisions (a file whose embedded key repr is not the probed key);
+- a damaged plan section: a flipped bit, a truncated section, another
+  program's section of the same shapes, array lengths in the header
+  disagreeing with the payload — and a v4 entry, which has none.
 
-An entry is a one-line JSON header, a newline and the raw ``<u8``
-operation words; loading it builds no op object, and the program it
-restores carries the bill that was stored with it.
+An entry is a one-line JSON header, a newline, the raw ``<u8`` operation
+words and, from a simulator session, the replay plan's integer columns;
+loading it builds no op object, and the program it restores carries the
+bill that was stored with it.
 
 On assertion failure the offending cache directory is dumped to
 ``fuzz_artifacts/`` (override with ``REPRO_FUZZ_ARTIFACT_DIR``) so the
@@ -27,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import zlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -39,6 +44,7 @@ from repro.arch.micro_ops import GateType, LogicHOp, encode
 from repro.driver.driver import Driver
 from repro.driver.persist import (
     FORMAT_VERSION,
+    PLAN_ARRAYS,
     PersistentProgramCache,
     resolve_cache_dir,
 )
@@ -85,6 +91,25 @@ def compiled_program(config=CFG):
 
 
 KEY = ("body", "add-mul", 32)
+
+#: A stream whose entry carries a plan, and the same stream on other
+#: registers: a plan section of the very same shapes.
+PLANNED = (RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1),
+           RInstr(ROp.MUL, int32, dest=3, src_a=2, src_b=1))
+RELABELED = (RInstr(ROp.ADD, int32, dest=5, src_a=0, src_b=1),
+             RInstr(ROp.MUL, int32, dest=6, src_a=5, src_b=1))
+
+
+def _planned_session(cache_dir, stream=PLANNED):
+    """One simulator session: compile ``stream`` (through ``cache_dir``,
+    if given) and replay it on seeded memory: ``(image, driver, plan)``."""
+    sim = Simulator(CFG)
+    sim.memory.words[...] = np.random.default_rng(5).integers(
+        0, 2**32, sim.memory.words.shape, dtype=np.uint64)
+    driver = Driver(sim, cache_dir=None if cache_dir is None else str(cache_dir))
+    program = driver.compile(list(stream), name="planned")
+    driver.run_program(program)
+    return sim.memory.words.copy(), driver, sim.replay_plan(program)
 
 
 def read_entry(path):
@@ -298,6 +323,81 @@ class TestInvalidation:
             micro_ops.decode_many(program.encoded(CFG.word_size))
         assert str(raised.value) == str(decoded.value)
 
+    # -- the plan section (format v5): a miss that heals, never a wrong plan
+
+    def _planned(self, tmp_path, stream=PLANNED):
+        """A simulator session's entry for ``stream`` (with its plan
+        section): ``(path, header, payload)``, and the plan's offset."""
+        _planned_session(tmp_path, stream)
+        [(path, header, payload)] = [
+            (path, *read_entry(path)) for path in
+            (os.path.join(str(tmp_path), name) for name in os.listdir(tmp_path))
+            if read_entry(path)[0]["name"] == "planned"
+        ]
+        assert [array[0] for array in header["plan"]] == [n for n, _ in PLAN_ARRAYS]
+        return path, header, payload, 8 * header["words"]
+
+    def _assert_heals(self, tmp_path, path, label):
+        """The damaged entry is counted invalid; the session recompiles,
+        replays bit-identically to golden and re-stores the entry, which
+        the next session loads, plan and all."""
+        golden = _planned_session(None)[0]
+        with _artifacts_on_failure(tmp_path, label):
+            image, driver, plan = _planned_session(tmp_path)
+            counters = driver.persist.counters()
+            assert counters["invalid"] == 1 and counters["stores"] == 1
+            assert np.array_equal(image, golden) and plan.source == "derived"
+            image, driver, plan = _planned_session(tmp_path)
+            assert driver.persist.counters() == {
+                "loads": 1, "misses": 0, "invalid": 0, "stores": 0}
+            assert np.array_equal(image, golden) and plan.source == "loaded"
+
+    def test_flipped_plan_bit(self, tmp_path):
+        path, header, payload, plan = self._planned(tmp_path)
+        damaged = bytearray(payload)
+        damaged[plan + (len(payload) - plan) // 2] ^= 0x04
+        write_entry(path, header, bytes(damaged))
+        self._assert_heals(tmp_path, path, "plan_bit_flip")
+
+    def test_truncated_plan_section(self, tmp_path):
+        path, header, payload, plan = self._planned(tmp_path)
+        payload = payload[: plan + (len(payload) - plan) // 3]
+        header["crc32"] = zlib.crc32(payload)
+        write_entry(path, header, payload)
+        self._assert_heals(tmp_path, path, "plan_truncated")
+
+    def test_plan_spliced_from_another_program(self, tmp_path):
+        """Another program's plan section of the very same shapes, CRC
+        recomputed: only the words it names tell it apart."""
+        path, header, payload, plan = self._planned(tmp_path)
+        other = tmp_path / "other"
+        _, other_header, other_payload, other_plan = self._planned(other, RELABELED)
+        assert other_header["plan"] == header["plan"]
+        assert other_payload[other_plan:] != payload[plan:]
+        payload = payload[:plan] + other_payload[other_plan:]
+        header["crc32"] = zlib.crc32(payload)
+        write_entry(path, header, payload)
+        self._assert_heals(tmp_path, path, "plan_spliced")
+
+    def test_plan_lengths_disagree_with_the_payload(self, tmp_path):
+        """Four bytes moved from ``ids`` to ``steps`` in the header: the
+        payload and its CRC still match, the arrays no longer do."""
+        path, header, payload, _ = self._planned(tmp_path)
+        shapes = {name: shape for name, _, shape in header["plan"]}
+        shapes["ids"][0] -= 1
+        shapes["steps"][0] += 1
+        write_entry(path, header, payload)
+        self._assert_heals(tmp_path, path, "plan_lengths")
+
+    def test_v4_entry_is_a_miss_that_heals(self, tmp_path):
+        """A v4 entry (words alone, no plan section) under this key."""
+        path, header, payload, plan = self._planned(tmp_path)
+        header["version"] = 4
+        del header["plan"]
+        header["crc32"] = zlib.crc32(payload[:plan])
+        write_entry(path, header, payload[:plan])
+        self._assert_heals(tmp_path, path, "v4_entry")
+
     def test_fingerprint_mismatch(self, tmp_path):
         _, path = self._stored(tmp_path)
         # A cache for a different geometry probing the same directory.
@@ -330,6 +430,42 @@ class TestInvalidation:
         del header[field]
         write_entry(path, header, payload)
         self._assert_rejected(tmp_path, cache, path, f"missing_{field}")
+
+
+def test_the_plan_column_encoding_is_pinned():
+    """What a v5 plan section's integers mean: the lane-program opcodes,
+    the record and plane-step key layouts, the plane-step gate codes and
+    the arrays. Change any of them and stored plans mean something else."""
+    from repro.sim import replay
+
+    def fused(code):
+        table = np.array([(replay.OPCODES.index((GateType.INIT1, 0, 0)), 3, 3, 0, 3, 0, 0),
+                          (code, 3, 0, 0, 1, 0, 0)]).T
+        return replay.derive_plane_body(table, [1], np.arange(2))[0] & 7
+
+    nor, n, o = GateType.NOR, GateType.NOT, GateType.INIT1
+    pinned = (
+        replay.OPCODES == ((nor, 1, 1), (nor, 1, -1), (nor, -1, -1), (o, 0, 0),
+                           (n, 1, 0), (nor, 1, 0), (n, -1, 0), (nor, 0, -1),
+                           (n, 0, 0), (nor, 0, 0), (GateType.INIT0, 0, 0)),
+        replay._RECORD_WIDTHS == (4, 7, 7, 6, 7, 6, 26),
+        replay._PLANE_SHIFTS == (3, 16, 29),
+        [(gate.name, int(gate)) for gate in GateType]
+        == [("INIT0", 0), ("INIT1", 1), ("NOT", 2), ("NOR", 3)],
+        fused(replay.OPCODES.index((n, 0, 0))).tolist() == [4],  # INIT1+NOT
+        fused(replay.OPCODES.index((nor, 0, 0))).tolist() == [5],  # INIT1+NOR
+        PLAN_ARRAYS == (
+            ("words_crc32", "<u4"), ("table", "<i4"), ("ids", "<i4"),
+            ("masks", "<u8"), ("layout", "|i1"), ("rule", "<f8"),
+            ("body", "<i4"), ("sizes", "<i4"), ("keys", "<i8"),
+            ("steps", "<i4"), ("read", "<i4"), ("written", "<i4"),
+        ),
+        FORMAT_VERSION == 5,
+    )
+    assert all(pinned), (
+        f"the plan column encoding changed ({pinned}): bump FORMAT_VERSION "
+        "and pin the new encoding here"
+    )
 
 
 class TestConcurrencyAndCrash:

@@ -308,7 +308,8 @@ def _gate_runs(program, config):
 
 def _assert_derivation_is_the_reference(program, config):
     table, masks, runs = _gate_runs(program, config)
-    bodies = [replay.derive_plane_body(table, masks, run) for run in runs]
+    bodies = [replay.materialise_body(replay.derive_plane_body(table, masks, run), len(run))
+              for run in runs]
     for run, body in zip(runs, bodies):
         read, written, steps = reference_plane_body(table.T, masks, run)
         assert (body.read, body.written, body.steps) == (read, written, reference_fuse(steps))
@@ -393,7 +394,8 @@ def _derived(*gates, masks=(0b1,)):
     """The body of ``(opcode, out, a, b, mask id)`` gates at shift 0 (an
     unread operand is ``out``), one lane-table row each."""
     table = np.array([(code, out, a, 0, b, 0, m) for code, out, a, b, m in gates]).T
-    return replay.derive_plane_body(table, list(masks), np.arange(len(gates)))
+    return replay.materialise_body(
+        replay.derive_plane_body(table, list(masks), np.arange(len(gates))), len(gates))
 
 
 def P(reg, partition=0):
@@ -453,8 +455,8 @@ class TestOverlapCheck:
         with pytest.raises(SimulationError, match="own"):
             replay.derive_plane_body(np.array([record]).T, [0b110], np.array([0]))
         # Shift 0 on its own output, or another register: exact, accepted.
-        body = replay.derive_plane_body(np.array([(nor_up, 3, 4, 1, 5, 1, 0)]).T,
-                                        [0b110], np.array([0]))
+        body = replay.materialise_body(replay.derive_plane_body(
+            np.array([(nor_up, 3, 4, 1, 5, 1, 0)]).T, [0b110], np.array([0])), 1)
         assert body.steps == ((GateType.NOR, 3 << 6 | 1, 4 << 6 | 0, 5 << 6 | 0),
                               (GateType.NOR, 3 << 6 | 2, 4 << 6 | 1, 5 << 6 | 1))
         assert body.read == (3 << 6 | 1, 3 << 6 | 2, 4 << 6 | 0, 4 << 6 | 1,

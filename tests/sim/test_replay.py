@@ -14,8 +14,12 @@ Covers the correctness obligations of ``repro.sim.replay``:
   stats-identical, raising where op-by-op raises);
 - dense lanes: a shifted input never spills into a bit the gate's
   out-mask selects, and lane packing round-trips on the bulk memory
-  helpers for both dtypes.
+  helpers for both dtypes;
+- a plan stored beside its words in a persistent entry loads back as
+  the plan derived from them, and replays identically.
 """
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from repro.arch.micro_ops import (
     WriteOp,
 )
 from repro.driver.compiler import CompileError, compile_ops
+from repro.driver.persist import PersistentProgramCache
 from repro.driver.program import MicroProgram, SuperStep
 from repro.sim import replay
 from repro.sim.memory import CrossbarMemory
@@ -208,6 +213,16 @@ def _seed_memory(memory, rng):
 
 WIDE = PIMConfig(crossbars=4, rows=8, columns=2048, partitions=64,
                  word_size=64)
+
+#: 16x512 chips of both word sizes, and regions of 1 to 8,192 lanes on them.
+BIG = {size: PIMConfig(crossbars=16, rows=512, columns=32 * size, partitions=size,
+                       word_size=size) for size in (32, 64)}
+BIG_REGIONS = {
+    1: ((5, 5, 1), (7, 7, 1)),
+    64: ((0, 3, 1), (0, 15, 1)),
+    65: ((0, 4, 1), (0, 12, 1)),
+    16 * 512: ((0, 15, 1), (0, 511, 1)),
+}
 
 
 def _assert_replay_is_bit_identical(config, seed):
@@ -568,6 +583,37 @@ class TestPlanRecords:
         assert np.array_equal(sim.memory.words, reference.memory.words)
         assert sim.stats == reference.stats
         assert sim.replay_counters == {"vectorized": 1, "reference": 0}
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 80),
+           size=st.sampled_from(sorted(BIG)), lanes=st.sampled_from(sorted(BIG_REGIONS)))
+    def test_a_stored_plan_loads_as_the_derived_plan(self, seed, length, size, lanes):
+        """Store -> load: the plan made from an entry's columns is the
+        plan derived from its words, with the same bill, and replays to
+        the same memory, read and ``SimStats``. Under the drawn region, a
+        dense body (planes) and a one-gate one (words, masks replicated
+        per replay above ``MAX_WORD_LANES``), then random ops."""
+        config = BIG[size]
+        xb, row = BIG_REGIONS[lanes]
+        ops = ([CrossbarMaskOp(*xb), RowMaskOp(*row)] + [_gate(3, 0, 1)] * 48
+               + [WriteOp(5, 1), _init1(4)]
+               + _random_self_masked_ops(np.random.default_rng(seed), config, length))
+        program = compile_ops(ops, config, optimize=False)
+        deriving, loading = Simulator(config), Simulator(config)
+        with tempfile.TemporaryDirectory() as directory:
+            PersistentProgramCache(directory, config, planner=deriving).store("p", program)
+            loaded = PersistentProgramCache(directory, config, planner=loading).load("p")
+        derived, restored = deriving.replay_plan(program), loading.replay_plan(loaded)
+        assert (derived.source, restored.source) == ("derived", "loaded")
+        assert restored.steps == derived.steps
+        assert restored.static_stats == derived.static_stats
+        words = replay.WideGateRun if lanes > replay.MAX_WORD_LANES else replay.GateRun
+        assert {replay.PlaneRun, words} <= {type(step) for step in derived.steps}
+        for chip in (deriving, loading):
+            _seed_memory(chip.memory, np.random.default_rng(seed + 1))
+        assert loading.execute_program(loaded) == deriving.execute_program(program)
+        assert np.array_equal(loading.memory.words, deriving.memory.words)
+        assert loading.stats == deriving.stats
 
 
 class TestSharedRecords:

@@ -4,7 +4,7 @@ The gate builder amortizes stateful-logic INIT1 cycles by bulk-cleaning
 scratch columns. With fewer scratch registers the pool fragments and more
 single-cell (or short-run) initializations are emitted — this sweep
 quantifies the cycle cost of shrinking the driver's scratch reservation,
-one of the design choices DESIGN.md calls out.
+one of the design choices ``docs/architecture.md`` §2 calls out.
 """
 
 import os

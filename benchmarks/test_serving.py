@@ -1,6 +1,6 @@
 """Serving-layer benchmark: pool throughput and persistent warm-start.
 
-Two acceptance claims of the pool + serving subsystem, both enforced:
+Acceptance claims of the pool + serving subsystem, all enforced:
 
 1. **Pool throughput**: a 4-worker device pool sustains >= 2x the
    requests/sec of a single device on a many-client compiled workload.
@@ -16,6 +16,10 @@ Two acceptance claims of the pool + serving subsystem, both enforced:
    valid entry per compiled stream, and derives nothing of a replay plan
    (the entry carries it). The share of cold wall-clock that skips is
    reported, not gated.
+
+3. **Pooled set-up**: a numpy-sharded pool prices each stream once, at
+   full geometry, so serving both models on two pooled replicas records
+   each distinct R-type body exactly once per replica (exact count).
 
 Results go to ``results/serving.txt`` (human-readable) and
 ``results/BENCH_serving.json`` (machine-readable: requests/sec, p50/p99
@@ -292,6 +296,80 @@ def test_cold_start_builds_no_gate_object(tmp_path, monkeypatch):
     assert {key: info[key] for key in info if key != "plan_build_ms"} == {
         key: warm_info[key] for key in warm_info if key != "plan_build_ms"
     }
+
+
+def _serve_int_model(a, b):
+    return a * b + a
+
+
+def _serve_grad_model(x, y):
+    pred = x * y + x
+    resid = x * y - x
+    return pred * resid
+
+
+def test_pooled_replicas_price_each_body_once(monkeypatch):
+    """Set-up of the pooled serving configuration (``bench``'s
+    ``serve_mixed_pooled``: two replicas, each a numpy-sharded pool over
+    8x128): a replica's pool prices a stream once, at full geometry, so
+    every R-type body is recorded once per replica and never on a shard.
+    Exact: (distinct bodies) x (replicas) recordings, where each of the 4
+    shard drivers per replica once lowered every body again (5x)."""
+    import asyncio
+
+    from repro.driver.gates import GateBuilder
+    from repro.serve import Server
+
+    recorded = []
+    recording = GateBuilder.recording.__func__
+    monkeypatch.setattr(GateBuilder, "recording", classmethod(
+        lambda cls, config, *args, **kwargs: recorded.append(config)
+        or recording(cls, config, *args, **kwargs)
+    ))
+    config = PIMConfig(crossbars=8, rows=128)
+    rng = np.random.default_rng(7)
+    n = config.total_rows
+    a, b = (rng.integers(-1000, 1000, n).astype(np.int32) for _ in range(2))
+    x = (rng.uniform(-1, 1, n) * 4).astype(np.float32)
+    y = rng.uniform(0.5, 1.5, n).astype(np.float32)
+    requests = [
+        (CompiledWorkload(_serve_int_model), (a, b), a * b + a),
+        (CompiledWorkload(_serve_grad_model), (x, y),
+         (x * y + x) * (x * y - x)),
+    ]
+
+    async def main():
+        start = time.perf_counter()
+        server = Server(workers=2, config=config, backend="pooled",
+                        worker_backend="numpy")
+        await server.start()
+        try:
+            # Same-signature requests shard across the replicas, so each
+            # replica serves one request per model.
+            for model, payload, expected in requests:
+                for result in await asyncio.gather(*[
+                    server.submit(model, payload) for _ in server.workers
+                ]):
+                    np.testing.assert_array_equal(result, expected)
+            return server, time.perf_counter() - start
+        finally:
+            await server.close()
+
+    server, setup_s = asyncio.run(main())
+    pools = [worker.device.backend for worker in server.workers]
+    bodies = {key for pool in pools for key in pool.lowering.programs._entries}
+    assert all(len(pool.lowering.programs) == len(bodies) for pool in pools)
+    assert len(recorded) == len(bodies) * len(pools)
+    assert all(cfg == config for cfg in recorded), "no body at shard geometry"
+    for pool in pools:
+        for shard in pool.workers:
+            assert len(shard.lowering.programs) == len(shard.lowering.streams) == 0
+    _LINES.append(
+        f"pooled set-up: {len(recorded)} gate builds "
+        f"({len(bodies)} bodies x {len(pools)} replicas), {setup_s:.3f}s "
+        f"(reported, not gated)"
+    )
+    _JSON.update(pooled_setup_gate_builds=len(recorded), pooled_setup_s=setup_s)
 
 
 def test_chaos_serving_resilience():

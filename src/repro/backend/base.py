@@ -113,6 +113,10 @@ class Backend(abc.ABC):
         read response, like the loop would.
         """
 
+    def _pool_part(self, instructions: Sequence[Instruction], name: str):
+        """A pooled stream's part on this worker: its stream program."""
+        return self._stream_program(instructions, name)
+
     def program_stats(self, program) -> SimStats:
         """The per-replay cycle bill of a compiled program.
 
@@ -261,6 +265,7 @@ class BilledBackend(Backend):
     :class:`~repro.driver.driver.Driver` whose chip port is never used,
     priced by its :meth:`~repro.driver.driver.Driver.stream_bill`, and
     every dispatch unit ends in the driver's fault window (:meth:`_settle`).
+    A numpy pool worker's part (``_pool_part``) is unpriced: the pool bills.
     """
 
     def __init__(self, config: PIMConfig, move_cost: str, **driver_kwargs):

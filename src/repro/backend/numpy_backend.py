@@ -20,7 +20,7 @@ is a program's replay plan of closures over the word image
 (:meth:`NumpyBackend._plan_steps`).
 
 Known deviations from the bit-accurate model, all outside the tested
-value domain (see DESIGN.md's FTZ notes): NaN payloads, the
+value domain (``docs/architecture.md`` §11): NaN payloads, the
 division-by-zero result convention, and subnormal handling in the unary
 float ops follow NumPy where the gate-level suite defines its own bits.
 """
@@ -36,6 +36,7 @@ import numpy as np
 from repro.arch.config import PIMConfig
 from repro.arch.masks import RangeMask
 from repro.backend.base import BilledBackend, BilledProgram
+from repro.driver.stream import MacroStream
 from repro.faults.checksum import program_regions
 from repro.isa.instructions import (
     Instruction,
@@ -46,6 +47,7 @@ from repro.isa.instructions import (
     WriteInstr,
 )
 from repro.sim.simulator import SimulationError, checked_move_cycles
+from repro.sim.stats import SimStats
 
 _WORD_MASK = np.uint64(0xFFFFFFFF)
 _EXP_MASK = np.uint32(0x7F800000)
@@ -116,6 +118,10 @@ class NumpyBackend(BilledBackend):
         return FunctionalProgram(
             name, self._fingerprint, delta, len(instrs), source_ops, instrs
         )
+
+    def _pool_part(self, instructions, name):
+        """Unpriced: the pool has billed the stream, so nothing is lowered."""
+        return self._assemble(MacroStream.wrap(instructions), name, SimStats(), 0)
 
     def run_program(
         self, program: FunctionalProgram, verify: Optional[str] = None

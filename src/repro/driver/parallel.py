@@ -10,8 +10,7 @@ partitions, so gates at stride ``d + 1`` stay disjoint and one distance-
 semi-parallel pattern of Figure 7(c,d).
 
 Multiplication and division keep the bit-serial datapath (the MultPIM-style
-bit-parallel multiplier is out of scope; DESIGN.md documents this and the
-benchmarks account for it).
+bit-parallel multiplier is out of scope; see ``docs/architecture.md`` §11).
 
 The short bodies built here (an int add is ~185 micro-ops) are the ones
 whose per-macro dispatch cost capped driver headroom below 1x; they are

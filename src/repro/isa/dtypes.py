@@ -3,7 +3,7 @@
 Registers hold raw N-bit words; these helpers convert between raw words and
 Python/NumPy values. Floating point follows IEEE-754 binary32 with
 round-to-nearest-even; the driver's gate-level implementation flushes
-subnormals to zero (documented in DESIGN.md).
+subnormals to zero (see ``docs/architecture.md`` §11).
 """
 
 from __future__ import annotations

@@ -134,9 +134,9 @@ def sort(operand: TensorLike) -> Tensor:
     ``P[i] = W[i ^ j]`` becomes bulk-grouped move instructions, then
     ``W' = mux(C ^ Bj ^ Bk, W, P)`` with ``C = (W < P)`` and ``Bm`` the
     index-bit-``m`` pattern — one mux encodes both the min/max selection
-    and the per-block sort direction (see DESIGN.md). Pattern tensors are
-    regenerated per stage from masked constant writes, so the routine's
-    register footprint is constant (6 slots) regardless of input size.
+    and the per-block sort direction (``docs/architecture.md`` §11).
+    Pattern tensors are regenerated per stage from masked constant writes,
+    so the register footprint is constant (6 slots) for any input size.
     Non-power-of-two lengths are padded with +inf / INT_MAX.
     """
     device, dtype = operand.device, operand.dtype
@@ -188,7 +188,7 @@ def _sort_lowered(operand: TensorLike, device, dtype, n: int) -> Tensor:
             _write_pattern(pattern_j, int(math.log2(j)))
             vector(ROp.BIT_XOR, sel, pattern_j, pattern_k, dt=int32)
             vector(ROp.BIT_XOR, sel, cmp, sel, dt=int32)
-            # W' = sel ? W : P   (keep-min/max selection, see DESIGN.md)
+            # W' = sel ? W : P   (keep-min/max, docs/architecture.md §11)
             vector(ROp.MUX, work, sel, work, partner)
             j //= 2
         k *= 2

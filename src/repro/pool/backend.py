@@ -35,19 +35,19 @@ backend), so a pooled run reports the
 :class:`~repro.sim.stats.SimStats` of a single device — the crossbars of
 one memory operate in lock-step, and sharding the host-side work does
 not change what the chip executes. A worker's own counters are nobody's
-books.
+books: a numpy worker's stay zero.
 
 What this module adds is the routing above and the handle it assembles:
 a :class:`PooledProgram` is the instruction stream cut at bridges into
-segments, each segment one program per worker it touches — always that
-worker's stream program for its part — and replay runs segments in
-order (bridges at pool level, shard segments through each worker's own
-replay fast path). The replayed response is the globally-last read's
-worker result. Only the canonical bill follows ``optimize``: an
-optimized :meth:`PooledBackend.compile` lowers the full-geometry stream
-to price it, a verbatim one and :meth:`PooledBackend.run_stream` price
-it by the driver's stream bill (the peephole passes never change the
-image).
+segments, each one part per worker it touches (its ``_pool_part``: a
+simulator worker's stream program, a numpy worker's unpriced handle),
+and replay runs segments in order (bridges at pool level, shard segments
+through each worker's own replay fast path). The replayed response is
+the globally-last read's worker result. Only the canonical bill follows
+``optimize``: an optimized :meth:`PooledBackend.compile` lowers the
+full-geometry stream to price it, a verbatim one and
+:meth:`PooledBackend.run_stream` price it by the driver's stream bill
+(the peephole passes never change the image).
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class _Segment:
 
     ``kind == "bridge"``: ``instr`` is the inter-warp move executed at
     pool level. ``kind == "shard"``: ``programs`` maps worker index to
-    that worker's stream program for this run of instructions.
+    that worker's part (``_pool_part``) of this run of instructions.
     """
 
     kind: str
@@ -250,7 +250,7 @@ class PooledBackend(BilledBackend):
         optimize: bool = True,
     ) -> PooledProgram:
         """Compile a stream: price it against the full geometry, then cut
-        it at bridge moves into each worker shard's stream programs."""
+        it at bridge moves into each worker shard's part."""
         return self._compile(instructions, name, optimize)
 
     def _assemble(self, instrs, name, delta, source_ops):
@@ -286,7 +286,7 @@ class PooledBackend(BilledBackend):
         self, instructions: Sequence[Instruction], name: str = "stream"
     ) -> Optional[int]:
         """Emit a whole stream through one cached :class:`PooledProgram`,
-        priced by bills: each shard replays its own stream program."""
+        priced by bills: each shard replays its own part."""
         return self._run_stream(instructions, name)
 
     # ------------------------------------------------------------------
@@ -401,8 +401,8 @@ class PooledBackend(BilledBackend):
 
     def _partition(self, instrs: Tuple[Instruction, ...], name: str):
         """Cut a stream at bridges; each shard's part of a segment is that
-        worker's stream program (a numpy worker prices it without
-        lowering), whatever the pool's own program was compiled under."""
+        worker's ``_pool_part`` of its localized instructions (priced by
+        nobody: the pool refused and billed the stream whole)."""
         segments: List[_Segment] = []
         pending: List[List[Instruction]] = [[] for _ in self.workers]
         pending_read: Optional[int] = None
@@ -412,7 +412,7 @@ class PooledBackend(BilledBackend):
             nonlocal pending, pending_read, response_site
             if any(pending):
                 programs = tuple(
-                    (k, self.workers[k]._stream_program(
+                    (k, self.workers[k]._pool_part(
                         sub, f"{name}#s{len(segments)}w{k}"))
                     for k, sub in enumerate(pending)
                     if sub

@@ -8,7 +8,7 @@ per-operation-type profiling counters.
 The paper accelerates simulation with CUDA by (1) storing rows in a
 condensed 32-bit strided format and (2) using bitwise word arithmetic for
 semi-parallel partition operations. This implementation applies exactly the
-same two optimizations with NumPy on the CPU (see DESIGN.md, substitutions).
+same two optimizations with NumPy on the CPU (``docs/architecture.md`` §11).
 """
 
 from repro.sim.memory import CrossbarMemory

@@ -1,6 +1,6 @@
 """Theoretical PIM cycle counts (the "Theoretical PIM" series of Fig. 13).
 
-Definition used throughout this reproduction (documented in DESIGN.md):
+Definition used throughout this reproduction (``docs/architecture.md`` §11):
 the theoretical cycle count of a computation is the number of *productive
 stateful-logic gate cycles* it performs — NOR/NOT logic operations plus
 data-movement operations — excluding initialization cycles, mask updates

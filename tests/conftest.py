@@ -1,7 +1,7 @@
 """Shared fixtures and data strategies for the test suite.
 
 Float test data deliberately avoids subnormal inputs/results and NaN/Inf
-(the documented FTZ deviations, see DESIGN.md): values are built from a
+(the FTZ deviations, ``docs/architecture.md`` §11): values are built from a
 biased exponent in a safe band so that sums stay normal and products/
 quotients cannot underflow or overflow.
 """

@@ -56,7 +56,7 @@ class TestMeasurement:
         multi-thousand-cycle instructions (mul, div, float ops). For the
         very short sequences (int add) the per-call Python overhead
         dominates — a documented gap vs. the paper's C++ driver, see
-        EXPERIMENTS.md.
+        ``docs/architecture.md`` §7.
         """
         best = max(
             (

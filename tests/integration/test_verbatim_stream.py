@@ -2,11 +2,13 @@
 
 An ``optimize=False`` compile is the stream program ``run_stream``
 dispatches (kept in memory only, never persisted); a pool shard's part of
-a segment is always its worker's stream program, whatever the pool was
-compiled under; a stream is refused whole, the same way, before anything
-of it runs (over an image seeded from ``REPRO_FUZZ_SEEDS``, like the fuzz
-suites); and every dispatch unit — planned, or lowered op by op — closes
-exactly one fault window.
+a segment is, whatever the pool was compiled under, its simulator
+worker's stream program or, on a numpy worker, an unpriced handle of its
+localized instructions (the pool bills the stream whole); a stream is
+refused whole, the same way, before anything of it runs (over an image
+seeded from ``REPRO_FUZZ_SEEDS``, like the fuzz suites); and every
+dispatch unit — planned, or lowered op by op — closes exactly one fault
+window.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import repro.pim as pim
 from repro.arch.config import small_config
 from repro.arch.masks import RangeMask
 from repro.backend import NumpyBackend, SimulatorBackend
+from repro.backend.numpy_backend import FunctionalProgram
 from repro.driver.compiler import CompileError
 from repro.driver.stream import MAX_PLAN_MACROS
 from repro.faults import FaultPlan, resolve_fault_seed
@@ -28,6 +31,7 @@ from repro.isa.dtypes import int32
 from repro.isa.instructions import MoveInstr, ReadInstr, RInstr, ROp, WriteInstr
 from repro.pool import PooledBackend
 from repro.sim.simulator import SimulationError
+from repro.sim.stats import SimStats
 from tests.integration.test_differential_fuzz import _seeds
 
 CFG = small_config(crossbars=4, rows=8)
@@ -87,22 +91,42 @@ def _shard_parts(pool, stream, name):
     return parts
 
 
-@pytest.mark.parametrize("worker_backend", ["numpy", "simulator"])
-def test_pool_shards_replay_their_stream_programs(worker_backend):
-    pool = PooledBackend(CFG, workers=2, worker_backend=worker_backend)
+def _pool_parts(program):
+    return [(k, sub) for segment in program.segments
+            if segment.kind == "shard" for k, sub in segment.programs]
+
+
+def test_simulator_shards_replay_their_stream_programs():
+    pool = PooledBackend(CFG, workers=2, worker_backend="simulator")
     stream = _stream()
     for optimize in (True, False):
         program = pool.compile(stream, name=f"o{optimize:d}", optimize=optimize)
-        shard_programs = [
-            (k, sub) for segment in program.segments if segment.kind == "shard"
-            for k, sub in segment.programs
-        ]
         parts = _shard_parts(pool, stream, program.name)
-        assert [k for k, _ in shard_programs] == [k for k, _, _ in parts]
-        for (k, sub_program), (_, sub, name) in zip(shard_programs, parts):
+        assert [k for k, _ in _pool_parts(program)] == [k for k, _, _ in parts]
+        for (k, sub_program), (_, sub, name) in zip(_pool_parts(program), parts):
             assert sub_program is pool.workers[k]._stream_program(sub, name)
     for worker in pool.workers:
         assert not any(key[0] == "stream" for key in worker.lowering.streams._entries)
+
+
+def test_numpy_shards_replay_their_localized_instructions_unpriced():
+    """A numpy worker's part is a replay handle, not a stream-tier entry:
+    exactly the localized instructions, billed nothing, and nothing was
+    lowered or cached on the worker to make it."""
+    pool = PooledBackend(CFG, workers=2, worker_backend="numpy")
+    stream = _stream()
+    for optimize in (True, False):
+        program = pool.compile(stream, name=f"o{optimize:d}", optimize=optimize)
+        parts = _shard_parts(pool, stream, program.name)
+        assert [k for k, _ in _pool_parts(program)] == [k for k, _, _ in parts]
+        for (_, sub_program), (_, sub, name) in zip(_pool_parts(program), parts):
+            assert type(sub_program) is FunctionalProgram
+            assert sub_program.name == name
+            assert sub_program.instructions == tuple(sub)
+            assert sub_program.stats_delta == SimStats()
+            assert (sub_program.macros, sub_program.source_ops) == (len(sub), 0)
+    for worker in pool.workers:
+        assert len(worker.lowering.streams) == len(worker.lowering.programs) == 0
 
 
 @pytest.mark.parametrize("kind", ["simulator", "numpy", "pooled"])

@@ -19,6 +19,7 @@ from repro.backend import NumpyBackend, make_backend
 from repro.backend.base import BilledBackend, BilledProgram
 from repro.backend.simulator import SimulatorBackend
 from repro.driver.driver import Driver
+from repro.driver.gates import GateBuilder
 from repro.driver.stream import MacroStream
 from repro.isa.dtypes import int32
 from repro.isa.instructions import (
@@ -31,6 +32,7 @@ from repro.isa.instructions import (
 from repro.faults import ShardError
 from repro.pool import PooledBackend
 from repro.pool.backend import shard_mask
+from repro.sim.stats import SimStats
 from tests.driver.test_stream_emission import CFG as STREAM_CFG, random_stream
 from tests.integration.test_differential_fuzz import _seeds
 
@@ -315,31 +317,47 @@ class TestCounters:
         pool.execute(RInstr(ROp.SUB, int32, dest=4, src_a=0, src_b=1))
         assert pool.cache_evictions > 0
 
-    @pytest.mark.parametrize("worker_backend", ["numpy", "simulator"])
-    def test_cache_counters_span_the_pool_and_its_workers(self, worker_backend):
-        """Hits, misses and evictions are counted over one scope, the
-        pool's driver plus its workers' (as ``persist_counters`` is), and
-        the workers' tiers add to each of the three."""
-        pool = PooledBackend(CFG, workers=2, worker_backend=worker_backend,
-                             cache_size=1)
+    @staticmethod
+    def _counted_streams(pool):
+        """The pool's counters ``(hits, misses, evictions)`` against its
+        own driver's tiers and its workers' sums, over one small run."""
         add = RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1)
         pool.execute(add)
         pool.execute(add)  # a stream-tier hit on the pool's driver
-        pool.run_stream([add], name="other")  # body-tier hits on every driver
+        pool.run_stream([add], name="other")  # a body-tier hit
         pool.execute(RInstr(ROp.MUL, int32, dest=3, src_a=0, src_b=1))
         tiers = (pool.lowering.programs, pool.lowering.streams)
         own = [sum(getattr(tier, counter) for tier in tiers)
                for counter in ("hits", "misses", "evictions")]
         workers = [sum(column) for column in
                    zip(*(worker.cache_counters() for worker in pool.workers))]
-        assert all(workers)
         assert pool.cache_counters() == tuple(map(sum, zip(own, workers)))
+        return own, workers
+
+    def test_cache_counters_span_the_pool_and_its_workers(self):
+        """Hits, misses and evictions are counted over one scope, the
+        pool's driver plus its workers' (as ``persist_counters`` is), and
+        simulator workers' tiers add to each of the three."""
+        pool = PooledBackend(CFG, workers=2, worker_backend="simulator",
+                             cache_size=1)
+        own, workers = self._counted_streams(pool)
+        assert all(own) and all(workers)
+
+    def test_numpy_workers_add_no_cache_counts(self):
+        """A numpy worker's part is no stream-tier entry and builds no
+        body, so the workers' tiers add exactly 0: the pool's counters
+        are its own driver's."""
+        pool = PooledBackend(CFG, workers=2, worker_backend="numpy",
+                             cache_size=1)
+        own, workers = self._counted_streams(pool)
+        assert all(own) and workers == [0, 0, 0]
 
     def test_the_stream_tier_is_an_lru_not_a_cliff(self):
         """One stream more than the tier holds: the oldest is evicted and
-        counted (once per tier that saw it), the newest is cached — before
-        this was an LRU, stream 4097 and every later one was re-partitioned
-        on each call — and every stream still matches a single device."""
+        counted once, on the pool's tier (a numpy worker keeps no stream),
+        the newest is cached — before this was an LRU, stream 4097 and
+        every later one was re-partitioned on each call — and every
+        stream still matches a single device."""
         single = NumpyBackend(CFG)
         pool = PooledBackend(CFG, workers=2, worker_backend="numpy")
         add = RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=0)
@@ -349,16 +367,43 @@ class TestCounters:
         assert np.array_equal(pool.words, single.words)
         assert pool.stats == single.stats
         assert single.cache_evictions == 1
-        assert pool.cache_evictions == 1 + len(pool.workers)
+        assert pool.cache_evictions == pool.lowering.streams.evictions == 1
         tier = pool.lowering.streams
         assert len(tier) == 4096 and _billed_only(pool.lowering)
         hits, misses = tier.hits, tier.misses
         newest = pool._stream_program(streams[-1], "stream")
         assert pool._stream_program(streams[-1], "stream") is newest
         assert (tier.hits, tier.misses) == (hits + 2, misses)
-        assert pool.cache_evictions == 1 + len(pool.workers)
+        assert pool.cache_evictions == 1
         pool._stream_program(streams[0], "stream")  # the evicted oldest
         assert tier.misses == misses + 1
+
+    def test_only_the_pool_builds_gates_for_numpy_workers(self, monkeypatch):
+        """The pool prices a stream once, at full geometry: every R-type
+        body is recorded on the pool's driver, a numpy worker lowers,
+        caches and bills nothing, and the device matches a single one."""
+        recorded = []
+        recording = GateBuilder.recording.__func__
+        monkeypatch.setattr(GateBuilder, "recording", classmethod(
+            lambda cls, config, *args, **kwargs: recorded.append(config)
+            or recording(cls, config, *args, **kwargs)
+        ))
+        single = NumpyBackend(CFG)
+        pool = PooledBackend(CFG, workers=4, worker_backend="numpy")
+        instrs = _program() + [ReadInstr(5, 2, 5)]
+        for optimize in (True, False):
+            expected = single.run_program(single.compile(instrs, optimize=optimize))
+            program = pool.compile(instrs, optimize=optimize)
+            assert pool.run_program(program) == expected
+        assert pool.run_stream(instrs) == single.run_stream(instrs)
+        assert recorded and all(config == CFG for config in recorded)
+        for worker in pool.workers:
+            assert len(worker.lowering.programs) == len(worker.lowering.streams) == 0
+            assert worker.stats == SimStats()
+        # A bridge leaves the move's staging residue in scratch registers.
+        users = slice(0, CFG.user_registers)
+        assert np.array_equal(pool.words[:, users], single.words[:, users])
+        assert pool.stats == single.stats
 
     @pytest.mark.parametrize("kind", ["numpy", "pooled-numpy", "pooled-simulator"])
     def test_cache_size_zero_keeps_no_stream(self, kind):
@@ -488,6 +533,32 @@ class TestShardFaults:
         pool.run_program(program)
         np.testing.assert_array_equal(pool.words, golden_words)
         assert pool.fault_counters()["failovers"] >= 1
+
+    def test_a_numpy_failover_replays_the_unpriced_part(self):
+        """A crashed numpy worker's replacement replays the same unpriced
+        part (its replay plan is keyed by it) bit-identically, and the
+        pool's bill is the single device's."""
+        from repro.faults import FaultPlan
+
+        single = NumpyBackend(CFG)
+        instrs = _program() + [ReadInstr(5, 2, 5)]
+        expected = single.run_program(single.compile(instrs))
+        pool = PooledBackend(CFG, workers=4, worker_backend="numpy")
+        program = pool.compile(instrs, name="failover")
+        pool.install_faults(FaultPlan(CFG, seed=5, worker_failures=[(1, 0), (2, 0)]))
+        assert pool.run_program(program) == expected
+        users = slice(0, CFG.user_registers)  # scratch holds bridge residue
+        np.testing.assert_array_equal(pool.words[:, users], single.words[:, users])
+        assert pool.stats == single.stats
+        assert pool.fault_counters()["failovers"] == 2
+        retired = [k for k, _ in pool.quarantined_workers]
+        assert retired == [1, 2]
+        for k in retired:
+            replacement = pool.workers[k]
+            parts = [sub for segment in program.segments if segment.kind == "shard"
+                     for j, sub in segment.programs if j == k]
+            assert parts and all(sub in replacement._plans for sub in parts)
+            assert replacement.stats == SimStats()
 
     def test_pool_checksum_verify_detects_corruption(self):
         from repro.faults import ChecksumError, FaultPlan

@@ -3,8 +3,9 @@
 Every fenced ``python`` block in the top-level README and in
 ``docs/architecture.md`` must at least compile; blocks whose first line
 is ``# runnable`` are executed end-to-end (the README quickstart runs a
-real tensor program on the simulator). This is the CI "docs check":
-documentation drift breaks the build, not the reader.
+real tensor program on the simulator). And every ``*.md`` path that a
+source, test or benchmark file names must exist. This is the CI "docs
+check": documentation drift breaks the build, not the reader.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from pathlib import Path
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DOCS = [REPO_ROOT / "README.md", REPO_ROOT / "docs" / "architecture.md"]
+DOCS = [REPO_ROOT / "README.md", REPO_ROOT / "docs/architecture.md"]
 
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+_MD_PATH = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def python_blocks(path: Path):
@@ -68,3 +70,18 @@ def test_readme_referenced_paths_exist():
         if target.startswith(("http:", "https:")):
             continue
         assert (REPO_ROOT / target).exists(), f"README links to missing {target}"
+
+
+def test_named_markdown_paths_exist():
+    """A ``*.md`` path (from the repo root) that a file under ``src/``,
+    ``tests/`` or ``benchmarks/`` names must exist: no comment cites a
+    document that is not there."""
+    named = {}
+    for top in ("src", "tests", "benchmarks"):
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            for name in _MD_PATH.findall(path.read_text(encoding="utf-8")):
+                named.setdefault(name, str(path.relative_to(REPO_ROOT)))
+    assert "docs/architecture.md" in named
+    missing = {name: path for name, path in named.items()
+               if not (REPO_ROOT / name).is_file()}
+    assert not missing, f"named but missing: {missing}"

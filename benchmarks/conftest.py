@@ -10,19 +10,18 @@ the simulator and derives three series, exactly as the paper's Figure 13:
 - **Host driver**: the throughput the chip could sustain if bounded only
   by the host's micro-op generation rate.
 
-Rows are accumulated and written to ``results/`` at session end.
+A row's cycle counts are deterministic and pinned by the test that
+measures them; the row itself, with its wall-clock driver series, is
+printed (``pytest -s`` shows it).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import List
 
 import pytest
 
 import repro.pim as pim
-from repro.arch.config import PIMConfig
 from repro.sim.stats import throughput as eq1
 from repro.theory.counts import theoretical_cycles
 
@@ -34,8 +33,6 @@ PAPER_FREQUENCY = 300e6
 #: (64k elements per register). Cycle counts per macro-instruction are
 #: independent of the crossbar count, so Eq. (1) scales them to paper size.
 BENCH_CONFIG = dict(crossbars=64, rows=1024)
-
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
 
 @dataclass
@@ -58,11 +55,8 @@ class Fig13Row:
         )
 
 
-_ROWS: List[Fig13Row] = []
-
-
 def record_fig13(name: str, stats, ops: int, driver_micro_per_sec: float) -> Fig13Row:
-    """Derive and register one Figure 13 row from a measured stats delta."""
+    """Derive and print one Figure 13 row from a measured stats delta."""
     cycles = stats.cycles
     theory = theoretical_cycles(stats)
     row = Fig13Row(
@@ -73,7 +67,7 @@ def record_fig13(name: str, stats, ops: int, driver_micro_per_sec: float) -> Fig
         theory_tput=eq1(ops, max(theory, 1), PAPER_FREQUENCY),
         driver_tput=ops * driver_micro_per_sec / max(cycles, 1),
     )
-    _ROWS.append(row)
+    print(row.format())
     return row
 
 
@@ -82,15 +76,3 @@ def bench_device():
     device = pim.init(**BENCH_CONFIG)
     yield device
     pim.reset()
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _ROWS:
-        return
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    lines = ["Figure 13 reproduction (paper-scale throughput via Eq. 1)", ""]
-    lines += [row.format() for row in _ROWS]
-    text = "\n".join(lines)
-    print("\n" + text)
-    with open(os.path.join(RESULTS_DIR, "fig13.txt"), "w") as handle:
-        handle.write(text + "\n")

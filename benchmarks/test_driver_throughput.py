@@ -14,10 +14,9 @@ number — it is what compiled graphs and stream-aware hosts pay — and
 the CI gate: **every** op type, including the short-bodied int add /
 int ``<`` that cap per-macro dispatch below 1x, must clear 1x headroom
 against the 300MHz chip. A steady stream loop must be all plan hits, so
-plan compilation cannot hide inside the emission figure.
+plan compilation cannot hide inside the emission figure. Each rate is
+printed beside its floor.
 """
-
-import os
 
 import pytest
 
@@ -26,7 +25,7 @@ from repro.driver.throughput import measure_driver_throughput
 from repro.isa.dtypes import float32, int32
 from repro.isa.instructions import ROp
 
-from benchmarks.conftest import BENCH_CONFIG, RESULTS_DIR
+from benchmarks.conftest import BENCH_CONFIG
 
 CASES = [
     ("int add", ROp.ADD, int32),
@@ -39,8 +38,6 @@ CASES = [
 ]
 
 STREAM_LEN = 64
-
-_LINES = []
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +67,7 @@ def test_driver_throughput(benchmark, cfg, name, op, dtype):
         ops_per_macro=f"{stream.ops_per_macro:.0f}",
         plan_cache=f"{stream.plan_hits}h/{stream.plan_misses}m",
     )
-    _LINES.append(
+    print(
         f"{name:<10} stream: {stream.micro_per_second:9.3e} uops/s "
         f"(headroom {stream.headroom:5.2f}x)   "
         f"per-macro: {macro.micro_per_second:9.3e} uops/s "
@@ -106,28 +103,9 @@ def test_cache_ablation(benchmark, cfg):
 
     warm, cold = benchmark.pedantic(run, rounds=1, iterations=1)
     speedup = warm.micro_per_second / cold.micro_per_second
-    _LINES.append(
+    print(
         f"cache ablation (fp mult): warm {warm.micro_per_second:9.3e} vs "
         f"cold {cold.micro_per_second:9.3e} uops/s -> {speedup:.1f}x"
     )
     benchmark.extra_info["cache_speedup"] = f"{speedup:.1f}x"
     assert speedup > 5
-
-
-def teardown_module(module):
-    if not _LINES:
-        return
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    sections = [
-        "Host-driver throughput (buffer-sink methodology)",
-        "",
-        f"stream = whole-stream emission plans ({STREAM_LEN} macros/stream,"
-        " Driver.execute_stream);",
-        "per-macro = one-instruction plans, one dispatch per macro"
-        " (Driver.execute).",
-        "",
-    ] + _LINES
-    text = "\n".join(sections)
-    print("\n" + text)
-    with open(os.path.join(RESULTS_DIR, "driver_throughput.txt"), "w") as handle:
-        handle.write(text + "\n")

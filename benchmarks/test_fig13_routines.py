@@ -6,6 +6,7 @@ its paper-relevant size on the 64k-row simulated memory; Eq. (1) then
 scales to the 64M-row parallelism of Table III (the memory runs
 ``64M / n`` independent instances of an ``n``-element routine
 concurrently, so the completed element-operations per latency are 64M).
+The measured and theoretical cycle counts are pinned (:data:`CYCLES`).
 """
 
 import numpy as np
@@ -17,6 +18,15 @@ from repro.isa.dtypes import float32 as isa_f32
 from repro.isa.instructions import ROp
 
 from benchmarks.conftest import PAPER_PARALLELISM, record_fig13
+
+#: Figure 13 row -> (cycles, theoretical cycles).
+CYCLES = {
+    "CORDIC Sine": (1_174_401, 1_073_816),
+    "FP Sum Reduce": (156_424, 106_044),
+    "FP Mult Reduce": (178_024, 129_164),
+    "FP Sort 1k": (683_252, 269_031),
+    "FP Sort 64k": (6_700_148, 2_545_416),
+}
 
 
 def _angles(rng, n):
@@ -48,6 +58,7 @@ def test_cordic_sine(benchmark, bench_device):
         "CORDIC Sine", prof.stats, PAPER_PARALLELISM, _driver_rate(bench_device)
     )
     benchmark.extra_info["cycles"] = row.cycles
+    assert (row.cycles, row.theoretical) == CYCLES[row.benchmark]
 
 
 @pytest.mark.parametrize("op,name", [(ROp.ADD, "FP Sum Reduce"), (ROp.MUL, "FP Mult Reduce")])
@@ -67,6 +78,7 @@ def test_fp_reduce(benchmark, bench_device, op, name):
     # Reduction throughput sits orders below element-wise FP Add (moves
     # serialize rows), the paper's bottom-panel shape.
     assert row.pypim_tput < 1e13
+    assert (row.cycles, row.theoretical) == CYCLES[name]
 
 
 @pytest.mark.parametrize("n,name", [(1024, "FP Sort 1k"), (65536, "FP Sort 64k")])
@@ -84,3 +96,4 @@ def test_fp_sort(benchmark, bench_device, n, name):
     prof = benchmark.pedantic(run, rounds=1, iterations=1)
     row = record_fig13(name, prof.stats, PAPER_PARALLELISM, _driver_rate(bench_device))
     benchmark.extra_info["cycles"] = row.cycles
+    assert (row.cycles, row.theoretical) == CYCLES[name]

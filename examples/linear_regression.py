@@ -14,7 +14,7 @@ See the README quickstart (``README.md``) for the tensor-API basics;
 every gradient step re-issues the same macro-instructions, so all but
 the first iteration replay compiled programs (``docs/architecture.md``).
 The naive form of this math (recomputing the residual expression per
-gradient term) is the workload ``benchmarks/test_graph_opt.py`` uses to
+gradient term) is the workload ``tests/paper/test_graph_opt.py`` uses to
 demonstrate the graph optimizer: ``pim.compile(opt_level=2)`` removes
 the recomputation while staying bit-identical to eager execution.
 """

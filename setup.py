@@ -22,7 +22,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    install_requires=["numpy>=2.0"],
     extras_require={
         "test": ["pytest", "hypothesis", "pytest-benchmark"],
     },

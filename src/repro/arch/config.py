@@ -23,7 +23,7 @@ class PIMConfig:
 
     Attributes:
         crossbars: number of crossbar arrays (warps) in the memory. Must be a
-            power of 4 so the H-tree is complete (the paper uses 64k).
+            power of two, as the H-tree requires (the paper uses 64k).
         rows: number of rows (threads) per crossbar, ``h``.
         columns: number of bitlines per crossbar, ``w``.
         partitions: number of dynamically-connected partitions, ``N_p``.

@@ -198,10 +198,10 @@ class Driver:
         self._fingerprint = config_fingerprint(self.config)
         self.macro_count = 0
         self.micro_count = 0
-        #: Streams served per emission level: ``"stream"`` counts plan
-        #: emissions (an eager R-type macro is a one-instruction
-        #: stream), ``"macro"`` counts streams :meth:`_execute_lowered`
-        #: served macro by macro.
+        #: Dispatch units served per emission level: ``"stream"`` counts
+        #: plan emissions (an eager R-type macro is a one-instruction
+        #: stream), ``"macro"`` counts units :meth:`_execute_lowered`
+        #: served op by op (a non-R macro or a plan-less stream).
         self.emit_counters: Dict[str, int] = {"stream": 0, "macro": 0}
         #: Installed :class:`repro.faults.FaultOverlay` (``None`` = no
         #: faults) over the owning backend's word image. Ticked once per
@@ -244,6 +244,7 @@ class Driver:
     def _execute_lowered(self, instrs: Tuple[Instruction, ...]) -> Optional[int]:
         """The plan-less path: one dispatch unit refused whole
         (:meth:`check_stream`), then forwarded op by op, one window."""
+        self.emit_counters["macro"] += 1
         response: Optional[int] = None
         for instr, short in zip(instrs, self.check_stream(instrs)):
             for op in self._counted(instr, short):
@@ -525,7 +526,6 @@ class Driver:
             program = self.stream_program(instrs, name)
             self.emit_counters["stream"] += 1
             return self._dispatch(program)
-        self.emit_counters["macro"] += 1
         return self._execute_lowered(instrs)
 
     def run_program(

@@ -8,24 +8,24 @@ operand-layout) bodies spliced behind cached mask preambles), kept in the
 driver's stream tier, and handed to the chip's ``execute_program`` port.
 Replaying it re-enters Python once per *stream*: one cache lookup, one
 chip call.  Short bit-parallel bodies (int add at ~185 micro-ops,
-comparisons at ~274) need this to keep the chip busy:
-``results/driver_throughput.txt`` shows their per-macro headroom below 1x
-from fixed per-dispatch cost alone.
+comparisons at ~274) need this to keep the chip busy: per macro, their
+fixed dispatch cost alone caps the driver's headroom below 1x
+(``benchmarks/test_driver_throughput.py``).
 
-A stream has no plan for exactly two reasons: the driver's cache is off
-(``cache_size=0``: there is nowhere to keep one), or the stream is longer
-than :data:`MAX_PLAN_MACROS`.  It is then lowered and forwarded op-by-op,
-macro by macro, by ``Driver._execute_lowered`` — bit-identically in
+A dispatch unit has no plan for exactly three reasons: it is a non-R
+macro issued alone (``Driver.execute``), the cache is off (``cache_size=0``),
+or the stream is longer than :data:`MAX_PLAN_MACROS`.  It is then lowered
+and forwarded op-by-op by ``Driver._execute_lowered`` — bit-identically in
 memory, ``SimStats``, read responses and its one fault window.  Nothing
-selects between the two, and neither refuses on its own: both start
+selects between the routes, and neither refuses on its own: both start
 with ``Driver.check_stream``, so a stream is refused whole, before one
 op is sent, or not at all.
 
 This module holds the two things a plan lookup needs besides the driver:
 :class:`MacroStream`, the stream handle, and :data:`MAX_PLAN_MACROS`.
 :attr:`Driver.emit_counters <repro.driver.driver.Driver.emit_counters>`
-records which of the two served each stream (``"stream"`` / ``"macro"``);
-``pim.Profiler`` snapshots it as ``emit_counts``.
+records which route served each dispatch unit (``"stream"`` /
+``"macro"``); ``pim.Profiler`` snapshots it as ``emit_counts``.
 """
 
 from __future__ import annotations

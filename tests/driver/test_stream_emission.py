@@ -332,7 +332,9 @@ class TestStreamExecutionConformance:
             per_macro_reference(stream, loops=2), (sim, driver, response),
         )
         rtypes = sum(isinstance(instr, RInstr) for instr in stream)
-        assert driver.emit_counters == {"stream": 2 * rtypes, "macro": 0}
+        assert driver.emit_counters == {
+            "stream": 2 * rtypes, "macro": 2 * (len(stream) - rtypes),
+        }
         assert sim.replay_counters == {"vectorized": 2 * rtypes, "reference": 0}
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -766,5 +768,26 @@ class TestCountersAndProfiler:
             with pim.Profiler(device) as prof:
                 device.execute_stream(list(stream))
             assert prof.emit_counts == {"macro": 1}
+        finally:
+            pim.reset()
+
+    @pytest.mark.parametrize("backend,workers", [
+        ("simulator", {}), ("numpy", {}),
+        ("pooled", {"worker_backend": "numpy"}),
+        ("pooled", {"worker_backend": "simulator"}),
+    ], ids=["simulator", "numpy", "pooled-numpy", "pooled-simulator"])
+    def test_every_dispatch_unit_is_counted(self, backend, workers):
+        # An eager program with a read, an element write and a scalar
+        # broadcast: every backend counts the same number of dispatch
+        # units, whichever route (plan or op by op) served each one.
+        device = pim.init(crossbars=4, rows=16, backend=backend, **workers)
+        try:
+            x = pim.from_numpy(np.arange(64, dtype=np.float32))
+            y = pim.from_numpy(np.full(64, 0.5, dtype=np.float32))
+            with pim.Profiler(device) as prof:
+                (x * y + x)[::2].sum()
+                x[3] = 5.0
+                x + 1.0
+            assert sum(prof.emit_counts.values()) == 17
         finally:
             pim.reset()

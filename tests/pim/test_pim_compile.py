@@ -172,7 +172,9 @@ class TestRecordOnlyCapture:
         assert total == float(expected[::2].sum())
         if backend == "simulator":
             assert after[2]["vectorized"] == before[2]["vectorized"] + 1
-            assert after[3] == before[3]  # no stream emitted, one replay
+            # No stream emitted: one replay, plus the deferred scalar
+            # read, a non-R macro sent alone (one unplanned unit).
+            assert after[3] == {**before[3], "macro": before[3]["macro"] + 1}
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_level0_first_call_is_one_eager_call(self, backend):

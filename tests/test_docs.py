@@ -3,9 +3,10 @@
 Every fenced ``python`` block in the top-level README and in
 ``docs/architecture.md`` must at least compile; blocks whose first line
 is ``# runnable`` are executed end-to-end (the README quickstart runs a
-real tensor program on the simulator). And every ``*.md`` path that a
-source, test or benchmark file names must exist. This is the CI "docs
-check": documentation drift breaks the build, not the reader.
+real tensor program on the simulator). Every ``*.md`` path that a
+source, test or benchmark file names must exist, and so must every
+results path that a document names. This is the CI "docs check":
+documentation drift breaks the build, not the reader.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ DOCS = [REPO_ROOT / "README.md", REPO_ROOT / "docs/architecture.md"]
 
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 _MD_PATH = re.compile(r"[\w./-]*\w\.md\b")
+#: A path under the repository's results directory (the bracket keeps
+#: this file from naming one).
+_RESULTS_PATH = re.compile(r"\bresult[s]/[\w.*-]*")
 
 
 def python_blocks(path: Path):
@@ -84,4 +88,17 @@ def test_named_markdown_paths_exist():
     assert "docs/architecture.md" in named
     missing = {name: path for name, path in named.items()
                if not (REPO_ROOT / name).is_file()}
+    assert not missing, f"named but missing: {missing}"
+
+
+def test_named_results_paths_exist():
+    """A results path (a glob counts) that ``README.md`` or a
+    ``docs/*.md`` file names must exist: a benchmark writes nothing, so
+    no document may cite an output that is not there."""
+    missing = [
+        f"{doc.name}: {name}"
+        for doc in [DOCS[0], *sorted((REPO_ROOT / "docs").glob("*.md"))]
+        for name in _RESULTS_PATH.findall(doc.read_text(encoding="utf-8"))
+        if not any(REPO_ROOT.glob(name))
+    ]
     assert not missing, f"named but missing: {missing}"

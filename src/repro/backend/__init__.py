@@ -17,18 +17,10 @@ from repro.backend.numpy_backend import FunctionalProgram, NumpyBackend
 from repro.backend.simulator import SimulatorBackend
 
 #: Registered backend names, as accepted by ``pim.init(backend=...)``.
-#: ``"pooled"``/``"pool"`` resolve lazily (see :func:`make_backend`) to
+#: ``"pooled"`` resolves lazily (see :func:`make_backend`) to
 #: :class:`repro.pool.PooledBackend` — the pool package imports backends,
 #: so a table entry here would be a circular import.
-BACKENDS = {
-    "simulator": SimulatorBackend,
-    "sim": SimulatorBackend,
-    "bit": SimulatorBackend,
-    "numpy": NumpyBackend,
-    "functional": NumpyBackend,
-}
-
-_LAZY_BACKENDS = ("pooled", "pool")
+BACKENDS = {"simulator": SimulatorBackend, "numpy": NumpyBackend}
 
 
 def make_backend(
@@ -53,14 +45,14 @@ def make_backend(
     if isinstance(backend, type) and issubclass(backend, Backend):
         return backend(config, **kwargs)
     key = str(backend).lower()
-    if key in _LAZY_BACKENDS:
+    if key == "pooled":
         from repro.pool import PooledBackend
 
         return PooledBackend(config, **kwargs)
     try:
         cls = BACKENDS[key]
     except KeyError:
-        choices = sorted(set(BACKENDS) | set(_LAZY_BACKENDS))
+        choices = sorted([*BACKENDS, "pooled"])
         raise ValueError(
             f"unknown backend {backend!r}; choose from {choices}"
         ) from None

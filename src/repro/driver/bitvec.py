@@ -135,22 +135,29 @@ def equals(gb: GateBuilder, a: BitVec, b: BitVec) -> Cell:
 # Addition / subtraction / comparison
 # ----------------------------------------------------------------------
 def ripple_add(
-    gb: GateBuilder, a: BitVec, b: BitVec, cin: Optional[Cell] = None
+    gb: GateBuilder, a: BitVec, b: BitVec, cin: Optional[Cell] = None,
+    out: Optional[BitVec] = None,
 ) -> Tuple[BitVec, Cell]:
-    """Ripple-carry addition (9 NORs per bit); returns ``(sum, carry_out)``."""
+    """Ripple-carry addition (9 NORs per bit); returns ``(sum, carry_out)``.
+
+    The sum lands in ``out`` (cells initialized to 1) when given, else in
+    fresh scratch cells.
+    """
     _check_widths(a, b)
     carry = cin if cin is not None else gb.const(0)
     own_carry = False
-    out = []
-    for a_bit, b_bit in zip(a, b):
-        total, cout = gb.full_adder(a_bit, b_bit, carry)
+    total = []
+    for index, (a_bit, b_bit) in enumerate(zip(a, b)):
+        bit, cout = gb.full_adder(
+            a_bit, b_bit, carry, None if out is None else out[index]
+        )
         if own_carry:
             gb.free(carry)
         carry, own_carry = cout, True
-        out.append(total)
+        total.append(bit)
     if not own_carry:
         carry = gb.copy(carry)
-    return out, carry
+    return total, carry
 
 
 def ripple_sub(gb: GateBuilder, a: BitVec, b: BitVec) -> Tuple[BitVec, Cell]:
@@ -236,6 +243,27 @@ def slt(gb: GateBuilder, a: BitVec, b: BitVec) -> Cell:
 # ----------------------------------------------------------------------
 # Shifters
 # ----------------------------------------------------------------------
+def _shift_stage(
+    gb: GateBuilder, cur: BitVec, shift: int, sel: Cell, zero: Cell, owned: bool
+) -> BitVec:
+    """One barrel-shifter stage: where ``sel`` is 1, ``cur`` moved
+    ``shift`` places toward the LSB (negative: toward the MSB, zero-filled
+    either way), else ``cur`` (1 + 4n gates). Frees ``cur`` if ``owned``."""
+    width = len(cur)
+    nsel = gb.not_(sel)
+    out = []
+    for i, bit in enumerate(cur):
+        j = i + shift
+        t1 = gb.nor(cur[j] if 0 <= j < width else zero, nsel)
+        t2 = gb.nor(bit, sel)
+        out.append(gb.nor(t1, t2))
+        gb.free_bits([t1, t2])
+    gb.free(nsel)
+    if owned:
+        gb.free_bits(cur)
+    return out
+
+
 def shift_right_var(
     gb: GateBuilder,
     bits: BitVec,
@@ -251,60 +279,31 @@ def shift_right_var(
     """
     width = len(bits)
     zero = gb.const(0)
-    cur, own = list(bits), False
-    sticky: Optional[Cell] = gb.const(0) if collect_sticky else None
-    sticky_owned = False
+    cur = list(bits)
+    sticky: Optional[Cell] = zero if collect_sticky else None
     for k, sel in enumerate(amount):
         shift = 1 << k
         if collect_sticky:
             dropped = or_tree(gb, cur[: min(shift, width)])
             contrib = gb.and_(sel, dropped)
             new_sticky = gb.or_(sticky, contrib)
-            if sticky_owned:
-                gb.free(sticky)
-            sticky, sticky_owned = new_sticky, True
-            gb.free_bits([dropped, contrib])
-        nsel = gb.not_(sel)
-        nxt = []
-        for i in range(width):
-            hi = cur[i + shift] if i + shift < width else zero
-            t1 = gb.nor(hi, nsel)
-            t2 = gb.nor(cur[i], sel)
-            nxt.append(gb.nor(t1, t2))
-            gb.free_bits([t1, t2])
-        gb.free(nsel)
-        if own:
-            gb.free_bits(cur)
-        cur, own = nxt, True
-    if not own:
+            gb.free_bits([sticky, dropped, contrib])  # the constant stays
+            sticky = new_sticky
+        cur = _shift_stage(gb, cur, shift, sel, zero, owned=k > 0)
+    if not amount:
         cur = copy_bits(gb, cur)
-    if collect_sticky and not sticky_owned:
-        sticky = gb.copy(sticky)
+        if collect_sticky:
+            sticky = gb.copy(sticky)
     return cur, sticky
 
 
 def shift_left_var(gb: GateBuilder, bits: BitVec, amount: BitVec) -> BitVec:
     """Logical left shift by a variable amount (barrel shifter)."""
-    width = len(bits)
     zero = gb.const(0)
-    cur, own = list(bits), False
+    cur = list(bits)
     for k, sel in enumerate(amount):
-        shift = 1 << k
-        nsel = gb.not_(sel)
-        nxt = []
-        for i in range(width):
-            lo = cur[i - shift] if i - shift >= 0 else zero
-            t1 = gb.nor(lo, nsel)
-            t2 = gb.nor(cur[i], sel)
-            nxt.append(gb.nor(t1, t2))
-            gb.free_bits([t1, t2])
-        gb.free(nsel)
-        if own:
-            gb.free_bits(cur)
-        cur, own = nxt, True
-    if not own:
-        cur = copy_bits(gb, cur)
-    return cur
+        cur = _shift_stage(gb, cur, -(1 << k), sel, zero, owned=k > 0)
+    return cur if amount else copy_bits(gb, cur)
 
 
 def normalize_left(gb: GateBuilder, bits: BitVec) -> Tuple[BitVec, BitVec]:
@@ -317,30 +316,16 @@ def normalize_left(gb: GateBuilder, bits: BitVec) -> Tuple[BitVec, BitVec]:
     width = len(bits)
     stages = max(1, math.ceil(math.log2(width)))
     zero = gb.const(0)
-    cur, own = list(bits), False
-    amount: List[Optional[Cell]] = [None] * stages
+    cur = list(bits)
+    amount: BitVec = [zero] * stages
     for k in reversed(range(stages)):
         shift = 1 << k
-        top = cur[width - min(shift, width):]
-        any_top = or_tree(gb, top)
+        any_top = or_tree(gb, cur[width - min(shift, width):])
         sel = gb.not_(any_top)  # top `shift` bits all zero -> shift left
         gb.free(any_top)
-        nsel = gb.not_(sel)
-        nxt = []
-        for i in range(width):
-            lo = cur[i - shift] if i - shift >= 0 else zero
-            t1 = gb.nor(lo, nsel)
-            t2 = gb.nor(cur[i], sel)
-            nxt.append(gb.nor(t1, t2))
-            gb.free_bits([t1, t2])
-        gb.free(nsel)
-        if own:
-            gb.free_bits(cur)
-        cur, own = nxt, True
+        cur = _shift_stage(gb, cur, -shift, sel, zero, owned=k < stages - 1)
         amount[k] = sel
-    if not own:
-        cur = copy_bits(gb, cur)
-    return cur, [cell for cell in amount if cell is not None]
+    return cur, amount
 
 
 # ----------------------------------------------------------------------

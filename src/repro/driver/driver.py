@@ -662,7 +662,8 @@ class Driver:
         elif op == ROp.ZERO:
             floating.lower_fzero(gb, dest, a)
         elif op in (ROp.LT, ROp.LE, ROp.GT, ROp.GE, ROp.EQ, ROp.NE):
-            floating.lower_fcompare(gb, op.value, dest, a, b)
+            fixed.lower_compare(gb, op.value, dest, a, b,
+                                floating.float_lt, floating.float_eq)
         else:
             raise ValueError(f"unsupported float op {op}")
 
@@ -674,66 +675,50 @@ class Driver:
         return regs[-1], regs[-2]
 
     def _lower_move(self, instr: MoveInstr) -> list:
-        cfg = self.config
         stage1, stage2 = self._stage_registers()
-        warps = instr.warp_mask or RangeMask.all(cfg.crossbars)
-        ops: list = []  # micro-ops, the horizontal gates as rows
-        last = cfg.partitions - 1
+        warps = instr.warp_mask or RangeMask.all(self.config.crossbars)
+        src_row = _shared(RowMaskOp, instr.src_thread, instr.src_thread, 1)
+        last = self.config.partitions - 1
+        init1, not_ = GateType.INIT1, GateType.NOT
 
-        def init_column(reg: int) -> tuple:
-            return _shared(tuple, GateType.INIT1, 0, 0, reg, 0, 0, 0, last, 1)
+        def gate(kind: GateType, src: int, dst: int) -> tuple:
+            """A whole-column horizontal gate, as its row."""
+            return _shared(tuple, kind, src, src, dst, 0, 0, 0, last, 1)
 
-        def not_column(src: int, dst: int) -> tuple:
-            return _shared(tuple, GateType.NOT, src, src, dst, 0, 0, 0, last, 1)
+        def not_pair(src: int, via: int) -> list:
+            """``dst_reg = src`` through the column ``via``: two NOT
+            gates, each onto a freshly initialized column."""
+            return [gate(init1, 0, via), gate(not_, src, via),
+                    gate(init1, 0, instr.dst_reg), gate(not_, via, instr.dst_reg)]
 
+        ops: list = [_shared(CrossbarMaskOp, warps.start, warps.stop, warps.step)]
         if instr.warp_dist == 0 and instr.src_thread == instr.dst_thread:
-            # Same thread: a pure register-to-register copy (two parallel
-            # NOT gates through a staging column, row-masked).
+            # Same thread: a pure register-to-register copy, row-masked.
             if instr.src_reg == instr.dst_reg:
-                return ops
-            ops.append(_shared(CrossbarMaskOp, warps.start, warps.stop, warps.step))
-            ops.append(_shared(RowMaskOp, instr.src_thread, instr.src_thread, 1))
-            ops.append(init_column(stage1))
-            ops.append(not_column(instr.src_reg, stage1))
-            ops.append(init_column(instr.dst_reg))
-            ops.append(not_column(stage1, instr.dst_reg))
-            return ops
-
+                return []
+            return ops + [src_row] + not_pair(instr.src_reg, stage1)
         if instr.warp_dist == 0:
-            # Intra-warp: horizontal copy to a staging column at the source
-            # row, a vertical NOT pair to the destination row, then a
-            # horizontal fix-up into the destination register (four NOT
-            # gates in total, so the value parity is preserved).
-            ops.append(_shared(CrossbarMaskOp, warps.start, warps.stop, warps.step))
-            ops.append(_shared(RowMaskOp, instr.src_thread, instr.src_thread, 1))
-            ops.append(init_column(stage1))
-            ops.append(not_column(instr.src_reg, stage1))  # stage1 = ~v
-            ops.append(_shared(LogicVOp, GateType.INIT1, 0, instr.dst_thread, stage1))
-            ops.append(_shared(
-                LogicVOp, GateType.NOT, instr.src_thread, instr.dst_thread, stage1
-            ))  # stage1@dst = v
-            ops.append(_shared(RowMaskOp, instr.dst_thread, instr.dst_thread, 1))
-            ops.append(init_column(stage2))
-            ops.append(not_column(stage1, stage2))  # stage2 = ~v
-            ops.append(init_column(instr.dst_reg))
-            ops.append(not_column(stage2, instr.dst_reg))  # dst = v
-            return ops
-
-        # Inter-warp: the H-tree move writes the source word directly into
-        # the staging column of the destination warps (a plain overwrite),
-        # then a NOT pair lands it in the destination register.
-        ops.append(_shared(CrossbarMaskOp, warps.start, warps.stop, warps.step))
-        ops.append(_shared(MoveOp, instr.warp_dist, instr.src_thread,
-                           instr.dst_thread, instr.src_reg, stage1))
-        dest_warps = RangeMask(
-            warps.start + instr.warp_dist, warps.stop + instr.warp_dist, warps.step
-        )
-        ops.append(
-            _shared(CrossbarMaskOp, dest_warps.start, dest_warps.stop, dest_warps.step)
-        )
+            # Intra-warp: a horizontal NOT to a staging column at the
+            # source row, then a vertical NOT to the destination row (with
+            # the landing, four NOT gates: the value parity is preserved).
+            ops += [
+                src_row, gate(init1, 0, stage1),
+                gate(not_, instr.src_reg, stage1),  # stage1 = ~v
+                _shared(LogicVOp, init1, 0, instr.dst_thread, stage1),
+                _shared(LogicVOp, not_, instr.src_thread, instr.dst_thread,
+                        stage1),  # stage1@dst = v
+            ]
+        else:
+            # Inter-warp: the H-tree move writes the source word directly
+            # into the staging column of the destination warps (a plain
+            # overwrite).
+            dist = instr.warp_dist
+            dest = RangeMask(warps.start + dist, warps.stop + dist, warps.step)
+            ops += [
+                _shared(MoveOp, dist, instr.src_thread, instr.dst_thread,
+                        instr.src_reg, stage1),
+                _shared(CrossbarMaskOp, dest.start, dest.stop, dest.step),
+            ]
+        # Either way stage1 holds v in the destination row: land it.
         ops.append(_shared(RowMaskOp, instr.dst_thread, instr.dst_thread, 1))
-        ops.append(init_column(stage2))
-        ops.append(not_column(stage1, stage2))  # stage2 = ~v
-        ops.append(init_column(instr.dst_reg))
-        ops.append(not_column(stage2, instr.dst_reg))  # dst = v
-        return ops
+        return ops + not_pair(stage1, stage2)

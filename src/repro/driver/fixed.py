@@ -24,25 +24,10 @@ compiled stream on every repeated macro-instruction (see
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from repro.driver import bitvec as bv
 from repro.driver.gates import Cell, GateBuilder
-
-
-def _full_adder_into(gb: GateBuilder, a: Cell, b: Cell, cin: Cell, out: Cell) -> Cell:
-    """9-NOR full adder writing the sum into a pre-initialized cell."""
-    n1 = gb.nor(a, b)
-    n2 = gb.nor(a, n1)
-    n3 = gb.nor(b, n1)
-    n4 = gb.nor(n2, n3)
-    n5 = gb.nor(n4, cin)
-    n6 = gb.nor(n4, n5)
-    n7 = gb.nor(cin, n5)
-    gb.nor_into(n6, n7, out)
-    cout = gb.nor(n1, n5)
-    gb.free_bits([n1, n2, n3, n4, n5, n6, n7])
-    return cout
 
 
 def negate(gb: GateBuilder, bits: bv.BitVec) -> bv.BitVec:
@@ -77,18 +62,9 @@ def lower_add(gb: GateBuilder, dest: int, a: int, b: int, subtract: bool = False
         return
     # Fast path: ripple directly into the destination column.
     gb.init_column(dest, 1)
-    if subtract:
-        operand = bv.not_bits(gb, b_bits)
-        carry: Cell = gb.const(1)
-    else:
-        operand = list(b_bits)
-        carry = gb.const(0)
-    own_carry = False
-    for part, (a_bit, b_bit) in enumerate(zip(a_bits, operand)):
-        cout = _full_adder_into(gb, a_bit, b_bit, carry, (dest, part))
-        if own_carry:
-            gb.free(carry)
-        carry, own_carry = cout, True
+    operand = bv.not_bits(gb, b_bits) if subtract else b_bits
+    _, carry = bv.ripple_add(gb, a_bits, operand, gb.const(int(subtract)),
+                             out=gb.register_cells(dest))
     gb.free(carry)
     if subtract:
         gb.free_bits(operand)
@@ -132,18 +108,24 @@ def lower_zero(gb: GateBuilder, dest: int, a: int) -> None:
     gb.free(flag)
 
 
-def lower_compare(gb: GateBuilder, op: str, dest: int, a: int, b: int) -> None:
-    """Signed comparisons producing a 0/1 word (op in lt/le/gt/ge/eq/ne)."""
+def lower_compare(
+    gb: GateBuilder, op: str, dest: int, a: int, b: int,
+    less: Callable[[GateBuilder, bv.BitVec, bv.BitVec], Cell] = bv.slt,
+    equal: Callable[[GateBuilder, bv.BitVec, bv.BitVec], Cell] = bv.equals,
+) -> None:
+    """Comparisons producing a 0/1 word (op in lt/le/gt/ge/eq/ne) from
+    the ``less`` and ``equal`` circuits: signed integers by default,
+    :func:`repro.driver.floating.float_lt` / ``float_eq`` for floats."""
     a_bits = gb.register_cells(a)
     b_bits = gb.register_cells(b)
     if op in ("eq", "ne"):
-        flag = bv.equals(gb, a_bits, b_bits)
+        flag = equal(gb, a_bits, b_bits)
         invert = op == "ne"
     elif op in ("lt", "ge"):
-        flag = bv.slt(gb, a_bits, b_bits)
+        flag = less(gb, a_bits, b_bits)
         invert = op == "ge"
     elif op in ("gt", "le"):
-        flag = bv.slt(gb, b_bits, a_bits)
+        flag = less(gb, b_bits, a_bits)
         invert = op == "le"
     else:
         raise ValueError(f"unknown comparison {op}")

@@ -67,6 +67,17 @@ def _flags_from_exp10(gb: GateBuilder, e10: List[Cell]) -> Tuple[Cell, Cell]:
     return underflow, overflow
 
 
+def _inf_word(gb: GateBuilder, sign: Cell) -> List[Cell]:
+    """The infinity of sign ``sign`` (exponent all ones, fraction 0)."""
+    zero, one = gb.const(0), gb.const(1)
+    return [zero] * FRAC_BITS + [one] * EXP_BITS + [sign]
+
+
+def _zero_word(gb: GateBuilder, sign: Cell) -> List[Cell]:
+    """The zero of sign ``sign``."""
+    return [gb.const(0)] * 31 + [sign]
+
+
 def _apply_specials(
     gb: GateBuilder,
     assembled: List[Cell],
@@ -75,11 +86,8 @@ def _apply_specials(
     zero_flag: Cell,
 ) -> List[Cell]:
     """Overlay the overflow (±inf) and zero (+/- per sign arg) patterns."""
-    zero, one = gb.const(0), gb.const(1)
-    inf_pattern = [zero] * FRAC_BITS + [one] * EXP_BITS + [sign]
-    zero_pattern = [zero] * 31 + [sign]
-    with_inf = bv.mux_bits(gb, overflow, inf_pattern, assembled)
-    result = bv.mux_bits(gb, zero_flag, zero_pattern, with_inf)
+    with_inf = bv.mux_bits(gb, overflow, _inf_word(gb, sign), assembled)
+    result = bv.mux_bits(gb, zero_flag, _zero_word(gb, sign), with_inf)
     gb.free_bits(with_inf)
     return result
 
@@ -194,8 +202,7 @@ def lower_fadd(gb: GateBuilder, dest: int, a: int, b: int, subtract: bool = Fals
     same_sign = gb.xnor(sign_a, sign_b)
     diff_sign = gb.not_(same_sign)
     force_pzero = gb.and_(both_zero, diff_sign)
-    zero_pattern = bv.const_bits(gb, 0, 32)
-    result = bv.mux_bits(gb, force_pzero, zero_pattern, with_a_zero)
+    result = bv.mux_bits(gb, force_pzero, _zero_word(gb, zero), with_a_zero)
     gb.free_bits(with_a_zero)
     gb.free_bits([both_zero, same_sign, diff_sign, force_pzero])
     gb.free_bits([a_is_zero, b_is_zero, sign_b])
@@ -264,8 +271,7 @@ def lower_fmul(gb: GateBuilder, dest: int, a: int, b: int) -> None:
     gb.free_bits([underflow, overflow])
 
     either_zero = gb.or_(a_is_zero, b_is_zero)
-    zero_pattern = [zero] * 31 + [result_sign]
-    result = bv.mux_bits(gb, either_zero, zero_pattern, computed)
+    result = bv.mux_bits(gb, either_zero, _zero_word(gb, result_sign), computed)
     gb.free_bits(computed)
     gb.free_bits([either_zero, a_is_zero, b_is_zero, result_sign])
 
@@ -342,19 +348,15 @@ def lower_fdiv(gb: GateBuilder, dest: int, a: int, b: int) -> None:
     gb.free_bits([underflow, overflow])
 
     # b == 0 -> signed infinity; a == 0 -> signed zero (outermost).
-    inf_pattern = [zero] * FRAC_BITS + [one] * EXP_BITS + [result_sign]
-    with_inf = bv.mux_bits(gb, b_is_zero, inf_pattern, computed)
-    zero_pattern = [zero] * 31 + [result_sign]
-    result = bv.mux_bits(gb, a_is_zero, zero_pattern, with_inf)
+    result = _apply_specials(gb, computed, result_sign, b_is_zero, a_is_zero)
     gb.free_bits(computed)
-    gb.free_bits(with_inf)
     gb.free_bits([a_is_zero, b_is_zero, result_sign])
 
     gb.write_register(result, dest)
     gb.free_bits(result)
 
 
-def _float_lt(gb: GateBuilder, a_bits: List[Cell], b_bits: List[Cell]) -> Cell:
+def float_lt(gb: GateBuilder, a_bits: List[Cell], b_bits: List[Cell]) -> Cell:
     """``a < b`` for finite floats (sign-magnitude order, ±0 equal)."""
     sign_a, sign_b = a_bits[31], b_bits[31]
     a_is_zero = bv.is_zero(gb, a_bits[23:31])
@@ -372,7 +374,7 @@ def _float_lt(gb: GateBuilder, a_bits: List[Cell], b_bits: List[Cell]) -> Cell:
     return out
 
 
-def _float_eq(gb: GateBuilder, a_bits: List[Cell], b_bits: List[Cell]) -> Cell:
+def float_eq(gb: GateBuilder, a_bits: List[Cell], b_bits: List[Cell]) -> Cell:
     """``a == b`` for finite floats (bit equality or both zero)."""
     raw_eq = bv.equals(gb, a_bits, b_bits)
     a_is_zero = bv.is_zero(gb, a_bits[23:31])
@@ -381,29 +383,6 @@ def _float_eq(gb: GateBuilder, a_bits: List[Cell], b_bits: List[Cell]) -> Cell:
     out = gb.or_(raw_eq, both_zero)
     gb.free_bits([raw_eq, a_is_zero, b_is_zero, both_zero])
     return out
-
-
-def lower_fcompare(gb: GateBuilder, op: str, dest: int, a: int, b: int) -> None:
-    """Floating comparisons producing 0/1 words (op in lt/le/gt/ge/eq/ne)."""
-    a_bits = gb.register_cells(a)
-    b_bits = gb.register_cells(b)
-    if op in ("eq", "ne"):
-        flag = _float_eq(gb, a_bits, b_bits)
-        invert = op == "ne"
-    elif op in ("lt", "ge"):
-        flag = _float_lt(gb, a_bits, b_bits)
-        invert = op == "ge"
-    elif op in ("gt", "le"):
-        flag = _float_lt(gb, b_bits, a_bits)
-        invert = op == "le"
-    else:
-        raise ValueError(f"unknown comparison {op}")
-    if invert:
-        inverted = gb.not_(flag)
-        gb.free(flag)
-        flag = inverted
-    write_flag(gb, flag, dest)
-    gb.free(flag)
 
 
 def lower_fneg(gb: GateBuilder, dest: int, a: int) -> None:

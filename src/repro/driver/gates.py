@@ -66,11 +66,10 @@ class GateBuilder:
     """Emits stateful-logic micro-operations for one macro-instruction.
 
     Args:
-        config: architecture parameters (defines partitions and scratch).
+        config: architecture parameters; temporaries live in its
+            reserved scratch registers.
         emit: callback receiving each generated gate, as a :data:`Row`,
             in order.
-        scratch_registers: register indices the builder may use for
-            temporaries; defaults to the config's reserved scratch range.
         guard: when True, track cell lifetimes and raise :class:`GateError`
             on use-after-free (slower; enabled in tests).
     """
@@ -79,17 +78,14 @@ class GateBuilder:
         self,
         config: PIMConfig,
         emit: Callable[[Row], None],
-        scratch_registers: Optional[List[int]] = None,
         guard: bool = False,
     ):
         self.config = config
         self.emit = emit
         self.guard = guard
-        if scratch_registers is None:
-            scratch_registers = list(config.scratch_register_indices())
-        if not scratch_registers:
+        self._scratch_regs = list(config.scratch_register_indices())
+        if not self._scratch_regs:
             raise ValueError("the builder needs at least one scratch register")
-        self._scratch_regs = list(scratch_registers)
         # Per-column state, two integers with one bit per partition: the
         # free cells that are clean (hold 1, gate-ready) and those that are
         # stale (need INIT1 before reuse as a gate output). Everything
@@ -106,16 +102,13 @@ class GateBuilder:
 
     @classmethod
     def recording(
-        cls,
-        config: PIMConfig,
-        scratch_registers: Optional[List[int]] = None,
-        guard: bool = False,
+        cls, config: PIMConfig, guard: bool = False
     ) -> "Tuple[GateBuilder, List[Row]]":
         """A builder that records into a fresh row list: ``(builder, rows)``;
         :func:`~repro.arch.micro_ops.encode_rows` of the list is a body
         :class:`~repro.driver.program.MicroProgram`'s words."""
         rows: List[Row] = []
-        return cls(config, rows.append, scratch_registers, guard), rows
+        return cls(config, rows.append, guard), rows
 
     # ------------------------------------------------------------------
     # Scratch management
@@ -335,8 +328,14 @@ class GateBuilder:
         self.not_into(t, out)
         self.free(t)
 
-    def full_adder(self, a: Cell, b: Cell, cin: Cell) -> Tuple[Cell, Cell]:
-        """The 9-NOR full adder of AritPIM; returns ``(sum, carry_out)``."""
+    def full_adder(
+        self, a: Cell, b: Cell, cin: Cell, out: Optional[Cell] = None
+    ) -> Tuple[Cell, Cell]:
+        """The 9-NOR full adder of AritPIM; returns ``(sum, carry_out)``.
+
+        The sum lands in ``out`` when given (freshly initialized to 1),
+        else in a fresh scratch cell.
+        """
         n1 = self.nor(a, b)
         n2 = self.nor(a, n1)
         n3 = self.nor(b, n1)
@@ -344,10 +343,12 @@ class GateBuilder:
         n5 = self.nor(n4, cin)
         n6 = self.nor(n4, n5)
         n7 = self.nor(cin, n5)
-        total = self.nor(n6, n7)  # XNOR(XNOR(a, b), cin) = sum
+        if out is None:
+            out = self.alloc()
+        self.nor_into(n6, n7, out)  # XNOR(XNOR(a, b), cin) = sum
         cout = self.nor(n1, n5)
         self.free_bits([n1, n2, n3, n4, n5, n6, n7])
-        return total, cout
+        return out, cout
 
     # ------------------------------------------------------------------
     # Destination-register helpers

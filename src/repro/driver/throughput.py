@@ -68,10 +68,7 @@ def measure_driver_throughput(
     iterations: int = 10_000,
     use_cache: bool = True,
     seed: int = 0,
-    parallelism: str = "parallel",
-    buffer_capacity: int = 100_000,
     unique_sequences: int = 64,
-    warmup: bool = True,
     stream_len: int = 0,
 ) -> ThroughputResult:
     """Time the generation of ``iterations`` random macro-instructions.
@@ -88,16 +85,15 @@ def measure_driver_throughput(
     (several distinct stream tuples rotate, so the plan cache holds more
     than one entry). The default (``stream_len=0``) calls
     ``Driver.execute`` once per macro: the same plan dispatch at
-    one-instruction granularity, i.e. the fixed per-dispatch cost.
+    one-instruction granularity, i.e. the fixed per-dispatch cost. With
+    the cache on, every distinct unit is emitted once before timing, so
+    the measurement is the steady state (the paper amortizes the one-time
+    lowering over 10M-instruction loops).
     """
     from repro.driver.stream import MacroStream
 
-    sink = BufferSink(config, capacity=buffer_capacity)
-    driver = Driver(
-        sink, config=config,
-        parallelism=parallelism,
-        cache_size=4096 if use_cache else 0,
-    )
+    sink = BufferSink(config)
+    driver = Driver(sink, config=config, cache_size=4096 if use_cache else 0)
     rng = random.Random(seed)
     user = config.user_registers
     arity = ARITY[op]
@@ -120,53 +116,35 @@ def measure_driver_throughput(
         # Whole-stream emission: a handful of distinct stream tuples
         # (rotated offsets into the instruction pool) emitted repeatedly,
         # like a host loop dispatching the same compiled kernels.
-        count = max(1, min(8, iterations // stream_len))
-        streams = [
+        loops = max(1, iterations // stream_len)
+        units = [
             MacroStream(
                 pool[(7 * index + position) % len(pool)]
                 for position in range(stream_len)
             )
-            for index in range(count)
+            for index in range(min(8, loops))
         ]
-        loops = max(1, iterations // stream_len)
-        if use_cache and warmup:
-            for stream in streams:
-                driver.execute_stream(stream)
-        counted_before = sink.count
-        hits_before = driver.streams.hits
-        misses_before = driver.streams.misses
-
-        start = time.perf_counter()
-        for index in range(loops):
-            driver.execute_stream(streams[index % count])
-        elapsed = time.perf_counter() - start
-        return ThroughputResult(
-            macro_instructions=loops * stream_len,
-            micro_ops=sink.count - counted_before,
-            seconds=max(elapsed, 1e-9),
-            frequency_hz=config.frequency_hz,
-            emit="stream",
-            plan_hits=driver.streams.hits - hits_before,
-            plan_misses=driver.streams.misses - misses_before,
-        )
-
-    instructions = [pool[i % len(pool)] for i in range(iterations)]
-
-    if use_cache and warmup:
-        # Populate the compiled-sequence cache before timing, so the
-        # measurement reflects the steady state (the paper amortizes the
-        # one-time lowering over 10M-instruction loops).
-        for instr in pool:
-            driver.execute(instr)
+        emit, width = driver.execute_stream, stream_len
+    else:
+        emit, units, loops, width = driver.execute, pool, iterations, 1
+    sequence = [units[index % len(units)] for index in range(loops)]
+    if use_cache:
+        for unit in units:
+            emit(unit)
     counted_before = sink.count
+    hits_before = driver.streams.hits
+    misses_before = driver.streams.misses
 
     start = time.perf_counter()
-    for instr in instructions:
-        driver.execute(instr)
+    for unit in sequence:
+        emit(unit)
     elapsed = time.perf_counter() - start
     return ThroughputResult(
-        macro_instructions=iterations,
+        macro_instructions=loops * width,
         micro_ops=sink.count - counted_before,
         seconds=max(elapsed, 1e-9),
         frequency_hz=config.frequency_hz,
+        emit="stream" if width > 1 else "macro",
+        plan_hits=driver.streams.hits - hits_before,
+        plan_misses=driver.streams.misses - misses_before,
     )

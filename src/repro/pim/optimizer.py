@@ -60,6 +60,7 @@ from repro.isa.instructions import (
     RInstr,
     ROp,
     WriteInstr,
+    written_region,
 )
 from repro.sim.stats import SimStats
 
@@ -154,7 +155,8 @@ def _region(
     cache: dict, config: PIMConfig, warp_mask: Optional[RangeMask],
     row_mask: Optional[RangeMask],
 ) -> np.ndarray:
-    """The boolean ``(crossbars, rows)`` footprint of a masked access.
+    """The boolean ``(crossbars, rows)`` footprint of a masked access;
+    a ``None`` mask (an instruction's own, unset) is the whole axis.
 
     Cached per mask pair; callers must treat the result as immutable.
     """
@@ -177,41 +179,23 @@ def _accesses(
 ) -> Tuple[List[Tuple[int, np.ndarray]], List[Tuple[int, np.ndarray]]]:
     """``(writes, reads)`` of an instruction as ``(register, region)`` pairs.
 
-    Write regions are *fully defined*: every cell in the region receives
-    a new value (true for all four instruction families).
+    The write is :func:`~repro.isa.instructions.written_region`, *fully
+    defined*: every cell in it receives a new value. The reads are an
+    R-type's sources over that region, a move's source thread and a
+    read's cell.
     """
-    if isinstance(instr, RInstr):
-        region = _region(cache, config, instr.warp_mask, instr.row_mask)
-        return (
-            [(instr.dest, region)],
-            [(reg, region) for reg in instr.sources()],
-        )
-    if isinstance(instr, WriteInstr):
-        return [(instr.reg, _region(cache, config, instr.warp_mask, instr.row_mask))], []
     if isinstance(instr, ReadInstr):
-        key = ("read", instr.warp, instr.thread)
-        region = cache.get(key)
-        if region is None:
-            region = np.zeros((config.crossbars, config.rows), dtype=bool)
-            region[instr.warp, instr.thread] = True
-            cache[key] = region
-        return [], [(instr.reg, region)]
+        cell = _region(cache, config, RangeMask.single(instr.warp),
+                       RangeMask.single(instr.thread))
+        return [], [(instr.reg, cell)]
+    reg, warps, rows = written_region(instr, config)
+    region = _region(cache, config, warps, rows)
     if isinstance(instr, MoveInstr):
-        warps = instr.warp_mask or RangeMask.all(config.crossbars)
-        src_key = ("mv", warps, 0, instr.src_thread)
-        dst_key = ("mv", warps, instr.warp_dist, instr.dst_thread)
-        src = cache.get(src_key)
-        if src is None:
-            src = np.zeros((config.crossbars, config.rows), dtype=bool)
-            src[list(warps.indices()), instr.src_thread] = True
-            cache[src_key] = src
-        dst = cache.get(dst_key)
-        if dst is None:
-            dst = np.zeros((config.crossbars, config.rows), dtype=bool)
-            dst[[w + instr.warp_dist for w in warps.indices()], instr.dst_thread] = True
-            cache[dst_key] = dst
-        return [(instr.dst_reg, dst)], [(instr.src_reg, src)]
-    raise TypeError(f"not an instruction: {instr!r}")
+        source = _region(cache, config, instr.warp_mask,
+                         RangeMask.single(instr.src_thread))
+        return [(reg, region)], [(instr.src_reg, source)]
+    sources = instr.sources() if isinstance(instr, RInstr) else ()
+    return [(reg, region)], [(src, region) for src in sources]
 
 
 # ----------------------------------------------------------------------

@@ -160,7 +160,7 @@ class PooledBackend(BilledBackend):
         except KeyError:
             raise ValueError(
                 f"unknown worker backend {worker_backend!r}; choose from "
-                f"{sorted(set(BACKENDS))}"
+                f"{sorted(BACKENDS)}"
             ) from None
         self.shard = config.crossbars // workers
         # Kept so failover can spawn a replacement worker with the exact

@@ -63,11 +63,14 @@ class TestDerivedGates:
     @pytest.mark.parametrize("a", [0, 1])
     @pytest.mark.parametrize("b", [0, 1])
     @pytest.mark.parametrize("cin", [0, 1])
-    def test_full_adder(self, h, a, b, cin):
+    @pytest.mark.parametrize("into", [False, True])
+    def test_full_adder(self, h, a, b, cin, into):
         ca, cb = h.input_bits(a, 1)[0], h.input_bits(b, 1)[0]
         cc = h.input_bits(cin, 1)[0]
-        s, cout = h.gb.full_adder(ca, cb, cc)
+        out = h.gb.alloc() if into else None  # a pre-initialized sum cell
+        s, cout = h.gb.full_adder(ca, cb, cc, out)
         total = a + b + cin
+        assert s == out or not into
         assert h.get_cell(s) == total & 1
         assert h.get_cell(cout) == total >> 1
 

@@ -159,6 +159,12 @@ class TestBackendInterface:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             pim.init(crossbars=4, rows=16, backend="quantum")
+        for alias in ("sim", "bit", "functional", "pool"):  # no aliases
+            with pytest.raises(
+                ValueError,
+                match=r"choose from \['numpy', 'pooled', 'simulator'\]$",
+            ):
+                pim.init(crossbars=4, rows=16, backend=alias)
 
     def test_failed_init_keeps_previous_default_alive(self):
         pim.init(crossbars=4, rows=16)

@@ -60,9 +60,8 @@ class Backend(abc.ABC):
 
     #: The :class:`~repro.driver.driver.Driver` whose lowering this backend
     #: bills and whose books (stream tier, counters, fault window) it
-    #: keeps, and the move-cost model it bills under. Set by subclasses.
+    #: keeps. Set by subclasses.
     lowering: Driver
-    move_cost: str = "unit"
 
     def __init__(self, config: PIMConfig):
         self.config = config
@@ -128,10 +127,9 @@ class Backend(abc.ABC):
 
     def stream_stats(self, instructions: Sequence[Instruction]) -> SimStats:
         """The cycle bill of a macro stream lowered verbatim (no program):
-        the driver's one walk (:meth:`~repro.driver.driver.Driver.stream_bill`)
-        under this backend's move-cost model. The optimizer's report
-        prices its baseline with it."""
-        return self.lowering.stream_bill(instructions).billed(self.move_cost)
+        the driver's one walk (:meth:`~repro.driver.driver.Driver.stream_bill`).
+        The optimizer's report prices its baseline with it."""
+        return self.lowering.stream_bill(instructions)
 
     # ------------------------------------------------------------------
     # State and accounting
@@ -268,11 +266,8 @@ class BilledBackend(Backend):
     A numpy pool worker's part (``_pool_part``) is unpriced: the pool bills.
     """
 
-    def __init__(self, config: PIMConfig, move_cost: str, **driver_kwargs):
+    def __init__(self, config: PIMConfig, **driver_kwargs):
         super().__init__(config)
-        if move_cost not in ("unit", "htree"):
-            raise ValueError("move_cost must be 'unit' or 'htree'")
-        self.move_cost = move_cost
         self.lowering = Driver(None, config=config, **driver_kwargs)
         self._fingerprint = config_fingerprint(config)
         self._stats = SimStats()
@@ -297,7 +292,7 @@ class BilledBackend(Backend):
             return self._stream_program(instructions, name)
         instrs = MacroStream.wrap(instructions)
         micro = self.lowering.compile(instrs, name=name, optimize=True)
-        delta = micro.bill(self.config).billed(self.move_cost)
+        delta = micro.bill(self.config).copy()
         return self._assemble(instrs, name, delta, micro.source_ops)
 
     def _stream_program(

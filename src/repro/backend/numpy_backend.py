@@ -73,19 +73,13 @@ class NumpyBackend(BilledBackend):
     Accepts the same keyword arguments as the driver (``parallelism``
     changes which lowering — and therefore which cycle counts — are
     charged; ``cache_size`` bounds the lowering cache; ``guard`` checks
-    the pricing lowering's gate lifetimes) plus the simulator's
-    ``move_cost`` model.
+    the pricing lowering's gate lifetimes).
     """
 
     name = "numpy"
 
-    def __init__(
-        self,
-        config: PIMConfig,
-        move_cost: str = "unit",
-        **driver_kwargs,
-    ):
-        super().__init__(config, move_cost, **driver_kwargs)
+    def __init__(self, config: PIMConfig, **driver_kwargs):
+        super().__init__(config, **driver_kwargs)
         if config.word_size != 32:
             raise ValueError("the numpy backend models 32-bit words only")
         self._words = np.zeros(

@@ -27,21 +27,14 @@ class SimulatorBackend(Backend):
     """Bit-accurate execution: ``Driver`` lowering onto a ``Simulator``.
 
     Keyword arguments are forwarded to the driver (``parallelism``,
-    ``cache_size``, ``guard``), except ``move_cost`` which selects the
-    simulator's move-cost model.
+    ``cache_size``, ``guard``).
     """
 
     name = "simulator"
 
-    def __init__(
-        self,
-        config: PIMConfig,
-        move_cost: str = "unit",
-        **driver_kwargs,
-    ):
+    def __init__(self, config: PIMConfig, **driver_kwargs):
         super().__init__(config)
-        self.move_cost = move_cost
-        self.simulator = Simulator(config, move_cost=move_cost)
+        self.simulator = Simulator(config)
         self.driver = self.lowering = Driver(self.simulator, **driver_kwargs)
 
     # ------------------------------------------------------------------
@@ -69,10 +62,9 @@ class SimulatorBackend(Backend):
         return self.driver.stream_program(instructions, name)
 
     def program_stats(self, program) -> SimStats:
-        """The bill a fused ``MicroProgram`` carries, under this chip's
-        move-cost model — exactly what ``execute_program`` charges for
-        self-masked fused streams."""
-        return program.bill(self.config).billed(self.move_cost)
+        """A copy of the bill a fused ``MicroProgram`` carries — exactly
+        what ``execute_program`` charges for self-masked fused streams."""
+        return program.bill(self.config).copy()
 
     def replay_counters(self):
         return dict(self.simulator.replay_counters)

@@ -351,7 +351,7 @@ class Driver:
                 pieces.append(GateTally.of_bill(body, config))
             else:
                 pieces += self._lower_ops(instr, short)
-        return accounting_walk(pieces, config, "htree")
+        return accounting_walk(pieces, config)
 
     def compile(
         self,
@@ -456,8 +456,9 @@ class Driver:
         """The driver's one refusal: a stream is refused whole, before
         any of it is built, priced or sent, on every backend.
 
-        ISA validation, then an R-type's mask ranges (``CompileError``),
-        or a short lowering's non-gate ops range-checked by
+        ISA validation, then an R-type's mask ranges and float width, a
+        move's destination warps (``CompileError``), or a short lowering's
+        non-gate ops range-checked by
         :func:`~repro.driver.compiler.validate_ops` (``CompileError``) and
         walked as the chip walks them (its ``SimulationError``: H-tree
         patterns, read shape). Returns the short lowerings (``None`` for
@@ -466,9 +467,19 @@ class Driver:
         shorts: list = []
         for instr in instrs:
             validate(instr, config.registers)
+            if isinstance(instr, MoveInstr):
+                warps = instr.warp_mask or RangeMask.all(config.crossbars)
+                dist = instr.warp_dist
+                if warps.start + dist < 0 or warps.stop + dist >= config.crossbars:
+                    raise CompileError(f"{instr}: destination warps out of range")
             if not isinstance(instr, RInstr):
                 shorts.append(self._lower_short(instr))
                 continue
+            if instr.dtype.is_float and instr.dtype.bits != config.word_size:
+                raise CompileError(
+                    f"{instr}: {instr.dtype} needs {instr.dtype.bits}-bit words, "
+                    f"this chip's are {config.word_size}-bit"
+                )
             for mask, size, axis in ((instr.warp_mask, config.crossbars, "crossbar"),
                                      (instr.row_mask, config.rows, "row")):
                 if mask is not None and mask.stop >= size:

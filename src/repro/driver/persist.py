@@ -65,10 +65,10 @@ from repro.sim.stats import SimStats
 
 #: Bump when the on-disk entry layout (or the meaning of any field)
 #: changes; older entries then read as cold misses, never as garbage.
-#: v3: binary entries carrying the program's bill (v2: ``pim-<digest>.json``
-#: files, removed by a later store of the key); v4: scratch in the
-#: fingerprint; v5: the replay plan's columns after the words.
-FORMAT_VERSION = 5
+#: v6: binary entries carrying the program's bill (no cycle count: a
+#: cycle is one micro-op) and the replay plan's columns after the words.
+#: A ``pim-<digest>.json`` entry of v2 is removed by a later store of its key.
+FORMAT_VERSION = 6
 
 #: The plan section's ``(name, dtype)`` arrays: the CRC-32 of the words
 #: the plan was derived from, then its ``replay.PlanColumns``.
@@ -188,8 +188,7 @@ class PersistentProgramCache:
             "reads": program.reads,
             "macros": program.macros,
             "source_ops": program.source_ops,
-            "bill": [bill.op_counts, bill.cycles, bill.htree_hop_cycles,
-                     bill.gates_executed],
+            "bill": [bill.op_counts, bill.htree_hop_cycles, bill.gates_executed],
             "words": len(program),
             "plan": [[name, array.dtype.str, list(array.shape)]
                      for (name, _), array in zip(PLAN_ARRAYS, plan)],
@@ -244,7 +243,7 @@ class PersistentProgramCache:
             return None, None
         words, *plan = [np.frombuffer(payload, dtype, n, start).reshape(shape)
                         for (dtype, shape), n, start in zip(arrays, lengths, ends)]
-        counts, cycles, hops, gates = header["bill"]
+        counts, hops, gates = header["bill"]
         program = MicroProgram(
             words.astype(np.uint64, copy=False),
             name=str(header["name"]),
@@ -254,7 +253,7 @@ class PersistentProgramCache:
             source_ops=int(header["source_ops"]),
             bill=SimStats(
                 {str(kind): int(n) for kind, n in counts.items()},
-                int(cycles), int(hops), int(gates),
+                int(hops), int(gates),
             ),
         )
         if not plan or self.planner is None:

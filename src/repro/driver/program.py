@@ -224,16 +224,15 @@ class MicroProgram:
         (:meth:`_tallied`). One the chip would refuse is walked again op
         by op, only to raise the chip's own ``SimulationError`` at the op
         (a driver stream never gets here: ``Driver.check_stream`` refused
-        it before it was built). H-tree hops are itemized:
-        :meth:`SimStats.billed` turns the bill into either move-cost
-        model's. Treat it as read-only.
+        it before it was built). H-tree hops are itemized in
+        ``htree_hop_cycles``. Treat it as read-only.
         """
         walk = simulator.accounting_walk
         if self._bill is None:
             try:
-                self._bill = walk(self._tallied(config.partitions), config, "htree")
+                self._bill = walk(self._tallied(config.partitions), config)
             except (simulator.SimulationError, ValueError):
-                self._bill = walk(self.ops, config, "htree")
+                self._bill = walk(self.ops, config)
         return self._bill
 
     def _tallied(self, partitions: int) -> list:

@@ -260,7 +260,6 @@ class CompiledFunction:
         fn: Callable,
         device=None,
         opt_level: int = 0,
-        name: Optional[str] = None,
         cache_size: int = 32,
         verify: Optional[str] = None,
     ):
@@ -269,7 +268,7 @@ class CompiledFunction:
         functools.update_wrapper(self, fn)
         self.fn = fn
         self.opt_level = resolve_opt_level(opt_level)
-        self.name = name or getattr(fn, "__name__", "graph")
+        self.name = getattr(fn, "__name__", "graph")
         self.cache_size = max(int(cache_size), 1)
         check_verify_mode(verify)
         self.verify = verify

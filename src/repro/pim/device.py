@@ -359,7 +359,7 @@ def init(
     Keyword arguments matching :class:`~repro.arch.config.PIMConfig`
     fields construct a config directly (``pim.init(crossbars=4, rows=64)``);
     the rest are forwarded to the backend (e.g. ``parallelism="serial"``
-    or ``move_cost="htree"``); a keyword no backend knows raises
+    or ``cache_size=0``); a keyword no backend knows raises
     ``TypeError``. There is no dispatch or replay knob: every macro
     stream goes plan → chip, else op-by-op lowering, chosen from what
     the driver and simulator can observe.

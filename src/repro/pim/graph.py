@@ -379,7 +379,6 @@ class TraceSession:
                 opt_level=level,
                 macros_before=len(raw),
                 macros_after=len(instructions),
-                micro_ops_after=after.micro_ops,
                 cycles_after=after.cycles,
                 cells_before=len(self.cells),
                 cells_after=len(self.replay_cells),

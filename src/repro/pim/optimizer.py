@@ -94,17 +94,15 @@ class OptReport:
     Cycle numbers are the per-replay bill of the compiled program
     (the bill it carries, via ``Backend.program_stats``); ``cells``
     counts the allocator cells the compiled graph reserves for replays.
-    The ``*_before`` micro-op and cycle counts price the verbatim
-    stream, which nothing lowers or runs: ``baseline`` (a call to
-    ``Backend.stream_stats``) is made on the first read of either and
-    replaced by its result.
+    ``cycles_before`` prices the verbatim stream, which nothing lowers
+    or runs: ``baseline`` (a call to ``Backend.stream_stats``) is made on
+    its first read and replaced by its result.
     """
 
     name: str
     opt_level: int
     macros_before: int = 0
     macros_after: int = 0
-    micro_ops_after: int = 0
     cycles_after: int = 0
     cells_before: int = 0
     cells_after: int = 0
@@ -114,18 +112,10 @@ class OptReport:
     )
 
     @property
-    def _before(self) -> SimStats:
+    def cycles_before(self) -> int:
         if callable(self.baseline):
             self.baseline = self.baseline()
-        return self.baseline or SimStats()
-
-    @property
-    def micro_ops_before(self) -> int:
-        return self._before.micro_ops
-
-    @property
-    def cycles_before(self) -> int:
-        return self._before.cycles
+        return self.baseline.cycles if self.baseline else 0
 
     @property
     def cycle_reduction(self) -> float:

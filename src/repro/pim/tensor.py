@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.arch.htree import validate_move_pattern
+from repro.arch.htree import _is_power_of, validate_move_pattern
 from repro.arch.masks import RangeMask
 from repro.driver.stream import MacroStream
 from repro.isa.dtypes import DType, float32, int32, raw_to_value, value_to_raw
@@ -540,14 +540,6 @@ def _compact(operand: TensorLike, reference: Optional[Tensor] = None) -> Tensor:
 # ----------------------------------------------------------------------
 # Bulk move grouping
 # ----------------------------------------------------------------------
-def _power_of_four(value: int) -> bool:
-    if value < 1:
-        return False
-    while value % 4 == 0:
-        value //= 4
-    return value == 1
-
-
 def _bulk_move(
     device: PIMDevice,
     src_slot: Slot,
@@ -648,7 +640,7 @@ def _warp_runs(warps: List[int], intra: bool) -> List[RangeMask]:
             index += 1
             continue
         step = warps[index + 1] - start
-        if step <= 0 or (not intra and not _power_of_four(step)):
+        if step <= 0 or (not intra and not _is_power_of(step, 4)):
             runs.append(RangeMask.single(start))
             index += 1
             continue

@@ -129,8 +129,6 @@ class PooledBackend(BilledBackend):
         workers: shard count ``N`` (power of two, at most ``C``).
         worker_backend: per-shard engine — ``"simulator"`` (bit-accurate,
             default) or ``"numpy"`` (functional).
-        move_cost: the move-cost model, applied to both the canonical
-            accounting and the workers.
         **driver_kwargs: forwarded to the accounting driver and every
             worker (``parallelism``, ``cache_size``, ``cache_dir``, ...),
             so e.g. a persistent cache directory warms all shards.
@@ -143,10 +141,9 @@ class PooledBackend(BilledBackend):
         config: PIMConfig,
         workers: int = 4,
         worker_backend: str = "simulator",
-        move_cost: str = "unit",
         **driver_kwargs,
     ):
-        super().__init__(config, move_cost, **driver_kwargs)
+        super().__init__(config, **driver_kwargs)
         workers = int(workers)
         if workers < 1 or (workers & (workers - 1)):
             raise ValueError("workers must be a positive power of two")
@@ -166,8 +163,7 @@ class PooledBackend(BilledBackend):
         # Kept so failover can spawn a replacement worker with the exact
         # construction arguments of the one it retires.
         self._spawn_worker = partial(
-            worker_cls, replace(config, crossbars=self.shard),
-            move_cost=move_cost, **driver_kwargs,
+            worker_cls, replace(config, crossbars=self.shard), **driver_kwargs
         )
         self.workers: List[Backend] = [
             self._spawn_worker() for _ in range(workers)

@@ -463,15 +463,8 @@ class CompiledWorkload:
     by device identity.
     """
 
-    def __init__(
-        self,
-        fn: Callable,
-        opt_level: int = 0,
-        name: Optional[str] = None,
-    ):
+    def __init__(self, fn: Callable):
         self.fn = fn
-        self.opt_level = opt_level
-        self.name = name or getattr(fn, "__name__", "workload")
         self._compiled: Dict[int, Any] = {}
 
     def _compiled_for(self, device: PIMDevice):
@@ -480,10 +473,7 @@ class CompiledWorkload:
         handle = self._compiled.get(id(device))
         if handle is None:
             handle = self._compiled[id(device)] = CompiledFunction(
-                self.fn,
-                device=device,
-                opt_level=self.opt_level,
-                name=self.name,
+                self.fn, device=device
             )
         return handle
 

@@ -73,24 +73,21 @@ def _check_row(config: PIMConfig, row: int) -> None:
 
 
 @lru_cache(maxsize=1024)
-def checked_move_cycles(
-    xb: RangeMask, dist: int, crossbars: int, move_cost: str = "unit"
-) -> int:
-    """The cycles of an H-tree move the chip accepts under ``move_cost``;
-    a pattern it refuses raises :class:`SimulationError` (only accepted
-    patterns are remembered). A plan-less move is checked twice, by the
-    driver's walk and by the chip, so every pattern repeats."""
+def checked_move_cycles(xb: RangeMask, dist: int, crossbars: int) -> int:
+    """The H-tree latency of a move pattern the chip accepts; a pattern
+    it refuses raises :class:`SimulationError` (only accepted patterns
+    are remembered). A plan-less move is checked twice, by the driver's
+    walk and by the chip, so every pattern repeats."""
     try:
         validate_move_pattern(xb, dist, crossbars)
     except ValueError as exc:
         raise SimulationError(str(exc)) from exc
-    return max(1, move_cycles(xb, dist, crossbars)) if move_cost == "htree" else 1
+    return max(1, move_cycles(xb, dist, crossbars))
 
 
 def accounting_walk(
     ops: Iterable[MicroOp],
     config: PIMConfig,
-    move_cost: str = "unit",
     xb: Optional[RangeMask] = None,
     row: Optional[RangeMask] = None,
 ) -> SimStats:
@@ -148,9 +145,9 @@ def accounting_walk(
         elif isinstance(op, MoveOp):
             _check_row(config, op.src_row)
             _check_row(config, op.dst_row)
-            cycles = checked_move_cycles(xb, op.dist, config.crossbars, move_cost)
-            delta.htree_hop_cycles += cycles - 1
-            delta.record("move", cycles=cycles)
+            delta.htree_hop_cycles += checked_move_cycles(
+                xb, op.dist, config.crossbars) - 1
+            delta.record("move")
         elif isinstance(op, ReadOp):
             if len(xb) != 1 or len(row) != 1:
                 raise SimulationError(
@@ -163,7 +160,6 @@ def accounting_walk(
             raise SimulationError(f"unknown micro-operation {op!r}")
     delta.merge(SimStats(
         {_GATE_KEYS_H[gate]: n for gate, n in h_counts.items() if n},
-        cycles=sum(h_counts.values()),
         gates_executed=h_gates,
     ))
     return delta
@@ -180,9 +176,9 @@ class ReplayPlan(NamedTuple):
             (:meth:`Simulator._silent_step`) per op between them — or
             ``None`` when the program replays through the reference.
         static_stats: the per-replay stats delta — the bill the program
-            carries, under this chip's move-cost model — merged once per
-            vectorized replay. ``None`` (and then no ``steps`` either)
-            when the program is not self-masked or an op of it must raise.
+            carries — merged once per vectorized replay. ``None`` (and
+            then no ``steps`` either) when the program is not self-masked
+            or an op of it must raise.
         build_ms: host milliseconds this process paid for it (a
             ``"loaded"`` plan: the entry's load plus making its records).
         source: ``"derived"`` from the words, or ``"loaded"`` from an entry.
@@ -197,25 +193,22 @@ class ReplayPlan(NamedTuple):
 class Simulator:
     """A bit-accurate digital PIM chip model.
 
+    Every micro-operation is one cycle; a move's H-tree latency beyond
+    its cycle (one per traversed segment of the longest pair) is
+    itemized in ``stats.htree_hop_cycles``.
+
     Args:
         config: the architecture parameters.
-        move_cost: ``"unit"`` counts every move operation as one cycle (the
-            paper's micro-op-count metric); ``"htree"`` charges one cycle
-            per traversed H-tree segment of the longest pair (used by the
-            H-tree ablation benchmark).
 
     Compiled programs replay through :meth:`execute_program`, which picks
     between exactly two routes from what it can observe of the program;
     there is no engine setting.
     """
 
-    def __init__(self, config: PIMConfig, move_cost: str = "unit"):
-        if move_cost not in ("unit", "htree"):
-            raise ValueError("move_cost must be 'unit' or 'htree'")
+    def __init__(self, config: PIMConfig):
         self.config = config
         self.memory = CrossbarMemory(config)
         self.stats = SimStats()
-        self.move_cost = move_cost
         #: Program replays served per route (``pim.Profiler`` reports
         #: deltas): fused ``"vectorized"`` plans, or the op-by-op
         #: ``"reference"`` loop over :meth:`execute`.
@@ -338,7 +331,7 @@ class Simulator:
         steps = static_stats = None
         if program.self_masked:
             try:
-                static_stats = program.bill(self.config).billed(self.move_cost)
+                static_stats = program.bill(self.config)
             except SimulationError:
                 pass  # an op must raise: the reference loop raises it, at the op
         if static_stats is not None:
@@ -506,14 +499,12 @@ class Simulator:
         self._check_index(op.dst_index)
         _check_row(self.config, op.src_row)
         _check_row(self.config, op.dst_row)
-        cycles = checked_move_cycles(
-            self._xb_mask, op.dist, cfg.crossbars, self.move_cost
-        )
+        latency = checked_move_cycles(self._xb_mask, op.dist, cfg.crossbars)
         # Index arrays, not the plan's slice views (``_silent_move``): the
         # reference stays an independent statement of the move.
         sources = np.fromiter(self._xb_mask.indices(), dtype=np.int64)
         self.memory.words[sources + op.dist, op.dst_index, op.dst_row] = (
             self.memory.words[sources, op.src_index, op.src_row]
         )
-        self.stats.htree_hop_cycles += cycles - 1
-        self.stats.record("move", cycles=cycles)
+        self.stats.htree_hop_cycles += latency - 1
+        self.stats.record("move")

@@ -18,17 +18,20 @@ from typing import Dict
 
 @dataclass
 class SimStats:
-    """Cumulative micro-operation counters of a simulator instance."""
+    """Cumulative micro-operation counters of a simulator instance.
+
+    A PIM cycle is one micro-operation (:attr:`cycles` is
+    :attr:`micro_ops`); ``htree_hop_cycles`` is the H-tree latency beyond
+    one cycle per move (§III-F), itemized beside the count.
+    """
 
     op_counts: Dict[str, int] = field(default_factory=dict)
-    cycles: int = 0
     htree_hop_cycles: int = 0
     gates_executed: int = 0
 
-    def record(self, kind: str, cycles: int = 1, gates: int = 0) -> None:
+    def record(self, kind: str, gates: int = 0) -> None:
         """Account one executed micro-operation."""
         self.op_counts[kind] = self.op_counts.get(kind, 0) + 1
-        self.cycles += cycles
         self.gates_executed += gates
 
     @property
@@ -36,31 +39,17 @@ class SimStats:
         """Total micro-operations executed."""
         return sum(self.op_counts.values())
 
+    cycles = micro_ops
+
     def copy(self) -> "SimStats":
-        return SimStats(
-            dict(self.op_counts), self.cycles, self.htree_hop_cycles, self.gates_executed
-        )
+        return SimStats(dict(self.op_counts), self.htree_hop_cycles, self.gates_executed)
 
     def merge(self, delta: "SimStats") -> None:
         """Accumulate another counter set (used by batched accounting)."""
         for kind, count in delta.op_counts.items():
             self.op_counts[kind] = self.op_counts.get(kind, 0) + count
-        self.cycles += delta.cycles
         self.htree_hop_cycles += delta.htree_hop_cycles
         self.gates_executed += delta.gates_executed
-
-    def billed(self, move_cost: str) -> "SimStats":
-        """A copy of this H-tree-itemized bill under a move-cost model.
-
-        Static bills are walked once with ``move_cost="htree"`` (the
-        cycles beyond one per move itemized in ``htree_hop_cycles``);
-        ``"unit"`` is this bill without the itemized hops.
-        """
-        bill = self.copy()
-        if move_cost == "unit":
-            bill.cycles -= bill.htree_hop_cycles
-            bill.htree_hop_cycles = 0
-        return bill
 
     def diff(self, earlier: "SimStats") -> "SimStats":
         """Counters accumulated since an earlier snapshot."""
@@ -71,7 +60,6 @@ class SimStats:
         }
         return SimStats(
             counts,
-            self.cycles - earlier.cycles,
             self.htree_hop_cycles - earlier.htree_hop_cycles,
             self.gates_executed - earlier.gates_executed,
         )

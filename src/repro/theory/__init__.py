@@ -6,7 +6,6 @@ reference for every ISA operation.
 """
 
 from repro.theory.counts import (
-    gate_cycles,
     theoretical_cycles,
     serial_add_cycles,
     serial_mul_cycles,
@@ -15,7 +14,6 @@ from repro.theory.counts import (
 from repro.theory.golden import golden_rtype
 
 __all__ = [
-    "gate_cycles",
     "theoretical_cycles",
     "serial_add_cycles",
     "serial_mul_cycles",

@@ -34,18 +34,10 @@ _OVERHEAD = (
 )
 
 
-def gate_cycles(stats: SimStats) -> int:
-    """Productive NOR/NOT/move cycles recorded in a stats delta."""
-    return sum(stats.op_counts.get(key, 0) for key in _PRODUCTIVE)
-
-
 def theoretical_cycles(stats: SimStats) -> int:
-    """The theoretical-PIM cycle count for a measured stats delta.
-
-    Equals :func:`gate_cycles`; provided under this name so benchmark
-    code reads as 'measured vs theoretical'.
-    """
-    return gate_cycles(stats)
+    """The theoretical-PIM cycle count for a measured stats delta: its
+    productive NOR/NOT/move cycles."""
+    return sum(stats.op_counts.get(key, 0) for key in _PRODUCTIVE)
 
 
 def overhead_cycles(stats: SimStats) -> int:

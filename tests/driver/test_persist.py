@@ -14,7 +14,8 @@ compile — with bit-identical results — for *any* damaged cache state:
 - key collisions (a file whose embedded key repr is not the probed key);
 - a damaged plan section: a flipped bit, a truncated section, another
   program's section of the same shapes, array lengths in the header
-  disagreeing with the payload — and a v4 entry, which has none.
+  disagreeing with the payload — and a v4 entry, which has none, or a
+  v5 entry, whose bill carries a cycle count.
 
 An entry is a one-line JSON header, a newline, the raw ``<u8`` operation
 words and, from a simulator session, the replay plan's integer columns;
@@ -171,23 +172,25 @@ class TestRoundTrip:
         assert ops == program.ops and program.ops is program.ops
         assert decodes == [len(program)] * 2
 
-    def test_stored_bill_serves_both_move_cost_models(self, tmp_path):
-        """The bill is stored once, H-tree hops itemized, whatever model
-        the storing session ran under; a session under the other model
-        reads its own bill out of it."""
+    def test_stored_bill_itemizes_htree_hops(self, tmp_path):
+        """The bill is stored once, as the walk makes it: per-kind counts
+        (a cycle is one micro-op), the H-tree hops beyond one cycle per
+        move, and the gates."""
         from repro.isa.instructions import MoveInstr
         from repro.arch.masks import RangeMask
         from repro.sim.simulator import accounting_walk
 
         move = MoveInstr(0, 1, 2, 3, RangeMask(0, 0, 1), 3)
-        stored = Driver(Simulator(CFG, move_cost="unit")).compile([move])
+        stored = Driver(Simulator(CFG)).compile([move])
         fresh_cache(tmp_path).store(KEY, stored)
         restored = fresh_cache(tmp_path).load(KEY)
-        for model in ("unit", "htree"):
-            assert restored.bill(CFG).billed(model) == accounting_walk(
-                stored.ops, CFG, model
-            )
-        assert restored.bill(CFG).billed("htree").htree_hop_cycles > 0
+        bill = restored.bill(CFG)
+        assert bill == accounting_walk(stored.ops, CFG)
+        assert bill.htree_hop_cycles > 0 and bill.cycles == bill.micro_ops
+        header, _ = read_entry(fresh_cache(tmp_path)._path(KEY))
+        assert header["bill"] == [
+            bill.op_counts, bill.htree_hop_cycles, bill.gates_executed
+        ]
 
     def test_cold_probe_counts_miss(self, tmp_path):
         cache = fresh_cache(tmp_path)
@@ -323,7 +326,7 @@ class TestInvalidation:
             micro_ops.decode_many(program.encoded(CFG.word_size))
         assert str(raised.value) == str(decoded.value)
 
-    # -- the plan section (format v5): a miss that heals, never a wrong plan
+    # -- the plan section (format v5+): a miss that heals, never a wrong plan
 
     def _planned(self, tmp_path, stream=PLANNED):
         """A simulator session's entry for ``stream`` (with its plan
@@ -398,6 +401,15 @@ class TestInvalidation:
         write_entry(path, header, payload[:plan])
         self._assert_heals(tmp_path, path, "v4_entry")
 
+    def test_v5_entry_is_a_miss_that_heals(self, tmp_path):
+        """A v5 entry (its bill carries a cycle count) under this key."""
+        path, header, payload, _ = self._planned(tmp_path)
+        counts, hops, gates = header["bill"]
+        header["version"] = 5
+        header["bill"] = [counts, sum(counts.values()) + hops, hops, gates]
+        write_entry(path, header, payload)
+        self._assert_heals(tmp_path, path, "v5_entry")
+
     def test_fingerprint_mismatch(self, tmp_path):
         _, path = self._stored(tmp_path)
         # A cache for a different geometry probing the same directory.
@@ -433,7 +445,7 @@ class TestInvalidation:
 
 
 def test_the_plan_column_encoding_is_pinned():
-    """What a v5 plan section's integers mean: the lane-program opcodes,
+    """What a v6 plan section's integers mean: the lane-program opcodes,
     the record and plane-step key layouts, the plane-step gate codes and
     the arrays. Change any of them and stored plans mean something else."""
     from repro.sim import replay
@@ -460,7 +472,7 @@ def test_the_plan_column_encoding_is_pinned():
             ("body", "<i4"), ("sizes", "<i4"), ("keys", "<i8"),
             ("steps", "<i4"), ("read", "<i4"), ("written", "<i4"),
         ),
-        FORMAT_VERSION == 5,
+        FORMAT_VERSION == 6,
     )
     assert all(pinned), (
         f"the plan column encoding changed ({pinned}): bump FORMAT_VERSION "

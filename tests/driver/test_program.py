@@ -154,18 +154,23 @@ class TestProgramBill:
         ReadInstr(3, 5, 3),
     ]
 
-    @pytest.mark.parametrize("move_cost", ["unit", "htree"])
     @pytest.mark.parametrize("optimize", [False, True])
-    def test_carried_bill_is_what_execution_charges(self, move_cost, optimize):
-        sim = Simulator(CFG, move_cost=move_cost)
+    def test_carried_bill_is_what_execution_charges(self, optimize):
+        """The plan and the op-by-op reference charge the carried bill,
+        H-tree hops itemized beside one cycle per micro-op."""
+        sim = Simulator(CFG)
         driver = Driver(sim)
         program = driver.compile(self.STREAM, optimize=optimize)
-        bill = program.bill(CFG).billed(move_cost)
-        assert bill == accounting_walk(program.ops, CFG, move_cost)
+        bill = program.bill(CFG)
+        assert bill == accounting_walk(program.ops, CFG)
         driver.run_program(program)
         assert sim.stats == bill
         assert sim.replay_counters["vectorized"] == 1
-        assert (bill.htree_hop_cycles > 0) == (move_cost == "htree")
+        reference = Simulator(CFG)
+        for op in program.ops:
+            reference.execute(op)
+        assert reference.stats == bill
+        assert bill.cycles == bill.micro_ops and bill.htree_hop_cycles > 0
 
     def test_bill_is_walked_once(self, monkeypatch):
         from repro.sim import simulator
@@ -188,10 +193,9 @@ class TestProgramBill:
         stretches = sum(step.op is None for step in program.super_steps)
         assert walks[0] == len(program.super_steps) < len(program) // 100
         assert 0 < stretches < walks[0] and program._ops is None
-        assert first == walk(program.ops, CFG, "htree")
+        assert first == walk(program.ops, CFG)
 
-    @pytest.mark.parametrize("move_cost", ["unit", "htree"])
-    def test_instruction_bills_sum_to_the_stream_bill(self, move_cost):
+    def test_instruction_bills_sum_to_the_stream_bill(self):
         """``stream_bill`` is one walk: a one-instruction stream bills what
         the walk of its reference lowering does, those bills sum to the
         whole stream's, and that is the carried bill of its verbatim
@@ -199,13 +203,13 @@ class TestProgramBill:
         _, driver = fresh_pair()
         total = SimStats()
         for instr in self.STREAM:
-            bill = driver.stream_bill([instr]).billed(move_cost)
+            bill = driver.stream_bill([instr])
             alone = driver.compile([instr], optimize=False, emit="macro")
-            assert bill == accounting_walk(alone.ops, CFG, move_cost), instr
+            assert bill == accounting_walk(alone.ops, CFG), instr
             total.merge(bill)
-        assert driver.stream_bill(self.STREAM).billed(move_cost) == total
+        assert driver.stream_bill(self.STREAM) == total
         fused = driver.compile(self.STREAM, optimize=False)
-        assert total == fused.bill(CFG).billed(move_cost)
+        assert total == fused.bill(CFG) and total.htree_hop_cycles > 0
 
     def test_stream_bill_raises_what_the_chip_raises(self):
         """Refused whole by ``check_stream`` first, wherever the bad
@@ -257,7 +261,7 @@ class TestProgramBill:
         replay._pattern_mask.cache_clear()
         try:
             with pytest.raises(SimulationError, match="spill") as walked:
-                accounting_walk(ops, CFG, "htree")
+                accounting_walk(ops, CFG)
             twin = MicroProgram(words.copy(), "twin", config_fingerprint(CFG))
             with pytest.raises(SimulationError, match="spill") as billed:
                 twin.bill(CFG)
@@ -265,7 +269,7 @@ class TestProgramBill:
             replay.pattern_outputs = real
             replay._pattern_mask.cache_clear()
         assert str(billed.value) == str(walked.value)
-        assert twin.bill(CFG) == accounting_walk(ops, CFG, "htree")  # healed
+        assert twin.bill(CFG) == accounting_walk(ops, CFG)  # healed
 
     def test_self_masked_is_structural(self):
         gate = LogicHOp(GateType.INIT1, 0, 0, 3, 0, 0, 0, 31, 1)

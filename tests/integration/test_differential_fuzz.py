@@ -691,19 +691,20 @@ def _check_bills(seed, program, int_inputs, float_inputs, cache_dir):
     """One bill per program, however it is obtained.
 
     For the case's captured stream, unoptimized and peephole-optimized,
-    under both move-cost models, on simulator, numpy and pooled
-    backends: the bill the compiled program carries
-    (``program_stats``), a strict ``accounting_walk`` of the reference
-    lowering, the ``SimStats`` delta of actually replaying it, and the
-    sum of the per-instruction bills (``stream_stats``, unoptimized
-    only) are equal — and so are their ``theory.counts`` — in the
+    on simulator, numpy and pooled backends: the bill the compiled
+    program carries (``program_stats``), a strict ``accounting_walk`` of
+    the reference lowering, the ``SimStats`` delta of actually replaying
+    it, and the sum of the per-instruction bills (``stream_stats``,
+    unoptimized only) are equal — H-tree hops itemized alike — in the
     session that compiled the program and in a second session that
-    restored it from ``cache_dir``.
+    restored it (and its bill) from ``cache_dir``. Each counts one cycle
+    per micro-op, split into ``theory.counts``' productive and overhead
+    cycles.
     """
     from repro.arch.config import small_config
     from repro.driver.driver import Driver
     from repro.sim.simulator import accounting_walk
-    from repro.theory import theoretical_cycles
+    from repro.theory.counts import overhead_cycles, theoretical_cycles
 
     pim.init(crossbars=CROSSBARS, rows=ROWS)
     tensors = _fresh_inputs(int_inputs, float_inputs)
@@ -718,50 +719,51 @@ def _check_bills(seed, program, int_inputs, float_inputs, cache_dir):
         "pooled": {"backend": "pooled", "workers": 2,
                    "worker_backend": "simulator"},
     }
-    for move_cost in ("unit", "htree"):
-        for optimize in (False, True):
-            macro = reference.compile(instrs, optimize=optimize, emit="macro")
-            strict = accounting_walk(macro.ops, config, move_cost)
-            # The spliced program — words from birth, optimized and billed
-            # as columns — is the reference lowering, word for word.
-            spliced = reference.compile(instrs, optimize=optimize)
-            context = f"seed={seed} spliced-vs-macro optimize={optimize}"
-            assert np.array_equal(
-                spliced.encoded(config.word_size), macro.encoded(config.word_size)
-            ), context
-            assert spliced.bill(config).billed(move_cost) == strict, context
-            assert spliced._ops is None, context
-            for name, kwargs in backends.items():
-                directory = os.path.join(cache_dir, f"{name}-{move_cost}")
-                for session in ("cold", "warm"):
-                    context = (
-                        f"seed={seed} {name} {move_cost} "
-                        f"optimize={optimize} {session}"
-                    )
-                    device = pim.PIMDevice(
-                        config, move_cost=move_cost, cache_dir=directory,
-                        **kwargs,
-                    )
-                    backend = device.backend
-                    compiled = backend.compile(
-                        instrs, name="bill", optimize=optimize
-                    )
-                    if session == "warm":
-                        assert backend.persist_counters()["loads"] > 0, context
-                        assert backend.persist_counters()["invalid"] == 0
-                    carried = backend.program_stats(compiled)
-                    before = backend.stats_snapshot()
-                    backend.run_program(compiled)
-                    executed = backend.stats.diff(before)
-                    assert carried == strict == executed, context
-                    assert (
-                        theoretical_cycles(carried)
-                        == theoretical_cycles(executed)
-                        == theoretical_cycles(strict)
-                    ), context
-                    if not optimize:
-                        assert backend.stream_stats(instrs) == strict, context
-                    device.close()
+    for optimize in (False, True):
+        macro = reference.compile(instrs, optimize=optimize, emit="macro")
+        strict = accounting_walk(macro.ops, config)
+        context = f"seed={seed} strict optimize={optimize}"
+        assert strict.cycles == strict.micro_ops, context
+        assert (
+            theoretical_cycles(strict) + overhead_cycles(strict) == strict.cycles
+        ), context
+        # The spliced program — words from birth, optimized and billed
+        # as columns — is the reference lowering, word for word.
+        spliced = reference.compile(instrs, optimize=optimize)
+        context = f"seed={seed} spliced-vs-macro optimize={optimize}"
+        assert np.array_equal(
+            spliced.encoded(config.word_size), macro.encoded(config.word_size)
+        ), context
+        assert spliced.bill(config) == strict, context
+        assert spliced._ops is None, context
+        for name, kwargs in backends.items():
+            directory = os.path.join(cache_dir, name)
+            for session in ("cold", "warm"):
+                context = f"seed={seed} {name} optimize={optimize} {session}"
+                device = pim.PIMDevice(config, cache_dir=directory, **kwargs)
+                backend = device.backend
+                compiled = backend.compile(instrs, name="bill", optimize=optimize)
+                if session == "warm":
+                    assert backend.persist_counters()["loads"] > 0, context
+                    assert backend.persist_counters()["invalid"] == 0
+                carried = backend.program_stats(compiled)
+                before = backend.stats_snapshot()
+                backend.run_program(compiled)
+                executed = backend.stats.diff(before)
+                assert carried == strict == executed, context
+                assert (
+                    carried.htree_hop_cycles
+                    == executed.htree_hop_cycles
+                    == strict.htree_hop_cycles
+                ), context
+                assert executed.cycles == executed.micro_ops, context
+                assert (
+                    theoretical_cycles(executed) + overhead_cycles(executed)
+                    == executed.cycles
+                ), context
+                if not optimize:
+                    assert backend.stream_stats(instrs) == strict, context
+                device.close()
 
 
 def _dump_artifact(seed: int, error: BaseException) -> None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import repro.pim as pim
-from repro.theory.counts import gate_cycles, overhead_cycles
+from repro.theory.counts import overhead_cycles, theoretical_cycles
 
 
 class TestInstructionPathOnly:
@@ -81,7 +81,7 @@ class TestProfilingConsistency:
         x = pim.from_numpy(np.arange(8, dtype=np.float32).astype(np.float32))
         with pim.Profiler() as prof:
             _ = x + x
-        assert gate_cycles(prof.stats) + overhead_cycles(prof.stats) == prof.cycles
+        assert theoretical_cycles(prof.stats) + overhead_cycles(prof.stats) == prof.cycles
 
     def test_framework_overhead_is_small(self, device):
         """The measured-vs-theoretical gap stays within a modest factor

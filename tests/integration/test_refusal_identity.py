@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 import repro.pim as pim
-from repro.arch.config import small_config
+from repro.arch.config import PIMConfig, small_config
 from repro.arch.masks import RangeMask
 from repro.backend import NumpyBackend, SimulatorBackend
 from repro.driver.compiler import CompileError
-from repro.isa.dtypes import int32
+from repro.isa.dtypes import float32, int32
 from repro.isa.instructions import MoveInstr, ReadInstr, RInstr, ROp, WriteInstr
 from repro.pool import PooledBackend
 from repro.sim.simulator import SimulationError
@@ -45,9 +45,8 @@ def _add(**masks):
     return RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1, **masks)
 
 
-#: name -> (instruction, what refuses it): ``validate_ops`` range checks
-#: raise ``CompileError``, the chip's walk ``SimulationError``, and a
-#: move whose destination warps would start below 0 cannot be lowered.
+#: name -> (instruction, what refuses it): the driver's range checks
+#: raise ``CompileError``, the chip's walk ``SimulationError``.
 REFUSALS = {
     "move-mask-out-of-range": (
         MoveInstr(0, 1, 0, 0, RangeMask(0, 7, 1), 1), CompileError,
@@ -65,7 +64,7 @@ REFUSALS = {
         MoveInstr(0, 1, 0, 0, RangeMask(3, 3, 1), 1), CompileError,
     ),
     "move-dst-warp-below-range": (
-        MoveInstr(0, 1, 0, 0, RangeMask(0, 0, 1), -1), ValueError,
+        MoveInstr(0, 1, 0, 0, RangeMask(0, 0, 1), -1), CompileError,
     ),
     "rtype-warp-mask-out-of-range": (_add(warp_mask=RangeMask(0, 7, 1)), CompileError),
     "rtype-row-mask-out-of-range": (_add(row_mask=RangeMask(0, 99, 1)), CompileError),
@@ -124,6 +123,34 @@ def test_refusal_is_identical_on_every_backend(case, entry, seed):
     for name, make in BACKENDS.items():
         refused = _refuse(make, entry, instr, seed)
         assert refused == (error, SimStats(), True), f"{case} via {entry} on {name}"
+
+
+#: Chips whose word is not float32's width: 16-bit and 64-bit words.
+NARROW_AND_WIDE = {
+    16: PIMConfig(crossbars=4, rows=16, columns=512, partitions=16, word_size=16),
+    64: PIMConfig(crossbars=4, rows=16, columns=2048, partitions=64, word_size=64),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("word", sorted(NARROW_AND_WIDE))
+def test_a_float_op_on_a_chip_of_another_word_width_is_refused(word, entry):
+    """A float op needs words of its dtype's width: on any other chip it
+    is refused whole, as a ``CompileError``, before its stream's write
+    and int add run. (The numpy backend models 32-bit words only and
+    refuses such a chip at construction.)"""
+    config = NARROW_AND_WIDE[word]
+    instr = RInstr(ROp.MUL, float32, dest=2, src_a=0, src_b=1)
+    backends = {
+        "simulator": lambda: SimulatorBackend(config),
+        "simulator-unplanned": lambda: SimulatorBackend(config, cache_size=0),
+        "pooled-simulator": lambda: PooledBackend(
+            config, workers=2, worker_backend="simulator"
+        ),
+    }
+    for name, make in backends.items():
+        refused = _refuse(make, entry, instr, seed=word)
+        assert refused == (CompileError, SimStats(), True), f"{name} via {entry}"
 
 
 def test_the_stream_is_refused_before_its_write_and_add():

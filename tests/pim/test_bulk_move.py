@@ -32,7 +32,8 @@ import pytest
 
 import repro.pim as pim
 from repro.arch.config import small_config
-from repro.arch.htree import validate_move_pattern
+from repro.arch.htree import move_cycles, validate_move_pattern
+from repro.arch.micro_ops import CrossbarMaskOp, MoveOp
 from repro.arch.masks import RangeMask
 from repro.backend import NumpyBackend
 from repro.backend.base import BilledProgram
@@ -297,17 +298,29 @@ def _fuzz_streams(seed: int):
     yield small_config(crossbars=FUZZ_CROSSBARS, rows=FUZZ_ROWS), instrs
 
 
-@pytest.mark.parametrize("move_cost", ["unit", "htree"])
+def _htree_hops(ops, config) -> int:
+    """The H-tree latency beyond one cycle per move of a lowered stream,
+    summed from ``arch.htree`` under the crossbar mask each move runs in."""
+    xb, hops = RangeMask.all(config.crossbars), 0
+    for op in ops:
+        if isinstance(op, CrossbarMaskOp):
+            xb = RangeMask(op.start, op.stop, op.step)
+        elif isinstance(op, MoveOp):
+            hops += max(1, move_cycles(xb, op.dist, config.crossbars)) - 1
+    return hops
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_linear_bill_equals_strict_walk(seed, move_cost):
+def test_linear_bill_equals_strict_walk(seed):
     for config, stream in _fuzz_streams(seed):
-        backend = NumpyBackend(config, move_cost=move_cost)
+        backend = NumpyBackend(config)
         ops = []
         for instr in stream:
             ops.extend(backend.lowering._lower_ops(instr))
-        strict = accounting_walk(ops, config, move_cost)
+        strict = accounting_walk(ops, config)
         backend.run_stream(stream)
-        assert backend.stats == strict, f"seed={seed} {move_cost}"
+        assert backend.stats == strict, f"seed={seed}"
+        assert strict.htree_hop_cycles == _htree_hops(ops, config), f"seed={seed}"
         # ... which is also what the lowered-program route bills.
         assert backend.compile(stream, optimize=False).stats_delta == strict
 

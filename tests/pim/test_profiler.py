@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro.pim as pim
-from repro.theory.counts import gate_cycles
+from repro.theory.counts import theoretical_cycles
 
 
 class TestProfiler:
@@ -48,8 +48,8 @@ class TestProfiler:
         x = pim.from_numpy(np.arange(8, dtype=np.int32))
         with pim.Profiler() as prof:
             _ = x * x
-        assert gate_cycles(prof.stats) > 0
-        assert gate_cycles(prof.stats) < prof.cycles
+        assert theoretical_cycles(prof.stats) > 0
+        assert theoretical_cycles(prof.stats) < prof.cycles
 
     def test_echo_prints_summary(self, device, capsys):
         x = pim.from_numpy(np.arange(4, dtype=np.int32))

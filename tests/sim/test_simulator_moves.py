@@ -78,18 +78,11 @@ class TestMoves:
         with pytest.raises(SimulationError):
             sim.execute(MoveOp(8, 0, 0, 0, 0))
 
-    def test_htree_cost_mode(self):
-        sim = Simulator(small_config(crossbars=16, rows=4), move_cost="htree")
+    def test_move_is_one_cycle_with_its_htree_hops_itemized(self, sim):
         write_at(sim, 0, 0, 0, 5)
         sim.execute(CrossbarMaskOp(0, 0, 1))
-        before = sim.stats.cycles
+        before = sim.stats.copy()
         sim.execute(MoveOp(15, 0, 0, 0, 0))  # crosses the root: 2 levels up+down
-        assert sim.stats.cycles - before == 4
-        assert sim.stats.htree_hop_cycles == 3
-
-    def test_unit_cost_mode_counts_one_cycle(self, sim):
-        write_at(sim, 0, 0, 0, 5)
-        sim.execute(CrossbarMaskOp(0, 0, 1))
-        before = sim.stats.cycles
-        sim.execute(MoveOp(15, 0, 0, 0, 0))
-        assert sim.stats.cycles - before == 1
+        delta = sim.stats.diff(before)
+        assert delta.cycles == delta.micro_ops == 1
+        assert delta.htree_hop_cycles == 3  # a 4-cycle H-tree latency

@@ -20,10 +20,12 @@ class TestSimStats:
         stats.record("write")
         snapshot = stats.copy()
         stats.record("write")
-        stats.record("move", cycles=4)
+        stats.record("move")
+        stats.htree_hop_cycles += 3
         delta = stats.diff(snapshot)
         assert delta.op_counts == {"write": 1, "move": 1}
-        assert delta.cycles == 5
+        assert delta.cycles == delta.micro_ops == 2
+        assert delta.htree_hop_cycles == 3
 
     def test_diff_drops_zero_entries(self):
         stats = SimStats()

@@ -93,13 +93,13 @@ class TestCounts:
 
     def test_gate_vs_overhead_partition(self):
         from repro.sim.stats import SimStats
-        from repro.theory.counts import gate_cycles, overhead_cycles
+        from repro.theory.counts import overhead_cycles, theoretical_cycles
 
         stats = SimStats()
         stats.record("logic_h_nor")
         stats.record("logic_h_init1")
         stats.record("mask_row")
         stats.record("move")
-        assert gate_cycles(stats) == 2  # nor + move
+        assert theoretical_cycles(stats) == 2  # nor + move
         assert overhead_cycles(stats) == 2  # init + mask
-        assert gate_cycles(stats) + overhead_cycles(stats) == stats.cycles
+        assert theoretical_cycles(stats) + overhead_cycles(stats) == stats.cycles

@@ -33,6 +33,7 @@ import pytest
 
 import repro.pim as pim
 from repro.arch.config import PIMConfig
+from repro.backend.base import family
 from repro.driver.program import MicroProgram
 from repro.sim import replay
 from repro.sim.simulator import Simulator
@@ -73,7 +74,7 @@ def test_engines_are_bit_identical(opt_level):
     expected = my_func(x, y)
     eager_delta = device.backend.stats.diff(eager_before)
     eager_words = device.backend.words.copy()
-    assert device.backend.emit_counters()["stream"] == 0  # all lowered
+    assert family(device.backend.counters(), "emit")["stream"] == 0  # all lowered
     pim.reset()
 
     images = {}
@@ -85,7 +86,7 @@ def test_engines_are_bit_identical(opt_level):
         before = device.stats_snapshot()
         assert func(x, y) == expected  # replay (builds the plan)
         assert func(x, y) == expected  # steady-state replay
-        counters = device.backend.replay_counters()
+        counters = family(device.backend.counters(), "replay")
         assert counters["vectorized"] >= 2 and counters["reference"] == 0
         images[leg] = device.backend.words.copy()
         stats[leg] = device.backend.stats.diff(before)
@@ -162,8 +163,7 @@ def test_wide_word_survey():
     func = pim.compile(my_func)
     func(x, y)
     ops = func._entry_for((x, y)).program.ops
-    config = PIMConfig(crossbars=4, rows=16, columns=2048, partitions=64,
-                       word_size=64)
+    config = PIMConfig(crossbars=4, rows=16, columns=2048, word_size=64)
     program = MicroProgram.from_ops(ops, "fig12.w64", config)
     reference, vectorized = Simulator(config), Simulator(config)
     reference.memory.words[...] = vectorized.memory.words[...] = (
@@ -212,7 +212,7 @@ def test_wide_eager_floor():
             x * y + x
             seconds = time.perf_counter() - start
             assert device.backend.stats.diff(before) == delta
-            assert device.backend.replay_counters()["reference"] == 0
+            assert family(device.backend.counters(), "replay")["reference"] == 0
             plans = device.backend.simulator._plans.values()
             assert {type(step).__name__ for plan in plans for step in plan.steps
                     if type(step) is not tuple} == {"PlaneRun"}

@@ -26,9 +26,8 @@ class PIMConfig:
             power of two, as the H-tree requires (the paper uses 64k).
         rows: number of rows (threads) per crossbar, ``h``.
         columns: number of bitlines per crossbar, ``w``.
-        partitions: number of dynamically-connected partitions, ``N_p``.
         word_size: word size ``N`` in bits; the ISA and the microarchitecture
-            share it. The paper sets ``word_size == partitions == 32``.
+            share it, and it is also the partition count (:attr:`partitions`).
         frequency_hz: PIM clock frequency, used only to convert cycles
             into operations per second via Eq. (1).
         scratch_registers: register indices reserved at the top of each row
@@ -38,23 +37,15 @@ class PIMConfig:
     crossbars: int = 16
     rows: int = 1024
     columns: int = 1024
-    partitions: int = 32
     word_size: int = 32
     frequency_hz: float = 300e6
     scratch_registers: int = 16
 
     def __post_init__(self) -> None:
-        if self.columns % self.partitions:
-            raise ValueError("columns must be divisible by partitions")
         if self.columns % self.word_size:
             raise ValueError("columns must be divisible by word_size")
         if self.word_size > 64:
             raise ValueError("word_size larger than 64 bits is not supported")
-        if self.partitions != self.word_size:
-            # The paper generalizes to differing values; this reproduction,
-            # like the paper's evaluation, keeps them equal so that one
-            # strided word spans exactly one bit per partition.
-            raise ValueError("partitions must equal word_size in this model")
         if self.crossbars < 1 or (self.crossbars & (self.crossbars - 1)):
             raise ValueError("crossbars must be a positive power of two")
         if self.registers <= self.scratch_registers:
@@ -73,6 +64,16 @@ class PIMConfig:
                     f"{name}={getattr(self, name)} exceeds the {1 << width} "
                     f"the operation word's {width}-bit field addresses"
                 )
+
+    @property
+    def partitions(self) -> int:
+        """Dynamically-connected partitions per crossbar, ``N_p``.
+
+        The paper generalizes to ``N_p != N``; this reproduction, like the
+        paper's evaluation, keeps ``N_p == word_size`` so that one strided
+        word spans exactly one bit per partition.
+        """
+        return self.word_size
 
     @property
     def registers(self) -> int:
@@ -128,7 +129,6 @@ def paper_config() -> PIMConfig:
         crossbars=65536,
         rows=1024,
         columns=1024,
-        partitions=32,
         word_size=32,
         frequency_hz=300e6,
     )

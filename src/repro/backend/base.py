@@ -19,7 +19,10 @@ Every backend exposes:
 - :attr:`Backend.words` — the raw word image, used by the device's
   DMA-style bulk load/dump path;
 - :attr:`Backend.stats` — the :class:`~repro.sim.stats.SimStats` cycle
-  counters, with identical accounting semantics across backends.
+  counters, with identical accounting semantics across backends;
+- :meth:`Backend.counters` — every other count (cache, persistent
+  cache, emission, fault, replay) as one flat ``family.kind`` snapshot,
+  the one counter surface ``pim.Profiler`` diffs.
 
 Every backend owns one :class:`~repro.driver.driver.Driver`
 (:attr:`Backend.lowering`), and that driver keeps the books of a
@@ -50,6 +53,16 @@ from repro.faults.checksum import check_verify_mode
 from repro.isa.instructions import Instruction
 from repro.sim.simulator import SimulationError
 from repro.sim.stats import SimStats
+
+
+def family(books: Dict[str, int], name: str) -> Dict[str, int]:
+    """One family of a :meth:`Backend.counters` snapshot, keyed by kind."""
+    prefix = f"{name}."
+    return {
+        key[len(prefix):]: count
+        for key, count in books.items()
+        if key.startswith(prefix)
+    }
 
 
 class Backend(abc.ABC):
@@ -148,46 +161,50 @@ class Backend(abc.ABC):
         """Copy of the counters (for profiling diffs)."""
         return self.stats.copy()
 
-    def _tier_total(self, counter: str) -> int:
-        """A counter summed over the driver's two cache tiers."""
+    def counters(self) -> Dict[str, int]:
+        """One snapshot of this backend's books, keyed ``family.kind``.
+
+        ``cache.{hits,misses,evictions}`` over the driver's two tiers;
+        ``persist.{loads,misses,invalid,stores}`` with a ``cache_dir``
+        (:class:`~repro.driver.persist.PersistentProgramCache`);
+        ``emit.{stream,macro}``, streams served per emission level (see
+        :mod:`repro.driver.stream`); ``fault.*``, the installed
+        :class:`~repro.faults.FaultOverlay`'s ``ticks`` / ``flips`` /
+        ``stuck_clamps`` plus the driver's tally (``verify_checks``,
+        ``verify_detected``, a pool's ``failovers``, ...). The simulator
+        backend adds ``replay.{vectorized,reference}``. Every count is
+        cumulative; ``pim.Profiler`` diffs two snapshots.
+        """
         driver = self.lowering
-        return getattr(driver.programs, counter) + getattr(driver.streams, counter)
+        faults = {} if driver.faults is None else driver.faults.counters
+        families = {
+            "cache": {
+                kind: getattr(driver.programs, kind) + getattr(driver.streams, kind)
+                for kind in ("hits", "misses", "evictions")
+            },
+            "persist": {} if driver.persist is None else driver.persist.counters(),
+            "emit": driver.emit_counters,
+            "fault": {**faults, **driver.verify_tally},
+        }
+        return {
+            f"{name}.{kind}": count
+            for name, counts in families.items()
+            for kind, count in counts.items()
+        }
 
-    @property
-    def cache_hits(self) -> int:
-        """Compiled-program cache hits (bodies + streams)."""
-        return self._tier_total("hits")
-
-    @property
-    def cache_misses(self) -> int:
-        return self._tier_total("misses")
-
-    @property
-    def cache_evictions(self) -> int:
-        """LRU evictions across the driver's cache tiers."""
-        return self._tier_total("evictions")
-
+    # Views of :meth:`counters` kept for the benchmark harness.
     def cache_counters(self) -> Tuple[int, int, int]:
-        """``(hits, misses, evictions)`` — what ``pim.Profiler`` snapshots."""
-        return self.cache_hits, self.cache_misses, self.cache_evictions
+        books = self.counters()
+        return books["cache.hits"], books["cache.misses"], books["cache.evictions"]
 
     def persist_counters(self) -> Dict[str, int]:
-        """Cross-session persistent-cache counters.
-
-        ``loads``/``misses``/``invalid``/``stores`` from the driver's
-        :class:`~repro.driver.persist.PersistentProgramCache`; empty when
-        no cache directory is configured.
-        """
-        persist = self.lowering.persist
-        return {} if persist is None else persist.counters()
+        return family(self.counters(), "persist")
 
     def emit_counters(self) -> Dict[str, int]:
-        """Streams served per emission level (see
-        :mod:`repro.driver.stream`): ``"stream"`` counts plan emissions
-        (eager R-type macros included), ``"macro"`` counts streams
-        lowered op-by-op. ``pim.Profiler`` snapshots this.
-        """
-        return dict(self.lowering.emit_counters)
+        return family(self.counters(), "emit")
+
+    def replay_counters(self) -> Dict[str, int]:
+        return family(self.counters(), "replay")
 
     def install_faults(self, plan):
         """Arm a :class:`repro.faults.FaultPlan` on this backend.
@@ -198,28 +215,6 @@ class Backend(abc.ABC):
         """
         self.lowering.faults = plan.overlay_for(self.words, self.config)
         return self.lowering.faults
-
-    def fault_counters(self) -> Dict[str, int]:
-        """Fault-injection and detection counters.
-
-        ``ticks``/``flips``/``stuck_clamps`` from the installed
-        :class:`~repro.faults.FaultOverlay`, plus the driver's tally
-        (``verify_checks``, ``verify_detected``, pool ``failovers``,
-        ...). Empty when no fault plan is installed; ``pim.Profiler``
-        snapshots this like the replay/emit counters.
-        """
-        faults = self.lowering.faults
-        injected = {} if faults is None else faults.counters
-        return {**injected, **self.lowering.verify_tally}
-
-    def replay_counters(self) -> Dict[str, int]:
-        """Program replays served per replay route.
-
-        ``pim.Profiler`` snapshots this to attribute replays inside a
-        block to ``"vectorized"`` super-step plans versus the op-by-op
-        ``"reference"``. Backends with one replay route report nothing.
-        """
-        return {}
 
     def program_replay_info(self, program) -> Dict[str, object]:
         """How this backend would replay a compiled program.

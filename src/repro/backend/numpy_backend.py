@@ -46,7 +46,7 @@ from repro.isa.instructions import (
     ROp,
     WriteInstr,
 )
-from repro.sim.simulator import SimulationError, checked_move_cycles
+from repro.sim.simulator import SimulationError
 from repro.sim.stats import SimStats
 
 _WORD_MASK = np.uint64(0xFFFFFFFF)
@@ -88,7 +88,7 @@ class NumpyBackend(BilledBackend):
         # Replay plans for compiled programs (pre-resolved per-instruction
         # closures), dropped automatically when a program is collected.
         self._plans: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        # Validated (warp_mask, dist) -> source-warp index array, shared by
+        # (warp_mask, dist) -> source-warp index array, shared by
         # every planned move with the same pattern.
         self._move_cache: Dict[Tuple, np.ndarray] = {}
 
@@ -277,17 +277,18 @@ class NumpyBackend(BilledBackend):
         ]
 
     def _move_sources(self, instr: MoveInstr) -> np.ndarray:
-        """A move's source-warp indices, its H-tree pattern validated.
+        """A move's source-warp indices.
 
-        Memoized per ``(warp_mask, dist)``; shared, read-only, by every
-        replay step built from the same pattern.
+        Its H-tree pattern was checked with the whole stream
+        (``Driver.check_stream``) before the program was built; a pool
+        part holds intra-warp moves only. Memoized per ``(warp_mask,
+        dist)``; shared, read-only, by every replay step built from the
+        same pattern.
         """
         warps = instr.warp_mask or RangeMask.all(self.config.crossbars)
         key = (warps, instr.warp_dist)
         sources = self._move_cache.get(key)
         if sources is None:
-            if instr.warp_dist:
-                checked_move_cycles(warps, instr.warp_dist, self.config.crossbars)
             sources = np.fromiter(warps.indices(), dtype=np.int64)
             if len(self._move_cache) < 65536:
                 self._move_cache[key] = sources

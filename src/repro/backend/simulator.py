@@ -66,8 +66,15 @@ class SimulatorBackend(Backend):
         what ``execute_program`` charges for self-masked fused streams."""
         return program.bill(self.config).copy()
 
-    def replay_counters(self):
-        return dict(self.simulator.replay_counters)
+    def counters(self):
+        """The driver's books plus the simulator's program replays per
+        route (``replay.vectorized`` / ``replay.reference``)."""
+        books = super().counters()
+        books.update(
+            (f"replay.{route}", count)
+            for route, count in self.simulator.replay_counters.items()
+        )
+        return books
 
     def program_replay_info(self, program):
         """Replay route + segmentation accounting for one program.

@@ -149,7 +149,7 @@ class Driver:
             (the stream-plan tier is bounded by the same size); ``None``
             means :data:`DEFAULT_CACHE_SIZE`, 0 disables caching.
             Evictions beyond the bound are counted per tier and surfaced
-            via ``Backend.cache_counters()``.
+            as ``cache.evictions`` by ``Backend.counters()``.
         cache_dir: directory for the cross-session persistent program
             store (see :mod:`repro.driver.persist`): compiled bodies and
             optimized streams are written through and restored on later
@@ -212,19 +212,8 @@ class Driver:
         #: Fault accounting beside the overlay's: ``verify_checks`` /
         #: ``verify_detected`` from :meth:`close_window`, and a pool's
         #: ``worker_faults`` / ``failovers`` / ``quarantined_shards``;
-        #: surfaced via ``Backend.fault_counters()``.
+        #: surfaced as ``fault.*`` by ``Backend.counters()``.
         self.verify_tally: Dict[str, int] = {}
-
-    @property
-    def cache_hits(self) -> int:
-        """Program-cache hits across both tiers (bodies + stream plans).
-
-        Read-only: unlike ``macro_count``/``micro_count`` this cannot be
-        reset by assignment; reset or snapshot the :attr:`programs` /
-        :attr:`streams` counters directly (``pim.Profiler`` takes the
-        snapshot approach).
-        """
-        return self.programs.hits + self.streams.hits
 
     # ------------------------------------------------------------------
     # Public interface

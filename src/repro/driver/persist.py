@@ -102,8 +102,8 @@ class PersistentProgramCache:
     collide).  Lookup is lazy: nothing is scanned at init; each in-memory
     miss probes exactly one file.
 
-    Counters (snapshotted by ``pim.Profiler`` via
-    ``Backend.persist_counters()``):
+    Counters (``persist.*`` in ``Backend.counters()``, which
+    ``pim.Profiler`` diffs):
 
     - ``loads`` — entries restored from disk (gate building skipped);
     - ``misses`` — probes that found no entry (only keys whose values

@@ -310,14 +310,13 @@ class ProgramCache:
     (``Driver.streams``: compiled streams and stream plans, both fused
     programs keyed on the instruction-tuple signature). Keeping the
     tiers separate keeps each one's hit/miss accounting meaningful;
-    ``Driver.cache_hits`` / ``SimulatorBackend.cache_hits`` report the
-    sum.
+    ``Backend.counters()`` reports the sum as ``cache.*``.
 
     Both tiers are thread-safe: lookups and inserts hold an internal
     lock, so a driver shared by several user threads keeps coherent LRU
     order and exact counters.
     Capacity overflow evicts least-recently-used entries and counts them
-    in :attr:`evictions` (surfaced via ``Backend.cache_counters()``).
+    in :attr:`evictions` (surfaced as ``cache.evictions``).
 
     When a :class:`~repro.driver.persist.PersistentProgramCache` is
     attached as ``store``, misses probe the disk tier before reporting a

@@ -25,7 +25,7 @@ This module holds the two things a plan lookup needs besides the driver:
 :class:`MacroStream`, the stream handle, and :data:`MAX_PLAN_MACROS`.
 :attr:`Driver.emit_counters <repro.driver.driver.Driver.emit_counters>`
 records which route served each dispatch unit (``"stream"`` /
-``"macro"``); ``pim.Profiler`` snapshots it as ``emit_counts``.
+``"macro"``), surfaced as ``emit.*`` by ``Backend.counters()``.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ The subsystem has three layers, threaded through the whole stack:
   ``REPRO_FAULT_SEED`` (:func:`resolve_fault_seed`).
 - **Detection** (:mod:`repro.faults.checksum`): per-region CRC checks on
   compiled-program outputs (``verify="checksum"``), surfaced as
-  :class:`ChecksumError` and counted by ``Backend.fault_counters()``.
+  :class:`ChecksumError` and counted as ``fault.*`` by ``Backend.counters()``.
 - **Recovery** (in the consuming layers): ``pim.compile`` retries,
   quarantines corrupted cells in the allocator and recompiles;
   ``PooledBackend`` quarantines a failed shard and replays its portion

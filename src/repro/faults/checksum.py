@@ -138,7 +138,7 @@ def verify_window(
     ``overlay`` (``None``: no plan installed, an empty window) and
     checksums again; a difference raises :class:`ChecksumError` for
     program ``name``. ``tally`` counts ``verify_checks`` /
-    ``verify_detected`` for ``Backend.fault_counters()``.
+    ``verify_detected`` (``fault.*`` in ``Backend.counters()``).
     """
     tally["verify_checks"] = tally.get("verify_checks", 0) + 1
     before = region_checksums(words, regions)

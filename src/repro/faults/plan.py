@@ -226,9 +226,8 @@ class FaultOverlay:
     every dispatch unit (``Driver.close_window``): it applies any transient flips scheduled at the
     new tick, then clamps active stuck-at cells (a stuck cell cannot
     hold the opposite value, so whatever the operation wrote is forced
-    back at the next boundary). Counters mirror the style of the
-    driver's emit/replay counters and surface through
-    ``Backend.fault_counters()``.
+    back at the next boundary). Its counters surface as ``fault.*`` in
+    ``Backend.counters()``.
     """
 
     def __init__(self, plan: FaultPlan, words: np.ndarray, config: PIMConfig):

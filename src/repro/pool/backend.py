@@ -199,18 +199,15 @@ class PooledBackend(BilledBackend):
     # ------------------------------------------------------------------
     # Backend interface
     # ------------------------------------------------------------------
-    def _tier_total(self, counter: str) -> int:
-        """Cache counters over one scope: the pool's driver and its workers'."""
-        return super()._tier_total(counter) + sum(
-            worker._tier_total(counter) for worker in self.workers
-        )
-
-    def persist_counters(self) -> Dict[str, int]:
-        merged = super().persist_counters()
+    def counters(self) -> Dict[str, int]:
+        """The pool driver's books plus its workers' ``cache.*`` and
+        ``persist.*`` (every other family is kept by the pool's driver)."""
+        books = super().counters()
         for worker in self.workers:
-            for kind, count in worker.persist_counters().items():
-                merged[kind] = merged.get(kind, 0) + count
-        return merged
+            for key, count in worker.counters().items():
+                if key.startswith(("cache.", "persist.")):
+                    books[key] = books.get(key, 0) + count
+        return books
 
     def install_faults(self, plan) -> object:
         """Arm a :class:`~repro.faults.plan.FaultPlan` on the pool.

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -125,20 +125,8 @@ class ServerMetrics:
     failovers: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "workers": self.workers,
-            "sim_makespan_s": self.sim_makespan_s,
-            "requests_per_sec": self.requests_per_sec,
-            "p50_latency_s": self.p50_latency_s,
-            "p99_latency_s": self.p99_latency_s,
-            "worker_busy_s": list(self.worker_busy_s),
-            "wall_s": self.wall_s,
-            "timeouts": self.timeouts,
-            "retries": self.retries,
-            "failovers": self.failovers,
-        }
+        """The fields as a JSON-shaped dict (``worker_busy_s`` a list)."""
+        return {**asdict(self), "worker_busy_s": list(self.worker_busy_s)}
 
 
 class Server:

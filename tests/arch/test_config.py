@@ -37,11 +37,18 @@ class TestPIMConfig:
 
     def test_columns_must_divide_by_partitions(self):
         with pytest.raises(ValueError):
-            PIMConfig(columns=1000, partitions=32, word_size=32)
+            PIMConfig(columns=1000, word_size=32)
 
-    def test_partitions_must_equal_word_size(self):
-        with pytest.raises(ValueError):
-            PIMConfig(partitions=16, word_size=32)
+    def test_partitions_is_the_word_size(self):
+        """``N_p`` is derived, not set: one strided word spans one bit per
+        partition, so the settable fields are the other six."""
+        assert PIMConfig(columns=2048, word_size=64).partitions == 64
+        assert list(PIMConfig.__dataclass_fields__) == [
+            "crossbars", "rows", "columns", "word_size", "frequency_hz",
+            "scratch_registers",
+        ]
+        with pytest.raises(TypeError):
+            PIMConfig(partitions=32)
 
     def test_crossbars_power_of_two(self):
         with pytest.raises(ValueError):
@@ -49,14 +56,14 @@ class TestPIMConfig:
 
     def test_needs_user_registers(self):
         with pytest.raises(ValueError):
-            PIMConfig(columns=256, partitions=32, word_size=32, scratch_registers=8)
+            PIMConfig(columns=256, word_size=32, scratch_registers=8)
 
     @pytest.mark.parametrize("limit, beyond", [
         (dict(crossbars=1, rows=4096), dict(crossbars=1, rows=4097)),
         (dict(crossbars=1 << 18), dict(crossbars=1 << 19)),
         (dict(columns=4096), dict(columns=4128)),  # 128 / 129 registers
-        (dict(columns=4096, partitions=64, word_size=64),
-         dict(columns=8192, partitions=128, word_size=128)),
+        (dict(columns=4096, word_size=64),
+         dict(columns=8192, word_size=128)),
     ], ids=["rows", "crossbars", "registers", "partitions"])
     def test_geometry_is_bounded_by_the_operation_word(self, limit, beyond):
         """A chip the 64-bit interface cannot address is refused; the

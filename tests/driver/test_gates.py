@@ -251,7 +251,7 @@ class TestAllocatorAgainstTheSetModel:
     def test_same_cells_same_rows_same_overflow(self, wide, scratch, steps):
         parts = 64 if wide else 32
         config = PIMConfig(
-            crossbars=1, rows=1, columns=32 * parts, partitions=parts,
+            crossbars=1, rows=1, columns=32 * parts,
             word_size=parts, scratch_registers=scratch,
         )
         builder, rows = GateBuilder.recording(config)

@@ -35,8 +35,7 @@ PINNED_DIGEST = "c8b7b548f700898cd738bcadbc5f822b91fa2109b80173410de7ae8aa13592f
 
 
 def _config(word: int) -> PIMConfig:
-    return PIMConfig(crossbars=8, rows=16, columns=32 * word,
-                     partitions=word, word_size=word)
+    return PIMConfig(crossbars=8, rows=16, columns=32 * word, word_size=word)
 
 
 def rtype_cases(word: int):

@@ -42,6 +42,7 @@ import repro.pim as pim
 from repro.arch import micro_ops
 from repro.arch.config import PIMConfig, small_config
 from repro.arch.micro_ops import GateType, LogicHOp, encode
+from repro.backend.base import family
 from repro.driver.driver import Driver
 from repro.driver.persist import (
     FORMAT_VERSION,
@@ -609,7 +610,7 @@ class TestSessionWarmStart:
                           cache_dir=str(cache_dir))
         try:
             result = _run_workload(device)
-            return result, device.backend.persist_counters()
+            return result, family(device.backend.counters(), "persist")
         finally:
             pim.reset()
 
@@ -671,4 +672,4 @@ class TestSessionWarmStart:
             backend.execute(mul)
             values[:, 2] = values[:, 0] * values[:, 1]
             assert np.array_equal(backend.words[:, :user], values.view(np.uint32))
-            assert backend.persist_counters()["loads"] == 0, scratch
+            assert family(backend.counters(), "persist")["loads"] == 0, scratch

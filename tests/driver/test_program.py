@@ -466,7 +466,8 @@ class TestReplayEquivalence:
                            src_b=1 if instr_arity(op) >= 2 else None)
             driver.execute(instr)
             driver.execute(instr)  # second run exercises cache replay
-        assert drv_cached.cache_hits >= 1 and drv_plain.cache_hits == 0
+        assert drv_cached.streams.hits >= 1
+        assert drv_plain.programs.hits + drv_plain.streams.hits == 0
         assert np.array_equal(sim_plain.memory.words, sim_cached.memory.words)
         assert sim_plain.stats.cycles == sim_cached.stats.cycles
         assert sim_plain.stats.op_counts == sim_cached.stats.op_counts
@@ -618,9 +619,8 @@ class TestStreamTierCache:
         driver.compile(self.stream())
         assert driver.streams.hits == 1
         # The recompile hit the stream tier only: the tiers count
-        # separately, and Driver.cache_hits reports their sum.
+        # separately.
         assert driver.programs.hits == body_hits
-        assert driver.cache_hits == driver.programs.hits + driver.streams.hits
 
     def test_plan_cached_across_emissions(self):
         _, driver = fresh_pair()
@@ -662,11 +662,11 @@ class TestStreamTierCache:
         for instr in stream:
             backend.execute(instr)  # one-instruction plans (stream tier)
         driver = backend.driver
-        assert backend.cache_hits == driver.cache_hits
-        assert backend.cache_hits == driver.programs.hits + driver.streams.hits
-        assert backend.cache_misses == (
-            driver.programs.misses + driver.streams.misses
-        )
+        books = backend.counters()
+        for kind in ("hits", "misses", "evictions"):
+            assert books[f"cache.{kind}"] == (
+                getattr(driver.programs, kind) + getattr(driver.streams, kind)
+            )
         assert driver.streams.hits == 1
 
 

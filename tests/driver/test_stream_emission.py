@@ -39,6 +39,7 @@ import pytest
 import repro.pim as pim
 from repro.arch.config import small_config
 from repro.arch.masks import RangeMask
+from repro.backend.base import family
 from repro.driver.compiler import CompileError
 from repro.driver.driver import DEFAULT_CACHE_SIZE, BufferSink, Driver
 from repro.driver import stream as stream_mod
@@ -550,8 +551,7 @@ class TestBodiesAreBornAsWords:
         both lowerings refuse the instruction before lowering it."""
         from repro.arch.config import PIMConfig
 
-        wide = PIMConfig(crossbars=4, rows=8, columns=2048, partitions=64,
-                         word_size=64)
+        wide = PIMConfig(crossbars=4, rows=8, columns=2048, word_size=64)
         driver = Driver(Simulator(wide))
         for emit in ("stream", "macro"):
             with pytest.raises(ValueError, match="raw 32-bit word"):
@@ -585,7 +585,7 @@ class TestNumpyBackendConformance:
             images.append(device.backend.words.copy())
             stats.append(device.backend.stats.copy())
             responses.append(response)
-            counters.append(device.backend.emit_counters())
+            counters.append(family(device.backend.counters(), "emit"))
             pim.reset()
         try:
             assert responses[0] == responses[1]
@@ -755,8 +755,9 @@ class TestCountersAndProfiler:
             with pim.Profiler(device) as prof:
                 device.execute_stream(list(stream))
                 device.execute_stream(list(stream))
-            assert prof.emit_counts == {"stream": 2}
-            assert device.backend.emit_counters()["stream"] == 2
+            assert prof.counters["emit.stream"] == 2
+            assert "emit.macro" not in prof.counters
+            assert device.backend.counters()["emit.stream"] == 2
         finally:
             pim.reset()
 
@@ -767,7 +768,7 @@ class TestCountersAndProfiler:
         try:
             with pim.Profiler(device) as prof:
                 device.execute_stream(list(stream))
-            assert prof.emit_counts == {"macro": 1}
+            assert family(prof.counters, "emit") == {"macro": 1}
         finally:
             pim.reset()
 
@@ -788,6 +789,6 @@ class TestCountersAndProfiler:
                 (x * y + x)[::2].sum()
                 x[3] = 5.0
                 x + 1.0
-            assert sum(prof.emit_counts.values()) == 17
+            assert sum(family(prof.counters, "emit").values()) == 17
         finally:
             pim.reset()

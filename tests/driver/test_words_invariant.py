@@ -28,6 +28,7 @@ from repro.arch.micro_ops import (
     RowMaskOp,
     WriteOp,
 )
+from repro.backend.base import family
 from repro.driver.compiler import compile_ops
 from repro.driver.driver import BufferSink, Driver
 from repro.driver.persist import PersistentProgramCache
@@ -118,8 +119,7 @@ class TestEveryProgramHasWords:
 
 
 #: The widest chip the operation word addresses, with 64-bit words.
-LIMIT = PIMConfig(crossbars=1 << 18, rows=4096, columns=8192, partitions=64,
-                  word_size=64)
+LIMIT = PIMConfig(crossbars=1 << 18, rows=4096, columns=8192, word_size=64)
 _XB, _ROW, _REG, _PART = (1 << 18) - 1, 4095, 127, 63
 AT_THE_LIMITS = [
     CrossbarMaskOp(_XB, _XB, 1), CrossbarMaskOp(0, _XB, _XB),
@@ -258,6 +258,6 @@ def test_a_one_index_mask_of_any_step_splices():
         view = tensor[5:6:5000]
         assert view._mask == RangeMask.single(5)
         assert (view + view).to_numpy().tolist() == [10]
-        assert device.backend.emit_counters()["stream"] >= 1
+        assert family(device.backend.counters(), "emit")["stream"] >= 1
     finally:
         pim.reset()

@@ -48,6 +48,7 @@ import numpy as np
 import pytest
 
 import repro.pim as pim
+from repro.backend.base import family
 from repro.isa.dtypes import DType, float32, int32
 from repro.isa.instructions import ROp
 from repro.theory.golden import golden_rtype
@@ -613,7 +614,7 @@ def _check_stream_lowering(seed, program, int_inputs, float_inputs):
             )
             if mode == "stream" or lowered:
                 response = device.execute_stream(list(instrs))
-                counters = device.backend.emit_counters()
+                counters = family(device.backend.counters(), "emit")
                 assert counters[mode] == 1, f"seed={seed} {backend} {mode}"
             else:
                 response = None
@@ -744,8 +745,8 @@ def _check_bills(seed, program, int_inputs, float_inputs, cache_dir):
                 backend = device.backend
                 compiled = backend.compile(instrs, name="bill", optimize=optimize)
                 if session == "warm":
-                    assert backend.persist_counters()["loads"] > 0, context
-                    assert backend.persist_counters()["invalid"] == 0
+                    assert family(backend.counters(), "persist")["loads"] > 0, context
+                    assert family(backend.counters(), "persist")["invalid"] == 0
                 carried = backend.program_stats(compiled)
                 before = backend.stats_snapshot()
                 backend.run_program(compiled)

@@ -24,6 +24,7 @@ import pytest
 import repro.pim as pim
 from repro.arch.config import PIMConfig
 from repro.arch.masks import RangeMask
+from repro.backend.base import family
 from repro.faults import (
     ChecksumError,
     FaultPlan,
@@ -170,7 +171,7 @@ class TestChecksumDetection:
 
         # No overlay installed: the window is empty, the check still counts.
         runner.run_program(program, verify="checksum")
-        assert backend.fault_counters() == {"verify_checks": 1}
+        assert family(backend.counters(), "fault") == {"verify_checks": 1}
 
         # A flip outside the written regions (register 5 is never
         # touched): silent where regions are checked, caught by the
@@ -182,7 +183,7 @@ class TestChecksumDetection:
             with pytest.raises(ChecksumError) as info:
                 runner.run_program(program, verify="checksum")
             assert info.value.regions is None
-        counters = backend.fault_counters()
+        counters = family(backend.counters(), "fault")
         assert counters["flips"] == 1 and counters["verify_checks"] == 2
         assert counters.get("verify_detected", 0) == (0 if regional else 1)
 
@@ -193,7 +194,7 @@ class TestChecksumDetection:
             runner.run_program(program, verify="checksum")
         if regional:
             assert [region[0] for region in info.value.regions] == [2]
-        after = backend.fault_counters()
+        after = family(backend.counters(), "fault")
         assert after["verify_checks"] == 3
         assert after["verify_detected"] == counters.get("verify_detected", 0) + 1
 
@@ -238,7 +239,7 @@ class TestChecksumDetection:
             unit()
             ticks.append(overlay.counters["ticks"])
         assert ticks == [1, 2, 3, 3, 4, 5]
-        counters = backend.fault_counters()
+        counters = family(backend.counters(), "fault")
         assert counters["ticks"] == 5 and counters["verify_checks"] == 1
 
     def test_checksum_counters_surface(self):
@@ -247,7 +248,7 @@ class TestChecksumDetection:
         a, b = _arrays()
         handle(pim.from_numpy(a), pim.from_numpy(b))  # capture
         handle(pim.from_numpy(a), pim.from_numpy(b))  # verified replay
-        counters = device.backend.fault_counters()
+        counters = family(device.backend.counters(), "fault")
         assert counters["verify_checks"] >= 1
         assert counters.get("verify_detected", 0) == 0
 
@@ -257,7 +258,7 @@ class TestChecksumDetection:
         a, b = _arrays()
         with pim.Profiler() as prof:
             pim.to_numpy(pim.from_numpy(a) + pim.from_numpy(b))
-        assert prof.fault_counts.get("ticks", 0) >= 1
+        assert prof.counters.get("fault.ticks", 0) >= 1
 
 
 class TestReplayEngineIdentity:
@@ -273,7 +274,8 @@ class TestReplayEngineIdentity:
         outs = [pim.to_numpy(x * y + x) for _ in range(4)]
         return (
             outs, device.backend.words.copy(), device.backend.stats.copy(),
-            device.backend.fault_counters(), device.backend.emit_counters(),
+            family(device.backend.counters(), "fault"),
+            family(device.backend.counters(), "emit"),
         )
 
     def test_reference_and_vectorized_agree_under_faults(self):
@@ -350,7 +352,7 @@ class TestPoolResilience:
         device.install_faults(plan)
         out = self._work()
         np.testing.assert_array_equal(out, golden)
-        counters = device.backend.fault_counters()
+        counters = family(device.backend.counters(), "fault")
         assert counters["failovers"] == counters["worker_faults"] >= 1
         assert counters["quarantined_shards"] >= 1
         assert [k for k, _ in device.backend.quarantined_workers]

@@ -127,8 +127,8 @@ def test_refusal_is_identical_on_every_backend(case, entry, seed):
 
 #: Chips whose word is not float32's width: 16-bit and 64-bit words.
 NARROW_AND_WIDE = {
-    16: PIMConfig(crossbars=4, rows=16, columns=512, partitions=16, word_size=16),
-    64: PIMConfig(crossbars=4, rows=16, columns=2048, partitions=64, word_size=64),
+    16: PIMConfig(crossbars=4, rows=16, columns=512, word_size=16),
+    64: PIMConfig(crossbars=4, rows=16, columns=2048, word_size=64),
 }
 
 

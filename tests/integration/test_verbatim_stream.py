@@ -23,6 +23,7 @@ import repro.pim as pim
 from repro.arch.config import small_config
 from repro.arch.masks import RangeMask
 from repro.backend import NumpyBackend, SimulatorBackend
+from repro.backend.base import family
 from repro.backend.numpy_backend import FunctionalProgram
 from repro.driver.compiler import CompileError
 from repro.driver.stream import MAX_PLAN_MACROS
@@ -205,8 +206,8 @@ def test_one_fault_window_per_stream_on_every_route(macros):
             for _ in range(2):
                 backend.run_stream(moves)
             results[kind, cache_size] = (
-                backend.fault_counters(), backend.words[:, :user].copy(),
-                backend.stats,
+                family(backend.counters(), "fault"),
+                backend.words[:, :user].copy(), backend.stats,
             )
     counters, words, stats = results["simulator", None]
     assert counters["ticks"] == 2 and counters["flips"] == 2, seed

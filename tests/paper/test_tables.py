@@ -44,7 +44,7 @@ def test_table_iii_parameters():
     partitions, N = 32, at 300 MHz: 64M-row parallelism for Eq. (1)."""
     paper = paper_config()
     assert paper == PIMConfig(
-        crossbars=65536, rows=1024, columns=1024, partitions=32,
+        crossbars=65536, rows=1024, columns=1024,
         word_size=32, frequency_hz=300e6,
     )
     assert paper.capacity_bits == 8 * 2**30 * 8

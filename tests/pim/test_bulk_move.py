@@ -36,13 +36,14 @@ from repro.arch.htree import move_cycles, validate_move_pattern
 from repro.arch.micro_ops import CrossbarMaskOp, MoveOp
 from repro.arch.masks import RangeMask
 from repro.backend import NumpyBackend
-from repro.backend.base import BilledProgram
+from repro.backend.base import BilledProgram, family
 from repro.driver.stream import MacroStream
 from repro.isa.instructions import MoveInstr
 from repro.pim import tensor as tensor_mod
 from repro.pim.malloc import Slot
 from repro.pim.tensor import _bulk_move, _move_plan, _warp_runs
 from repro.sim.simulator import SimulationError, accounting_walk
+from repro.sim.stats import SimStats
 from tests.driver.test_stream_emission import CFG as STREAM_CFG, random_stream
 from tests.integration.test_differential_fuzz import (
     CROSSBARS as FUZZ_CROSSBARS,
@@ -338,8 +339,8 @@ def test_move_streams_stay_out_of_the_lowering_driver(tmp_path):
         isinstance(program, BilledProgram)
         for program in driver.streams._entries.values()
     )
-    assert device.backend.persist_counters().get("stores", 0) == 0
-    assert device.backend.emit_counters()["stream"] >= 1
+    assert family(device.backend.counters(), "persist").get("stores", 0) == 0
+    assert family(device.backend.counters(), "emit")["stream"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -403,12 +404,19 @@ class TestGatherScatterStep:
         ])
         _assert_stream_matches_loop(stream, steps=2)
 
-    def test_every_member_is_validated_at_plan_build(self):
+    def test_every_member_is_validated_before_plan_build(self):
+        """``Driver.check_stream`` refuses the stream whole before a plan
+        is built: an illegal member of a gather group is never planned,
+        run or billed."""
         backend = NumpyBackend(GS_CFG)
         legal = MoveInstr(0, 1, 0, 0, RangeMask(0, 1, 1), 4)
         overlapping = MoveInstr(0, 1, 1, 1, RangeMask(0, 3, 1), 1)
-        with pytest.raises(SimulationError, match="both source and destination"):
-            backend._plan_steps([legal, overlapping])
+        backend.words[...] = 7
+        for attempt in (backend.run_stream, backend.compile):
+            with pytest.raises(SimulationError, match="both source and destination"):
+                attempt([legal, overlapping])
+        assert not backend._plans and not backend._move_cache
+        assert (backend.words == 7).all() and backend.stats == SimStats()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_move_streams_match_the_loop(self, seed):

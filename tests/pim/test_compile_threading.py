@@ -101,7 +101,10 @@ def test_many_threads_one_compiled_function():
     assert func.captures == 1
     assert func.cached_graphs == 1
 
-    hits, misses, evictions = device.backend.cache_counters()
+    books = device.backend.counters()
+    hits, misses, evictions = (
+        books[f"cache.{kind}"] for kind in ("hits", "misses", "evictions")
+    )
     # Capture compiled some bodies (misses); every later call replays the
     # compiled graph, so the counters stay sane rather than growing per
     # call. Exact values depend on the lowering, so assert shape only.

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 import repro.pim as pim
 from repro.arch.config import PIMConfig
 from repro.arch.masks import RangeMask
+from repro.backend import NumpyBackend
 from repro.isa.dtypes import float32, int32
 from repro.pim.device import PIMDevice
 from repro.pim.malloc import Slot
+from repro.serve import Server
 
 
 @pytest.fixture
@@ -73,8 +75,7 @@ class TestBlockTransfer:
     @staticmethod
     def _config(word_size):
         if word_size == 64:
-            return dict(crossbars=4, rows=8, columns=2048, partitions=64,
-                        word_size=64)
+            return dict(crossbars=4, rows=8, columns=2048, word_size=64)
         return dict(crossbars=4, rows=8)
 
     def _check(self, word_size, reg, warp_start, warp_count, length, seed):
@@ -240,3 +241,52 @@ class TestSegments:
         (warp_mask, _), = segments
         assert warp_mask.start == 2
         assert warp_mask.stop == 3
+
+
+class TestKeywordRefusal:
+    """A keyword the chosen backend does not take is refused by
+    ``make_backend`` — which every public constructor goes through —
+    naming the keyword, the backend and the names it accepts."""
+
+    CONSTRUCTORS = {
+        "pim.init": lambda backend, **kw: pim.init(
+            crossbars=4, rows=64, backend=backend, **kw
+        ),
+        "PIMDevice": lambda backend, **kw: PIMDevice(
+            PIMConfig(crossbars=4, rows=64), backend=backend, **kw
+        ),
+        "Server": lambda backend, **kw: Server(
+            workers=1, config=PIMConfig(crossbars=4, rows=64),
+            backend=backend, **kw
+        ),
+    }
+
+    @pytest.mark.parametrize("backend", ["simulator", "numpy", "pooled"])
+    @pytest.mark.parametrize("call", sorted(CONSTRUCTORS))
+    def test_unknown_keyword_names_backend_and_choices(self, call, backend):
+        previous = pim.init(crossbars=4, rows=16)
+        try:
+            for keyword in ("bogus", "move_cost"):
+                with pytest.raises(TypeError) as info:
+                    self.CONSTRUCTORS[call](backend, **{keyword: 1})
+                message = str(info.value)
+                assert repr(keyword) in message and repr(backend) in message
+                assert "'cache_size'" in message and "Driver" not in message
+                assert ("'workers'" in message) == (backend == "pooled")
+            # A refused init leaves the previous default device in place.
+            assert pim.default_device() is previous
+        finally:
+            pim.reset()
+
+    def test_partitions_is_not_a_setting(self):
+        with pytest.raises(TypeError, match="'partitions'"):
+            pim.init(crossbars=4, rows=64, partitions=32)
+
+    def test_prebuilt_instance_takes_no_keywords(self):
+        config = PIMConfig(crossbars=4, rows=64)
+        backend = NumpyBackend(config)
+        with pytest.raises(TypeError, match="NumpyBackend") as info:
+            PIMDevice(config, backend=backend, cache_size=0, bogus=1)
+        assert "'bogus'" in str(info.value)
+        assert "'cache_size'" in str(info.value)
+        assert PIMDevice(config, backend=backend).backend is backend

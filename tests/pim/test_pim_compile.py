@@ -13,6 +13,7 @@ import pytest
 
 import repro.pim as pim
 from repro.arch.masks import RangeMask
+from repro.backend.base import family
 from repro.driver.compiler import CompileError
 from repro.driver.program import MicroProgram
 from repro.isa.instructions import MoveInstr
@@ -122,7 +123,7 @@ def _observed(device):
     backend = device.backend
     return (
         backend.stats.copy(), backend.words.copy(),
-        backend.replay_counters(), backend.emit_counters(),
+        family(backend.counters(), "replay"), family(backend.counters(), "emit"),
     )
 
 
@@ -243,7 +244,7 @@ class TestRecordOnlyCapture:
         golden = np.arange(32) * (np.arange(32) + 3) + np.arange(32)
         assert out.to_numpy().tolist() == golden.tolist()
         assert handle.fault_retries == 1 and handle.captures == 1
-        counters = device.backend.fault_counters()
+        counters = family(device.backend.counters(), "fault")
         assert counters["verify_checks"] == 2
         assert counters["verify_detected"] == 1
 

@@ -16,7 +16,7 @@ import pytest
 from repro.arch.config import small_config
 from repro.arch.masks import RangeMask
 from repro.backend import NumpyBackend, make_backend
-from repro.backend.base import BilledBackend, BilledProgram
+from repro.backend.base import BilledBackend, BilledProgram, family
 from repro.backend.simulator import SimulatorBackend
 from repro.driver.driver import Driver
 from repro.driver.gates import GateBuilder
@@ -202,10 +202,10 @@ class TestCompiledPath:
         on the pool's driver or its workers' — as on the simulator."""
         pool = PooledBackend(CFG, workers=2)
         program = pool.compile(_program(), name="hits")
-        before = pool.cache_counters()
+        before = family(pool.counters(), "cache")
         pool.run_program(program)
         pool.run_program(program)
-        assert pool.cache_counters() == before
+        assert family(pool.counters(), "cache") == before
 
     def test_response_site_returns_last_read(self):
         pool = PooledBackend(CFG, workers=4)
@@ -225,9 +225,9 @@ class TestCompiledPath:
             single.run_stream(instrs, name="s")
         assert np.array_equal(pool.words, single.words)
         assert pool.stats.cycles == single.stats.cycles
-        first = dict(pool.emit_counters())
+        first = family(pool.counters(), "emit")
         pool.run_stream(instrs, name="s")
-        assert pool.emit_counters()["stream"] == first["stream"] + 1
+        assert family(pool.counters(), "emit")["stream"] == first["stream"] + 1
 
 
     @pytest.mark.parametrize("worker_backend", ["numpy", "simulator"])
@@ -262,7 +262,7 @@ class TestCompiledPath:
         # driver holds was stored by it or loaded from a twin, and every
         # probe that missed was a body compiled.
         drivers = [pool.lowering] + [w.lowering for w in pool.workers]
-        counters = pool.persist_counters()
+        counters = family(pool.counters(), "persist")
         bodies = sum(len(driver.programs) for driver in drivers)
         assert counters["stores"] > 0
         assert counters["stores"] + counters["loads"] == bodies
@@ -302,12 +302,12 @@ class TestCounters:
 
     def test_persist_counters_empty_without_cache_dir(self):
         pool = PooledBackend(CFG, workers=2)
-        assert pool.persist_counters() == {}
+        assert family(pool.counters(), "persist") == {}
 
     def test_persist_counters_merge_across_workers(self, tmp_path):
         pool = PooledBackend(CFG, workers=2, cache_dir=str(tmp_path))
         pool.compile(_program(), name="persisted")
-        counters = pool.persist_counters()
+        counters = family(pool.counters(), "persist")
         assert counters.get("stores", 0) > 0
 
     def test_cache_evictions_surface(self):
@@ -315,7 +315,7 @@ class TestCounters:
         pool.execute(RInstr(ROp.ADD, int32, dest=2, src_a=0, src_b=1))
         pool.execute(RInstr(ROp.MUL, int32, dest=3, src_a=0, src_b=1))
         pool.execute(RInstr(ROp.SUB, int32, dest=4, src_a=0, src_b=1))
-        assert pool.cache_evictions > 0
+        assert pool.counters()["cache.evictions"] > 0
 
     @staticmethod
     def _counted_streams(pool):
@@ -326,17 +326,22 @@ class TestCounters:
         pool.execute(add)  # a stream-tier hit on the pool's driver
         pool.run_stream([add], name="other")  # a body-tier hit
         pool.execute(RInstr(ROp.MUL, int32, dest=3, src_a=0, src_b=1))
+        kinds = ("hits", "misses", "evictions")
         tiers = (pool.lowering.programs, pool.lowering.streams)
-        own = [sum(getattr(tier, counter) for tier in tiers)
-               for counter in ("hits", "misses", "evictions")]
-        workers = [sum(column) for column in
-                   zip(*(worker.cache_counters() for worker in pool.workers))]
-        assert pool.cache_counters() == tuple(map(sum, zip(own, workers)))
+        own = [sum(getattr(tier, kind) for tier in tiers) for kind in kinds]
+        workers = [
+            sum(worker.counters()[f"cache.{kind}"] for worker in pool.workers)
+            for kind in kinds
+        ]
+        books = pool.counters()
+        assert [books[f"cache.{kind}"] for kind in kinds] == [
+            mine + theirs for mine, theirs in zip(own, workers)
+        ]
         return own, workers
 
     def test_cache_counters_span_the_pool_and_its_workers(self):
         """Hits, misses and evictions are counted over one scope, the
-        pool's driver plus its workers' (as ``persist_counters`` is), and
+        pool's driver plus its workers' (as ``persist.*`` is), and
         simulator workers' tiers add to each of the three."""
         pool = PooledBackend(CFG, workers=2, worker_backend="simulator",
                              cache_size=1)
@@ -366,15 +371,16 @@ class TestCounters:
             assert pool.run_stream(stream) == single.run_stream(stream)
         assert np.array_equal(pool.words, single.words)
         assert pool.stats == single.stats
-        assert single.cache_evictions == 1
-        assert pool.cache_evictions == pool.lowering.streams.evictions == 1
+        assert single.counters()["cache.evictions"] == 1
+        assert pool.lowering.streams.evictions == 1
+        assert pool.counters()["cache.evictions"] == 1
         tier = pool.lowering.streams
         assert len(tier) == 4096 and _billed_only(pool.lowering)
         hits, misses = tier.hits, tier.misses
         newest = pool._stream_program(streams[-1], "stream")
         assert pool._stream_program(streams[-1], "stream") is newest
         assert (tier.hits, tier.misses) == (hits + 2, misses)
-        assert pool.cache_evictions == 1
+        assert pool.counters()["cache.evictions"] == 1
         pool._stream_program(streams[0], "stream")  # the evicted oldest
         assert tier.misses == misses + 1
 
@@ -423,7 +429,9 @@ class TestCounters:
                 cached.run_stream(instrs, name="s")
         assert np.array_equal(uncached.words, cached.words)
         assert uncached.stats == cached.stats
-        assert uncached.emit_counters() == cached.emit_counters()
+        assert family(uncached.counters(), "emit") == family(
+            cached.counters(), "emit"
+        )
         assert uncached._stream_program(instrs, "s") is not \
             uncached._stream_program(instrs, "s")
         drivers = [uncached.lowering] + [
@@ -501,7 +509,7 @@ class TestShardFaults:
         pool.install_faults(FaultPlan(CFG, seed=1, worker_failures=[(3, 99)]))
         with pytest.raises(SimulationError, match="fingerprint"):
             pool.run_program(program)
-        assert pool.fault_counters().get("failovers", 0) == 0
+        assert family(pool.counters(), "fault").get("failovers", 0) == 0
         assert pool.quarantined_workers == []
 
     def test_injected_failure_fails_over_bit_identically(self):
@@ -515,7 +523,7 @@ class TestShardFaults:
         reads = _run(pool, _program())
         assert reads == golden_reads
         np.testing.assert_array_equal(pool.words, golden_words)
-        counters = pool.fault_counters()
+        counters = family(pool.counters(), "fault")
         assert counters["worker_faults"] >= 1
         assert counters["failovers"] == counters["worker_faults"]
         assert counters["quarantined_shards"] == len(pool.quarantined_workers)
@@ -532,7 +540,7 @@ class TestShardFaults:
         # worker it replaced — compiled programs are shard-portable.
         pool.run_program(program)
         np.testing.assert_array_equal(pool.words, golden_words)
-        assert pool.fault_counters()["failovers"] >= 1
+        assert family(pool.counters(), "fault")["failovers"] >= 1
 
     def test_a_numpy_failover_replays_the_unpriced_part(self):
         """A crashed numpy worker's replacement replays the same unpriced
@@ -550,7 +558,7 @@ class TestShardFaults:
         users = slice(0, CFG.user_registers)  # scratch holds bridge residue
         np.testing.assert_array_equal(pool.words[:, users], single.words[:, users])
         assert pool.stats == single.stats
-        assert pool.fault_counters()["failovers"] == 2
+        assert family(pool.counters(), "fault")["failovers"] == 2
         retired = [k for k, _ in pool.quarantined_workers]
         assert retired == [1, 2]
         for k in retired:
@@ -570,5 +578,5 @@ class TestShardFaults:
         pool.install_faults(plan)
         with pytest.raises(ChecksumError):
             pool.run_program(program, verify="checksum")
-        counters = pool.fault_counters()
+        counters = family(pool.counters(), "fault")
         assert counters["verify_detected"] == 1

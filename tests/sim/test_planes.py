@@ -51,7 +51,7 @@ from repro.sim.simulator import SimulationError, Simulator
 #: One chip per partition count, each 16 crossbars x 512 rows, 32 registers.
 CHIPS = {
     partitions: PIMConfig(crossbars=16, rows=512, columns=32 * partitions,
-                          partitions=partitions, word_size=partitions)
+                          word_size=partitions)
     for partitions in (16, 32, 64)
 }
 

@@ -39,6 +39,7 @@ from repro.arch.micro_ops import (
     RowMaskOp,
     WriteOp,
 )
+from repro.backend.base import family
 from repro.driver.compiler import CompileError, compile_ops
 from repro.driver.persist import PersistentProgramCache
 from repro.driver.program import MicroProgram, SuperStep
@@ -211,11 +212,10 @@ def _seed_memory(memory, rng):
     )
 
 
-WIDE = PIMConfig(crossbars=4, rows=8, columns=2048, partitions=64,
-                 word_size=64)
+WIDE = PIMConfig(crossbars=4, rows=8, columns=2048, word_size=64)
 
 #: 16x512 chips of both word sizes, and regions of 1 to 8,192 lanes on them.
-BIG = {size: PIMConfig(crossbars=16, rows=512, columns=32 * size, partitions=size,
+BIG = {size: PIMConfig(crossbars=16, rows=512, columns=32 * size,
                        word_size=size) for size in (32, 64)}
 BIG_REGIONS = {
     1: ((5, 5, 1), (7, 7, 1)),
@@ -486,7 +486,7 @@ class TestEngineSelection:
             assert backend.program_replay_info(program) == derived
             assert derived["engine"] == engine
             assert derived["self_masked"] is self_masked
-            assert backend.replay_counters()[engine] == 1
+            assert family(backend.counters(), "replay")[engine] == 1
 
 
     def test_program_replay_info_walks_the_program_once(self, monkeypatch):

@@ -165,19 +165,21 @@ class NumpyBackend(BilledBackend):
         equals one gather of every source word followed by one scatter
         (:meth:`_gather_step`). A move within one register, or onto a
         cell the group already writes, closes the group; single moves
-        and everything else keep their own step. Every member's H-tree
-        pattern is validated here, at plan build, as a single move's is.
+        and everything else keep their own step. A :class:`_Flushed`
+        ledger follows the plan so float steps flush only sources the
+        plan has not itself flushed.
         """
         rows = self.config.rows
         steps: List[Callable[[], Optional[int]]] = []
         group: List[MoveInstr] = []
         cells: set = set()
+        flushed = _Flushed(self.config)
 
         def flush() -> None:
             if len(group) > 1:
-                steps.append(self._gather_step(group))
+                steps.append(self._gather_step(group, flushed))
             elif group:
-                steps.append(self._plan_instr(group[0]))
+                steps.append(self._plan_instr(group[0], flushed))
             group.clear()
             cells.clear()
 
@@ -197,12 +199,15 @@ class NumpyBackend(BilledBackend):
                 cells |= dests
                 continue
             flush()
-            steps.append(self._plan_instr(instr))
+            steps.append(self._plan_instr(instr, flushed))
         flush()
         return steps
 
-    def _gather_step(self, moves: List[MoveInstr]) -> Callable[[], None]:
-        """One fancy-indexed copy for a group :meth:`_plan_steps` formed."""
+    def _gather_step(
+        self, moves: List[MoveInstr], flushed: "_Flushed"
+    ) -> Callable[[], None]:
+        """One copy for a group :meth:`_plan_steps` formed: strided where
+        :func:`_cells` finds a slice, fancy-indexed otherwise."""
         words = self._words
         src_reg, dst_reg = moves[0].src_reg, moves[0].dst_reg
         sources = [self._move_sources(move) for move in moves]
@@ -213,21 +218,30 @@ class NumpyBackend(BilledBackend):
         )
         src_rows = np.repeat([move.src_thread for move in moves], counts)
         dst_rows = np.repeat([move.dst_thread for move in moves], counts)
+        src = _cells(src_warps, src_reg, src_rows)
+        dst = _cells(dst_warps, dst_reg, dst_rows)
+        flushed.move(src, dst)
 
         def gather_step():
-            words[dst_warps, dst_reg, dst_rows] = words[src_warps, src_reg, src_rows]
+            words[dst] = words[src]
 
         return gather_step
 
-    def _plan_instr(self, instr: Instruction) -> Callable[[], Optional[int]]:
-        """Pre-resolve one macro-instruction into a replay closure."""
+    def _plan_instr(
+        self, instr: Instruction, flushed: "_Flushed"
+    ) -> Callable[[], Optional[int]]:
+        """Pre-resolve one macro-instruction into a replay closure,
+        recording in ``flushed`` what it leaves in the cells it writes."""
         words = self._words
         if isinstance(instr, RInstr):
-            out = self._region(instr.dest, instr.warp_mask, instr.row_mask)
-            srcs = [
-                self._region(reg, instr.warp_mask, instr.row_mask)
-                for reg in instr.sources()
-            ]
+            index = self._index(instr.warp_mask, instr.row_mask)
+            out = self._words[index[0], instr.dest, index[1]]
+            srcs = [self._words[index[0], reg, index[1]] for reg in instr.sources()]
+            if instr.dtype.is_float and instr.op in _FLOAT_ARITH:
+                flush = [not flushed.holds(reg, index) for reg in instr.sources()]
+                flushed.mark(instr.dest, index, True)
+                return _float_arith_step(_FLOAT_ARITH[instr.op], out, srcs, flush)
+            flushed.mark(instr.dest, index, False)
             semantics = _float_op if instr.dtype.is_float else _int_op
             op = instr.op
 
@@ -236,8 +250,10 @@ class NumpyBackend(BilledBackend):
 
             return r_step
         if isinstance(instr, WriteInstr):
-            region = self._region(instr.reg, instr.warp_mask, instr.row_mask)
+            index = self._index(instr.warp_mask, instr.row_mask)
+            region = self._words[index[0], instr.reg, index[1]]
             value = np.uint32(instr.value)
+            flushed.mark(instr.reg, index, _ftz(value) == value)
 
             def w_step(region=region, value=value):
                 region[...] = value
@@ -257,6 +273,7 @@ class NumpyBackend(BilledBackend):
             dests = sources + instr.warp_dist
             src_reg, dst_reg = instr.src_reg, instr.dst_reg
             src_row, dst_row = instr.src_thread, instr.dst_thread
+            flushed.move((sources, src_reg, src_row), (dests, dst_reg, dst_row))
 
             def move_step():
                 words[dests, dst_reg, dst_row] = words[sources, src_reg, src_row]
@@ -264,17 +281,16 @@ class NumpyBackend(BilledBackend):
             return move_step
         raise SimulationError(f"not an instruction: {instr!r}")
 
-    def _region(
-        self,
-        reg: int,
-        warp_mask: Optional[RangeMask],
-        row_mask: Optional[RangeMask],
-    ) -> np.ndarray:
+    def _index(
+        self, warp_mask: Optional[RangeMask], row_mask: Optional[RangeMask]
+    ) -> Tuple[slice, slice]:
+        """The (warp, row) slices of a masked register region."""
         wm = warp_mask or RangeMask.all(self.config.crossbars)
         rm = row_mask or RangeMask.all(self.config.rows)
-        return self._words[
-            wm.start : wm.stop + 1 : wm.step, reg, rm.start : rm.stop + 1 : rm.step
-        ]
+        return (
+            slice(wm.start, wm.stop + 1, wm.step),
+            slice(rm.start, rm.stop + 1, rm.step),
+        )
 
     def _move_sources(self, instr: MoveInstr) -> np.ndarray:
         """A move's source-warp indices.
@@ -295,9 +311,61 @@ class NumpyBackend(BilledBackend):
         return sources
 
 
+class _Flushed:
+    """The cells a replay plan has itself left free of subnormal words.
+
+    Built in program order alongside the plan: a float ADD/SUB/MUL/DIV
+    flushes its destination, a write of a normal constant leaves none,
+    a move carries its sources' state, and any other write may leave
+    one. A float step whose source the ledger holds skips that
+    source's flush at replay: only the plan's own steps have written
+    there since the last one. Everything else (host writes,
+    earlier programs, faults) lands between plan runs, so a fresh plan
+    trusts nothing.
+    """
+
+    def __init__(self, config: PIMConfig):
+        self._shape = (config.crossbars, config.rows)
+        self._regs: Dict[int, np.ndarray] = {}
+
+    def holds(self, reg: int, index: Tuple) -> bool:
+        mask = self._regs.get(reg)
+        return mask is not None and bool(mask[index].all())
+
+    def mark(self, reg: int, index: Tuple, state) -> None:
+        mask = self._regs.get(reg)
+        if mask is None:
+            if state is False:
+                return
+            mask = self._regs[reg] = np.zeros(self._shape, dtype=bool)
+        mask[index] = state
+
+    def move(self, src: Tuple, dst: Tuple) -> None:
+        """Cells ``dst`` = ``(warps, reg, rows)`` take ``src``'s state."""
+        mask = self._regs.get(src[1])
+        state = False if mask is None else mask[src[0], src[2]].copy()
+        self.mark(dst[1], (dst[0], dst[2]), state)
+
+
 # ----------------------------------------------------------------------
 # Raw-word operation semantics (mirroring the gate-level suite)
 # ----------------------------------------------------------------------
+def _cells(warps: np.ndarray, reg: int, rows: np.ndarray) -> Tuple:
+    """The index of cells ``(warps[i], reg, rows[i])``, in order.
+
+    When one of ``warps`` / ``rows`` is constant and the other steps
+    evenly upward (a strided reduction's shape), that is a basic slice,
+    which NumPy copies without gathering through index arrays.
+    """
+    for fixed, moving, fixed_first in ((warps, rows, True), (rows, warps, False)):
+        step = int(moving[1] - moving[0]) if len(moving) > 1 else 1
+        if step > 0 and (fixed == fixed[0]).all() and (np.diff(moving) == step).all():
+            strided = slice(int(moving[0]), int(moving[-1]) + 1, step)
+            point = int(fixed[0])
+            return (point, reg, strided) if fixed_first else (strided, reg, point)
+    return warps, reg, rows
+
+
 def _signed(raw: np.ndarray) -> np.ndarray:
     """Raw words as signed int64 values (two's complement decode)."""
     wide = raw.astype(np.int64)
@@ -363,6 +431,14 @@ _COMPARES = {
 }
 
 
+_FLOAT_ARITH = {
+    ROp.ADD: np.add,
+    ROp.SUB: np.subtract,
+    ROp.MUL: np.multiply,
+    ROp.DIV: np.divide,
+}
+
+
 def _ftz(raw: np.ndarray) -> np.ndarray:
     """Flush subnormal words to signed zero (the documented FTZ model)."""
     return np.where(raw & _EXP_MASK == 0, raw & _SIGN_MASK, raw)
@@ -377,17 +453,33 @@ def _from_float(values: np.ndarray) -> np.ndarray:
     return _ftz(raw)
 
 
+def _float_arith_step(
+    ufunc: np.ufunc, out: np.ndarray, srcs: List[np.ndarray], flush: List[bool]
+) -> Callable[[], None]:
+    """A float ADD/SUB/MUL/DIV replay closure: ``out[...] =
+    _float_op(op, srcs)``, except that a source whose ``flush`` is false
+    holds no subnormal word (see :class:`_Flushed`) and is read as its
+    float view, taken once at plan build, without a flush."""
+    a, b = srcs
+    a_float, b_float = a.view(np.float32), b.view(np.float32)
+    flush_a, flush_b = flush
+
+    def f_step():
+        out[...] = _from_float(
+            ufunc(
+                _as_float(a) if flush_a else a_float,
+                _as_float(b) if flush_b else b_float,
+            )
+        )
+
+    return f_step
+
+
 def _float_op(op: ROp, srcs: List[np.ndarray]) -> np.ndarray:
     a = srcs[0]
     b = srcs[1] if len(srcs) > 1 else None
-    if op is ROp.ADD:
-        return _from_float(_as_float(a) + _as_float(b))
-    if op is ROp.SUB:
-        return _from_float(_as_float(a) - _as_float(b))
-    if op is ROp.MUL:
-        return _from_float(_as_float(a) * _as_float(b))
-    if op is ROp.DIV:
-        return _from_float(_as_float(a) / _as_float(b))
+    if op in _FLOAT_ARITH:
+        return _from_float(_FLOAT_ARITH[op](_as_float(a), _as_float(b)))
     if op is ROp.NEG:
         return a ^ _SIGN_MASK
     if op is ROp.ABS:

@@ -6,11 +6,18 @@ the micro-op streams the real driver lowers — *identical* cycle counters,
 per-kind op counts, and gate totals for every operation.
 """
 
+import random
+
 import numpy as np
 import pytest
 
 import repro.pim as pim
+from repro.arch.config import small_config
+from repro.arch.masks import RangeMask
 from repro.backend import NumpyBackend, SimulatorBackend, make_backend
+from repro.backend import numpy_backend
+from repro.isa.dtypes import float32, int32
+from repro.isa.instructions import MoveInstr, RInstr, ROp, WriteInstr
 from tests.conftest import rand_float32, rand_int32
 
 
@@ -260,3 +267,117 @@ class TestGuard:
         plain.run_stream(stream)
         assert guarded.stats == plain.stats
         assert guarded.stats.cycles > 0
+
+
+class TestFlushLedger:
+    """A replay plan flushes a float step's source of subnormal words
+    only where the plan's own steps have not already flushed it."""
+
+    CFG = small_config(crossbars=4, rows=8)
+
+    def _image(self, seed):
+        """Words near the flush boundary: subnormals of both signs, the
+        smallest normals and ordinary floats, a third each."""
+        rng = np.random.default_rng(seed)
+        shape = (self.CFG.crossbars, self.CFG.registers, self.CFG.rows)
+        sign = rng.integers(0, 2, shape, dtype=np.uint32) << 31
+        mantissa = rng.integers(0, 1 << 23, shape, dtype=np.uint32)
+        exponent = np.where(
+            rng.random(shape) < 0.5,
+            rng.integers(1, 4, shape, dtype=np.uint32),
+            rng.integers(120, 135, shape, dtype=np.uint32),
+        )
+        subnormal = rng.random(shape) < 1 / 3
+        return sign | np.where(subnormal, mantissa | 1, exponent << 23 | mantissa)
+
+    def _stream(self, seed, length=40):
+        rng = random.Random(seed)
+        regs, rows, warps = 4, self.CFG.rows, self.CFG.crossbars
+
+        def mask(length):
+            start = rng.randrange(length)
+            return RangeMask(start, rng.randrange(start, length), 1)
+
+        stream = []
+        for _ in range(length):
+            roll = rng.random()
+            dest, a, b = (rng.randrange(regs) for _ in range(3))
+            masks = {
+                "warp_mask": mask(warps) if rng.random() < 0.3 else None,
+                "row_mask": mask(rows) if rng.random() < 0.3 else None,
+            }
+            if roll < 0.5:
+                op = rng.choice([ROp.ADD, ROp.SUB, ROp.MUL, ROp.DIV])
+                stream.append(RInstr(op, float32, dest, a, b, **masks))
+            elif roll < 0.6:
+                op = rng.choice([ROp.ADD, ROp.BIT_XOR])
+                stream.append(RInstr(op, int32, dest, a, b, **masks))
+            elif roll < 0.7:
+                value = rng.choice([1, 0x80000001, 0x007FFFFF, 0x3F800000, 0])
+                stream.append(WriteInstr(dest, value, **masks))
+            else:  # a run of row moves, which the plan gathers
+                shift = rng.randrange(1, rows)
+                warp_mask = mask(warps)
+                for row in rng.sample(range(rows), rng.randrange(1, rows)):
+                    stream.append(
+                        MoveInstr(a, b, row, (row + shift) % rows, warp_mask)
+                    )
+        return stream
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_replay_matches_instruction_by_instruction(self, seed):
+        """Every instruction executed alone flushes every float source;
+        the whole stream's plan must leave the same words."""
+        stream = self._stream(seed)
+        whole, alone = NumpyBackend(self.CFG), NumpyBackend(self.CFG)
+        for backend in (whole, alone):
+            backend.words[...] = self._image(seed)
+        for _ in range(2):
+            whole.run_stream(stream)
+            for instr in stream:
+                alone.execute(instr)
+            assert np.array_equal(whole.words, alone.words)
+
+    def test_only_unflushed_sources_are_flushed(self, monkeypatch):
+        """``z = a * b + a`` then a halving of ``z``: the plan flushes the
+        three host operands and nothing the plan itself wrote, and every
+        word still follows the flush-to-zero model."""
+        rows = self.CFG.rows
+        stream = [
+            RInstr(ROp.MUL, float32, dest=2, src_a=0, src_b=1),
+            RInstr(ROp.ADD, float32, dest=3, src_a=2, src_b=0),
+        ] + [
+            MoveInstr(3, 2, row + rows // 2, row) for row in range(rows // 2)
+        ] + [RInstr(ROp.ADD, float32, dest=3, src_a=3, src_b=2)]
+
+        def ftz(values):
+            raw = values.astype(np.float32).view(np.uint32)
+            subnormal = (raw & np.uint32(0x7FFFFFFF)) - np.uint32(1) < 0x7FFFFF
+            return np.where(subnormal, raw & np.uint32(0x80000000), raw).view(
+                np.float32
+            )
+
+        image = self._image(0)
+        floats = image.view(np.float32)
+        a, b = ftz(floats[:, 0]), ftz(floats[:, 1])
+        product = ftz(a * b)
+        z = ftz(product + a)
+        half = product.copy()
+        half[:, : rows // 2] = z[:, rows // 2 :]
+        expected = ftz(z + half)
+
+        backend = NumpyBackend(self.CFG)
+        backend.words[...] = image
+        backend.run_stream(stream)  # builds the plan
+        flushes = []
+        real = numpy_backend._as_float
+        monkeypatch.setattr(
+            numpy_backend, "_as_float",
+            lambda raw: flushes.append(raw) or real(raw),
+        )
+        with np.errstate(all="ignore"):
+            backend.run_stream(stream)
+        assert len(flushes) == 3
+        words = backend.words.view(np.float32)
+        assert np.array_equal(words[:, 2], half, equal_nan=True)
+        assert np.array_equal(words[:, 3], expected, equal_nan=True)

@@ -25,6 +25,10 @@ from repro.driver.driver import Driver
 BACKENDS = {"simulator": SimulatorBackend, "numpy": NumpyBackend}
 
 
+class UnknownKeywordError(TypeError):
+    """A keyword no constructor on the backend's path takes."""
+
+
 def accepted_keywords(cls: type) -> FrozenSet[str]:
     """The keyword arguments a backend class's constructor takes.
 
@@ -60,7 +64,7 @@ def make_backend(
         backend = "simulator"
     if isinstance(backend, Backend):
         if kwargs:
-            raise TypeError(
+            raise UnknownKeywordError(
                 f"unexpected keyword argument(s) {sorted(kwargs)} for a "
                 f"prebuilt {type(backend).__name__}: it accepts none "
                 "(pass them to its constructor)"
@@ -87,7 +91,7 @@ def make_backend(
     accepted = accepted_keywords(cls)
     unknown = sorted(set(kwargs) - accepted)
     if unknown:
-        raise TypeError(
+        raise UnknownKeywordError(
             f"unexpected keyword argument(s) {unknown} for the {cls.name!r} "
             f"backend; it accepts {sorted(accepted)}"
         )
@@ -100,5 +104,6 @@ __all__ = [
     "FunctionalProgram",
     "NumpyBackend",
     "SimulatorBackend",
+    "UnknownKeywordError",
     "make_backend",
 ]

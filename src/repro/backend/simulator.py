@@ -19,6 +19,7 @@ from repro.arch.config import PIMConfig
 from repro.backend.base import Backend
 from repro.driver.driver import Driver
 from repro.isa.instructions import Instruction
+from repro.sim import replay
 from repro.sim.simulator import Simulator
 from repro.sim.stats import SimStats
 
@@ -88,7 +89,9 @@ class SimulatorBackend(Backend):
         :meth:`~repro.sim.replay.PlaneRun.summary`, with its
         ``"layout"`` and the layout rule's input, ``"gates_per_plane"`` or
         ``"gates_per_plane_at_most"``; ``None`` on the reference route),
-        ``plan_source`` (``"derived"``, or ``"loaded"`` from an entry) and
+        ``copy_runs`` / ``copy_ops`` its :class:`~repro.sim.replay.CopyRun`
+        records and the operations they replay, ``plan_source``
+        (``"derived"``, or ``"loaded"`` from an entry) and
         ``plan_build_ms`` what this process paid for it (``ReplayPlan``).
         The remaining keys are the IR's
         :meth:`~repro.driver.program.MicroProgram.replay_summary`.
@@ -98,8 +101,12 @@ class SimulatorBackend(Backend):
         info["engine"] = "reference" if plan.steps is None else "vectorized"
         info["self_masked"] = plan.static_stats is not None
         info["plan"] = None if plan.steps is None else [
-            step.summary() for step in plan.steps if type(step) is not tuple
+            step.summary() for step in plan.steps
+            if isinstance(step, (replay.GateRun, replay.PlaneRun))
         ]
+        copies = [step.ops for step in plan.steps or ()
+                  if type(step) is replay.CopyRun]
+        info["copy_runs"], info["copy_ops"] = len(copies), sum(copies)
         info["plan_source"] = plan.source
         info["plan_build_ms"] = plan.build_ms
         return info

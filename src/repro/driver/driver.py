@@ -155,7 +155,9 @@ class Driver:
             optimized streams are written through and restored on later
             sessions' misses, skipping gate building entirely. Defaults
             from ``REPRO_CACHE_DIR``; ``None`` (and no env var) keeps
-            the cache in-memory only.
+            the cache in-memory only. With ``cache_size=0`` nothing is
+            stored or loaded: the default is ignored, and an explicit
+            directory is refused (``ValueError``).
         guard: enable gate-level lifetime checking (slow; for tests).
     """
 
@@ -176,7 +178,10 @@ class Driver:
         self.guard = guard
         cache_size = DEFAULT_CACHE_SIZE if cache_size is None else int(cache_size)
         self.cache_enabled = cache_size > 0
-        self.cache_dir = resolve_cache_dir(cache_dir)
+        if cache_dir is not None and not self.cache_enabled:
+            raise ValueError(f"cache_dir={cache_dir!r} with cache_size=0: a "
+                             "disabled cache stores and loads nothing")
+        self.cache_dir = resolve_cache_dir(cache_dir) if self.cache_enabled else None
         #: The durable cross-session tier (``None`` when no cache
         #: directory is configured); shared by both in-memory tiers, its
         #: entries carry the replay plans of a chip that plans.

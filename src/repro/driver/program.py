@@ -47,6 +47,7 @@ from repro.arch.micro_ops import (
     MoveOp,
     ReadOp,
     RowMaskOp,
+    WriteOp,
     decode_many,
     encode_many,
     gate_table,
@@ -200,18 +201,19 @@ class MicroProgram:
 
     @property
     def self_masked(self) -> bool:
-        """Whether every gate, move, vertical op and read runs under masks
-        the program itself set — true of every stream the driver emits,
-        false of an R-type body. Only then does :meth:`bill` hold from any
-        mask state a chip may be in."""
+        """Whether every gate, move, vertical op, read and write runs under
+        masks the program itself set — true of every stream the driver
+        emits, false of an R-type body. Only then does :meth:`bill` hold
+        from any mask state a chip may be in, and does every step of its
+        replay plan know its cells."""
         for segment in self.super_steps:
             if segment.kind == "op":
                 op = segment.op
                 # A gate whose masks are both known sits in a gate run.
                 if op is None or (
                     segment.xb is None
-                    and isinstance(op, (ReadOp, LogicVOp, MoveOp))
-                ) or (segment.row is None and isinstance(op, ReadOp)):
+                    and isinstance(op, (ReadOp, WriteOp, LogicVOp, MoveOp))
+                ) or (segment.row is None and isinstance(op, (ReadOp, WriteOp))):
                     return False
         return True
 

@@ -72,7 +72,7 @@ def array_to_raw(values: np.ndarray, dtype: DType) -> np.ndarray:
 
 def raw_to_array(raw: np.ndarray, dtype: DType) -> np.ndarray:
     """Vectorized conversion of raw uint32 register words into values."""
-    words = raw.astype(np.uint32)
+    words = raw.astype(np.uint32, copy=False)
     if dtype.name == "int32":
         return words.view(np.int32)
     if dtype.name == "float32":

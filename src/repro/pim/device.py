@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.arch.config import PIMConfig
 from repro.arch.masks import RangeMask
-from repro.backend import Backend, make_backend
+from repro.backend import Backend, UnknownKeywordError, make_backend
 from repro.driver.stream import MacroStream
 from repro.isa.dtypes import DType, array_to_raw, raw_to_array
 from repro.isa.instructions import Instruction
@@ -272,8 +272,13 @@ class PIMDevice:
     def read_raw(self, slot: Slot, length: int) -> np.ndarray:
         """Snapshot a slot's raw words (DMA-style, uncounted)."""
         self._check_open()
-        # flatten always copies; a one-warp block would reshape to a view
-        return self._block(slot, length).flatten()[:length]
+        block = self._block(slot, length)
+        raw = np.empty(length, block.dtype)  # one copy of exactly the words asked
+        full, rest = divmod(length, self.rows)
+        raw[: full * self.rows].reshape(full, self.rows)[...] = block[:full]
+        if rest:
+            raw[full * self.rows :] = block[full, :rest]
+        return raw
 
     def write_raw(self, slot: Slot, raw: np.ndarray) -> None:
         """Write raw words into a slot (DMA-style, uncounted).
@@ -389,7 +394,12 @@ def init(
         raise TypeError("pass either a PIMConfig or config keyword arguments")
     # Build the replacement first: a failed init (bad backend name, bad
     # config) must not invalidate the still-working previous default.
-    device = PIMDevice(config, backend=backend, **backend_kwargs)
+    try:
+        device = PIMDevice(config, backend=backend, **backend_kwargs)
+    except UnknownKeywordError as exc:  # it may be a misspelt config field
+        raise UnknownKeywordError(
+            f"{exc}; pim.init also takes the PIMConfig fields {sorted(config_fields)}"
+        ) from None
     if _default_device is not None:
         _default_device.close()
     _default_device = device

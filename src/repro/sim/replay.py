@@ -62,7 +62,8 @@ import numpy as np
 from repro.arch.halfgates import pattern_outputs
 from repro.arch.masks import RangeMask
 from repro.arch.micro_ops import (
-    _IDX_FIELD, _PART_FIELD, PATTERN_SHIFTS, GateType, LogicHOp, _distinct,
+    _IDX_FIELD, _PART_FIELD, PATTERN_SHIFTS, CrossbarMaskOp, GateType, LogicHOp,
+    MoveOp, ReadOp, RowMaskOp, WriteOp, _distinct,
 )
 from repro.sim.memory import CrossbarMemory
 
@@ -317,6 +318,61 @@ class PlaneRun(NamedTuple):
         }
 
 
+@dataclass(frozen=True, eq=False)
+class CopyRun:
+    """A stretch of word-granular steps as one copy of the word image:
+    cell ``dst[i]`` of the flat :attr:`CrossbarMemory.words` becomes
+    ``words[src[i]] & keep[i] ^ flip[i]`` (an original cell, plain or
+    complemented, or a constant), every source read before any cell is
+    written. ``ops`` is the count of operations it replays
+    (:func:`_copy_run` derives it)."""
+
+    dst: np.ndarray
+    src: np.ndarray
+    keep: np.ndarray
+    flip: np.ndarray
+    ops: int
+
+    def __call__(self, memory: CrossbarMemory) -> None:
+        words = memory.words.reshape(-1)  # the image is C-contiguous: a view
+        words[self.dst] = words[self.src] & self.keep ^ self.flip
+
+    def __eq__(self, other) -> bool:
+        return type(other) is CopyRun and self.ops == other.ops and all(
+            np.array_equal(a, b) for a, b in zip(
+                (self.dst, self.src, self.keep, self.flip),
+                (other.dst, other.src, other.keep, other.flip)))
+
+    def __hash__(self) -> int:
+        return hash((self.ops, self.dst.tobytes()))
+
+
+class ReadStep(NamedTuple):
+    """A read under the masks the program set: the word it returns."""
+
+    crossbar: int
+    row: int
+    index: int
+
+    def __call__(self, memory: CrossbarMemory) -> int:
+        return memory.get_word(self.crossbar, self.row, self.index)
+
+
+class VerticalNot(NamedTuple):
+    """A vertical NOT a :class:`CopyRun` cannot express, onto cells that
+    are not a constant: ``out &= ~in`` down the column of every crossbar."""
+
+    xb: RangeMask
+    in_row: int
+    out_row: int
+    index: int
+
+    def __call__(self, memory: CrossbarMemory) -> None:
+        xb = self.xb
+        column = memory.words[xb.start : xb.stop + 1 : xb.step, self.index]
+        column[:, self.out_row] &= ~column[:, self.in_row]
+
+
 def pattern_masks(keys, partitions: int) -> list:
     """``(out-mask, gate count)`` per distinct pattern key of a
     :func:`~repro.arch.micro_ops.gate_table`: one :func:`_pattern_mask`
@@ -550,7 +606,7 @@ def _judge(table, masks, run, found, bodies) -> tuple:
     return 2, gates / packed, len(bodies) - 1
 
 
-def materialise(columns, program, config, memory: CrossbarMemory, plane_bodies) -> Iterator:
+def _gate_runs(columns, program, config, memory: CrossbarMemory, plane_bodies) -> Iterator:
     """The replay record of every ``"gates"`` super-step, in order: a
     :class:`PlaneRun` for layout 2, else a :class:`GateRun` (a
     :class:`WideGateRun` above :data:`MAX_WORD_LANES`). ``plane_bodies``,
@@ -612,6 +668,107 @@ def materialise(columns, program, config, memory: CrossbarMemory, plane_bodies) 
             xb, row, regs, written, lanes, steps, rule = run
             run = GateRun(xb, row, regs, written, tables[lanes], steps, rule)
         yield run
+
+
+#: The lane-program opcodes of a word-granular gate: INIT1, an unshifted
+#: NOT and INIT0 (each only over the whole column).
+_WORD_OPCODES = (3, 8, 10)
+
+
+def materialise(columns, program, config, memory: CrossbarMemory, plane_bodies) -> tuple:
+    """``(steps, masks)``: the replay records of a program from its plan
+    ``columns``, in order, and the masks it leaves set (``None``: never
+    set). Each maximal stretch of word-granular steps — mask ops, moves,
+    vertical INIT0 / INIT1 / NOT, writes and gate runs of whole-column
+    INIT0 / INIT1 / NOT, read off the lane table — is one :class:`CopyRun`
+    (:func:`_copy_run`); every other gate run is its :func:`_gate_runs`
+    record, a read a :class:`ReadStep`, and a NOT the copy cannot express
+    ends the stretch as its own record."""
+    table, ids = columns.table, columns.ids
+    wm = (1 << config.word_size) - 1
+    wordwise = np.isin(table[0], _WORD_OPCODES) & (columns.masks[table[6]] == np.uint64(wm))
+    wordwise &= 8 * memory.dtype.itemsize == config.word_size  # a gate leaves no bit alone
+    runs = _gate_runs(columns, program, config, memory, plane_bodies)
+    events, masks, done = [], [None, None], 0  # an event: (cell updates, own step, ops)
+    for segment in program.super_steps:
+        op, xb, row = segment.op, segment.xb, segment.row
+        cols = xb and slice(xb[0], xb[1] + 1, xb[2])
+        rows = row and slice(row[0], row[1] + 1, row[2])
+        if segment.kind == "gates":
+            run_ids = ids[done : done + len(segment)]
+            done += len(segment)
+            cells = None if not wordwise[run_ids].all() else [
+                ("not", (cols, out, rows), (cols, a, rows)) if code == 8
+                else ("set", (cols, out, rows), wm * (code == 3))
+                for code, out, a in table[:3, run_ids].T.tolist()]
+            events.append((cells, next(runs), len(segment)))
+        elif isinstance(op, (CrossbarMaskOp, RowMaskOp)):
+            masks[type(op) is RowMaskOp] = RangeMask(op.start, op.stop, op.step)
+            events.append(([], None, 1))
+        elif isinstance(op, ReadOp):
+            events.append((None, ReadStep(xb[0], row[0], op.index), 0))
+        elif isinstance(op, WriteOp):
+            events.append(([("set", (cols, op.index, rows), op.value)], None, 1))
+        elif isinstance(op, MoveOp):
+            to = slice(xb[0] + op.dist, xb[1] + op.dist + 1, xb[2])
+            events.append(([("copy", (to, op.dst_index, op.dst_row),
+                             (cols, op.src_index, op.src_row))], None, 1))
+        elif op.gate == GateType.NOT:  # vertical
+            events.append(([("not", (cols, op.index, op.out_row), (cols, op.index, op.in_row))],
+                           VerticalNot(RangeMask(*xb), op.in_row, op.out_row, op.index), 1))
+        else:
+            events.append(([("set", (cols, op.index, op.out_row), wm * op.gate)], None, 1))
+    steps, at = [], 0
+    while at < len(events):
+        end = next((k for k in range(at, len(events)) if events[k][0] is None), len(events))
+        run, absorbed = _copy_run(events[at:end], config, memory.dtype)
+        steps += [] if run is None else [run]
+        at += absorbed
+        if at < len(events):  # a step whose cells no copy expresses
+            steps.append(events[at][1])
+        at += 1
+    return tuple(steps), tuple(masks)
+
+
+def _copy_run(span, config, dtype) -> tuple:
+    """``(run, absorbed)``: the :class:`CopyRun` of the longest head of the
+    events ``span`` it can express (``None`` if it changes no cell), and
+    that head's length. Derived by running their cell updates, with the
+    reference semantics, over a symbolic image of the registers they
+    touch: per cell its source cell (a flat index), keep and flip. A NOT
+    ``out &= ~in`` onto a cell that is not a constant ends the head."""
+    regs = sorted({cell[1] for cells, _, _ in span for _, *pair in cells
+                   for cell in pair if type(cell) is tuple})
+    if not regs:
+        return None, len(span)
+    slot = {reg: k for k, reg in enumerate(regs)}
+    ones = np.uint64(np.iinfo(dtype).max)
+    flat = ((np.arange(config.crossbars, dtype=np.uint64)[:, None, None] * config.registers
+             + np.array(regs, np.uint64)[:, None]) * config.rows
+            + np.arange(config.rows, dtype=np.uint64))
+    image = np.stack(np.broadcast_arrays(flat, ones, np.uint64(0)), axis=-1)
+    for absorbed, (cells, _, _) in enumerate(span):
+        for kind, out, source in cells:
+            target = image[out[0], slot[out[1]], out[2]]
+            if kind == "set":
+                target[..., 1] = 0
+                target[..., 2] = source
+            elif kind == "copy":
+                target[...] = image[source[0], slot[source[1]], source[2]]
+            elif target[..., 1].any():  # out is not a constant: two sources
+                return _copy_run(span[:absorbed], config, dtype)[0], absorbed
+            else:  # a constant c: c & ~in is in, complemented, where c is 1
+                cell, const = image[source[0], slot[source[1]], source[2]], target[..., 2]
+                target[..., 0] = cell[..., 0]
+                target[..., 1] = cell[..., 1] & const
+                target[..., 2] = (cell[..., 2] ^ ones) & const
+    source, keep, flip = np.moveaxis(image, -1, 0)
+    changed = (source != flat) | (keep != ones) | (flip != 0)
+    if not changed.any():
+        return None, len(span)
+    return CopyRun(flat[changed].astype(np.intp), source[changed].astype(np.intp),
+                   keep[changed].astype(dtype), flip[changed].astype(dtype),
+                   sum(ops for _, _, ops in span)), len(span)
 
 
 def check_columns(columns, program, config) -> None:

@@ -169,12 +169,13 @@ class ReplayPlan(NamedTuple):
     """What the simulator memoizes per program on first sight: plain data.
 
     Attributes:
-        steps: the vectorized replay records, in program order — a
-            :class:`~repro.sim.replay.GateRun` or
-            :class:`~repro.sim.replay.PlaneRun` per gate super-step, a
-            silent ``(opcode, args...)`` record
-            (:meth:`Simulator._silent_step`) per op between them — or
-            ``None`` when the program replays through the reference.
+        steps: the vectorized replay records, in program order
+            (:func:`repro.sim.replay.materialise`): a
+            :class:`~repro.sim.replay.CopyRun` per stretch of
+            word-granular steps, a :class:`~repro.sim.replay.GateRun` or
+            :class:`~repro.sim.replay.PlaneRun` per other gate super-step,
+            a :class:`~repro.sim.replay.ReadStep` per read — or ``None``
+            when the program replays through the reference.
         static_stats: the per-replay stats delta — the bill the program
             carries — merged once per vectorized replay. ``None`` (and
             then no ``steps`` either) when the program is not self-masked
@@ -182,12 +183,15 @@ class ReplayPlan(NamedTuple):
         build_ms: host milliseconds this process paid for it (a
             ``"loaded"`` plan: the entry's load plus making its records).
         source: ``"derived"`` from the words, or ``"loaded"`` from an entry.
+        masks: the crossbar and row masks a replay leaves set (``None``:
+            the program sets none of that kind).
     """
 
     steps: Optional[tuple]
     static_stats: Optional[SimStats]
     build_ms: float = 0.0
     source: str = "derived"
+    masks: tuple = (None, None)
 
 
 class Simulator:
@@ -221,15 +225,6 @@ class Simulator:
         #: Bit-plane run bodies by gate words, shared by those plans and
         #: dropped with the last of them.
         self._plane_bodies: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
-        #: Silent-step dispatch: a plan record's opcode -> its handler.
-        self._silent = {
-            CrossbarMaskOp: self._silent_xb_mask,
-            RowMaskOp: self._silent_row_mask,
-            ReadOp: self._silent_read,
-            WriteOp: self._silent_write,
-            LogicVOp: self._silent_logic_v,
-            MoveOp: self._silent_move,
-        }
 
     # ------------------------------------------------------------------
     # Interface
@@ -285,14 +280,14 @@ class Simulator:
                     response = result
             return response
         self.replay_counters["vectorized"] += 1
-        memory, silent = self.memory, self._silent
-        for step in plan.steps:
-            if type(step) is tuple:
-                result = silent[step[0]](*step[1:])
-                if result is not None:
-                    response = result
-            else:
-                step(memory)
+        memory = self.memory
+        for step in plan.steps:  # every record holds the masks it runs under
+            result = step(memory)
+            if result is not None:
+                response = result
+        xb, row = plan.masks
+        self._xb_mask = self._xb_mask if xb is None else xb
+        self._row_mask = self._row_mask if row is None else row
         self.stats.merge(plan.static_stats)
         return response
 
@@ -329,6 +324,7 @@ class Simulator:
         start = perf_counter()
         source = "derived" if columns is None else "loaded"
         steps = static_stats = None
+        masks = (None, None)
         if program.self_masked:
             try:
                 static_stats = program.bill(self.config)
@@ -337,64 +333,13 @@ class Simulator:
         if static_stats is not None:
             if columns is None:
                 columns = replay.plan_columns(program, self.config, known)
-            runs = replay.materialise(
+            steps, masks = replay.materialise(
                 columns, program, self.config, self.memory, self._plane_bodies
             )
-            steps = tuple(
-                next(runs) if segment.kind == "gates"
-                else self._silent_step(segment.op)
-                for segment in program.super_steps
-            )
         build_ms = spent_ms + 1e3 * (perf_counter() - start)
-        plan = self._plans[program] = ReplayPlan(steps, static_stats, build_ms, source)
+        plan = self._plans[program] = ReplayPlan(
+            steps, static_stats, build_ms, source, masks)
         return plan, None if steps is None else columns
-
-    @staticmethod
-    def _silent_step(op: MicroOp) -> tuple:
-        """The ``(opcode, args...)`` record of a non-gate op of a plan:
-        the op's class, then its fields (a mask op's, as the mask).
-
-        Silent steps skip per-op counter updates and runtime checks: the
-        plan's stats delta and every mask range, move pattern and read
-        shape were established statically (``ReplayPlan.static_stats``).
-        """
-        if isinstance(op, (CrossbarMaskOp, RowMaskOp)):
-            return (type(op), RangeMask(op.start, op.stop, op.step))
-        return (type(op), *(getattr(op, name) for name in op.__dataclass_fields__))
-
-    # -- op bodies: the effect alone (a silent step's all; ``_exec_*``
-    # wrap them in the runtime checks and the count) ---------------------
-    def _silent_xb_mask(self, mask: RangeMask) -> None:
-        self._xb_mask = mask
-
-    def _silent_row_mask(self, mask: RangeMask) -> None:
-        self._row_mask = mask
-
-    def _silent_read(self, index: int) -> int:
-        return self.memory.get_word(
-            self._xb_mask.start, self._row_mask.start, index
-        )
-
-    def _silent_write(self, index: int, value: int) -> None:
-        self._reg_region(index)[...] = self.memory.dtype.type(value)
-
-    def _silent_logic_v(self, gate, in_row: int, out_row: int, index: int) -> None:
-        xm = self._xb_mask
-        column = self.memory.words[
-            xm.start : xm.stop + 1 : xm.step, index, :
-        ]
-        if gate == GateType.INIT1:
-            column[:, out_row] = self.memory.word_mask
-        elif gate == GateType.INIT0:
-            column[:, out_row] = 0
-        else:  # NOT
-            column[:, out_row] &= ~column[:, in_row]
-
-    def _silent_move(self, dist, src_row, dst_row, src_index, dst_index) -> None:
-        xm, words = self._xb_mask, self.memory.words
-        words[xm.start + dist : xm.stop + dist + 1 : xm.step, dst_index, dst_row] = (
-            words[xm.start : xm.stop + 1 : xm.step, src_index, src_row]
-        )
 
     @property
     def crossbar_mask(self) -> RangeMask:
@@ -446,13 +391,15 @@ class Simulator:
                 "read requires masks selecting a single row of a single crossbar"
             )
         self.stats.record("read")
-        return self._silent_read(op.index)
+        return self.memory.get_word(
+            self._xb_mask.start, self._row_mask.start, op.index
+        )
 
     def _exec_write(self, op: WriteOp) -> None:
         self._check_index(op.index)
         if op.value >> write_value_bits(self.config.word_size):
             raise SimulationError("write value exceeds word size")
-        self._silent_write(op.index, op.value)
+        self._reg_region(op.index)[...] = self.memory.dtype.type(op.value)
         self.stats.record("write")
 
     def _exec_logic_h(self, op: LogicHOp) -> None:
@@ -487,7 +434,14 @@ class Simulator:
         _check_row(self.config, op.out_row)
         if op.gate == GateType.NOT:
             _check_row(self.config, op.in_row)
-        self._silent_logic_v(op.gate, op.in_row, op.out_row, op.index)
+        xm = self._xb_mask
+        column = self.memory.words[xm.start : xm.stop + 1 : xm.step, op.index, :]
+        if op.gate == GateType.INIT1:
+            column[:, op.out_row] = self.memory.word_mask
+        elif op.gate == GateType.INIT0:
+            column[:, op.out_row] = 0
+        else:  # NOT
+            column[:, op.out_row] &= ~column[:, op.in_row]
         self.stats.record(
             _GATE_KEYS_V[op.gate],
             gates=self.config.partitions * len(self._xb_mask),
@@ -500,8 +454,8 @@ class Simulator:
         _check_row(self.config, op.src_row)
         _check_row(self.config, op.dst_row)
         latency = checked_move_cycles(self._xb_mask, op.dist, cfg.crossbars)
-        # Index arrays, not the plan's slice views (``_silent_move``): the
-        # reference stays an independent statement of the move.
+        # Index arrays, not the plan's slice views (``replay.materialise``):
+        # the reference stays an independent statement of the move.
         sources = np.fromiter(self._xb_mask.indices(), dtype=np.int64)
         self.memory.words[sources + op.dist, op.dst_index, op.dst_row] = (
             self.memory.words[sources, op.src_index, op.src_row]

@@ -78,6 +78,17 @@ class TestSequenceCache:
         chip.driver.execute(instr)
         assert cache_hits(chip.driver) == 0
 
+    def test_a_disabled_cache_takes_no_directory(self, tmp_path, monkeypatch):
+        """``cache_size=0`` stores and loads nothing: an explicit
+        ``cache_dir`` is refused naming both, the env default ignored."""
+        sim = Simulator(small_config(crossbars=4, rows=8))
+        with pytest.raises(ValueError, match="cache_dir=.*cache_size=0"):
+            Driver(sim, cache_size=0, cache_dir=str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        driver = Driver(sim, cache_size=0)
+        assert driver.cache_dir is None and driver.persist is None
+        assert Driver(sim).cache_dir == str(tmp_path)
+
     def test_cached_results_still_correct(self, chip):
         chip.put(0, np.arange(8, dtype=np.int32), int32)
         chip.put(1, np.full(8, 3, dtype=np.int32), int32)

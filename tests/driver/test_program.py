@@ -282,7 +282,8 @@ class TestProgramBill:
             ([xb, LogicVOp(GateType.INIT1, 0, 1, 3)], True),   # needs xb only
             ([row, LogicVOp(GateType.INIT1, 0, 1, 3)], False),
             ([row, MoveOp(1, 0, 0, 1, 2)], False),
-            ([WriteOp(1, 5)], True),              # writes take any masks
+            ([WriteOp(1, 5)], False),             # a write's cells need both
+            ([xb, row, WriteOp(1, 5)], True),
         ]
         for ops, expected in cases:
             assert MicroProgram.from_ops(ops, "p", CFG).self_masked is expected

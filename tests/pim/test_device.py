@@ -133,6 +133,17 @@ class TestBlockTransfer:
         got[:] = 7
         assert not dev.backend.words.any()
 
+    @pytest.mark.parametrize("length", [5, 8, 19])
+    def test_dump_array_owns_exactly_its_words(self, length):
+        """A read-back is one copy of the words asked for: no whole slot
+        block behind it, no second copy of the same words."""
+        dev = _device("simulator", {}, crossbars=4, rows=8)
+        slot = Slot(reg=1, warp_start=0, warp_count=3)
+        for dtype in (int32, float32):
+            got = dev.dump_array(slot, length, dtype)
+            owner = got if got.base is None else got.base
+            assert owner.base is None and owner.nbytes == 4 * length
+
     @pytest.mark.parametrize("backend,kwargs", BACKENDS)
     def test_round_trip_is_bit_exact(self, backend, kwargs):
         """DMA moves words: -0.0, NaN payloads and subnormals survive
@@ -277,6 +288,13 @@ class TestKeywordRefusal:
             assert pim.default_device() is previous
         finally:
             pim.reset()
+
+    def test_init_names_the_config_fields_too(self):
+        """``pim.init`` takes config fields beside backend keywords, so a
+        misspelt field's refusal lists both."""
+        with pytest.raises(TypeError, match="'crossbar'") as info:
+            pim.init(crossbar=4)
+        assert "'crossbars'" in str(info.value) and "'cache_dir'" in str(info.value)
 
     def test_partitions_is_not_a_setting(self):
         with pytest.raises(TypeError, match="'partitions'"):

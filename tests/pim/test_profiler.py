@@ -100,8 +100,10 @@ class TestCounterSnapshot:
     @pytest.mark.parametrize("kind", sorted(SNAPSHOT_BACKENDS))
     def test_one_snapshot(self, kind, tmp_path):
         config = PIMConfig(crossbars=4, rows=16)
+        uncached = kind == "simulator-uncached"  # a cache_dir is refused
         device = PIMDevice(
-            config, cache_dir=str(tmp_path), **SNAPSHOT_BACKENDS[kind]
+            config, cache_dir=None if uncached else str(tmp_path),
+            **SNAPSHOT_BACKENDS[kind]
         )
         backend = device.backend
         device.install_faults(FaultPlan(config, seed=0))
@@ -113,7 +115,7 @@ class TestCounterSnapshot:
         pooled = kind.startswith("pooled")
         simulator = kind.startswith("simulator")
         families = {"emit", "fault", "replay"} if simulator else {"emit", "fault"}
-        if kind != "simulator-uncached":
+        if not uncached:
             families |= {"cache", "persist"}
         assert {key.split(".")[0] for key in prof.counters} == families
         assert all(key.count(".") == 1 for key in books)
@@ -147,7 +149,7 @@ class TestCounterSnapshot:
                 getattr(driver.programs, tier) + getattr(driver.streams, tier)
                 + sum(worker.counters()[f"cache.{tier}"] for worker in workers)
             ), tier
-        persist = dict(driver.persist.counters())
+        persist = {} if uncached else dict(driver.persist.counters())
         for worker in workers:
             for outcome, count in family(worker.counters(), "persist").items():
                 persist[outcome] += count

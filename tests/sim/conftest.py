@@ -5,6 +5,7 @@ import pytest
 
 import repro.pim as pim
 from repro.arch.config import PIMConfig
+from repro.sim import replay
 
 
 def _grad_terms(x, y):
@@ -20,7 +21,8 @@ def _grad_terms(x, y):
 @pytest.fixture(scope="session")
 def session_plan():
     """The ``session_warm`` program (``_grad_terms`` at O3, 4x16, n=64),
-    its config, and its plan's gate runs (word and plane runs)."""
+    its config, and the run record of each of its gate super-steps (word
+    and plane runs, as ``replay._gate_runs`` makes them for its plan)."""
     config = PIMConfig(crossbars=4, rows=16)
     device = pim.PIMDevice(config, backend="simulator")
     rng = np.random.default_rng(3)
@@ -29,6 +31,8 @@ def session_plan():
     func = pim.CompiledFunction(_grad_terms, device=device, opt_level=3)
     func(x, y)
     program = func._entry_for((x, y)).program
-    plan = device.backend.simulator.replay_plan(program)
+    sim = device.backend.simulator
+    columns = replay.plan_columns(program, config, dict(sim._plane_bodies.items()))
+    runs = list(replay._gate_runs(columns, program, config, sim.memory, sim._plane_bodies))
     device.close()
-    return program, config, [s for s in plan.steps if type(s) is not tuple]
+    return program, config, runs

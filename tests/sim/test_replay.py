@@ -319,24 +319,28 @@ class TestEngineSelection:
         sim, _, program = _replay_vs_op_by_op(CFG, ops)
         xb, row = RangeMask(0, CFG.crossbars - 1, 1), RangeMask(0, CFG.rows - 1, 1)
         unit = sum(1 << 32 * lane for lane in range(len(xb) * len(row)))
-        init1, nor_up = replay.OPCODES.index((GateType.INIT1, 0, 0)), 0
+        nor_up = 0
         assert replay.OPCODES[nor_up] == (GateType.NOR, 1, 1)
+        # The masks, the whole-column INIT1 and the write are one copy of
+        # the image: registers 2 and 3 become the constants 7 and all-ones.
+        cells = np.array([(x * CFG.registers + reg) * CFG.rows + r
+                          for x in range(CFG.crossbars) for reg in (2, 3)
+                          for r in range(CFG.rows)])
+        flip = np.where(cells // CFG.rows % CFG.registers == 2, 7, 0xFFFFFFFF)
+        copy = replay.CopyRun(cells, cells, np.zeros(len(cells), np.uint32),
+                              flip.astype(np.uint32), 4)
         # Mask ids follow the pattern keys: the NOR's (p_end 2) before the
-        # INIT1's (p_end 31); both runs have 32 lanes, so share one table.
-        # Both are words from counts: one gate writing 32 planes; one
-        # gate reading 2 planes and writing 1.
+        # INIT1's (p_end 31); both gate runs have 32 lanes, so share one
+        # table. The NOR is words from counts: one gate reading 2 planes
+        # and writing 1.
         masks = (0b100 * unit, 0xFFFFFFFF * unit)
         assert sim.replay_plan(program).steps == (
-            (CrossbarMaskOp, xb),
-            (RowMaskOp, row),
-            replay.GateRun(xb, row, (3,), (3,), masks,
-                           ((init1, 3, 3, 0, 3, 0, 1),),
-                           ("gates_per_plane_at_most", 1 / 32)),
-            (WriteOp, 2, 7),
+            copy,
             replay.GateRun(xb, row, (0, 1, 3), (3,), masks,
                            ((nor_up, 3, 0, 2, 1, 1, 0),),
                            ("gates_per_plane_at_most", 1 / 3)),
         )
+        assert sim.replay_plan(program).masks == (xb, row)
         run = sim.replay_plan(program).steps[-1]
         assert list(run) == [run.xb, run.row, run.regs, run.written,
                              run.masks, run.steps, run.rule]
@@ -402,7 +406,8 @@ class TestEngineSelection:
         sim, _, program = _replay_vs_op_by_op(WIDE, ops, replays=2)
         assert sim.replay_counters == {"vectorized": 2, "reference": 0}
         assert sim.memory.words[1, 0, 2] == limit - 1
-        assert (WriteOp, 0, limit - 1) in sim.replay_plan(program).steps
+        (copy, _, _) = sim.replay_plan(program).steps  # writes, INIT1; NOR; read
+        assert limit - 1 in copy.flip
         assert micro_ops.decode_many(program.encoded(64), 64) == tuple(ops)
 
         wide = [CrossbarMaskOp(0, 3, 1), RowMaskOp(0, 7, 1), WriteOp(0, limit)]
@@ -596,7 +601,7 @@ class TestPlanRecords:
         config = BIG[size]
         xb, row = BIG_REGIONS[lanes]
         ops = ([CrossbarMaskOp(*xb), RowMaskOp(*row)] + [_gate(3, 0, 1)] * 48
-               + [WriteOp(5, 1), _init1(4)]
+               + [WriteOp(5, 1), _init1(4, p_end=30)]
                + _random_self_masked_ops(np.random.default_rng(seed), config, length))
         program = compile_ops(ops, config, optimize=False)
         deriving, loading = Simulator(config), Simulator(config)
